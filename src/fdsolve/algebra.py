@@ -20,8 +20,6 @@ Coeff = Union[int, float, str, Fraction]
 NUMERIC_SNAP_IMAG = 1e-10
 #: numeric roots closer than this (relative to root magnitude) share a cluster
 NUMERIC_CLUSTER_TOL = 1e-6
-#: per-coefficient relative error allowed when re-expanding the factorization
-RECONSTRUCT_TOL = 1e-9
 
 _RATIONAL_CANDIDATE_LIMIT = 10**12
 
@@ -185,27 +183,34 @@ class Poly:
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers: `t^2 - 5*t + 4`."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _render_powers(reversed(list(enumerate(self.coeffs))), var)
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) pairs as `a - b + c`; the empty sum is `0`."""
+    parts: list[str] = []
+    for negative, body in terms:
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts) or "0"
+
+
+def _monomial(k: int, c: Fraction, var: str) -> tuple[bool, str]:
+    mag = abs(c)
+    if k == 0:
+        return c < 0, str(mag)
+    power = var if k == 1 else f"{var}^{k}"
+    return c < 0, power if mag == 1 else f"{mag}*{power}"
+
+
+def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
+    """Signed sum of the monomials c*var^k in the given (k, c) order, zeros skipped."""
+    return _signed_sum(_monomial(k, c, var) for k, c in terms if c)
 
 
 def falling_factorial_poly(k: int) -> Poly:

@@ -122,57 +122,32 @@ def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
     return doc
 
 
-def _print_solution_text(doc: dict[str, Any]) -> None:
-    print(f"equation:    {doc['input']['equation']}")
-    if doc["input"]["initial"]:
-        conds = ", ".join(f"y({t}) = {v}" for t, v in doc["input"]["initial"])
-        print(f"initial:     {conds}")
-    print(f"particular:  {doc['particular']}")
-    if doc["homogeneous"]:
-        rendered = []
-        for m in doc["homogeneous"]:
-            if m["type"] == "exact":
-                rendered.append(m["expr"])
-            else:
-                power = "" if m["power"] == 0 else (" * t" if m["power"] == 1
-                                                    else f" * t^{m['power']}")
-                osc = "" if m["angle"] == 0 else f" * {m['kind']}({m['angle']:.10g}*t)"
-                rendered.append(f"{m['modulus']:.10g}^t{power}{osc}")
-        print(f"homogeneous: {', '.join(rendered)}")
+def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
+                   trace: bool) -> str:
+    lines = [f"equation:    {eq}"]
+    if eq.initial:
+        conds = ", ".join(f"y({t}) = {v}" for t, v in eq.initial)
+        lines.append(f"initial:     {conds}")
+    lines.append(f"particular:  {sol.particular.render(pretty=True)}")
+    if sol.homogeneous:
+        rendered = ", ".join(m.render(pretty=True) for m in sol.homogeneous)
+        lines.append(f"homogeneous: {rendered}")
     else:
-        print("homogeneous: (empty basis)")
-    if doc["constants"] is not None:
+        lines.append("homogeneous: (empty basis)")
+    if sol.constants is not None:
         pretty = ", ".join(
-            f"c{i+1} = {c if isinstance(c, str) else format(c, '.10g')}"
-            for i, c in enumerate(doc["constants"]))
-        print(f"constants:   {pretty}")
-    if "general" in doc:
-        print(f"general:     {doc['general']}")
-    if "trace" in doc:
-        print("trace:")
-        for i, s in enumerate(doc["trace"], 1):
-            print(f"  {i}. [{s['rule']}] {s['detail']}")
-            print(f"     {s['before']}  =>  {s['after']}")
-    if doc["verification"]:
-        print(f"verification: {_describe(doc['verification'])}")
-
-
-def _describe(v: dict[str, Any]) -> str:
-    lo, hi = v["range"]
-    where = f"t in [{lo}, {hi}]"
-    if v["status"] == "exact-match":
-        return f"exact-match over {where} ({v['method']})"
-    if v["status"] == "max-abs-deviation":
-        return f"max-abs-deviation {v['max_deviation']:.3e} over {where} ({v['method']})"
-    return (f"mismatch at t={v['mismatch_t']}: expected {v['expected']}, "
-            f"got {v['got']} ({v['method']})")
-
-
-def _emit(doc: dict[str, Any], fmt: str, text_printer) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        text_printer(doc)
+            f"c{i+1} = {c if isinstance(c, Fraction) else format(c, '.10g')}"
+            for i, c in enumerate(sol.constants))
+        lines.append(f"constants:   {pretty}")
+    general = sol.general_expr()
+    if general is not None:
+        lines.append(f"general:     {general.render(pretty=True)}")
+    if trace:
+        lines.append("trace:")
+        lines.extend(f"  {line}" for line in sol.trace.render().splitlines())
+    if report is not None:
+        lines.append(f"verification: {report.describe()}")
+    return "\n".join(lines)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -183,8 +158,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = None
     if args.verify is not None:
         report = verify_solution(eq, sol, horizon=args.verify)
-    doc = _solution_doc(eq, sol, report, args.trace)
-    _emit(doc, args.format, _print_solution_text)
+    if args.format == "json":
+        print(json.dumps(_solution_doc(eq, sol, report, args.trace), indent=2))
+    else:
+        print(_solution_text(eq, sol, report, args.trace))
     if report is not None and not report.ok:
         return EXIT_VERIFY
     return EXIT_OK
@@ -198,7 +175,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         "input": {"operator": str(op), "expression": str(e)},
         "result": result.render(pretty=True),
     }
-    _emit(doc, args.format, lambda d: print(d["result"]))
+    print(json.dumps(doc, indent=2) if args.format == "json" else doc["result"])
     return EXIT_OK
 
 
@@ -212,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "input": {"equation": str(eq), "solution": str(candidate)},
         "verification": _report_doc(report),
     }
-    _emit(doc, args.format, lambda d: print(_describe(d["verification"])))
+    print(json.dumps(doc, indent=2) if args.format == "json" else report.describe())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .algebra import Coeff, Poly
+from .algebra import Coeff, Poly, _signed_sum
 from .operators import OperatorPoly
 
 
@@ -232,16 +232,7 @@ class SequenceExpr:
         return SequenceExpr(out)
 
     def render(self, pretty: bool = False) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, term in enumerate(self.terms):
-            sign, body = _render_term(term, pretty)
-            if i == 0:
-                parts.append(f"-{body}" if sign < 0 else body)
-            else:
-                parts.append(f" - {body}" if sign < 0 else f" + {body}")
-        return "".join(parts)
+        return _signed_sum(_render_term(term, pretty) for term in self.terms)
 
     def __str__(self) -> str:
         return self.render()
@@ -264,14 +255,14 @@ def _exponent_fold(coeff: Fraction, base: Fraction) -> int | None:
     return None
 
 
-def _render_term(term: Term, pretty: bool) -> tuple[int, str]:
-    """Return (sign, body) where body renders |term| and sign is +-1."""
+def _render_term(term: Term, pretty: bool) -> tuple[bool, str]:
+    """Return (negative, body) where body renders |term|."""
     if term.base == 1 and term.trig is None:
         s = (term.poly * term.coeff).render()
         if s.startswith("-"):
-            return -1, s[1:]
-        return 1, s
-    coeff, sign = term.coeff, 1
+            return True, s[1:]
+        return False, s
+    coeff, negative = term.coeff, False
     pieces: list[str] = []
     folded = False
     if pretty:
@@ -281,7 +272,7 @@ def _render_term(term: Term, pretty: bool) -> tuple[int, str]:
             coeff, folded = Fraction(1), True
     if not folded:
         if coeff < 0:
-            sign, coeff = -1, -coeff
+            negative, coeff = True, -coeff
         if term.base != 1:
             if coeff != 1 and term.poly.degree < 1:
                 pieces.append(str(coeff))
@@ -302,7 +293,7 @@ def _render_term(term: Term, pretty: bool) -> tuple[int, str]:
         pieces.append(term.trig.render())
     if not pieces:
         pieces.append("1")
-    return sign, " * ".join(pieces)
+    return negative, " * ".join(pieces)
 
 
 def apply_operator(op: OperatorPoly, e: SequenceExpr) -> SequenceExpr:

@@ -94,7 +94,10 @@ def verify_solution(
     exact.  When initial conditions (and fitted constants) exist, the general
     solution is also compared against exact iteration over [t0, t0+horizon],
     with `tol` as the absolute tolerance once float modes are involved.
+    A negative horizon raises ValueError.
     """
+    if horizon < 0:
+        raise ValueError(f"verification horizon must be >= 0, got {horizon}")
     if isinstance(solution, SequenceExpr):
         particular = solution
         general_at = solution.eval_at

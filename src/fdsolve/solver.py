@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import Poly, Root, RootSet, find_roots, series_inverse
+from .algebra import (Poly, Root, RootSet, _render_powers, _signed_sum, find_roots,
+                      series_inverse)
 from .expr import SequenceExpr, Term, Trig, _render_base_power
 from .operators import OperatorPoly
 
@@ -119,12 +120,8 @@ class Equation:
                 continue
             mag = abs(a)
             arg = "t" if k == 0 else f"t+{k}"
-            body = f"y({arg})" if mag == 1 else f"{mag}*y({arg})"
-            if not lhs:
-                lhs.append(body if a > 0 else f"-{body}")
-            else:
-                lhs.append(f" + {body}" if a > 0 else f" - {body}")
-        return f"{''.join(lhs)} = {self.rhs}"
+            lhs.append((a < 0, f"y({arg})" if mag == 1 else f"{mag}*y({arg})"))
+        return f"{_signed_sum(lhs)} = {self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -186,21 +183,7 @@ def _powstr(base: Fraction) -> str:
 
 
 def _series_str(cs: Sequence[Fraction]) -> str:
-    parts = []
-    for k, c in enumerate(cs):
-        if c == 0 and len(cs) > 1:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            var = "D" if k == 1 else f"D^{k}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if c >= 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c >= 0 else f" - {body}")
-    return "".join(parts) if parts else "0"
+    return _render_powers(enumerate(cs), "D")
 
 
 def _term_str(term: Term) -> str:
@@ -223,72 +206,54 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
     steps: list[TraceStep] = []
     current = _pending(str(P), _term_str(term))
 
-    if m == 0 and p.degree == 0:
-        if trig is None and lam != 1:
-            val = c / P(lam)
-            res = SequenceExpr.of(Term(val, lam))
-            steps.append(TraceStep(
-                "power-rule",
-                f"geometric right side: divide by P({lam}) = {P(lam)}",
-                current, str(res)))
-            return res, steps
-        if trig is not None and lam == 1:
-            val = c / P(mu)
-            res = SequenceExpr.of(Term(val, 1, Poly(1), trig))
-            steps.append(TraceStep(
-                f"{trig.kind}-rule",
-                f"{trig.kind}({trig.n}*pi*t) right side: divide by P((-1)^{trig.n}) = P({mu}) = {P(mu)}",
-                current, str(res)))
-            return res, steps
-        if trig is not None and lam != 1:
-            scaled = P.scale_argument(lam)
-            after_scale = f"{_powstr(lam)} * " + _pending(
-                str(scaled), _term_str(Term(c, 1, Poly(1), trig)))
-            steps.append(TraceStep(
-                "scale-rule",
-                f"extract the factor {_powstr(lam)}: the remaining operator is P({lam}*T) = {scaled}",
-                current, after_scale))
-            val = c / P(beta)
-            res = SequenceExpr.of(Term(val, lam, Poly(1), trig))
-            steps.append(TraceStep(
-                f"{trig.kind}-rule",
-                f"evaluate {scaled} at (-1)^{trig.n} = {mu}: {P(beta)}",
-                after_scale, str(res)))
-            return res, steps
-
     out_base, out_trig = lam, trig
-    if trig is not None:
-        if m >= 1:
-            if trig.kind == "sin":
-                res = SequenceExpr.zero()
-                steps.append(TraceStep(
-                    "resonant-trig",
-                    f"P({beta}) = 0, but sin({trig.n}*pi*t) is 0 at every integer t, "
-                    "so this term needs no particular contribution",
-                    current, "0"))
-                return res, steps
-            folded = _pending(str(P), _term_str(Term(c, beta, p)))
+    if trig is not None and m >= 1:
+        if trig.kind == "sin":
+            res = SequenceExpr.zero()
             steps.append(TraceStep(
                 "resonant-trig",
-                f"P({beta}) = 0; on integer t, cos({trig.n}*pi*t) equals ({mu})^t, "
-                f"so continue with geometric base {beta}",
-                current, folded))
-            current = folded
-            out_base, out_trig = beta, None
-        elif lam != 1:
-            scaled = P.scale_argument(lam)
-            after_scale = f"{_powstr(lam)} * " + _pending(
-                str(scaled), _term_str(Term(c, 1, p, trig)))
-            steps.append(TraceStep(
-                "scale-rule",
-                f"extract the factor {_powstr(lam)}: the remaining operator is P({lam}*T) = {scaled}",
-                current, after_scale))
-            current = after_scale
+                f"P({beta}) = 0, but sin({trig.n}*pi*t) is 0 at every integer t, "
+                "so this term needs no particular contribution",
+                current, "0"))
+            return res, steps
+        folded = _pending(str(P), _term_str(Term(c, beta, p)))
+        steps.append(TraceStep(
+            "resonant-trig",
+            f"P({beta}) = 0; on integer t, cos({trig.n}*pi*t) equals ({mu})^t, "
+            f"so continue with geometric base {beta}",
+            current, folded))
+        current = folded
+        out_base, out_trig = beta, None
+    elif trig is not None and lam != 1:
+        scaled = P.scale_argument(lam)
+        after_scale = f"{_powstr(lam)} * " + _pending(
+            str(scaled), _term_str(Term(c, 1, p, trig)))
+        steps.append(TraceStep(
+            "scale-rule",
+            f"extract the factor {_powstr(lam)}: the remaining operator is P({lam}*T) = {scaled}",
+            current, after_scale))
+        current = after_scale
+
+    if m == 0 and p.degree == 0 and (trig is not None or lam != 1):
+        # a constant payload: dividing by P(beta) is the whole inverse
+        value = P(beta)
+        res = SequenceExpr.of(Term(c / value, lam, Poly(1), trig))
+        if trig is None:
+            detail = f"geometric right side: divide by P({beta}) = {value}"
+        elif lam == 1:
+            detail = (f"{trig.kind}({trig.n}*pi*t) right side: "
+                      f"divide by P((-1)^{trig.n}) = P({mu}) = {value}")
+        else:
+            detail = f"evaluate {scaled} at (-1)^{trig.n} = {mu}: {value}"
+        rule = "power-rule" if trig is None else f"{trig.kind}-rule"
+        steps.append(TraceStep(rule, detail, current, str(res)))
+        return res, steps
 
     # forward-difference machinery at base beta
     h = p * c
     ptilde, q = _conjugated_operator(P, beta)
-    assert all(ptilde[i] == 0 for i in range(m)), "root multiplicity mismatch"
+    if any(ptilde[i] != 0 for i in range(m)):
+        raise RuntimeError(f"root multiplicity mismatch: {beta} is not a {m}-fold root of {P}")
     R = Poly(q.coeffs[m:])
     order = max(h.degree, 0)
     cs = series_inverse(R, order)
@@ -411,41 +376,25 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[HomogeneousMode, ...]:
     return tuple(modes)
 
 
-def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> tuple[Fraction, ...]:
-    rows, cols = len(A), len(A[0]) if A else 0
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    piv_rows: list[int] = []
-    row = 0
-    for col in range(cols):
-        sel = next((i for i in range(row, rows) if aug[i][col] != 0), None)
-        if sel is None:
-            raise SingularSystemError("initial conditions leave a constant free")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        lead = aug[row][col]
-        aug[row] = [v / lead for v in aug[row]]
-        for i in range(rows):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[row])]
-        piv_rows.append(row)
-        row += 1
-    for i in range(row, rows):
-        if aug[i][cols] != 0:
-            raise SingularSystemError("initial conditions are inconsistent")
-    return tuple(aug[i][cols] for i in range(cols))
-
-
 _FLOAT_PIVOT_TOL = 1e-12
 
 
-def _solve_float(A: list[list[float]], b: list[float]) -> tuple[float, ...]:
+def _gauss_jordan(A: list[list[Fraction | float]], b: list[Fraction | float],
+                  pivot_tol: float, residual_tol: float,
+                  no_pivot: str) -> tuple[Fraction | float, ...]:
+    """Gauss-Jordan elimination with the largest-magnitude pivot in each column.
+
+    A pivot of magnitude <= `pivot_tol` raises `SingularSystemError(no_pivot)`;
+    rows left over after the last pivot must reduce to within `residual_tol`
+    of zero.  Tolerances 0 make the elimination exact on Fractions.
+    """
     rows, cols = len(A), len(A[0]) if A else 0
     aug = [list(row) + [bv] for row, bv in zip(A, b)]
     row = 0
     for col in range(cols):
         sel = max(range(row, rows), key=lambda i: abs(aug[i][col]), default=None)
-        if sel is None or abs(aug[sel][col]) <= _FLOAT_PIVOT_TOL:
-            raise SingularSystemError("pivot below tolerance; constants not determined")
+        if sel is None or abs(aug[sel][col]) <= pivot_tol:
+            raise SingularSystemError(no_pivot)
         aug[row], aug[sel] = aug[sel], aug[row]
         lead = aug[row][col]
         aug[row] = [v / lead for v in aug[row]]
@@ -454,9 +403,8 @@ def _solve_float(A: list[list[float]], b: list[float]) -> tuple[float, ...]:
                 f = aug[i][col]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[row])]
         row += 1
-    scale = max([1.0] + [abs(v) for v in b])
     for i in range(row, rows):
-        if abs(aug[i][cols]) > 1e-6 * scale:
+        if abs(aug[i][cols]) > residual_tol:
             raise SingularSystemError("initial conditions are inconsistent")
     return tuple(aug[i][cols] for i in range(cols))
 
@@ -475,14 +423,15 @@ def fit_constants(
     conds = sorted((int(t), Fraction(v)) for t, v in initial)
     if len(conds) != op.degree:
         raise ValueError(f"need exactly {op.degree} initial values, got {len(conds)}")
-    exact = all(isinstance(m, ExactMode) for m in basis)
-    if exact:
-        A = [[m.value_at(t) for m in basis] for t, _ in conds]
-        b = [v - particular.eval_at(t) for t, v in conds]
-        return _solve_exact(A, b)
-    Af = [[float(m.value_at(t)) for m in basis] for t, _ in conds]
-    bf = [float(v - particular.eval_at(t)) for t, v in conds]
-    return _solve_float(Af, bf)
+    A = [[m.value_at(t) for m in basis] for t, _ in conds]
+    b = [v - particular.eval_at(t) for t, v in conds]
+    if all(isinstance(m, ExactMode) for m in basis):
+        return _gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
+    Af = [[float(v) for v in row] for row in A]
+    bf = [float(v) for v in b]
+    scale = max([1.0] + [abs(v) for v in bf])
+    return _gauss_jordan(Af, bf, _FLOAT_PIVOT_TOL, 1e-6 * scale,
+                         "pivot below tolerance; constants not determined")
 
 
 def solve(eq: Equation) -> Solution:

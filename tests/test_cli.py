@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fdsolve import cli
+from fdsolve.operators import OperatorPoly
 from fdsolve.parser import parse_expression
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
@@ -189,3 +190,21 @@ class TestExitCodes:
                            "--initial", "y(0)=1, y(1)=2")
         assert code == cli.EXIT_PARSE
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "y(t+1) - 2y(t) = 1", "--initial", "y(0)=1", "--verify", "-5"],
+        ["verify", "y(t+1) - 2y(t) = 1", "-1", "--horizon", "-3"],
+    ])
+    def test_negative_horizon(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == f"error: verification horizon must be >= 0, got {argv[-1]}\n"
+
+    def test_broken_invariant_is_internal_error(self, capsys, monkeypatch):
+        # a wrong root multiplicity must surface as exit 4, also under python -O
+        monkeypatch.setattr(OperatorPoly, "factor_root", lambda self, lam: (1, self))
+        code, out, err = run(capsys, "solve", GOLDEN_EQUATIONS[0])
+        assert code == cli.EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: root multiplicity mismatch")

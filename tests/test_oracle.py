@@ -113,6 +113,11 @@ class TestVerify:
         assert report.status == "mismatch"
         assert report.method == "iterate"
 
+    def test_negative_horizon_rejected(self):
+        eq = eq_with_initial("y(t+1) - 2y(t) = 1", "y(0)=1")
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            verify_solution(eq, solve(eq), horizon=-5)
+
     def test_describe_strings(self):
         eq = parse_equation(GOLDEN_EQUATIONS[0])
         good = verify_solution(eq, solve(eq), horizon=10)
