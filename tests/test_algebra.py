@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fdsolve.algebra import (Poly, ZeroConstantTermError, falling_factorial_poly,
                              find_roots, reconstruction_error, series_inverse)
+from fdsolve.solver import antidifference
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rationals, max_size=5).map(Poly)
@@ -73,6 +74,16 @@ def test_falling_factorial_basis_frozen():
     assert Poly(0, 0, 0, 1).to_falling_factorial() == (F(0), F(1), F(3), F(1))
     assert str(falling_factorial_poly(3)) == "t^3 - 3*t^2 + 2*t"
     assert falling_factorial_poly(0) == Poly(1)
+    # m-fold antidifferences of a degree-6 polynomial, recorded before the
+    # Newton-coefficient kernel replaced the per-step basis round trips
+    p = Poly(3, -1, F(1, 2), 0, 2, F(-2, 3), 1)
+    assert str(antidifference(p, 3)) == (
+        "1/504*t^9 - 29/1008*t^8 + 37/210*t^7 - 211/360*t^6 + 17/15*t^5"
+        " - 47/36*t^4 + 949/630*t^3 - 10901/5040*t^2 + 1063/840*t")
+    assert str(antidifference(p, 5)) == (
+        "1/55440*t^11 - 47/90720*t^10 + 587/90720*t^9 - 139/3024*t^8"
+        " + 3083/15120*t^7 - 421/720*t^6 + 8453/7560*t^5 - 28811/18144*t^4"
+        " + 179089/90720*t^3 - 28187/15120*t^2 + 3607/4620*t")
 
 
 @given(polys)

@@ -13,7 +13,7 @@ from fdsolve.solver import (Equation, ExactMode, NumericMode,
                             solve, solve_homogeneous, solve_particular)
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
-from instance_gen import plain_instance, resonant_instance
+from instance_gen import BASES, COEFFS, plain_instance, resonant_instance
 from fdsolve.parser import parse_equation
 
 
@@ -320,3 +320,22 @@ class TestRandomizedForwardInverse:
             y, _ = solve_particular(P, phi)
             applied = apply_operator(P, y)
             assert applied.integer_form() == phi.integer_form()
+
+    @pytest.mark.parametrize("degree", [0, 10, 40])
+    @pytest.mark.parametrize("mult", [0, 2, 4])
+    def test_benchmark_sized_payloads(self, degree, mult):
+        # the payload and resonance sizes of the benchmark's payload ladder,
+        # on operators whose characteristic roots are all rational
+        rng = random.Random(100 * degree + mult)
+        beta = rng.choice(BASES)
+        roots = [beta] * mult + rng.sample([r for r in BASES if r != beta], 2)
+        p = Poly(rng.choice(COEFFS))
+        for r in roots:
+            p = p * Poly(-r, 1)
+        P = OperatorPoly.from_poly(p)
+        payload = Poly([rng.choice(COEFFS + [F(0)]) for _ in range(degree)]
+                       + [rng.choice(COEFFS)])
+        phi = SequenceExpr.of(Term(rng.choice(COEFFS), beta, payload))
+        y, trace = solve_particular(P, phi)
+        assert apply_operator(P, y).integer_form() == phi.integer_form()
+        assert trace.steps[-1].after == str(y)
