@@ -158,28 +158,14 @@ class Poly:
     def to_falling_factorial(self) -> tuple[Fraction, ...]:
         """Coefficients a_k with p(t) = sum a_k * t*(t-1)*...*(t-k+1).
 
-        Computed from the forward differences of p at 0 (Newton's series,
-        which terminates because p is a polynomial).
+        a_k = d_k / k! for the Newton coefficients d_k of `_newton`.
         """
-        out: list[Fraction] = []
-        q = self
-        k = 0
-        while not q.is_zero:
-            out.append(q(0) / math.factorial(k))
-            q = q.forward_difference()
-            k += 1
-        return tuple(out)
+        return tuple(d / math.factorial(k) for k, d in enumerate(_newton(self)))
 
     @classmethod
     def from_falling_factorial(cls, coeffs: Sequence[Coeff]) -> Poly:
         """Inverse of `to_falling_factorial`."""
-        total = cls()
-        ff = cls(1)
-        for k, a in enumerate(coeffs):
-            if k:
-                ff = ff * cls(-(k - 1), 1)
-            total = total + ff * Fraction(a)
-        return total
+        return _from_newton([Fraction(a) * math.factorial(k) for k, a in enumerate(coeffs)])
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers: `t^2 - 5*t + 4`."""
@@ -215,10 +201,36 @@ def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
 
 def falling_factorial_poly(k: int) -> Poly:
     """t*(t-1)*...*(t-k+1) as an ordinary polynomial; k=0 gives 1."""
-    out = Poly(1)
-    for i in range(k):
-        out = out * Poly(-i, 1)
+    return _from_newton([Fraction(0)] * k + [Fraction(math.factorial(k))])
+
+
+def _newton(p: Poly) -> list[Fraction]:
+    """Newton coefficients d_k = (Delta^k p)(0), so that p(t) = sum d_k * C(t, k).
+
+    Read off the difference table of the values p(0), ..., p(deg p).  In this
+    basis Delta lowers the index by one: Delta^k p has coefficients d[k:].
+    """
+    row = [p(x) for x in range(p.degree + 1)]
+    out: list[Fraction] = []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
     return out
+
+
+def _from_newton(ds: Sequence[Fraction]) -> Poly:
+    """The polynomial sum d_k * C(t, k), inverse of `_newton`.
+
+    C(t, k) = C(t, k-1) * (t - k + 1) / k is grown one factor at a time.
+    """
+    out = [Fraction(0)] * len(ds)
+    binom = [Fraction(1)]
+    for k, d in enumerate(ds):
+        if k:
+            binom = [(a - (k - 1) * b) / k for a, b in zip([Fraction(0)] + binom, binom + [0])]
+        for i, c in enumerate(binom):
+            out[i] += d * c
+    return Poly(out)
 
 
 def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
@@ -256,10 +268,6 @@ class RootSet:
 
     roots: tuple[Root, ...]
     tolerance: float | None = None
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
 
     @property
     def is_exact(self) -> bool:

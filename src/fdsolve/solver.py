@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import (Poly, Root, RootSet, _render_powers, _signed_sum, find_roots,
+from .algebra import (Poly, _from_newton, _newton, _render_powers, _signed_sum, find_roots,
                       series_inverse)
-from .expr import SequenceExpr, Term, Trig, _render_base_power
+from .expr import SequenceExpr, Term, _render_base_power
 from .operators import OperatorPoly
 
 
@@ -156,22 +156,16 @@ class Solution:
 def antidifference(p: Poly, m: int = 1) -> Poly:
     """m-fold antidifference of p with all summation constants zero.
 
-    Work happens in the falling-factorial basis, where each basis element
-    t*(t-1)*...*(t-k+1) maps to the next one divided by k+1; the zero constant
-    term means every returned polynomial vanishes at t = 0.
+    Work happens on the Newton coefficients of p (its binomial basis C(t, k)),
+    where Delta lowers the index by one, so Delta^-m prepends m zeros; the
+    zero constants mean every returned polynomial vanishes at t = 0.
 
     >>> str(antidifference(Poly(1)))
     't'
     >>> str(antidifference(Poly(0, 1), 1))
     '1/2*t^2 - 1/2*t'
     """
-    out = p
-    for _ in range(m):
-        ff = out.to_falling_factorial()
-        out = Poly.from_falling_factorial(
-            (Fraction(0),) + tuple(a / (k + 1) for k, a in enumerate(ff))
-        )
-    return out
+    return _from_newton([Fraction(0)] * m + _newton(p))
 
 
 def _pending(op_str: str, payload: str) -> str:
@@ -188,14 +182,6 @@ def _series_str(cs: Sequence[Fraction]) -> str:
 
 def _term_str(term: Term) -> str:
     return str(SequenceExpr.of(term))
-
-
-def _conjugated_operator(P: OperatorPoly, beta: Fraction) -> tuple[Poly, Poly]:
-    """(ptilde, q) with P(T) = ptilde(T - beta) and q(D) the operator left
-    on the polynomial factor once beta^t is pulled out (T maps to beta*(1+D))."""
-    ptilde = P.taylor_shifted(beta)
-    q = Poly(c * beta**k for k, c in enumerate(ptilde.coeffs))
-    return ptilde, q
 
 
 def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceStep]]:
@@ -249,10 +235,11 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
         steps.append(TraceStep(rule, detail, current, str(res)))
         return res, steps
 
-    # forward-difference machinery at base beta
+    # difference-operator machinery at base beta: once beta^t is pulled out,
+    # q(D) = P(beta*(1 + D)) is the operator left on the polynomial factor
     h = p * c
-    ptilde, q = _conjugated_operator(P, beta)
-    if any(ptilde[i] != 0 for i in range(m)):
+    q = P.scale_argument(beta).taylor_shifted(1)
+    if any(q[i] != 0 for i in range(m)):
         raise RuntimeError(f"root multiplicity mismatch: {beta} is not a {m}-fold root of {P}")
     R = Poly(q.coeffs[m:])
     order = max(h.degree, 0)
@@ -262,42 +249,39 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
         _powstr(out_base) + " * " if out_trig is None
         else f"{_powstr(lam)} * {out_trig.render()} * " if lam != 1
         else f"{out_trig.render()} * ")
-    q_str = _series_str(tuple(q.coeffs))
+    q_str = _series_str(q.coeffs)
+    after = f"{prefix}{_pending(q_str, str(h))}"
     if beta == 1:
         steps.append(TraceStep(
             "delta-basis",
             f"set D = T - 1: the operator becomes {q_str}",
-            current, f"{prefix}{_pending(q_str, str(h))}"))
+            current, after))
     else:
         steps.append(TraceStep(
             "shift-theorem",
             f"conjugating by {_powstr(beta)} maps T to {beta}*(1 + D), "
             f"so the operator on the polynomial factor is {q_str}",
-            current, f"{prefix}{_pending(q_str, str(h))}"))
-    current = f"{prefix}{_pending(q_str, str(h))}"
+            current, after))
+    current = after
 
-    w = Poly()
-    d = h
-    for k in range(order + 1):
-        w = w + d * cs[k]
-        d = d.forward_difference()
-    r = antidifference(w, m)
-    res = SequenceExpr.of(Term(1, out_base, r, out_trig))
+    # on Newton coefficients Delta^k shifts the index by k, so the series
+    # inverse is a correlation and Delta^-m prepends m zeros
+    dh = _newton(h)
+    dw = [sum(cs[k] * dh[j + k] for k in range(len(dh) - j)) for j in range(len(dh))]
+    res = SequenceExpr.of(Term(1, out_base, _from_newton([Fraction(0)] * m + dw), out_trig))
 
+    series = (f"1/({_series_str(R.coeffs)}) = {_series_str(cs)} + O(D^{order + 1}), "
+              f"exact on degree-{order} payloads")
     if m == 0:
         steps.append(TraceStep(
             "series-inverse",
-            f"invert the unit-constant series: 1/({_series_str(tuple(R.coeffs))}) = "
-            f"{_series_str(cs)} + O(D^{order + 1}), exact on degree-{order} payloads",
+            f"invert the unit-constant series: {series}",
             current, str(res)))
         return res, steps
 
+    w = _from_newton(dw)
     mid = f"{prefix}{_pending(_series_str((Fraction(0),) * m + (Fraction(1),)), str(w))}"
-    steps.append(TraceStep(
-        "series-inverse",
-        f"split off D^{m}: 1/({_series_str(tuple(R.coeffs))}) = {_series_str(cs)} "
-        f"+ O(D^{order + 1}), exact on degree-{order} payloads",
-        current, mid))
+    steps.append(TraceStep("series-inverse", f"split off D^{m}: {series}", current, mid))
     steps.append(TraceStep(
         "propagation",
         f"invert D^{m} by antidifferencing {m} time(s) in the falling-factorial "
@@ -423,12 +407,17 @@ def fit_constants(
     conds = sorted((int(t), Fraction(v)) for t, v in initial)
     if len(conds) != op.degree:
         raise ValueError(f"need exactly {op.degree} initial values, got {len(conds)}")
-    A = [[m.value_at(t) for m in basis] for t, _ in conds]
     b = [v - particular.eval_at(t) for t, v in conds]
     if all(isinstance(m, ExactMode) for m in basis):
+        A = [[m.value_at(t) for m in basis] for t, _ in conds]
         return _gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
-    Af = [[float(v) for v in row] for row in A]
-    bf = [float(v) for v in b]
+    try:
+        Af = [[float(m.value_at(t)) for m in basis] for t, _ in conds]
+        bf = [float(v) for v in b]
+    except OverflowError as err:
+        raise SingularSystemError(
+            "float overflow evaluating the basis at the initial values; "
+            "constants not determined") from err
     scale = max([1.0] + [abs(v) for v in bf])
     return _gauss_jordan(Af, bf, _FLOAT_PIVOT_TOL, 1e-6 * scale,
                          "pivot below tolerance; constants not determined")

@@ -74,8 +74,8 @@ def test_falling_factorial_basis_frozen():
     assert Poly(0, 0, 0, 1).to_falling_factorial() == (F(0), F(1), F(3), F(1))
     assert str(falling_factorial_poly(3)) == "t^3 - 3*t^2 + 2*t"
     assert falling_factorial_poly(0) == Poly(1)
-    # m-fold antidifferences of a degree-6 polynomial, recorded before the
-    # Newton-coefficient kernel replaced the per-step basis round trips
+    # m-fold antidifferences of a degree-6 polynomial, as computed by one
+    # falling-factorial round trip per antidifference
     p = Poly(3, -1, F(1, 2), 0, 2, F(-2, 3), 1)
     assert str(antidifference(p, 3)) == (
         "1/504*t^9 - 29/1008*t^8 + 37/210*t^7 - 211/360*t^6 + 17/15*t^5"

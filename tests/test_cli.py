@@ -201,6 +201,14 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: verification horizon must be >= 0, got {argv[-1]}\n"
 
+    def test_float_overflow_in_fit(self, capsys):
+        code, out, err = run(capsys, "solve", "y(t+2) - y(t+1) - y(t) = 0",
+                             "--initial", "y(-2000)=1, y(-1999)=1")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == ("error: float overflow evaluating the basis at the initial "
+                       "values; constants not determined\n")
+
     def test_broken_invariant_is_internal_error(self, capsys, monkeypatch):
         # a wrong root multiplicity must surface as exit 4, also under python -O
         monkeypatch.setattr(OperatorPoly, "factor_root", lambda self, lam: (1, self))

@@ -280,6 +280,14 @@ class TestFitConstants:
         got5 = sum(c * m.value_at(5) for c, m in zip(cs, basis))
         assert abs(got5 - 4.0) < 1e-9
 
+    def test_float_overflow_is_singular(self):
+        # the golden-ratio conjugate mode has |lambda| < 1, so at t = -2000
+        # its modulus^t exceeds the float range
+        P = OperatorPoly(-1, -1, 1)
+        basis = solve_homogeneous(P)
+        with pytest.raises(SingularSystemError, match="float overflow"):
+            fit_constants(P, SequenceExpr.zero(), basis, ((-2000, F(1)), (-1999, F(1))))
+
 
 class TestEquationValidation:
     def test_wrong_condition_count(self):
