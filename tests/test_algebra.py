@@ -143,6 +143,11 @@ class TestFindRoots:
         rs = find_roots(Poly(0, 0, -2, 1))  # t^2 (t - 2)
         assert [(r.value, r.multiplicity) for r in rs.roots] == [(F(0), 2), (F(2), 1)]
 
+    def test_pure_power_of_t(self):
+        rs = find_roots(Poly(0, 0, 0, 1))  # t^3
+        assert [(r.value, r.multiplicity, r.exact) for r in rs.roots] == [(F(0), 3, True)]
+        assert rs.tolerance is None
+
     def test_complex_pair(self):
         rs = find_roots(Poly(1, 0, 1))
         inexact = [r.value for r in rs.roots if not r.exact]

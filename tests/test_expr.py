@@ -58,6 +58,11 @@ def test_base_zero_rejected():
         Term(1, 0)
 
 
+def test_zero_terms_evaluate_to_zero():
+    assert Term(0, 2).value_at(3) == 0
+    assert Term(1, 2, Poly()).value_at(-3) == 0
+
+
 def test_trig_validation():
     with pytest.raises(ValueError):
         Trig("tan", 1)

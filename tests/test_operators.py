@@ -66,6 +66,12 @@ def test_reduce_shift():
     assert OperatorPoly(4, -5, 1).reduce_shift() == (0, OperatorPoly(4, -5, 1))
 
 
+def test_root_splitting_stops_at_a_constant():
+    # the whole operator is a power of the factor: splitting ends at degree 0
+    assert OperatorPoly(0, 0, 1).reduce_shift() == (2, OperatorPoly(1))
+    assert OperatorPoly.from_poly(Poly(-2, 1) ** 3).factor_root(2) == (3, OperatorPoly(1))
+
+
 def test_mul_and_pow():
     A = OperatorPoly(-1, 1)
     assert A * A == OperatorPoly(1, -2, 1) == A**2

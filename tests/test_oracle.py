@@ -84,6 +84,15 @@ class TestVerify:
         assert report.mismatch_t == 0
         assert report.expected == F(1) and report.got == F(2)
 
+    def test_mismatch_nearest_origin_positive_side_first(self):
+        eq = parse_equation("y(t+1) - y(t) = 0")
+        # the first candidate's difference is t^2, wrong at both t = 1 and t = -1;
+        # the second's is t^2 - t, wrong at t = -1 only
+        report = verify_solution(eq, parse_expression("1/3*t^3 - 1/2*t^2 + 1/6*t"))
+        assert report.mismatch_t == 1
+        report = verify_solution(eq, parse_expression("1/3*t^3 - t^2 + 2/3*t"))
+        assert report.mismatch_t == -1
+
     def test_wrong_constants_caught_by_iteration(self):
         eq = eq_with_initial(GOLDEN_EQUATIONS[3], "y(0)=3")
         sol = solve(eq)

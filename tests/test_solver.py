@@ -179,6 +179,13 @@ class TestParticularPaths:
         assert trace.steps[-1].rule == "linearity"
         assert trace.steps[-1].after == str(y)
 
+    def test_linearity_with_zero_part(self):
+        eq = parse_equation("y(t+1) + y(t) = sin(pi*t) + 1")
+        y, trace = solve_particular(eq.operator, eq.rhs)
+        assert trace.steps[-1].rule == "linearity"
+        assert trace.steps[-1].before == "1/2 ; 0"
+        assert trace.steps[-1].after == str(y) == "1/2"
+
     def test_zero_rhs(self):
         y, trace = solve_particular(OperatorPoly(4, -5, 1), SequenceExpr.zero())
         assert y.is_zero
