@@ -92,8 +92,6 @@ class Poly:
         if not isinstance(other, Poly):
             k = Fraction(other)
             return Poly(c * k for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -285,6 +283,15 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _split_root(p: Poly, r: Fraction) -> tuple[int, Poly]:
+    """Split p = (t - r)^m * q, deflating while r is a root of a nonconstant q."""
+    m = 0
+    while p.degree >= 1 and p(r) == 0:
+        p = p.deflate(r)
+        m += 1
+    return m, p
+
+
 def _extract_rational_roots(p: Poly) -> tuple[Poly, list[tuple[Fraction, int]]]:
     den = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den) for c in p.coeffs]
@@ -302,18 +309,16 @@ def _extract_rational_roots(p: Poly) -> tuple[Poly, list[tuple[Fraction, int]]]:
     )
     found: list[tuple[Fraction, int]] = []
     for cand in candidates:
-        mult = 0
-        while p.degree >= 1 and p(cand) == 0:
-            p = p.deflate(cand)
-            mult += 1
+        mult, p = _split_root(p, cand)
         if mult:
             found.append((cand, mult))
     return p, found
 
 
-def _newton_polish(p: Poly, x: complex, steps: int = 3) -> complex:
+def _newton_polish(p: Poly, x: complex) -> complex:
+    """At most three Newton steps from x; stops on a flat derivative or a runaway step."""
     dp = p.derivative()
-    for _ in range(steps):
+    for _ in range(3):
         d = dp.eval_float(x)
         if abs(d) < 1e-300:
             break
@@ -386,12 +391,7 @@ def find_roots(p: Poly) -> RootSet:
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    coeffs = list(p.coeffs)
-    zero_mult = 0
-    while coeffs[0] == 0:
-        zero_mult += 1
-        coeffs.pop(0)
-    work = Poly(coeffs)
+    zero_mult, work = _split_root(p, Fraction(0))
     exact: list[tuple[Fraction, int]] = []
     if zero_mult:
         exact.append((Fraction(0), zero_mult))

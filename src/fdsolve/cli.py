@@ -150,10 +150,16 @@ def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
     return "\n".join(lines)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _equation(args: argparse.Namespace) -> Equation:
+    """The equation argument, with the --initial values when given."""
     eq = parse_equation(args.equation)
     if args.initial:
         eq = Equation(eq.operator, eq.rhs, parse_initial(args.initial))
+    return eq
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    eq = _equation(args)
     sol = solve(eq)
     report = None
     if args.verify is not None:
@@ -180,9 +186,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    eq = parse_equation(args.equation)
-    if args.initial:
-        eq = Equation(eq.operator, eq.rhs, parse_initial(args.initial))
+    eq = _equation(args)
     candidate = parse_expression(args.solution)
     report = verify_solution(eq, candidate, horizon=args.horizon)
     doc = {

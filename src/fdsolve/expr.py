@@ -86,8 +86,6 @@ class Term:
         return self.coeff == 0 or self.poly.is_zero
 
     def value_at(self, t: int) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
         v = self.coeff * self.base**t * self.poly(t)
         if self.trig is not None:
             v *= self.trig.value_at(t)
@@ -273,14 +271,11 @@ def _render_term(term: Term, pretty: bool) -> tuple[bool, str]:
     if not folded:
         if coeff < 0:
             negative, coeff = True, -coeff
-        if term.base != 1:
-            if coeff != 1 and term.poly.degree < 1:
-                pieces.append(str(coeff))
-                coeff = Fraction(1)
-            pieces.append(_render_base_power(term.base, 0))
-        elif coeff != 1 and term.poly.degree < 1:
+        if coeff != 1 and term.poly.degree < 1:
             pieces.append(str(coeff))
             coeff = Fraction(1)
+        if term.base != 1:
+            pieces.append(_render_base_power(term.base, 0))
     if term.poly.degree >= 1 or coeff != 1:
         p = term.poly * coeff
         if pretty and len(p.coeffs) == sum(1 for c in p.coeffs if c == 0) + 1 and p.lead == 1:

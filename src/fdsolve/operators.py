@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Coeff, Poly
+from .algebra import Coeff, Poly, _split_root
 
 
 class ZeroOperatorError(ValueError):
@@ -77,20 +77,12 @@ class OperatorPoly:
 
         m is 0 when lam is not a characteristic root.
         """
-        lam = Fraction(lam)
-        p = self.as_poly()
-        m = 0
-        while p.degree >= 1 and p(lam) == 0:
-            p = p.deflate(lam)
-            m += 1
+        m, p = _split_root(self.as_poly(), Fraction(lam))
         return m, OperatorPoly.from_poly(p)
 
     def reduce_shift(self) -> tuple[int, OperatorPoly]:
         """Split P = T^k * Q with Q having a nonzero trailing coefficient."""
-        k = 0
-        while self.coeffs[k] == 0:
-            k += 1
-        return k, OperatorPoly(self.coeffs[k:])
+        return self.factor_root(0)
 
     def __str__(self) -> str:
         return self.as_poly().render("T")

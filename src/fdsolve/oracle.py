@@ -125,20 +125,17 @@ def verify_solution(
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
     seq = iterate_recurrence(eq, t0 + horizon)
+    limit = 0 if exact else tol
     max_dev = 0.0
     for i, t in enumerate(range(t0, t0 + horizon + 1)):
-        want = seq[i]
-        got = general_at(t)
-        if exact:
-            if got != want:
-                return VerifyReport("iterate", it_range, "mismatch",
-                                    mismatch_t=t, expected=want, got=got)
-        else:
-            dev = abs(float(got) - float(want))
-            max_dev = max(max_dev, dev)
-            if dev > tol:
-                return VerifyReport("iterate", it_range, "mismatch",
-                                    mismatch_t=t, expected=float(want), got=float(got))
+        want, got = seq[i], general_at(t)
+        if not exact:
+            want, got = float(want), float(got)
+        dev = abs(got - want)
+        max_dev = max(max_dev, dev)
+        if dev > limit:
+            return VerifyReport("iterate", it_range, "mismatch",
+                                mismatch_t=t, expected=want, got=got)
     if exact:
         return VerifyReport("forward-apply+iterate", fwd_range, "exact-match")
     return VerifyReport("forward-apply+iterate", it_range, "max-abs-deviation",

@@ -124,6 +124,12 @@ class _Parser:
     def fail(self, tok: _Tok, expected: str) -> None:
         raise ParseError(self.src, tok.pos, expected)
 
+    def unsupported(self, pos: int, message: str) -> None:
+        """Raise `UnsupportedRhsError(message)` positioned at character `pos`."""
+        err = UnsupportedRhsError(message)
+        err.offset = len(self.src[:pos].encode("utf-8"))
+        raise err
+
     # ---- expression grammar (y allowed when parsing equation sides) ----
 
     def parse_sum(self) -> _Val:
@@ -225,25 +231,18 @@ class _Parser:
             tm = terms[0]
             if tm.coeff != 0:
                 return _Val({}, SequenceExpr.of(Term(tm.coeff**k, tm.base**k)))
-        err = UnsupportedRhsError(
-            "negative powers are supported only for nonzero constants and geometric terms")
-        err.offset = len(self.src[:pos].encode("utf-8"))
-        raise err
+        self.unsupported(
+            pos, "negative powers are supported only for nonzero constants and geometric terms")
 
     def _t_power(self, val: _Val, slope: int, offset: int, pos: int) -> _Val:
         if val.has_y:
             raise SemanticError(self.src, pos, "a constant base (y cannot be raised to t)")
         c = val.constant()
         if c is None:
-            err = UnsupportedRhsError(
-                "exponent t requires a rational constant base (t^t and friends "
-                "lie outside the supported closed-form class)")
-            err.offset = len(self.src[:pos].encode("utf-8"))
-            raise err
+            self.unsupported(pos, "exponent t requires a rational constant base (t^t and "
+                             "friends lie outside the supported closed-form class)")
         if c == 0:
-            err = UnsupportedRhsError("0 cannot be raised to the power t")
-            err.offset = len(self.src[:pos].encode("utf-8"))
-            raise err
+            self.unsupported(pos, "0 cannot be raised to the power t")
         return _Val({}, SequenceExpr.of(Term(c**offset, c**slope)))
 
     def parse_atom(self) -> _Val:
@@ -343,10 +342,7 @@ class _Parser:
         if not terms:
             raise SemanticError(self.src, pos, "a nonzero divisor")
         if len(terms) != 1 or terms[0].trig is not None or terms[0].poly.degree != 0:
-            err = UnsupportedRhsError(
-                "division is supported only by constants and geometric terms")
-            err.offset = len(self.src[:pos].encode("utf-8"))
-            raise err
+            self.unsupported(pos, "division is supported only by constants and geometric terms")
         tm = terms[0]
         inv = Term(1 / tm.coeff, 1 / tm.base)
         if a.has_y:

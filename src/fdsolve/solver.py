@@ -220,21 +220,6 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
             current, after_scale))
         current = after_scale
 
-    if m == 0 and p.degree == 0 and (trig is not None or lam != 1):
-        # a constant payload: dividing by P(beta) is the whole inverse
-        value = P(beta)
-        res = SequenceExpr.of(Term(c / value, lam, Poly(1), trig))
-        if trig is None:
-            detail = f"geometric right side: divide by P({beta}) = {value}"
-        elif lam == 1:
-            detail = (f"{trig.kind}({trig.n}*pi*t) right side: "
-                      f"divide by P((-1)^{trig.n}) = P({mu}) = {value}")
-        else:
-            detail = f"evaluate {scaled} at (-1)^{trig.n} = {mu}: {value}"
-        rule = "power-rule" if trig is None else f"{trig.kind}-rule"
-        steps.append(TraceStep(rule, detail, current, str(res)))
-        return res, steps
-
     # difference-operator machinery at base beta: once beta^t is pulled out,
     # q(D) = P(beta*(1 + D)) is the operator left on the polynomial factor
     h = p * c
@@ -245,10 +230,27 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
     order = max(h.degree, 0)
     cs = series_inverse(R, order)
 
+    # on Newton coefficients Delta^k shifts the index by k, so the series
+    # inverse is a correlation and Delta^-m prepends m zeros
+    dh = _newton(h)
+    dw = [sum(cs[k] * dh[j + k] for k in range(len(dh) - j)) for j in range(len(dh))]
+    res = SequenceExpr.of(Term(1, out_base, _from_newton([Fraction(0)] * m + dw), out_trig))
+
+    if m == 0 and p.degree == 0 and (trig is not None or lam != 1):
+        # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
+        if trig is None:
+            detail = f"geometric right side: divide by P({beta}) = {q[0]}"
+        elif lam == 1:
+            detail = (f"{trig.kind}({trig.n}*pi*t) right side: "
+                      f"divide by P((-1)^{trig.n}) = P({mu}) = {q[0]}")
+        else:
+            detail = f"evaluate {scaled} at (-1)^{trig.n} = {mu}: {q[0]}"
+        rule = "power-rule" if trig is None else f"{trig.kind}-rule"
+        steps.append(TraceStep(rule, detail, current, str(res)))
+        return res, steps
+
     prefix = "" if out_base == 1 and out_trig is None else (
-        _powstr(out_base) + " * " if out_trig is None
-        else f"{_powstr(lam)} * {out_trig.render()} * " if lam != 1
-        else f"{out_trig.render()} * ")
+        _term_str(Term(1, out_base, Poly(1), out_trig)) + " * ")
     q_str = _series_str(q.coeffs)
     after = f"{prefix}{_pending(q_str, str(h))}"
     if beta == 1:
@@ -263,12 +265,6 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
             f"so the operator on the polynomial factor is {q_str}",
             current, after))
     current = after
-
-    # on Newton coefficients Delta^k shifts the index by k, so the series
-    # inverse is a correlation and Delta^-m prepends m zeros
-    dh = _newton(h)
-    dw = [sum(cs[k] * dh[j + k] for k in range(len(dh) - j)) for j in range(len(dh))]
-    res = SequenceExpr.of(Term(1, out_base, _from_newton([Fraction(0)] * m + dw), out_trig))
 
     series = (f"1/({_series_str(R.coeffs)}) = {_series_str(cs)} + O(D^{order + 1}), "
               f"exact on degree-{order} payloads")
@@ -321,7 +317,7 @@ def solve_particular(op: OperatorPoly, phi: SequenceExpr) -> tuple[SequenceExpr,
     if len(terms) > 1:
         steps.append(TraceStep(
             "linearity", "sum the per-term contributions",
-            " ; ".join(str(e) if not e.is_zero else "0" for e in parts), str(total)))
+            " ; ".join(str(e) for e in parts), str(total)))
     if k:
         shifted = total.shift(-k)
         steps.append(TraceStep(
