@@ -81,10 +81,6 @@ class Term:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "trig", trig)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0 or self.poly.is_zero
-
     def value_at(self, t: int) -> Fraction:
         v = self.coeff * self.base**t * self.poly(t)
         if self.trig is not None:
