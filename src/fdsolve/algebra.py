@@ -1,7 +1,8 @@
 """Exact rational polynomial arithmetic plus the numeric root-finding fallback.
 
 Coefficients are `fractions.Fraction` end to end; floats appear only inside
-`find_roots` when a factor has no rational roots.
+`find_roots`, where they guide the search for rational roots and stand for
+the irrational ones.
 """
 from __future__ import annotations
 
@@ -15,13 +16,6 @@ import numpy as np
 Rational = Fraction
 
 Coeff = Union[int, float, str, Fraction]
-
-#: imaginary parts below this are treated as rounding noise and snapped to 0
-NUMERIC_SNAP_IMAG = 1e-10
-#: numeric roots closer than this (relative to root magnitude) share a cluster
-NUMERIC_CLUSTER_TOL = 1e-6
-
-_RATIONAL_CANDIDATE_LIMIT = 10**12
 
 
 class ZeroConstantTermError(ArithmeticError):
@@ -262,25 +256,13 @@ class Root:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of a polynomial, exact ones first; `tolerance` is None when fully exact."""
+    """All roots of a polynomial: exact ones by value, then numeric ones by (real, imag)."""
 
     roots: tuple[Root, ...]
-    tolerance: float | None = None
 
     @property
     def is_exact(self) -> bool:
         return all(r.exact for r in self.roots)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out: list[int] = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
 
 
 def _split_root(p: Poly, r: Fraction) -> tuple[int, Poly]:
@@ -292,27 +274,90 @@ def _split_root(p: Poly, r: Fraction) -> tuple[int, Poly]:
     return m, p
 
 
-def _extract_rational_roots(p: Poly) -> tuple[Poly, list[tuple[Fraction, int]]]:
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = math.gcd(*ints)
-    c0, clead = ints[0] // g, ints[-1] // g
-    if abs(c0) > _RATIONAL_CANDIDATE_LIMIT or abs(clead) > _RATIONAL_CANDIDATE_LIMIT:
-        return p, []  # candidate enumeration would be too expensive; numeric fallback
-    candidates = sorted(
-        {
-            Fraction(sign * num, d)
-            for num in _divisors(c0)
-            for d in _divisors(clead)
-            for sign in (1, -1)
-        }
-    )
-    found: list[tuple[Fraction, int]] = []
-    for cand in candidates:
-        mult, p = _split_root(p, cand)
-        if mult:
-            found.append((cand, mult))
-    return p, found
+def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Exact long division: a = q*b + r with deg r < deg b."""
+    q = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
+    r = list(a.coeffs)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + b.degree] / b.lead
+        for j, c in enumerate(b.coeffs):
+            r[k + j] -= q[k] * c
+    return Poly(q), Poly(r)
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor, by Euclid's algorithm over Q."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a * (1 / a.lead)
+
+
+def _square_free(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's square-free decomposition: the nonconstant f_i of p = lead * prod f_i^i.
+
+    The f_i are square-free and pairwise coprime, so every root of f_i has
+    multiplicity exactly i in p.  The last factor is returned as found, not
+    made monic: a square-free p comes back unchanged as [(p, 1)].
+    """
+    g = _gcd(p, p.derivative())
+    b = _divmod(p, g)[0]
+    d = _divmod(p.derivative(), g)[0] - b.derivative()
+    out: list[tuple[Poly, int]] = []
+    i = 1
+    while b.degree >= 1:
+        a = _gcd(b, d) if d else b
+        if a.degree >= 1:
+            out.append((a, i))
+        b = _divmod(b, a)[0]
+        d = _divmod(d, a)[0] - b.derivative()
+        i += 1
+    return out
+
+
+def _approximate(p: Poly) -> list[complex]:
+    """Float approximations of all roots: the companion-matrix eigenvalues of numpy.roots."""
+    return [complex(z) for z in np.roots([float(c) for c in reversed(p.coeffs)])]
+
+
+def _rational_roots(f: Poly, approx: list[complex]) -> tuple[list[Fraction], Poly]:
+    """The rational roots of a square-free f, and f with them split off.
+
+    A rational root's denominator divides L, the leading coefficient of f's
+    primitive integer form, and two such fractions lie at least 1/L^2 apart,
+    so `limit_denominator(L)` recovers the root from any point within
+    1/(2L^2).  Such points are the float approximations themselves, or come
+    from bisecting each bracket between cuts (the Cauchy bound, midpoints of
+    real approximations, real parts of complex ones) over which f changes
+    sign.  Exact evaluation confirms every candidate.  Two roots closer than
+    the approximations resolve can share a bracket without a sign change.
+    """
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    lead = abs(int(f.lead * den)) // math.gcd(*(int(c * den) for c in f.coeffs))
+    bound = 1 + max(abs(c / f.lead) for c in f.coeffs[:-1])
+    reals = sorted(z.real for z in approx if not z.imag)
+    cuts = sorted({-bound, bound, *(Fraction(z.real) for z in approx if z.imag),
+                   *(Fraction((x + y) / 2) for x, y in zip(reals, reals[1:]))})
+
+    def candidates() -> Iterable[Fraction]:
+        # `rest` shrinks as roots are split off, so a bracket whose root was
+        # already found no longer changes sign
+        for z in approx:
+            yield Fraction(z.real).limit_denominator(lead)
+        for a, b in zip(cuts, cuts[1:]):
+            if rest(a) * rest(b) <= 0:
+                positive = rest(a) > 0
+                while b - a >= Fraction(1, 2 * lead * lead):
+                    mid = (a + b) / 2
+                    a, b = (mid, b) if (rest(mid) > 0) == positive else (a, mid)
+                yield ((a + b) / 2).limit_denominator(lead)
+
+    found: list[Fraction] = []
+    rest = f
+    for r in candidates():
+        m, rest = _split_root(rest, r)
+        if m:
+            found.append(r)
+    return found, rest
 
 
 def _newton_polish(p: Poly, x: complex) -> complex:
@@ -329,82 +374,29 @@ def _newton_polish(p: Poly, x: complex) -> complex:
     return x
 
 
-def _numeric_roots(p: Poly) -> list[tuple[complex, int]]:
-    desc = [float(c) for c in reversed(p.coeffs)]
-    raw = [complex(z) for z in np.roots(desc)]
-    scale = max(1.0, max(abs(z) for z in raw))
-    tol = NUMERIC_CLUSTER_TOL * scale
-    raw.sort(key=lambda z: (z.real, z.imag))
-    used = [False] * len(raw)
-    clusters: list[tuple[complex, int]] = []
-    for i, z in enumerate(raw):
-        if used[i]:
-            continue
-        group = [z]
-        used[i] = True
-        for j in range(i + 1, len(raw)):
-            if not used[j] and abs(raw[j] - z) <= tol:
-                group.append(raw[j])
-                used[j] = True
-        center = sum(group) / len(group)
-        if abs(center.imag) < NUMERIC_SNAP_IMAG * scale:
-            center = complex(center.real, 0.0)
-        if len(group) == 1:
-            center = _newton_polish(p, center)
-            if abs(center.imag) < NUMERIC_SNAP_IMAG * scale:
-                center = complex(center.real, 0.0)
-        clusters.append((center, len(group)))
-    # force conjugate symmetry: real coefficients mean roots pair up exactly
-    out: list[tuple[complex, int]] = []
-    done = [False] * len(clusters)
-    for i, (z, m) in enumerate(clusters):
-        if done[i]:
-            continue
-        done[i] = True
-        if z.imag == 0.0:
-            out.append((z, m))
-            continue
-        partner = None
-        for j in range(i + 1, len(clusters)):
-            if not done[j] and abs(clusters[j][0] - z.conjugate()) <= tol:
-                partner = j
-                break
-        if partner is None:
-            out.append((z, m))
-            continue
-        done[partner] = True
-        w, mw = clusters[partner]
-        mean = (z + w.conjugate()) / 2
-        out.append((mean, m))
-        out.append((mean.conjugate(), mw))
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
-
-
 def find_roots(p: Poly) -> RootSet:
-    """Factor p completely: exact rational roots first, numeric fallback after.
+    """Factor p completely, with exact multiplicities and exact rational roots.
 
-    Rational candidates come from the divisor pairs of the primitive integer
-    form; each hit is deflated exactly, so multiplicities are exact.  Whatever
-    survives goes through the companion-matrix eigenvalues of numpy.roots with
-    Newton polishing, multiplicity clustering, and conjugate symmetrization.
+    Yun's square-free decomposition gives coprime square-free factors f_i
+    whose roots have multiplicity exactly i.  The float roots of each f_i
+    (numpy.roots) guide the exact search for its rational roots; the roots
+    of what remains stay numeric, each polished by Newton's method.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    zero_mult, work = _split_root(p, Fraction(0))
-    exact: list[tuple[Fraction, int]] = []
-    if zero_mult:
-        exact.append((Fraction(0), zero_mult))
-    if work.degree >= 1:
-        work, found = _extract_rational_roots(work)
-        exact.extend(found)
-    exact.sort(key=lambda rm: rm[0])
-    roots = [Root(value, mult, True) for value, mult in exact]
-    tolerance = None
-    if work.degree >= 1:
-        roots.extend(Root(z, m, False) for z, m in _numeric_roots(work))
-        tolerance = NUMERIC_CLUSTER_TOL
-    return RootSet(tuple(roots), tolerance)
+    exact: list[Root] = []
+    numeric: list[Root] = []
+    for f, mult in _square_free(p):
+        approx = _approximate(f)
+        found, rest = _rational_roots(f, approx)
+        exact.extend(Root(r, mult, True) for r in found)
+        if rest.degree >= 1:
+            if found:
+                approx = _approximate(rest)
+            numeric.extend(Root(_newton_polish(rest, z), mult, False) for z in approx)
+    exact.sort(key=lambda r: r.value)
+    numeric.sort(key=lambda r: (r.value.real, r.value.imag))
+    return RootSet(tuple(exact + numeric))
 
 
 def reconstruction_error(p: Poly, roots: RootSet) -> float:

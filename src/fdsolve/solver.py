@@ -398,7 +398,8 @@ def fit_constants(
     """Constants c_i with particular + sum c_i * basis_i matching the initial values.
 
     Exact Gaussian elimination when every mode is exact; otherwise float
-    elimination with partial pivoting.
+    elimination with partial pivoting, each column first scaled by a power of
+    two (exactly) so that its largest entry lies in [0.5, 1).
     """
     conds = sorted((int(t), Fraction(v)) for t, v in initial)
     if len(conds) != op.degree:
@@ -414,9 +415,12 @@ def fit_constants(
         raise SingularSystemError(
             "float overflow evaluating the basis at the initial values; "
             "constants not determined") from err
+    exps = [math.frexp(max(abs(v) for v in col))[1] for col in zip(*Af)]
+    Af = [[math.ldexp(v, -e) for v, e in zip(row, exps)] for row in Af]
     scale = max([1.0] + [abs(v) for v in bf])
-    return _gauss_jordan(Af, bf, _FLOAT_PIVOT_TOL, 1e-6 * scale,
-                         "pivot below tolerance; constants not determined")
+    cs = _gauss_jordan(Af, bf, _FLOAT_PIVOT_TOL, 1e-6 * scale,
+                       "pivot below tolerance; constants not determined")
+    return tuple(math.ldexp(c, -e) for c, e in zip(cs, exps))
 
 
 def solve(eq: Equation) -> Solution:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdsolve
 from fdsolve.algebra import (Poly, ZeroConstantTermError, falling_factorial_poly,
                              find_roots, reconstruction_error, series_inverse)
 from fdsolve.solver import antidifference
@@ -124,12 +129,47 @@ def test_deflate_rejects_non_roots():
         Poly(1, 1).deflate(5)
 
 
+def _divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def divisor_pair_roots(p):
+    """Rational roots by the former search: every +-d1/d2 over the divisors of
+    the constant and leading coefficients of the primitive integer form, each
+    deflated while it is a root.  Quadratic in the divisor count; a reference
+    for small inputs only."""
+    found = {}
+    while p(0) == 0:
+        p = p.deflate(0)
+        found[F(0)] = found.get(F(0), 0) + 1
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    for cand in {F(s * n, d) for n in _divisors(abs(ints[0]) // g)
+                 for d in _divisors(abs(ints[-1]) // g) for s in (1, -1)}:
+        while p.degree >= 1 and p(cand) == 0:
+            p = p.deflate(cand)
+            found[cand] = found.get(cand, 0) + 1
+    return found
+
+
+linear_factors = st.builds(lambda n, d: Poly(F(-n, d), 1),
+                           st.integers(-20, 20), st.integers(1, 12))
+irreducible_quadratics = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
+    lambda bc: not _is_square(bc[0] ** 2 - 4 * bc[1])).map(lambda bc: Poly(bc[1], bc[0], 1))
+
+
 class TestFindRoots:
     def test_distinct_rational(self):
         rs = find_roots(Poly(4, -5, 1))
         assert [(r.value, r.multiplicity, r.exact) for r in rs.roots] == \
             [(F(1), 1, True), (F(4), 1, True)]
-        assert rs.tolerance is None and rs.is_exact
+        assert rs.is_exact
 
     def test_repeated_rational(self):
         rs = find_roots(Poly(4, -4, 1))
@@ -146,7 +186,7 @@ class TestFindRoots:
     def test_pure_power_of_t(self):
         rs = find_roots(Poly(0, 0, 0, 1))  # t^3
         assert [(r.value, r.multiplicity, r.exact) for r in rs.roots] == [(F(0), 3, True)]
-        assert rs.tolerance is None
+        assert rs.is_exact
 
     def test_complex_pair(self):
         rs = find_roots(Poly(1, 0, 1))
@@ -154,7 +194,7 @@ class TestFindRoots:
         assert len(inexact) == 2
         assert inexact[0] == inexact[1].conjugate()
         assert abs(inexact[1] - 1j) < 1e-9
-        assert rs.tolerance is not None
+        assert not rs.is_exact
 
     def test_real_irrational(self):
         rs = find_roots(Poly(-2, 0, 1))
@@ -198,6 +238,40 @@ class TestFindRoots:
             want[r] = want.get(r, 0) + 1
         assert found == want
         assert reconstruction_error(p, rs) == 0.0
+
+    def test_huge_ends_finish_in_bounded_time(self):
+        # 6720 divisors at each end: the divisor-pair search ran for minutes
+        code = ("from fdsolve.algebra import Poly, find_roots; "
+                "print(find_roots(Poly(963761198400, 0, 1, 0, 0, 963761198400)).is_exact)")
+        src = str(Path(fdsolve.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=30, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "False\n"
+
+    def test_repeated_irrational_multiplicity(self):
+        rs = find_roots(Poly(-5, 0, 1) ** 3)
+        assert [(r.multiplicity, r.exact) for r in rs.roots] == [(3, False), (3, False)]
+        assert abs(rs.roots[1].value - math.sqrt(5)) < 1e-12
+
+    def test_close_rational_roots_stay_exact(self):
+        rs = find_roots(Poly(-1, 1) * Poly(-(10**12 + 1), 10**12))
+        assert [(r.value, r.multiplicity, r.exact) for r in rs.roots] == \
+            [(F(1), 1, True), (F(10**12 + 1, 10**12), 1, True)]
+
+    @given(st.lists(st.tuples(linear_factors, st.integers(1, 2)), min_size=1, max_size=3),
+           st.lists(st.tuples(irreducible_quadratics, st.integers(1, 2)), max_size=2,
+                    unique_by=lambda qk: qk[0]),
+           st.sampled_from([F(1), F(-3), F(5, 7)]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_divisor_pair_search(self, linears, quadratics, lead):
+        p = Poly(lead)
+        for f, k in linears + quadratics:
+            p = p * f ** k
+        rs = find_roots(p)
+        assert {r.value: r.multiplicity for r in rs.roots if r.exact} == divisor_pair_roots(p)
+        assert sum(r.multiplicity for r in rs.roots) == p.degree
+        assert sorted(r.multiplicity for r in rs.roots if not r.exact) == \
+            sorted(k for _, k in quadratics for _ in range(2))
 
 
 def test_render():

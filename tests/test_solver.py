@@ -295,6 +295,14 @@ class TestFitConstants:
         with pytest.raises(SingularSystemError, match="float overflow"):
             fit_constants(P, SequenceExpr.zero(), basis, ((-2000, F(1)), (-1999, F(1))))
 
+    def test_float_fit_far_from_origin(self):
+        # the modes at t = 1000 are about 1.6^1000 and 0.6^1000: the first
+        # column's entries are near 1e-209, far below the absolute pivot
+        # tolerance until each column is scaled to its own size
+        eq = parse_equation("y(t+2) - y(t+1) - y(t) = 0")
+        sol = solve(Equation(eq.operator, eq.rhs, ((1000, F(1)), (1001, F(1)))))
+        assert abs(sol.general_value_at(1002) - 2) < 1e-9 * 2
+
 
 class TestEquationValidation:
     def test_wrong_condition_count(self):
