@@ -314,6 +314,17 @@ def _square_free(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def _balanced(p: Poly) -> Poly:
+    """p times the power of two that brings its largest coefficient within (1/2, 2).
+
+    The scaling is exact, and float rounding commutes with it, so float work
+    on the result gives the same bits as on p wherever p is in float range;
+    a p scaled far outside that range still reaches numpy in range.
+    """
+    e = max(c.numerator.bit_length() - c.denominator.bit_length() for c in p.coeffs if c)
+    return p * Fraction(2) ** -e
+
+
 def _approximate(p: Poly) -> list[complex]:
     """Float approximations of all roots: the companion-matrix eigenvalues of numpy.roots."""
     return [complex(z) for z in np.roots([float(c) for c in reversed(p.coeffs)])]
@@ -337,26 +348,23 @@ def _rational_roots(f: Poly, approx: list[complex]) -> tuple[list[Fraction], Pol
     reals = sorted(z.real for z in approx if not z.imag)
     cuts = sorted({-bound, bound, *(Fraction(z.real) for z in approx if z.imag),
                    *(Fraction((x + y) / 2) for x, y in zip(reals, reals[1:]))})
-
-    def candidates() -> Iterable[Fraction]:
-        # `rest` shrinks as roots are split off, so a bracket whose root was
-        # already found no longer changes sign
-        for z in approx:
-            yield Fraction(z.real).limit_denominator(lead)
-        for a, b in zip(cuts, cuts[1:]):
-            if rest(a) * rest(b) <= 0:
-                positive = rest(a) > 0
-                while b - a >= Fraction(1, 2 * lead * lead):
-                    mid = (a + b) / 2
-                    a, b = (mid, b) if (rest(mid) > 0) == positive else (a, mid)
-                yield ((a + b) / 2).limit_denominator(lead)
-
     found: list[Fraction] = []
     rest = f
-    for r in candidates():
+    for z in approx:
+        r = Fraction(z.real).limit_denominator(lead)
         m, rest = _split_root(rest, r)
         if m:
             found.append(r)
+    for a, b in zip(cuts, cuts[1:]):
+        if rest(a) * rest(b) <= 0:
+            positive = rest(a) > 0
+            while b - a >= Fraction(1, 2 * lead * lead):
+                mid = (a + b) / 2
+                a, b = (mid, b) if (rest(mid) > 0) == positive else (a, mid)
+            r = ((a + b) / 2).limit_denominator(lead)
+            m, rest = _split_root(rest, r)
+            if m:
+                found.append(r)
     return found, rest
 
 
@@ -379,14 +387,18 @@ def find_roots(p: Poly) -> RootSet:
 
     Yun's square-free decomposition gives coprime square-free factors f_i
     whose roots have multiplicity exactly i.  The float roots of each f_i
-    (numpy.roots) guide the exact search for its rational roots; the roots
-    of what remains stay numeric, each polished by Newton's method.
+    (numpy.roots, on f_i scaled exactly into float range) guide the exact
+    search for its rational roots; the roots of what remains stay numeric,
+    each polished by Newton's method.  Raises ValueError when the floats
+    cannot account for every root, as when the coefficients span more than
+    the float range.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     exact: list[Root] = []
     numeric: list[Root] = []
     for f, mult in _square_free(p):
+        f = _balanced(f)
         approx = _approximate(f)
         found, rest = _rational_roots(f, approx)
         exact.extend(Root(r, mult, True) for r in found)
@@ -394,6 +406,8 @@ def find_roots(p: Poly) -> RootSet:
             if found:
                 approx = _approximate(rest)
             numeric.extend(Root(_newton_polish(rest, z), mult, False) for z in approx)
+    if sum(r.multiplicity for r in exact + numeric) != p.degree:
+        raise ValueError("coefficients span beyond the float range; roots not found")
     exact.sort(key=lambda r: r.value)
     numeric.sort(key=lambda r: (r.value.real, r.value.imag))
     return RootSet(tuple(exact + numeric))
@@ -405,29 +419,11 @@ def reconstruction_error(p: Poly, roots: RootSet) -> float:
     Fully exact root sets are reconstructed in rational arithmetic, so an
     exact factorization reports 0.0 rather than float round-off.
     """
-    if roots.is_exact:
-        q = Poly(p.lead)
-        for root in roots.roots:
-            q = q * Poly(-root.value, 1) ** root.multiplicity
-        worst_exact = Fraction(0)
-        for k in range(max(q.degree, p.degree) + 1):
-            err = abs(q[k] - p[k]) / max(1, abs(p[k]))
-            worst_exact = max(worst_exact, err)
-        return float(worst_exact)
-    lead = complex(float(p.lead))
-    prod = [lead]
+    exact = roots.is_exact
+    prod = [p.lead if exact else complex(p.lead)]
     for root in roots.roots:
-        z = complex(root.value) if not root.exact else complex(float(root.value))
+        z = root.value if exact else complex(root.value)
         for _ in range(root.multiplicity):
-            nxt = [0j] * (len(prod) + 1)
-            for i, c in enumerate(prod):
-                nxt[i + 1] += c
-                nxt[i] -= c * z
-            prod = nxt
-    worst = 0.0
-    for k in range(max(len(prod), len(p.coeffs))):
-        want = float(p[k])
-        got = prod[k].real if k < len(prod) else 0.0
-        err = abs(got - want) / max(1.0, abs(want))
-        worst = max(worst, err)
-    return worst
+            prod = [a - z * b for a, b in zip([0, *prod], [*prod, 0])]
+    prod += [0] * (len(p.coeffs) - len(prod))
+    return float(max(abs(c.real - p[k]) / max(1, abs(p[k])) for k, c in enumerate(prod)))

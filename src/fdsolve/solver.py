@@ -420,7 +420,11 @@ def fit_constants(
     scale = max([1.0] + [abs(v) for v in bf])
     cs = _gauss_jordan(Af, bf, _FLOAT_PIVOT_TOL, 1e-6 * scale,
                        "pivot below tolerance; constants not determined")
-    return tuple(math.ldexp(c, -e) for c, e in zip(cs, exps))
+    try:
+        return tuple(math.ldexp(c, -e) for c, e in zip(cs, exps))
+    except OverflowError as err:
+        raise SingularSystemError(
+            "float overflow scaling the constants back; constants not determined") from err
 
 
 def solve(eq: Equation) -> Solution:

@@ -258,6 +258,22 @@ class TestFindRoots:
         assert [(r.value, r.multiplicity, r.exact) for r in rs.roots] == \
             [(F(1), 1, True), (F(10**12 + 1, 10**12), 1, True)]
 
+    @pytest.mark.parametrize("scale", [F(1, 10**400), F(10**400)])
+    def test_scale_outside_float_range(self, scale):
+        # 10^-400 rounds to 0.0 and 10^400 overflows a float
+        rs = find_roots(Poly(-6, 11, -6, 1) * scale)
+        assert [(r.value, r.multiplicity, r.exact) for r in rs.roots] == \
+            [(F(1), 1, True), (F(2), 1, True), (F(3), 1, True)]
+        rs = find_roots(Poly(-2, 0, 1) * scale)
+        assert [r.multiplicity for r in rs.roots] == [1, 1] and not rs.is_exact
+        assert all(abs(abs(r.value) - math.sqrt(2)) < 1e-12 for r in rs.roots)
+
+    def test_coefficient_span_beyond_float_range_raises(self):
+        # the leading coefficient rounds to 0.0 beside the others, so numpy
+        # sees a linear polynomial and one root would be lost
+        with pytest.raises(ValueError, match="float range"):
+            find_roots(Poly(1, 1, F(1, 2**1100)))
+
     @given(st.lists(st.tuples(linear_factors, st.integers(1, 2)), min_size=1, max_size=3),
            st.lists(st.tuples(irreducible_quadratics, st.integers(1, 2)), max_size=2,
                     unique_by=lambda qk: qk[0]),

@@ -304,6 +304,15 @@ class TestFitConstants:
         assert abs(sol.general_value_at(1002) - 2) < 1e-9 * 2
 
 
+    def test_float_constants_overflow_is_singular(self):
+        # the second mode at t = 1400 is about 1e-292, so its constant for a
+        # right-hand side of 1e16 lies beyond the float range
+        P = OperatorPoly(-1, -1, 1)
+        basis = solve_homogeneous(P)
+        with pytest.raises(SingularSystemError, match="float overflow"):
+            fit_constants(P, SequenceExpr.zero(), basis,
+                          ((1400, F(10**16)), (1401, F(1))))
+
 class TestEquationValidation:
     def test_wrong_condition_count(self):
         with pytest.raises(ValueError):
