@@ -7,6 +7,8 @@ Grammar notes:
   name) is accepted, since difference equations are usually written that way;
 * exponents are integers, `t`, or `(a*t + b)` with integer a, b on a nonzero
   rational base;
+* operators use the same grammar with `T` as the variable, and must come out
+  as a nonzero polynomial in `T`;
 * errors carry the byte offset of the first offending character.
 """
 from __future__ import annotations
@@ -100,10 +102,11 @@ class _Val:
 
 
 class _Parser:
-    def __init__(self, src: str, allow_y: bool) -> None:
+    def __init__(self, src: str, var: str, allow_y: bool) -> None:
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.var = var  # the polynomial variable: t, or T for operators
         self.allow_y = allow_y
 
     def peek(self) -> _Tok:
@@ -133,20 +136,20 @@ class _Parser:
     # ---- expression grammar (y allowed when parsing equation sides) ----
 
     def parse_sum(self) -> _Val:
+        """Collect the signed operands and normalise their terms once."""
+        ops: dict[int, Fraction] = {}
+        terms: list[Term] = []
         sign = 1
         if self.peek().kind in ("+", "-"):
-            if self.advance().kind == "-":
-                sign = -1
-        val = self.parse_product()
-        if sign < 0:
-            val = val.scaled(Fraction(-1))
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_product()
-            if op.kind == "-":
-                rhs = rhs.scaled(Fraction(-1))
-            val = self._add(val, rhs)
-        return val
+            sign = -1 if self.advance().kind == "-" else 1
+        while True:
+            val = self.parse_product()
+            for k, v in val.ops.items():
+                ops[k] = ops.get(k, Fraction(0)) + sign * v
+            terms.extend(tm.scaled(sign) for tm in val.expr.terms)
+            if self.peek().kind not in ("+", "-"):
+                return _Val(ops, SequenceExpr(terms))
+            sign = -1 if self.advance().kind == "-" else 1
 
     def parse_product(self) -> _Val:
         val = self.parse_power()
@@ -172,7 +175,8 @@ class _Parser:
 
     def _apply_exponent(self, val: _Val, caret_pos: int) -> _Val:
         tok = self.peek()
-        expected = "an integer exponent, 't', or '(a*t + b)' with integers a, b"
+        v = self.var
+        expected = f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
         if tok.kind == "num":
             self.advance()
             k = self._int_of(tok, "an integer exponent")
@@ -182,13 +186,8 @@ class _Parser:
             num = self.expect("num", expected)
             k = -self._int_of(num, "an integer exponent")
             return self._int_power(val, k, num.pos)
-        if tok.kind == "name" and tok.text == "t":
-            self.advance()
-            return self._t_power(val, 1, 0, tok.pos)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_sum()
-            self.expect(")", "')'")
+        if tok.kind == "(" or tok.text == v:
+            inner = self.parse_atom()
             if inner.has_y:
                 raise SemanticError(self.src, tok.pos, "an exponent free of y")
             c = inner.constant()
@@ -196,7 +195,7 @@ class _Parser:
                 if c.denominator != 1:
                     raise ParseError(self.src, tok.pos, "an integer exponent")
                 return self._int_power(val, int(c), tok.pos)
-            slope, offset = self._linear_int_poly(inner, tok.pos)
+            slope, offset = self._linear_int_poly(inner, tok.pos, expected)
             return self._t_power(val, slope, offset, tok.pos)
         self.fail(tok, expected)
 
@@ -206,7 +205,7 @@ class _Parser:
             raise ParseError(self.src, tok.pos, expected)
         return int(f)
 
-    def _linear_int_poly(self, val: _Val, pos: int) -> tuple[int, int]:
+    def _linear_int_poly(self, val: _Val, pos: int, expected: str) -> tuple[int, int]:
         if len(val.expr.terms) == 1:
             tm = val.expr.terms[0]
             p = tm.poly * tm.coeff
@@ -214,7 +213,7 @@ class _Parser:
                 a, b = p[1], p[0]
                 if a.denominator == 1 and b.denominator == 1:
                     return int(a), int(b)
-        raise ParseError(self.src, pos, "an integer exponent, 't', or '(a*t + b)' with integers a, b")
+        raise ParseError(self.src, pos, expected)
 
     def _int_power(self, val: _Val, k: int, pos: int) -> _Val:
         if k == 1:
@@ -222,9 +221,13 @@ class _Parser:
         if val.has_y:
             raise SemanticError(self.src, pos, "y raised only to the power 1")
         if k >= 0:
-            out = SequenceExpr.constant(1)
-            for _ in range(k):
-                out = out * val.expr
+            out, base = SequenceExpr.constant(1), val.expr
+            while k:
+                if k & 1:
+                    out = out * base
+                k >>= 1
+                if k:
+                    base = base * base
             return _Val({}, out)
         terms = val.expr.terms
         if len(terms) == 1 and terms[0].trig is None and terms[0].poly.degree == 0:
@@ -235,14 +238,15 @@ class _Parser:
             pos, "negative powers are supported only for nonzero constants and geometric terms")
 
     def _t_power(self, val: _Val, slope: int, offset: int, pos: int) -> _Val:
+        v = self.var
         if val.has_y:
-            raise SemanticError(self.src, pos, "a constant base (y cannot be raised to t)")
+            raise SemanticError(self.src, pos, f"a constant base (y cannot be raised to {v})")
         c = val.constant()
         if c is None:
-            self.unsupported(pos, "exponent t requires a rational constant base (t^t and "
+            self.unsupported(pos, f"exponent {v} requires a rational constant base ({v}^{v} and "
                              "friends lie outside the supported closed-form class)")
         if c == 0:
-            self.unsupported(pos, "0 cannot be raised to the power t")
+            self.unsupported(pos, f"0 cannot be raised to the power {v}")
         return _Val({}, SequenceExpr.of(Term(c**offset, c**slope)))
 
     def parse_atom(self) -> _Val:
@@ -256,7 +260,7 @@ class _Parser:
             self.expect(")", "')'")
             return val
         if tok.kind == "name":
-            if tok.text == "t":
+            if tok.text == self.var:
                 self.advance()
                 return _Val({}, SequenceExpr.from_poly(Poly(0, 1)))
             if tok.text == "y":
@@ -271,8 +275,8 @@ class _Parser:
                 self.fail(tok, "pi only inside cos(...) or sin(...) arguments")
             if tok.text == "T":
                 self.fail(tok, "y(t+k) notation (T is only valid in operator input)")
-            self.fail(tok, "one of y, t, cos, sin")
-        self.fail(tok, "a number, 't', 'y(', 'cos(', 'sin(', or '('")
+            self.fail(tok, f"one of y, {self.var}, cos, sin")
+        self.fail(tok, f"a number, '{self.var}', 'y(', 'cos(', 'sin(', or '('")
 
     def _parse_y_ref(self) -> _Val:
         self.expect("(", "'(' after y")
@@ -302,25 +306,20 @@ class _Parser:
             if self.peek().kind == "*":
                 self.advance()
         tok = self.peek()
+        v = self.var
         if tok.kind != "name" or tok.text != "pi":
-            self.fail(tok, "'pi' in the trig argument (only cos/sin(n*pi*t) is closed-form here)")
+            self.fail(tok, f"'pi' in the trig argument (only cos/sin(n*pi*{v}) is closed-form here)")
         self.advance()
-        self.expect("*", "'*' between pi and t")
+        self.expect("*", f"'*' between pi and {v}")
         tok = self.peek()
-        if tok.kind != "name" or tok.text != "t":
-            self.fail(tok, "'t' after pi*")
+        if tok.kind != "name" or tok.text != v:
+            self.fail(tok, f"'{v}' after pi*")
         self.advance()
         self.expect(")", "')'")
         coeff = Fraction(-1) if neg and head.text == "sin" else Fraction(1)
         return _Val({}, SequenceExpr.of(Term(coeff, 1, Poly(1), Trig(head.text, n))))
 
     # ---- combination rules ----
-
-    def _add(self, a: _Val, b: _Val) -> _Val:
-        ops = dict(a.ops)
-        for k, v in b.ops.items():
-            ops[k] = ops.get(k, Fraction(0)) + v
-        return _Val(ops, a.expr + b.expr)
 
     def _mul(self, a: _Val, b: _Val, pos: int) -> _Val:
         if a.has_y and b.has_y:
@@ -356,7 +355,7 @@ class _Parser:
 
 def parse_expression(src: str) -> SequenceExpr:
     """Parse a closed-form expression (no y references)."""
-    p = _Parser(src, allow_y=False)
+    p = _Parser(src, "t", allow_y=False)
     val = p.parse_sum()
     p.expect("end", "end of input")
     return val.expr
@@ -368,7 +367,7 @@ def parse_equation(src: str) -> Equation:
     y terms may appear on both sides; negative shifts are normalized away by
     multiplying through by a power of T (which also translates the right side).
     """
-    p = _Parser(src, allow_y=True)
+    p = _Parser(src, "t", allow_y=True)
     lhs = p.parse_sum()
     eq_tok = p.expect("=", "'=' between the two sides of the equation")
     rhs = p.parse_sum()
@@ -394,75 +393,25 @@ def parse_equation(src: str) -> Equation:
 
 def parse_operator(src: str) -> OperatorPoly:
     """Parse a polynomial in the translation symbol T, e.g. `T^2 - 5*T + 4`."""
-    p = _Parser(src, allow_y=False)
-    poly = _op_sum(p)
+    p = _Parser(src, "T", allow_y=False)
+    try:
+        val = p.parse_sum()
+    except UnsupportedRhsError as err:  # an operator has no right-hand side
+        pos = len(src.encode("utf-8")[: err.offset].decode("utf-8"))
+        raise SemanticError(src, pos, f"a polynomial in T ({err})") from None
     p.expect("end", "end of input")
-    if poly.is_zero:
+    terms = val.expr.terms
+    if not terms:
         raise SemanticError(src, 0, "a nonzero operator polynomial")
-    return OperatorPoly.from_poly(poly)
-
-
-def _op_sum(p: _Parser) -> Poly:
-    sign = 1
-    if p.peek().kind in ("+", "-"):
-        if p.advance().kind == "-":
-            sign = -1
-    val = _op_product(p) * sign
-    while p.peek().kind in ("+", "-"):
-        op = p.advance()
-        rhs = _op_product(p)
-        val = val - rhs if op.kind == "-" else val + rhs
-    return val
-
-
-def _op_product(p: _Parser) -> Poly:
-    val = _op_power(p)
-    while True:
-        nxt = p.peek()
-        if nxt.kind in ("*", "/"):
-            p.advance()
-            rhs = _op_power(p)
-            if nxt.kind == "*":
-                val = val * rhs
-            else:
-                if rhs.degree != 0:
-                    raise SemanticError(p.src, nxt.pos, "a constant divisor")
-                val = val * (1 / rhs[0])
-        elif nxt.kind == "name":  # implicit product: 2T
-            val = val * _op_power(p)
-        else:
-            return val
-
-
-def _op_power(p: _Parser) -> Poly:
-    val = _op_atom(p)
-    while p.peek().kind == "^":
-        p.advance()
-        num = p.expect("num", "a nonnegative integer exponent")
-        k = p._int_of(num, "a nonnegative integer exponent")
-        val = val**k
-    return val
-
-
-def _op_atom(p: _Parser) -> Poly:
-    tok = p.peek()
-    if tok.kind == "num":
-        p.advance()
-        return Poly(Fraction(tok.text))
-    if tok.kind == "name" and tok.text == "T":
-        p.advance()
-        return Poly(0, 1)
-    if tok.kind == "(":
-        p.advance()
-        val = _op_sum(p)
-        p.expect(")", "')'")
-        return val
-    p.fail(tok, "a number, 'T', or '('")
+    tm = terms[0]
+    if len(terms) > 1 or tm.base != 1 or tm.trig is not None:
+        raise SemanticError(src, 0, "a polynomial in T")
+    return OperatorPoly.from_poly(tm.poly * tm.coeff)
 
 
 def parse_initial(src: str) -> tuple[Condition, ...]:
     """Parse `y(0)=1, y(1)=2` style condition lists; must be consecutive."""
-    p = _Parser(src, allow_y=False)
+    p = _Parser(src, "t", allow_y=False)
     conds: list[tuple[int, Fraction, int]] = []
     while True:
         head = p.peek()

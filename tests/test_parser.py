@@ -1,9 +1,17 @@
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fdsolve
+from fdsolve import cli
 from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError
 from fdsolve.operators import OperatorPoly
@@ -112,6 +120,17 @@ def test_arithmetic_mixing():
         parse_expression("3^(t-1)")
     assert parse_expression("2^t * 3^t") == SequenceExpr.of(Term(1, 6))
     assert parse_expression("(t+1)^2") == SequenceExpr.from_poly(Poly(1, 2, 1))
+    assert parse_expression("(t+1)^13") == SequenceExpr.from_poly(Poly(1, 1) ** 13)
+
+
+def test_large_powers_in_bounded_time():
+    # one product per power took minutes for t^4000 and 2^400000
+    code = ("from fdsolve.parser import parse_expression as p; "
+            "print(p('t^4000').terms[0].poly.degree, p('2^400000') == p('4^200000'))")
+    src = str(Path(fdsolve.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "4000 True\n"
 
 
 @pytest.mark.parametrize("src,offset,cls", MALFORMED)
@@ -168,6 +187,24 @@ class TestParseOperator:
             parse_operator("T - T")
         with pytest.raises(SemanticError):
             parse_operator("(T+1)/T")
+
+
+    @given(st.lists(test_expr.rationals, max_size=8),
+           test_expr.rationals.filter(bool))
+    def test_render_reparses(self, low, lead):
+        op = OperatorPoly(*low, lead)
+        assert parse_operator(str(op)) == op
+
+    @pytest.mark.parametrize("src,offset", [
+        ("T^2 -", 5), ("t + 1", 0), ("T - T", 0), ("(T+1)/T", 5), ("T/0", 1),
+        ("2^T", 0), ("T^-1", 3), ("y(t)", 0), ("cos(pi*T)", 0)])
+    def test_error_table(self, capsys, src, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_operator(src)
+        assert exc.value.offset == offset
+        assert re.search(r"\bt\b", exc.value.expected) is None  # messages name T
+        assert cli.main(["apply", src, "1"]) == cli.EXIT_PARSE
+        capsys.readouterr()
 
 
 class TestParseInitial:
