@@ -123,14 +123,18 @@ class Poly:
     def taylor_shift(self, a: Coeff) -> Poly:
         """Return the composition p(t + a), computed exactly.
 
+        Repeated synthetic division by (t - a) in one coefficient list: the
+        remainders are the coefficients of p(t + a), lowest first.
+
         >>> str(Poly(4, -5, 1).taylor_shift(1))
         't^2 - 3*t'
         """
-        shift = Poly(Fraction(a), 1)
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * shift + Poly(c)
-        return out
+        a = Fraction(a)
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return Poly(cs)
 
     def forward_difference(self) -> Poly:
         """p(t+1) - p(t); drops the degree by exactly one for nonconstant p."""

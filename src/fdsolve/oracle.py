@@ -2,19 +2,27 @@
 
 Two deliberately different routes:
 
-* forward application — plug the particular solution back in pointwise,
-  evaluating y_P at shifted arguments directly (no symbolic machinery);
+* forward application — plug the particular solution back in pointwise:
+  a_0*y(t) + ... + a_n*y(t+n) must equal phi(t) for every t in the range;
 * iteration — run the recurrence forward from initial values exactly and
   compare against the assembled general solution.
+
+Both read exact value tables: `_numerators` walks each term of an
+expression once across a range of t, using only the integer-domain meaning
+of the terms (no symbolic machinery, nothing from the solver), so each
+sequence is evaluated once per t however many shifts of it a check needs.
+Forward application compares integer numerators over the tables' common
+denominators; iteration reads the tables as Fractions (`_values`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
 from .expr import SequenceExpr
-from .solver import Equation, Solution
+from .solver import Equation, ExactMode, Solution
 
 
 class MissingInitialConditionsError(ValueError):
@@ -50,6 +58,52 @@ class VerifyReport:
                 f"got {self.got} ({self.method})")
 
 
+def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
+    """Integers nums and den with expr(t) == nums[t - lo] / den for lo <= t <= hi.
+
+    On integer t, sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t, so a term
+    is c * (u/v)^t * q(t) / d with q an integer polynomial.  Over
+    k.denominator * v^(hi-lo), where k = c * (u/v)^lo / d, its numerator at t
+    is k.numerator * u^(t-lo) * v^(hi-t) * q(t): Horner on q, and one product
+    and one exact division by v per step of t.  den is the lcm of those
+    denominators over all terms; nums/den is not reduced.
+    """
+    if hi < lo:
+        return [], 1
+    width = hi - lo
+    parts = []
+    for term in expr.terms:
+        base = term.base
+        if term.trig is not None:
+            if term.trig.kind == "sin":
+                continue
+            base *= term.trig.parity
+        cs = term.poly.coeffs
+        d = math.lcm(*(c.denominator for c in cs))
+        q = [c.numerator * (d // c.denominator) for c in reversed(cs)]
+        k = term.coeff * base**lo / d
+        v_width = base.denominator**width
+        parts.append((k.numerator * v_width, k.denominator * v_width,
+                      base.numerator, base.denominator, q))
+    den = math.lcm(*(kd for _, kd, _, _, _ in parts))
+    nums = [0] * (width + 1)
+    for g, kd, u, v, q in parts:
+        g *= den // kd
+        for i, t in enumerate(range(lo, hi + 1)):
+            p = 0
+            for c in q:
+                p = p * t + c
+            nums[i] += g * p
+            g = g * u // v
+    return nums, den
+
+
+def _values(expr: SequenceExpr, lo: int, hi: int) -> list[Fraction]:
+    """expr(lo), ..., expr(hi) exactly; empty when hi < lo."""
+    nums, den = _numerators(expr, lo, hi)
+    return [Fraction(num, den) for num in nums]
+
+
 def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
     """Exact values y(t0), ..., y(horizon) by running the recurrence forward.
 
@@ -63,14 +117,10 @@ def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
     out = [v for _, v in eq.initial]
     a = eq.operator.coeffs
     lead = a[n]
-    t = t0 + n
-    while t <= horizon:
-        m = t - n
-        acc = eq.rhs.eval_at(m)
+    for i, acc in enumerate(_values(eq.rhs, t0, horizon - n)):
         for k in range(n):
-            acc -= a[k] * out[m - t0 + k]
+            acc -= a[k] * out[i + k]
         out.append(acc / lead)
-        t += 1
     return out[: max(0, horizon - t0 + 1)]
 
 
@@ -100,40 +150,54 @@ def verify_solution(
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
     if isinstance(solution, SequenceExpr):
         particular = solution
-        general_at = solution.eval_at
+        modes, constants = (), ()
         have_general = eq.initial is not None
         exact = True
     else:
         particular = solution.particular
-        general_at = solution.general_value_at
+        modes, constants = solution.homogeneous, solution.constants
         have_general = eq.initial is not None and solution.constants is not None
         exact = solution.is_exact
     n = eq.operator.degree
-    coeffs = eq.operator.coeffs
+    # a_k = alpha_k / scale, y(t) = ys[t + horizon] / y_den and
+    # phi(t) = phis[t + horizon] / phi_den, all integers: the lhs
+    # sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
+    scale = math.lcm(*(c.denominator for c in eq.operator.coeffs))
+    alphas = [(k, c.numerator * (scale // c.denominator))
+              for k, c in enumerate(eq.operator.coeffs) if c]
+    ys, y_den = _numerators(particular, -horizon, horizon + n)
+    phis, phi_den = _numerators(eq.rhs, -horizon, horizon)
     fwd_range = (-horizon, horizon)
     for t in _outward(horizon):
-        lhs = Fraction(0)
-        for k in range(n + 1):
-            if coeffs[k]:
-                lhs += coeffs[k] * particular.eval_at(t + k)
-        rhs = eq.rhs.eval_at(t)
-        if lhs != rhs:
-            return VerifyReport("forward-apply", fwd_range, "mismatch",
-                                mismatch_t=t, expected=rhs, got=lhs)
+        lhs = sum(alpha * ys[t + horizon + k] for k, alpha in alphas)
+        if lhs * phi_den != phis[t + horizon] * y_den * scale:
+            return VerifyReport("forward-apply", fwd_range, "mismatch", mismatch_t=t,
+                                expected=Fraction(phis[t + horizon], phi_den),
+                                got=Fraction(lhs, y_den * scale))
     if not have_general:
         return VerifyReport("forward-apply", fwd_range, "exact-match")
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
+    ts = range(t0, t0 + horizon + 1)
     seq = iterate_recurrence(eq, t0 + horizon)
-    limit = 0 if exact else tol
+    # float modes stay lazy: a mode that overflows past the first mismatch
+    # must not stop the report
+    columns = [_values(m.expr, t0, t0 + horizon) if isinstance(m, ExactMode)
+               else map(m.value_at, ts) for m in modes]
     max_dev = 0.0
-    for i, t in enumerate(range(t0, t0 + horizon + 1)):
-        want, got = seq[i], general_at(t)
-        if not exact:
+    for t, want, got, *mode_values in zip(ts, seq, _values(particular, t0, t0 + horizon),
+                                          *columns):
+        # the order of Solution.general_value_at, so float results keep their bits
+        for c, v in zip(constants, mode_values):
+            got = got + c * v
+        if exact:
+            bad = got != want
+        else:
             want, got = float(want), float(got)
-        dev = abs(got - want)
-        max_dev = max(max_dev, dev)
-        if dev > limit:
+            dev = abs(got - want)
+            max_dev = max(max_dev, dev)
+            bad = dev > tol
+        if bad:
             return VerifyReport("iterate", it_range, "mismatch",
                                 mismatch_t=t, expected=want, got=got)
     if exact:

@@ -275,8 +275,9 @@ class _Parser:
                 self.fail(tok, "pi only inside cos(...) or sin(...) arguments")
             if tok.text == "T":
                 self.fail(tok, "y(t+k) notation (T is only valid in operator input)")
-            self.fail(tok, f"one of y, {self.var}, cos, sin")
-        self.fail(tok, f"a number, '{self.var}', 'y(', 'cos(', 'sin(', or '('")
+            self.fail(tok, f"one of {'y, ' if self.allow_y else ''}{self.var}, cos, sin")
+        y_ref = "'y(', " if self.allow_y else ""
+        self.fail(tok, f"a number, '{self.var}', {y_ref}'cos(', 'sin(', or '('")
 
     def _parse_y_ref(self) -> _Val:
         self.expect("(", "'(' after y")

@@ -105,6 +105,23 @@ class TestApplyCommand:
         assert doc["input"]["operator"] == "T - 1"
         assert doc["result"] == "2*t + 1"
 
+    @pytest.mark.parametrize("argv,err", [
+        (("T", "x"), "error: at byte 0: expected one of t, cos, sin\n  x\n  ^\n"),
+        (("x", "1"), "error: at byte 0: expected one of T, cos, sin\n  x\n  ^\n"),
+        (("T^2 -", "1"),
+         "error: at byte 5: expected a number, 'T', 'cos(', 'sin(', or '('\n  T^2 -\n       ^\n"),
+    ], ids=["expression", "operator", "operator-end"])
+    def test_parse_errors_offer_no_y(self, capsys, argv, err):
+        # expressions and operators reject y, so their messages do not offer it
+        assert run(capsys, "apply", *argv) == (cli.EXIT_PARSE, "", err)
+
+    def test_equation_errors_offer_y(self, capsys):
+        code, _, err = run(capsys, "solve", "y(t+1) - y(t) = x")
+        assert code == cli.EXIT_PARSE
+        assert "expected one of y, t, cos, sin" in err
+        code, _, err = run(capsys, "solve", "y(t+1) - y(t) = 1 +")
+        assert "expected a number, 't', 'y(', 'cos(', 'sin(', or '('" in err
+
 
 class TestVerifyCommand:
     def test_accepts_correct_solution(self, capsys):

@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fdsolve.expr import SequenceExpr, Term
-from fdsolve.oracle import (MissingInitialConditionsError, iterate_recurrence,
+from fdsolve.algebra import Poly
+from fdsolve.expr import SequenceExpr, Term, Trig
+from fdsolve.oracle import (MissingInitialConditionsError, _values, iterate_recurrence,
                             verify_solution)
 from fdsolve.parser import parse_equation, parse_expression, parse_initial
-from fdsolve.solver import Equation, OperatorPoly, solve
+from fdsolve.solver import Equation, OperatorPoly, Solution, solve
 
 from corpus import GOLDEN_EQUATIONS
 
@@ -131,3 +134,77 @@ class TestVerify:
         eq = parse_equation(GOLDEN_EQUATIONS[0])
         good = verify_solution(eq, solve(eq), horizon=10)
         assert good.describe() == "exact-match over t in [-10, 10] (forward-apply)"
+
+
+class TestValues:
+    """The oracle's value table against term-by-term evaluation."""
+
+    bases = st.sampled_from([F(-3), F(-2), F(-1), F(-2, 3), F(-1, 2), F(1, 3), F(1),
+                             F(3, 2), F(2), F(5)])
+    rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    trigs = st.one_of(st.none(), st.builds(Trig, st.sampled_from(["cos", "sin"]),
+                                           st.integers(min_value=0, max_value=3)))
+    terms = st.builds(Term, rationals, bases, st.lists(rationals, max_size=6).map(Poly), trigs)
+    exprs = st.lists(terms, max_size=5).map(SequenceExpr)
+
+    @given(exprs, st.integers(min_value=-15, max_value=0), st.integers(min_value=0, max_value=15))
+    def test_matches_eval_at(self, e, lo, hi):
+        assert _values(e, lo, hi) == [e.eval_at(t) for t in range(lo, hi + 1)]
+
+    def test_empty_range(self):
+        assert _values(parse_expression("2^t + t"), 3, 2) == []
+        assert _values(SequenceExpr.zero(), -2, 2) == [F(0)] * 5
+
+
+class TestIterateRange:
+    """Initial values far from the origin: iteration over [t0, t0 + h] lies
+    wholly outside the forward range [-h, h]."""
+
+    SRC = "y(t+2) - 5y(t+1) + 6y(t) = t + 2^t"  # roots 2, 3; 2^t is resonant
+    INITIAL = "y(1000)=1, y(1001)=2"
+    H = 20
+
+    def setup_method(self):
+        self.eq = eq_with_initial(self.SRC, self.INITIAL)
+        self.sol = solve(self.eq)
+        self.seq = iterate_recurrence(self.eq, 1000 + self.H)
+
+    def test_solution_exact_match(self):
+        ts = range(1000, 1000 + self.H + 1)
+        assert [self.sol.general_value_at(t) for t in ts] == self.seq
+        report = verify_solution(self.eq, self.sol, horizon=self.H)
+        assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
+
+    def test_solution_with_wrong_constant(self):
+        c1, c2 = self.sol.constants
+        bad = Solution(self.sol.particular, self.sol.homogeneous, (c1, c2 + 1), self.sol.trace)
+        report = verify_solution(self.eq, bad, horizon=self.H)
+        assert (report.method, report.t_range, report.mismatch_t) == \
+            ("iterate", (1000, 1000 + self.H), 1000)
+        assert report.expected == self.seq[0] == F(1)
+        assert report.got == bad.general_value_at(1000)
+
+    def test_bare_expression(self):
+        report = verify_solution(self.eq, self.sol.general_expr(), horizon=self.H)
+        assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
+        report = verify_solution(self.eq, self.sol.particular, horizon=self.H)
+        assert (report.method, report.mismatch_t) == ("iterate", 1000)
+        assert report.expected == self.seq[0]
+        assert report.got == self.sol.particular.eval_at(1000)
+
+    @pytest.mark.parametrize("initial", ["y(1000)=1, y(1001)=1", "y(-1000)=1, y(-999)=1"])
+    def test_float_modes_keep_their_bits(self, initial):
+        eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", initial)
+        sol = solve(eq)
+        assert not sol.is_exact
+        t0 = eq.initial[0][0]
+        ts = range(t0, t0 + self.H + 1)
+        want = [float(v) for v in iterate_recurrence(eq, t0 + self.H)]
+        got = [float(sol.general_value_at(t)) for t in ts]
+        report = verify_solution(eq, sol, horizon=self.H)
+        assert report.status == "max-abs-deviation"
+        assert report.max_deviation == max(abs(g - w) for g, w in zip(got, want))
+        report = verify_solution(eq, sol, horizon=self.H, tol=0.0)
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        assert (report.method, report.mismatch_t) == ("iterate", t0 + i)
+        assert (report.expected, report.got) == (want[i], got[i])
