@@ -13,8 +13,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-Rational = Fraction
-
 Coeff = Union[int, float, str, Fraction]
 
 
@@ -136,10 +134,6 @@ class Poly:
                 cs[j] += a * cs[j + 1]
         return Poly(cs)
 
-    def forward_difference(self) -> Poly:
-        """p(t+1) - p(t); drops the degree by exactly one for nonconstant p."""
-        return self.taylor_shift(1) - self
-
     def deflate(self, r: Coeff) -> Poly:
         """Divide out a known root r exactly; raises if r is not a root."""
         r = Fraction(r)
@@ -150,18 +144,6 @@ class Poly:
         if out.pop() != 0:
             raise ValueError(f"{r} is not a root")
         return Poly(reversed(out))
-
-    def to_falling_factorial(self) -> tuple[Fraction, ...]:
-        """Coefficients a_k with p(t) = sum a_k * t*(t-1)*...*(t-k+1).
-
-        a_k = d_k / k! for the Newton coefficients d_k of `_newton`.
-        """
-        return tuple(d / math.factorial(k) for k, d in enumerate(_newton(self)))
-
-    @classmethod
-    def from_falling_factorial(cls, coeffs: Sequence[Coeff]) -> Poly:
-        """Inverse of `to_falling_factorial`."""
-        return _from_newton([Fraction(a) * math.factorial(k) for k, a in enumerate(coeffs)])
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers: `t^2 - 5*t + 4`."""
@@ -193,11 +175,6 @@ def _monomial(k: int, c: Fraction, var: str) -> tuple[bool, str]:
 def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
     """Signed sum of the monomials c*var^k in the given (k, c) order, zeros skipped."""
     return _signed_sum(_monomial(k, c, var) for k, c in terms if c)
-
-
-def falling_factorial_poly(k: int) -> Poly:
-    """t*(t-1)*...*(t-k+1) as an ordinary polynomial; k=0 gives 1."""
-    return _from_newton([Fraction(0)] * k + [Fraction(math.factorial(k))])
 
 
 def _newton(p: Poly) -> list[Fraction]:
@@ -415,19 +392,3 @@ def find_roots(p: Poly) -> RootSet:
     exact.sort(key=lambda r: r.value)
     numeric.sort(key=lambda r: (r.value.real, r.value.imag))
     return RootSet(tuple(exact + numeric))
-
-
-def reconstruction_error(p: Poly, roots: RootSet) -> float:
-    """Max per-coefficient relative error of lead * prod (t - r)^m versus p.
-
-    Fully exact root sets are reconstructed in rational arithmetic, so an
-    exact factorization reports 0.0 rather than float round-off.
-    """
-    exact = roots.is_exact
-    prod = [p.lead if exact else complex(p.lead)]
-    for root in roots.roots:
-        z = root.value if exact else complex(root.value)
-        for _ in range(root.multiplicity):
-            prod = [a - z * b for a, b in zip([0, *prod], [*prod, 0])]
-    prod += [0] * (len(p.coeffs) - len(prod))
-    return float(max(abs(c.real - p[k]) / max(1, abs(p[k])) for k, c in enumerate(prod)))

@@ -22,8 +22,7 @@ from typing import Any
 from .expr import SequenceExpr, UnsupportedRhsError, apply_operator
 from .oracle import MissingInitialConditionsError, VerifyReport, verify_solution
 from .parser import ParseError, parse_equation, parse_expression, parse_initial, parse_operator
-from .solver import (Equation, ExactMode, SingularSystemError, Solution,
-                     solve)
+from .solver import Equation, SingularSystemError, Solution, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -94,7 +93,7 @@ def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
                   trace: bool) -> dict[str, Any]:
     homog = []
     for mode in sol.homogeneous:
-        if isinstance(mode, ExactMode):
+        if isinstance(mode, SequenceExpr):
             homog.append({"type": "exact", "expr": mode.render(pretty=True)})
         else:
             homog.append({"type": "numeric", "modulus": mode.modulus,

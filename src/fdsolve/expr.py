@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .algebra import Coeff, Poly, _signed_sum
 from .operators import OperatorPoly
@@ -179,9 +179,6 @@ class SequenceExpr:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms)
 
     def eval_at(self, t: int) -> Fraction:
         """Exact value at integer t (negative t included)."""

@@ -2,7 +2,8 @@
 
 An `OperatorPoly` is the left-hand side of a constant-coefficient difference
 equation: a_0*T^n + a_1*T^(n-1) + ... + a_n applied to an unknown sequence.
-Everything here is exact; see `solver` for how these get inverted.
+It is a nonzero `Poly` in T.  Everything here is exact; see `solver` for how
+these get inverted.
 """
 from __future__ import annotations
 
@@ -22,8 +23,10 @@ class ZeroScaleError(ValueError):
 
 
 @dataclass(init=False, frozen=True)
-class OperatorPoly:
-    """Immutable operator polynomial with exact coefficients, lowest power first.
+class OperatorPoly(Poly):
+    """Immutable nonzero operator polynomial with exact coefficients, lowest power first.
+
+    Arithmetic inherited from `Poly` returns plain `Poly` values.
 
     >>> P = OperatorPoly(4, -5, 1)        # T^2 - 5*T + 4
     >>> P(3)
@@ -32,13 +35,10 @@ class OperatorPoly:
     '9*T^2 - 15*T + 4'
     """
 
-    coeffs: tuple[Fraction, ...]
-
     def __init__(self, *coeffs: Coeff | Iterable[Coeff]) -> None:
-        p = Poly(*coeffs)
-        if p.is_zero:
+        super().__init__(*coeffs)
+        if self.is_zero:
             raise ZeroOperatorError("operator polynomial must be nonzero")
-        object.__setattr__(self, "coeffs", p.coeffs)
 
     @classmethod
     def from_poly(cls, p: Poly) -> OperatorPoly:
@@ -47,20 +47,6 @@ class OperatorPoly:
     def as_poly(self) -> Poly:
         return Poly(self.coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, lam: Coeff) -> Fraction:
-        """Evaluate the characteristic polynomial P(lam) exactly."""
-        return self.as_poly()(lam)
-
-    def __mul__(self, other: OperatorPoly) -> OperatorPoly:
-        return OperatorPoly.from_poly(self.as_poly() * other.as_poly())
-
-    def __pow__(self, n: int) -> OperatorPoly:
-        return OperatorPoly.from_poly(self.as_poly() ** n)
-
     def scale_argument(self, lam: Coeff) -> OperatorPoly:
         """The operator P(lam*T): each T^k coefficient picks up lam^k."""
         lam = Fraction(lam)
@@ -68,16 +54,12 @@ class OperatorPoly:
             raise ZeroScaleError("cannot scale operator argument by 0")
         return OperatorPoly(c * lam**k for k, c in enumerate(self.coeffs))
 
-    def taylor_shifted(self, lam: Coeff) -> Poly:
-        """P expanded around lam: the polynomial p~ with p~(u) = P(u + lam)."""
-        return self.as_poly().taylor_shift(lam)
-
     def factor_root(self, lam: Coeff) -> tuple[int, OperatorPoly]:
         """Split P = (T - lam)^m * S with S(lam) != 0; returns (m, S).
 
         m is 0 when lam is not a characteristic root.
         """
-        m, p = _split_root(self.as_poly(), Fraction(lam))
+        m, p = _split_root(self, Fraction(lam))
         return m, OperatorPoly.from_poly(p)
 
     def reduce_shift(self) -> tuple[int, OperatorPoly]:
@@ -85,4 +67,4 @@ class OperatorPoly:
         return self.factor_root(0)
 
     def __str__(self) -> str:
-        return self.as_poly().render("T")
+        return self.render("T")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .expr import SequenceExpr
-from .solver import Equation, ExactMode, Solution
+from .solver import Equation, Solution
 
 
 class MissingInitialConditionsError(ValueError):
@@ -144,7 +144,8 @@ def verify_solution(
     exact.  When initial conditions (and fitted constants) exist, the general
     solution is also compared against exact iteration over [t0, t0+horizon],
     with `tol` as the absolute tolerance once float modes are involved.
-    A negative horizon raises ValueError.
+    A negative horizon raises ValueError, and so does a general solution
+    that leaves the float range before the first mismatch.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
@@ -182,18 +183,24 @@ def verify_solution(
     seq = iterate_recurrence(eq, t0 + horizon)
     # float modes stay lazy: a mode that overflows past the first mismatch
     # must not stop the report
-    columns = [_values(m.expr, t0, t0 + horizon) if isinstance(m, ExactMode)
-               else map(m.value_at, ts) for m in modes]
+    columns = [_values(m, t0, t0 + horizon) if isinstance(m, SequenceExpr)
+               else map(m.eval_at, ts) for m in modes]
+    rows = zip(seq, _values(particular, t0, t0 + horizon), *columns)
     max_dev = 0.0
-    for t, want, got, *mode_values in zip(ts, seq, _values(particular, t0, t0 + horizon),
-                                          *columns):
-        # the order of Solution.general_value_at, so float results keep their bits
-        for c, v in zip(constants, mode_values):
-            got = got + c * v
+    for t in ts:
+        try:
+            want, got, *mode_values = next(rows)
+            # the order of Solution.general_value_at, so float results keep their bits
+            for c, v in zip(constants, mode_values):
+                got = got + c * v
+            if not exact:
+                want, got = float(want), float(got)
+        except OverflowError as err:
+            raise ValueError(f"the general solution leaves the float range at t={t}; "
+                             "iteration not compared") from err
         if exact:
             bad = got != want
         else:
-            want, got = float(want), float(got)
             dev = abs(got - want)
             max_dev = max(max_dev, dev)
             bad = dev > tol

@@ -51,19 +51,6 @@ class SolveTrace:
 
 
 @dataclass(frozen=True)
-class ExactMode:
-    """Homogeneous basis sequence with an exact closed form (rational root)."""
-
-    expr: SequenceExpr
-
-    def value_at(self, t: int) -> Fraction:
-        return self.expr.eval_at(t)
-
-    def render(self, pretty: bool = False) -> str:
-        return self.expr.render(pretty)
-
-
-@dataclass(frozen=True)
 class NumericMode:
     """Basis sequence modulus^t * t^power * cos/sin(angle*t) for irrational roots."""
 
@@ -72,7 +59,7 @@ class NumericMode:
     power: int
     kind: str
 
-    def value_at(self, t: int) -> float:
+    def eval_at(self, t: int) -> float:
         osc = math.cos(self.angle * t) if self.kind == "cos" else math.sin(self.angle * t)
         return self.modulus**t * float(t**self.power) * osc
 
@@ -85,7 +72,8 @@ class NumericMode:
         return " * ".join(pieces)
 
 
-HomogeneousMode = Union[ExactMode, NumericMode]
+# an exact mode (rational root) is its closed form t^j * root^t
+HomogeneousMode = Union[SequenceExpr, NumericMode]
 
 Condition = tuple[int, Fraction]
 
@@ -133,7 +121,7 @@ class Solution:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(m, ExactMode) for m in self.homogeneous)
+        return all(isinstance(m, SequenceExpr) for m in self.homogeneous)
 
     def general_expr(self) -> SequenceExpr | None:
         """particular + sum(c_i * mode_i) as one expression, when fully exact."""
@@ -141,7 +129,7 @@ class Solution:
             return None
         total = self.particular
         for c, mode in zip(self.constants, self.homogeneous):
-            total = total + mode.expr.scaled(c)
+            total = total + mode.scaled(c)
         return total
 
     def general_value_at(self, t: int) -> Fraction | float:
@@ -149,7 +137,7 @@ class Solution:
             raise ValueError("constants were not fitted (no initial conditions)")
         acc: Fraction | float = self.particular.eval_at(t)
         for c, mode in zip(self.constants, self.homogeneous):
-            acc = acc + c * mode.value_at(t)
+            acc = acc + c * mode.eval_at(t)
         return acc
 
 
@@ -223,7 +211,7 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
     # difference-operator machinery at base beta: once beta^t is pulled out,
     # q(D) = P(beta*(1 + D)) is the operator left on the polynomial factor
     h = p * c
-    q = P.scale_argument(beta).taylor_shifted(1)
+    q = P.scale_argument(beta).taylor_shift(1)
     if any(q[i] != 0 for i in range(m)):
         raise RuntimeError(f"root multiplicity mismatch: {beta} is not a {m}-fold root of {P}")
     R = Poly(q.coeffs[m:])
@@ -335,15 +323,14 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[HomogeneousMode, ...]:
     complex roots give float modes in polar form.  Roots at 0 contribute no
     two-sided mode and are skipped.
     """
-    roots = find_roots(op.as_poly())
+    roots = find_roots(op)
     modes: list[HomogeneousMode] = []
     for root in roots.roots:
         if root.exact:
             if root.value == 0:
                 continue
             for j in range(root.multiplicity):
-                modes.append(ExactMode(
-                    SequenceExpr.of(Term(1, root.value, Poly(0, 1) ** j))))
+                modes.append(SequenceExpr.of(Term(1, root.value, Poly(0, 1) ** j)))
         else:
             z = root.value
             if z.imag < 0:
@@ -405,11 +392,11 @@ def fit_constants(
     if len(conds) != op.degree:
         raise ValueError(f"need exactly {op.degree} initial values, got {len(conds)}")
     b = [v - particular.eval_at(t) for t, v in conds]
-    if all(isinstance(m, ExactMode) for m in basis):
-        A = [[m.value_at(t) for m in basis] for t, _ in conds]
+    if all(isinstance(m, SequenceExpr) for m in basis):
+        A = [[m.eval_at(t) for m in basis] for t, _ in conds]
         return _gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
     try:
-        Af = [[float(m.value_at(t)) for m in basis] for t, _ in conds]
+        Af = [[float(m.eval_at(t)) for m in basis] for t, _ in conds]
         bf = [float(v) for v in b]
     except OverflowError as err:
         raise SingularSystemError(

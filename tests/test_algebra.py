@@ -10,12 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdsolve
-from fdsolve.algebra import (Poly, ZeroConstantTermError, falling_factorial_poly,
-                             find_roots, reconstruction_error, series_inverse)
+from fdsolve.algebra import Poly, RootSet, ZeroConstantTermError, find_roots, series_inverse
 from fdsolve.solver import antidifference
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rationals, max_size=5).map(Poly)
+
+
+def reconstruction_error(p: Poly, roots: RootSet) -> float:
+    """Max per-coefficient relative error of lead * prod (t - r)^m versus p.
+
+    Fully exact root sets are reconstructed in rational arithmetic, so an
+    exact factorization reports 0.0 rather than float round-off.
+    """
+    exact = roots.is_exact
+    prod = [p.lead if exact else complex(p.lead)]
+    for root in roots.roots:
+        z = root.value if exact else complex(root.value)
+        for _ in range(root.multiplicity):
+            prod = [a - z * b for a, b in zip([0, *prod], [*prod, 0])]
+    prod += [0] * (len(p.coeffs) - len(prod))
+    return float(max(abs(c.real - p[k]) / max(1, abs(p[k])) for k, c in enumerate(prod)))
 
 
 def test_construction_trims_trailing_zeros():
@@ -65,20 +80,14 @@ def test_taylor_shift_frozen_cases():
 
 @given(polys)
 def test_forward_difference_drops_degree(p):
-    d = p.forward_difference()
+    d = p.taylor_shift(1) - p
     if p.degree >= 1:
         assert d.degree == p.degree - 1
     else:
         assert d.is_zero
 
 
-def test_falling_factorial_basis_frozen():
-    # t^2 = t + t*(t-1)
-    assert Poly(0, 0, 1).to_falling_factorial() == (F(0), F(1), F(1))
-    # t^3 = t + 3*t*(t-1) + t*(t-1)*(t-2)
-    assert Poly(0, 0, 0, 1).to_falling_factorial() == (F(0), F(1), F(3), F(1))
-    assert str(falling_factorial_poly(3)) == "t^3 - 3*t^2 + 2*t"
-    assert falling_factorial_poly(0) == Poly(1)
+def test_antidifference_frozen_degree_six():
     # m-fold antidifferences of a degree-6 polynomial, as computed by one
     # falling-factorial round trip per antidifference
     p = Poly(3, -1, F(1, 2), 0, 2, F(-2, 3), 1)
@@ -89,11 +98,6 @@ def test_falling_factorial_basis_frozen():
         "1/55440*t^11 - 47/90720*t^10 + 587/90720*t^9 - 139/3024*t^8"
         " + 3083/15120*t^7 - 421/720*t^6 + 8453/7560*t^5 - 28811/18144*t^4"
         " + 179089/90720*t^3 - 28187/15120*t^2 + 3607/4620*t")
-
-
-@given(polys)
-def test_falling_factorial_round_trip(p):
-    assert Poly.from_falling_factorial(p.to_falling_factorial()) == p
 
 
 def test_series_inverse_frozen():

@@ -226,6 +226,15 @@ class TestExitCodes:
         assert err == ("error: float overflow evaluating the basis at the initial "
                        "values; constants not determined\n")
 
+    def test_float_overflow_in_iteration(self, capsys):
+        # the fit at t = 2040, 2041 is in range, but sqrt(2)^t is not at t = 2048
+        code, out, err = run(capsys, "solve", "y(t+2) - 2y(t) = 0",
+                             "--initial", "y(2040)=1, y(2041)=3", "--verify")
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == ("error: the general solution leaves the float range at t=2048; "
+                       "iteration not compared\n")
+
     def test_broken_invariant_is_internal_error(self, capsys, monkeypatch):
         # a wrong root multiplicity must surface as exit 4, also under python -O
         monkeypatch.setattr(OperatorPoly, "factor_root", lambda self, lam: (1, self))

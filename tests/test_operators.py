@@ -10,6 +10,8 @@ def test_construction_and_degree():
     P = OperatorPoly(4, -5, 1)
     assert P.coeffs == (F(4), F(-5), F(1))
     assert P.degree == 2
+    assert isinstance(P, Poly)
+    assert P.as_poly() == Poly(4, -5, 1)
     assert OperatorPoly(4, -5, 1, 0).degree == 2  # trailing zeros trimmed
 
 
@@ -18,6 +20,8 @@ def test_zero_operator_rejected():
         OperatorPoly(0, 0)
     with pytest.raises(ZeroOperatorError):
         OperatorPoly()
+    with pytest.raises(ZeroOperatorError):
+        OperatorPoly.from_poly(Poly())
 
 
 def test_characteristic_evaluation():
@@ -46,8 +50,8 @@ def test_scale_argument_composes():
 
 def test_taylor_shifted():
     P = OperatorPoly(4, -5, 1)
-    assert P.taylor_shifted(1) == Poly(0, -3, 1)
-    assert P.taylor_shifted(4) == Poly(0, 3, 1)
+    assert P.taylor_shift(1) == Poly(0, -3, 1)
+    assert P.taylor_shift(4) == Poly(0, 3, 1)
 
 
 def test_factor_root():
@@ -74,7 +78,7 @@ def test_root_splitting_stops_at_a_constant():
 
 def test_mul_and_pow():
     A = OperatorPoly(-1, 1)
-    assert A * A == OperatorPoly(1, -2, 1) == A**2
+    assert A * A == Poly(1, -2, 1) == A**2
     assert (A**3).coeffs == (F(-1), F(3), F(-3), F(1))
 
 

@@ -192,6 +192,16 @@ class TestIterateRange:
         assert report.expected == self.seq[0]
         assert report.got == self.sol.particular.eval_at(1000)
 
+    def test_float_overflow_names_t_unless_a_mismatch_comes_first(self):
+        eq = eq_with_initial("y(t+2) - 2y(t) = 0", "y(2040)=1, y(2041)=3")
+        sol = solve(eq)
+        with pytest.raises(ValueError, match="at t=2048"):
+            verify_solution(eq, sol, horizon=self.H)
+        c1, c2 = sol.constants
+        bad = Solution(sol.particular, sol.homogeneous, (c1 + 1, c2), sol.trace)
+        report = verify_solution(eq, bad, horizon=self.H)
+        assert (report.method, report.mismatch_t) == ("iterate", 2040)
+
     @pytest.mark.parametrize("initial", ["y(1000)=1, y(1001)=1", "y(-1000)=1, y(-999)=1"])
     def test_float_modes_keep_their_bits(self, initial):
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", initial)
