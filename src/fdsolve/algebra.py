@@ -1,17 +1,16 @@
 """Exact rational polynomial arithmetic plus the numeric root-finding fallback.
 
-Coefficients are `fractions.Fraction` end to end; floats appear only inside
-`find_roots`, where they guide the search for rational roots and stand for
-the irrational ones.
+Coefficients are `fractions.Fraction` end to end.  `find_roots` isolates the
+real roots in integer arithmetic to find the rational ones exactly; floats
+(and numpy, imported only then) stand for the irrational and complex roots
+that remain.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, float, str, Fraction]
 
@@ -68,6 +67,10 @@ class Poly:
             return self.coeffs[k]
         return Fraction(0)
 
+    def __iter__(self) -> Iterator[Fraction]:
+        """The coefficients, constant term first (`__getitem__` alone would never stop)."""
+        return iter(self.coeffs)
+
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -121,18 +124,12 @@ class Poly:
     def taylor_shift(self, a: Coeff) -> Poly:
         """Return the composition p(t + a), computed exactly.
 
-        Repeated synthetic division by (t - a) in one coefficient list: the
-        remainders are the coefficients of p(t + a), lowest first.
+        Repeated synthetic division by (t - a), in `_shift`.
 
         >>> str(Poly(4, -5, 1).taylor_shift(1))
         't^2 - 3*t'
         """
-        a = Fraction(a)
-        cs = list(self.coeffs)
-        for i in range(len(cs) - 1):
-            for j in range(len(cs) - 2, i - 1, -1):
-                cs[j] += a * cs[j + 1]
-        return Poly(cs)
+        return Poly(_shift(list(self.coeffs), Fraction(a)))
 
     def deflate(self, r: Coeff) -> Poly:
         """Divide out a known root r exactly; raises if r is not a root."""
@@ -151,6 +148,18 @@ class Poly:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _shift(cs: list, a: Fraction | int) -> list:
+    """Turn the coefficients of p, lowest first, into those of p(t + a), in place.
+
+    Repeated synthetic division by (t - a): the remainders are the new
+    coefficients.  Exact on Fraction or int entries.
+    """
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
 
 
 def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
@@ -307,42 +316,95 @@ def _balanced(p: Poly) -> Poly:
 
 
 def _approximate(p: Poly) -> list[complex]:
-    """Float approximations of all roots: the companion-matrix eigenvalues of numpy.roots."""
+    """Float approximations of all roots: the companion-matrix eigenvalues of numpy.roots.
+
+    numpy is imported here, its only use, so a process whose operators have
+    only rational roots never loads it.
+    """
+    import numpy as np
     return [complex(z) for z in np.roots([float(c) for c in reversed(p.coeffs)])]
 
 
-def _rational_roots(f: Poly, approx: list[complex]) -> tuple[list[Fraction], Poly]:
+def _variations(cs: list[int]) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _scaled_value(cs: list[int], num: int, j: int) -> int:
+    """2^(j*d) times the integer polynomial cs (degree d) at num/2^j, by Horner."""
+    acc = 0
+    for i, c in enumerate(reversed(cs)):
+        acc = acc * num + (c << (j * i))
+    return acc
+
+
+def _positive_root_points(q: list[int], lead: int) -> list[Fraction]:
+    """A point within 1/(4*lead^2) of each positive root of q, or the root itself.
+
+    q is a square-free integer polynomial, lowest coefficient first, with
+    q(0) != 0.  Vincent-Collins-Akritas bisection: every root lies below
+    2^e (Cauchy's bound), so Q(x) = q(2^e x) has them all in (0, 1).  Each
+    interval (c/2^k, (c+1)/2^k) of x is held as an integer polynomial with
+    that interval's roots in (0, 1), and the sign variations of
+    (x+1)^d Q(1/(x+1)) bound their number (Descartes' rule).  No variation:
+    no root.  One: exactly one, narrowed by exact signs at dyadic points
+    until the interval is narrower than 1/(2*lead^2); its midpoint is the
+    point returned.  More: halve, with 2^d Q(x/2) on the left and its Taylor
+    shift by 1 on the right, whose constant term is 0 exactly when the
+    midpoint is a root.
+    """
+    d = len(q) - 1
+    # every root lies below 1 + ceil(max |q_i| / |q_d|) <= 2^e
+    e = (-(-max(abs(c) for c in q[:-1]) // abs(q[-1]))).bit_length()
+    narrow = (2 * lead * lead) << e   # width 2^(e-k-j) < 1/(2*lead^2) once 2^(k+j) > narrow
+    points: list[Fraction] = []
+    todo = [(0, 0, [c << (e * i) for i, c in enumerate(q)])]
+    while todo:
+        k, c, Q = todo.pop()
+        v = _variations(_shift(Q[::-1], 1))
+        if v == 1:
+            left = next(a for a in Q if a) > 0   # the sign of Q just right of 0
+            num, j = 0, 0   # the root lies in [num/2^j, (num+1)/2^j]
+            while 1 << (k + j) <= narrow:
+                num, j = 2 * num + 1, j + 1
+                if (_scaled_value(Q, num, j) > 0) != left:
+                    num -= 1
+            points.append(Fraction(((c << (j + 1)) + 2 * num + 1) << e, 1 << (k + j + 1)))
+        elif v > 1:
+            half = [a << (d - i) for i, a in enumerate(Q)]
+            right = _shift(half[:], 1)
+            if not right[0]:
+                points.append(Fraction((2 * c + 1) << e, 1 << (k + 1)))
+            todo += [(k + 1, 2 * c, half), (k + 1, 2 * c + 1, right)]
+    return points
+
+
+def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     """The rational roots of a square-free f, and f with them split off.
 
     A rational root's denominator divides L, the leading coefficient of f's
-    primitive integer form, and two such fractions lie at least 1/L^2 apart,
-    so `limit_denominator(L)` recovers the root from any point within
-    1/(2L^2).  Such points are the float approximations themselves, or come
-    from bisecting each bracket between cuts (the Cauchy bound, midpoints of
-    real approximations, real parts of complex ones) over which f changes
-    sign.  Exact evaluation confirms every candidate.  Two roots closer than
-    the approximations resolve can share a bracket without a sign change.
+    primitive integer form q, and two such fractions lie at least 1/L^2
+    apart, so `limit_denominator(L)` recovers the root from any point within
+    1/(2L^2).  After the root 0 is split off, `_positive_root_points` gives
+    such a point for every real root, from q(x) and from q(-x), in integer
+    arithmetic; `_split_root` confirms each candidate exactly.  When no root
+    is found, the f passed in comes back unchanged.
     """
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    lead = abs(int(f.lead * den)) // math.gcd(*(int(c * den) for c in f.coeffs))
-    bound = 1 + max(abs(c / f.lead) for c in f.coeffs[:-1])
-    reals = sorted(z.real for z in approx if not z.imag)
-    cuts = sorted({-bound, bound, *(Fraction(z.real) for z in approx if z.imag),
-                   *(Fraction((x + y) / 2) for x, y in zip(reals, reals[1:]))})
     found: list[Fraction] = []
-    rest = f
-    for z in approx:
-        r = Fraction(z.real).limit_denominator(lead)
-        m, rest = _split_root(rest, r)
-        if m:
-            found.append(r)
-    for a, b in zip(cuts, cuts[1:]):
-        if rest(a) * rest(b) <= 0:
-            positive = rest(a) > 0
-            while b - a >= Fraction(1, 2 * lead * lead):
-                mid = (a + b) / 2
-                a, b = (mid, b) if (rest(mid) > 0) == positive else (a, mid)
-            r = ((a + b) / 2).limit_denominator(lead)
+    m, rest = _split_root(f, Fraction(0))
+    if m:
+        found.append(Fraction(0))
+    if rest.degree < 1:
+        return found, rest
+    den = math.lcm(*(c.denominator for c in rest.coeffs))
+    q = [int(c * den) for c in rest.coeffs]
+    g = math.gcd(*q)
+    q = [c // g for c in q]
+    lead = abs(q[-1])
+    for sign in (1, -1):
+        for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead):
+            r = sign * x.limit_denominator(lead)
             m, rest = _split_root(rest, r)
             if m:
                 found.append(r)
@@ -367,26 +429,22 @@ def find_roots(p: Poly) -> RootSet:
     """Factor p completely, with exact multiplicities and exact rational roots.
 
     Yun's square-free decomposition gives coprime square-free factors f_i
-    whose roots have multiplicity exactly i.  The float roots of each f_i
-    (numpy.roots, on f_i scaled exactly into float range) guide the exact
-    search for its rational roots; the roots of what remains stay numeric,
-    each polished by Newton's method.  Raises ValueError when the floats
-    cannot account for every root, as when the coefficients span more than
-    the float range.
+    whose roots have multiplicity exactly i.  Exact real-root isolation finds
+    the rational roots of each f_i (scaled exactly into float range).  Only
+    when a factor of positive degree remains do floats enter: its roots are
+    numpy.roots of that factor, each polished by Newton's method.  Raises
+    ValueError when the floats cannot account for every root, as when the
+    coefficients span more than the float range.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     exact: list[Root] = []
     numeric: list[Root] = []
     for f, mult in _square_free(p):
-        f = _balanced(f)
-        approx = _approximate(f)
-        found, rest = _rational_roots(f, approx)
+        found, rest = _rational_roots(_balanced(f))
         exact.extend(Root(r, mult, True) for r in found)
         if rest.degree >= 1:
-            if found:
-                approx = _approximate(rest)
-            numeric.extend(Root(_newton_polish(rest, z), mult, False) for z in approx)
+            numeric.extend(Root(_newton_polish(rest, z), mult, False) for z in _approximate(rest))
     if sum(r.multiplicity for r in exact + numeric) != p.degree:
         raise ValueError("coefficients span beyond the float range; roots not found")
     exact.sort(key=lambda r: r.value)

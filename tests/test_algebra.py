@@ -2,19 +2,30 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
 from fdsolve.algebra import Poly, RootSet, ZeroConstantTermError, find_roots, series_inverse
 from fdsolve.solver import antidifference
 
+from corpus import GOLDEN_EQUATIONS
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rationals, max_size=5).map(Poly)
+
+
+def run_bounded(code: str) -> str:
+    """stdout of `code` in a fresh interpreter that must finish within 30 s and 1 GiB."""
+    src = str(Path(fdsolve.__file__).resolve().parents[1])
+    code = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n" + code
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
 
 
 def reconstruction_error(p: Poly, roots: RootSet) -> float:
@@ -46,6 +57,15 @@ def test_construction_trims_trailing_zeros():
 def test_accepts_iterable_and_strings():
     assert Poly([1, 2]) == Poly(1, 2)
     assert Poly("1/2", 1).coeffs == (F(1, 2), F(1))
+
+
+def test_iterates_over_coefficients():
+    # in a subprocess: an iteration that never stops must fail, not hang
+    out = run_bounded("from fdsolve.algebra import Poly; "
+                      "from fdsolve.operators import OperatorPoly; "
+                      "print(list(Poly(1, 2)) == [1, 2], Poly(Poly(1, 2)) == Poly(1, 2), "
+                      "OperatorPoly(Poly(4, -5, 1)))")
+    assert out == "True True T^2 - 5*T + 4\n"
 
 
 def test_evaluation_exact():
@@ -251,6 +271,69 @@ class TestFindRoots:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=30, check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout == "False\n"
+
+    def test_close_pair_beside_other_roots(self):
+        r1 = F(30437867, 623832096)
+        r2 = r1 + F(1, 4 * 10**9)
+        rs = find_roots(Poly(-r1, 1) * Poly(-r2, 1) * Poly(F(3, 8), 1) * Poly(1, 1, 1))
+        assert [(r.value, r.multiplicity) for r in rs.roots if r.exact] == \
+            [(F(-3, 8), 1), (r1, 1), (r2, 1)]
+        assert [r.multiplicity for r in rs.roots if not r.exact] == [1, 1]
+
+    @given(st.fractions(min_value=-10, max_value=10, max_denominator=10**9),
+           st.integers(10**8, 10**10),
+           st.sampled_from([Poly(1), Poly(1, 1, 1), Poly(F(3, 8), 1) * Poly(1, 1, 1),
+                            Poly(-2, 0, 1)]))
+    @settings(max_examples=40, deadline=None)
+    @seed(1)
+    def test_close_rational_pairs_stay_exact(self, r, gap, other):
+        r2 = r + F(1, gap)
+        rs = find_roots(Poly(-r, 1) * Poly(-r2, 1) * other)
+        exact = {root.value: root.multiplicity for root in rs.roots if root.exact}
+        assert exact[r] == exact[r2] == 1
+        assert sum(root.multiplicity for root in rs.roots) == other.degree + 2
+
+    @pytest.mark.parametrize("roots", [[F(0), F(2)], [F(1), F(2), F(4), F(-1, 2)], [F(1)],
+                                       [F(-1, 2)], [F(-1), F(-3), F(-5, 2)]])
+    def test_isolation_edge_cases(self, roots):
+        # a simple root at 0; dyadic roots, which land exactly on bisection
+        # midpoints; and a set of negative roots only
+        p = Poly(2)
+        for r in roots:
+            p = p * Poly(-r, 1)
+        rs = find_roots(p * Poly(1, 0, 1))
+        assert [(r.value, r.multiplicity) for r in rs.roots if r.exact] == \
+            [(r, 1) for r in sorted(roots)]
+        assert len([r for r in rs.roots if not r.exact]) == 2
+
+    def test_twenty_consecutive_integers_in_bounded_time(self):
+        out = run_bounded(textwrap.dedent("""
+            from fdsolve.algebra import Poly, find_roots
+            p = Poly(1)
+            for k in range(1, 21):
+                p = p * Poly(-k, 1)
+            rs = find_roots(p)
+            print(rs.is_exact, [r.value for r in rs.roots] == list(range(1, 21)))
+            """))
+        assert out == "True True\n"
+
+    def test_numpy_loads_only_for_irrational_roots(self):
+        cases = [(eq, "y(0)=1" if eq.startswith("y(t+1)") else "y(0)=1, y(1)=2")
+                 for eq in GOLDEN_EQUATIONS]
+        out = run_bounded(f"cases = {cases!r}\n" + textwrap.dedent("""
+            import contextlib, io, json, sys
+            from fdsolve import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["solve", eq, "--initial", init, "--verify"])
+                         for eq, init in cases]
+            print(codes, "numpy" in sys.modules)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["solve", "y(t+2) - y(t+1) - y(t) = 0", "--format", "json"])
+            modes = json.loads(out.getvalue())["homogeneous"]
+            print("numpy" in sys.modules, [m["type"] for m in modes])
+            """))
+        assert out == "[0, 0, 0, 0] False\nTrue ['numeric', 'numeric']\n"
 
     def test_repeated_irrational_multiplicity(self):
         rs = find_roots(Poly(-5, 0, 1) ** 3)
