@@ -38,8 +38,8 @@ class Poly:
     def __init__(self, *coeffs: Coeff | Iterable[Coeff]) -> None:
         if len(coeffs) == 1 and not isinstance(coeffs[0], (int, float, str, Fraction)):
             coeffs = tuple(coeffs[0])
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -75,7 +75,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return Poly(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a))
+        return Poly([x + y if y else x for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -85,12 +85,15 @@ class Poly:
 
     def __mul__(self, other: Poly | Coeff) -> Poly:
         if not isinstance(other, Poly):
-            k = Fraction(other)
-            return Poly(c * k for c in self.coeffs)
+            k = other if type(other) is Fraction else Fraction(other)
+            if k == 1:
+                return self
+            return Poly(c * k if c else c for c in self.coeffs) if k else Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in nonzero:
                     out[i + j] += a * b
         return Poly(out)
 
@@ -186,16 +189,29 @@ def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
     return _signed_sum(_monomial(k, c, var) for k, c in terms if c)
 
 
+def _over_common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of xs over their least common denominator, and that denominator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _newton(p: Poly) -> list[Fraction]:
     """Newton coefficients d_k = (Delta^k p)(0), so that p(t) = sum d_k * C(t, k).
 
-    Read off the difference table of the values p(0), ..., p(deg p).  In this
-    basis Delta lowers the index by one: Delta^k p has coefficients d[k:].
+    Read off the difference table of the values p(0), ..., p(deg p), all
+    worked in integer numerators over one common denominator.  In this basis
+    Delta lowers the index by one: Delta^k p has coefficients d[k:].
     """
-    row = [p(x) for x in range(p.degree + 1)]
+    nums, den = _over_common(p.coeffs)
+    row = []
+    for x in range(len(nums)):
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * x + c
+        row.append(acc)
     out: list[Fraction] = []
     while row:
-        out.append(row[0])
+        out.append(Fraction(row[0], den))
         row = [b - a for a, b in zip(row, row[1:])]
     return out
 
@@ -203,16 +219,24 @@ def _newton(p: Poly) -> list[Fraction]:
 def _from_newton(ds: Sequence[Fraction]) -> Poly:
     """The polynomial sum d_k * C(t, k), inverse of `_newton`.
 
-    C(t, k) = C(t, k-1) * (t - k + 1) / k is grown one factor at a time.
+    With n = len(ds) - 1, n! * C(t, k) = (n!/k!) * t(t-1)...(t-k+1), whose
+    falling factorial is grown in integers one factor at a time; the sum is
+    taken in integer numerators over the common denominator of the d_k
+    times n!.
     """
-    out = [Fraction(0)] * len(ds)
-    binom = [Fraction(1)]
-    for k, d in enumerate(ds):
+    nums, den = _over_common(ds)
+    scale = math.factorial(max(len(nums) - 1, 0))
+    weight = scale   # n!/k!
+    out = [0] * len(nums)
+    falling = [1]   # t(t-1)...(t-k+1), lowest power first
+    for k, d in enumerate(nums):
         if k:
-            binom = [(a - (k - 1) * b) / k for a, b in zip([Fraction(0)] + binom, binom + [0])]
-        for i, c in enumerate(binom):
-            out[i] += d * c
-    return Poly(out)
+            falling = [a - (k - 1) * b for a, b in zip([0] + falling, falling + [0])]
+        if d:
+            for i, c in enumerate(falling):
+                out[i] += d * weight * c
+        weight //= k + 1
+    return Poly(Fraction(c, den * scale) for c in out)
 
 
 def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
@@ -225,13 +249,13 @@ def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
     """
     if q.is_zero or q.coeffs[0] == 0:
         raise ZeroConstantTermError("series has zero constant term")
-    q0 = q.coeffs[0]
-    out = [1 / q0]
+    qs = q.coeffs
+    out = [1 / qs[0]]
     for k in range(1, order + 1):
         acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += q[j] * out[k - j]
-        out.append(-acc / q0)
+        for j in range(1, min(k, q.degree) + 1):
+            acc += qs[j] * out[k - j]
+        out.append(-acc / qs[0])
     return tuple(out)
 
 
@@ -275,10 +299,22 @@ def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r)
 
 
+def _primitive(p: Poly) -> list[int]:
+    """The primitive integer form of p: its coefficients scaled by a positive
+    rational to coprime integers (the zero polynomial gives [])."""
+    nums, _ = _over_common(p.coeffs)
+    g = math.gcd(*nums) or 1
+    return [c // g for c in nums]
+
+
 def _gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by Euclid's algorithm over Q."""
+    """Monic greatest common divisor, by Euclid's algorithm over Q.
+
+    Each remainder is replaced by its primitive integer form before the next
+    division, which keeps the coefficients from growing without bound.
+    """
     while b:
-        a, b = b, _divmod(a, b)[1]
+        a, b = b, Poly(_primitive(_divmod(a, b)[1]))
     return a * (1 / a.lead)
 
 
@@ -397,10 +433,7 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
         found.append(Fraction(0))
     if rest.degree < 1:
         return found, rest
-    den = math.lcm(*(c.denominator for c in rest.coeffs))
-    q = [int(c * den) for c in rest.coeffs]
-    g = math.gcd(*q)
-    q = [c // g for c in q]
+    q = _primitive(rest)
     lead = abs(q[-1])
     for sign in (1, -1):
         for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead):

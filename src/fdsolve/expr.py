@@ -69,14 +69,14 @@ class Term:
         poly: Poly | Coeff = None,
         trig: Trig | None = None,
     ) -> None:
-        base = Fraction(base)
-        if base == 0:
+        base = base if type(base) is Fraction else Fraction(base)
+        if not base:
             raise ValueError("term base must be nonzero")
         if poly is None:
             poly = Poly(1)
         elif not isinstance(poly, Poly):
             poly = Poly(Fraction(poly))
-        object.__setattr__(self, "coeff", Fraction(coeff))
+        object.__setattr__(self, "coeff", coeff if type(coeff) is Fraction else Fraction(coeff))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "trig", trig)
@@ -148,8 +148,9 @@ class SequenceExpr:
                     continue
                 trig = None
             key = (term.base, trig.kind if trig else None, trig.n if trig else 0)
-            acc = buckets.get(key, Poly())
-            buckets[key] = acc + term.poly * term.coeff
+            p = term.poly * term.coeff
+            acc = buckets.get(key)
+            buckets[key] = p if acc is None else acc + p
         out = []
         for (base, kind, n), poly in buckets.items():
             if poly.is_zero:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import (Poly, _from_newton, _newton, _render_powers, _signed_sum, find_roots,
-                      series_inverse)
+from .algebra import (Poly, _from_newton, _newton, _over_common, _render_powers, _signed_sum,
+                      find_roots, series_inverse)
 from .expr import SequenceExpr, Term, _render_base_power
 from .operators import OperatorPoly
 
@@ -219,9 +219,11 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
     cs = series_inverse(R, order)
 
     # on Newton coefficients Delta^k shifts the index by k, so the series
-    # inverse is a correlation and Delta^-m prepends m zeros
-    dh = _newton(h)
-    dw = [sum(cs[k] * dh[j + k] for k in range(len(dh) - j)) for j in range(len(dh))]
+    # inverse is a correlation (here in integer numerators) and Delta^-m
+    # prepends m zeros
+    (cn, cd), (hn, hd) = _over_common(cs), _over_common(_newton(h))
+    dw = [Fraction(sum(cn[k] * hn[j + k] for k in range(len(hn) - j)), cd * hd)
+          for j in range(len(hn))]
     res = SequenceExpr.of(Term(1, out_base, _from_newton([Fraction(0)] * m + dw), out_trig))
 
     if m == 0 and p.degree == 0 and (trig is not None or lam != 1):

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
-from fdsolve.algebra import Poly, RootSet, ZeroConstantTermError, find_roots, series_inverse
+from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _from_newton, _newton,
+                             find_roots, series_inverse)
 from fdsolve.solver import antidifference
 
 from corpus import GOLDEN_EQUATIONS
@@ -42,6 +43,36 @@ def reconstruction_error(p: Poly, roots: RootSet) -> float:
             prod = [a - z * b for a, b in zip([0, *prod], [*prod, 0])]
     prod += [0] * (len(p.coeffs) - len(prod))
     return float(max(abs(c.real - p[k]) / max(1, abs(p[k])) for k, c in enumerate(prod)))
+
+
+def newton_reference(p: Poly) -> list[F]:
+    """Newton coefficients d_k = (Delta^k p)(0) from a Fraction difference table."""
+    row = [p(x) for x in range(p.degree + 1)]
+    out = []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
+def from_newton_reference(ds: list[F]) -> Poly:
+    """sum d_k * C(t, k) in Fractions, C(t, k) grown as C(t, k-1) * (t - k + 1) / k."""
+    out = [F(0)] * len(ds)
+    binom = [F(1)]
+    for k, d in enumerate(ds):
+        if k:
+            binom = [(a - (k - 1) * b) / k for a, b in zip([F(0)] + binom, binom + [F(0)])]
+        for i, c in enumerate(binom):
+            out[i] += d * c
+    return Poly(out)
+
+
+def series_inverse_reference(q: Poly, order: int) -> tuple[F, ...]:
+    """1/q to the given order, summing q_j * c_(k-j) over every j <= k."""
+    out = [1 / q[0]]
+    for k in range(1, order + 1):
+        out.append(-sum((q[j] * out[k - j] for j in range(1, k + 1)), F(0)) / q[0])
+    return tuple(out)
 
 
 def test_construction_trims_trailing_zeros():
@@ -105,6 +136,54 @@ def test_forward_difference_drops_degree(p):
         assert d.degree == p.degree - 1
     else:
         assert d.is_zero
+
+
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
+
+
+@given(st.integers(-1, 60).flatmap(lambda d: st.lists(wide_rationals, min_size=d + 1,
+                                                      max_size=d + 1)),
+       st.integers(0, 4))
+@example([], 3)             # the zero polynomial, with trailing zeros
+@example([F(0)] * 5, 0)     # zeros that trim to the zero polynomial
+@settings(max_examples=50, deadline=None)
+@seed(10)
+def test_newton_kernels_match_fraction_reference(cs, zeros):
+    p = Poly(cs)
+    ds = _newton(p)
+    assert ds == newton_reference(p)
+    padded = ds + [F(0)] * zeros
+    assert _from_newton(padded) == from_newton_reference(padded) == p
+
+
+@given(st.integers(0, 60).flatmap(lambda d: st.lists(wide_rationals, min_size=d + 1,
+                                                     max_size=d + 1)),
+       st.integers(0, 90))
+@example([F(3)], 90)        # a constant series far past its degree
+@settings(max_examples=40, deadline=None)
+@seed(10)
+def test_series_inverse_matches_fraction_reference(cs, order):
+    q = Poly([cs[0] or 1] + cs[1:])
+    assert series_inverse(q, order) == series_inverse_reference(q, order)
+
+
+def test_coefficients_stay_fraction():
+    # ints, floats and strings are wrapped on construction; results of every
+    # operation hold Fractions only, so repr and rendering never see an int
+    inputs = [Poly(1, -2, 3), Poly(0.5, 0, -2), Poly("1/3", "2"), Poly(F(1, 2), 0, 3),
+              Poly(c for c in (1, 0.25, "3/4", F(5))), Poly([0, 2]), Poly(7)]
+    scalars = [0, 1, -3, 0.5, "2/3", F(1), F(-1, 4)]
+    results = [(p * Poly(-3, 1)).deflate(3) for p in inputs]
+    inputs.append(Poly())
+    for p in inputs:
+        results += [-p, p ** 0, p ** 3, p.derivative(), p.taylor_shift(2),
+                    p.taylor_shift(F(-1, 3)), _from_newton(_newton(p)),
+                    _from_newton([1, 0, 2, 0])]
+        results += [p * k for k in scalars] + [k * p for k in scalars]
+        results += [op(p, q) for q in inputs for op in (Poly.__add__, Poly.__sub__, Poly.__mul__)]
+    for r in results:
+        assert all(type(c) is F for c in r.coeffs), repr(r)
+    assert repr(Poly(1, 2) * 1) == "Poly(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
 
 
 def test_antidifference_frozen_degree_six():
@@ -316,6 +395,19 @@ class TestFindRoots:
             print(rs.is_exact, [r.value for r in rs.roots] == list(range(1, 21)))
             """))
         assert out == "True True\n"
+
+    def test_degree_eighty_in_bounded_time(self):
+        # the square-free gcd must take each remainder's primitive form:
+        # without it their coefficients grow until degree 60 takes over 15 s
+        out = run_bounded(textwrap.dedent("""
+            import random
+            from fdsolve.algebra import Poly, find_roots
+            rng = random.Random(80)
+            p = Poly([rng.randint(-10**6, 10**6) for _ in range(80)] + [10**6])
+            rs = find_roots(p)
+            print(sum(r.multiplicity for r in rs.roots), {r.multiplicity for r in rs.roots})
+            """))
+        assert out == "80 {1}\n"
 
     def test_numpy_loads_only_for_irrational_roots(self):
         cases = [(eq, "y(0)=1" if eq.startswith("y(t+1)") else "y(0)=1, y(1)=2")
