@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, float, str, Fraction]
@@ -127,23 +129,26 @@ class Poly:
     def taylor_shift(self, a: Coeff) -> Poly:
         """Return the composition p(t + a), computed exactly.
 
-        Repeated synthetic division by (t - a), in `_shift`.
+        With a = u/v, `_divide` at the node u shifts the integer polynomial
+        den*v^d*p(s/v) to s + u; putting s = v*t and dividing gives p(t + a).
 
         >>> str(Poly(4, -5, 1).taylor_shift(1))
         't^2 - 3*t'
         """
-        return Poly(_shift(list(self.coeffs), Fraction(a)))
+        u, v = Fraction(a).as_integer_ratio()
+        nums, den = _over_common(self.coeffs)
+        d = len(nums) - 1
+        shifted = _divide([c * v ** (d - i) for i, c in enumerate(nums)], repeat(u))
+        return Poly(Fraction(c, den * v ** (d - i)) for i, c in enumerate(shifted))
 
     def deflate(self, r: Coeff) -> Poly:
-        """Divide out a known root r exactly; raises if r is not a root."""
+        """Divide out a known root r exactly by one `_divide` step; raises if r
+        is not a root.  Every r is a root of 0, which deflates to itself."""
         r = Fraction(r)
-        desc = list(reversed(self.coeffs))
-        out = [desc[0]]
-        for c in desc[1:]:
-            out.append(c + r * out[-1])
-        if out.pop() != 0:
+        cs = _divide(list(self.coeffs), [r])
+        if cs and cs[0]:
             raise ValueError(f"{r} is not a root")
-        return Poly(reversed(out))
+        return Poly(cs[1:])
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers: `t^2 - 5*t + 4`."""
@@ -153,15 +158,25 @@ class Poly:
         return self.render()
 
 
-def _shift(cs: list, a: Fraction | int) -> list:
-    """Turn the coefficients of p, lowest first, into those of p(t + a), in place.
+def _divide(cs: list, xs: Iterable) -> list:
+    """Repeated synthetic division of p, lowest coefficient first, in place.
 
-    Repeated synthetic division by (t - a): the remainders are the new
-    coefficients.  Exact on Fraction or int entries.
+    Leaves r_0, r_1, ... with p = r_0 + (t - x_0)(r_1 + (t - x_1)(r_2 + ...)),
+    reading no node past the degree: every node a gives p(t + a), the nodes
+    0, 1, 2, ... the Newton form.  Exact on int or Fraction entries.
     """
-    for i in range(len(cs) - 1):
+    for i, x in zip(range(len(cs) - 1), xs):
         for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += a * cs[j + 1]
+            cs[j] += x * cs[j + 1]
+    return cs
+
+
+def _expand(cs: list, xs: Sequence) -> list:
+    """The inverse of `_divide` on the same nodes, in place: nested multiplication."""
+    for i in reversed(range(min(len(cs) - 1, len(xs)))):
+        x = xs[i]
+        for j in range(i, len(cs) - 1):
+            cs[j] -= x * cs[j + 1]
     return cs
 
 
@@ -198,45 +213,26 @@ def _over_common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
 def _newton(p: Poly) -> list[Fraction]:
     """Newton coefficients d_k = (Delta^k p)(0), so that p(t) = sum d_k * C(t, k).
 
-    Read off the difference table of the values p(0), ..., p(deg p), all
-    worked in integer numerators over one common denominator.  In this basis
+    `_divide` at the nodes 0, 1, 2, ... writes p's integer numerators as
+    sum r_k * t(t-1)...(t-k+1), and d_k = k! * r_k / den.  In this basis
     Delta lowers the index by one: Delta^k p has coefficients d[k:].
     """
     nums, den = _over_common(p.coeffs)
-    row = []
-    for x in range(len(nums)):
-        acc = 0
-        for c in reversed(nums):
-            acc = acc * x + c
-        row.append(acc)
-    out: list[Fraction] = []
-    while row:
-        out.append(Fraction(row[0], den))
-        row = [b - a for a, b in zip(row, row[1:])]
-    return out
+    factorials = accumulate(count(1), mul, initial=1)
+    return [Fraction(r * f, den) for r, f in zip(_divide(nums, count()), factorials)]
 
 
 def _from_newton(ds: Sequence[Fraction]) -> Poly:
     """The polynomial sum d_k * C(t, k), inverse of `_newton`.
 
-    With n = len(ds) - 1, n! * C(t, k) = (n!/k!) * t(t-1)...(t-k+1), whose
-    falling factorial is grown in integers one factor at a time; the sum is
-    taken in integer numerators over the common denominator of the d_k
-    times n!.
+    With n = len(ds) - 1, n! * den * d_k * C(t, k) is (n!/k!) * num_k times
+    t(t-1)...(t-k+1), so `_expand` at the nodes 0, ..., n-1 sums them in
+    integers; one division by den * n! follows.
     """
     nums, den = _over_common(ds)
-    scale = math.factorial(max(len(nums) - 1, 0))
-    weight = scale   # n!/k!
-    out = [0] * len(nums)
-    falling = [1]   # t(t-1)...(t-k+1), lowest power first
-    for k, d in enumerate(nums):
-        if k:
-            falling = [a - (k - 1) * b for a, b in zip([0] + falling, falling + [0])]
-        if d:
-            for i, c in enumerate(falling):
-                out[i] += d * weight * c
-        weight //= k + 1
-    return Poly(Fraction(c, den * scale) for c in out)
+    weights = list(accumulate(range(len(nums) - 1, 0, -1), mul, initial=1))[::-1]   # n!/k!
+    cs = _expand([w * c for w, c in zip(weights, nums)], range(len(nums)))
+    return Poly(Fraction(c, den * weights[0]) for c in cs)
 
 
 def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
@@ -367,14 +363,6 @@ def _variations(cs: list[int]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _scaled_value(cs: list[int], num: int, j: int) -> int:
-    """2^(j*d) times the integer polynomial cs (degree d) at num/2^j, by Horner."""
-    acc = 0
-    for i, c in enumerate(reversed(cs)):
-        acc = acc * num + (c << (j * i))
-    return acc
-
-
 def _positive_root_points(q: list[int], lead: int) -> list[Fraction]:
     """A point within 1/(4*lead^2) of each positive root of q, or the root itself.
 
@@ -398,18 +386,19 @@ def _positive_root_points(q: list[int], lead: int) -> list[Fraction]:
     todo = [(0, 0, [c << (e * i) for i, c in enumerate(q)])]
     while todo:
         k, c, Q = todo.pop()
-        v = _variations(_shift(Q[::-1], 1))
+        v = _variations(_divide(Q[::-1], repeat(1)))
         if v == 1:
             left = next(a for a in Q if a) > 0   # the sign of Q just right of 0
             num, j = 0, 0   # the root lies in [num/2^j, (num+1)/2^j]
             while 1 << (k + j) <= narrow:
                 num, j = 2 * num + 1, j + 1
-                if (_scaled_value(Q, num, j) > 0) != left:
+                # the sign of 2^(j*d) * Q(num/2^j), a remainder of `_divide`
+                if (_divide([a << (j * (d - i)) for i, a in enumerate(Q)], [num])[0] > 0) != left:
                     num -= 1
             points.append(Fraction(((c << (j + 1)) + 2 * num + 1) << e, 1 << (k + j + 1)))
         elif v > 1:
             half = [a << (d - i) for i, a in enumerate(Q)]
-            right = _shift(half[:], 1)
+            right = _divide(half[:], repeat(1))
             if not right[0]:
                 points.append(Fraction((2 * c + 1) << e, 1 << (k + 1)))
             todo += [(k + 1, 2 * c, half), (k + 1, 2 * c + 1, right)]

@@ -9,6 +9,7 @@ Grammar notes:
   rational base;
 * operators use the same grammar with `T` as the variable, and must come out
   as a nonzero polynomial in `T`;
+* parentheses nest at most 100 deep;
 * errors carry the byte offset of the first offending character.
 """
 from __future__ import annotations
@@ -44,6 +45,8 @@ class SemanticError(ParseError):
 class NonConsecutiveConditionsError(SemanticError):
     """Initial conditions must sit at consecutive integers."""
 
+
+_MAX_DEPTH = 100  # parenthesis nesting; each level takes about five stack frames
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*/^(),=])")
 
@@ -108,6 +111,7 @@ class _Parser:
         self.i = 0
         self.var = var  # the polynomial variable: t, or T for operators
         self.allow_y = allow_y
+        self.depth = 0  # open parentheses around the current atom
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -255,8 +259,12 @@ class _Parser:
             self.advance()
             return _Val({}, SequenceExpr.constant(Fraction(tok.text)))
         if tok.kind == "(":
+            if self.depth == _MAX_DEPTH:
+                self.fail(tok, f"at most {_MAX_DEPTH} nested parentheses")
             self.advance()
+            self.depth += 1
             val = self.parse_sum()
+            self.depth -= 1
             self.expect(")", "')'")
             return val
         if tok.kind == "name":

@@ -176,7 +176,10 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
     c, lam, p, trig = term.coeff, term.base, term.poly, term.trig
     mu = trig.parity if trig else Fraction(1)
     beta = lam * mu
-    m, _ = P.factor_root(beta)
+    # q(D) = P(beta*(1 + D)) acts on the polynomial factor once beta^t is pulled
+    # out; beta != 0, so D^m divides q exactly when beta is an m-fold root of P
+    q = P.scale_argument(beta).taylor_shift(1)
+    m = next(i for i, x in enumerate(q.coeffs) if x)
     steps: list[TraceStep] = []
     current = _pending(str(P), _term_str(term))
 
@@ -208,12 +211,7 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
             current, after_scale))
         current = after_scale
 
-    # difference-operator machinery at base beta: once beta^t is pulled out,
-    # q(D) = P(beta*(1 + D)) is the operator left on the polynomial factor
     h = p * c
-    q = P.scale_argument(beta).taylor_shift(1)
-    if any(q[i] != 0 for i in range(m)):
-        raise RuntimeError(f"root multiplicity mismatch: {beta} is not a {m}-fold root of {P}")
     R = Poly(q.coeffs[m:])
     order = max(h.degree, 0)
     cs = series_inverse(R, order)

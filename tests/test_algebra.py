@@ -11,8 +11,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
-from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _from_newton, _newton,
-                             find_roots, series_inverse)
+from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _divide, _expand,
+                             _from_newton, _newton, find_roots, series_inverse)
 from fdsolve.solver import antidifference
 
 from corpus import GOLDEN_EQUATIONS
@@ -43,6 +43,15 @@ def reconstruction_error(p: Poly, roots: RootSet) -> float:
             prod = [a - z * b for a, b in zip([0, *prod], [*prod, 0])]
     prod += [0] * (len(p.coeffs) - len(prod))
     return float(max(abs(c.real - p[k]) / max(1, abs(p[k])) for k, c in enumerate(prod)))
+
+
+def shift_reference(p: Poly, a: F) -> Poly:
+    """p(t + a) by repeated synthetic division by (t - a), in Fractions."""
+    cs = list(p.coeffs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return Poly(cs)
 
 
 def newton_reference(p: Poly) -> list[F]:
@@ -141,6 +150,38 @@ def test_forward_difference_drops_degree(p):
 wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
 
 
+@given(st.one_of(st.lists(st.integers(-10**6, 10**6), max_size=12),
+                 st.lists(wide_rationals, max_size=12)),
+       st.lists(st.one_of(st.integers(-20, 20), rationals), max_size=15))
+@example([], [])
+@example([7], [3])
+@example([F(1, 2)], [])
+@example([1, 2, 3], [F(1, 3)])    # fewer nodes than divisions
+@settings(max_examples=100, deadline=None)
+@seed(11)
+def test_divide_and_expand_are_inverse(cs, xs):
+    assert _expand(_divide(cs[:], xs), xs) == cs
+
+
+def test_divide_gives_nested_remainders():
+    # t^2 + 1 = 2 + (t - 1)(2 + (t - 1) * 1) and = 1 + t * (0 + (t - 1) * 1)
+    assert _divide([1, 0, 1], [1, 1]) == [2, 2, 1]
+    assert _divide([1, 0, 1], range(5)) == [1, 1, 1]
+
+
+@given(st.integers(0, 60).flatmap(lambda d: st.lists(wide_rationals, min_size=d + 1,
+                                                     max_size=d + 1)),
+       st.one_of(st.integers(-10, 10).map(F),
+                 st.fractions(min_value=-10, max_value=10, max_denominator=12)))
+@example([F(3)], F(-1, 3))
+@example([F(0), F(1)], F(5, 2))
+@settings(max_examples=60, deadline=None)
+@seed(11)
+def test_taylor_shift_matches_fraction_reference(cs, a):
+    p = Poly(cs)
+    assert p.taylor_shift(a) == shift_reference(p, a)
+
+
 @given(st.integers(-1, 60).flatmap(lambda d: st.lists(wide_rationals, min_size=d + 1,
                                                       max_size=d + 1)),
        st.integers(0, 4))
@@ -184,6 +225,18 @@ def test_coefficients_stay_fraction():
     for r in results:
         assert all(type(c) is F for c in r.coeffs), repr(r)
     assert repr(Poly(1, 2) * 1) == "Poly(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+
+
+def test_payload_degree_thousand_in_bounded_time():
+    # every basis change of the particular solver runs on integer numerators
+    out = run_bounded(textwrap.dedent("""
+        import contextlib, io
+        from fdsolve import cli
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            code = cli.main(["solve", "y(t+1) - 2y(t) = t^1000", "--verify", "2"])
+        print(code, buf.getvalue().splitlines()[-1])
+        """))
+    assert out == "0 verification: exact-match over t in [-2, 2] (forward-apply)\n"
 
 
 def test_antidifference_frozen_degree_six():
@@ -230,6 +283,14 @@ def test_deflate_inverts_linear_multiplication(p, r):
 def test_deflate_rejects_non_roots():
     with pytest.raises(ValueError):
         Poly(1, 1).deflate(5)
+    with pytest.raises(ValueError):
+        Poly(4).deflate(0)
+
+
+def test_deflate_zero_polynomial():
+    # every r is a root of 0, and 0 = (t - r) * 0
+    assert Poly().deflate(3) == Poly()
+    assert Poly(0, 0).deflate(F(-1, 2)) == Poly()
 
 
 def _divisors(n):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from fdsolve import cli
-from fdsolve.operators import OperatorPoly
 from fdsolve.parser import parse_expression
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
@@ -218,6 +217,20 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: verification horizon must be >= 0, got {argv[-1]}\n"
 
+    @pytest.mark.parametrize("argv,offset", [
+        (["solve", "y(t+1) - y(t) = " + "(" * 300 + "1" + ")" * 300], 116),
+        (["apply", "(" * 300 + "T" + ")" * 300 + " - 2", "t"], 100),
+        (["apply", "T - 2", "(" * 300 + "t" + ")" * 300], 100),
+        (["verify", "y(t+1) - y(t) = 1", "(" * 300 + "t" + ")" * 300], 100),
+    ], ids=["equation", "operator", "expression", "solution"])
+    def test_deep_nesting_is_parse_error(self, capsys, argv, offset):
+        # past 100 levels the recursive descent would run out of stack
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: at byte {offset}: expected at most 100 nested "
+                              "parentheses\n")
+
     def test_float_overflow_in_fit(self, capsys):
         code, out, err = run(capsys, "solve", "y(t+2) - y(t+1) - y(t) = 0",
                              "--initial", "y(-2000)=1, y(-1999)=1")
@@ -236,9 +249,11 @@ class TestExitCodes:
                        "iteration not compared\n")
 
     def test_broken_invariant_is_internal_error(self, capsys, monkeypatch):
-        # a wrong root multiplicity must surface as exit 4, also under python -O
-        monkeypatch.setattr(OperatorPoly, "factor_root", lambda self, lam: (1, self))
+        # a failure inside the solver that is not a documented error is exit 4
+        def broken(eq):
+            raise RuntimeError("broken invariant")
+        monkeypatch.setattr(cli, "solve", broken)
         code, out, err = run(capsys, "solve", GOLDEN_EQUATIONS[0])
         assert code == cli.EXIT_INTERNAL
         assert out == ""
-        assert err.startswith("internal error: RuntimeError: root multiplicity mismatch")
+        assert err.startswith("internal error: RuntimeError: broken invariant")

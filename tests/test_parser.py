@@ -133,6 +133,28 @@ def test_large_powers_in_bounded_time():
     assert out.stdout == "4000 True\n"
 
 
+def nested(body: str, depth: int) -> str:
+    return "(" * depth + body + ")" * depth
+
+
+def test_nesting_to_the_limit_parses():
+    assert parse_expression(nested("t", 100)) == parse_expression("t")
+    assert parse_expression("2^" + nested("t - 1", 100)) == parse_expression("2^(t-1)")
+    assert parse_operator(nested("T", 100) + " - 2") == OperatorPoly(-2, 1)
+    assert parse_equation("y(t+1) - y(t) = " + nested("1", 100)).rhs == SequenceExpr.constant(1)
+
+
+@pytest.mark.parametrize("parse,prefix", [(parse_expression, ""), (parse_operator, "T + "),
+                                          (parse_equation, "y(t+1) - y(t) = ")])
+def test_nesting_past_the_limit_is_a_parse_error(parse, prefix):
+    # the error sits at the 101st opening parenthesis
+    with pytest.raises(ParseError) as exc:
+        parse(prefix + nested("1", 101))
+    assert type(exc.value) is ParseError
+    assert exc.value.offset == len(prefix) + 100
+    assert exc.value.expected == "at most 100 nested parentheses"
+
+
 @pytest.mark.parametrize("src,offset,cls", MALFORMED)
 def test_malformed_corpus(src, offset, cls):
     with pytest.raises(ParseError) as exc:

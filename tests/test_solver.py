@@ -192,14 +192,6 @@ class TestParticularPaths:
         assert [s.rule for s in trace.steps] == ["zero-rhs"]
 
 
-class TestInternalInvariant:
-    def test_wrong_root_multiplicity_raises(self, monkeypatch):
-        monkeypatch.setattr(OperatorPoly, "factor_root", lambda self, lam: (1, self))
-        with pytest.raises(RuntimeError, match="root multiplicity mismatch") as info:
-            solve_particular(OperatorPoly(4, -5, 1), SequenceExpr.of(Term(1, 3)))
-        assert not isinstance(info.value, ValueError)
-
-
 class TestHomogeneous:
     def test_distinct_rational_roots(self):
         modes = solve_homogeneous(OperatorPoly(6, -5, 1))
