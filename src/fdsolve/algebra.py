@@ -131,11 +131,14 @@ class Poly:
 
         With a = u/v, `_divide` at the node u shifts the integer polynomial
         den*v^d*p(s/v) to s + u; putting s = v*t and dividing gives p(t + a).
+        A shift by 0 returns the polynomial itself.
 
         >>> str(Poly(4, -5, 1).taylor_shift(1))
         't^2 - 3*t'
         """
         u, v = Fraction(a).as_integer_ratio()
+        if not u:
+            return self
         nums, den = _over_common(self.coeffs)
         d = len(nums) - 1
         shifted = _divide([c * v ** (d - i) for i, c in enumerate(nums)], repeat(u))

@@ -98,33 +98,66 @@ class Term:
         return Term(self.coeff * Fraction(c), self.base, self.poly, self.trig)
 
 
-def _mul_terms(a: Term, b: Term) -> list[Term]:
-    """Product of two terms as raw terms (trig products expand by identity)."""
-    coeff = a.coeff * b.coeff
-    base = a.base * b.base
-    poly = a.poly * b.poly
-    ta, tb = a.trig, b.trig
-    if ta is None and tb is None:
-        return [Term(coeff, base, poly)]
-    if ta is None or tb is None:
-        keep = tb if ta is None else ta
-        return [Term(coeff, base, poly, keep)]
+# A sum of terms before its normal form: (base, trig kind or None, n) -> c * p(t)
+_Buckets = dict[tuple[Fraction, "str | None", int], Poly]
+
+
+def _insert(buckets: _Buckets, base: Fraction, kind: str | None, n: int,
+            poly: Poly) -> _Buckets:
+    """Add poly to its bucket and return the map; cos(0) folds to 1, and sin(0),
+    zero polynomials and buckets that cancel drop out, so every bucket is nonzero."""
+    if kind is not None and n == 0:
+        if kind == "sin":
+            return buckets
+        kind = None
+    key = (base, kind, n)
+    acc = buckets.get(key)
+    if acc is not None:
+        poly = acc + poly
+    if poly:
+        buckets[key] = poly
+    elif acc is not None:
+        del buckets[key]
+    return buckets
+
+
+def _mul_terms(out: _Buckets, base: Fraction, poly: Poly,
+               ka: str, na: int, kb: str, nb: int) -> None:
+    """Insert base^t * poly * ka(na*pi*t) * kb(nb*pi*t), expanded by the
+    trig product identities."""
     half = Fraction(1, 2)
-    s, d = ta.n + tb.n, ta.n - tb.n
-    if ta.kind == "cos" and tb.kind == "cos":
-        pairs = [(half, Trig("cos", s)), (half, Trig("cos", abs(d)))]
-    elif ta.kind == "sin" and tb.kind == "sin":
-        pairs = [(half, Trig("cos", abs(d))), (-half, Trig("cos", s))]
-    else:
-        if ta.kind == "cos":  # cos*sin = sin*cos with roles swapped
-            ta, tb = tb, ta
-            s, d = s, -d
-        pairs = [(half, Trig("sin", s))]
-        if d > 0:
-            pairs.append((half, Trig("sin", d)))
-        elif d < 0:
-            pairs.append((-half, Trig("sin", -d)))
-    return [Term(coeff * w, base, poly, tr) for w, tr in pairs]
+    s, d = na + nb, na - nb
+    if ka == kb:  # cos*cos or sin*sin: a cos(0) left over folds into the constant
+        pairs = [(half, "cos", abs(d)), (half if ka == "cos" else -half, "cos", s)]
+    else:  # sin(a)cos(b) = (sin(a+b) + sin(a-b))/2, and sin(0) drops out
+        d = d if ka == "sin" else -d
+        pairs = [(half, "sin", s), (half if d > 0 else -half, "sin", abs(d))]
+    for w, kind, n in pairs:
+        _insert(out, base, kind, n, poly * w)
+
+
+def _bucket_mul(a: _Buckets, b: _Buckets) -> _Buckets:
+    """The product of two bucket maps: bases and polynomials multiply, and a
+    pair of trig factors goes through `_mul_terms`."""
+    out: _Buckets = {}
+    for (ba, ka, na), pa in a.items():
+        for (bb, kb, nb), pb in b.items():
+            if ka is None or kb is None:  # n is 0 without a trig factor
+                _insert(out, ba * bb, ka or kb, na + nb, pa * pb)
+            else:
+                _mul_terms(out, ba * bb, pa * pb, ka, na, kb, nb)
+    return out
+
+
+def _normal_terms(buckets: _Buckets) -> tuple[Term, ...]:
+    """Each nonzero bucket as a term with a monic polynomial, sorted."""
+    out = []
+    for (base, kind, n), poly in buckets.items():
+        lead = poly.lead
+        out.append(Term(lead, base, poly * (1 / lead), Trig(kind, n) if kind else None))
+    out.sort(key=lambda tm: (tm.base, _TRIG_RANK[tm.trig.kind if tm.trig else None],
+                             tm.trig.n if tm.trig else 0))
+    return tuple(out)
 
 
 @dataclass(init=False, frozen=True)
@@ -140,26 +173,23 @@ class SequenceExpr:
     terms: tuple[Term, ...]
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
-        buckets: dict[tuple[Fraction, str | None, int], Poly] = {}
+        buckets: _Buckets = {}
         for term in terms:
             trig = term.trig
-            if trig is not None and trig.n == 0:
-                if trig.kind == "sin":
-                    continue
-                trig = None
-            key = (term.base, trig.kind if trig else None, trig.n if trig else 0)
-            p = term.poly * term.coeff
-            acc = buckets.get(key)
-            buckets[key] = p if acc is None else acc + p
-        out = []
-        for (base, kind, n), poly in buckets.items():
-            if poly.is_zero:
-                continue
-            lead = poly.lead
-            out.append(Term(lead, base, poly * (1 / lead), Trig(kind, n) if kind else None))
-        out.sort(key=lambda tm: (tm.base, _TRIG_RANK[tm.trig.kind if tm.trig else None],
-                                 tm.trig.n if tm.trig else 0))
-        object.__setattr__(self, "terms", tuple(out))
+            _insert(buckets, term.base, trig.kind if trig else None, trig.n if trig else 0,
+                    term.poly * term.coeff)
+        object.__setattr__(self, "terms", _normal_terms(buckets))
+
+    @classmethod
+    def _from_buckets(cls, buckets: _Buckets) -> SequenceExpr:
+        """The normal form of a bucket map built by `_insert`."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "terms", _normal_terms(buckets))
+        return expr
+
+    def _buckets(self) -> _Buckets:
+        return {(tm.base, tm.trig.kind if tm.trig else None, tm.trig.n if tm.trig else 0):
+                tm.poly * tm.coeff for tm in self.terms}
 
     @classmethod
     def of(cls, *terms: Term) -> SequenceExpr:
@@ -202,11 +232,7 @@ class SequenceExpr:
         return self.scaled(-1)
 
     def __mul__(self, other: SequenceExpr) -> SequenceExpr:
-        out: list[Term] = []
-        for a in self.terms:
-            for b in other.terms:
-                out.extend(_mul_terms(a, b))
-        return SequenceExpr(out)
+        return SequenceExpr._from_buckets(_bucket_mul(self._buckets(), other._buckets()))
 
     def integer_form(self) -> SequenceExpr:
         """Fold trig factors per integer-domain semantics.

@@ -24,6 +24,12 @@ from typing import Iterator, Union
 from .expr import SequenceExpr
 from .solver import Equation, Solution
 
+# The largest verification horizon: the oracle builds tables of about 2N values
+# per sequence, and N = 10^5 takes a few seconds on a polynomial solution.  It
+# bounds how many values are built, not their size, which grows with N for an
+# exponential solution.
+_MAX_HORIZON = 100_000
+
 
 class MissingInitialConditionsError(ValueError):
     """Iteration needs initial values and the equation has none."""
@@ -144,11 +150,14 @@ def verify_solution(
     exact.  When initial conditions (and fitted constants) exist, the general
     solution is also compared against exact iteration over [t0, t0+horizon],
     with `tol` as the absolute tolerance once float modes are involved.
-    A negative horizon raises ValueError, and so does a general solution
-    that leaves the float range before the first mismatch.
+    A horizon below 0 or above `_MAX_HORIZON` raises ValueError, before any
+    table is built, and so does a general solution that leaves the float
+    range before the first mismatch.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
+    if horizon > _MAX_HORIZON:
+        raise ValueError(f"verification horizon must be at most {_MAX_HORIZON}, got {horizon}")
     if isinstance(solution, SequenceExpr):
         particular = solution
         modes, constants = (), ()

@@ -7,6 +7,9 @@ Grammar notes:
   name) is accepted, since difference equations are usually written that way;
 * exponents are integers, `t`, or `(a*t + b)` with integer a, b on a nonzero
   rational base;
+* a power is unsupported, before it is computed, if it could hold over 4001
+  coefficients (`t^4000` is the largest power of t) or numbers over 2^20 bits
+  (k times the bit length of the base's largest number: `2^400000` is fine);
 * operators use the same grammar with `T` as the variable, and must come out
   as a nonzero polynomial in `T`;
 * parentheses nest at most 100 deep;
@@ -14,12 +17,13 @@ Grammar notes:
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Poly
-from .expr import SequenceExpr, Term, Trig, UnsupportedRhsError
+from .expr import SequenceExpr, UnsupportedRhsError, _Buckets, _bucket_mul, _insert
 from .operators import OperatorPoly
 from .solver import Condition, Equation
 
@@ -47,8 +51,13 @@ class NonConsecutiveConditionsError(SemanticError):
 
 
 _MAX_DEPTH = 100  # parenthesis nesting; each level takes about five stack frames
+_MAX_DEGREE = 4000  # a power holds at most this + 1 coefficients over all its buckets
+_MAX_BITS = 2**20  # k * the bit length of the largest number in a power's base
+_ONE = Fraction(1)
+_Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*/^(),=])")
+_TOKEN_RE = re.compile(
+    r"\s+|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*/^(),=])|(?P<bad>.)", re.S)
 
 
 @dataclass(frozen=True)
@@ -60,29 +69,31 @@ class _Tok:
 
 def _tokenize(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i = 0
-    while i < len(src):
-        if src[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ParseError(src, i, "a number, a name, or one of + - * / ^ ( ) , =")
-        if m.lastgroup == "op":
-            toks.append(_Tok(m.group(), m.group(), i))
-        else:
-            toks.append(_Tok(m.lastgroup, m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(src, m.start(), "a number, a name, or one of + - * / ^ ( ) , =")
+        if kind is not None:
+            toks.append(_Tok(text if kind == "op" else kind, text, m.start()))
     toks.append(_Tok("end", "", len(src)))
     return toks
 
 
+def _geometric(expr: _Buckets) -> tuple[Fraction, Fraction] | None:
+    """(c, b) when the bucket map is the one term c * b^t, else None."""
+    if len(expr) == 1:
+        ((base, kind, _), p), = expr.items()
+        if kind is None and p.degree == 0:
+            return p[0], base
+    return None
+
+
 @dataclass
 class _Val:
-    """Intermediate parse value: linear-in-y part plus a closed-form part."""
+    """Intermediate parse value: linear-in-y part plus a closed-form bucket map."""
 
     ops: dict[int, Fraction] = field(default_factory=dict)
-    expr: SequenceExpr = field(default_factory=SequenceExpr.zero)
+    expr: _Buckets = field(default_factory=dict)
 
     @property
     def has_y(self) -> bool:
@@ -92,16 +103,14 @@ class _Val:
         """The value as a plain rational, or None if it is anything richer."""
         if self.ops:
             return None
-        if self.expr.is_zero:
+        if not self.expr:
             return Fraction(0)
-        if len(self.expr.terms) == 1:
-            tm = self.expr.terms[0]
-            if tm.base == 1 and tm.trig is None and tm.poly.degree == 0:
-                return tm.coeff
-        return None
+        g = _geometric(self.expr)
+        return g[0] if g is not None and g[1] == 1 else None
 
     def scaled(self, c: Fraction) -> _Val:
-        return _Val({k: v * c for k, v in self.ops.items()}, self.expr.scaled(c))
+        expr = {key: p * c for key, p in self.expr.items()} if c else {}
+        return _Val({k: v * c for k, v in self.ops.items()}, expr)
 
 
 class _Parser:
@@ -128,6 +137,19 @@ class _Parser:
             raise ParseError(self.src, tok.pos, expected)
         return self.advance()
 
+    def expect_name(self, text: str, expected: str) -> _Tok:
+        tok = self.peek()
+        if tok.kind != "name" or tok.text != text:
+            raise ParseError(self.src, tok.pos, expected)
+        return self.advance()
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind."""
+        if self.peek().kind != kind:
+            return False
+        self.advance()
+        return True
+
     def fail(self, tok: _Tok, expected: str) -> None:
         raise ParseError(self.src, tok.pos, expected)
 
@@ -140,9 +162,9 @@ class _Parser:
     # ---- expression grammar (y allowed when parsing equation sides) ----
 
     def parse_sum(self) -> _Val:
-        """Collect the signed operands and normalise their terms once."""
+        """Collect the signed operands into one bucket map."""
         ops: dict[int, Fraction] = {}
-        terms: list[Term] = []
+        expr: _Buckets = {}
         sign = 1
         if self.peek().kind in ("+", "-"):
             sign = -1 if self.advance().kind == "-" else 1
@@ -150,9 +172,10 @@ class _Parser:
             val = self.parse_product()
             for k, v in val.ops.items():
                 ops[k] = ops.get(k, Fraction(0)) + sign * v
-            terms.extend(tm.scaled(sign) for tm in val.expr.terms)
+            for (base, kind, n), p in val.expr.items():
+                _insert(expr, base, kind, n, p if sign > 0 else -p)
             if self.peek().kind not in ("+", "-"):
-                return _Val(ops, SequenceExpr(terms))
+                return _Val(ops, expr)
             sign = -1 if self.advance().kind == "-" else 1
 
     def parse_product(self) -> _Val:
@@ -172,24 +195,19 @@ class _Parser:
 
     def parse_power(self) -> _Val:
         val = self.parse_atom()
-        while self.peek().kind == "^":
-            caret = self.advance()
-            val = self._apply_exponent(val, caret.pos)
+        while self.accept("^"):
+            val = self._apply_exponent(val)
         return val
 
-    def _apply_exponent(self, val: _Val, caret_pos: int) -> _Val:
+    def _apply_exponent(self, val: _Val) -> _Val:
         tok = self.peek()
         v = self.var
         expected = f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
-        if tok.kind == "num":
+        if tok.kind in ("num", "-"):
             self.advance()
-            k = self._int_of(tok, "an integer exponent")
-            return self._int_power(val, k, tok.pos)
-        if tok.kind == "-":
-            self.advance()
-            num = self.expect("num", expected)
-            k = -self._int_of(num, "an integer exponent")
-            return self._int_power(val, k, num.pos)
+            num = tok if tok.kind == "num" else self.expect("num", expected)
+            k = self._int_of(num, "an integer exponent")
+            return self._int_power(val, k if num is tok else -k, num.pos)
         if tok.kind == "(" or tok.text == v:
             inner = self.parse_atom()
             if inner.has_y:
@@ -210,36 +228,47 @@ class _Parser:
         return int(f)
 
     def _linear_int_poly(self, val: _Val, pos: int, expected: str) -> tuple[int, int]:
-        if len(val.expr.terms) == 1:
-            tm = val.expr.terms[0]
-            p = tm.poly * tm.coeff
-            if tm.base == 1 and tm.trig is None and p.degree <= 1:
+        if len(val.expr) == 1:
+            (key, p), = val.expr.items()
+            if key == (1, None, 0) and p.degree <= 1:
                 a, b = p[1], p[0]
                 if a.denominator == 1 and b.denominator == 1:
                     return int(a), int(b)
         raise ParseError(self.src, pos, expected)
+
+    def _check_power(self, expr: _Buckets, k: int, pos: int) -> None:
+        """Refuse expr^k before computing it if it could pass a size limit: with m
+        buckets (a trig one counts twice, as two exponentials) of degree <= d, it
+        has at most C(k+m-1, m-1) buckets of k*d + 1 coefficients."""
+        k, m = abs(k), len(expr) + sum(kind is not None for _, kind, _ in expr) or 1
+        d = max((p.degree for p in expr.values()), default=0)
+        bits = max(((abs(x.numerator) | x.denominator).bit_length()  # the longer of the two
+                    for (b, _, _), p in expr.items() for x in (b, *p)), default=0)
+        if k * bits > _MAX_BITS or math.comb(k + m - 1, m - 1) * (k * d + 1) > _MAX_DEGREE + 1:
+            self.unsupported(pos, f"a power too large to compute (over {_MAX_DEGREE + 1} "
+                             "coefficients or numbers over 2^20 bits)")
 
     def _int_power(self, val: _Val, k: int, pos: int) -> _Val:
         if k == 1:
             return val
         if val.has_y:
             raise SemanticError(self.src, pos, "y raised only to the power 1")
-        if k >= 0:
-            out, base = SequenceExpr.constant(1), val.expr
-            while k:
-                if k & 1:
-                    out = out * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return _Val({}, out)
-        terms = val.expr.terms
-        if len(terms) == 1 and terms[0].trig is None and terms[0].poly.degree == 0:
-            tm = terms[0]
-            if tm.coeff != 0:
-                return _Val({}, SequenceExpr.of(Term(tm.coeff**k, tm.base**k)))
-        self.unsupported(
-            pos, "negative powers are supported only for nonzero constants and geometric terms")
+        base = val.expr
+        if k < 0:  # (c * b^t)^k = ((1/c) * (1/b)^t)^-k
+            g = _geometric(base)
+            if g is None:
+                self.unsupported(pos, "negative powers are supported only for nonzero "
+                                 "constants and geometric terms")
+            base, k = {(1 / g[1], None, 0): Poly(1 / g[0])}, -k
+        self._check_power(base, k, pos)
+        out = None
+        while k:
+            if k & 1:
+                out = base if out is None else _bucket_mul(out, base)
+            k >>= 1
+            if k:
+                base = _bucket_mul(base, base)
+        return _Val({}, {(_ONE, None, 0): Poly(1)} if out is None else out)
 
     def _t_power(self, val: _Val, slope: int, offset: int, pos: int) -> _Val:
         v = self.var
@@ -251,13 +280,14 @@ class _Parser:
                              "friends lie outside the supported closed-form class)")
         if c == 0:
             self.unsupported(pos, f"0 cannot be raised to the power {v}")
-        return _Val({}, SequenceExpr.of(Term(c**offset, c**slope)))
+        self._check_power(val.expr, max(abs(slope), abs(offset)), pos)
+        return _Val({}, {(c**slope, None, 0): Poly(c**offset)})
 
     def parse_atom(self) -> _Val:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return _Val({}, SequenceExpr.constant(Fraction(tok.text)))
+            return _Val({}, _insert({}, _ONE, None, 0, Poly(Fraction(tok.text))))
         if tok.kind == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail(tok, f"at most {_MAX_DEPTH} nested parentheses")
@@ -270,7 +300,7 @@ class _Parser:
         if tok.kind == "name":
             if tok.text == self.var:
                 self.advance()
-                return _Val({}, SequenceExpr.from_poly(Poly(0, 1)))
+                return _Val({}, _insert({}, _ONE, None, 0, Poly(0, 1)))
             if tok.text == "y":
                 if not self.allow_y:
                     raise SemanticError(self.src, tok.pos, "an expression without y")
@@ -289,44 +319,29 @@ class _Parser:
 
     def _parse_y_ref(self) -> _Val:
         self.expect("(", "'(' after y")
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != "t":
-            self.fail(tok, "'t' as the y argument")
-        self.advance()
+        self.expect_name("t", "'t' as the y argument")
         shift = 0
         if self.peek().kind in ("+", "-"):
             sign = 1 if self.advance().kind == "+" else -1
-            num = self.expect("num", "an integer shift")
-            shift = sign * self._int_of(num, "an integer shift")
+            shift = sign * self._int_of(self.expect("num", "an integer shift"), "an integer shift")
         self.expect(")", "')'")
-        return _Val({shift: Fraction(1)}, SequenceExpr.zero())
+        return _Val({shift: Fraction(1)}, {})
 
     def _parse_trig(self, head: _Tok) -> _Val:
         self.expect("(", f"'(' after {head.text}")
-        neg = False
-        if self.peek().kind == "-":
-            self.advance()
-            neg = True
+        neg = self.accept("-")
         n = 1
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            n = self._int_of(tok, "an integer multiple of pi*t")
-            if self.peek().kind == "*":
-                self.advance()
-        tok = self.peek()
+        if self.peek().kind == "num":
+            n = self._int_of(self.advance(), "an integer multiple of pi*t")
+            self.accept("*")
         v = self.var
-        if tok.kind != "name" or tok.text != "pi":
-            self.fail(tok, f"'pi' in the trig argument (only cos/sin(n*pi*{v}) is closed-form here)")
-        self.advance()
+        self.expect_name("pi", f"'pi' in the trig argument (only cos/sin(n*pi*{v}) is "
+                         "closed-form here)")
         self.expect("*", f"'*' between pi and {v}")
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != v:
-            self.fail(tok, f"'{v}' after pi*")
-        self.advance()
+        self.expect_name(v, f"'{v}' after pi*")
         self.expect(")", "')'")
         coeff = Fraction(-1) if neg and head.text == "sin" else Fraction(1)
-        return _Val({}, SequenceExpr.of(Term(coeff, 1, Poly(1), Trig(head.text, n))))
+        return _Val({}, _insert({}, _ONE, head.text, n, Poly(coeff)))
 
     # ---- combination rules ----
 
@@ -337,29 +352,24 @@ class _Parser:
             ref, other = (a, b) if a.has_y else (b, a)
             c = other.constant()
             if c is None:
-                raise SemanticError(
-                    self.src, pos,
-                    "a constant coefficient on y (only constant-coefficient equations)")
+                raise SemanticError(self.src, pos, _Y_COEFF)
             return ref.scaled(c)
-        return _Val({}, a.expr * b.expr)
+        return _Val({}, _bucket_mul(a.expr, b.expr))
 
     def _div(self, a: _Val, b: _Val, pos: int) -> _Val:
         if b.has_y:
             raise SemanticError(self.src, pos, "a y-free divisor")
-        terms = b.expr.terms
-        if not terms:
+        if not b.expr:
             raise SemanticError(self.src, pos, "a nonzero divisor")
-        if len(terms) != 1 or terms[0].trig is not None or terms[0].poly.degree != 0:
+        g = _geometric(b.expr)
+        if g is None:
             self.unsupported(pos, "division is supported only by constants and geometric terms")
-        tm = terms[0]
-        inv = Term(1 / tm.coeff, 1 / tm.base)
+        c, base = g
         if a.has_y:
-            if tm.base != 1:
-                raise SemanticError(
-                    self.src, pos,
-                    "a constant coefficient on y (only constant-coefficient equations)")
-            return a.scaled(1 / tm.coeff)
-        return _Val({}, a.expr * SequenceExpr.of(inv))
+            if base != 1:
+                raise SemanticError(self.src, pos, _Y_COEFF)
+            return a.scaled(1 / c)
+        return _Val({}, _bucket_mul(a.expr, {(1 / base, None, 0): Poly(1 / c)}))
 
 
 def parse_expression(src: str) -> SequenceExpr:
@@ -367,7 +377,7 @@ def parse_expression(src: str) -> SequenceExpr:
     p = _Parser(src, "t", allow_y=False)
     val = p.parse_sum()
     p.expect("end", "end of input")
-    return val.expr
+    return SequenceExpr._from_buckets(val.expr)
 
 
 def parse_equation(src: str) -> Equation:
@@ -381,11 +391,11 @@ def parse_equation(src: str) -> Equation:
     eq_tok = p.expect("=", "'=' between the two sides of the equation")
     rhs = p.parse_sum()
     p.expect("end", "end of input")
-    net: dict[int, Fraction] = dict(lhs.ops)
-    for k, v in rhs.ops.items():
-        net[k] = net.get(k, Fraction(0)) - v
-    net = {k: v for k, v in net.items() if v != 0}
-    phi = rhs.expr - lhs.expr
+    net = {k: v for k in lhs.ops.keys() | rhs.ops.keys()
+           if (v := lhs.ops.get(k, 0) - rhs.ops.get(k, 0))}
+    for (base, kind, n), q in lhs.expr.items():
+        _insert(rhs.expr, base, kind, n, -q)
+    phi = SequenceExpr._from_buckets(rhs.expr)
     if not net:
         raise SemanticError(src, eq_tok.pos, "at least one y(t+k) term with nonzero coefficient")
     low = min(net)
@@ -409,13 +419,12 @@ def parse_operator(src: str) -> OperatorPoly:
         pos = len(src.encode("utf-8")[: err.offset].decode("utf-8"))
         raise SemanticError(src, pos, f"a polynomial in T ({err})") from None
     p.expect("end", "end of input")
-    terms = val.expr.terms
-    if not terms:
+    if not val.expr:
         raise SemanticError(src, 0, "a nonzero operator polynomial")
-    tm = terms[0]
-    if len(terms) > 1 or tm.base != 1 or tm.trig is not None:
+    (key, poly), *rest = val.expr.items()
+    if rest or key != (1, None, 0):
         raise SemanticError(src, 0, "a polynomial in T")
-    return OperatorPoly.from_poly(tm.poly * tm.coeff)
+    return OperatorPoly.from_poly(poly)
 
 
 def parse_initial(src: str) -> tuple[Condition, ...]:
@@ -423,17 +432,10 @@ def parse_initial(src: str) -> tuple[Condition, ...]:
     p = _Parser(src, "t", allow_y=False)
     conds: list[tuple[int, Fraction, int]] = []
     while True:
-        head = p.peek()
-        if head.kind != "name" or head.text != "y":
-            p.fail(head, "'y(' starting a condition")
-        p.advance()
+        head = p.expect_name("y", "'y(' starting a condition")
         p.expect("(", "'(' after y")
-        sign = 1
-        if p.peek().kind == "-":
-            p.advance()
-            sign = -1
-        num = p.expect("num", "an integer time point")
-        tpoint = sign * p._int_of(num, "an integer time point")
+        sign = -1 if p.accept("-") else 1
+        tpoint = sign * p._int_of(p.expect("num", "an integer time point"), "an integer time point")
         p.expect(")", "')'")
         p.expect("=", "'=' after the time point")
         val = p.parse_sum()
@@ -441,11 +443,9 @@ def parse_initial(src: str) -> tuple[Condition, ...]:
         if c is None:
             raise SemanticError(p.src, head.pos, "a rational constant value")
         conds.append((tpoint, c, head.pos))
-        if p.peek().kind == ",":
-            p.advance()
-            continue
-        p.expect("end", "',' or end of input")
-        break
+        if not p.accept(","):
+            p.expect("end", "',' or end of input")
+            break
     conds.sort(key=lambda c: c[0])
     for (t0, _, _), (t1, _, pos) in zip(conds, conds[1:]):
         if t1 != t0 + 1:

@@ -99,6 +99,14 @@ def test_accepts_iterable_and_strings():
     assert Poly("1/2", 1).coeffs == (F(1, 2), F(1))
 
 
+def test_shift_by_zero_is_free():
+    # a shift by 0 ran a full synthetic division: about a second at degree 4000
+    out = run_bounded("from fdsolve.algebra import Poly\n"
+                      "p = Poly(range(1, 4002))\n"
+                      "print(all(p.taylor_shift(0) == p for _ in range(100)))")
+    assert out == "True\n"
+
+
 def test_iterates_over_coefficients():
     # in a subprocess: an iteration that never stops must fail, not hang
     out = run_bounded("from fdsolve.algebra import Poly; "

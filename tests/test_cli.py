@@ -1,11 +1,15 @@
 import json
+import textwrap
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from fdsolve import cli
+from fdsolve import cli, oracle
 from fdsolve.parser import parse_expression
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
+from test_algebra import run_bounded
 
 
 def run(capsys, *argv):
@@ -231,6 +235,47 @@ class TestExitCodes:
         assert err.startswith(f"error: at byte {offset}: expected at most 100 nested "
                               "parentheses\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "y(t+1) - 2y(t) = 1", "--verify", "100001"],
+        ["verify", "y(t+1) - 2y(t) = 1", "-1", "--horizon", "100001"],
+    ])
+    def test_horizon_past_the_cap(self, capsys, monkeypatch, argv):
+        # refused before any value table is built: 10^8 ran out of memory
+        def no_table(*args):
+            raise AssertionError("a value table was built")
+        monkeypatch.setattr(oracle, "_numerators", no_table)
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == "error: verification horizon must be at most 100000, got 100001\n"
+
+    def test_horizon_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "y(t+1) - 2y(t) = 1", "-1", "--horizon", "100000")
+        assert code == cli.EXIT_OK
+        assert out == "exact-match over t in [-100000, 100000] (forward-apply)\n"
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["solve", "y(t+1) - 2y(t) = 2^(2^(2^(2^(2^2))))"], 2,
+         "unsupported right-hand side: a power too large to compute"),
+        (["solve", "y(t+1) - 2y(t) = t^(2^20)"], 2,
+         "unsupported right-hand side: a power too large to compute"),
+        (["apply", "T^(2^20)", "1"], 1,
+         "error: at byte 2: expected a polynomial in T (a power too large to compute"),
+    ])
+    def test_power_past_the_size_limits(self, argv, code, message):
+        # the tower ran without end and t^(2^20) built a degree-10^6 polynomial
+        out = run_bounded(f"argv = {argv!r}\n" + textwrap.dedent("""
+            import contextlib, io, time
+            from fdsolve import cli
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(argv)
+            print(code, time.perf_counter() - start < 5)
+            print(err.getvalue())
+            """))
+        assert out.startswith(f"{code} True\n{message} (over 4001 coefficients or numbers "
+                              "over 2^20 bits)")
+
     def test_float_overflow_in_fit(self, capsys):
         code, out, err = run(capsys, "solve", "y(t+2) - y(t+1) - y(t) = 0",
                              "--initial", "y(-2000)=1, y(-1999)=1")
@@ -257,3 +302,41 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL
         assert out == ""
         assert err.startswith("internal error: RuntimeError: broken invariant")
+
+
+# ---- fuzz gate: any string gets a documented exit code in bounded time ----
+
+FUZZ_TOKENS = [*"0123456789", "t", "T", "y(", "^", "(", ")", "cos(pi*t)", "=", "+", "-",
+               "*", "/"]
+token_soup = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=16).map("".join)
+towers = st.lists(st.sampled_from("0123456789"), min_size=2, max_size=5).map(
+    lambda ds: "^(".join(ds) + ")" * (len(ds) - 1))  # 2^(3^(4)) and so on
+fragments = st.recursive(token_soup | towers, lambda inner: st.one_of(
+    st.builds(lambda a, b: a + b, inner, inner),
+    st.builds(lambda a, b: f"{a}^({b})", inner, inner),
+    st.builds(lambda s, depth: "(" * depth + s + ")" * depth, inner, st.integers(1, 120)),
+), max_leaves=4)
+fuzz_inputs = st.one_of(fragments, st.builds(lambda a, b: f"{a}={b}", fragments, fragments),
+                        st.builds(lambda b: f"y(t+1)-2y(t)={b}", fragments))
+
+
+@seed(2024)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(fuzz_inputs, min_size=1, max_size=6))
+def test_fuzz_gate(cases):
+    # one fresh interpreter per batch, bounded to 30 s and 1 GiB by run_bounded
+    out = run_bounded(f"cases = {cases!r}\n" + textwrap.dedent("""
+        import contextlib, io
+        from fdsolve import cli
+        codes = []
+        for s in cases:
+            for argv in (["solve", s, "--verify"], ["apply", "T - 2", s], ["apply", s, "t"],
+                         ["verify", "y(t+1) - 2y(t) = 1", s], ["verify", s, "1"]):
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(cli.main(argv))
+        print(*codes)
+        """))
+    codes = [int(c) for c in out.split()]
+    assert len(codes) == 5 * len(cases)
+    assert set(codes) <= {0, 1, 2, 3}

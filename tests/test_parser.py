@@ -3,11 +3,12 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
@@ -21,6 +22,7 @@ from fdsolve.parser import (NonConsecutiveConditionsError, ParseError,
 
 from corpus import GOLDEN_EQUATIONS, MALFORMED
 from instance_gen import rand_rhs
+from test_algebra import run_bounded
 
 import test_expr
 
@@ -131,6 +133,43 @@ def test_large_powers_in_bounded_time():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=30, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "4000 True\n"
+
+
+POWERS_PAST_THE_LIMITS = [
+    ("t^4001", 2),                 # 4002 coefficients
+    ("(t^2)^2001", 6),             # degree 4002
+    ("(2^t + 3^t)^4001", 12),      # 4002 geometric terms
+    ("cos(pi*t)^(2^16)", 10),      # a trig bucket is two exponentials
+    ("2^(2^(2^(2^(2^2))))", 2),    # 2^65536 is computed, 2^(2^65536) is not
+    ("2^-600000", 3),              # 1.2 * 2^20 bits, by the bit length of 1/2
+    ("2^(t + 2^65536)", 2),        # a constant factor 2^(2^65536)
+]
+
+
+def test_power_past_the_size_limits():
+    # in a subprocess: without the limits some of these run without end
+    cases = [src for src, _ in POWERS_PAST_THE_LIMITS]
+    out = run_bounded(f"cases = {cases!r}\n" + textwrap.dedent("""
+        from fdsolve.expr import UnsupportedRhsError
+        from fdsolve.parser import parse_expression
+        for src in cases:
+            try:
+                parse_expression(src)
+                print("parsed")
+            except UnsupportedRhsError as err:
+                print(err.offset, str(err).startswith("a power too large to compute"))
+        """))
+    assert out.splitlines() == [f"{offset} True" for _, offset in POWERS_PAST_THE_LIMITS]
+
+
+def test_power_at_the_size_limits():
+    assert parse_expression("(t^2)^2000") == SequenceExpr.from_poly(Poly([0] * 4000 + [1]))
+    assert len(parse_expression("(2^t + 3^t)^20").terms) == 21
+    assert parse_expression("2^-500000") == SequenceExpr.constant(F(1, 2**500000))
+    assert parse_operator("T^4000") == OperatorPoly([0] * 4000 + [1])
+    with pytest.raises(SemanticError) as exc:
+        parse_operator("T^4001")
+    assert exc.value.offset == 2
 
 
 def nested(body: str, depth: int) -> str:
@@ -268,3 +307,65 @@ class TestRoundTrip:
             rhs = rand_rhs(rng)
             src = f"y(t+2) - 5y(t+1) + 4y(t) = {rhs}"
             assert parse_equation(src).rhs == rhs
+
+
+# ---- the parser's products agree with SequenceExpr arithmetic ----
+
+expr_atoms = st.one_of(
+    st.integers(0, 9).map(str),
+    st.just("t"),
+    st.sampled_from(["2", "3", "(1/2)", "(-1)", "(-2/3)"]).map(lambda b: f"{b}^t"),
+    st.builds(lambda kind, n: f"{kind}({n}*pi*t)", st.sampled_from(["cos", "sin"]),
+              st.integers(0, 3)),
+)
+expr_sources = st.recursive(expr_atoms, lambda inner: st.one_of(
+    st.builds(lambda a, b: f"{a} + {b}", inner, inner),
+    st.builds(lambda a, b: f"{a} - {b}", inner, inner),
+    st.builds(lambda a, b: f"({a})*({b})", inner, inner),
+    st.builds(lambda a, c: f"({a})/{c}", inner, st.integers(1, 5)),
+    st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 3)),
+), max_leaves=6)
+
+
+class TestParserArithmetic:
+    @seed(12)
+    @settings(max_examples=80, deadline=None)
+    @given(expr_sources, expr_sources)
+    def test_product(self, a, b):
+        pa, pb = parse_expression(a), parse_expression(b)
+        product = parse_expression(f"({a})*({b})")
+        assert product == pa * pb
+        for t in range(-3, 4):
+            assert product.eval_at(t) == pa.eval_at(t) * pb.eval_at(t)
+
+    @seed(12)
+    @settings(max_examples=60, deadline=None)
+    @given(expr_sources, st.integers(0, 5))
+    def test_power(self, a, k):
+        expected = SequenceExpr.constant(1)
+        for _ in range(k):
+            expected = expected * parse_expression(a)
+        assert parse_expression(f"({a})^{k}") == expected
+
+    @pytest.mark.parametrize("src,terms", [
+        # cos(2a) = 1/2 + 1/2 cos(4a): the cos(0) half folds into the constant
+        ("cos(2*pi*t)*cos(2*pi*t)", [Term(F(1, 2)), Term(F(1, 2), 1, trig=Trig("cos", 4))]),
+        ("sin(pi*t)*sin(3*pi*t)",
+         [Term(F(1, 2), 1, trig=Trig("cos", 2)), Term(F(-1, 2), 1, trig=Trig("cos", 4))]),
+        # sin(a)cos(3a) = 1/2 sin(4a) - 1/2 sin(2a), either way round
+        ("sin(pi*t)*cos(3*pi*t)",
+         [Term(F(-1, 2), 1, trig=Trig("sin", 2)), Term(F(1, 2), 1, trig=Trig("sin", 4))]),
+        ("cos(3*pi*t)*sin(pi*t)",
+         [Term(F(-1, 2), 1, trig=Trig("sin", 2)), Term(F(1, 2), 1, trig=Trig("sin", 4))]),
+        ("sin(pi*t)*sin(pi*t)", [Term(F(1, 2)), Term(F(-1, 2), 1, trig=Trig("cos", 2))]),
+        ("sin(2*pi*t)*cos(2*pi*t)", [Term(F(1, 2), 1, trig=Trig("sin", 4))]),
+        # the constant and sin(2a) buckets cancel inside the product
+        ("(cos(pi*t) + sin(pi*t))*(cos(pi*t) - sin(pi*t)) - cos(2*pi*t)", []),
+        ("(2^t - 2^t)*(3^t + t)", []),
+        ("(cos(pi*t) + 2^t*t)^2",
+         [Term(F(1, 2)), Term(F(1, 2), 1, trig=Trig("cos", 2)), Term(2, 2, Poly(0, 1),
+                                                                   Trig("cos", 1)),
+          Term(1, 4, Poly(0, 0, 1))]),
+    ])
+    def test_trig_identities(self, src, terms):
+        assert parse_expression(src) == SequenceExpr(terms)
