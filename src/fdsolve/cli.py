@@ -204,6 +204,11 @@ def _print_parse_error(err: ParseError) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the parser admits numbers up to 2^20 bits, past Python's 4300-digit cap on
+    # int-to-str conversion (absent before 3.10.7)
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     try:
         args = _build_cli().parse_args(argv)
     except _UsageError as err:

@@ -22,6 +22,11 @@ class UnsupportedRhsError(ValueError):
     offset: int | None = None
 
 
+def _parity(n: int) -> Fraction:
+    """(-1)^n: on integer t, cos(n*pi*t) is (-1)^(n*t) and sin(n*pi*t) is 0."""
+    return Fraction(-1) if n % 2 else Fraction(1)
+
+
 @dataclass(frozen=True)
 class Trig:
     """cos(n*pi*t) or sin(n*pi*t) with integer frequency multiplier n >= 0."""
@@ -38,24 +43,17 @@ class Trig:
     @property
     def parity(self) -> Fraction:
         """Value at t=1 of the integer-domain cosine factor: (-1)^n."""
-        return Fraction(-1) if self.n % 2 else Fraction(1)
-
-    def value_at(self, t: int) -> Fraction:
-        if self.kind == "sin":
-            return Fraction(0)
-        return Fraction(-1) if (self.n * t) % 2 else Fraction(1)
+        return _parity(self.n)
 
     def render(self) -> str:
         arg = "pi*t" if self.n == 1 else f"{self.n}*pi*t"
         return f"{self.kind}({arg})"
 
 
-_TRIG_RANK = {None: 0, "cos": 1, "sin": 2}
-
-
 @dataclass(frozen=True)
 class Term:
-    """One product c * base^t * poly(t) * trig(t); base must be nonzero."""
+    """One product c * base^t * poly(t) * trig(t); base must be nonzero.  A
+    `SequenceExpr` is built from terms; its `terms` view reads them back monic."""
 
     coeff: Fraction
     base: Fraction = Fraction(1)
@@ -81,25 +79,10 @@ class Term:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "trig", trig)
 
-    def value_at(self, t: int) -> Fraction:
-        v = self.coeff * self.base**t * self.poly(t)
-        if self.trig is not None:
-            v *= self.trig.value_at(t)
-        return v
-
-    def shifted(self, k: int) -> Term:
-        """The term as a function of t evaluated at t+k, renormalized to t."""
-        c = self.coeff * self.base**k
-        if self.trig is not None:
-            c *= self.trig.parity**k
-        return Term(c, self.base, self.poly.taylor_shift(k), self.trig)
-
-    def scaled(self, c: Coeff) -> Term:
-        return Term(self.coeff * Fraction(c), self.base, self.poly, self.trig)
-
 
 # A sum of terms before its normal form: (base, trig kind or None, n) -> c * p(t)
-_Buckets = dict[tuple[Fraction, "str | None", int], Poly]
+_Key = tuple[Fraction, "str | None", int]
+_Buckets = dict[_Key, Poly]
 
 
 def _insert(buckets: _Buckets, base: Fraction, kind: str | None, n: int,
@@ -149,47 +132,40 @@ def _bucket_mul(a: _Buckets, b: _Buckets) -> _Buckets:
     return out
 
 
-def _normal_terms(buckets: _Buckets) -> tuple[Term, ...]:
-    """Each nonzero bucket as a term with a monic polynomial, sorted."""
-    out = []
-    for (base, kind, n), poly in buckets.items():
-        lead = poly.lead
-        out.append(Term(lead, base, poly * (1 / lead), Trig(kind, n) if kind else None))
-    out.sort(key=lambda tm: (tm.base, _TRIG_RANK[tm.trig.kind if tm.trig else None],
-                             tm.trig.n if tm.trig else 0))
-    return tuple(out)
+def _sum(pairs: Iterable[tuple[_Key, Poly]]) -> SequenceExpr:
+    """The normal form of a sum of (key, poly) buckets, merged by `_insert`."""
+    out: _Buckets = {}
+    for (base, kind, n), poly in pairs:
+        _insert(out, base, kind, n, poly)
+    return SequenceExpr._from_buckets(out)
 
 
 @dataclass(init=False, frozen=True)
 class SequenceExpr:
-    """Normalized sum of terms.
+    """Normalized sum of terms c * base^t * p(t) * trig, one bucket per (base, trig).
 
-    Construction merges terms sharing (base, trig), drops vanished ones,
-    rewrites cos(0)=1, discards sin(0), makes each residual polynomial monic
-    (the scale lives in coeff), and sorts.  Structural equality on the result
-    is therefore a canonical-form equality.
+    `buckets` holds ((base, trig kind or None, n), poly) pairs: terms sharing
+    base and trig are merged, cos(0) becomes 1, sin(0) and vanished
+    polynomials drop out, and c stays inside the polynomial.  The pairs are
+    sorted by base, then no trig before cos before sin, then n, so structural
+    equality (and the hash) is a canonical-form equality.  `terms` reads the
+    same sum as monic `Term`s, for display and per-term solving.
     """
 
-    terms: tuple[Term, ...]
+    buckets: tuple[tuple[_Key, Poly], ...]
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
-        buckets: _Buckets = {}
-        for term in terms:
-            trig = term.trig
-            _insert(buckets, term.base, trig.kind if trig else None, trig.n if trig else 0,
-                    term.poly * term.coeff)
-        object.__setattr__(self, "terms", _normal_terms(buckets))
+        object.__setattr__(self, "buckets", _sum(
+            ((tm.base, tm.trig.kind if tm.trig else None, tm.trig.n if tm.trig else 0),
+             tm.poly * tm.coeff) for tm in terms).buckets)
 
     @classmethod
     def _from_buckets(cls, buckets: _Buckets) -> SequenceExpr:
-        """The normal form of a bucket map built by `_insert`."""
+        """The normal form of a bucket map built by `_insert`: its pairs, sorted."""
         expr = object.__new__(cls)
-        object.__setattr__(expr, "terms", _normal_terms(buckets))
+        object.__setattr__(expr, "buckets", tuple(sorted(  # no trig ("") < "cos" < "sin"
+            buckets.items(), key=lambda kv: (kv[0][0], kv[0][1] or "", kv[0][2]))))
         return expr
-
-    def _buckets(self) -> _Buckets:
-        return {(tm.base, tm.trig.kind if tm.trig else None, tm.trig.n if tm.trig else 0):
-                tm.poly * tm.coeff for tm in self.terms}
 
     @classmethod
     def of(cls, *terms: Term) -> SequenceExpr:
@@ -208,22 +184,31 @@ class SequenceExpr:
         return cls.of(Term(1, 1, p))
 
     @property
+    def terms(self) -> tuple[Term, ...]:
+        """The buckets in order, each as a term whose coeff is the leading
+        coefficient and whose polynomial is monic; built on every read."""
+        return tuple(Term(p.lead, base, p * (1 / p.lead), Trig(kind, n) if kind else None)
+                     for (base, kind, n), p in self.buckets)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.buckets
 
     def eval_at(self, t: int) -> Fraction:
         """Exact value at integer t (negative t included)."""
-        return sum((term.value_at(t) for term in self.terms), Fraction(0))
+        return sum(((base * _parity(n)) ** t * p(t) for (base, kind, n), p in self.buckets
+                    if kind != "sin"), Fraction(0))
 
     def shift(self, k: int) -> SequenceExpr:
         """The sequence t -> self(t + k)."""
-        return SequenceExpr(term.shifted(k) for term in self.terms)
+        return _sum(((base, kind, n), p.taylor_shift(k) * (base * _parity(n)) ** k)
+                    for (base, kind, n), p in self.buckets)
 
     def scaled(self, c: Coeff) -> SequenceExpr:
-        return SequenceExpr(term.scaled(c) for term in self.terms)
+        return _sum((key, p * c) for key, p in self.buckets)
 
     def __add__(self, other: SequenceExpr) -> SequenceExpr:
-        return SequenceExpr(self.terms + other.terms)
+        return _sum(self.buckets + other.buckets)
 
     def __sub__(self, other: SequenceExpr) -> SequenceExpr:
         return self + (-other)
@@ -232,7 +217,7 @@ class SequenceExpr:
         return self.scaled(-1)
 
     def __mul__(self, other: SequenceExpr) -> SequenceExpr:
-        return SequenceExpr._from_buckets(_bucket_mul(self._buckets(), other._buckets()))
+        return SequenceExpr._from_buckets(_bucket_mul(dict(self.buckets), dict(other.buckets)))
 
     def integer_form(self) -> SequenceExpr:
         """Fold trig factors per integer-domain semantics.
@@ -241,13 +226,8 @@ class SequenceExpr:
         becomes 0, so two expressions agreeing pointwise on all integers get
         the same normal form.
         """
-        out = []
-        for term in self.terms:
-            if term.trig is None:
-                out.append(term)
-            elif term.trig.kind == "cos":
-                out.append(Term(term.coeff, term.base * term.trig.parity, term.poly))
-        return SequenceExpr(out)
+        return _sum(((base * _parity(n), None, 0), p)
+                    for (base, kind, n), p in self.buckets if kind != "sin")
 
     def render(self, pretty: bool = False) -> str:
         return _signed_sum(_render_term(term, pretty) for term in self.terms)
@@ -313,8 +293,5 @@ def _render_term(term: Term, pretty: bool) -> tuple[bool, str]:
 
 def apply_operator(op: OperatorPoly, e: SequenceExpr) -> SequenceExpr:
     """Apply P(T): the sum of a_k * e(t+k) over the operator coefficients."""
-    out: list[Term] = []
-    for k, a in enumerate(op.coeffs):
-        if a:
-            out.extend(term.shifted(k).scaled(a) for term in e.terms)
-    return SequenceExpr(out)
+    return _sum(((base, kind, n), p.taylor_shift(k) * (a * (base * _parity(n)) ** k))
+                for (base, kind, n), p in e.buckets for k, a in enumerate(op.coeffs) if a)

@@ -7,9 +7,9 @@ Two deliberately different routes:
 * iteration — run the recurrence forward from initial values exactly and
   compare against the assembled general solution.
 
-Both read exact value tables: `_numerators` walks each term of an
+Both read exact value tables: `_numerators` walks each bucket of an
 expression once across a range of t, using only the integer-domain meaning
-of the terms (no symbolic machinery, nothing from the solver), so each
+of the buckets (no symbolic machinery, nothing from the solver), so each
 sequence is evaluated once per t however many shifts of it a check needs.
 Forward application compares integer numerators over the tables' common
 denominators; iteration reads the tables as Fractions (`_values`).
@@ -67,27 +67,27 @@ class VerifyReport:
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     """Integers nums and den with expr(t) == nums[t - lo] / den for lo <= t <= hi.
 
-    On integer t, sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t, so a term
-    is c * (u/v)^t * q(t) / d with q an integer polynomial.  Over
-    k.denominator * v^(hi-lo), where k = c * (u/v)^lo / d, its numerator at t
-    is k.numerator * u^(t-lo) * v^(hi-t) * q(t): Horner on q, and one product
-    and one exact division by v per step of t.  den is the lcm of those
-    denominators over all terms; nums/den is not reduced.
+    Each bucket of `expr.buckets` is a sum base^t * p(t) * trig with the
+    coefficient inside p.  On integer t, sin(n*pi*t) is 0 and cos(n*pi*t) is
+    ((-1)^n)^t, so a bucket is (u/v)^t * q(t) / d with q an integer
+    polynomial.  Over k.denominator * v^(hi-lo), where k = (u/v)^lo / d, its
+    numerator at t is k.numerator * u^(t-lo) * v^(hi-t) * q(t): Horner on q,
+    and one product and one exact division by v per step of t.  den is the
+    lcm of those denominators over all buckets; nums/den is not reduced.
     """
     if hi < lo:
         return [], 1
     width = hi - lo
     parts = []
-    for term in expr.terms:
-        base = term.base
-        if term.trig is not None:
-            if term.trig.kind == "sin":
-                continue
-            base *= term.trig.parity
-        cs = term.poly.coeffs
+    for (base, kind, n), poly in expr.buckets:
+        if kind == "sin":
+            continue
+        if n % 2:
+            base = -base
+        cs = poly.coeffs
         d = math.lcm(*(c.denominator for c in cs))
         q = [c.numerator * (d // c.denominator) for c in reversed(cs)]
-        k = term.coeff * base**lo / d
+        k = base**lo / d
         v_width = base.denominator**width
         parts.append((k.numerator * v_width, k.denominator * v_width,
                       base.numerator, base.denominator, q))

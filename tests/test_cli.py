@@ -194,6 +194,19 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert "usage error" in err
 
+    def test_numbers_past_4300_digits_print_in_full(self, capsys):
+        # Python caps int-to-str conversion at 4300 digits unless main lifts it
+        results = [run(capsys, "solve", "y(t+1) - 2y(t) = 2^14300"),
+                   run(capsys, "apply", "T - 2", "2^14300"),
+                   run(capsys, "verify", "y(t+1) - y(t) = 0", "2^14300", "--format", "json")]
+        assert [code for code, _, _ in results] == [cli.EXIT_OK] * 3
+        digits = str(2**14300)
+        assert len(digits) == 4305
+        (_, solved, _), (_, applied, _), (_, verified, _) = results
+        assert f"particular:  -{digits}\n" in solved
+        assert applied == f"-{digits}\n"
+        assert json.loads(verified)["input"]["solution"] == digits
+
     def test_semantic_error_is_parse_exit(self, capsys):
         code, _, err = run(capsys, "solve", "y(t+1) * y(t) = 1")
         assert code == cli.EXIT_PARSE

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fdsolve.algebra import Poly
@@ -59,8 +59,8 @@ def test_base_zero_rejected():
 
 
 def test_zero_terms_evaluate_to_zero():
-    assert Term(0, 2).value_at(3) == 0
-    assert Term(1, 2, Poly()).value_at(-3) == 0
+    assert SequenceExpr.of(Term(0, 2)).eval_at(3) == 0
+    assert SequenceExpr.of(Term(1, 2, Poly())).eval_at(-3) == 0
 
 
 def test_trig_validation():
@@ -156,6 +156,66 @@ def test_integer_form_merges_aliases():
     assert len(e.terms) == 2
     folded = e.integer_form()
     assert folded == SequenceExpr.of(Term(2, -3))
+
+
+def _value(terms, t):
+    """sum c * base^t * p(t) * trig(t) straight from the terms: on integer t,
+    cos(n*pi*t) is 1 or -1 by the parity of n*t and sin(n*pi*t) is 0."""
+    total = F(0)
+    for tm in terms:
+        if tm.trig is not None and tm.trig.kind == "sin":
+            continue
+        sign = -1 if tm.trig is not None and tm.trig.n * t % 2 else 1
+        poly = sum(c * F(t)**i for i, c in enumerate(tm.poly.coeffs))
+        total += sign * tm.coeff * tm.base**t * poly
+    return total
+
+
+@st.composite
+def term_lists(draw):
+    """Terms over several bases and cos/sin frequencies (coeff 0 and zero
+    polynomials included), with cancelling copies of some of them."""
+    ts = draw(st.lists(terms, max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(ts), max_size=2)) if ts else []
+    return ts + [Term(-tm.coeff, tm.base, tm.poly, tm.trig) for tm in cancelled]
+
+
+def _order(tm):
+    return tm.base, tm.trig.kind if tm.trig else "", tm.trig.n if tm.trig else 0
+
+
+@seed(13)
+@settings(max_examples=100, deadline=None)
+@given(term_lists(), st.data())
+def test_bucket_form_is_canonical(ts, data):
+    e = SequenceExpr(ts)
+    shuffled = SequenceExpr(data.draw(st.permutations(ts)))
+    assert shuffled == e and hash(shuffled) == hash(e)
+    assert SequenceExpr(e.terms) == e
+    assert all(tm.coeff != 0 and tm.poly.lead == 1 for tm in e.terms)
+    keys = [_order(tm) for tm in e.terms]
+    assert keys == sorted(set(keys))
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(term_lists(), term_lists(), rationals, st.integers(min_value=-4, max_value=4),
+       st.lists(rationals, min_size=1, max_size=4).filter(any).map(OperatorPoly))
+def test_bucket_operations_match_a_plain_evaluator(ta, tb, c, k, P):
+    a, b = SequenceExpr(ta), SequenceExpr(tb)
+    shifted, scaled, added, product = a.shift(k), a.scaled(c), a + b, a * b
+    folded, applied = a.integer_form(), apply_operator(P, a)
+    assert all(tm.trig is None for tm in folded.terms)
+    for t in range(-5, 6):
+        va, vb = _value(ta, t), _value(tb, t)
+        assert _value(a.terms, t) == va
+        assert _value(shifted.terms, t) == _value(ta, t + k)
+        assert _value(scaled.terms, t) == c * va
+        assert _value(added.terms, t) == va + vb
+        assert _value(product.terms, t) == va * vb
+        assert _value(folded.terms, t) == va
+        assert _value(applied.terms, t) == sum(
+            (ak * _value(ta, t + j) for j, ak in enumerate(P.coeffs)), F(0))
 
 
 class TestApplyOperator:
