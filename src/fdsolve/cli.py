@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Any
 
 from .expr import SequenceExpr, UnsupportedRhsError, apply_operator
-from .oracle import MissingInitialConditionsError, VerifyReport, verify_solution
+from .oracle import VerifyReport, verify_solution
 from .parser import ParseError, parse_equation, parse_expression, parse_initial, parse_operator
-from .solver import Equation, SingularSystemError, Solution, solve
+from .solver import Equation, Solution, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -175,12 +175,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_apply(args: argparse.Namespace) -> int:
     op = parse_operator(args.operator)
     e = parse_expression(args.expression)
-    result = apply_operator(op, e)
-    doc = {
-        "input": {"operator": str(op), "expression": str(e)},
-        "result": result.render(pretty=True),
-    }
-    print(json.dumps(doc, indent=2) if args.format == "json" else doc["result"])
+    result = apply_operator(op, e).render(pretty=True)
+    if args.format == "json":
+        doc = {"input": {"operator": str(op), "expression": str(e)}, "result": result}
+        result = json.dumps(doc, indent=2)
+    print(result)
     return EXIT_OK
 
 
@@ -188,11 +187,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     eq = _equation(args)
     candidate = parse_expression(args.solution)
     report = verify_solution(eq, candidate, horizon=args.horizon)
-    doc = {
-        "input": {"equation": str(eq), "solution": str(candidate)},
-        "verification": _report_doc(report),
-    }
-    print(json.dumps(doc, indent=2) if args.format == "json" else report.describe())
+    if args.format == "json":
+        doc = {"input": {"equation": str(eq), "solution": str(candidate)},
+               "verification": _report_doc(report)}
+        print(json.dumps(doc, indent=2))
+    else:
+        print(report.describe())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         _print_parse_error(err)
         return EXIT_PARSE
-    except (SingularSystemError, MissingInitialConditionsError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as err:  # pragma: no cover - defensive

@@ -45,10 +45,6 @@ class Trig:
         """Value at t=1 of the integer-domain cosine factor: (-1)^n."""
         return _parity(self.n)
 
-    def render(self) -> str:
-        arg = "pi*t" if self.n == 1 else f"{self.n}*pi*t"
-        return f"{self.kind}({arg})"
-
 
 @dataclass(frozen=True)
 class Term:
@@ -149,7 +145,8 @@ class SequenceExpr:
     polynomials drop out, and c stays inside the polynomial.  The pairs are
     sorted by base, then no trig before cos before sin, then n, so structural
     equality (and the hash) is a canonical-form equality.  `terms` reads the
-    same sum as monic `Term`s, for display and per-term solving.
+    same sum as monic `Term`s for callers outside the package; the
+    renderer and the solver read `buckets` directly.
     """
 
     buckets: tuple[tuple[_Key, Poly], ...]
@@ -230,7 +227,7 @@ class SequenceExpr:
                     for (base, kind, n), p in self.buckets if kind != "sin")
 
     def render(self, pretty: bool = False) -> str:
-        return _signed_sum(_render_term(term, pretty) for term in self.terms)
+        return _signed_sum(_render_bucket(key, p, pretty) for key, p in self.buckets)
 
     def __str__(self) -> str:
         return self.render()
@@ -253,41 +250,32 @@ def _exponent_fold(coeff: Fraction, base: Fraction) -> int | None:
     return None
 
 
-def _render_term(term: Term, pretty: bool) -> tuple[bool, str]:
-    """Return (negative, body) where body renders |term|."""
-    if term.base == 1 and term.trig is None:
-        s = (term.poly * term.coeff).render()
-        if s.startswith("-"):
-            return True, s[1:]
-        return False, s
-    coeff, negative = term.coeff, False
+def _render_bucket(key: _Key, p: Poly, pretty: bool) -> tuple[bool, str]:
+    """Return (negative, body) where body renders the bucket's term without its sign."""
+    base, kind, n = key
+    if base == 1 and kind is None:
+        s = p.render()
+        return (True, s[1:]) if s.startswith("-") else (False, s)
     pieces: list[str] = []
-    folded = False
-    if pretty:
-        j = _exponent_fold(coeff, term.base)
-        if j is not None:
-            pieces.append(_render_base_power(term.base, j))
-            coeff, folded = Fraction(1), True
-    if not folded:
-        if coeff < 0:
-            negative, coeff = True, -coeff
-        if coeff != 1 and term.poly.degree < 1:
-            pieces.append(str(coeff))
-            coeff = Fraction(1)
-        if term.base != 1:
-            pieces.append(_render_base_power(term.base, 0))
-    if term.poly.degree >= 1 or coeff != 1:
-        p = term.poly * coeff
-        if pretty and len(p.coeffs) == sum(1 for c in p.coeffs if c == 0) + 1 and p.lead == 1:
+    j = _exponent_fold(p.lead, base) if pretty else None
+    negative = j is None and p.lead < 0
+    if j is not None:  # base^(t+j) takes the coefficient: print p monic
+        pieces.append(_render_base_power(base, j))
+        p = p * (1 / p.lead)
+    else:
+        if negative:
+            p = -p
+        if p.degree < 1 and p.lead != 1:
+            pieces.append(str(p.lead))
+        if base != 1:
+            pieces.append(_render_base_power(base, 0))
+    if p.degree >= 1:
+        if pretty and p.lead == 1 and sum(1 for c in p.coeffs if c) == 1:
             pieces.append(p.render())  # bare monomial like t or t^2
-        elif p.degree < 1:
-            pieces.append(str(p(0)))
         else:
             pieces.append(f"({p.render()})")
-    if term.trig is not None:
-        pieces.append(term.trig.render())
-    if not pieces:
-        pieces.append("1")
+    if kind is not None:
+        pieces.append(f"{kind}({'' if n == 1 else f'{n}*'}pi*t)")
     return negative, " * ".join(pieces)
 
 

@@ -12,6 +12,9 @@ Grammar notes:
   (k times the bit length of the base's largest number: `2^400000` is fine);
 * operators use the same grammar with `T` as the variable, and must come out
   as a nonzero polynomial in `T`;
+* `^` groups to the right: `2^3^2` is 2^9, and `2^-1^2` is 2^-(1^2);
+* an equation's operator has degree at most 200 (its highest y shift, less
+  its lowest when that is negative);
 * parentheses nest at most 100 deep;
 * errors carry the byte offset of the first offending character.
 """
@@ -53,6 +56,7 @@ class NonConsecutiveConditionsError(SemanticError):
 _MAX_DEPTH = 100  # parenthesis nesting; each level takes about five stack frames
 _MAX_DEGREE = 4000  # a power holds at most this + 1 coefficients over all its buckets
 _MAX_BITS = 2**20  # k * the bit length of the largest number in a power's base
+_MAX_ORDER = 200  # degree of an equation's operator, bounding solve time
 _ONE = Fraction(1)
 _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 
@@ -194,47 +198,52 @@ class _Parser:
                 return val
 
     def parse_power(self) -> _Val:
-        val = self.parse_atom()
+        """An atom and its chain of exponents, grouped to the right: a^b^c is
+        a^(b^c), and an exponent's leading '-' negates the power after it, so
+        2^-1^2 is 2^-(1^2).  The chain is read first and folded from the right, so
+        a long chain takes no recursion."""
+        atoms = [self.parse_atom()]
+        heads: list[tuple[_Tok, bool]] = []  # each exponent's first token, and its '-'
         while self.accept("^"):
-            val = self._apply_exponent(val)
+            neg = self.accept("-")
+            tok = self.peek()
+            if tok.kind != "num" and (neg or tok.kind != "(" and tok.text != self.var):
+                self.fail(tok, self._exponent_expected)
+            atom = self.parse_atom()
+            if atom.has_y:
+                raise SemanticError(self.src, tok.pos, "an exponent free of y")
+            atoms.append(atom)
+            heads.append((tok, neg))
+        val = atoms.pop()
+        for (tok, neg), base in zip(reversed(heads), reversed(atoms)):
+            val = self._power(base, val.scaled(-_ONE) if neg else val, tok.pos)
         return val
 
-    def _apply_exponent(self, val: _Val) -> _Val:
-        tok = self.peek()
+    @property
+    def _exponent_expected(self) -> str:
         v = self.var
-        expected = f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
-        if tok.kind in ("num", "-"):
-            self.advance()
-            num = tok if tok.kind == "num" else self.expect("num", expected)
-            k = self._int_of(num, "an integer exponent")
-            return self._int_power(val, k if num is tok else -k, num.pos)
-        if tok.kind == "(" or tok.text == v:
-            inner = self.parse_atom()
-            if inner.has_y:
-                raise SemanticError(self.src, tok.pos, "an exponent free of y")
-            c = inner.constant()
-            if c is not None:
-                if c.denominator != 1:
-                    raise ParseError(self.src, tok.pos, "an integer exponent")
-                return self._int_power(val, int(c), tok.pos)
-            slope, offset = self._linear_int_poly(inner, tok.pos, expected)
-            return self._t_power(val, slope, offset, tok.pos)
-        self.fail(tok, expected)
+        return f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
+
+    def _power(self, val: _Val, exp: _Val, pos: int) -> _Val:
+        """val^exp for an integer exponent or one linear in the variable."""
+        c = exp.constant()
+        if c is not None:
+            if c.denominator != 1:
+                raise ParseError(self.src, pos, "an integer exponent")
+            return self._int_power(val, int(c), pos)
+        if len(exp.expr) == 1:  # a*t + b with integers a, b
+            (key, q), = exp.expr.items()
+            if key == (1, None, 0) and q.degree <= 1:
+                a, b = q[1], q[0]
+                if a.denominator == 1 and b.denominator == 1:
+                    return self._t_power(val, int(a), int(b), pos)
+        raise ParseError(self.src, pos, self._exponent_expected)
 
     def _int_of(self, tok: _Tok, expected: str) -> int:
         f = Fraction(tok.text)
         if f.denominator != 1:
             raise ParseError(self.src, tok.pos, expected)
         return int(f)
-
-    def _linear_int_poly(self, val: _Val, pos: int, expected: str) -> tuple[int, int]:
-        if len(val.expr) == 1:
-            (key, p), = val.expr.items()
-            if key == (1, None, 0) and p.degree <= 1:
-                a, b = p[1], p[0]
-                if a.denominator == 1 and b.denominator == 1:
-                    return int(a), int(b)
-        raise ParseError(self.src, pos, expected)
 
     def _check_power(self, expr: _Buckets, k: int, pos: int) -> None:
         """Refuse expr^k before computing it if it could pass a size limit: with m
@@ -399,10 +408,12 @@ def parse_equation(src: str) -> Equation:
     if not net:
         raise SemanticError(src, eq_tok.pos, "at least one y(t+k) term with nonzero coefficient")
     low = min(net)
+    degree = max(net) - min(low, 0)  # negative shifts are normalized away below
+    if degree > _MAX_ORDER:
+        raise SemanticError(src, eq_tok.pos, f"an operator of degree at most {_MAX_ORDER}")
     if low < 0:
         net = {k - low: v for k, v in net.items()}
         phi = phi.shift(-low)
-    degree = max(net)
     if degree == 0:
         raise SemanticError(src, eq_tok.pos,
                             "y at two or more distinct shifts (a difference, not an identity)")

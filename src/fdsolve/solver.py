@@ -1,7 +1,9 @@
 """Closed-form solving of P(T) y = phi for constant-coefficient operators.
 
 The particular solution comes from mechanically inverting the operator one
-right-hand-side term at a time:
+right-hand-side term at a time, read straight from the `SequenceExpr` bucket
+map: each bucket (base, trig) -> c * p(t) is the term c * base^t * p(t) * trig,
+with c left inside the polynomial:
 
 * geometric terms divide by the characteristic value P(base);
 * cos/sin terms divide by P evaluated at the parity (-1)^n of the frequency;
@@ -22,7 +24,7 @@ from typing import Sequence, Union
 
 from .algebra import (Poly, _from_newton, _newton, _over_common, _render_powers, _signed_sum,
                       find_roots, series_inverse)
-from .expr import SequenceExpr, Term, _render_base_power
+from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 from .operators import OperatorPoly
 
 
@@ -168,50 +170,48 @@ def _series_str(cs: Sequence[Fraction]) -> str:
     return _render_powers(enumerate(cs), "D")
 
 
-def _term_str(term: Term) -> str:
-    return str(SequenceExpr.of(term))
+def _term_str(key: _Key, poly: Poly) -> str:
+    return _signed_sum([_render_bucket(key, poly, False)])
 
 
-def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceStep]]:
-    c, lam, p, trig = term.coeff, term.base, term.poly, term.trig
-    mu = trig.parity if trig else Fraction(1)
+def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list[TraceStep]]:
+    lam, kind, n = key
+    mu = _parity(n)
     beta = lam * mu
     # q(D) = P(beta*(1 + D)) acts on the polynomial factor once beta^t is pulled
     # out; beta != 0, so D^m divides q exactly when beta is an m-fold root of P
     q = P.scale_argument(beta).taylor_shift(1)
     m = next(i for i, x in enumerate(q.coeffs) if x)
     steps: list[TraceStep] = []
-    current = _pending(str(P), _term_str(term))
+    current = _pending(str(P), _term_str(key, h))
 
-    out_base, out_trig = lam, trig
-    if trig is not None and m >= 1:
-        if trig.kind == "sin":
-            res = SequenceExpr.zero()
+    out = key
+    if kind is not None and m >= 1:
+        if kind == "sin":
             steps.append(TraceStep(
                 "resonant-trig",
-                f"P({beta}) = 0, but sin({trig.n}*pi*t) is 0 at every integer t, "
+                f"P({beta}) = 0, but sin({n}*pi*t) is 0 at every integer t, "
                 "so this term needs no particular contribution",
                 current, "0"))
-            return res, steps
-        folded = _pending(str(P), _term_str(Term(c, beta, p)))
+            return SequenceExpr.zero(), steps
+        out = (beta, None, 0)
+        folded = _pending(str(P), _term_str(out, h))
         steps.append(TraceStep(
             "resonant-trig",
-            f"P({beta}) = 0; on integer t, cos({trig.n}*pi*t) equals ({mu})^t, "
+            f"P({beta}) = 0; on integer t, cos({n}*pi*t) equals ({mu})^t, "
             f"so continue with geometric base {beta}",
             current, folded))
         current = folded
-        out_base, out_trig = beta, None
-    elif trig is not None and lam != 1:
+    elif kind is not None and lam != 1:
         scaled = P.scale_argument(lam)
         after_scale = f"{_powstr(lam)} * " + _pending(
-            str(scaled), _term_str(Term(c, 1, p, trig)))
+            str(scaled), _term_str((1, kind, n), h))
         steps.append(TraceStep(
             "scale-rule",
             f"extract the factor {_powstr(lam)}: the remaining operator is P({lam}*T) = {scaled}",
             current, after_scale))
         current = after_scale
 
-    h = p * c
     R = Poly(q.coeffs[m:])
     order = max(h.degree, 0)
     cs = series_inverse(R, order)
@@ -222,23 +222,22 @@ def _solve_term(P: OperatorPoly, term: Term) -> tuple[SequenceExpr, list[TraceSt
     (cn, cd), (hn, hd) = _over_common(cs), _over_common(_newton(h))
     dw = [Fraction(sum(cn[k] * hn[j + k] for k in range(len(hn) - j)), cd * hd)
           for j in range(len(hn))]
-    res = SequenceExpr.of(Term(1, out_base, _from_newton([Fraction(0)] * m + dw), out_trig))
+    res = _sum([(out, _from_newton([Fraction(0)] * m + dw))])
 
-    if m == 0 and p.degree == 0 and (trig is not None or lam != 1):
+    if m == 0 and h.degree == 0 and (kind is not None or lam != 1):
         # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
-        if trig is None:
+        if kind is None:
             detail = f"geometric right side: divide by P({beta}) = {q[0]}"
         elif lam == 1:
-            detail = (f"{trig.kind}({trig.n}*pi*t) right side: "
-                      f"divide by P((-1)^{trig.n}) = P({mu}) = {q[0]}")
+            detail = (f"{kind}({n}*pi*t) right side: "
+                      f"divide by P((-1)^{n}) = P({mu}) = {q[0]}")
         else:
-            detail = f"evaluate {scaled} at (-1)^{trig.n} = {mu}: {q[0]}"
-        rule = "power-rule" if trig is None else f"{trig.kind}-rule"
+            detail = f"evaluate {scaled} at (-1)^{n} = {mu}: {q[0]}"
+        rule = "power-rule" if kind is None else f"{kind}-rule"
         steps.append(TraceStep(rule, detail, current, str(res)))
         return res, steps
 
-    prefix = "" if out_base == 1 and out_trig is None else (
-        _term_str(Term(1, out_base, Poly(1), out_trig)) + " * ")
+    prefix = "" if out == (1, None, 0) else _term_str(out, Poly(1)) + " * "
     q_str = _series_str(q.coeffs)
     after = f"{prefix}{_pending(q_str, str(h))}"
     if beta == 1:
@@ -287,22 +286,18 @@ def solve_particular(op: OperatorPoly, phi: SequenceExpr) -> tuple[SequenceExpr,
             "zero-rhs", "a zero right-hand side has the zero particular solution",
             "0", "0"))
         return SequenceExpr.zero(), SolveTrace(tuple(steps))
-    terms = phi.terms
-    if len(terms) > 1:
+    buckets = phi.buckets
+    if len(buckets) > 1:
         steps.append(TraceStep(
             "linearity",
             "the inverse operator is linear: invert each right-hand term separately",
             _pending(str(P), str(phi)),
-            " ; ".join(_pending(str(P), _term_str(t)) for t in terms)))
-    parts: list[SequenceExpr] = []
-    for term in terms:
-        e, s = _solve_term(P, term)
-        parts.append(e)
-        steps.extend(s)
-    total = SequenceExpr.zero()
-    for e in parts:
-        total = total + e
-    if len(terms) > 1:
+            " ; ".join(_pending(str(P), _term_str(key, h)) for key, h in buckets)))
+    solved = [_solve_term(P, key, h) for key, h in buckets]
+    parts = [e for e, _ in solved]
+    steps.extend(step for _, term_steps in solved for step in term_steps)
+    total = _sum(pair for e in parts for pair in e.buckets)
+    if len(buckets) > 1:
         steps.append(TraceStep(
             "linearity", "sum the per-term contributions",
             " ; ".join(str(e) for e in parts), str(total)))
@@ -330,7 +325,7 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[HomogeneousMode, ...]:
             if root.value == 0:
                 continue
             for j in range(root.multiplicity):
-                modes.append(SequenceExpr.of(Term(1, root.value, Poly(0, 1) ** j)))
+                modes.append(_sum([((root.value, None, 0), Poly(0, 1) ** j)]))
         else:
             z = root.value
             if z.imag < 0:

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fdsolve import cli, oracle
+from fdsolve.expr import SequenceExpr
 from fdsolve.parser import parse_expression
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
@@ -126,6 +127,21 @@ class TestApplyCommand:
         assert "expected a number, 't', 'y(', 'cos(', 'sin(', or '('" in err
 
 
+def test_text_mode_renders_only_what_it_prints(capsys, monkeypatch):
+    # text output is the result or the report alone; the JSON document with
+    # the plain-rendered inputs is built only for --format json
+    render = SequenceExpr.render
+
+    def pretty_only(self, pretty=False):
+        assert pretty, "plain render in text mode"
+        return render(self, pretty)
+
+    monkeypatch.setattr(SequenceExpr, "render", pretty_only)
+    assert run(capsys, "apply", "T - 2", "3^t") == (0, "3^t\n", "")
+    assert run(capsys, "verify", "y(t+1) - y(t) = 0", "1") == (
+        0, "exact-match over t in [-50, 50] (forward-apply)\n", "")
+
+
 class TestVerifyCommand:
     def test_accepts_correct_solution(self, capsys):
         code, out, _ = run(capsys, "verify", GOLDEN_EQUATIONS[0], "-1/2 * 3^t")
@@ -161,6 +177,37 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
+    def test_exponent_tower_on_t_is_refused(self, capsys):
+        # 2^t^2 is 2^(t^2), outside the closed-form class; it was solved as 4^t
+        message = ("error: at byte 18: expected an integer exponent, 't', "
+                   "or '(a*t + b)' with integers a, b")
+        for rhs in ("2^t^2", "2^(t^2)"):
+            code, out, err = run(capsys, "solve", f"y(t+1) - y(t) = {rhs}")
+            assert (code, out, err.splitlines()[0]) == (cli.EXIT_PARSE, "", message)
+
+    def test_operator_degree_is_bounded(self):
+        # y(t+100000) - y(t) = 1 ran without end: the operator has degree at most 200,
+        # counted after negative shifts are normalized away, whatever the shifts' span
+        out = run_bounded(textwrap.dedent("""
+            import contextlib, io
+            from fdsolve import cli
+            for eq in ("y(t+100000) - y(t) = 1", "y(t+200) - y(t) = 1",
+                       "y(t+100) - y(t-101) = 1", "y(t+100000) - y(t+99999) = 1",
+                       "y(t+100000) = 1", "y(t+201) - y(t+1) = 1"):
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = cli.main(["solve", eq])
+                print(code, err.getvalue().partition("\\n")[0])
+            """))
+        assert out.splitlines() == [
+            "1 error: at byte 19: expected an operator of degree at most 200",
+            "0 ",
+            "1 error: at byte 20: expected an operator of degree at most 200",
+            "1 error: at byte 25: expected an operator of degree at most 200",
+            "1 error: at byte 12: expected an operator of degree at most 200",
+            "1 error: at byte 18: expected an operator of degree at most 200",
+        ]
+
     def test_parse_error_reports_position(self, capsys):
         code, out, err = run(capsys, "solve", "y(t+2) - 5y(t+1) @ 4y(t) = 3^t")
         assert code == cli.EXIT_PARSE

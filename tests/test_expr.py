@@ -45,6 +45,17 @@ class TestRendering:
          "(t) * cos(2*pi*t)", "t * cos(2*pi*t)"),
         (SequenceExpr.of(Term(2, 1), Term(-1, 3), Term(1, 4)),
          "2 - 3^t + 4^t", "2 - 3^t + 4^t"),
+        # the pretty fold base^(t+j) reaches |j| <= 16 and no further
+        (SequenceExpr.of(Term(2**16, 2)), "65536 * 2^t", "2^(t+16)"),
+        (SequenceExpr.of(Term(2**17, 2)), "131072 * 2^t", "131072 * 2^t"),
+        (SequenceExpr.of(Term(F(1, 2**16), 2)), "1/65536 * 2^t", "2^(t-16)"),
+        (SequenceExpr.of(Term(F(1, 2**17), 2)), "1/131072 * 2^t", "1/131072 * 2^t"),
+        (SequenceExpr.of(Term(-2, -2)), "-2 * (-2)^t", "(-2)^(t+1)"),
+        (SequenceExpr.of(Term(4, 2, Poly(1, 1))), "2^t * (4*t + 4)", "2^(t+2) * (t + 1)"),
+        (SequenceExpr.of(Term(-3, 2, Poly(0, 1), Trig("cos", 1))),
+         "-2^t * (3*t) * cos(pi*t)", "-2^t * (3*t) * cos(pi*t)"),
+        (SequenceExpr.of(Term(-3, 1, None, Trig("sin", 2))),
+         "-3 * sin(2*pi*t)", "-3 * sin(2*pi*t)"),
     ]
 
     @pytest.mark.parametrize("e,plain,pretty", cases)

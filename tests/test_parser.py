@@ -104,6 +104,16 @@ def test_fractional_and_negative_bases():
     assert parse_expression("2^-1") == SequenceExpr.constant(F(1, 2))
 
 
+def test_power_groups_to_the_right():
+    # a^b^c is a^(b^c), as in Python; grouping to the left read 2^3^2 as 64
+    assert parse_expression("2^3^2") == SequenceExpr.constant(512)
+    assert parse_expression("t^2^3") == SequenceExpr.from_poly(Poly([0] * 8 + [1]))
+    assert parse_expression("2^-1^2") == SequenceExpr.constant(F(1, 2))  # 2^-(1^2)
+    assert parse_operator("T^2^3") == OperatorPoly([0] * 8 + [1])
+    # a long chain is folded in a loop, not by recursion past Python's limit
+    assert parse_expression("^".join(["1"] * 2000)) == SequenceExpr.constant(1)
+
+
 def test_trig_forms():
     assert parse_expression("cos(pi*t)") == \
         SequenceExpr.of(Term(1, 1, trig=Trig("cos", 1)))
