@@ -213,8 +213,8 @@ def _over_common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _newton(p: Poly) -> list[Fraction]:
-    """Newton coefficients d_k = (Delta^k p)(0), so that p(t) = sum d_k * C(t, k).
+def _newton(p: Poly) -> tuple[list[int], int]:
+    """(nums, den) with d_k = nums[k] / den = (Delta^k p)(0), so p(t) = sum d_k * C(t, k).
 
     `_divide` at the nodes 0, 1, 2, ... writes p's integer numerators as
     sum r_k * t(t-1)...(t-k+1), and d_k = k! * r_k / den.  In this basis
@@ -222,17 +222,16 @@ def _newton(p: Poly) -> list[Fraction]:
     """
     nums, den = _over_common(p.coeffs)
     factorials = accumulate(count(1), mul, initial=1)
-    return [Fraction(r * f, den) for r, f in zip(_divide(nums, count()), factorials)]
+    return [r * f for r, f in zip(_divide(nums, count()), factorials)], den
 
 
-def _from_newton(ds: Sequence[Fraction]) -> Poly:
-    """The polynomial sum d_k * C(t, k), inverse of `_newton`.
+def _from_newton(nums: Sequence[int], den: int) -> Poly:
+    """The polynomial sum d_k * C(t, k) with d_k = nums[k] / den, inverse of `_newton`.
 
-    With n = len(ds) - 1, n! * den * d_k * C(t, k) is (n!/k!) * num_k times
+    With n = len(nums) - 1, n! * den * d_k * C(t, k) is (n!/k!) * nums[k] times
     t(t-1)...(t-k+1), so `_expand` at the nodes 0, ..., n-1 sums them in
     integers; one division by den * n! follows.
     """
-    nums, den = _over_common(ds)
     weights = list(accumulate(range(len(nums) - 1, 0, -1), mul, initial=1))[::-1]   # n!/k!
     cs = _expand([w * c for w, c in zip(weights, nums)], range(len(nums)))
     return Poly(Fraction(c, den * weights[0]) for c in cs)
@@ -276,15 +275,6 @@ class RootSet:
     @property
     def is_exact(self) -> bool:
         return all(r.exact for r in self.roots)
-
-
-def _split_root(p: Poly, r: Fraction) -> tuple[int, Poly]:
-    """Split p = (t - r)^m * q, deflating while r is a root of a nonconstant q."""
-    m = 0
-    while p.degree >= 1 and p(r) == 0:
-        p = p.deflate(r)
-        m += 1
-    return m, p
 
 
 def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -416,13 +406,14 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     apart, so `limit_denominator(L)` recovers the root from any point within
     1/(2L^2).  After the root 0 is split off, `_positive_root_points` gives
     such a point for every real root, from q(x) and from q(-x), in integer
-    arithmetic; `_split_root` confirms each candidate exactly.  When no root
-    is found, the f passed in comes back unchanged.
+    arithmetic, and each candidate is confirmed exactly.  f is square-free,
+    so every root found is split off by one deflation.  When no root is
+    found, the f passed in comes back unchanged.
     """
     found: list[Fraction] = []
-    m, rest = _split_root(f, Fraction(0))
-    if m:
-        found.append(Fraction(0))
+    rest = f
+    if not f[0]:
+        found, rest = [Fraction(0)], f.deflate(0)
     if rest.degree < 1:
         return found, rest
     q = _primitive(rest)
@@ -430,9 +421,9 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     for sign in (1, -1):
         for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead):
             r = sign * x.limit_denominator(lead)
-            m, rest = _split_root(rest, r)
-            if m:
+            if rest(r) == 0:
                 found.append(r)
+                rest = rest.deflate(r)
     return found, rest
 
 

@@ -137,7 +137,7 @@ def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
         pretty = ", ".join(
             f"c{i+1} = {c if isinstance(c, Fraction) else format(c, '.10g')}"
             for i, c in enumerate(sol.constants))
-        lines.append(f"constants:   {pretty}")
+        lines.append(f"constants:   {pretty or '(none)'}")
     general = sol.general_expr()
     if general is not None:
         lines.append(f"general:     {general.render(pretty=True)}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Coeff, Poly, _split_root
+from .algebra import Coeff, Poly
 
 
 class ZeroOperatorError(ValueError):
@@ -54,17 +54,10 @@ class OperatorPoly(Poly):
             raise ZeroScaleError("cannot scale operator argument by 0")
         return OperatorPoly(c * lam**k for k, c in enumerate(self.coeffs))
 
-    def factor_root(self, lam: Coeff) -> tuple[int, OperatorPoly]:
-        """Split P = (T - lam)^m * S with S(lam) != 0; returns (m, S).
-
-        m is 0 when lam is not a characteristic root.
-        """
-        m, p = _split_root(self, Fraction(lam))
-        return m, OperatorPoly.from_poly(p)
-
     def reduce_shift(self) -> tuple[int, OperatorPoly]:
         """Split P = T^k * Q with Q having a nonzero trailing coefficient."""
-        return self.factor_root(0)
+        k = next(i for i, c in enumerate(self.coeffs) if c)
+        return k, OperatorPoly(self.coeffs[k:])
 
     def __str__(self) -> str:
         return self.render("T")

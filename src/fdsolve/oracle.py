@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .expr import SequenceExpr
-from .solver import Equation, Solution
+from .solver import Equation, Solution, SolveTrace
 
 # The largest verification horizon: the oracle builds tables of about 2N values
 # per sequence, and N = 10^5 takes a few seconds on a polynomial solution.  It
@@ -159,15 +159,9 @@ def verify_solution(
     if horizon > _MAX_HORIZON:
         raise ValueError(f"verification horizon must be at most {_MAX_HORIZON}, got {horizon}")
     if isinstance(solution, SequenceExpr):
-        particular = solution
-        modes, constants = (), ()
-        have_general = eq.initial is not None
-        exact = True
-    else:
-        particular = solution.particular
-        modes, constants = solution.homogeneous, solution.constants
-        have_general = eq.initial is not None and solution.constants is not None
-        exact = solution.is_exact
+        solution = Solution(solution, (), (), SolveTrace(()))
+    particular, constants = solution.particular, solution.constants
+    exact = solution.is_exact
     n = eq.operator.degree
     # a_k = alpha_k / scale, y(t) = ys[t + horizon] / y_den and
     # phi(t) = phis[t + horizon] / phi_den, all integers: the lhs
@@ -184,7 +178,7 @@ def verify_solution(
             return VerifyReport("forward-apply", fwd_range, "mismatch", mismatch_t=t,
                                 expected=Fraction(phis[t + horizon], phi_den),
                                 got=Fraction(lhs, y_den * scale))
-    if not have_general:
+    if eq.initial is None or constants is None:
         return VerifyReport("forward-apply", fwd_range, "exact-match")
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
@@ -193,7 +187,7 @@ def verify_solution(
     # float modes stay lazy: a mode that overflows past the first mismatch
     # must not stop the report
     columns = [_values(m, t0, t0 + horizon) if isinstance(m, SequenceExpr)
-               else map(m.eval_at, ts) for m in modes]
+               else map(m.eval_at, ts) for m in solution.homogeneous]
     rows = zip(seq, _values(particular, t0, t0 + horizon), *columns)
     max_dev = 0.0
     for t in ts:

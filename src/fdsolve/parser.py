@@ -35,8 +35,6 @@ class ParseError(ValueError):
     """Syntax error; `offset` is a byte offset into the UTF-8 source."""
 
     def __init__(self, source: str, pos: int, expected: str) -> None:
-        self.source = source
-        self.char = pos
         self.offset = len(source[:pos].encode("utf-8"))
         self.expected = expected
         lo, hi = max(0, pos - 24), min(len(source), pos + 24)
@@ -158,7 +156,10 @@ class _Parser:
         raise ParseError(self.src, tok.pos, expected)
 
     def unsupported(self, pos: int, message: str) -> None:
-        """Raise `UnsupportedRhsError(message)` positioned at character `pos`."""
+        """Raise `UnsupportedRhsError(message)` positioned at character `pos`; in
+        operator input, which has no right-hand side, a `SemanticError`."""
+        if self.var == "T":
+            raise SemanticError(self.src, pos, f"a polynomial in T ({message})")
         err = UnsupportedRhsError(message)
         err.offset = len(self.src[:pos].encode("utf-8"))
         raise err
@@ -424,11 +425,7 @@ def parse_equation(src: str) -> Equation:
 def parse_operator(src: str) -> OperatorPoly:
     """Parse a polynomial in the translation symbol T, e.g. `T^2 - 5*T + 4`."""
     p = _Parser(src, "T", allow_y=False)
-    try:
-        val = p.parse_sum()
-    except UnsupportedRhsError as err:  # an operator has no right-hand side
-        pos = len(src.encode("utf-8")[: err.offset].decode("utf-8"))
-        raise SemanticError(src, pos, f"a polynomial in T ({err})") from None
+    val = p.parse_sum()
     p.expect("end", "end of input")
     if not val.expr:
         raise SemanticError(src, 0, "a nonzero operator polynomial")

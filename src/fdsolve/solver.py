@@ -155,15 +155,12 @@ def antidifference(p: Poly, m: int = 1) -> Poly:
     >>> str(antidifference(Poly(0, 1), 1))
     '1/2*t^2 - 1/2*t'
     """
-    return _from_newton([Fraction(0)] * m + _newton(p))
+    nums, den = _newton(p)
+    return _from_newton([0] * m + nums, den)
 
 
 def _pending(op_str: str, payload: str) -> str:
     return f"[1/({op_str})]({payload})"
-
-
-def _powstr(base: Fraction) -> str:
-    return _render_base_power(base, 0)
 
 
 def _series_str(cs: Sequence[Fraction]) -> str:
@@ -204,11 +201,12 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
         current = folded
     elif kind is not None and lam != 1:
         scaled = P.scale_argument(lam)
-        after_scale = f"{_powstr(lam)} * " + _pending(
+        factor = _render_base_power(lam, 0)
+        after_scale = f"{factor} * " + _pending(
             str(scaled), _term_str((1, kind, n), h))
         steps.append(TraceStep(
             "scale-rule",
-            f"extract the factor {_powstr(lam)}: the remaining operator is P({lam}*T) = {scaled}",
+            f"extract the factor {factor}: the remaining operator is P({lam}*T) = {scaled}",
             current, after_scale))
         current = after_scale
 
@@ -219,10 +217,9 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
     # on Newton coefficients Delta^k shifts the index by k, so the series
     # inverse is a correlation (here in integer numerators) and Delta^-m
     # prepends m zeros
-    (cn, cd), (hn, hd) = _over_common(cs), _over_common(_newton(h))
-    dw = [Fraction(sum(cn[k] * hn[j + k] for k in range(len(hn) - j)), cd * hd)
-          for j in range(len(hn))]
-    res = _sum([(out, _from_newton([Fraction(0)] * m + dw))])
+    (cn, cd), (hn, hd) = _over_common(cs), _newton(h)
+    dw = [sum(cn[k] * hn[j + k] for k in range(len(hn) - j)) for j in range(len(hn))]
+    res = _sum([(out, _from_newton([0] * m + dw, cd * hd))])
 
     if m == 0 and h.degree == 0 and (kind is not None or lam != 1):
         # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
@@ -248,7 +245,7 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
     else:
         steps.append(TraceStep(
             "shift-theorem",
-            f"conjugating by {_powstr(beta)} maps T to {beta}*(1 + D), "
+            f"conjugating by {_render_base_power(beta, 0)} maps T to {beta}*(1 + D), "
             f"so the operator on the polynomial factor is {q_str}",
             current, after))
     current = after
@@ -262,7 +259,7 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
             current, str(res)))
         return res, steps
 
-    w = _from_newton(dw)
+    w = _from_newton(dw, cd * hd)
     mid = f"{prefix}{_pending(_series_str((Fraction(0),) * m + (Fraction(1),)), str(w))}"
     steps.append(TraceStep("series-inverse", f"split off D^{m}: {series}", current, mid))
     steps.append(TraceStep(

@@ -90,6 +90,16 @@ class TestSolveCommand:
         assert code == 0
         assert "homogeneous: (empty basis)" in out
 
+    def test_empty_basis_fit_prints_no_constants(self, capsys):
+        # T has only the root 0, so the fit has no constants to print
+        code, out, _ = run(capsys, "solve", "y(t+1) = 1", "--initial", "y(0)=1")
+        assert code == 0
+        assert "constants:   (none)\n" in out
+        code, out, _ = run(capsys, "solve", "y(t+1) = 1", "--initial", "y(0)=1",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["constants"] == []
+
 
 class TestApplyCommand:
     def test_text(self, capsys):

@@ -54,17 +54,6 @@ def test_taylor_shifted():
     assert P.taylor_shift(4) == Poly(0, 3, 1)
 
 
-def test_factor_root():
-    P = OperatorPoly(4, -5, 1)
-    assert P.factor_root(1) == (1, OperatorPoly(-4, 1))
-    assert P.factor_root(4) == (1, OperatorPoly(-1, 1))
-    assert P.factor_root(3) == (0, P)
-    Q = OperatorPoly.from_poly(Poly(-2, 1) ** 3 * Poly(-5, 1))
-    m, S = Q.factor_root(2)
-    assert m == 3 and S == OperatorPoly(-5, 1)
-    assert S(2) != 0
-
-
 def test_reduce_shift():
     assert OperatorPoly(0, 0, -2, 1).reduce_shift() == (2, OperatorPoly(-2, 1))
     assert OperatorPoly(4, -5, 1).reduce_shift() == (0, OperatorPoly(4, -5, 1))
@@ -73,7 +62,6 @@ def test_reduce_shift():
 def test_root_splitting_stops_at_a_constant():
     # the whole operator is a power of the factor: splitting ends at degree 0
     assert OperatorPoly(0, 0, 1).reduce_shift() == (2, OperatorPoly(1))
-    assert OperatorPoly.from_poly(Poly(-2, 1) ** 3).factor_root(2) == (3, OperatorPoly(1))
 
 
 def test_mul_and_pow():

@@ -88,6 +88,18 @@ def test_rhs_cancelling_y_moves_to_phi():
     assert eq.operator == OperatorPoly(-1, 1)
 
 
+def test_closed_form_terms_on_the_left_move_to_phi():
+    assert parse_equation("y(t+1) - y(t) - 2^t = 0") == parse_equation("y(t+1) - y(t) = 2^t")
+    eq = parse_equation("3 - t = y(t+1) - y(t)")
+    assert eq.operator == OperatorPoly(1, -1)
+    assert eq.rhs == SequenceExpr.from_poly(Poly(-3, 1))
+
+
+def test_y_part_divided_by_a_constant():
+    assert parse_equation("(y(t+1) - y(t))/2 = 1").operator == OperatorPoly(F(-1, 2), F(1, 2))
+    assert parse_equation("y(t+1)/(1/2) = y(t)").operator == OperatorPoly(-1, 2)
+
+
 def test_decimal_literals_are_exact():
     assert parse_expression("0.1") == SequenceExpr.constant(F(1, 10))
     assert parse_expression("3.25*2^t") == SequenceExpr.of(Term(F(13, 4), 2))
@@ -210,6 +222,23 @@ def test_malformed_corpus(src, offset, cls):
         parse_equation(src)
     assert type(exc.value) is cls
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("src,cls,offset,expected", [
+    ("y(t+1)/2^t = 1", SemanticError, 6,
+     "a constant coefficient on y (only constant-coefficient equations)"),
+    ("y(t)^2 = 1", SemanticError, 5, "y raised only to the power 1"),
+    ("y(t)^t = 1", SemanticError, 5, "a constant base (y cannot be raised to t)"),
+    ("y(t+1) - y(t) = 2^(y(t))", SemanticError, 18, "an exponent free of y"),
+    ("y(t+1) - y(t) = 3^(1/2)", ParseError, 18, "an integer exponent"),
+    ("y(t+1) - y(t) = pi", ParseError, 16, "pi only inside cos(...) or sin(...) arguments"),
+    ("y(t+1) - T = 1", ParseError, 9, "y(t+k) notation (T is only valid in operator input)"),
+])
+def test_error_branches_name_what_they_expect(src, cls, offset, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_equation(src)
+    assert type(exc.value) is cls
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
 
 
 def test_error_carries_expectation_and_snippet():
