@@ -7,12 +7,12 @@ Two deliberately different routes:
 * iteration — run the recurrence forward from initial values exactly and
   compare against the assembled general solution.
 
-Both read exact value tables: `_numerators` walks each bucket of an
-expression once across a range of t, using only the integer-domain meaning
-of the buckets (no symbolic machinery, nothing from the solver), so each
-sequence is evaluated once per t however many shifts of it a check needs.
-Forward application compares integer numerators over the tables' common
-denominators; iteration reads the tables as Fractions (`_values`).
+Both run on integers.  `_numerators` walks each bucket of an expression once
+across a range of t, using only the integer-domain meaning of the buckets (no
+symbolic machinery, nothing from the solver), so each sequence is evaluated
+once per t however many shifts of it a check needs.  `_iterate` keeps the
+recurrence's last values over one denominator.  Both routes compare integers
+and build Fractions or floats only for a report or for float modes.
 """
 from __future__ import annotations
 
@@ -104,30 +104,48 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _values(expr: SequenceExpr, lo: int, hi: int) -> list[Fraction]:
-    """expr(lo), ..., expr(hi) exactly; empty when hi < lo."""
-    nums, den = _numerators(expr, lo, hi)
-    return [Fraction(num, den) for num in nums]
+def _iterate(eq: Equation, horizon: int) -> tuple[list[int], list[int]]:
+    """Integers nums, dens with y(t0 + j) == nums[j] / dens[j] up to t = horizon.
+
+    a_k = alpha_k / scale and the last n values are W_k / D, phi_den | D; each
+    step divides W and D by a common factor that keeps phi_den | D.
+    """
+    if eq.initial is None:
+        raise MissingInitialConditionsError("equation carries no initial conditions")
+    n = eq.operator.degree
+    t0 = eq.initial[0][0]
+    scale = math.lcm(*(c.denominator for c in eq.operator.coeffs))
+    *alphas, lead = [c.numerator * (scale // c.denominator) for c in eq.operator.coeffs]
+    phis, phi_den = _numerators(eq.rhs, t0, horizon - n)
+    D = math.lcm(phi_den, *(v.denominator for _, v in eq.initial))
+    W = [v.numerator * (D // v.denominator) for _, v in eq.initial]
+    nums, dens = W[:], [D] * n
+    for phi in phis:
+        new = scale * (D // phi_den) * phi - sum(a * w for a, w in zip(alphas, W))
+        D, W = D * lead, [lead * w for w in W[1:]] + [new]
+        g = math.gcd(D // phi_den, *W)
+        D, W = D // g, [w // g for w in W]
+        nums.append(W[-1])
+        dens.append(D)
+    m = max(0, horizon - t0 + 1)
+    return nums[:m], dens[:m]
 
 
 def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
     """Exact values y(t0), ..., y(horizon) by running the recurrence forward.
 
     t0 is the first initial-condition point.  Only `Equation` data is used;
-    nothing from the solver.
+    nothing from the solver.  This is the Fraction view of `_iterate`.
     """
-    if eq.initial is None:
-        raise MissingInitialConditionsError("equation carries no initial conditions")
-    n = eq.operator.degree
-    t0 = eq.initial[0][0]
-    out = [v for _, v in eq.initial]
-    a = eq.operator.coeffs
-    lead = a[n]
-    for i, acc in enumerate(_values(eq.rhs, t0, horizon - n)):
-        for k in range(n):
-            acc -= a[k] * out[i + k]
-        out.append(acc / lead)
-    return out[: max(0, horizon - t0 + 1)]
+    return [Fraction(num, den) for num, den in zip(*_iterate(eq, horizon))]
+
+
+def _column(mode, ts: range) -> Iterator[float]:
+    """A sequence's floats over ts, each computed only when it is read."""
+    if isinstance(mode, SequenceExpr):
+        nums, den = _numerators(mode, ts[0], ts[-1])
+        return (num / den for num in nums)
+    return map(mode.eval_at, ts)
 
 
 def _outward(limit: int) -> Iterator[int]:
@@ -148,11 +166,11 @@ def verify_solution(
 
     Forward application runs over t in [-horizon, horizon] and is always
     exact.  When initial conditions (and fitted constants) exist, the general
-    solution is also compared against exact iteration over [t0, t0+horizon],
-    with `tol` as the absolute tolerance once float modes are involved.
-    A horizon below 0 or above `_MAX_HORIZON` raises ValueError, before any
-    table is built, and so does a general solution that leaves the float
-    range before the first mismatch.
+    solution is also compared with the recurrence run over [t0, t0+horizon]:
+    as integers when every mode is exact, else as floats with `tol` as the
+    absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON` raises
+    ValueError, before any table is built, and so does a general solution
+    that leaves the float range before the first mismatch.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
@@ -183,34 +201,36 @@ def verify_solution(
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
     ts = range(t0, t0 + horizon + 1)
-    seq = iterate_recurrence(eq, t0 + horizon)
-    # float modes stay lazy: a mode that overflows past the first mismatch
-    # must not stop the report
-    columns = [_values(m, t0, t0 + horizon) if isinstance(m, SequenceExpr)
-               else map(m.eval_at, ts) for m in solution.homogeneous]
-    rows = zip(seq, _values(particular, t0, t0 + horizon), *columns)
+    wants, want_dens = _iterate(eq, t0 + horizon)
+    if exact:
+        # particular + sum_i c_i * mode_i as one integer table over g_den
+        parts = [(c, *_numerators(m, t0, t0 + horizon))
+                 for c, m in zip((1, *constants), (particular, *solution.homogeneous)) if c]
+        g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
+        ks = [c.numerator * (g_den // (c.denominator * den)) for c, _, den in parts]
+        gots = (sum(k * x for k, x in zip(ks, row)) for row in zip(*(p[1] for p in parts)))
+        for t, w, wd, g in zip(ts, wants, want_dens, gots):
+            if w * g_den != g * wd:
+                return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t,
+                                    expected=Fraction(w, wd), got=Fraction(g, g_den))
+        return VerifyReport("forward-apply+iterate", fwd_range, "exact-match")
+    # float modes stay lazy: one overflowing past the first mismatch must not stop the report
+    rows = zip(wants, want_dens, *(_column(m, ts) for m in (particular, *solution.homogeneous)))
     max_dev = 0.0
     for t in ts:
         try:
-            want, got, *mode_values = next(rows)
-            # the order of Solution.general_value_at, so float results keep their bits
+            w, wd, got, *mode_values = next(rows)
+            # int / int is float(Fraction), in general_value_at's order: the same bits
+            want = w / wd
             for c, v in zip(constants, mode_values):
                 got = got + c * v
-            if not exact:
-                want, got = float(want), float(got)
         except OverflowError as err:
             raise ValueError(f"the general solution leaves the float range at t={t}; "
                              "iteration not compared") from err
-        if exact:
-            bad = got != want
-        else:
-            dev = abs(got - want)
-            max_dev = max(max_dev, dev)
-            bad = dev > tol
-        if bad:
+        dev = abs(got - want)
+        max_dev = max(max_dev, dev)
+        if dev > tol:
             return VerifyReport("iterate", it_range, "mismatch",
                                 mismatch_t=t, expected=want, got=got)
-    if exact:
-        return VerifyReport("forward-apply+iterate", fwd_range, "exact-match")
     return VerifyReport("forward-apply+iterate", it_range, "max-abs-deviation",
                         max_deviation=max_dev)

@@ -1,22 +1,56 @@
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig
-from fdsolve.oracle import (MissingInitialConditionsError, _values, iterate_recurrence,
+from fdsolve.oracle import (MissingInitialConditionsError, _numerators, iterate_recurrence,
                             verify_solution)
 from fdsolve.parser import parse_equation, parse_expression, parse_initial
 from fdsolve.solver import Equation, OperatorPoly, Solution, solve
 
 from corpus import GOLDEN_EQUATIONS
+from instance_gen import exact_root_operator, rand_initial, rand_rhs
+from test_algebra import run_bounded
 
 
 def eq_with_initial(src, initial):
     base = parse_equation(src)
     return Equation(base.operator, base.rhs, parse_initial(initial))
+
+
+def iterate_reference(eq, horizon):
+    """y(t0), ..., y(horizon) by the recurrence in Fractions, one value at a time."""
+    if eq.initial is None:
+        raise MissingInitialConditionsError("equation carries no initial conditions")
+    n = eq.operator.degree
+    t0 = eq.initial[0][0]
+    out = [v for _, v in eq.initial]
+    a = eq.operator.coeffs
+    lead = a[n]
+    for i, t in enumerate(range(t0, horizon - n + 1)):
+        acc = eq.rhs.eval_at(t)
+        for k in range(n):
+            acc -= a[k] * out[i + k]
+        out.append(acc / lead)
+    return out[: max(0, horizon - t0 + 1)]
+
+
+def iterate_mismatch_reference(eq, sol, horizon, tol=1e-8):
+    """(t, expected, got) of the first t where Fraction iteration and the general
+    solution disagree, compared as floats once float modes are involved."""
+    t0 = eq.initial[0][0]
+    for t, want in zip(range(t0, t0 + horizon + 1), iterate_reference(eq, t0 + horizon)):
+        got = sol.general_value_at(t)
+        if sol.is_exact:
+            if got != want:
+                return t, want, got
+        elif abs(float(got) - float(want)) > tol:
+            return t, float(want), float(got)
+    return None
 
 
 class TestIterate:
@@ -46,6 +80,27 @@ class TestIterate:
         eq = parse_equation("y(t+1) - y(t) = 1")
         with pytest.raises(MissingInitialConditionsError):
             iterate_recurrence(eq, 5)
+
+
+@pytest.mark.parametrize("i", range(16))
+def test_wrong_constant_reported_as_fraction_reference(i):
+    rng = random.Random(1600 + i)
+    if i < 12:
+        operator = exact_root_operator(rng)
+    else:  # irrational or complex roots: float modes
+        operator = [OperatorPoly(1, 0, 1), OperatorPoly(-2, 0, 1), OperatorPoly(-1, -1, 1),
+                    OperatorPoly(-1, 0, 7)][i - 12]
+    eq = Equation(operator, rand_rhs(rng), rand_initial(rng, operator.degree, rng.randint(-20, 20)))
+    sol = solve(eq)
+    assert sol.is_exact == (i < 12)
+    k = rng.randrange(len(sol.constants))
+    bad = Solution(sol.particular, sol.homogeneous,
+                   tuple(c + (j == k) for j, c in enumerate(sol.constants)), sol.trace)
+    t, want, got = iterate_mismatch_reference(eq, bad, 20)
+    report = verify_solution(eq, bad, horizon=20)
+    assert (report.method, report.mismatch_t) == ("iterate", t)
+    assert (report.expected, report.got) == (want, got)
+    assert (repr(report.expected), repr(report.got)) == (repr(want), repr(got))
 
 
 class TestVerify:
@@ -136,6 +191,12 @@ class TestVerify:
         assert good.describe() == "exact-match over t in [-10, 10] (forward-apply)"
 
 
+def values(e, lo, hi):
+    """The oracle's integer table for e over [lo, hi], read as Fractions."""
+    nums, den = _numerators(e, lo, hi)
+    return [F(x, den) for x in nums]
+
+
 class TestValues:
     """The oracle's value table against term-by-term evaluation."""
 
@@ -149,11 +210,74 @@ class TestValues:
 
     @given(exprs, st.integers(min_value=-15, max_value=0), st.integers(min_value=0, max_value=15))
     def test_matches_eval_at(self, e, lo, hi):
-        assert _values(e, lo, hi) == [e.eval_at(t) for t in range(lo, hi + 1)]
+        assert values(e, lo, hi) == [e.eval_at(t) for t in range(lo, hi + 1)]
 
     def test_empty_range(self):
-        assert _values(parse_expression("2^t + t"), 3, 2) == []
-        assert _values(SequenceExpr.zero(), -2, 2) == [F(0)] * 5
+        assert values(parse_expression("2^t + t"), 3, 2) == []
+        assert values(SequenceExpr.zero(), -2, 2) == [F(0)] * 5
+
+
+coeffs = st.one_of(st.integers(min_value=-9, max_value=9).map(F),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=6))
+# a common factor of the whole operator, e.g. 1000y(t+1) - 1000y(t)
+factors = st.sampled_from([F(1), F(-1), F(1000), F(-1000), F(1, 6), F(-35, 4), F(12)])
+
+
+@st.composite
+def equations(draw):
+    """Degree 1-5, integer or rational coefficients, any sign of the leading
+    one, initial values at t0 in -20..20 and a right side from TestValues."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    low = draw(st.lists(coeffs, min_size=n, max_size=n))
+    lead = draw(coeffs.filter(bool))
+    factor = draw(factors)
+    t0 = draw(st.integers(min_value=-20, max_value=20))
+    ys = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                       min_size=n, max_size=n))
+    return Equation(OperatorPoly([factor * c for c in low + [lead]]), draw(TestValues.exprs),
+                    tuple(zip(range(t0, t0 + n), ys)))
+
+
+class TestIterateAgainstReference:
+    """The integer recurrence kernel against the Fraction loop it replaced."""
+
+    @seed(16)
+    @settings(max_examples=200, deadline=None)
+    @given(equations(), st.integers(min_value=-3, max_value=25))
+    def test_matches_fraction_loop(self, eq, steps):
+        # steps < n - 1 puts the horizon below t0 + n - 1, steps < 0 below t0
+        horizon = eq.initial[0][0] + steps
+        assert iterate_recurrence(eq, horizon) == iterate_reference(eq, horizon)
+
+    def test_common_factor_stays_small(self):
+        eq = eq_with_initial("1000y(t+1) - 1000y(t) = 1", "y(0)=1")
+        vals = iterate_recurrence(eq, 2000)
+        assert vals[-1] == F(3)
+        assert vals == iterate_reference(eq, 2000)
+
+
+class TestLargeHorizons:
+    """`solve --verify` near the horizon cap, in a fresh process that must exit 0
+    within 30 s and 1 GiB."""
+
+    @staticmethod
+    def verification_line(*argv):
+        out = run_bounded(f"import sys\nfrom fdsolve.cli import main\nsys.exit(main({list(argv)!r}))")
+        return next(line for line in out.splitlines() if line.startswith("verification:"))
+
+    def test_common_factor_of_the_operator(self):
+        # values over the unreduced denominator 1000^t would need gigabytes
+        line = self.verification_line("solve", "1000y(t+1) - 1000y(t) = 1",
+                                      "--initial", "y(0)=1", "--verify", "100000")
+        assert line == ("verification: exact-match over t in [-100000, 100000] "
+                        "(forward-apply+iterate)")
+
+    def test_growing_denominators_with_float_modes(self):
+        # y(t) = 7^-floor(t/2): the exact values underflow the floats they are compared as
+        line = self.verification_line("solve", "7y(t+2) - y(t) = 0",
+                                      "--initial", "y(0)=1, y(1)=1", "--verify", "5000")
+        assert line == ("verification: max-abs-deviation 2.220e-16 over t in [0, 5000] "
+                        "(forward-apply+iterate)")
 
 
 class TestIterateRange:
