@@ -1,16 +1,17 @@
 """Exact rational polynomial arithmetic plus the numeric root-finding fallback.
 
-Coefficients are `fractions.Fraction` end to end.  `find_roots` isolates the
-real roots in integer arithmetic to find the rational ones exactly; floats
-(and numpy, imported only then) stand for the irrational and complex roots
-that remain.
+A `Poly` is integer numerators over one denominator, and every kernel runs on
+those integers.  `find_roots` isolates the real roots in integer arithmetic to
+find the rational ones exactly; floats (and numpy, imported only then) stand
+for the irrational and complex roots that remain.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from functools import reduce
+from itertools import accumulate, count, repeat, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -23,10 +24,11 @@ class ZeroConstantTermError(ArithmeticError):
 
 @dataclass(init=False, frozen=True)
 class Poly:
-    """Dense univariate polynomial over Fraction, constant term first.
+    """Dense univariate polynomial over Q: the coefficient of t^k is nums[k] / den.
 
-    Trailing zeros are trimmed on construction, so equality and hashing are
-    structural on the normalized coefficient tuple.
+    Construction normalizes: den > 0, gcd(den, *nums) == 1 and trailing zeros
+    are trimmed (the zero polynomial is ((), 1)), so equality and hashing are
+    structural.  `coeffs` reads the coefficients as Fractions.
 
     >>> p = Poly(4, -5, 1)          # t^2 - 5*t + 4
     >>> p(3)
@@ -35,69 +37,91 @@ class Poly:
     't^3 - 5*t^2 + 4*t'
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, *coeffs: Coeff | Iterable[Coeff]) -> None:
         if len(coeffs) == 1 and not isinstance(coeffs[0], (int, float, str, Fraction)):
             coeffs = tuple(coeffs[0])
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _make(cls, nums: list[int], den: int) -> Poly:
+        """The polynomial sum (nums[k] / den) * t^k, for any den != 0 (consumes nums)."""
+        return object.__new__(cls)._store(nums, den)
+
+    def _store(self, nums: list[int], den: int) -> Poly:
+        """Set the fields to the normal form of nums / den, and return self."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first; built on every read."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __getitem__(self, k: int) -> Fraction:
         """Coefficient of t^k (0 beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
 
     def __iter__(self) -> Iterator[Fraction]:
         """The coefficients, constant term first (`__getitem__` alone would never stop)."""
         return iter(self.coeffs)
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([x + y if y else x for x, y in zip(a, b)] + list(a[len(b):]))
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return Poly._make([a * ka + b * kb for a, b in pairs], den)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
+        return Poly._make([-c for c in self.nums], self.den)
 
     def __mul__(self, other: Poly | Coeff) -> Poly:
         if not isinstance(other, Poly):
             k = other if type(other) is Fraction else Fraction(other)
             if k == 1:
                 return self
-            return Poly(c * k if c else c for c in self.coeffs) if k else Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
+            return Poly._make([c * k.numerator for c in self.nums], self.den * k.denominator)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.nums) if b]
+        for i, a in enumerate(self.nums):
             if a:
                 for j, b in nonzero:
                     out[i + j] += a * b
-        return Poly(out)
+        return Poly._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -110,21 +134,16 @@ class Poly:
         return out
 
     def __call__(self, x: Coeff) -> Fraction:
-        """Evaluate by Horner's rule (exact)."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_float(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        """Evaluate exactly: Horner's rule on the numerators at x = u/v, homogenized
+        to sum nums[k] * u^k * v^(d-k) over den * v^d."""
+        u, v = Fraction(x).as_integer_ratio()
+        acc, w = 0, 1
+        for c in reversed(self.nums):
+            acc, w = acc * u + c * w, w * v
+        return Fraction(acc * v, self.den * w)
 
     def derivative(self) -> Poly:
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return Poly._make([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def taylor_shift(self, a: Coeff) -> Poly:
         """Return the composition p(t + a), computed exactly.
@@ -139,19 +158,20 @@ class Poly:
         u, v = Fraction(a).as_integer_ratio()
         if not u:
             return self
-        nums, den = _over_common(self.coeffs)
-        d = len(nums) - 1
-        shifted = _divide([c * v ** (d - i) for i, c in enumerate(nums)], repeat(u))
-        return Poly(Fraction(c, den * v ** (d - i)) for i, c in enumerate(shifted))
+        d = self.degree
+        shifted = _divide([c * v ** (d - i) for i, c in enumerate(self.nums)], repeat(u))
+        return Poly._make([c * v**i for i, c in enumerate(shifted)], self.den * v ** max(d, 0))
 
     def deflate(self, r: Coeff) -> Poly:
         """Divide out a known root r exactly by one `_divide` step; raises if r
         is not a root.  Every r is a root of 0, which deflates to itself."""
         r = Fraction(r)
-        cs = _divide(list(self.coeffs), [r])
+        u, v = r.as_integer_ratio()
+        d = self.degree
+        cs = _divide([c * v ** (d - i) for i, c in enumerate(self.nums)], [u])
         if cs and cs[0]:
             raise ValueError(f"{r} is not a root")
-        return Poly(cs[1:])
+        return Poly._make([c * v**i for i, c in enumerate(cs[1:])], self.den * v ** max(d - 1, 0))
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers: `t^2 - 5*t + 4`."""
@@ -207,12 +227,6 @@ def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
     return _signed_sum(_monomial(k, c, var) for k, c in terms if c)
 
 
-def _over_common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of xs over their least common denominator, and that denominator."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
-
-
 def _newton(p: Poly) -> tuple[list[int], int]:
     """(nums, den) with d_k = nums[k] / den = (Delta^k p)(0), so p(t) = sum d_k * C(t, k).
 
@@ -220,9 +234,8 @@ def _newton(p: Poly) -> tuple[list[int], int]:
     sum r_k * t(t-1)...(t-k+1), and d_k = k! * r_k / den.  In this basis
     Delta lowers the index by one: Delta^k p has coefficients d[k:].
     """
-    nums, den = _over_common(p.coeffs)
     factorials = accumulate(count(1), mul, initial=1)
-    return [r * f for r, f in zip(_divide(nums, count()), factorials)], den
+    return [r * f for r, f in zip(_divide(list(p.nums), count()), factorials)], p.den
 
 
 def _from_newton(nums: Sequence[int], den: int) -> Poly:
@@ -234,27 +247,27 @@ def _from_newton(nums: Sequence[int], den: int) -> Poly:
     """
     weights = list(accumulate(range(len(nums) - 1, 0, -1), mul, initial=1))[::-1]   # n!/k!
     cs = _expand([w * c for w, c in zip(weights, nums)], range(len(nums)))
-    return Poly(Fraction(c, den * weights[0]) for c in cs)
+    return Poly._make(cs, den * weights[0])
 
 
 def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
     """First `order`+1 coefficients of the reciprocal power series 1/q.
 
-    Exact recurrence: c_0 = 1/q_0 and c_k = -(sum_{j>=1} q_j c_{k-j}) / q_0.
+    Exact recurrence c_0 = 1/q_0 and c_k = -(sum_{j>=1} q_j c_{k-j}) / q_0, run in
+    integers: with Q = q.nums, c_k = q.den * e_k / Q_0^(k+1) where e_0 = 1 and
+    e_k = -sum_{j>=1} Q_j * Q_0^(j-1) * e_(k-j).
 
     >>> series_inverse(Poly(-2, 1), 1)
     (Fraction(-1, 2), Fraction(-1, 4))
     """
-    if q.is_zero or q.coeffs[0] == 0:
+    if not q.nums or not q.nums[0]:
         raise ZeroConstantTermError("series has zero constant term")
-    qs = q.coeffs
-    out = [1 / qs[0]]
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, q.degree) + 1):
-            acc += qs[j] * out[k - j]
-        out.append(-acc / qs[0])
-    return tuple(out)
+    q0, *rest = q.nums
+    weights = [c * w for c, w in zip(rest, accumulate(repeat(q0), mul, initial=1))]
+    es = [1]
+    for _ in range(order):
+        es.append(-sum(map(mul, weights, reversed(es))))
+    return tuple(Fraction(q.den * e, w) for e, w in zip(es, accumulate(repeat(q0), mul, initial=q0)))
 
 
 @dataclass(frozen=True)
@@ -278,22 +291,32 @@ class RootSet:
 
 
 def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact long division: a = q*b + r with deg r < deg b."""
-    q = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    r = list(a.coeffs)
+    """Exact division with remainder: a = q*b + r with deg r < deg b.
+
+    Pseudo-division of the numerators (Knuth, TAOCP vol. 2, 4.6.1): with l
+    = lead(B) and e = deg a - deg b + 1, l^e * A = Q*B + R in integers, and
+    q = Q * b.den / (l^e * a.den), r = R / (l^e * a.den).
+    """
+    B, n = b.nums, b.degree
+    lead = B[-1]
+    r = list(a.nums)
+    q = [0] * max(len(r) - n, 0)
     for k in reversed(range(len(q))):
-        q[k] = r[k + b.degree] / b.lead
-        for j, c in enumerate(b.coeffs):
-            r[k + j] -= q[k] * c
-    return Poly(q), Poly(r)
+        c = r.pop()
+        r = [lead * x for x in r]
+        if c:
+            q[k] = c * lead**k
+            for j in range(n):
+                r[k + j] -= c * B[j]
+    den = a.den * lead ** len(q)
+    return Poly._make([x * b.den for x in q], den), Poly._make(r, den)
 
 
 def _primitive(p: Poly) -> list[int]:
-    """The primitive integer form of p: its coefficients scaled by a positive
-    rational to coprime integers (the zero polynomial gives [])."""
-    nums, _ = _over_common(p.coeffs)
-    g = math.gcd(*nums) or 1
-    return [c // g for c in nums]
+    """The primitive integer form of p: its numerators over their content
+    (the zero polynomial gives [])."""
+    g = math.gcd(*p.nums) or 1
+    return [c // g for c in p.nums]
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
@@ -303,8 +326,8 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     division, which keeps the coefficients from growing without bound.
     """
     while b:
-        a, b = b, Poly(_primitive(_divmod(a, b)[1]))
-    return a * (1 / a.lead)
+        a, b = b, Poly._make(_primitive(_divmod(a, b)[1]), 1)
+    return Poly._make(list(a.nums), a.nums[-1])
 
 
 def _square_free(p: Poly) -> list[tuple[Poly, int]]:
@@ -336,7 +359,8 @@ def _balanced(p: Poly) -> Poly:
     on the result gives the same bits as on p wherever p is in float range;
     a p scaled far outside that range still reaches numpy in range.
     """
-    e = max(c.numerator.bit_length() - c.denominator.bit_length() for c in p.coeffs if c)
+    e = max((c // g).bit_length() - (p.den // g).bit_length()
+            for c in p.nums if c for g in [math.gcd(c, p.den)])   # per coefficient, reduced
     return p * Fraction(2) ** -e
 
 
@@ -347,7 +371,8 @@ def _approximate(p: Poly) -> list[complex]:
     only rational roots never loads it.
     """
     import numpy as np
-    return [complex(z) for z in np.roots([float(c) for c in reversed(p.coeffs)])]
+    # int / int is correctly rounded, as float(Fraction) is: the same bits
+    return [complex(z) for z in np.roots([c / p.den for c in reversed(p.nums)])]
 
 
 def _variations(cs: list[int]) -> int:
@@ -412,7 +437,7 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     """
     found: list[Fraction] = []
     rest = f
-    if not f[0]:
+    if not f.nums[0]:
         found, rest = [Fraction(0)], f.deflate(0)
     if rest.degree < 1:
         return found, rest
@@ -428,13 +453,15 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
 
 
 def _newton_polish(p: Poly, x: complex) -> complex:
-    """At most three Newton steps from x; stops on a flat derivative or a runaway step."""
-    dp = p.derivative()
+    """At most three Newton steps from x; stops on a flat derivative or a runaway step.
+    The coefficients of p and p' become floats once, each correctly rounded."""
+    cs = [c / p.den for c in p.nums]
+    ds = [k * c / p.den for k, c in enumerate(p.nums)][1:]
     for _ in range(3):
-        d = dp.eval_float(x)
+        d = reduce(lambda acc, c: acc * x + c, reversed(ds), 0j)   # Horner's rule
         if abs(d) < 1e-300:
             break
-        step = p.eval_float(x) / d
+        step = reduce(lambda acc, c: acc * x + c, reversed(cs), 0j) / d
         if not (abs(step) < 1e30):
             break
         x -= step

@@ -8,6 +8,7 @@ explicitly while the symbolic trig factors are kept for display.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -241,13 +242,16 @@ def _render_base_power(base: Fraction, shift: int) -> str:
 
 
 def _exponent_fold(coeff: Fraction, base: Fraction) -> int | None:
-    """Integer j with base^j == coeff, for display as base^(t+j); None if no fit."""
+    """Integer j in [-16, 16] with base^j == coeff, for display as base^(t+j), or None.
+    As |base| != 1 at most one j fits; log |num| + log den of base^j is |j| times
+    that of base, and the estimate and its neighbours are checked exactly."""
     if abs(base) == 1:
         return None
-    for j in range(-16, 17):
-        if base**j == coeff:
-            return j
-    return None
+    size = [math.log(abs(x.numerator)) + math.log(x.denominator) for x in (coeff, base)]
+    k = round(size[0] / size[1])
+    if (abs(coeff) > 1) != (abs(base) > 1):
+        k = -k
+    return next((j for j in (k - 1, k, k + 1) if -16 <= j <= 16 and base**j == coeff), None)
 
 
 def _render_bucket(key: _Key, p: Poly, pretty: bool) -> tuple[bool, str]:
@@ -270,7 +274,7 @@ def _render_bucket(key: _Key, p: Poly, pretty: bool) -> tuple[bool, str]:
         if base != 1:
             pieces.append(_render_base_power(base, 0))
     if p.degree >= 1:
-        if pretty and p.lead == 1 and sum(1 for c in p.coeffs if c) == 1:
+        if pretty and p.lead == 1 and sum(1 for c in p.nums if c) == 1:
             pieces.append(p.render())  # bare monomial like t or t^2
         else:
             pieces.append(f"({p.render()})")

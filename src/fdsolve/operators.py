@@ -22,7 +22,7 @@ class ZeroScaleError(ValueError):
     """Scaling the operator argument by 0 would collapse T to a constant."""
 
 
-@dataclass(init=False, frozen=True)
+@dataclass(init=False, frozen=True, repr=False)
 class OperatorPoly(Poly):
     """Immutable nonzero operator polynomial with exact coefficients, lowest power first.
 
@@ -45,19 +45,21 @@ class OperatorPoly(Poly):
         return cls(p.coeffs)
 
     def as_poly(self) -> Poly:
-        return Poly(self.coeffs)
+        return Poly._make(list(self.nums), self.den)
 
     def scale_argument(self, lam: Coeff) -> OperatorPoly:
-        """The operator P(lam*T): each T^k coefficient picks up lam^k."""
-        lam = Fraction(lam)
-        if lam == 0:
+        """The operator P(lam*T): each T^k coefficient picks up lam^k = u^k v^(d-k) / v^d."""
+        u, v = Fraction(lam).as_integer_ratio()
+        if u == 0:
             raise ZeroScaleError("cannot scale operator argument by 0")
-        return OperatorPoly(c * lam**k for k, c in enumerate(self.coeffs))
+        d = self.degree
+        return OperatorPoly._make([c * u**k * v**(d - k) for k, c in enumerate(self.nums)],
+                                  self.den * v**d)
 
     def reduce_shift(self) -> tuple[int, OperatorPoly]:
         """Split P = T^k * Q with Q having a nonzero trailing coefficient."""
-        k = next(i for i, c in enumerate(self.coeffs) if c)
-        return k, OperatorPoly(self.coeffs[k:])
+        k = next(i for i, c in enumerate(self.nums) if c)
+        return k, OperatorPoly._make(list(self.nums[k:]), self.den)
 
     def __str__(self) -> str:
         return self.render("T")

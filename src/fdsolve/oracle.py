@@ -69,8 +69,8 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
 
     Each bucket of `expr.buckets` is a sum base^t * p(t) * trig with the
     coefficient inside p.  On integer t, sin(n*pi*t) is 0 and cos(n*pi*t) is
-    ((-1)^n)^t, so a bucket is (u/v)^t * q(t) / d with q an integer
-    polynomial.  Over k.denominator * v^(hi-lo), where k = (u/v)^lo / d, its
+    ((-1)^n)^t, so a bucket is (u/v)^t * q(t) / d with q = poly.nums and
+    d = poly.den.  Over k.denominator * v^(hi-lo), where k = (u/v)^lo / d, its
     numerator at t is k.numerator * u^(t-lo) * v^(hi-t) * q(t): Horner on q,
     and one product and one exact division by v per step of t.  den is the
     lcm of those denominators over all buckets; nums/den is not reduced.
@@ -84,10 +84,8 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
             continue
         if n % 2:
             base = -base
-        cs = poly.coeffs
-        d = math.lcm(*(c.denominator for c in cs))
-        q = [c.numerator * (d // c.denominator) for c in reversed(cs)]
-        k = base**lo / d
+        q = poly.nums[::-1]
+        k = base**lo / poly.den
         v_width = base.denominator**width
         parts.append((k.numerator * v_width, k.denominator * v_width,
                       base.numerator, base.denominator, q))
@@ -114,8 +112,7 @@ def _iterate(eq: Equation, horizon: int) -> tuple[list[int], list[int]]:
         raise MissingInitialConditionsError("equation carries no initial conditions")
     n = eq.operator.degree
     t0 = eq.initial[0][0]
-    scale = math.lcm(*(c.denominator for c in eq.operator.coeffs))
-    *alphas, lead = [c.numerator * (scale // c.denominator) for c in eq.operator.coeffs]
+    scale, (*alphas, lead) = eq.operator.den, eq.operator.nums
     phis, phi_den = _numerators(eq.rhs, t0, horizon - n)
     D = math.lcm(phi_den, *(v.denominator for _, v in eq.initial))
     W = [v.numerator * (D // v.denominator) for _, v in eq.initial]
@@ -184,9 +181,8 @@ def verify_solution(
     # a_k = alpha_k / scale, y(t) = ys[t + horizon] / y_den and
     # phi(t) = phis[t + horizon] / phi_den, all integers: the lhs
     # sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
-    scale = math.lcm(*(c.denominator for c in eq.operator.coeffs))
-    alphas = [(k, c.numerator * (scale // c.denominator))
-              for k, c in enumerate(eq.operator.coeffs) if c]
+    scale = eq.operator.den
+    alphas = [(k, alpha) for k, alpha in enumerate(eq.operator.nums) if alpha]
     ys, y_den = _numerators(particular, -horizon, horizon + n)
     phis, phi_den = _numerators(eq.rhs, -horizon, horizon)
     fwd_range = (-horizon, horizon)

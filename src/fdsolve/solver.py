@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
-from .algebra import (Poly, _from_newton, _newton, _over_common, _render_powers, _signed_sum,
-                      find_roots, series_inverse)
+from .algebra import (Poly, _from_newton, _newton, _render_powers, _signed_sum, find_roots,
+                      series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 from .operators import OperatorPoly
 
@@ -105,7 +106,7 @@ class Equation:
     def __str__(self) -> str:
         lhs = []
         for k in range(self.operator.degree, -1, -1):
-            a = self.operator.coeffs[k]
+            a = self.operator[k]
             if a == 0:
                 continue
             mag = abs(a)
@@ -178,7 +179,7 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
     # q(D) = P(beta*(1 + D)) acts on the polynomial factor once beta^t is pulled
     # out; beta != 0, so D^m divides q exactly when beta is an m-fold root of P
     q = P.scale_argument(beta).taylor_shift(1)
-    m = next(i for i, x in enumerate(q.coeffs) if x)
+    m = next(i for i, x in enumerate(q.nums) if x)
     steps: list[TraceStep] = []
     current = _pending(str(P), _term_str(key, h))
 
@@ -210,16 +211,16 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
             current, after_scale))
         current = after_scale
 
-    R = Poly(q.coeffs[m:])
+    R = Poly._make(list(q.nums[m:]), q.den)
     order = max(h.degree, 0)
     cs = series_inverse(R, order)
 
     # on Newton coefficients Delta^k shifts the index by k, so the series
     # inverse is a correlation (here in integer numerators) and Delta^-m
     # prepends m zeros
-    (cn, cd), (hn, hd) = _over_common(cs), _newton(h)
-    dw = [sum(cn[k] * hn[j + k] for k in range(len(hn) - j)) for j in range(len(hn))]
-    res = _sum([(out, _from_newton([0] * m + dw, cd * hd))])
+    inv, (hn, hd) = Poly(cs), _newton(h)
+    dw = [sum(map(mul, inv.nums, hn[j:])) for j in range(len(hn))]
+    res = _sum([(out, _from_newton([0] * m + dw, inv.den * hd))])
 
     if m == 0 and h.degree == 0 and (kind is not None or lam != 1):
         # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
@@ -259,7 +260,7 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
             current, str(res)))
         return res, steps
 
-    w = _from_newton(dw, cd * hd)
+    w = _from_newton(dw, inv.den * hd)
     mid = f"{prefix}{_pending(_series_str((Fraction(0),) * m + (Fraction(1),)), str(w))}"
     steps.append(TraceStep("series-inverse", f"split off D^{m}: {series}", current, mid))
     steps.append(TraceStep(

@@ -11,8 +11,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
-from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _divide, _expand,
-                             _from_newton, _newton, find_roots, series_inverse)
+from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _divide, _divmod, _expand,
+                             _from_newton, _gcd, _newton, _newton_polish, _square_free,
+                             find_roots, series_inverse)
 from fdsolve.solver import antidifference
 
 from corpus import GOLDEN_EQUATIONS
@@ -300,6 +301,191 @@ def test_deflate_zero_polynomial():
     # every r is a root of 0, and 0 = (t - r) * 0
     assert Poly().deflate(3) == Poly()
     assert Poly(0, 0).deflate(F(-1, 2)) == Poly()
+
+
+# ---- the integer kernels against plain-Fraction references ----
+# Each reference works on a list of Fractions, constant term first, trimmed.
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def add_ref(a, b):
+    n = max(len(a), len(b))
+    return trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def mul_ref(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def eval_ref(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def divmod_ref(a, b):
+    """Long division over Q, one Fraction quotient per step."""
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            r[k + j] -= q[k] * c
+    return trimmed(q), trimmed(r)
+
+
+def monic_ref(a):
+    return [c / a[-1] for c in a]
+
+
+def gcd_ref(a, b):
+    """Euclid's algorithm over Q; the last nonzero remainder made monic."""
+    while b:
+        a, b = b, divmod_ref(a, b)[1]
+    return monic_ref(a)
+
+
+def derivative_ref(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def square_free_ref(a):
+    """Yun's algorithm on Fraction lists; the last factor kept as found."""
+    sub = lambda x, y: add_ref(x, [-c for c in y])
+    g = gcd_ref(a, derivative_ref(a))
+    b = divmod_ref(a, g)[0]
+    d = sub(divmod_ref(derivative_ref(a), g)[0], derivative_ref(b))
+    out, i = [], 1
+    while len(b) > 1:
+        f = gcd_ref(b, d) if d else b
+        if len(f) > 1:
+            out.append((f, i))
+        b = divmod_ref(b, f)[0]
+        d = sub(divmod_ref(d, f)[0], derivative_ref(b))
+        i += 1
+    return out
+
+
+def assert_normal(p):
+    """The representation invariant: integer numerators over one positive
+    denominator, coprime to their content, trailing zeros trimmed."""
+    assert type(p.nums) is tuple and all(type(c) is int for c in p.nums), repr(p)
+    assert type(p.den) is int and p.den > 0, repr(p)
+    assert math.gcd(p.den, *p.nums) == 1, repr(p)
+    assert not p.nums or p.nums[-1], repr(p)
+
+
+wide_coeffs = st.one_of(st.just(F(0)), st.builds(F, st.integers(-10**6, 10**6),
+                                                 st.integers(1, 1000)))
+wide_lists = st.lists(wide_coeffs, max_size=13)   # degree 0-12, the zero polynomial included
+small_points = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@given(wide_lists, wide_lists, wide_coeffs, small_points)
+@example([], [], F(0), F(0))
+@example([F(5)], [F(-5)], F(3), F(1, 2))
+@settings(max_examples=150, deadline=None)
+@seed(17)
+def test_integer_kernels_match_fraction_references(a, b, k, x):
+    p, q = Poly(a), Poly(b)
+    a, b = trimmed(a), trimmed(b)
+    results = {
+        "+": (p + q, add_ref(a, b)),
+        "-": (p - q, add_ref(a, [-c for c in b])),
+        "*": (p * q, mul_ref(a, b)),
+        "scalar *": (p * k, trimmed(c * k for c in a)),
+        "scalar * from the left": (k * p, trimmed(c * k for c in a)),
+        "neg": (-p, [-c for c in a]),
+        "taylor_shift": (p.taylor_shift(x), list(shift_reference(p, x).coeffs)),
+        "derivative": (p.derivative(), derivative_ref(a)),
+        "deflate": ((p * Poly(-x, 1)).deflate(x), a),
+    }
+    if b:
+        quo, rem = _divmod(p, q)
+        results["divmod quotient"] = quo, divmod_ref(a, b)[0]
+        results["divmod remainder"] = rem, divmod_ref(a, b)[1]
+    for name, (got, want) in results.items():
+        assert_normal(got)
+        assert list(got.coeffs) == want, name
+    assert p(x) == eval_ref(a, x)
+    if a and a[0]:   # orders of either parity, for the sign of q_0^(order+1)
+        assert series_inverse(p, len(b)) == series_inverse_reference(p, len(b))
+
+
+@given(wide_lists, wide_lists, st.lists(wide_coeffs, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+@seed(17)
+def test_gcd_and_square_free_match_fraction_references(a, b, c):
+    common = Poly(c)
+    if not common:
+        return
+    p, q = Poly(a) * common, Poly(b) * common
+    if p and q:
+        g = _gcd(p, q)
+        assert_normal(g)
+        assert list(g.coeffs) == gcd_ref(list(p.coeffs), list(q.coeffs))
+    f = Poly(a) * common * common
+    if f.degree >= 1:
+        got = _square_free(f)
+        for factor, _ in got:
+            assert_normal(factor)
+        assert [(list(g.coeffs), i) for g, i in got] == square_free_ref(list(f.coeffs))
+
+
+@given(wide_lists, st.integers(1, 1000))
+@settings(max_examples=60, deadline=None)
+@seed(17)
+def test_construction_routes_agree(cs, k):
+    p = Poly(cs)
+    assert_normal(p)
+    routes = [Poly(cs + [0, 0]), Poly(str(c) for c in cs), Poly(c * k for c in cs) * F(1, k),
+              Poly(p.coeffs), (p + Poly(cs[:1])) - Poly(cs[:1]), -(-p),
+              Poly(p.nums) * F(1, p.den)]
+    for r in routes:
+        assert_normal(r)
+        assert r == p and hash(r) == hash(p)
+        assert (r.nums, r.den) == (p.nums, p.den)
+
+
+def polish_reference(p, x):
+    """The Newton polish on float(Fraction) coefficients, read afresh at every step."""
+    def horner(cs, z):
+        acc = 0.0 + 0.0j
+        for c in reversed(cs):
+            acc = acc * z + float(c)
+        return acc
+    dp = [k * c for k, c in enumerate(p.coeffs)][1:]
+    for _ in range(3):
+        d = horner(dp, x)
+        if abs(d) < 1e-300:
+            break
+        step = horner(p.coeffs, x) / d
+        if not (abs(step) < 1e30):
+            break
+        x -= step
+    return x
+
+
+@pytest.mark.parametrize("p", [
+    Poly(1, 0, 1), Poly(-2, 0, 1), Poly(-1, -1, 1), Poly(F(1, 3), F(-7, 5), F(2, 9), 1),
+    Poly(F(-1, 10**30), 0, 0, F(1, 7)), Poly(10**20, -3, F(1, 10**12), 5, 1),
+    Poly([(-1) ** k * F(k * k + 1, 2 * k + 3) for k in range(12)]),
+])
+def test_newton_polish_matches_fraction_floats(p):
+    starts = [complex(0.5, 0.5), complex(-3.25, 0), complex(1e3, -1e-3), complex(0.1, 2.0)]
+    for x in starts:
+        got, want = _newton_polish(p, x), polish_reference(p, x)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def _divisors(n):
