@@ -126,11 +126,20 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        """Square-and-multiply; one term c * t^j gives c^n * t^(j*n) directly."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        out, base = Poly(1), self
-        for _ in range(n):
-            out = out * base
+        terms = [(j, c) for j, c in enumerate(self.nums) if c]
+        if len(terms) == 1:
+            (j, c), = terms
+            return Poly._make([0] * (j * n) + [c**n], self.den**n)
+        out, base = Poly._make([1], 1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __call__(self, x: Coeff) -> Fraction:

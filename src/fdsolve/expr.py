@@ -122,10 +122,11 @@ def _bucket_mul(a: _Buckets, b: _Buckets) -> _Buckets:
     out: _Buckets = {}
     for (ba, ka, na), pa in a.items():
         for (bb, kb, nb), pb in b.items():
+            base = bb if ba == 1 else ba if bb == 1 else ba * bb
             if ka is None or kb is None:  # n is 0 without a trig factor
-                _insert(out, ba * bb, ka or kb, na + nb, pa * pb)
+                _insert(out, base, ka or kb, na + nb, pa * pb)
             else:
-                _mul_terms(out, ba * bb, pa * pb, ka, na, kb, nb)
+                _mul_terms(out, base, pa * pb, ka, na, kb, nb)
     return out
 
 

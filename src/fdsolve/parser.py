@@ -9,7 +9,10 @@ Grammar notes:
   rational base;
 * a power is unsupported, before it is computed, if it could hold over 4001
   coefficients (`t^4000` is the largest power of t) or numbers over 2^20 bits
-  (k times the bit length of the base's largest number: `2^400000` is fine);
+  (k times the bit length of the base's largest number: `2^400000` is fine),
+  or if its squarings could take over about a second, as estimated from the
+  base's buckets and nonzero coefficients and the growth of its numbers
+  (`(t+1)^1400` is admitted, `(t+1)^4000` is not);
 * operators use the same grammar with `T` as the variable, and must come out
   as a nonzero polynomial in `T`;
 * `^` groups to the right: `2^3^2` is 2^9, and `2^-1^2` is 2^-(1^2);
@@ -24,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Poly
 from .expr import SequenceExpr, UnsupportedRhsError, _Buckets, _bucket_mul, _insert
@@ -54,16 +58,17 @@ class NonConsecutiveConditionsError(SemanticError):
 _MAX_DEPTH = 100  # parenthesis nesting; each level takes about five stack frames
 _MAX_DEGREE = 4000  # a power holds at most this + 1 coefficients over all its buckets
 _MAX_BITS = 2**20  # k * the bit length of the largest number in a power's base
+_MAX_WORK = 10**7  # a power's estimated squaring work, in units of about 0.1 us
 _MAX_ORDER = 200  # degree of an equation's operator, bounding solve time
 _ONE = Fraction(1)
+_ZERO, _P_ONE, _P_MINUS_ONE, _P_T = (Poly._make(cs, 1) for cs in ([], [1], [-1], [0, 1]))
 _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 
 _TOKEN_RE = re.compile(
     r"\s+|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*/^(),=])|(?P<bad>.)", re.S)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "num", "name", an operator character, or "end"
     text: str
     pos: int
@@ -81,36 +86,53 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
-def _geometric(expr: _Buckets) -> tuple[Fraction, Fraction] | None:
-    """(c, b) when the bucket map is the one term c * b^t, else None."""
+def _reciprocal(c: Poly) -> Poly:
+    """1/c for a nonzero constant polynomial c."""
+    return Poly._make([c.den], c.nums[0])
+
+
+def _max_bits(expr: _Buckets) -> int:
+    """The bit length of the longest number in the bucket map: for each base and
+    each coefficient in lowest terms, the longer of numerator and denominator."""
+    bits = 0
+    for (b, _, _), p in expr.items():
+        bits = max(bits, (abs(b.numerator) | b.denominator).bit_length())
+        for c in p.nums:
+            g = math.gcd(c, p.den)
+            bits = max(bits, (abs(c) // g | p.den // g).bit_length())
+    return bits
+
+
+def _geometric(expr: _Buckets) -> tuple[Poly, Fraction] | None:
+    """(c, b) when the bucket map is the one term c * b^t (c a constant Poly), else None."""
     if len(expr) == 1:
         ((base, kind, _), p), = expr.items()
         if kind is None and p.degree == 0:
-            return p[0], base
+            return p, base
     return None
 
 
 @dataclass
 class _Val:
-    """Intermediate parse value: linear-in-y part plus a closed-form bucket map."""
+    """Intermediate parse value: y shift -> constant Poly, plus a closed-form bucket map."""
 
-    ops: dict[int, Fraction] = field(default_factory=dict)
+    ops: dict[int, Poly] = field(default_factory=dict)
     expr: _Buckets = field(default_factory=dict)
 
     @property
     def has_y(self) -> bool:
         return bool(self.ops)
 
-    def constant(self) -> Fraction | None:
-        """The value as a plain rational, or None if it is anything richer."""
+    def constant(self) -> Poly | None:
+        """The value as a constant polynomial, or None if it is anything richer."""
         if self.ops:
             return None
         if not self.expr:
-            return Fraction(0)
+            return _ZERO
         g = _geometric(self.expr)
         return g[0] if g is not None and g[1] == 1 else None
 
-    def scaled(self, c: Fraction) -> _Val:
+    def scaled(self, c: Poly) -> _Val:
         expr = {key: p * c for key, p in self.expr.items()} if c else {}
         return _Val({k: v * c for k, v in self.ops.items()}, expr)
 
@@ -168,7 +190,7 @@ class _Parser:
 
     def parse_sum(self) -> _Val:
         """Collect the signed operands into one bucket map."""
-        ops: dict[int, Fraction] = {}
+        ops: dict[int, Poly] = {}
         expr: _Buckets = {}
         sign = 1
         if self.peek().kind in ("+", "-"):
@@ -176,7 +198,7 @@ class _Parser:
         while True:
             val = self.parse_product()
             for k, v in val.ops.items():
-                ops[k] = ops.get(k, Fraction(0)) + sign * v
+                ops[k] = ops.get(k, _ZERO) + (v if sign > 0 else -v)
             for (base, kind, n), p in val.expr.items():
                 _insert(expr, base, kind, n, p if sign > 0 else -p)
             if self.peek().kind not in ("+", "-"):
@@ -217,7 +239,7 @@ class _Parser:
             heads.append((tok, neg))
         val = atoms.pop()
         for (tok, neg), base in zip(reversed(heads), reversed(atoms)):
-            val = self._power(base, val.scaled(-_ONE) if neg else val, tok.pos)
+            val = self._power(base, val.scaled(_P_MINUS_ONE) if neg else val, tok.pos)
         return val
 
     @property
@@ -229,34 +251,56 @@ class _Parser:
         """val^exp for an integer exponent or one linear in the variable."""
         c = exp.constant()
         if c is not None:
-            if c.denominator != 1:
+            if c.den != 1:
                 raise ParseError(self.src, pos, "an integer exponent")
-            return self._int_power(val, int(c), pos)
-        if len(exp.expr) == 1:  # a*t + b with integers a, b
+            return self._int_power(val, c.nums[0] if c else 0, pos)
+        if len(exp.expr) == 1:  # a*t + b with integers a, b: a constant is read above
             (key, q), = exp.expr.items()
-            if key == (1, None, 0) and q.degree <= 1:
-                a, b = q[1], q[0]
-                if a.denominator == 1 and b.denominator == 1:
-                    return self._t_power(val, int(a), int(b), pos)
+            if key == (_ONE, None, 0) and q.degree == 1 and q.den == 1:
+                return self._t_power(val, q.nums[1], q.nums[0], pos)
         raise ParseError(self.src, pos, self._exponent_expected)
 
     def _int_of(self, tok: _Tok, expected: str) -> int:
-        f = Fraction(tok.text)
-        if f.denominator != 1:
+        whole, _, frac = tok.text.partition(".")
+        if frac.strip("0"):
             raise ParseError(self.src, tok.pos, expected)
-        return int(f)
+        return int(whole)
 
     def _check_power(self, expr: _Buckets, k: int, pos: int) -> None:
-        """Refuse expr^k before computing it if it could pass a size limit: with m
-        buckets (a trig one counts twice, as two exponentials) of degree <= d, it
-        has at most C(k+m-1, m-1) buckets of k*d + 1 coefficients."""
-        k, m = abs(k), len(expr) + sum(kind is not None for _, kind, _ in expr) or 1
+        """Refuse expr^k before computing it if it could pass a size limit or its
+        squarings could take over about a second.  With m buckets (a trig one
+        counts twice, as two exponentials) of degree <= d, expr^k has at most
+        C(k+m-1, m-1) buckets of k*d + 1 coefficients.
+
+        The work is that of the last squaring, two copies of expr^h with
+        h = ceil(k/2): each pair of their buckets costs 200 units, and each pair
+        of nonzero coefficients 1 + (bits/250)^1.6, as CPython multiplies long
+        numbers by Karatsuba.  expr^h has at most C(h+b-1, b-1) * (2*h*f + 1)
+        buckets for b distinct bases and trig multiples up to f, at most
+        C(h+n-1, n-1) nonzero coefficients for n nonzero coefficients in expr
+        (counted as m is), and numbers of about h * log2(n * the largest number
+        in expr) bits.  A unit is about 0.1 microseconds.  With n = 1 there are
+        no squarings: c * b^t * t^j gives c^k * (b^k)^t * t^(j*k) directly."""
+        k = abs(k)
+        weights = [(1 if kind is None else 2, p) for (_, kind, _), p in expr.items()]
+        m = sum(w for w, _ in weights) or 1
         d = max((p.degree for p in expr.values()), default=0)
-        bits = max(((abs(x.numerator) | x.denominator).bit_length()  # the longer of the two
-                    for (b, _, _), p in expr.items() for x in (b, *p)), default=0)
-        if k * bits > _MAX_BITS or math.comb(k + m - 1, m - 1) * (k * d + 1) > _MAX_DEGREE + 1:
+        bits = _max_bits(expr)
+        size = math.comb(k + m - 1, m - 1) * (k * d + 1)
+        if k * bits > _MAX_BITS or size > _MAX_DEGREE + 1:
             self.unsupported(pos, f"a power too large to compute (over {_MAX_DEGREE + 1} "
                              "coefficients or numbers over 2^20 bits)")
+        n = sum(w * sum(1 for c in p.nums if c) for w, p in weights)
+        if n <= 1:
+            return
+        h, b = (k + 1) // 2, len({base for base, _, _ in expr})
+        f = max((j for _, kind, j in expr if kind is not None), default=0)
+        buckets = min(math.comb(h + m - 1, m - 1), math.comb(h + b - 1, b - 1) * (2 * h * f + 1))
+        terms = min(buckets * (h * d + 1), math.comb(h + n - 1, n - 1))
+        grown = h * (bits + math.log2(n))
+        if 200 * buckets**2 + terms**2 * (1 + (grown / 250) ** 1.6) > _MAX_WORK:
+            self.unsupported(pos, "a power too large to compute (its squarings would "
+                             "take over about a second)")
 
     def _int_power(self, val: _Val, k: int, pos: int) -> _Val:
         if k == 1:
@@ -269,8 +313,12 @@ class _Parser:
             if g is None:
                 self.unsupported(pos, "negative powers are supported only for nonzero "
                                  "constants and geometric terms")
-            base, k = {(1 / g[1], None, 0): Poly(1 / g[0])}, -k
+            base, k = {(1 / g[1], None, 0): _reciprocal(g[0])}, -k
         self._check_power(base, k, pos)
+        if len(base) == 1:  # (c * b^t * p(t))^k = c^k * (b^k)^t * p(t)^k
+            ((b, kind, _), p), = base.items()
+            if kind is None:
+                return _Val({}, {(b**k, None, 0): p**k})
         out = None
         while k:
             if k & 1:
@@ -278,7 +326,7 @@ class _Parser:
             k >>= 1
             if k:
                 base = _bucket_mul(base, base)
-        return _Val({}, {(_ONE, None, 0): Poly(1)} if out is None else out)
+        return _Val({}, {(_ONE, None, 0): _P_ONE} if out is None else out)
 
     def _t_power(self, val: _Val, slope: int, offset: int, pos: int) -> _Val:
         v = self.var
@@ -288,16 +336,19 @@ class _Parser:
         if c is None:
             self.unsupported(pos, f"exponent {v} requires a rational constant base ({v}^{v} and "
                              "friends lie outside the supported closed-form class)")
-        if c == 0:
+        if not c:
             self.unsupported(pos, f"0 cannot be raised to the power {v}")
         self._check_power(val.expr, max(abs(slope), abs(offset)), pos)
-        return _Val({}, {(c**slope, None, 0): Poly(c**offset)})
+        scale = c**offset if offset >= 0 else _reciprocal(c) ** -offset
+        return _Val({}, {(c[0] ** slope, None, 0): scale})
 
     def parse_atom(self) -> _Val:
         tok = self.peek()
         if tok.kind == "num":
-            self.advance()
-            return _Val({}, _insert({}, _ONE, None, 0, Poly(Fraction(tok.text))))
+            self.advance()  # read from the digits: 3.25 is 325/100, and 0 the empty map
+            whole, _, frac = tok.text.partition(".")
+            c = Poly._make([int(whole + frac)], 10 ** len(frac))
+            return _Val({}, {(_ONE, None, 0): c} if c else {})
         if tok.kind == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail(tok, f"at most {_MAX_DEPTH} nested parentheses")
@@ -310,7 +361,7 @@ class _Parser:
         if tok.kind == "name":
             if tok.text == self.var:
                 self.advance()
-                return _Val({}, _insert({}, _ONE, None, 0, Poly(0, 1)))
+                return _Val({}, {(_ONE, None, 0): _P_T})
             if tok.text == "y":
                 if not self.allow_y:
                     raise SemanticError(self.src, tok.pos, "an expression without y")
@@ -335,7 +386,7 @@ class _Parser:
             sign = 1 if self.advance().kind == "+" else -1
             shift = sign * self._int_of(self.expect("num", "an integer shift"), "an integer shift")
         self.expect(")", "')'")
-        return _Val({shift: Fraction(1)}, {})
+        return _Val({shift: _P_ONE}, {})
 
     def _parse_trig(self, head: _Tok) -> _Val:
         self.expect("(", f"'(' after {head.text}")
@@ -350,8 +401,8 @@ class _Parser:
         self.expect("*", f"'*' between pi and {v}")
         self.expect_name(v, f"'{v}' after pi*")
         self.expect(")", "')'")
-        coeff = Fraction(-1) if neg and head.text == "sin" else Fraction(1)
-        return _Val({}, _insert({}, _ONE, head.text, n, Poly(coeff)))
+        coeff = _P_MINUS_ONE if neg and head.text == "sin" else _P_ONE
+        return _Val({}, _insert({}, _ONE, head.text, n, coeff))
 
     # ---- combination rules ----
 
@@ -378,8 +429,8 @@ class _Parser:
         if a.has_y:
             if base != 1:
                 raise SemanticError(self.src, pos, _Y_COEFF)
-            return a.scaled(1 / c)
-        return _Val({}, _bucket_mul(a.expr, {(1 / base, None, 0): Poly(1 / c)}))
+            return a.scaled(_reciprocal(c))
+        return _Val({}, _bucket_mul(a.expr, {(1 / base, None, 0): _reciprocal(c)}))
 
 
 def parse_expression(src: str) -> SequenceExpr:
@@ -402,7 +453,7 @@ def parse_equation(src: str) -> Equation:
     rhs = p.parse_sum()
     p.expect("end", "end of input")
     net = {k: v for k in lhs.ops.keys() | rhs.ops.keys()
-           if (v := lhs.ops.get(k, 0) - rhs.ops.get(k, 0))}
+           if (v := lhs.ops.get(k, _ZERO) - rhs.ops.get(k, _ZERO))}
     for (base, kind, n), q in lhs.expr.items():
         _insert(rhs.expr, base, kind, n, -q)
     phi = SequenceExpr._from_buckets(rhs.expr)
@@ -418,8 +469,9 @@ def parse_equation(src: str) -> Equation:
     if degree == 0:
         raise SemanticError(src, eq_tok.pos,
                             "y at two or more distinct shifts (a difference, not an identity)")
-    op = OperatorPoly(net.get(k, Fraction(0)) for k in range(degree + 1))
-    return Equation(op, phi)
+    den = math.lcm(*(v.den for v in net.values()))
+    nums = [net[k].nums[0] * (den // net[k].den) if k in net else 0 for k in range(degree + 1)]
+    return Equation(OperatorPoly._make(nums, den), phi)
 
 
 def parse_operator(src: str) -> OperatorPoly:
@@ -450,7 +502,7 @@ def parse_initial(src: str) -> tuple[Condition, ...]:
         c = val.constant()
         if c is None:
             raise SemanticError(p.src, head.pos, "a rational constant value")
-        conds.append((tpoint, c, head.pos))
+        conds.append((tpoint, c[0], head.pos))
         if not p.accept(","):
             p.expect("end", "',' or end of input")
             break

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import re
@@ -14,14 +15,14 @@ from hypothesis import strategies as st
 import fdsolve
 from fdsolve import cli
 from fdsolve.algebra import Poly
-from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError
+from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError, _insert
 from fdsolve.operators import OperatorPoly
 from fdsolve.parser import (NonConsecutiveConditionsError, ParseError,
-                            SemanticError, parse_equation, parse_expression,
+                            SemanticError, _max_bits, parse_equation, parse_expression,
                             parse_initial, parse_operator)
 
 from corpus import GOLDEN_EQUATIONS, MALFORMED
-from instance_gen import rand_rhs
+from instance_gen import BASES, COEFFS, rand_rhs
 from test_algebra import run_bounded
 
 import test_expr
@@ -107,6 +108,23 @@ def test_decimal_literals_are_exact():
     assert eq.operator == OperatorPoly(F(-1, 2), 1)
 
 
+@pytest.mark.parametrize("text", ["0", "007", "3.250", "0.5", "10.0", "2520"])
+def test_literals_read_from_their_digits(text):
+    # the bucket map that Poly(Fraction(text)) gave, 0 as the empty map
+    expected = _insert({}, F(1), None, 0, Poly(F(text)))
+    assert dict(parse_expression(text).buckets) == expected
+    assert parse_expression(text) == SequenceExpr.constant(F(text))
+
+
+@pytest.mark.parametrize("parse,src,offset", [
+    (parse_expression, "1/0", 1), (parse_expression, "1/0.0", 1),
+    (parse_equation, "y(t+1)/0 = 1", 6)])
+def test_division_by_a_zero_literal(parse, src, offset):
+    with pytest.raises(SemanticError) as exc:
+        parse(src)
+    assert (exc.value.offset, exc.value.expected) == (offset, "a nonzero divisor")
+
+
 def test_fractional_and_negative_bases():
     assert parse_expression("(1/2)^t") == SequenceExpr.of(Term(1, F(1, 2)))
     assert parse_expression("(-3)^t") == SequenceExpr.of(Term(1, -3))
@@ -165,6 +183,11 @@ POWERS_PAST_THE_LIMITS = [
     ("2^(2^(2^(2^(2^2))))", 2),    # 2^65536 is computed, 2^(2^65536) is not
     ("2^-600000", 3),              # 1.2 * 2^20 bits, by the bit length of 1/2
     ("2^(t + 2^65536)", 2),        # a constant factor 2^(2^65536)
+    # past the work bound: each took 5-20 s, with few enough coefficients
+    ("(t+1)^4000", 6),
+    ("(t+9)^2000", 6),
+    ("(2^t + 3^t)^4000", 12),
+    ("cos(pi*t)^4000", 10),
 ]
 
 
@@ -192,6 +215,27 @@ def test_power_at_the_size_limits():
     with pytest.raises(SemanticError) as exc:
         parse_operator("T^4001")
     assert exc.value.offset == 2
+
+
+def reference_bits(expr) -> int:
+    """The size measure of the power limits as computed from Fractions: the bit
+    length of the longer of numerator and denominator of each base and each
+    coefficient in lowest terms."""
+    return max(((abs(x.numerator) | x.denominator).bit_length()
+                for (b, _, _), p in expr.items() for x in (b, *p)), default=0)
+
+
+# polynomials whose integer form has longer numbers than their coefficients in
+# lowest terms: 1/2 + t/3 is (3, 2)/6
+mixed_polys = st.lists(test_expr.rationals, min_size=2, max_size=6).map(Poly).filter(
+    lambda p: any(c and math.gcd(c, p.den) > 1 for c in p.nums))
+
+
+@given(st.dictionaries(st.builds(lambda b, trig: (b, *trig), st.sampled_from(BASES),
+                                 st.sampled_from([(None, 0), ("cos", 1), ("sin", 3)])),
+                       mixed_polys, min_size=1, max_size=3))
+def test_bit_measure_reads_lowest_terms(expr):
+    assert _max_bits(expr) == reference_bits(expr)
 
 
 def nested(body: str, depth: int) -> str:
@@ -340,6 +384,21 @@ class TestRoundTrip:
     def test_pretty_render_reparses(self, e):
         assert parse_expression(e.render(pretty=True)) == e
 
+    payload_polys = st.builds(
+        lambda low, lead: Poly(low + [lead]),
+        st.lists(st.sampled_from(COEFFS + [F(0)]), min_size=10, max_size=40),
+        st.sampled_from(COEFFS))
+    payload_exprs = st.lists(st.builds(Term, st.sampled_from(COEFFS), st.sampled_from(BASES),
+                                       payload_polys, test_expr.trigs),
+                             min_size=1, max_size=3).map(SequenceExpr)
+
+    @given(payload_exprs)
+    @settings(max_examples=40, deadline=None)
+    def test_payload_size_render_reparses(self, e):
+        # payload degrees 10-40 on the benchmark's coefficients and bases
+        assert parse_expression(str(e)) == e
+        assert parse_expression(e.render(pretty=True)) == e
+
     def test_equation_render_reparses(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -381,6 +440,19 @@ class TestParserArithmetic:
     @settings(max_examples=60, deadline=None)
     @given(expr_sources, st.integers(0, 5))
     def test_power(self, a, k):
+        expected = SequenceExpr.constant(1)
+        for _ in range(k):
+            expected = expected * parse_expression(a)
+        assert parse_expression(f"({a})^{k}") == expected
+
+    @seed(12)
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(lambda c, b, p: f"{c}*({b})^t*({p})", st.sampled_from(COEFFS),
+                     st.sampled_from(BASES), st.sampled_from(["t", "t - 1/2", "2*t^2 + 3"]))
+           | st.sampled_from(["t + 1", "-3/2", "t^3", "1/2*t - 1/3"]),
+           st.integers(0, 40))
+    def test_power_of_one_bucket(self, a, k):
+        # a single bucket takes c^k * (b^k)^t * p^k; the reference multiplies
         expected = SequenceExpr.constant(1)
         for _ in range(k):
             expected = expected * parse_expression(a)
