@@ -8,11 +8,10 @@ for the irrational and complex roots that remain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count, repeat, zip_longest
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, float, str, Fraction]
@@ -22,8 +21,45 @@ class ZeroConstantTermError(ArithmeticError):
     """Inverting a series (or dividing by a polynomial) with zero constant term."""
 
 
-@dataclass(init=False, frozen=True)
-class Poly:
+class _Record:
+    """An immutable record whose fields are the `__slots__` of its class and bases: equal
+    to a record of its own class with equal fields, hashed as the tuple of its fields,
+    shown as Name(field=value, ...), and closed to assignment and deletion."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in c.__dict__.get("__slots__", ()))
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:  # copy and pickle
+        _Record.__init__(self, *map(state[1].get, self._fields))
+
+
+class Poly(_Record):
     """Dense univariate polynomial over Q: the coefficient of t^k is nums[k] / den.
 
     Construction normalizes: den > 0, gcd(den, *nums) == 1 and trailing zeros
@@ -37,8 +73,7 @@ class Poly:
     't^3 - 5*t^2 + 4*t'
     """
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
 
     def __init__(self, *coeffs: Coeff | Iterable[Coeff]) -> None:
         if len(coeffs) == 1 and not isinstance(coeffs[0], (int, float, str, Fraction)):
@@ -279,20 +314,22 @@ def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(q.den * e, w) for e, w in zip(es, accumulate(repeat(q0), mul, initial=q0)))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Record):
     """One root with multiplicity; `value` is Fraction when exact, complex otherwise."""
 
-    value: Fraction | complex
-    multiplicity: int
-    exact: bool
+    __slots__ = ("value", "multiplicity", "exact")
+
+    def __init__(self, value: Fraction | complex, multiplicity: int, exact: bool) -> None:
+        super().__init__(value, multiplicity, exact)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """All roots of a polynomial: exact ones by value, then numeric ones by (real, imag)."""
 
-    roots: tuple[Root, ...]
+    __slots__ = ("roots",)
+
+    def __init__(self, roots: tuple[Root, ...]) -> None:
+        super().__init__(roots)
 
     @property
     def is_exact(self) -> bool:

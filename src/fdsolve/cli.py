@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 parse/semantic error, 2 unsupported right-hand side,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Any
@@ -149,6 +148,11 @@ def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
     return "\n".join(lines)
 
 
+def _json(doc: dict[str, Any]) -> str:
+    import json  # only JSON output reads it; a text run starts without it
+    return json.dumps(doc, indent=2)
+
+
 def _equation(args: argparse.Namespace) -> Equation:
     """The equation argument, with the --initial values when given."""
     eq = parse_equation(args.equation)
@@ -164,7 +168,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.verify is not None:
         report = verify_solution(eq, sol, horizon=args.verify)
     if args.format == "json":
-        print(json.dumps(_solution_doc(eq, sol, report, args.trace), indent=2))
+        print(_json(_solution_doc(eq, sol, report, args.trace)))
     else:
         print(_solution_text(eq, sol, report, args.trace))
     if report is not None and not report.ok:
@@ -178,7 +182,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     result = apply_operator(op, e).render(pretty=True)
     if args.format == "json":
         doc = {"input": {"operator": str(op), "expression": str(e)}, "result": result}
-        result = json.dumps(doc, indent=2)
+        result = _json(doc)
     print(result)
     return EXIT_OK
 
@@ -190,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {"input": {"equation": str(eq), "solution": str(candidate)},
                "verification": _report_doc(report)}
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         print(report.describe())
     return EXIT_OK if report.ok else EXIT_VERIFY

@@ -9,11 +9,10 @@ explicitly while the symbolic trig factors are kept for display.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Coeff, Poly, _signed_sum
+from .algebra import Coeff, Poly, _Record, _signed_sum
 from .operators import OperatorPoly
 
 
@@ -28,18 +27,17 @@ def _parity(n: int) -> Fraction:
     return Fraction(-1) if n % 2 else Fraction(1)
 
 
-@dataclass(frozen=True)
-class Trig:
+class Trig(_Record):
     """cos(n*pi*t) or sin(n*pi*t) with integer frequency multiplier n >= 0."""
 
-    kind: str
-    n: int
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("cos", "sin"):
-            raise ValueError(f"unknown trig kind {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+    def __init__(self, kind: str, n: int) -> None:
+        if kind not in ("cos", "sin"):
+            raise ValueError(f"unknown trig kind {kind!r}")
+        if not isinstance(n, int) or n < 0:
             raise ValueError("trig frequency multiplier must be a nonnegative integer")
+        super().__init__(kind, n)
 
     @property
     def parity(self) -> Fraction:
@@ -47,23 +45,14 @@ class Trig:
         return _parity(self.n)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """One product c * base^t * poly(t) * trig(t); base must be nonzero.  A
     `SequenceExpr` is built from terms; its `terms` view reads them back monic."""
 
-    coeff: Fraction
-    base: Fraction = Fraction(1)
-    poly: Poly = Poly(1)
-    trig: Trig | None = None
+    __slots__ = ("coeff", "base", "poly", "trig")
 
-    def __init__(
-        self,
-        coeff: Coeff,
-        base: Coeff = 1,
-        poly: Poly | Coeff = None,
-        trig: Trig | None = None,
-    ) -> None:
+    def __init__(self, coeff: Coeff, base: Coeff = 1, poly: Poly | Coeff = None,
+                 trig: Trig | None = None) -> None:
         base = base if type(base) is Fraction else Fraction(base)
         if not base:
             raise ValueError("term base must be nonzero")
@@ -71,10 +60,7 @@ class Term:
             poly = Poly(1)
         elif not isinstance(poly, Poly):
             poly = Poly(Fraction(poly))
-        object.__setattr__(self, "coeff", coeff if type(coeff) is Fraction else Fraction(coeff))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "trig", trig)
+        super().__init__(coeff if type(coeff) is Fraction else Fraction(coeff), base, poly, trig)
 
 
 # A sum of terms before its normal form: (base, trig kind or None, n) -> c * p(t)
@@ -138,8 +124,7 @@ def _sum(pairs: Iterable[tuple[_Key, Poly]]) -> SequenceExpr:
     return SequenceExpr._from_buckets(out)
 
 
-@dataclass(init=False, frozen=True)
-class SequenceExpr:
+class SequenceExpr(_Record):
     """Normalized sum of terms c * base^t * p(t) * trig, one bucket per (base, trig).
 
     `buckets` holds ((base, trig kind or None, n), poly) pairs: terms sharing
@@ -151,7 +136,7 @@ class SequenceExpr:
     renderer and the solver read `buckets` directly.
     """
 
-    buckets: tuple[tuple[_Key, Poly], ...]
+    __slots__ = ("buckets",)
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
         object.__setattr__(self, "buckets", _sum(

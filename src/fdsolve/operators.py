@@ -7,7 +7,6 @@ these get inverted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,7 +21,6 @@ class ZeroScaleError(ValueError):
     """Scaling the operator argument by 0 would collapse T to a constant."""
 
 
-@dataclass(init=False, frozen=True, repr=False)
 class OperatorPoly(Poly):
     """Immutable nonzero operator polynomial with exact coefficients, lowest power first.
 
@@ -34,6 +32,8 @@ class OperatorPoly(Poly):
     >>> str(P.scale_argument(3))
     '9*T^2 - 15*T + 4'
     """
+
+    __slots__ = ()
 
     def __init__(self, *coeffs: Coeff | Iterable[Coeff]) -> None:
         super().__init__(*coeffs)

@@ -17,10 +17,10 @@ and build Fractions or floats only for a report or for float modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+from .algebra import _Record
 from .expr import SequenceExpr
 from .solver import Equation, Solution, SolveTrace
 
@@ -38,15 +38,14 @@ class MissingInitialConditionsError(ValueError):
 Value = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    method: str
-    t_range: tuple[int, int]
-    status: str  # "exact-match" | "max-abs-deviation" | "mismatch"
-    mismatch_t: int | None = None
-    expected: Value | None = None
-    got: Value | None = None
-    max_deviation: float | None = None
+class VerifyReport(_Record):
+    __slots__ = ("method", "t_range", "status", "mismatch_t", "expected", "got", "max_deviation")
+
+    def __init__(self, method: str, t_range: tuple[int, int],
+                 status: str,  # "exact-match" | "max-abs-deviation" | "mismatch"
+                 mismatch_t: int | None = None, expected: Value | None = None,
+                 got: Value | None = None, max_deviation: float | None = None) -> None:
+        super().__init__(method, t_range, status, mismatch_t, expected, got, max_deviation)
 
     @property
     def ok(self) -> bool:

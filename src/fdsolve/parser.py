@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,8 +63,10 @@ _ONE = Fraction(1)
 _ZERO, _P_ONE, _P_MINUS_ONE, _P_T = (Poly._make(cs, 1) for cs in ([], [1], [-1], [0, 1]))
 _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 
-_TOKEN_RE = re.compile(
-    r"\s+|(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*/^(),=])|(?P<bad>.)", re.S)
+# One match per token, with the whitespace before it.  After the greedy \s*, \S or
+# \Z always matches, so no match backtracks into whitespace (quadratic at the end).
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)"
+                       r"|(?P<op>[-+*/^(),=])|(?P<bad>\S)|\Z)")
 
 
 class _Tok(NamedTuple):
@@ -77,11 +78,13 @@ class _Tok(NamedTuple):
 def _tokenize(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
     for m in _TOKEN_RE.finditer(src):
-        kind, text = m.lastgroup, m.group()
+        kind = m.lastgroup
+        if kind is None:  # only whitespace is left
+            break
         if kind == "bad":
-            raise ParseError(src, m.start(), "a number, a name, or one of + - * / ^ ( ) , =")
-        if kind is not None:
-            toks.append(_Tok(text if kind == "op" else kind, text, m.start()))
+            raise ParseError(src, m.start(kind), "a number, a name, or one of + - * / ^ ( ) , =")
+        text = m[kind]
+        toks.append(_Tok(text if kind == "op" else kind, text, m.start(kind)))
     toks.append(_Tok("end", "", len(src)))
     return toks
 
@@ -112,12 +115,14 @@ def _geometric(expr: _Buckets) -> tuple[Poly, Fraction] | None:
     return None
 
 
-@dataclass
 class _Val:
     """Intermediate parse value: y shift -> constant Poly, plus a closed-form bucket map."""
 
-    ops: dict[int, Poly] = field(default_factory=dict)
-    expr: _Buckets = field(default_factory=dict)
+    __slots__ = ("ops", "expr")
+
+    def __init__(self, ops: dict[int, Poly] | None = None, expr: _Buckets | None = None) -> None:
+        self.ops = {} if ops is None else ops
+        self.expr = {} if expr is None else expr
 
     @property
     def has_y(self) -> bool:

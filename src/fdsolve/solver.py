@@ -18,13 +18,12 @@ returned particular solution verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .algebra import (Poly, _from_newton, _newton, _render_powers, _signed_sum, find_roots,
-                      series_inverse)
+from .algebra import (Poly, _from_newton, _newton, _Record, _render_powers, _signed_sum,
+                      find_roots, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 from .operators import OperatorPoly
 
@@ -33,17 +32,21 @@ class SingularSystemError(ValueError):
     """Initial conditions are inconsistent or do not pin the constants."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    detail: str
-    before: str
-    after: str
+class TraceStep(_Record):
+    __slots__ = ("rule", "detail", "before", "after")
+
+    def __init__(self, rule: str, detail: str, before: str, after: str) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
 
-@dataclass(frozen=True)
-class SolveTrace:
-    steps: tuple[TraceStep, ...]
+class SolveTrace(_Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]) -> None:
+        super().__init__(steps)
 
     def render(self) -> str:
         lines = []
@@ -53,14 +56,13 @@ class SolveTrace:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NumericMode:
+class NumericMode(_Record):
     """Basis sequence modulus^t * t^power * cos/sin(angle*t) for irrational roots."""
 
-    modulus: float
-    angle: float
-    power: int
-    kind: str
+    __slots__ = ("modulus", "angle", "power", "kind")
+
+    def __init__(self, modulus: float, angle: float, power: int, kind: str) -> None:
+        super().__init__(modulus, angle, power, kind)
 
     def eval_at(self, t: int) -> float:
         osc = math.cos(self.angle * t) if self.kind == "cos" else math.sin(self.angle * t)
@@ -81,27 +83,24 @@ HomogeneousMode = Union[SequenceExpr, NumericMode]
 Condition = tuple[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Record):
     """P(T) y = rhs, optionally with consecutive initial values of y."""
 
-    operator: OperatorPoly
-    rhs: SequenceExpr
-    initial: tuple[Condition, ...] | None = None
+    __slots__ = ("operator", "rhs", "initial")
 
-    def __post_init__(self) -> None:
-        if self.operator.degree < 1:
+    def __init__(self, operator: OperatorPoly, rhs: SequenceExpr,
+                 initial: Sequence[Condition] | None = None) -> None:
+        if operator.degree < 1:
             raise ValueError("difference operator must have degree >= 1")
-        if self.initial is not None:
-            conds = tuple(sorted((int(t), Fraction(v)) for t, v in self.initial))
-            if len(conds) != self.operator.degree:
-                raise ValueError(
-                    f"need exactly {self.operator.degree} initial values, got {len(conds)}"
-                )
-            for (t0, _), (t1, _) in zip(conds, conds[1:]):
+        if initial is not None:
+            initial = tuple(sorted((int(t), Fraction(v)) for t, v in initial))
+            if len(initial) != operator.degree:
+                raise ValueError(f"need exactly {operator.degree} initial values, "
+                                 f"got {len(initial)}")
+            for (t0, _), (t1, _) in zip(initial, initial[1:]):
                 if t1 != t0 + 1:
                     raise ValueError("initial conditions must be at consecutive integers")
-            object.__setattr__(self, "initial", conds)
+        super().__init__(operator, rhs, initial)
 
     def __str__(self) -> str:
         lhs = []
@@ -115,12 +114,13 @@ class Equation:
         return f"{_signed_sum(lhs)} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Solution:
-    particular: SequenceExpr
-    homogeneous: tuple[HomogeneousMode, ...]
-    constants: tuple[Fraction, ...] | tuple[float, ...] | None
-    trace: SolveTrace
+class Solution(_Record):
+    __slots__ = ("particular", "homogeneous", "constants", "trace")
+
+    def __init__(self, particular: SequenceExpr, homogeneous: tuple[HomogeneousMode, ...],
+                 constants: tuple[Fraction, ...] | tuple[float, ...] | None,
+                 trace: SolveTrace) -> None:
+        super().__init__(particular, homogeneous, constants, trace)
 
     @property
     def is_exact(self) -> bool:

@@ -18,8 +18,8 @@ from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError, _insert
 from fdsolve.operators import OperatorPoly
 from fdsolve.parser import (NonConsecutiveConditionsError, ParseError,
-                            SemanticError, _max_bits, parse_equation, parse_expression,
-                            parse_initial, parse_operator)
+                            SemanticError, _max_bits, _tokenize, parse_equation,
+                            parse_expression, parse_initial, parse_operator)
 
 from corpus import GOLDEN_EQUATIONS, MALFORMED
 from instance_gen import BASES, COEFFS, rand_rhs
@@ -266,6 +266,37 @@ def test_malformed_corpus(src, offset, cls):
         parse_equation(src)
     assert type(exc.value) is cls
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("src,offset", [
+    ("y(t+1) - y(t) = 1   ?  ", 20),     # a bad character after whitespace
+    ("y(t+1) - y(t) =   ", 18),          # the end of input, after the whitespace
+    ("  y(t+1)\t- y(t) = \u00e9", 18),   # a two-byte character
+    ("y(t+1) - y(t) = 1 2 ", 18),
+])
+def test_error_offsets_around_whitespace(src, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_equation(src)
+    assert exc.value.offset == offset
+
+
+def test_tokens_keep_their_positions():
+    assert [tuple(tok) for tok in _tokenize(" y (t+1)\n= 2.5 ")] == [
+        ("name", "y", 1), ("(", "(", 3), ("name", "t", 4), ("+", "+", 5), ("num", "1", 6),
+        (")", ")", 7), ("=", "=", 9), ("num", "2.5", 11), ("end", "", 15)]
+
+
+def test_trailing_whitespace_in_linear_time():
+    # in a subprocess: a token pattern that backtracks into trailing whitespace
+    # takes time quadratic in its length
+    out = run_bounded(textwrap.dedent("""
+        import time
+        from fdsolve.parser import parse_equation
+        start = time.perf_counter()
+        parse_equation("y(t+1) - y(t) = 1" + " " * 100_000)
+        print(time.perf_counter() - start < 5)
+        """))
+    assert out == "True\n"
 
 
 @pytest.mark.parametrize("src,cls,offset,expected", [
