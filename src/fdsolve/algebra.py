@@ -258,17 +258,18 @@ def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
     return "".join(parts) or "0"
 
 
-def _monomial(k: int, c: Fraction, var: str) -> tuple[bool, str]:
+def _monomial(c: Fraction, power: str) -> tuple[bool, str]:
+    """(negative, body) of c*power; the empty power is a constant."""
     mag = abs(c)
-    if k == 0:
+    if not power:
         return c < 0, str(mag)
-    power = var if k == 1 else f"{var}^{k}"
     return c < 0, power if mag == 1 else f"{mag}*{power}"
 
 
 def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
     """Signed sum of the monomials c*var^k in the given (k, c) order, zeros skipped."""
-    return _signed_sum(_monomial(k, c, var) for k, c in terms if c)
+    return _signed_sum(_monomial(c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+                       for k, c in terms if c)
 
 
 def _newton(p: Poly) -> tuple[list[int], int]:

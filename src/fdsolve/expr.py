@@ -269,7 +269,16 @@ def _render_bucket(key: _Key, p: Poly, pretty: bool) -> tuple[bool, str]:
     return negative, " * ".join(pieces)
 
 
+# shift steps past which `apply_operator` refuses, before shifting: each nonzero
+# a_k, k >= 1, shifts every bucket's p in (deg p + 1)^2; `T - 2` on t^4000 is 1.6e7
+_MAX_APPLY_WORK = 2 * 10**7
+
+
 def apply_operator(op: OperatorPoly, e: SequenceExpr) -> SequenceExpr:
     """Apply P(T): the sum of a_k * e(t+k) over the operator coefficients."""
+    work = sum(map(bool, op.nums[1:])) * sum((p.degree + 1) ** 2 for _, p in e.buckets)
+    if work > _MAX_APPLY_WORK:
+        raise ValueError(f"applying the operator takes about {work} shift steps, "
+                         f"over the limit of {_MAX_APPLY_WORK}")
     return _sum(((base, kind, n), p.taylor_shift(k) * (a * (base * _parity(n)) ** k))
                 for (base, kind, n), p in e.buckets for k, a in enumerate(op.coeffs) if a)

@@ -22,8 +22,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .algebra import (Poly, _from_newton, _newton, _Record, _render_powers, _signed_sum,
-                      find_roots, series_inverse)
+from .algebra import (Poly, _from_newton, _monomial, _newton, _Record, _render_powers,
+                      _signed_sum, find_roots, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 from .operators import OperatorPoly
 
@@ -103,15 +103,9 @@ class Equation(_Record):
         super().__init__(operator, rhs, initial)
 
     def __str__(self) -> str:
-        lhs = []
-        for k in range(self.operator.degree, -1, -1):
-            a = self.operator[k]
-            if a == 0:
-                continue
-            mag = abs(a)
-            arg = "t" if k == 0 else f"t+{k}"
-            lhs.append((a < 0, f"y({arg})" if mag == 1 else f"{mag}*y({arg})"))
-        return f"{_signed_sum(lhs)} = {self.rhs}"
+        lhs = _signed_sum(_monomial(self.operator[k], f"y(t+{k})" if k else "y(t)")
+                          for k in range(self.operator.degree, -1, -1) if self.operator[k])
+        return f"{lhs} = {self.rhs}"
 
 
 class Solution(_Record):
@@ -172,7 +166,8 @@ def _term_str(key: _Key, poly: Poly) -> str:
     return _signed_sum([_render_bucket(key, poly, False)])
 
 
-def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list[TraceStep]]:
+def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
+                h: Poly) -> tuple[SequenceExpr, list[TraceStep]]:
     lam, kind, n = key
     mu = _parity(n)
     beta = lam * mu
@@ -181,35 +176,30 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
     q = P.scale_argument(beta).taylor_shift(1)
     m = next(i for i, x in enumerate(q.nums) if x)
     steps: list[TraceStep] = []
-    current = _pending(str(P), _term_str(key, h))
+    current = _pending(P_str, _term_str(key, h))
+
+    def step(rule: str, detail: str, after: str) -> None:
+        nonlocal current
+        steps.append(TraceStep(rule, detail, current, after))
+        current = after
 
     out = key
     if kind is not None and m >= 1:
         if kind == "sin":
-            steps.append(TraceStep(
-                "resonant-trig",
-                f"P({beta}) = 0, but sin({n}*pi*t) is 0 at every integer t, "
-                "so this term needs no particular contribution",
-                current, "0"))
+            step("resonant-trig",
+                 f"P({beta}) = 0, but sin({n}*pi*t) is 0 at every integer t, "
+                 "so this term needs no particular contribution", "0")
             return SequenceExpr.zero(), steps
         out = (beta, None, 0)
-        folded = _pending(str(P), _term_str(out, h))
-        steps.append(TraceStep(
-            "resonant-trig",
-            f"P({beta}) = 0; on integer t, cos({n}*pi*t) equals ({mu})^t, "
-            f"so continue with geometric base {beta}",
-            current, folded))
-        current = folded
+        step("resonant-trig",
+             f"P({beta}) = 0; on integer t, cos({n}*pi*t) equals ({mu})^t, "
+             f"so continue with geometric base {beta}", _pending(P_str, _term_str(out, h)))
     elif kind is not None and lam != 1:
         scaled = P.scale_argument(lam)
         factor = _render_base_power(lam, 0)
-        after_scale = f"{factor} * " + _pending(
-            str(scaled), _term_str((1, kind, n), h))
-        steps.append(TraceStep(
-            "scale-rule",
-            f"extract the factor {factor}: the remaining operator is P({lam}*T) = {scaled}",
-            current, after_scale))
-        current = after_scale
+        step("scale-rule",
+             f"extract the factor {factor}: the remaining operator is P({lam}*T) = {scaled}",
+             f"{factor} * " + _pending(str(scaled), _term_str((1, kind, n), h)))
 
     R = Poly._make(list(q.nums[m:]), q.den)
     order = max(h.degree, 0)
@@ -225,87 +215,66 @@ def _solve_term(P: OperatorPoly, key: _Key, h: Poly) -> tuple[SequenceExpr, list
     if m == 0 and h.degree == 0 and (kind is not None or lam != 1):
         # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
         if kind is None:
-            detail = f"geometric right side: divide by P({beta}) = {q[0]}"
+            step("power-rule", f"geometric right side: divide by P({beta}) = {q[0]}", str(res))
         elif lam == 1:
-            detail = (f"{kind}({n}*pi*t) right side: "
-                      f"divide by P((-1)^{n}) = P({mu}) = {q[0]}")
+            step(f"{kind}-rule", f"{kind}({n}*pi*t) right side: "
+                 f"divide by P((-1)^{n}) = P({mu}) = {q[0]}", str(res))
         else:
-            detail = f"evaluate {scaled} at (-1)^{n} = {mu}: {q[0]}"
-        rule = "power-rule" if kind is None else f"{kind}-rule"
-        steps.append(TraceStep(rule, detail, current, str(res)))
+            step(f"{kind}-rule", f"evaluate {scaled} at (-1)^{n} = {mu}: {q[0]}", str(res))
         return res, steps
 
     prefix = "" if out == (1, None, 0) else _term_str(out, Poly(1)) + " * "
     q_str = _series_str(q.coeffs)
-    after = f"{prefix}{_pending(q_str, str(h))}"
     if beta == 1:
-        steps.append(TraceStep(
-            "delta-basis",
-            f"set D = T - 1: the operator becomes {q_str}",
-            current, after))
+        rule, detail = "delta-basis", f"set D = T - 1: the operator becomes {q_str}"
     else:
-        steps.append(TraceStep(
-            "shift-theorem",
+        rule, detail = "shift-theorem", (
             f"conjugating by {_render_base_power(beta, 0)} maps T to {beta}*(1 + D), "
-            f"so the operator on the polynomial factor is {q_str}",
-            current, after))
-    current = after
+            f"so the operator on the polynomial factor is {q_str}")
+    step(rule, detail, f"{prefix}{_pending(q_str, str(h))}")
 
     series = (f"1/({_series_str(R.coeffs)}) = {_series_str(cs)} + O(D^{order + 1}), "
               f"exact on degree-{order} payloads")
     if m == 0:
-        steps.append(TraceStep(
-            "series-inverse",
-            f"invert the unit-constant series: {series}",
-            current, str(res)))
+        step("series-inverse", f"invert the unit-constant series: {series}", str(res))
         return res, steps
 
     w = _from_newton(dw, inv.den * hd)
-    mid = f"{prefix}{_pending(_series_str((Fraction(0),) * m + (Fraction(1),)), str(w))}"
-    steps.append(TraceStep("series-inverse", f"split off D^{m}: {series}", current, mid))
-    steps.append(TraceStep(
-        "propagation",
-        f"invert D^{m} by antidifferencing {m} time(s) in the falling-factorial "
-        "basis (summation constants 0)",
-        mid, str(res)))
+    step("series-inverse", f"split off D^{m}: {series}",
+         f"{prefix}{_pending(_series_str((Fraction(0),) * m + (Fraction(1),)), str(w))}")
+    step("propagation",
+         f"invert D^{m} by antidifferencing {m} time(s) in the falling-factorial "
+         "basis (summation constants 0)", str(res))
     return res, steps
 
 
 def solve_particular(op: OperatorPoly, phi: SequenceExpr) -> tuple[SequenceExpr, SolveTrace]:
     """One closed-form y with op(T) y = phi; no homogeneous admixture is chosen.
 
-    The returned trace replays the computation; its last step's `after`
-    renders the returned expression exactly.
+    The returned trace replays the computation as one chain, each step starting
+    where the last ended; its last step's `after` renders the returned expression.
     """
-    steps: list[TraceStep] = []
     k, P = op.reduce_shift()
     if phi.is_zero:
-        steps.append(TraceStep(
+        return SequenceExpr.zero(), SolveTrace((TraceStep(
             "zero-rhs", "a zero right-hand side has the zero particular solution",
-            "0", "0"))
-        return SequenceExpr.zero(), SolveTrace(tuple(steps))
-    buckets = phi.buckets
-    if len(buckets) > 1:
-        steps.append(TraceStep(
-            "linearity",
-            "the inverse operator is linear: invert each right-hand term separately",
-            _pending(str(P), str(phi)),
-            " ; ".join(_pending(str(P), _term_str(key, h)) for key, h in buckets)))
-    solved = [_solve_term(P, key, h) for key, h in buckets]
-    parts = [e for e, _ in solved]
-    steps.extend(step for _, term_steps in solved for step in term_steps)
-    total = _sum(pair for e in parts for pair in e.buckets)
-    if len(buckets) > 1:
-        steps.append(TraceStep(
-            "linearity", "sum the per-term contributions",
-            " ; ".join(str(e) for e in parts), str(total)))
+            "0", "0"),))
+    P_str = str(P)
+    solved = [_solve_term(P, P_str, key, h) for key, h in phi.buckets]
+    total = _sum(pair for e, _ in solved for pair in e.buckets)
+    steps = [step for _, term_steps in solved for step in term_steps]
+    if len(solved) > 1:
+        steps = [TraceStep("linearity",
+                           "the inverse operator is linear: invert each right-hand term separately",
+                           _pending(P_str, str(phi)), " ; ".join(s[0].before for _, s in solved)),
+                 *steps,
+                 TraceStep("linearity", "sum the per-term contributions",
+                           " ; ".join(s[-1].after for _, s in solved), str(total))]
     if k:
-        shifted = total.shift(-k)
-        steps.append(TraceStep(
-            "inverse-translation",
-            f"invert the factor T^{k} by translating the argument by -{k}",
-            str(total), str(shifted)))
-        total = shifted
+        total = total.shift(-k)
+        steps.append(TraceStep("inverse-translation",
+                               f"invert the factor T^{k} by translating the argument by -{k}",
+                               steps[-1].after, str(total)))
     return total, SolveTrace(tuple(steps))
 
 

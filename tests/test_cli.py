@@ -346,6 +346,20 @@ class TestExitCodes:
         assert out.startswith(f"{code} True\n{message} (over 4001 coefficients or numbers "
                               "over 2^20 bits)")
 
+    def test_apply_past_the_work_bound(self):
+        # (T+1)^100 on t^1000 took 22 s: 100 Taylor shifts of a degree-1000 payload
+        out = run_bounded(textwrap.dedent("""
+            import contextlib, io, time
+            from fdsolve import cli
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["apply", "(T+1)^100", "t^1000"])
+            print(code, time.perf_counter() - start < 5)
+            print(err.getvalue(), end="")
+            """))
+        assert out == ("1 True\nerror: applying the operator takes about 100200100 shift "
+                       "steps, over the limit of 20000000\n")
+
     def test_float_overflow_in_fit(self, capsys):
         code, out, err = run(capsys, "solve", "y(t+2) - y(t+1) - y(t) = 0",
                              "--initial", "y(-2000)=1, y(-1999)=1")

@@ -42,6 +42,7 @@ SOLVE_CASES = [
      "y(0)=0, y(1)=1"),
     ("linearity-trig", "y(t+1) + y(t) = t * sin(2*pi*t) + t*cos(3*pi*t)", None),
     ("inverse-translation", "y(t+2) - 2y(t+1) = 2^t", None),
+    ("linearity-inverse-translation", "y(t+3) - 2y(t+2) = 2^t + t", None),
     ("numeric-real", "y(t+2) - y(t+1) - y(t) = 0", "y(0)=0, y(1)=1"),
     ("numeric-complex", "y(t+2) - y(t+1) + 2y(t) = 1", "y(0)=1, y(1)=3/2"),
     ("numeric-repeated", "y(t+4) - 4y(t+2) + 4y(t) = 1",

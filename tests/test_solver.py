@@ -191,6 +191,47 @@ class TestParticularPaths:
         assert y.is_zero
         assert [s.rule for s in trace.steps] == ["zero-rhs"]
 
+    def test_trace_is_one_chain(self):
+        # each step starts where the last ended; the linearity steps join the
+        # terms' first and last states; the last state renders the result
+        rng = random.Random(20)
+        rules = set()
+        for i in range(400):
+            P, phi = resonant_instance(rng) if i % 2 else plain_instance(rng)
+            if i % 3 == 0:
+                P = OperatorPoly.from_poly(P * Poly([0] * rng.randint(1, 3) + [1]))
+            if i % 10 == 0:
+                phi = SequenceExpr.zero()
+            y, trace = solve_particular(P, phi)
+            steps = list(trace.steps)
+            rules.update(s.rule for s in steps)
+            assert steps[-1].after == str(y)
+            if steps[-1].rule == "inverse-translation":
+                shift = steps.pop()
+                assert shift.before == steps[-1].after
+            if phi.is_zero:
+                assert [(s.rule, s.before, s.after) for s in steps] == [("zero-rhs", "0", "0")]
+                continue
+            if len(phi.buckets) > 1:
+                split, *steps, join = steps
+                assert split.rule == join.rule == "linearity"
+            # a term's chain ends at its result, the first state without a
+            # pending inverse
+            chains, chain = [], []
+            for s in steps:
+                assert not chain or s.before == chain[-1].after
+                chain.append(s)
+                if "[1/(" not in s.after:
+                    chains.append(chain)
+                    chain = []
+            assert not chain and len(chains) == len(phi.buckets)
+            if len(phi.buckets) > 1:
+                assert split.after == " ; ".join(c[0].before for c in chains)
+                assert join.before == " ; ".join(c[-1].after for c in chains)
+        assert rules == {"zero-rhs", "linearity", "inverse-translation", "resonant-trig",
+                         "scale-rule", "power-rule", "cos-rule", "sin-rule", "delta-basis",
+                         "shift-theorem", "series-inverse", "propagation"}
+
 
 class TestHomogeneous:
     def test_distinct_rational_roots(self):
