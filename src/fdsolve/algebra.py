@@ -2,11 +2,12 @@
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers.  `find_roots` isolates the real roots in integer arithmetic to
-find the rational ones exactly; floats (and numpy, imported only then) stand
-for the irrational and complex roots that remain.
+find the rational ones exactly and to count the rest; floats from an Aberth
+iteration stand for the irrational and complex roots that remain.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import reduce
@@ -192,9 +193,8 @@ class Poly(_Record):
     def taylor_shift(self, a: Coeff) -> Poly:
         """Return the composition p(t + a), computed exactly.
 
-        With a = u/v, `_divide` at the node u shifts the integer polynomial
-        den*v^d*p(s/v) to s + u; putting s = v*t and dividing gives p(t + a).
-        A shift by 0 returns the polynomial itself.
+        With a = u/v, `_divide` at the node u shifts the integer polynomial den*v^d*p(s/v)
+        to s + u; putting s = v*t and dividing gives p(t + a).  A shift by 0 returns p itself.
 
         >>> str(Poly(4, -5, 1).taylor_shift(1))
         't^2 - 3*t'
@@ -226,12 +226,10 @@ class Poly(_Record):
 
 
 def _divide(cs: list, xs: Iterable) -> list:
-    """Repeated synthetic division of p, lowest coefficient first, in place.
-
-    Leaves r_0, r_1, ... with p = r_0 + (t - x_0)(r_1 + (t - x_1)(r_2 + ...)),
-    reading no node past the degree: every node a gives p(t + a), the nodes
-    0, 1, 2, ... the Newton form.  Exact on int or Fraction entries.
-    """
+    """Repeated synthetic division of p, lowest coefficient first, in place: leaves
+    r_0, r_1, ... with p = r_0 + (t - x_0)(r_1 + (t - x_1)(r_2 + ...)), reading no
+    node past the degree.  Every node a gives p(t + a), the nodes 0, 1, 2, ... the
+    Newton form.  Exact on int or Fraction entries."""
     for i, x in zip(range(len(cs) - 1), xs):
         for j in range(len(cs) - 2, i - 1, -1):
             cs[j] += x * cs[j + 1]
@@ -274,22 +272,17 @@ def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
 
 def _newton(p: Poly) -> tuple[list[int], int]:
     """(nums, den) with d_k = nums[k] / den = (Delta^k p)(0), so p(t) = sum d_k * C(t, k).
-
-    `_divide` at the nodes 0, 1, 2, ... writes p's integer numerators as
-    sum r_k * t(t-1)...(t-k+1), and d_k = k! * r_k / den.  In this basis
-    Delta lowers the index by one: Delta^k p has coefficients d[k:].
-    """
+    `_divide` at the nodes 0, 1, 2, ... writes p's numerators as sum r_k * t(t-1)...(t-k+1),
+    and d_k = k! * r_k / den.  In this basis Delta^k p has coefficients d[k:]."""
     factorials = accumulate(count(1), mul, initial=1)
     return [r * f for r, f in zip(_divide(list(p.nums), count()), factorials)], p.den
 
 
 def _from_newton(nums: Sequence[int], den: int) -> Poly:
     """The polynomial sum d_k * C(t, k) with d_k = nums[k] / den, inverse of `_newton`.
-
     With n = len(nums) - 1, n! * den * d_k * C(t, k) is (n!/k!) * nums[k] times
-    t(t-1)...(t-k+1), so `_expand` at the nodes 0, ..., n-1 sums them in
-    integers; one division by den * n! follows.
-    """
+    t(t-1)...(t-k+1), so `_expand` at the nodes 0, ..., n-1 sums them in integers,
+    and one division by den * n! follows."""
     weights = list(accumulate(range(len(nums) - 1, 0, -1), mul, initial=1))[::-1]   # n!/k!
     cs = _expand([w * c for w, c in zip(weights, nums)], range(len(nums)))
     return Poly._make(cs, den * weights[0])
@@ -338,12 +331,10 @@ class RootSet(_Record):
 
 
 def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact division with remainder: a = q*b + r with deg r < deg b.
-
-    Pseudo-division of the numerators (Knuth, TAOCP vol. 2, 4.6.1): with l
-    = lead(B) and e = deg a - deg b + 1, l^e * A = Q*B + R in integers, and
-    q = Q * b.den / (l^e * a.den), r = R / (l^e * a.den).
-    """
+    """Exact division with remainder: a = q*b + r with deg r < deg b.  Pseudo-division
+    of the numerators (Knuth, TAOCP vol. 2, 4.6.1): with l = lead(B) and e = deg a -
+    deg b + 1, l^e * A = Q*B + R in integers, q = Q * b.den / (l^e * a.den) and
+    r = R / (l^e * a.den)."""
     B, n = b.nums, b.degree
     lead = B[-1]
     r = list(a.nums)
@@ -367,11 +358,8 @@ def _primitive(p: Poly) -> list[int]:
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by Euclid's algorithm over Q.
-
-    Each remainder is replaced by its primitive integer form before the next
-    division, which keeps the coefficients from growing without bound.
-    """
+    """Monic greatest common divisor, by Euclid's algorithm over Q.  Each remainder is
+    replaced by its primitive integer form, which keeps the coefficients from growing."""
     while b:
         a, b = b, Poly._make(_primitive(_divmod(a, b)[1]), 1)
     return Poly._make(list(a.nums), a.nums[-1])
@@ -379,11 +367,9 @@ def _gcd(a: Poly, b: Poly) -> Poly:
 
 def _square_free(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's square-free decomposition: the nonconstant f_i of p = lead * prod f_i^i.
-
-    The f_i are square-free and pairwise coprime, so every root of f_i has
-    multiplicity exactly i in p.  The last factor is returned as found, not
-    made monic: a square-free p comes back unchanged as [(p, 1)].
-    """
+    The f_i are square-free and pairwise coprime, so every root of f_i has multiplicity
+    exactly i in p.  The last factor is not made monic: a square-free p comes back
+    unchanged as [(p, 1)]."""
     g = _gcd(p, p.derivative())
     b = _divmod(p, g)[0]
     d = _divmod(p.derivative(), g)[0] - b.derivative()
@@ -400,26 +386,67 @@ def _square_free(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def _balanced(p: Poly) -> Poly:
-    """p times the power of two that brings its largest coefficient within (1/2, 2).
-
-    The scaling is exact, and float rounding commutes with it, so float work
-    on the result gives the same bits as on p wherever p is in float range;
-    a p scaled far outside that range still reaches numpy in range.
-    """
+    """p times the power of two that brings its largest coefficient within (1/2, 2): exact
+    and commuting with float rounding, so float work on it gives the same bits as on p
+    where p is in float range, and p out of it still reaches the floats in range."""
     e = max((c // g).bit_length() - (p.den // g).bit_length()
             for c in p.nums if c for g in [math.gcd(c, p.den)])   # per coefficient, reduced
     return p * Fraction(2) ** -e
 
 
-def _approximate(p: Poly) -> list[complex]:
-    """Float approximations of all roots: the companion-matrix eigenvalues of numpy.roots.
+_MAX_SWEEPS = 100
 
-    numpy is imported here, its only use, so a process whose operators have
-    only rational roots never loads it.
-    """
-    import numpy as np
-    # int / int is correctly rounded, as float(Fraction) is: the same bits
-    return [complex(z) for z in np.roots([c / p.den for c in reversed(p.nums)])]
+
+def _sweep(cs: list[float], zs: list[complex]) -> bool:
+    """One Aberth sweep, in place: each approximation z of a root of p = sum cs[k] t^k
+    moves by 1 / (p'(z)/p(z) - sum 1/(z - y)) over the others y.  False when every
+    step was within 4e-16*|z| or began where p(z) is below Horner's rounding bound."""
+    d, moved, rev = len(cs) - 1, False, cs[::-1]
+    for i, z in enumerate(zs):
+        for x, hs in ((z, rev), (1 / z, cs)):   # p at 1/z from cs reversed where |z|^d overflows
+            ax, v, dv, bound = abs(x), 0j, 0j, 0.0
+            for c in hs:   # Horner's rule for p, p' and sum |c_k| |x|^k
+                v, dv, bound = v * x + c, dv * x + v, bound * ax + abs(c)
+            if bound < math.inf:
+                break
+        if v:
+            g = dv / v if x is z else x * (d - x * dv / v)   # p'(z) / p(z)
+            w = 1 / (g - sum(1 / (z - y) for j, y in enumerate(zs) if j != i))
+            zs[i] = z - w
+            moved = moved or (abs(w) > 4e-16 * abs(z) and abs(v) > d * 2**-52 * bound)
+    return moved
+
+
+def _approximate(p: Poly, real: int) -> list[complex]:
+    """Float approximations of all roots of p, of which exactly `real` are real, by
+    Aberth-Ehrlich sweeps (Aberth 1973; Bini 1996) on p's correctly rounded coefficients
+    c_k, from Bini's start: j - i points on the circle of radius (|c_i| / |c_j|)^(1/(j - i))
+    for each edge (i, j) of the upper hull of the points (k, log|c_k|).  The `real`
+    approximations nearest the real axis then become real, and each other one is paired
+    with its exact conjugate.  [] when an end coefficient rounds to 0.0 or a circle lies
+    past the float range: the roots span beyond the floats."""
+    d = p.degree
+    cs = [c / p.den for c in p.nums]   # int / int is correctly rounded, as float(Fraction) is
+    if not (cs[0] and cs[-1]) or not all(map(math.isfinite, cs)):
+        return []
+    y = {k: math.log(abs(c)) for k, c in enumerate(cs) if c}
+    hull = [0]
+    while (i := hull[-1]) < d:   # the next vertex is the steepest, the last on ties
+        hull.append(max((j for j in y if j > i), key=lambda j: ((y[j] - y[i]) / (j - i), j)))
+    try:
+        zs = [cmath.rect(math.exp((y[i] - y[j]) / (j - i)), 2 * math.pi * k / (j - i) + 0.4 + i)
+              for i, j in zip(hull, hull[1:]) for k in range(j - i)]
+    except OverflowError:   # a circle past the float range
+        return []
+    try:
+        settled = any(not _sweep(cs, zs) for _ in range(_MAX_SWEEPS))
+    except ZeroDivisionError:   # two approximations met
+        settled = False
+    if not settled or not all(map(cmath.isfinite, zs)):
+        raise ValueError(f"root approximations did not settle within {_MAX_SWEEPS} sweeps")
+    zs.sort(key=lambda z: abs(z.imag))
+    upper = sorted(zs[real:], key=lambda z: z.imag)[(d - real) // 2:]
+    return [complex(z.real) for z in zs[:real]] + [w for z in upper for w in (z, z.conjugate())]
 
 
 def _variations(cs: list[int]) -> int:
@@ -431,17 +458,14 @@ def _variations(cs: list[int]) -> int:
 def _positive_root_points(q: list[int], lead: int) -> list[Fraction]:
     """A point within 1/(4*lead^2) of each positive root of q, or the root itself.
 
-    q is a square-free integer polynomial, lowest coefficient first, with
-    q(0) != 0.  Vincent-Collins-Akritas bisection: every root lies below
-    2^e (Cauchy's bound), so Q(x) = q(2^e x) has them all in (0, 1).  Each
-    interval (c/2^k, (c+1)/2^k) of x is held as an integer polynomial with
-    that interval's roots in (0, 1), and the sign variations of
-    (x+1)^d Q(1/(x+1)) bound their number (Descartes' rule).  No variation:
-    no root.  One: exactly one, narrowed by exact signs at dyadic points
-    until the interval is narrower than 1/(2*lead^2); its midpoint is the
-    point returned.  More: halve, with 2^d Q(x/2) on the left and its Taylor
-    shift by 1 on the right, whose constant term is 0 exactly when the
-    midpoint is a root.
+    q is a square-free integer polynomial, lowest coefficient first, with q(0)
+    != 0.  Vincent-Collins-Akritas bisection: Q(x) = q(2^e x), 2^e past Cauchy's
+    bound, has all roots in (0, 1).  Each interval (c/2^k, (c+1)/2^k) of x is an
+    integer polynomial with that interval's roots in (0, 1), whose number the
+    sign variations of (x+1)^d Q(1/(x+1)) bound (Descartes' rule).  One root is
+    narrowed by exact signs at dyadic points to below 1/(2*lead^2); more are
+    halved into 2^d Q(x/2) and its shift by 1, whose constant term is 0 exactly
+    when the midpoint is a root.
     """
     d = len(q) - 1
     # every root lies below 1 + ceil(max |q_i| / |q_d|) <= 2^e
@@ -470,71 +494,44 @@ def _positive_root_points(q: list[int], lead: int) -> list[Fraction]:
     return points
 
 
-def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
-    """The rational roots of a square-free f, and f with them split off.
-
-    A rational root's denominator divides L, the leading coefficient of f's
-    primitive integer form q, and two such fractions lie at least 1/L^2
-    apart, so `limit_denominator(L)` recovers the root from any point within
-    1/(2L^2).  After the root 0 is split off, `_positive_root_points` gives
-    such a point for every real root, from q(x) and from q(-x), in integer
-    arithmetic, and each candidate is confirmed exactly.  f is square-free,
-    so every root found is split off by one deflation.  When no root is
-    found, the f passed in comes back unchanged.
-    """
-    found: list[Fraction] = []
-    rest = f
-    if not f.nums[0]:
-        found, rest = [Fraction(0)], f.deflate(0)
+def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly, int]:
+    """The rational roots of a square-free f, f without them, and its number of real
+    roots left.  A rational root's denominator divides L, the leading coefficient of
+    f's primitive integer form q, and such fractions lie at least 1/L^2 apart, so
+    `limit_denominator(L)` recovers the root from the point within 1/(2L^2) that
+    `_positive_root_points` gives, from q(x) and q(-x), for each nonzero real root.
+    Points that are not confirmed exactly stand for irrational roots."""
+    found, rest = ([Fraction(0)], f.deflate(0)) if not f.nums[0] else ([], f)
     if rest.degree < 1:
-        return found, rest
+        return found, rest, 0
     q = _primitive(rest)
     lead = abs(q[-1])
-    for sign in (1, -1):
-        for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead):
-            r = sign * x.limit_denominator(lead)
-            if rest(r) == 0:
-                found.append(r)
-                rest = rest.deflate(r)
-    return found, rest
-
-
-def _newton_polish(p: Poly, x: complex) -> complex:
-    """At most three Newton steps from x; stops on a flat derivative or a runaway step.
-    The coefficients of p and p' become floats once, each correctly rounded."""
-    cs = [c / p.den for c in p.nums]
-    ds = [k * c / p.den for k, c in enumerate(p.nums)][1:]
-    for _ in range(3):
-        d = reduce(lambda acc, c: acc * x + c, reversed(ds), 0j)   # Horner's rule
-        if abs(d) < 1e-300:
-            break
-        step = reduce(lambda acc, c: acc * x + c, reversed(cs), 0j) / d
-        if not (abs(step) < 1e30):
-            break
-        x -= step
-    return x
+    points = [sign * x.limit_denominator(lead) for sign in (1, -1)
+              for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead)]
+    # the point of an irrational root may round to a rational root as well
+    roots = list(dict.fromkeys(r for r in points if rest(r) == 0))
+    return found + roots, reduce(Poly.deflate, roots, rest), len(points) - len(roots)
 
 
 def find_roots(p: Poly) -> RootSet:
     """Factor p completely, with exact multiplicities and exact rational roots.
 
-    Yun's square-free decomposition gives coprime square-free factors f_i
-    whose roots have multiplicity exactly i.  Exact real-root isolation finds
-    the rational roots of each f_i (scaled exactly into float range).  Only
-    when a factor of positive degree remains do floats enter: its roots are
-    numpy.roots of that factor, each polished by Newton's method.  Raises
-    ValueError when the floats cannot account for every root, as when the
-    coefficients span more than the float range.
+    Yun's square-free decomposition gives coprime square-free factors f_i whose
+    roots have multiplicity exactly i.  Exact real-root isolation finds the
+    rational roots of each f_i (scaled exactly into float range) and counts the
+    others that are real; `_approximate` gives the roots left, the counted ones
+    with imaginary part +0.0.  Raises ValueError when the floats cannot account
+    for every root, as when the coefficients span beyond the float range.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     exact: list[Root] = []
     numeric: list[Root] = []
     for f, mult in _square_free(p):
-        found, rest = _rational_roots(_balanced(f))
+        found, rest, real = _rational_roots(_balanced(f))
         exact.extend(Root(r, mult, True) for r in found)
         if rest.degree >= 1:
-            numeric.extend(Root(_newton_polish(rest, z), mult, False) for z in _approximate(rest))
+            numeric.extend(Root(z, mult, False) for z in _approximate(rest, real))
     if sum(r.multiplicity for r in exact + numeric) != p.degree:
         raise ValueError("coefficients span beyond the float range; roots not found")
     exact.sort(key=lambda r: r.value)

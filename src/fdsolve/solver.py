@@ -83,6 +83,15 @@ HomogeneousMode = Union[SequenceExpr, NumericMode]
 Condition = tuple[int, Fraction]
 
 
+def _conditions(initial: Sequence[Condition], degree: int) -> tuple[Condition, ...]:
+    """The initial values sorted by t; there must be `degree` of them, each at an integral t."""
+    if len(initial) != degree:
+        raise ValueError(f"need exactly {degree} initial values, got {len(initial)}")
+    if any(t != int(t) for t, _ in initial):
+        raise ValueError("initial values must be at integer t")
+    return tuple(sorted((int(t), Fraction(v)) for t, v in initial))
+
+
 class Equation(_Record):
     """P(T) y = rhs, optionally with consecutive initial values of y."""
 
@@ -93,13 +102,9 @@ class Equation(_Record):
         if operator.degree < 1:
             raise ValueError("difference operator must have degree >= 1")
         if initial is not None:
-            initial = tuple(sorted((int(t), Fraction(v)) for t, v in initial))
-            if len(initial) != operator.degree:
-                raise ValueError(f"need exactly {operator.degree} initial values, "
-                                 f"got {len(initial)}")
-            for (t0, _), (t1, _) in zip(initial, initial[1:]):
-                if t1 != t0 + 1:
-                    raise ValueError("initial conditions must be at consecutive integers")
+            initial = _conditions(initial, operator.degree)
+            if any(t1 != t0 + 1 for (t0, _), (t1, _) in zip(initial, initial[1:])):
+                raise ValueError("initial conditions must be at consecutive integers")
         super().__init__(operator, rhs, initial)
 
     def __str__(self) -> str:
@@ -350,9 +355,7 @@ def fit_constants(
     elimination with partial pivoting, each column first scaled by a power of
     two (exactly) so that its largest entry lies in [0.5, 1).
     """
-    conds = sorted((int(t), Fraction(v)) for t, v in initial)
-    if len(conds) != op.degree:
-        raise ValueError(f"need exactly {op.degree} initial values, got {len(conds)}")
+    conds = _conditions(initial, op.degree)
     b = [v - particular.eval_at(t) for t, v in conds]
     if all(isinstance(m, SequenceExpr) for m in basis):
         A = [[m.eval_at(t) for m in basis] for t, _ in conds]

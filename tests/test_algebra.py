@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,10 +12,12 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
+from fdsolve import algebra, cli
 from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _divide, _divmod, _expand,
-                             _from_newton, _gcd, _newton, _newton_polish, _square_free,
+                             _from_newton, _gcd, _newton, _square_free,
                              find_roots, series_inverse)
-from fdsolve.solver import antidifference
+from fdsolve.parser import parse_equation
+from fdsolve.solver import antidifference, solve_homogeneous
 
 from corpus import GOLDEN_EQUATIONS
 
@@ -457,37 +460,6 @@ def test_construction_routes_agree(cs, k):
         assert (r.nums, r.den) == (p.nums, p.den)
 
 
-def polish_reference(p, x):
-    """The Newton polish on float(Fraction) coefficients, read afresh at every step."""
-    def horner(cs, z):
-        acc = 0.0 + 0.0j
-        for c in reversed(cs):
-            acc = acc * z + float(c)
-        return acc
-    dp = [k * c for k, c in enumerate(p.coeffs)][1:]
-    for _ in range(3):
-        d = horner(dp, x)
-        if abs(d) < 1e-300:
-            break
-        step = horner(p.coeffs, x) / d
-        if not (abs(step) < 1e30):
-            break
-        x -= step
-    return x
-
-
-@pytest.mark.parametrize("p", [
-    Poly(1, 0, 1), Poly(-2, 0, 1), Poly(-1, -1, 1), Poly(F(1, 3), F(-7, 5), F(2, 9), 1),
-    Poly(F(-1, 10**30), 0, 0, F(1, 7)), Poly(10**20, -3, F(1, 10**12), 5, 1),
-    Poly([(-1) ** k * F(k * k + 1, 2 * k + 3) for k in range(12)]),
-])
-def test_newton_polish_matches_fraction_floats(p):
-    starts = [complex(0.5, 0.5), complex(-3.25, 0), complex(1e3, -1e-3), complex(0.1, 2.0)]
-    for x in starts:
-        got, want = _newton_polish(p, x), polish_reference(p, x)
-        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
-
-
 def _divisors(n):
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in small]
@@ -681,7 +653,8 @@ class TestFindRoots:
             modes = json.loads(out.getvalue())["homogeneous"]
             print("numpy" in sys.modules, [m["type"] for m in modes])
             """))
-        assert out == "[0, 0, 0, 0] False\nTrue ['numeric', 'numeric']\n"
+        # not even the irrational roots of the last equation load numpy
+        assert out == "[0, 0, 0, 0] False\nFalse ['numeric', 'numeric']\n"
 
     def test_repeated_irrational_multiplicity(self):
         rs = find_roots(Poly(-5, 0, 1) ** 3)
@@ -732,3 +705,70 @@ def test_render():
     assert str(Poly(0, -1)) == "-t"
     assert str(Poly(0, 0, F(1, 2))) == "1/2*t^2"
     assert Poly(4, -5, 1).render("T") == "T^2 - 5*T + 4"
+
+
+def exact_relative_residual(p: Poly, z: complex) -> float:
+    """|p(z)| / sum |p_k| |z|^k, exactly at the binary value z = (A + iB) / D, in integers:
+    p(z) * den * D^d = sum nums[k] * (A + iB)^k * D^(d-k) by Horner's rule, and the
+    moduli are integer square roots."""
+    re, im = F(z.real), F(z.imag)
+    D = math.lcm(re.denominator, im.denominator)
+    A, B = int(re * D), int(im * D)
+    d, modulus = p.degree, math.isqrt(A * A + B * B)
+    vr, vi = p.nums[-1], 0
+    for k in range(d - 1, -1, -1):
+        vr, vi = vr * A - vi * B + p.nums[k] * D ** (d - k), vr * B + vi * A
+    bound = sum(abs(c) * modulus**k * D ** (d - k) for k, c in enumerate(p.nums))
+    return float(F(math.isqrt(vr * vr + vi * vi), bound))
+
+
+def _hard_polynomials():
+    wilkinson = Poly(1)
+    for k in range(1, 11):
+        wilkinson = wilkinson * Poly(-k, 1)
+    rng = random.Random(80)   # the degree-80 polynomial of CI
+    return {
+        "t^2 - 10^12 t + 1": Poly(1, -10**12, 1),
+        "wilkinson-10, t^9 perturbed by 2^-23": wilkinson - Poly([0] * 9 + [F(1, 2**23)]),
+        "t^200 - t - 1": Poly([-1, -1] + [0] * 198 + [1]),
+        "random degree 80": Poly([rng.randint(-10**6, 10**6) for _ in range(80)] + [10**6]),
+        "(t^8 - 2)(t^8 - 3)": Poly([-2] + [0] * 7 + [1]) * Poly([-3] + [0] * 7 + [1]),
+        # |z|^6 overflows a float at the root near 10^200
+        "roots from 10^-200 to 10^200": Poly(1, -10**200, 1) * Poly(-2, 0, 1) * Poly(1, 1, 1),
+    }
+
+
+HARD_POLYNOMIALS = _hard_polynomials()
+
+
+class TestNumericRoots:
+    @pytest.mark.parametrize("p", HARD_POLYNOMIALS.values(), ids=HARD_POLYNOMIALS)
+    def test_hard_polynomials(self, p):
+        rs = find_roots(p)
+        values = [complex(r.value) for r in rs.roots]
+        # square-free, so every root is found once: d values near roots and far apart
+        assert [r.multiplicity for r in rs.roots] == [1] * p.degree
+        assert min(abs(z - w) / max(abs(z), abs(w)) for i, z in enumerate(values)
+                   for w in values[:i]) > 1e-8
+        numeric = [r.value for r in rs.roots if not r.exact]
+        assert max(exact_relative_residual(p, z) for z in numeric) <= 1e-14
+        real = [z for z in numeric if z.imag == 0]
+        assert all(math.copysign(1, z.imag) == 1 for z in real)
+        pairs = sorted((z for z in numeric if z.imag), key=lambda z: (z.real, abs(z.imag), z.imag))
+        assert all(lo == hi.conjugate() and lo.imag < 0 for lo, hi in zip(pairs[::2], pairs[1::2]))
+        # each real approximation brackets a sign change of p
+        for x in real:
+            step = F(abs(x.real)) / 10**10
+            assert p(F(x.real) - step) * p(F(x.real) + step) < 0
+
+    def test_negative_real_root_has_angle_pi(self):
+        op = parse_equation("y(t+2) + y(t+1) - y(t) = 0").operator
+        assert [m.render() for m in solve_homogeneous(op)] == \
+            ["1.618033989^t * cos(3.141592654*t)", "0.6180339887^t"]
+
+    def test_unsettled_iteration_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(algebra, "_MAX_SWEEPS", 1)
+        with pytest.raises(ValueError, match="did not settle within 1 sweeps"):
+            find_roots(Poly(-2, 0, 1))
+        assert cli.main(["solve", "y(t+2) - y(t+1) - y(t) = 0"]) == 1
+        assert "did not settle" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from fdsolve.solver import (Equation, NumericMode,
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
 from instance_gen import BASES, COEFFS, plain_instance, resonant_instance
-from fdsolve.parser import parse_equation
+from fdsolve.parser import parse_equation, parse_expression
 
 
 def check_particular(P, phi, y):
@@ -355,6 +355,17 @@ class TestEquationValidation:
         with pytest.raises(ValueError):
             Equation(OperatorPoly(4, -5, 1), SequenceExpr.zero(),
                      ((0, F(1)), (2, F(1))))
+
+    def test_non_integer_times_rejected(self):
+        # int() would truncate these to y(0) = 1 and to a fit at t = 2
+        P = OperatorPoly(-2, 1)
+        with pytest.raises(ValueError, match="integer t"):
+            Equation(P, parse_expression("3^t"), [(F(1, 2), 1)])
+        with pytest.raises(ValueError, match="integer t"):
+            fit_constants(P, SequenceExpr.zero(), solve_homogeneous(P), [(2.7, 5)])
+        for t in (2, 2.0, F(4, 2)):
+            assert Equation(P, parse_expression("3^t"), [(t, 1)]).initial == ((2, F(1)),)
+            assert fit_constants(P, SequenceExpr.zero(), solve_homogeneous(P), [(t, 8)]) == (F(2),)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
