@@ -218,8 +218,9 @@ class Poly(_Record):
         return Poly._make([c * v**i for i, c in enumerate(cs[1:])], self.den * v ** max(d - 1, 0))
 
     def render(self, var: str = "t") -> str:
-        """Format with descending powers: `t^2 - 5*t + 4`."""
-        return _render_powers(reversed(list(enumerate(self.coeffs))), var)
+        """Format with descending powers, `t^2 - 5*t + 4`, from the integers nums over den."""
+        return _render_sum(((c, _power(var, k)) for k, c in reversed(list(enumerate(self.nums)))
+                            if c), self.den)
 
     def __str__(self) -> str:
         return self.render()
@@ -245,29 +246,27 @@ def _expand(cs: list, xs: Sequence) -> list:
     return cs
 
 
-def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
-    """Join (negative, body) pairs as `a - b + c`; the empty sum is `0`."""
-    parts: list[str] = []
-    for negative, body in terms:
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f" - {body}" if negative else f" + {body}")
-    return "".join(parts) or "0"
+def _signed_sum(parts: Iterable[str]) -> str:
+    """Join signed terms ` + a`, ` - b`, ` + c` as `a - b + c`; the empty sum is `0`."""
+    s = "".join(parts)
+    return s[3:] if s[1:2] == "+" else f"-{s[3:]}" if s else "0"
 
 
-def _monomial(c: Fraction, power: str) -> tuple[bool, str]:
-    """(negative, body) of c*power; the empty power is a constant."""
-    mag = abs(c)
-    if not power:
-        return c < 0, str(mag)
-    return c < 0, power if mag == 1 else f"{mag}*{power}"
+def _power(var: str, k: int) -> str:   # var^0 is the empty power of a constant
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
 
 
-def _render_powers(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
-    """Signed sum of the monomials c*var^k in the given (k, c) order, zeros skipped."""
-    return _signed_sum(_monomial(c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
-                       for k, c in terms if c)
+def _render_sum(terms: Iterable[tuple[int, str]], den: int) -> str:
+    """Signed sum of the monomials (c / den) * power over (c, power) pairs, c nonzero and
+    the empty power a constant; |c| / den, reduced by one gcd, prints as a Fraction does."""
+    parts = []
+    for c, power in terms:
+        g, mag = math.gcd(c, den), abs(c)
+        body = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        if power:
+            body = power if body == "1" else f"{body}*{power}"
+        parts.append(f" - {body}" if c < 0 else f" + {body}")
+    return _signed_sum(parts)
 
 
 def _newton(p: Poly) -> tuple[list[int], int]:
@@ -399,8 +398,10 @@ _MAX_SWEEPS = 100
 
 def _sweep(cs: list[float], zs: list[complex]) -> bool:
     """One Aberth sweep, in place: each approximation z of a root of p = sum cs[k] t^k
-    moves by 1 / (p'(z)/p(z) - sum 1/(z - y)) over the others y.  False when every
-    step was within 4e-16*|z| or began where p(z) is below Horner's rounding bound."""
+    moves by 1 / (p'(z)/p(z) - sum 1/(z - y)) over the others y; where p(z) is subnormal,
+    so that p'(z)/p(z) is not finite, by the same step p(z) / (p'(z) - p(z) sum 1/(z - y)).
+    False when every step was within 4e-16*|z| or began where p(z) is below Horner's
+    rounding bound."""
     d, moved, rev = len(cs) - 1, False, cs[::-1]
     for i, z in enumerate(zs):
         for x, hs in ((z, rev), (1 / z, cs)):   # p at 1/z from cs reversed where |z|^d overflows
@@ -411,7 +412,11 @@ def _sweep(cs: list[float], zs: list[complex]) -> bool:
                 break
         if v:
             g = dv / v if x is z else x * (d - x * dv / v)   # p'(z) / p(z)
-            w = 1 / (g - sum(1 / (z - y) for j, y in enumerate(zs) if j != i))
+            s = sum(1 / (z - y) for j, y in enumerate(zs) if j != i)
+            if cmath.isfinite(g):
+                w = 1 / (g - s)
+            else:   # p(z) subnormal; in the 1/z branch p'(z) is x * (d*v - x*dv) / x^d
+                w = v / ((dv if x is z else x * (d * v - x * dv)) - v * s)
             zs[i] = z - w
             moved = moved or (abs(w) > 4e-16 * abs(z) and abs(v) > d * 2**-52 * bound)
     return moved

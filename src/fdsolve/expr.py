@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Coeff, Poly, _Record, _signed_sum
+from .algebra import Coeff, Poly, _Record, _render_sum, _signed_sum
 from .operators import OperatorPoly
 
 
@@ -221,7 +221,7 @@ class SequenceExpr(_Record):
 
 
 def _render_base_power(base: Fraction, shift: int) -> str:
-    b = str(base) if base >= 0 and base.denominator == 1 else f"({base})"
+    b = str(base.numerator) if base.denominator == 1 and base.numerator >= 0 else f"({base})"
     if shift == 0:
         return f"{b}^t"
     return f"{b}^(t{'+' if shift > 0 else '-'}{abs(shift)})"
@@ -240,33 +240,33 @@ def _exponent_fold(coeff: Fraction, base: Fraction) -> int | None:
     return next((j for j in (k - 1, k, k + 1) if -16 <= j <= 16 and base**j == coeff), None)
 
 
-def _render_bucket(key: _Key, p: Poly, pretty: bool) -> tuple[bool, str]:
-    """Return (negative, body) where body renders the bucket's term without its sign."""
+def _render_bucket(key: _Key, p: Poly, pretty: bool) -> str:
+    """The bucket's term as a signed term, ` + body` or ` - body`, for `_signed_sum`."""
     base, kind, n = key
     if base == 1 and kind is None:
         s = p.render()
-        return (True, s[1:]) if s.startswith("-") else (False, s)
+        return f" - {s[1:]}" if s[0] == "-" else f" + {s}"
     pieces: list[str] = []
     j = _exponent_fold(p.lead, base) if pretty else None
-    negative = j is None and p.lead < 0
+    negative = j is None and p.nums[-1] < 0
     if j is not None:  # base^(t+j) takes the coefficient: print p monic
         pieces.append(_render_base_power(base, j))
-        p = p * (1 / p.lead)
+        p = Poly._make(list(p.nums), p.nums[-1])
     else:
         if negative:
             p = -p
-        if p.degree < 1 and p.lead != 1:
-            pieces.append(str(p.lead))
+        if p.degree < 1 and p.nums[0] != p.den:
+            pieces.append(_render_sum([(p.nums[0], "")], p.den))
         if base != 1:
             pieces.append(_render_base_power(base, 0))
     if p.degree >= 1:
-        if pretty and p.lead == 1 and sum(1 for c in p.nums if c) == 1:
+        if pretty and p.nums[-1] == p.den and sum(1 for c in p.nums if c) == 1:
             pieces.append(p.render())  # bare monomial like t or t^2
         else:
             pieces.append(f"({p.render()})")
     if kind is not None:
         pieces.append(f"{kind}({'' if n == 1 else f'{n}*'}pi*t)")
-    return negative, " * ".join(pieces)
+    return (" - " if negative else " + ") + " * ".join(pieces)
 
 
 # shift steps past which `apply_operator` refuses, before shifting: each nonzero

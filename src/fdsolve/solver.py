@@ -22,8 +22,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .algebra import (Poly, _from_newton, _monomial, _newton, _Record, _render_powers,
-                      _signed_sum, find_roots, series_inverse)
+from .algebra import (Poly, _from_newton, _newton, _power, _Record, _render_sum, _signed_sum,
+                      find_roots, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 from .operators import OperatorPoly
 
@@ -108,8 +108,8 @@ class Equation(_Record):
         super().__init__(operator, rhs, initial)
 
     def __str__(self) -> str:
-        lhs = _signed_sum(_monomial(self.operator[k], f"y(t+{k})" if k else "y(t)")
-                          for k in range(self.operator.degree, -1, -1) if self.operator[k])
+        lhs = _render_sum(((c, f"y(t+{k})" if k else "y(t)") for k, c in
+                           reversed(list(enumerate(self.operator.nums))) if c), self.operator.den)
         return f"{lhs} = {self.rhs}"
 
 
@@ -163,8 +163,8 @@ def _pending(op_str: str, payload: str) -> str:
     return f"[1/({op_str})]({payload})"
 
 
-def _series_str(cs: Sequence[Fraction]) -> str:
-    return _render_powers(enumerate(cs), "D")
+def _series_str(p: Poly) -> str:
+    return _render_sum(((c, _power("D", k)) for k, c in enumerate(p.nums) if c), p.den)
 
 
 def _term_str(key: _Key, poly: Poly) -> str:
@@ -229,7 +229,7 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
         return res, steps
 
     prefix = "" if out == (1, None, 0) else _term_str(out, Poly(1)) + " * "
-    q_str = _series_str(q.coeffs)
+    q_str = _series_str(q)
     if beta == 1:
         rule, detail = "delta-basis", f"set D = T - 1: the operator becomes {q_str}"
     else:
@@ -238,7 +238,7 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
             f"so the operator on the polynomial factor is {q_str}")
     step(rule, detail, f"{prefix}{_pending(q_str, str(h))}")
 
-    series = (f"1/({_series_str(R.coeffs)}) = {_series_str(cs)} + O(D^{order + 1}), "
+    series = (f"1/({_series_str(R)}) = {_series_str(inv)} + O(D^{order + 1}), "
               f"exact on degree-{order} payloads")
     if m == 0:
         step("series-inverse", f"invert the unit-constant series: {series}", str(res))
@@ -246,7 +246,7 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
 
     w = _from_newton(dw, inv.den * hd)
     step("series-inverse", f"split off D^{m}: {series}",
-         f"{prefix}{_pending(_series_str((Fraction(0),) * m + (Fraction(1),)), str(w))}")
+         f"{prefix}{_pending(_series_str(Poly._make([0] * m + [1], 1)), str(w))}")
     step("propagation",
          f"invert D^{m} by antidifferencing {m} time(s) in the falling-factorial "
          "basis (summation constants 0)", str(res))

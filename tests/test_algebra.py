@@ -12,14 +12,18 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
-from fdsolve import algebra, cli
+from fdsolve import algebra, cli, expr
 from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _divide, _divmod, _expand,
                              _from_newton, _gcd, _newton, _square_free,
                              find_roots, series_inverse)
+from fdsolve.expr import SequenceExpr
+from fdsolve.operators import OperatorPoly
 from fdsolve.parser import parse_equation
-from fdsolve.solver import antidifference, solve_homogeneous
+from fdsolve.solver import (Equation, _series_str, antidifference, solve_homogeneous,
+                            solve_particular)
 
 from corpus import GOLDEN_EQUATIONS
+from instance_gen import plain_instance, resonant_instance
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(rationals, max_size=5).map(Poly)
@@ -707,6 +711,105 @@ def test_render():
     assert Poly(4, -5, 1).render("T") == "T^2 - 5*T + 4"
 
 
+# ---- the integer renderer against a Fraction reference ----
+# The references read each coefficient as a Fraction and print its `str`, `abs`
+# and sign, as the renderer did before it worked on the integers.
+
+def signed_sum_ref(terms):
+    parts = []
+    for negative, body in terms:
+        parts.append(("-" if negative else "") + body if not parts
+                     else (" - " if negative else " + ") + body)
+    return "".join(parts) or "0"
+
+
+def render_ref(p: Poly, var="t", ascending: bool = False) -> str:
+    """p as a signed sum of monomials; var is a variable name or gives the k-th power."""
+    power = var if callable(var) else lambda k: "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+    def monomial(k, c):
+        mag = abs(c)
+        return c < 0, (power(k) if mag == 1 else f"{mag}*{power(k)}") if power(k) else str(mag)
+
+    pairs = list(enumerate(p.coeffs))
+    return signed_sum_ref(monomial(k, c) for k, c in (pairs if ascending else pairs[::-1]) if c)
+
+
+def bucket_ref(key, p: Poly, pretty: bool):
+    base, kind, n = key
+    if base == 1 and kind is None:
+        s = render_ref(p)
+        return (True, s[1:]) if s.startswith("-") else (False, s)
+    lead, pieces = p.coeffs[-1], []
+    j = expr._exponent_fold(lead, base) if pretty else None
+    negative = j is None and lead < 0
+    if j is not None:
+        pieces.append(expr._render_base_power(base, j))
+        p = p * (1 / lead)
+    else:
+        if negative:
+            p = -p
+        if p.degree < 1 and p.coeffs[-1] != 1:
+            pieces.append(str(p.coeffs[-1]))
+        if base != 1:
+            pieces.append(expr._render_base_power(base, 0))
+    if p.degree >= 1:
+        bare = pretty and p.coeffs[-1] == 1 and sum(map(bool, p.coeffs)) == 1
+        pieces.append(render_ref(p) if bare else f"({render_ref(p)})")
+    if kind is not None:
+        pieces.append(f"{kind}({'' if n == 1 else f'{n}*'}pi*t)")
+    return negative, " * ".join(pieces)
+
+
+def expr_ref(e, pretty: bool) -> str:
+    return signed_sum_ref(bucket_ref(key, p, pretty) for key, p in e.buckets)
+
+
+render_nums = st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**6, 10**6)),
+                       max_size=8)
+
+
+@given(render_nums, st.one_of(st.just(1), st.integers(2, 10**4)), st.sampled_from("tTD"))
+@example([0, -1, 1, 0, 1], 2, "t")   # each of 0, -1/2, 1 and 1/2 as a coefficient
+@settings(max_examples=200, deadline=None)
+@seed(22)
+def test_integer_renderer_matches_fraction_reference(nums, den, var):
+    # every third numerator times den makes an integer coefficient, and 1 or -1 a unit
+    p = Poly._make([c * den if i % 3 == 2 else c for i, c in enumerate(nums)], den)
+    assert p.render(var) == render_ref(p, var)
+    assert _series_str(p) == render_ref(p, "D", ascending=True)
+    if p.degree >= 1:
+        eq = Equation(OperatorPoly._make(list(p.nums), p.den), SequenceExpr())
+        assert str(eq) == render_ref(p, lambda k: f"y(t+{k})" if k else "y(t)") + " = 0"
+
+
+def test_expression_renderer_matches_fraction_reference():
+    # seeded right sides, and particular solutions, whose coefficients are larger
+    rng = random.Random(22)
+    exprs = []
+    for k in range(150):
+        P, phi = plain_instance(rng) if k % 2 else resonant_instance(rng)
+        exprs += [phi, solve_particular(P, phi)[0]]
+    for e in exprs:
+        for pretty in (False, True):
+            assert e.render(pretty) == expr_ref(e, pretty)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_render_past_4300_digits():
+    big = F(10**4400 + 1, 3)
+    p = Poly(0, -big, big)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)   # as the CLI does
+        assert str(p) == f"{big}*t^2 - {big}*t" == render_ref(p)
+        sys.set_int_max_str_digits(4300)   # Python's default
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(p)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def exact_relative_residual(p: Poly, z: complex) -> float:
     """|p(z)| / sum |p_k| |z|^k, exactly at the binary value z = (A + iB) / D, in integers:
     p(z) * den * D^d = sum nums[k] * (A + iB)^k * D^(d-k) by Horner's rule, and the
@@ -765,6 +868,28 @@ class TestNumericRoots:
         op = parse_equation("y(t+2) + y(t+1) - y(t) = 0").operator
         assert [m.render() for m in solve_homogeneous(op)] == \
             ["1.618033989^t * cos(3.141592654*t)", "0.6180339887^t"]
+
+    def test_subnormal_root_settles(self, capsys):
+        # p(z) is subnormal near the root -2^-1073, so p'(z)/p(z) is not finite there
+        src = "y(t+3) + y(t+1) + (1/2)^1073 y(t) = 0"
+        assert [m.render() for m in solve_homogeneous(parse_equation(src).operator)] == \
+            ["9.881312917e-324^t * cos(3.141592654*t)",
+             "1^t * cos(1.570796327*t)", "1^t * sin(1.570796327*t)"]
+        assert cli.main(["solve", src, "--verify"]) == 0
+        assert "exact-match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p", HARD_POLYNOMIALS.values(), ids=HARD_POLYNOMIALS)
+    def test_subnormal_form_takes_the_same_step(self, p, monkeypatch):
+        # the step for subnormal p(z), forced everywhere, moves each z as the usual one
+        # does, in both the z and the 1/z evaluation (roots near 10^200 take the latter)
+        cs = [c / p.den for c in p.nums]
+        start = [complex(r.value) * (1 + 1e-3j) for r in find_roots(p).roots]
+        usual, forced = start[:], start[:]
+        algebra._sweep(cs, usual)
+        monkeypatch.setattr(algebra, "cmath", type("NoFinite", (), {
+            "isfinite": staticmethod(lambda z: False)}))
+        algebra._sweep(cs, forced)
+        assert all(abs(a - b) <= 1e-12 * abs(a) for a, b in zip(usual, forced))
 
     def test_unsettled_iteration_is_an_error(self, monkeypatch, capsys):
         monkeypatch.setattr(algebra, "_MAX_SWEEPS", 1)

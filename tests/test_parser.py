@@ -17,12 +17,13 @@ from fdsolve import cli
 from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError, _insert
 from fdsolve.operators import OperatorPoly
+from fdsolve.solver import Equation
 from fdsolve.parser import (NonConsecutiveConditionsError, ParseError,
                             SemanticError, _max_bits, _tokenize, parse_equation,
                             parse_expression, parse_initial, parse_operator)
 
 from corpus import GOLDEN_EQUATIONS, MALFORMED
-from instance_gen import BASES, COEFFS, rand_rhs
+from instance_gen import BASES, COEFFS, plain_instance, rand_rhs, resonant_instance
 from test_algebra import run_bounded
 
 import test_expr
@@ -436,6 +437,9 @@ class TestRoundTrip:
             rhs = rand_rhs(rng)
             src = f"y(t+2) - 5y(t+1) + 4y(t) = {rhs}"
             assert parse_equation(src).rhs == rhs
+        for k in range(60):
+            eq = Equation(*(plain_instance(rng) if k % 2 else resonant_instance(rng)))
+            assert parse_equation(str(eq)) == eq
 
 
 # ---- the parser's products agree with SequenceExpr arithmetic ----

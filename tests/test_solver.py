@@ -58,6 +58,26 @@ class TestGoldens:
             ["shift-theorem", "series-inverse", "propagation"]
 
 
+def test_rendering_reads_no_fraction_view(monkeypatch):
+    # solving and every render work on Poly's integers, never on its Fraction view
+    rng = random.Random(22)
+    eqs = [parse_equation(src) for src in GOLDEN_EQUATIONS]
+    eqs += [Equation(*(plain_instance(rng) if k % 2 else resonant_instance(rng)))
+            for k in range(40)]
+
+    def rendered(eq):
+        y, trace = solve_particular(eq.operator, eq.rhs)
+        return [trace.render(), str(eq), str(eq.operator)] + \
+            [e.render(pretty) for e in (eq.rhs, y) for pretty in (False, True)]
+
+    def refuse(p):
+        raise AssertionError("Poly.coeffs was read")
+
+    expected = [rendered(eq) for eq in eqs]
+    monkeypatch.setattr(Poly, "coeffs", property(refuse))
+    assert [rendered(eq) for eq in eqs] == expected
+
+
 class TestAntidifference:
     def test_frozen_values(self):
         assert antidifference(Poly(1)) == Poly(0, 1)                      # 1 -> t
