@@ -23,9 +23,9 @@ class ZeroConstantTermError(ArithmeticError):
 
 
 class _Record:
-    """An immutable record whose fields are the `__slots__` of its class and bases: equal
-    to a record of its own class with equal fields, hashed as the tuple of its fields,
-    shown as Name(field=value, ...), and closed to assignment and deletion."""
+    """An immutable record whose fields are the `__slots__` of its class and bases: built
+    from its fields in order, equal to a record of its own class with equal fields, hashed
+    as their tuple, shown as Name(field=value, ...), and closed to assignment and deletion."""
 
     __slots__ = ()
 
@@ -36,6 +36,9 @@ class _Record:
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
     def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes one value per field "
+                            f"({', '.join(self._fields)}), got {len(values)}")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -207,15 +210,13 @@ class Poly(_Record):
         return Poly._make([c * v**i for i, c in enumerate(shifted)], self.den * v ** max(d, 0))
 
     def deflate(self, r: Coeff) -> Poly:
-        """Divide out a known root r exactly by one `_divide` step; raises if r
-        is not a root.  Every r is a root of 0, which deflates to itself."""
+        """Divide out a known root r exactly; raises if r is not a root.  Every r
+        is a root of 0, which deflates to itself."""
         r = Fraction(r)
-        u, v = r.as_integer_ratio()
-        d = self.degree
-        cs = _divide([c * v ** (d - i) for i, c in enumerate(self.nums)], [u])
-        if cs and cs[0]:
+        quotient, remainder = _divmod(self, Poly(-r, 1))   # by t - r
+        if remainder:
             raise ValueError(f"{r} is not a root")
-        return Poly._make([c * v**i for i, c in enumerate(cs[1:])], self.den * v ** max(d - 1, 0))
+        return quotient
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers, `t^2 - 5*t + 4`, from the integers nums over den."""
@@ -287,24 +288,26 @@ def _from_newton(nums: Sequence[int], den: int) -> Poly:
     return Poly._make(cs, den * weights[0])
 
 
-def series_inverse(q: Poly, order: int) -> tuple[Fraction, ...]:
-    """First `order`+1 coefficients of the reciprocal power series 1/q.
+def series_inverse(q: Poly, order: int) -> Poly:
+    """The reciprocal power series 1/q truncated after its t^order term, as a Poly.
 
     Exact recurrence c_0 = 1/q_0 and c_k = -(sum_{j>=1} q_j c_{k-j}) / q_0, run in
     integers: with Q = q.nums, c_k = q.den * e_k / Q_0^(k+1) where e_0 = 1 and
-    e_k = -sum_{j>=1} Q_j * Q_0^(j-1) * e_(k-j).
+    e_k = -sum_{j>=1} Q_j * Q_0^(j-1) * e_(k-j), so every c_k is
+    q.den * e_k * Q_0^(order-k) over the one denominator Q_0^(order+1).
 
-    >>> series_inverse(Poly(-2, 1), 1)
+    >>> series_inverse(Poly(-2, 1), 1).coeffs
     (Fraction(-1, 2), Fraction(-1, 4))
     """
     if not q.nums or not q.nums[0]:
         raise ZeroConstantTermError("series has zero constant term")
     q0, *rest = q.nums
-    weights = [c * w for c, w in zip(rest, accumulate(repeat(q0), mul, initial=1))]
+    powers = list(accumulate(repeat(q0, order), mul, initial=1))   # Q_0^0, ..., Q_0^order
+    weights = [c * w for c, w in zip(rest, powers)]
     es = [1]
     for _ in range(order):
         es.append(-sum(map(mul, weights, reversed(es))))
-    return tuple(Fraction(q.den * e, w) for e, w in zip(es, accumulate(repeat(q0), mul, initial=q0)))
+    return Poly._make([q.den * e * w for e, w in zip(es, reversed(powers))], powers[-1] * q0)
 
 
 class Root(_Record):
@@ -312,17 +315,11 @@ class Root(_Record):
 
     __slots__ = ("value", "multiplicity", "exact")
 
-    def __init__(self, value: Fraction | complex, multiplicity: int, exact: bool) -> None:
-        super().__init__(value, multiplicity, exact)
-
 
 class RootSet(_Record):
     """All roots of a polynomial: exact ones by value, then numeric ones by (real, imag)."""
 
     __slots__ = ("roots",)
-
-    def __init__(self, roots: tuple[Root, ...]) -> None:
-        super().__init__(roots)
 
     @property
     def is_exact(self) -> bool:

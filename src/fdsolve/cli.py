@@ -209,10 +209,19 @@ def _print_parse_error(err: ParseError) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     # the parser admits numbers up to 2^20 bits, past Python's 4300-digit cap on
-    # int-to-str conversion (absent before 3.10.7)
-    lift = getattr(sys, "set_int_max_str_digits", None)
-    if lift is not None:
-        lift(0)
+    # int-to-str conversion (absent before 3.10.7): lifted for the run, and the
+    # caller's cap restored however the run ends
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is None:
+        return _run(argv)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_cli().parse_args(argv)
     except _UsageError as err:

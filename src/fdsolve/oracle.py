@@ -29,6 +29,7 @@ from .solver import Equation, Solution, SolveTrace
 # bounds how many values are built, not their size, which grows with N for an
 # exponential solution.
 _MAX_HORIZON = 100_000
+_FLOAT_TOL = 1e-8   # the absolute tolerance of the iterate check on float modes
 
 
 class MissingInitialConditionsError(ValueError):
@@ -156,15 +157,14 @@ def verify_solution(
     eq: Equation,
     solution: Solution | SequenceExpr,
     horizon: int = 50,
-    tol: float = 1e-8,
 ) -> VerifyReport:
     """Check a solution against the equation; worst finding wins.
 
     Forward application runs over t in [-horizon, horizon] and is always
     exact.  When initial conditions (and fitted constants) exist, the general
     solution is also compared with the recurrence run over [t0, t0+horizon]:
-    as integers when every mode is exact, else as floats with `tol` as the
-    absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON` raises
+    as integers when every mode is exact, else as floats with `_FLOAT_TOL` as
+    the absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON` raises
     ValueError, before any table is built, and so does a general solution
     that leaves the float range before the first mismatch.
     """
@@ -224,7 +224,7 @@ def verify_solution(
                              "iteration not compared") from err
         dev = abs(got - want)
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > _FLOAT_TOL:
             return VerifyReport("iterate", it_range, "mismatch",
                                 mismatch_t=t, expected=want, got=got)
     return VerifyReport("forward-apply+iterate", it_range, "max-abs-deviation",

@@ -35,18 +35,9 @@ class SingularSystemError(ValueError):
 class TraceStep(_Record):
     __slots__ = ("rule", "detail", "before", "after")
 
-    def __init__(self, rule: str, detail: str, before: str, after: str) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
-
 
 class SolveTrace(_Record):
     __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[TraceStep, ...]) -> None:
-        super().__init__(steps)
 
     def render(self) -> str:
         lines = []
@@ -60,9 +51,6 @@ class NumericMode(_Record):
     """Basis sequence modulus^t * t^power * cos/sin(angle*t) for irrational roots."""
 
     __slots__ = ("modulus", "angle", "power", "kind")
-
-    def __init__(self, modulus: float, angle: float, power: int, kind: str) -> None:
-        super().__init__(modulus, angle, power, kind)
 
     def eval_at(self, t: int) -> float:
         osc = math.cos(self.angle * t) if self.kind == "cos" else math.sin(self.angle * t)
@@ -115,11 +103,6 @@ class Equation(_Record):
 
 class Solution(_Record):
     __slots__ = ("particular", "homogeneous", "constants", "trace")
-
-    def __init__(self, particular: SequenceExpr, homogeneous: tuple[HomogeneousMode, ...],
-                 constants: tuple[Fraction, ...] | tuple[float, ...] | None,
-                 trace: SolveTrace) -> None:
-        super().__init__(particular, homogeneous, constants, trace)
 
     @property
     def is_exact(self) -> bool:
@@ -208,12 +191,11 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
 
     R = Poly._make(list(q.nums[m:]), q.den)
     order = max(h.degree, 0)
-    cs = series_inverse(R, order)
 
     # on Newton coefficients Delta^k shifts the index by k, so the series
     # inverse is a correlation (here in integer numerators) and Delta^-m
     # prepends m zeros
-    inv, (hn, hd) = Poly(cs), _newton(h)
+    inv, (hn, hd) = series_inverse(R, order), _newton(h)
     dw = [sum(map(mul, inv.nums, hn[j:])) for j in range(len(hn))]
     res = _sum([(out, _from_newton([0] * m + dw, inv.den * hd))])
 

@@ -222,7 +222,7 @@ def test_newton_kernels_match_fraction_reference(cs, zeros):
 @seed(10)
 def test_series_inverse_matches_fraction_reference(cs, order):
     q = Poly([cs[0] or 1] + cs[1:])
-    assert series_inverse(q, order) == series_inverse_reference(q, order)
+    assert list(series_inverse(q, order).coeffs) == trimmed(series_inverse_reference(q, order))
 
 
 def test_coefficients_stay_fraction():
@@ -270,9 +270,9 @@ def test_antidifference_frozen_degree_six():
 
 
 def test_series_inverse_frozen():
-    assert series_inverse(Poly(-2, 1), 1) == (F(-1, 2), F(-1, 4))
-    assert series_inverse(Poly(-2, 1), 3) == (F(-1, 2), F(-1, 4), F(-1, 8), F(-1, 16))
-    assert series_inverse(Poly(4), 2) == (F(1, 4), F(0), F(0))
+    assert series_inverse(Poly(-2, 1), 1).coeffs == (F(-1, 2), F(-1, 4))
+    assert series_inverse(Poly(-2, 1), 3).coeffs == (F(-1, 2), F(-1, 4), F(-1, 8), F(-1, 16))
+    assert series_inverse(Poly(4), 2).coeffs == (F(1, 4),)
 
 
 def test_series_inverse_zero_constant_term():
@@ -421,12 +421,48 @@ def test_integer_kernels_match_fraction_references(a, b, k, x):
         quo, rem = _divmod(p, q)
         results["divmod quotient"] = quo, divmod_ref(a, b)[0]
         results["divmod remainder"] = rem, divmod_ref(a, b)[1]
+    if a and a[0]:   # orders of either parity, for the sign of q_0^(order+1)
+        results["series_inverse"] = (series_inverse(p, len(b)),
+                                     trimmed(series_inverse_reference(p, len(b))))
     for name, (got, want) in results.items():
         assert_normal(got)
         assert list(got.coeffs) == want, name
     assert p(x) == eval_ref(a, x)
-    if a and a[0]:   # orders of either parity, for the sign of q_0^(order+1)
-        assert series_inverse(p, len(b)) == series_inverse_reference(p, len(b))
+
+
+def deflate_reference(p: Poly, r) -> Poly:
+    """p / (t - r) with r = u/v by one synthetic-division step: `_divide` at the node u
+    on the numerators of v^d * p(s/v) leaves the remainder first, then the quotient."""
+    r = F(r)
+    u, v = r.as_integer_ratio()
+    d = p.degree
+    cs = _divide([c * v ** (d - i) for i, c in enumerate(p.nums)], [u])
+    if cs and cs[0]:
+        raise ValueError(f"{r} is not a root")
+    return Poly._make([c * v**i for i, c in enumerate(cs[1:])], p.den * v ** max(d - 1, 0))
+
+
+@given(wide_lists, small_points, st.booleans(), st.integers(1, 10**6))
+@example([], F(3), False, 1)              # the zero polynomial
+@example([F(4)], F(0), False, 1)          # a nonzero constant has no root
+@example([F(1), F(1)], F(5), False, 7)    # a non-root, over a denominator
+@example([F(2, 3), F(-5)], F(-7, 4), True, 9)
+@settings(max_examples=200, deadline=None)
+@seed(23)
+def test_deflate_matches_synthetic_division_reference(cs, r, make_root, den):
+    p = Poly(cs) * F(1, den)
+    if make_root:
+        p = p * Poly(-r, 1)
+    try:
+        want = deflate_reference(p, r)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            p.deflate(r)
+        assert str(got.value) == str(err)
+        return
+    got = p.deflate(r)
+    assert_normal(got)
+    assert got == want
 
 
 @given(wide_lists, wide_lists, st.lists(wide_coeffs, min_size=1, max_size=5))

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import sys
 import textwrap
 
 import pytest
@@ -17,6 +19,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def digit_cap(n):
+    """Python's int-to-str digit cap set to n (0 lifts it) within the block, where
+    there is a cap; the cap before it comes back after."""
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is not None:
+        sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 class TestSolveCommand:
@@ -257,12 +273,35 @@ class TestExitCodes:
                    run(capsys, "apply", "T - 2", "2^14300"),
                    run(capsys, "verify", "y(t+1) - y(t) = 0", "2^14300", "--format", "json")]
         assert [code for code, _, _ in results] == [cli.EXIT_OK] * 3
-        digits = str(2**14300)
+        with digit_cap(0):
+            digits = str(2**14300)
         assert len(digits) == 4305
         (_, solved, _), (_, applied, _), (_, verified, _) = results
         assert f"particular:  -{digits}\n" in solved
         assert applied == f"-{digits}\n"
         assert json.loads(verified)["input"]["solution"] == digits
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit cap")
+    @pytest.mark.parametrize("cap", [4300, 5000])
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "y(t+1) - 2y(t) = 2^14300"], cli.EXIT_OK),
+        (["solve", "y(t+1) * y(t) = 1"], cli.EXIT_PARSE),
+        (["shred"], cli.EXIT_PARSE),
+    ])
+    def test_main_restores_the_callers_digit_cap(self, capsys, cap, argv, code):
+        with digit_cap(cap):
+            assert run(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == cap
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit cap")
+    def test_digit_cap_restored_when_main_raises(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "_cmd_solve", interrupted)
+        with digit_cap(4300):
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["solve", "y(t+1) - y(t) = 1"])
+            assert sys.get_int_max_str_digits() == 4300
 
     def test_semantic_error_is_parse_exit(self, capsys):
         code, _, err = run(capsys, "solve", "y(t+1) * y(t) = 1")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from fdsolve import oracle
 from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig
 from fdsolve.oracle import (MissingInitialConditionsError, _numerators, iterate_recurrence,
@@ -173,10 +174,11 @@ class TestVerify:
         assert report.method == "forward-apply+iterate"
         assert report.max_deviation is not None and report.max_deviation <= 1e-8
 
-    def test_numeric_tolerance_enforced(self):
+    def test_numeric_tolerance_enforced(self, monkeypatch):
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 0", "y(0)=0, y(1)=1")
         sol = solve(eq)
-        report = verify_solution(eq, sol, horizon=20, tol=1e-18)
+        monkeypatch.setattr(oracle, "_FLOAT_TOL", 1e-18)
+        report = verify_solution(eq, sol, horizon=20)
         assert report.status == "mismatch"
         assert report.method == "iterate"
 
@@ -327,7 +329,7 @@ class TestIterateRange:
         assert (report.method, report.mismatch_t) == ("iterate", 2040)
 
     @pytest.mark.parametrize("initial", ["y(1000)=1, y(1001)=1", "y(-1000)=1, y(-999)=1"])
-    def test_float_modes_keep_their_bits(self, initial):
+    def test_float_modes_keep_their_bits(self, initial, monkeypatch):
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", initial)
         sol = solve(eq)
         assert not sol.is_exact
@@ -338,7 +340,8 @@ class TestIterateRange:
         report = verify_solution(eq, sol, horizon=self.H)
         assert report.status == "max-abs-deviation"
         assert report.max_deviation == max(abs(g - w) for g, w in zip(got, want))
-        report = verify_solution(eq, sol, horizon=self.H, tol=0.0)
+        monkeypatch.setattr(oracle, "_FLOAT_TOL", 0.0)
+        report = verify_solution(eq, sol, horizon=self.H)
         i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
         assert (report.method, report.mismatch_t) == ("iterate", t0 + i)
         assert (report.expected, report.got) == (want[i], got[i])

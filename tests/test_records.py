@@ -96,6 +96,32 @@ def test_copy_and_pickle_round_trip(record):
         assert other == record
 
 
+# The fewest values each record class takes; `_Record` builds the first six, which take
+# exactly one value per field.  `Poly` and `OperatorPoly` take any number of coefficients.
+FEWEST_VALUES = [(Root, 3), (RootSet, 1), (TraceStep, 4), (SolveTrace, 1), (NumericMode, 4),
+                 (Solution, 4), (Trig, 2), (Term, 1), (SequenceExpr, 0), (Equation, 2),
+                 (VerifyReport, 3)]
+
+
+@pytest.mark.parametrize("cls,fewest", FEWEST_VALUES, ids=[c.__name__ for c, _ in FEWEST_VALUES])
+def test_one_value_too_few_or_too_many_is_a_type_error(cls, fewest):
+    values = [None] * (len(cls._fields) + 1)
+    if fewest:
+        with pytest.raises(TypeError, match="takes|missing"):
+            cls(*values[:fewest - 1])
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values)
+
+
+def test_record_arity_error_names_the_fields():
+    with pytest.raises(TypeError, match=r"^Root takes one value per field "
+                                        r"\(value, multiplicity, exact\), got 2$"):
+        Root(F(1), 1)
+    with pytest.raises(TypeError, match=r"^SolveTrace takes one value per field "
+                                        r"\(steps\), got 2$"):
+        SolveTrace((), ())
+
+
 def test_constructors_keep_their_checks():
     assert Equation(OperatorPoly(4, -5, 1), SequenceExpr.zero(), [(1, 2), (0, 1)]).initial == \
         ((0, F(1)), (1, F(2)))
