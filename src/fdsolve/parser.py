@@ -19,14 +19,15 @@ Grammar notes:
 * an equation's operator has degree at most 200 (its highest y shift, less
   its lowest when that is negative);
 * parentheses nest at most 100 deep;
-* errors carry the byte offset of the first offending character.
+* errors carry the byte offset of the first offending character;
+* a y-free polynomial in the variable is one integer `Poly` while it is parsed.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import compress, count
 
 from .algebra import Poly
 from .expr import SequenceExpr, UnsupportedRhsError, _Buckets, _bucket_mul, _insert
@@ -67,12 +68,7 @@ _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 # \Z always matches, so no match backtracks into whitespace (quadratic at the end).
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)"
                        r"|(?P<op>[-+*/^(),=])|(?P<bad>\S)|\Z)")
-
-
-class _Tok(NamedTuple):
-    kind: str  # "num", "name", an operator character, or "end"
-    text: str
-    pos: int
+_Tok = tuple[str, str, int]  # kind ("num", "name", an operator character, "end"), text, pos
 
 
 def _tokenize(src: str) -> list[_Tok]:
@@ -84,8 +80,8 @@ def _tokenize(src: str) -> list[_Tok]:
         if kind == "bad":
             raise ParseError(src, m.start(kind), "a number, a name, or one of + - * / ^ ( ) , =")
         text = m[kind]
-        toks.append(_Tok(text if kind == "op" else kind, text, m.start(kind)))
-    toks.append(_Tok("end", "", len(src)))
+        toks.append((text if kind == "op" else kind, text, m.start(kind)))
+    toks.append(("end", "", len(src)))
     return toks
 
 
@@ -116,30 +112,37 @@ def _geometric(expr: _Buckets) -> tuple[Poly, Fraction] | None:
 
 
 class _Val:
-    """Intermediate parse value: y shift -> constant Poly, plus a closed-form bucket map."""
+    """A parse value that is not a y-free `Poly`: y shift -> constant Poly, plus a bucket map."""
 
     __slots__ = ("ops", "expr")
 
-    def __init__(self, ops: dict[int, Poly] | None = None, expr: _Buckets | None = None) -> None:
-        self.ops = {} if ops is None else ops
-        self.expr = {} if expr is None else expr
+    def __init__(self, ops: dict[int, Poly], expr: _Buckets) -> None:
+        self.ops = ops
+        self.expr = expr
 
-    @property
-    def has_y(self) -> bool:
-        return bool(self.ops)
-
-    def constant(self) -> Poly | None:
-        """The value as a constant polynomial, or None if it is anything richer."""
-        if self.ops:
-            return None
-        if not self.expr:
-            return _ZERO
-        g = _geometric(self.expr)
-        return g[0] if g is not None and g[1] == 1 else None
-
-    def scaled(self, c: Poly) -> _Val:
+    def __mul__(self, c: Poly) -> _Val:
+        """The value times a polynomial in the variable, a constant one if the value has y."""
         expr = {key: p * c for key, p in self.expr.items()} if c else {}
         return _Val({k: v * c for k, v in self.ops.items()}, expr)
+
+
+def _has_y(val: Poly | _Val) -> bool:
+    return type(val) is _Val and bool(val.ops)
+
+
+def _buckets(val: Poly | _Val) -> _Buckets:
+    """A y-free value as a bucket map."""
+    return val.expr if type(val) is _Val else {(_ONE, None, 0): val} if val else {}
+
+
+def _poly_of(val: Poly | _Val) -> Poly | None:
+    """The value as a polynomial in the variable, or None if it is anything richer."""
+    if type(val) is Poly:
+        return val
+    if val.ops or len(val.expr) > 1:
+        return None
+    (base, kind, _), p = next(iter(val.expr.items()), ((_ONE, None, 0), _ZERO))
+    return p if kind is None and base == 1 else None
 
 
 class _Parser:
@@ -156,31 +159,31 @@ class _Parser:
 
     def advance(self) -> _Tok:
         tok = self.toks[self.i]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.i += 1
         return tok
 
     def expect(self, kind: str, expected: str) -> _Tok:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(self.src, tok.pos, expected)
+        if tok[0] != kind:
+            raise ParseError(self.src, tok[2], expected)
         return self.advance()
 
     def expect_name(self, text: str, expected: str) -> _Tok:
         tok = self.peek()
-        if tok.kind != "name" or tok.text != text:
-            raise ParseError(self.src, tok.pos, expected)
+        if tok[0] != "name" or tok[1] != text:
+            raise ParseError(self.src, tok[2], expected)
         return self.advance()
 
     def accept(self, kind: str) -> bool:
         """Consume the next token if it is of this kind."""
-        if self.peek().kind != kind:
+        if self.peek()[0] != kind:
             return False
         self.advance()
         return True
 
     def fail(self, tok: _Tok, expected: str) -> None:
-        raise ParseError(self.src, tok.pos, expected)
+        raise ParseError(self.src, tok[2], expected)
 
     def unsupported(self, pos: int, message: str) -> None:
         """Raise `UnsupportedRhsError(message)` positioned at character `pos`; in
@@ -193,39 +196,50 @@ class _Parser:
 
     # ---- expression grammar (y allowed when parsing equation sides) ----
 
-    def parse_sum(self) -> _Val:
-        """Collect the signed operands into one bucket map."""
+    def parse_sum(self) -> Poly | _Val:
+        """Sum the signed operands: the polynomials at once, over the lcm of their
+        denominators, and the rest bucket by bucket."""
+        polys: list[tuple[int, Poly]] = []
         ops: dict[int, Poly] = {}
         expr: _Buckets = {}
         sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
+        if self.peek()[0] in ("+", "-"):
+            sign = -1 if self.advance()[0] == "-" else 1
         while True:
             val = self.parse_product()
-            for k, v in val.ops.items():
-                ops[k] = ops.get(k, _ZERO) + (v if sign > 0 else -v)
-            for (base, kind, n), p in val.expr.items():
-                _insert(expr, base, kind, n, p if sign > 0 else -p)
-            if self.peek().kind not in ("+", "-"):
-                return _Val(ops, expr)
-            sign = -1 if self.advance().kind == "-" else 1
+            if type(val) is Poly:
+                polys.append((sign, val))
+            else:
+                for k, v in val.ops.items():
+                    ops[k] = ops.get(k, _ZERO) + (v if sign > 0 else -v)
+                for (base, kind, n), p in val.expr.items():
+                    _insert(expr, base, kind, n, p if sign > 0 else -p)
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = -1 if self.advance()[0] == "-" else 1
+        den = math.lcm(*(p.den for _, p in polys))
+        nums = [0] * max((len(p.nums) for _, p in polys), default=0)
+        for sign, p in polys:
+            m = sign * (den // p.den)
+            for i in compress(count(), p.nums):  # the nonzero coefficients, found in C
+                nums[i] += m * p.nums[i]
+        p = Poly._make(nums, den)
+        return _Val(ops, _insert(expr, _ONE, None, 0, p)) if ops or expr else p
 
-    def parse_product(self) -> _Val:
+    def parse_product(self) -> Poly | _Val:
         val = self.parse_power()
         while True:
-            nxt = self.peek()
-            if nxt.kind in ("*", "/"):
+            kind, _, pos = self.peek()
+            if kind in ("*", "/"):
                 self.advance()
                 rhs = self.parse_power()
-                val = self._mul(val, rhs, nxt.pos) if nxt.kind == "*" \
-                    else self._div(val, rhs, nxt.pos)
-            elif nxt.kind == "name":  # implicit product: 5y(t+1), 2t, 3cos(...)
-                rhs = self.parse_power()
-                val = self._mul(val, rhs, nxt.pos)
+                val = self._mul(val, rhs, pos) if kind == "*" else self._div(val, rhs, pos)
+            elif kind == "name":  # implicit product: 5y(t+1), 2t, 3cos(...)
+                val = self._mul(val, self.parse_power(), pos)
             else:
                 return val
 
-    def parse_power(self) -> _Val:
+    def parse_power(self) -> Poly | _Val:
         """An atom and its chain of exponents, grouped to the right: a^b^c is
         a^(b^c), and an exponent's leading '-' negates the power after it, so
         2^-1^2 is 2^-(1^2).  The chain is read first and folded from the right, so
@@ -235,16 +249,16 @@ class _Parser:
         while self.accept("^"):
             neg = self.accept("-")
             tok = self.peek()
-            if tok.kind != "num" and (neg or tok.kind != "(" and tok.text != self.var):
+            if tok[0] != "num" and (neg or tok[0] != "(" and tok[1] != self.var):
                 self.fail(tok, self._exponent_expected)
             atom = self.parse_atom()
-            if atom.has_y:
-                raise SemanticError(self.src, tok.pos, "an exponent free of y")
+            if _has_y(atom):
+                raise SemanticError(self.src, tok[2], "an exponent free of y")
             atoms.append(atom)
             heads.append((tok, neg))
         val = atoms.pop()
         for (tok, neg), base in zip(reversed(heads), reversed(atoms)):
-            val = self._power(base, val.scaled(_P_MINUS_ONE) if neg else val, tok.pos)
+            val = self._power(base, val * _P_MINUS_ONE if neg else val, tok[2])
         return val
 
     @property
@@ -252,30 +266,28 @@ class _Parser:
         v = self.var
         return f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
 
-    def _power(self, val: _Val, exp: _Val, pos: int) -> _Val:
+    def _power(self, val: Poly | _Val, exp: Poly | _Val, pos: int) -> Poly | _Val:
         """val^exp for an integer exponent or one linear in the variable."""
-        c = exp.constant()
-        if c is not None:
-            if c.den != 1:
+        p = _poly_of(exp)
+        if p is not None and p.degree < 1:
+            if p.den != 1:
                 raise ParseError(self.src, pos, "an integer exponent")
-            return self._int_power(val, c.nums[0] if c else 0, pos)
-        if len(exp.expr) == 1:  # a*t + b with integers a, b: a constant is read above
-            (key, q), = exp.expr.items()
-            if key == (_ONE, None, 0) and q.degree == 1 and q.den == 1:
-                return self._t_power(val, q.nums[1], q.nums[0], pos)
+            return self._int_power(val, p.nums[0] if p else 0, pos)
+        if p is not None and p.degree == 1 and p.den == 1:  # a*t + b with integers a, b
+            return self._t_power(val, p.nums[1], p.nums[0], pos)
         raise ParseError(self.src, pos, self._exponent_expected)
 
     def _int_of(self, tok: _Tok, expected: str) -> int:
-        whole, _, frac = tok.text.partition(".")
+        whole, _, frac = tok[1].partition(".")
         if frac.strip("0"):
-            raise ParseError(self.src, tok.pos, expected)
+            raise ParseError(self.src, tok[2], expected)
         return int(whole)
 
-    def _check_power(self, expr: _Buckets, k: int, pos: int) -> None:
+    def _check_power(self, expr: _Buckets | Poly, k: int, pos: int) -> None:
         """Refuse expr^k before computing it if it could pass a size limit or its
         squarings could take over about a second.  With m buckets (a trig one
         counts twice, as two exponentials) of degree <= d, expr^k has at most
-        C(k+m-1, m-1) buckets of k*d + 1 coefficients.
+        C(k+m-1, m-1) buckets of k*d + 1 coefficients; a `Poly` is one bucket.
 
         The work is that of the last squaring, two copies of expr^h with
         h = ceil(k/2): each pair of their buckets costs 200 units, and each pair
@@ -287,6 +299,8 @@ class _Parser:
         in expr) bits.  A unit is about 0.1 microseconds.  With n = 1 there are
         no squarings: c * b^t * t^j gives c^k * (b^k)^t * t^(j*k) directly."""
         k = abs(k)
+        if type(expr) is Poly:  # its one bucket, keyed by the int 1: no Fraction to hash
+            expr = {(1, None, 0): expr} if expr else {}
         weights = [(1 if kind is None else 2, p) for (_, kind, _), p in expr.items()]
         m = sum(w for w, _ in weights) or 1
         d = max((p.degree for p in expr.values()), default=0)
@@ -307,12 +321,17 @@ class _Parser:
             self.unsupported(pos, "a power too large to compute (its squarings would "
                              "take over about a second)")
 
-    def _int_power(self, val: _Val, k: int, pos: int) -> _Val:
+    def _int_power(self, val: Poly | _Val, k: int, pos: int) -> Poly | _Val:
         if k == 1:
             return val
-        if val.has_y:
+        if _has_y(val):
             raise SemanticError(self.src, pos, "y raised only to the power 1")
-        base = val.expr
+        if val is _P_T and 0 <= k <= _MAX_DEGREE:  # t^k, which the size check admits
+            return Poly._make([0] * k + [1], 1)
+        if type(val) is Poly and k >= 0:
+            self._check_power(val, k, pos)
+            return val**k
+        base = _buckets(val)
         if k < 0:  # (c * b^t)^k = ((1/c) * (1/b)^t)^-k
             g = _geometric(base)
             if g is None:
@@ -331,30 +350,29 @@ class _Parser:
             k >>= 1
             if k:
                 base = _bucket_mul(base, base)
-        return _Val({}, {(_ONE, None, 0): _P_ONE} if out is None else out)
+        return _P_ONE if out is None else _Val({}, out)
 
-    def _t_power(self, val: _Val, slope: int, offset: int, pos: int) -> _Val:
+    def _t_power(self, val: Poly | _Val, slope: int, offset: int, pos: int) -> _Val:
         v = self.var
-        if val.has_y:
+        if _has_y(val):
             raise SemanticError(self.src, pos, f"a constant base (y cannot be raised to {v})")
-        c = val.constant()
-        if c is None:
+        c = _poly_of(val)
+        if c is None or c.degree > 0:
             self.unsupported(pos, f"exponent {v} requires a rational constant base ({v}^{v} and "
                              "friends lie outside the supported closed-form class)")
         if not c:
             self.unsupported(pos, f"0 cannot be raised to the power {v}")
-        self._check_power(val.expr, max(abs(slope), abs(offset)), pos)
+        self._check_power(c, max(abs(slope), abs(offset)), pos)
         scale = c**offset if offset >= 0 else _reciprocal(c) ** -offset
         return _Val({}, {(c[0] ** slope, None, 0): scale})
 
-    def parse_atom(self) -> _Val:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()  # read from the digits: 3.25 is 325/100, and 0 the empty map
-            whole, _, frac = tok.text.partition(".")
-            c = Poly._make([int(whole + frac)], 10 ** len(frac))
-            return _Val({}, {(_ONE, None, 0): c} if c else {})
-        if tok.kind == "(":
+    def parse_atom(self) -> Poly | _Val:
+        kind, text, pos = tok = self.peek()
+        if kind == "num":
+            self.advance()  # read from the digits: 3.25 is 325/100
+            whole, _, frac = text.partition(".")
+            return Poly._make([int(whole + frac)], 10 ** len(frac))
+        if kind == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail(tok, f"at most {_MAX_DEPTH} nested parentheses")
             self.advance()
@@ -363,21 +381,21 @@ class _Parser:
             self.depth -= 1
             self.expect(")", "')'")
             return val
-        if tok.kind == "name":
-            if tok.text == self.var:
+        if kind == "name":
+            if text == self.var:
                 self.advance()
-                return _Val({}, {(_ONE, None, 0): _P_T})
-            if tok.text == "y":
+                return _P_T
+            if text == "y":
                 if not self.allow_y:
-                    raise SemanticError(self.src, tok.pos, "an expression without y")
+                    raise SemanticError(self.src, pos, "an expression without y")
                 self.advance()
                 return self._parse_y_ref()
-            if tok.text in ("cos", "sin"):
+            if text in ("cos", "sin"):
                 self.advance()
-                return self._parse_trig(tok)
-            if tok.text == "pi":
+                return self._parse_trig(text)
+            if text == "pi":
                 self.fail(tok, "pi only inside cos(...) or sin(...) arguments")
-            if tok.text == "T":
+            if text == "T":
                 self.fail(tok, "y(t+k) notation (T is only valid in operator input)")
             self.fail(tok, f"one of {'y, ' if self.allow_y else ''}{self.var}, cos, sin")
         y_ref = "'y(', " if self.allow_y else ""
@@ -387,17 +405,17 @@ class _Parser:
         self.expect("(", "'(' after y")
         self.expect_name("t", "'t' as the y argument")
         shift = 0
-        if self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        if self.peek()[0] in ("+", "-"):
+            sign = 1 if self.advance()[0] == "+" else -1
             shift = sign * self._int_of(self.expect("num", "an integer shift"), "an integer shift")
         self.expect(")", "')'")
         return _Val({shift: _P_ONE}, {})
 
-    def _parse_trig(self, head: _Tok) -> _Val:
-        self.expect("(", f"'(' after {head.text}")
+    def _parse_trig(self, name: str) -> _Val:
+        self.expect("(", f"'(' after {name}")
         neg = self.accept("-")
         n = 1
-        if self.peek().kind == "num":
+        if self.peek()[0] == "num":
             n = self._int_of(self.advance(), "an integer multiple of pi*t")
             self.accept("*")
         v = self.var
@@ -406,36 +424,38 @@ class _Parser:
         self.expect("*", f"'*' between pi and {v}")
         self.expect_name(v, f"'{v}' after pi*")
         self.expect(")", "')'")
-        coeff = _P_MINUS_ONE if neg and head.text == "sin" else _P_ONE
-        return _Val({}, _insert({}, _ONE, head.text, n, coeff))
+        coeff = _P_MINUS_ONE if neg and name == "sin" else _P_ONE
+        return _Val({}, _insert({}, _ONE, name, n, coeff))
 
     # ---- combination rules ----
 
-    def _mul(self, a: _Val, b: _Val, pos: int) -> _Val:
-        if a.has_y and b.has_y:
+    def _mul(self, a: Poly | _Val, b: Poly | _Val, pos: int) -> Poly | _Val:
+        if _has_y(a) and _has_y(b):
             raise SemanticError(self.src, pos, "a product linear in y (y*y is nonlinear)")
-        if a.has_y or b.has_y:
-            ref, other = (a, b) if a.has_y else (b, a)
-            c = other.constant()
-            if c is None:
+        if _has_y(a) or _has_y(b):
+            ref, other = (a, b) if _has_y(a) else (b, a)
+            c = _poly_of(other)
+            if c is None or c.degree > 0:
                 raise SemanticError(self.src, pos, _Y_COEFF)
-            return ref.scaled(c)
-        return _Val({}, _bucket_mul(a.expr, b.expr))
+            return ref * c
+        if type(a) is Poly:
+            a, b = b, a
+        return a * b if type(b) is Poly else _Val({}, _bucket_mul(a.expr, b.expr))
 
-    def _div(self, a: _Val, b: _Val, pos: int) -> _Val:
-        if b.has_y:
+    def _div(self, a: Poly | _Val, b: Poly | _Val, pos: int) -> Poly | _Val:
+        if _has_y(b):
             raise SemanticError(self.src, pos, "a y-free divisor")
-        if not b.expr:
-            raise SemanticError(self.src, pos, "a nonzero divisor")
-        g = _geometric(b.expr)
+        c = _poly_of(b)
+        if c is not None and c.degree < 1:
+            if not c:
+                raise SemanticError(self.src, pos, "a nonzero divisor")
+            return a * _reciprocal(c)
+        g = _geometric(_buckets(b))
         if g is None:
             self.unsupported(pos, "division is supported only by constants and geometric terms")
-        c, base = g
-        if a.has_y:
-            if base != 1:
-                raise SemanticError(self.src, pos, _Y_COEFF)
-            return a.scaled(_reciprocal(c))
-        return _Val({}, _bucket_mul(a.expr, {(1 / base, None, 0): _reciprocal(c)}))
+        if _has_y(a):
+            raise SemanticError(self.src, pos, _Y_COEFF)
+        return _Val({}, _bucket_mul(_buckets(a), {(1 / g[1], None, 0): _reciprocal(g[0])}))
 
 
 def parse_expression(src: str) -> SequenceExpr:
@@ -443,7 +463,7 @@ def parse_expression(src: str) -> SequenceExpr:
     p = _Parser(src, "t", allow_y=False)
     val = p.parse_sum()
     p.expect("end", "end of input")
-    return SequenceExpr._from_buckets(val.expr)
+    return SequenceExpr._from_buckets(_buckets(val))
 
 
 def parse_equation(src: str) -> Equation:
@@ -457,22 +477,23 @@ def parse_equation(src: str) -> Equation:
     eq_tok = p.expect("=", "'=' between the two sides of the equation")
     rhs = p.parse_sum()
     p.expect("end", "end of input")
+    lhs, rhs = (_Val({}, _buckets(v)) if type(v) is Poly else v for v in (lhs, rhs))
     net = {k: v for k in lhs.ops.keys() | rhs.ops.keys()
            if (v := lhs.ops.get(k, _ZERO) - rhs.ops.get(k, _ZERO))}
     for (base, kind, n), q in lhs.expr.items():
         _insert(rhs.expr, base, kind, n, -q)
     phi = SequenceExpr._from_buckets(rhs.expr)
     if not net:
-        raise SemanticError(src, eq_tok.pos, "at least one y(t+k) term with nonzero coefficient")
+        raise SemanticError(src, eq_tok[2], "at least one y(t+k) term with nonzero coefficient")
     low = min(net)
     degree = max(net) - min(low, 0)  # negative shifts are normalized away below
     if degree > _MAX_ORDER:
-        raise SemanticError(src, eq_tok.pos, f"an operator of degree at most {_MAX_ORDER}")
+        raise SemanticError(src, eq_tok[2], f"an operator of degree at most {_MAX_ORDER}")
     if low < 0:
         net = {k - low: v for k, v in net.items()}
         phi = phi.shift(-low)
     if degree == 0:
-        raise SemanticError(src, eq_tok.pos,
+        raise SemanticError(src, eq_tok[2],
                             "y at two or more distinct shifts (a difference, not an identity)")
     den = math.lcm(*(v.den for v in net.values()))
     nums = [net[k].nums[0] * (den // net[k].den) if k in net else 0 for k in range(degree + 1)]
@@ -484,11 +505,11 @@ def parse_operator(src: str) -> OperatorPoly:
     p = _Parser(src, "T", allow_y=False)
     val = p.parse_sum()
     p.expect("end", "end of input")
-    if not val.expr:
-        raise SemanticError(src, 0, "a nonzero operator polynomial")
-    (key, poly), *rest = val.expr.items()
-    if rest or key != (1, None, 0):
+    poly = _poly_of(val)
+    if poly is None:
         raise SemanticError(src, 0, "a polynomial in T")
+    if not poly:
+        raise SemanticError(src, 0, "a nonzero operator polynomial")
     return OperatorPoly.from_poly(poly)
 
 
@@ -503,11 +524,10 @@ def parse_initial(src: str) -> tuple[Condition, ...]:
         tpoint = sign * p._int_of(p.expect("num", "an integer time point"), "an integer time point")
         p.expect(")", "')'")
         p.expect("=", "'=' after the time point")
-        val = p.parse_sum()
-        c = val.constant()
-        if c is None:
-            raise SemanticError(p.src, head.pos, "a rational constant value")
-        conds.append((tpoint, c[0], head.pos))
+        c = _poly_of(p.parse_sum())
+        if c is None or c.degree > 0:
+            raise SemanticError(p.src, head[2], "a rational constant value")
+        conds.append((tpoint, c[0], head[2]))
         if not p.accept(","):
             p.expect("end", "',' or end of input")
             break

@@ -344,6 +344,45 @@ def test_unsupported_offset_points_at_site():
     assert exc.value.offset == 18  # the exponent token
 
 
+NEGATIVE_POWER = "negative powers are supported only for nonzero constants and geometric terms"
+DIVISION = "division is supported only by constants and geometric terms"
+TOO_LARGE = "a power too large to compute (over 4001 coefficients or numbers over 2^20 bits)"
+TOO_SLOW = "a power too large to compute (its squarings would take over about a second)"
+
+
+@pytest.mark.parametrize("parse,src,cls,offset,message", [
+    (parse_expression, "t^-1", UnsupportedRhsError, 3, NEGATIVE_POWER),
+    (parse_expression, "(t+1)^-2", UnsupportedRhsError, 7, NEGATIVE_POWER),
+    (parse_expression, "1/t", UnsupportedRhsError, 1, DIVISION),
+    (parse_expression, "1/(t+1)", UnsupportedRhsError, 1, DIVISION),
+    (parse_expression, "t^(1/2)", ParseError, 2, "an integer exponent"),
+    (parse_expression, "t^t", UnsupportedRhsError, 2, "exponent t requires a rational constant "
+     "base (t^t and friends lie outside the supported closed-form class)"),
+    (parse_expression, "0^-1", UnsupportedRhsError, 3, NEGATIVE_POWER),
+    (parse_expression, "t^4001", UnsupportedRhsError, 2, TOO_LARGE),
+    (parse_expression, "(t^2)^2001", UnsupportedRhsError, 6, TOO_LARGE),
+    (parse_expression, "(t+1)^4000", UnsupportedRhsError, 6, TOO_SLOW),
+    (parse_expression, "(2^1000)^1100", UnsupportedRhsError, 9, TOO_LARGE),  # the bit bound
+    (parse_operator, "T^4001", SemanticError, 2, f"a polynomial in T ({TOO_LARGE})"),
+    (parse_operator, "T^-1", SemanticError, 3, f"a polynomial in T ({NEGATIVE_POWER})"),
+    (parse_operator, "1/T", SemanticError, 1, f"a polynomial in T ({DIVISION})"),
+])
+def test_polynomial_refusals(parse, src, cls, offset, message):
+    # a polynomial value keeps the class, message and byte offset of each refusal
+    with pytest.raises(cls) as exc:
+        parse(src)
+    err = exc.value
+    assert type(err) is cls
+    assert (err.offset, getattr(err, "expected", str(err))) == (offset, message)
+
+
+def test_polynomial_powers_at_the_edges():
+    assert parse_expression("(1/2)^-3") == SequenceExpr.constant(8)
+    assert parse_expression("(2*t)^2001") == SequenceExpr.from_poly(Poly([0] * 2001 + [2**2001]))
+    assert parse_expression("0^0") == SequenceExpr.constant(1)
+    assert parse_expression("(t-t)^2") == SequenceExpr.zero()
+
+
 class TestParseOperator:
     def test_golden_operator(self):
         assert parse_operator("T^2 - 5*T + 4") == OperatorPoly(4, -5, 1)
