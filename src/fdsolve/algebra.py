@@ -11,7 +11,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, count, repeat, zip_longest
+from itertools import accumulate, count, repeat, zip_longest
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -155,11 +155,11 @@ class Poly(_Record):
                 return self
             return Poly._make([c * k.numerator for c in self.nums], self.den * k.denominator)
         out = [0] * (len(self.nums) + len(other.nums) - 1)
-        nonzero = [(j, other.nums[j]) for j in compress(count(), other.nums)]
-        for i in compress(count(), self.nums):  # the nonzero coefficients, found in C
-            a = self.nums[i]
-            for j, b in nonzero:
-                out[i + j] += a * b
+        nonzero = [(j, b) for j, b in enumerate(other.nums) if b]
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in nonzero:
+                    out[i + j] += a * b
         return Poly._make(out, self.den * other.den)
 
     __rmul__ = __mul__

@@ -221,7 +221,7 @@ class _Parser:
         nums = [0] * max((len(p.nums) for _, p in polys), default=0)
         for sign, p in polys:
             m = sign * (den // p.den)
-            for i in compress(count(), p.nums):  # the nonzero coefficients, found in C
+            for i in compress(count(), p.nums):
                 nums[i] += m * p.nums[i]
         p = Poly._make(nums, den)
         return _Val(ops, _insert(expr, _ONE, None, 0, p)) if ops or expr else p
@@ -326,8 +326,6 @@ class _Parser:
             return val
         if _has_y(val):
             raise SemanticError(self.src, pos, "y raised only to the power 1")
-        if val is _P_T and 0 <= k <= _MAX_DEGREE:  # t^k, which the size check admits
-            return Poly._make([0] * k + [1], 1)
         if type(val) is Poly and k >= 0:
             self._check_power(val, k, pos)
             return val**k
