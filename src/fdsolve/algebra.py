@@ -181,14 +181,17 @@ class Poly(_Record):
                 base = base * base
         return out
 
-    def __call__(self, x: Coeff) -> Fraction:
-        """Evaluate exactly: Horner's rule on the numerators at x = u/v, homogenized
-        to sum nums[k] * u^k * v^(d-k) over den * v^d."""
-        u, v = Fraction(x).as_integer_ratio()
+    def _at(self, u: int, v: int) -> tuple[int, int]:
+        """(num, den), not reduced, with p(u/v) = num / den for v > 0: Horner's rule on the
+        numerators, homogenized to v * sum nums[k] * u^k * v^(d-k) over den * v^(d+1)."""
         acc, w = 0, 1
         for c in reversed(self.nums):
             acc, w = acc * u + c * w, w * v
-        return Fraction(acc * v, self.den * w)
+        return acc * v, self.den * w
+
+    def __call__(self, x: Coeff) -> Fraction:
+        """The exact value at x, as a Fraction: the view of `_at`."""
+        return Fraction(*self._at(*Fraction(x).as_integer_ratio()))
 
     def derivative(self) -> Poly:
         return Poly._make([k * c for k, c in enumerate(self.nums)][1:], self.den)
@@ -511,7 +514,7 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly, int]:
     points = [sign * x.limit_denominator(lead) for sign in (1, -1)
               for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead)]
     # the point of an irrational root may round to a rational root as well
-    roots = list(dict.fromkeys(r for r in points if rest(r) == 0))
+    roots = list(dict.fromkeys(r for r in points if not rest._at(*r.as_integer_ratio())[0]))
     return found + roots, reduce(Poly.deflate, roots, rest), len(points) - len(roots)
 
 

@@ -178,10 +178,21 @@ class SequenceExpr(_Record):
     def is_zero(self) -> bool:
         return not self.buckets
 
+    def _ratio(self, t: int) -> tuple[int, int]:
+        """(num, den), not reduced and den != 0, with num / den the value at integer t: one
+        integer sum of (base * (-1)^n)^t * p(t) over the buckets, sin buckets being 0."""
+        num, den = 0, 1
+        for (base, kind, n), p in self.buckets:
+            if kind != "sin":
+                (a, b), (pn, pd) = base.as_integer_ratio(), p._at(t, 1)
+                a = -a if n % 2 else a
+                pn, pd = (pn * a**t, pd * b**t) if t >= 0 else (pn * b**-t, pd * a**-t)
+                num, den = num * pd + pn * den, den * pd
+        return num, den
+
     def eval_at(self, t: int) -> Fraction:
-        """Exact value at integer t (negative t included)."""
-        return sum(((base * _parity(n)) ** t * p(t) for (base, kind, n), p in self.buckets
-                    if kind != "sin"), Fraction(0))
+        """Exact value at integer t (negative t included): the Fraction view of `_ratio`."""
+        return Fraction(*self._ratio(t))
 
     def shift(self, k: int) -> SequenceExpr:
         """The sequence t -> self(t + k)."""

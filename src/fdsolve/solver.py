@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 from typing import Sequence, Union
 
 from .algebra import (Poly, _from_newton, _newton, _power, _Record, _render_sum, _signed_sum,
@@ -292,70 +292,79 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[HomogeneousMode, ...]:
     return tuple(modes)
 
 
-_FLOAT_PIVOT_TOL = 1e-12
-
-
-def _gauss_jordan(A: list[list[Fraction | float]], b: list[Fraction | float],
-                  pivot_tol: float, residual_tol: float,
-                  no_pivot: str) -> tuple[Fraction | float, ...]:
-    """Gauss-Jordan elimination with the largest-magnitude pivot in each column.
-
-    A pivot of magnitude <= `pivot_tol` raises `SingularSystemError(no_pivot)`;
-    rows left over after the last pivot must reduce to within `residual_tol`
-    of zero.  Tolerances 0 make the elimination exact on Fractions.
-    """
+def _gauss_jordan(A: list[list[float]], b: list[float]) -> tuple[float, ...]:
+    """Float Gauss-Jordan elimination with the largest-magnitude pivot in each column:
+    a pivot of magnitude <= 1e-12 raises `SingularSystemError`, and rows left over after
+    the last pivot must reduce to within 1e-6 * max(1, |b_i|) of zero."""
     rows, cols = len(A), len(A[0]) if A else 0
+    residual_tol = 1e-6 * max([1.0] + [abs(v) for v in b])
     aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    row = 0
     for col in range(cols):
-        sel = max(range(row, rows), key=lambda i: abs(aug[i][col]), default=None)
-        if sel is None or abs(aug[sel][col]) <= pivot_tol:
-            raise SingularSystemError(no_pivot)
-        aug[row], aug[sel] = aug[sel], aug[row]
-        lead = aug[row][col]
-        aug[row] = [v / lead for v in aug[row]]
+        sel = max(range(col, rows), key=lambda i: abs(aug[i][col]), default=None)
+        if sel is None or abs(aug[sel][col]) <= 1e-12:
+            raise SingularSystemError("pivot below tolerance; constants not determined")
+        aug[col], aug[sel] = aug[sel], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
         for i in range(rows):
-            if i != row and aug[i][col] != 0:
+            if i != col and aug[i][col] != 0:
                 f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[row])]
-        row += 1
-    for i in range(row, rows):
-        if abs(aug[i][cols]) > residual_tol:
-            raise SingularSystemError("initial conditions are inconsistent")
-    return tuple(aug[i][cols] for i in range(cols))
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    if any(abs(r[cols]) > residual_tol for r in aug[cols:]):
+        raise SingularSystemError("initial conditions are inconsistent")
+    return tuple(r[cols] for r in aug[:cols])
 
 
-def fit_constants(
-    op: OperatorPoly,
-    particular: SequenceExpr,
-    basis: Sequence[HomogeneousMode],
-    initial: Sequence[Condition],
-) -> tuple[Fraction, ...] | tuple[float, ...]:
+def _fraction_free(pairs: list[list[tuple[int, int]]], cols: int) -> tuple[Fraction, ...]:
+    """Solve [A | b], given as rows of (num, den) pairs, on integers: each row over its lcm,
+    then Gauss-Jordan on primitive rows, each divided by its content after every step (this
+    sheds the lcm factors that Bareiss's exact divisions, Math. Comp. 1968, would keep).
+    A column with no pivot left raises before the leftover rows are checked."""
+    rows = [[n * (s // d) for n, d in row]
+            for row in pairs for s in [math.lcm(*(d for _, d in row))]]
+    for col in range(cols):
+        sel = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            raise SingularSystemError("initial conditions leave a constant free")
+        rows.insert(col, top := rows.pop(sel))
+        for i, r in enumerate(rows):
+            if i != col and r[col]:
+                new = [top[col] * x - r[col] * y for x, y in zip(r, top)]
+                g = math.gcd(*new) or 1
+                rows[i] = [x // g for x in new]
+    if any(r[cols] for r in rows[cols:]):
+        raise SingularSystemError("initial conditions are inconsistent")
+    return tuple(Fraction(r[cols], r[i]) for i, r in enumerate(rows[:cols]))
+
+
+def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[HomogeneousMode],
+                  initial: Sequence[Condition]) -> tuple[Fraction, ...] | tuple[float, ...]:
     """Constants c_i with particular + sum c_i * basis_i matching the initial values.
 
-    Exact Gaussian elimination when every mode is exact; otherwise float
-    elimination with partial pivoting, each column first scaled by a power of
-    two (exactly) so that its largest entry lies in [0.5, 1).
+    When every mode is exact, `_fraction_free` solves on integers, one row per initial
+    value: the modes' values and v - particular(t); only the constants are Fractions.
+    Otherwise float elimination with partial pivoting on the correctly rounded entries,
+    each column first scaled by a power of two (exactly) so that its largest entry lies
+    in [0.5, 1).
     """
     conds = _conditions(initial, op.degree)
-    b = [v - particular.eval_at(t) for t, v in conds]
+    b = [(v.numerator * d - n * v.denominator, v.denominator * d)
+         for t, v in conds for n, d in [particular._ratio(t)]]
     if all(isinstance(m, SequenceExpr) for m in basis):
-        A = [[m.eval_at(t) for m in basis] for t, _ in conds]
-        return _gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
+        return _fraction_free([[m._ratio(t) for m in basis] + [bv]
+                               for (t, _), bv in zip(conds, b)], len(basis))
     try:
-        Af = [[float(m.eval_at(t)) for m in basis] for t, _ in conds]
-        bf = [float(v) for v in b]
+        Af = [[truediv(*m._ratio(t)) if isinstance(m, SequenceExpr) else m.eval_at(t)
+               for m in basis] for t, _ in conds]
+        bf = [truediv(*bv) for bv in b]
     except OverflowError as err:
         raise SingularSystemError(
             "float overflow evaluating the basis at the initial values; "
             "constants not determined") from err
     exps = [math.frexp(max(abs(v) for v in col))[1] for col in zip(*Af)]
     Af = [[math.ldexp(v, -e) for v, e in zip(row, exps)] for row in Af]
-    scale = max([1.0] + [abs(v) for v in bf])
-    cs = _gauss_jordan(Af, bf, _FLOAT_PIVOT_TOL, 1e-6 * scale,
-                       "pivot below tolerance; constants not determined")
     try:
-        return tuple(math.ldexp(c, -e) for c, e in zip(cs, exps))
+        return tuple(math.ldexp(c, -e) for c, e in zip(_gauss_jordan(Af, bf), exps))
     except OverflowError as err:
         raise SingularSystemError(
             "float overflow scaling the constants back; constants not determined") from err

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, apply_operator
 from fdsolve.operators import OperatorPoly
+from fdsolve.solver import solve_particular
 
-from instance_gen import rand_operator, rand_rhs
+import fraction_reference as ref
+from instance_gen import plain_instance, rand_operator, rand_rhs, resonant_instance
 
 bases = st.sampled_from([F(-3), F(-1), F(1), F(2), F(1, 2), F(3, 2)])
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -255,3 +257,46 @@ class TestApplyOperator:
                 want = sum((P.coeffs[k] * e.eval_at(t + k)
                             for k in range(P.degree + 1)), F(0))
                 assert applied.eval_at(t) == want
+
+
+class TestEvalAgainstFractionReference:
+    """`eval_at` and `_ratio` against `fraction_reference.value`, which sums
+    (base * (-1)^n)^t * p(t) over the non-sin buckets on Fractions."""
+
+    signed_bases = st.sampled_from([F(-3), F(-3, 2), F(-1, 2), F(-2, 3), F(-1), F(1),
+                                    F(2), F(1, 2), F(3, 2), F(2, 3)])
+    signed_exprs = st.lists(st.builds(Term, rationals, signed_bases,
+                                      st.lists(rationals, max_size=4).map(Poly), trigs),
+                            max_size=4).map(SequenceExpr)
+
+    @staticmethod
+    def check(e, t):
+        assert F(*e._ratio(t)) == e.eval_at(t) == ref.value(e, t), (str(e), t)
+
+    @seed(25)
+    @settings(max_examples=200, deadline=None)
+    @given(signed_exprs, st.integers(min_value=-60, max_value=60))
+    def test_random_expressions(self, e, t):
+        self.check(e, t)
+
+    @pytest.mark.parametrize("e", [
+        SequenceExpr.zero(),
+        SequenceExpr.of(Term(F(-5, 3), F(-3, 2), Poly(1, F(1, 2), -2))),
+        SequenceExpr.of(Term(2, F(2, 3), trig=Trig("sin", 1)), Term(1, 5)),
+        SequenceExpr.of(Term(7, F(-1, 2), Poly(0, 1), Trig("sin", 2))),
+        SequenceExpr.of(Term(1, F(-3, 4), trig=Trig("cos", 2)), Term(-1, 3, trig=Trig("cos", 1))),
+        SequenceExpr.of(Term(F(1, 6), F(-2, 5), Poly(-1, 0, 1), Trig("cos", 3)),
+                        Term(F(1, 6), F(2, 5), Poly(-1, 0, 1), Trig("cos", 4))),
+    ])
+    def test_cases(self, e):
+        for t in range(-60, 61):
+            self.check(e, t)
+
+    def test_instance_right_sides_and_particulars(self):
+        rng = random.Random(25)
+        for i in range(150):
+            P, phi = (plain_instance if i % 2 else resonant_instance)(rng)
+            y, _ = solve_particular(P, phi)
+            for t in range(-12, 13, 3):
+                self.check(phi, t)
+                self.check(y, t)
