@@ -3,7 +3,7 @@
 Two deliberately different routes:
 
 * forward application — plug the particular solution back in pointwise:
-  a_0*y(t) + ... + a_n*y(t+n) must equal phi(t) for every t in the range;
+  a_0*y(t) + ... + a_n*y(t+n) = phi(t) at K consecutive t proves it on Z;
 * iteration — run the recurrence forward from initial values exactly and
   compare against the assembled general solution.
 
@@ -20,14 +20,14 @@ import math
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .algebra import _Record
+from .algebra import Poly, _Record
 from .expr import SequenceExpr
 from .solver import Equation, Solution, SolveTrace
 
-# The largest verification horizon: the oracle builds tables of about 2N values
-# per sequence, and N = 10^5 takes a few seconds on a polynomial solution.  It
-# bounds how many values are built, not their size, which grows with N for an
-# exponential solution.
+# The largest verification horizon: the iterate route builds tables of N + 1 values
+# per sequence, and N = 10^5 takes a few seconds on a polynomial solution; forward
+# application builds about K whatever N is.  It bounds how many values are built,
+# not their size, which grows with N for an exponential solution.
 _MAX_HORIZON = 100_000
 _FLOAT_TOL = 1e-8   # the absolute tolerance of the iterate check on float modes
 
@@ -64,26 +64,27 @@ class VerifyReport(_Record):
                 f"got {self.got} ({self.method})")
 
 
+def _folded(expr: SequenceExpr) -> list[tuple[Fraction, Poly]]:
+    """expr as pairs (b, p) with expr(t) == sum p(t) * b^t on integer t, where
+    sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t; a base may repeat."""
+    return [(-base if n % 2 else base, poly)
+            for (base, kind, n), poly in expr.buckets if kind != "sin"]
+
+
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     """Integers nums and den with expr(t) == nums[t - lo] / den for lo <= t <= hi.
 
-    Each bucket of `expr.buckets` is a sum base^t * p(t) * trig with the
-    coefficient inside p.  On integer t, sin(n*pi*t) is 0 and cos(n*pi*t) is
-    ((-1)^n)^t, so a bucket is (u/v)^t * q(t) / d with q = poly.nums and
+    Each pair of `_folded(expr)` is (u/v)^t * q(t) / d with q = poly.nums and
     d = poly.den.  Over k.denominator * v^(hi-lo), where k = (u/v)^lo / d, its
     numerator at t is k.numerator * u^(t-lo) * v^(hi-t) * q(t): Horner on q,
     and one product and one exact division by v per step of t.  den is the
-    lcm of those denominators over all buckets; nums/den is not reduced.
+    lcm of those denominators over all pairs; nums/den is not reduced.
     """
     if hi < lo:
         return [], 1
     width = hi - lo
     parts = []
-    for (base, kind, n), poly in expr.buckets:
-        if kind == "sin":
-            continue
-        if n % 2:
-            base = -base
+    for base, poly in _folded(expr):
         q = poly.nums[::-1]
         k = base**lo / poly.den
         v_width = base.denominator**width
@@ -160,8 +161,13 @@ def verify_solution(
 ) -> VerifyReport:
     """Check a solution against the equation; worst finding wins.
 
-    Forward application runs over t in [-horizon, horizon] and is always
-    exact.  When initial conditions (and fitted constants) exist, the general
+    Forward application is exact and a proof on Z: the residual P(T)y - phi is
+    a sum of p_b(t) * b^t over the bases b of `_folded` y and phi, so it is 0
+    everywhere once 0 at K = sum (deg p_b + 1) consecutive t.  It runs over
+    [-h, h], h = min(K//2, horizon), then [-K//2, K//2] if all passed, nearest
+    the origin first; the report's range stays [-horizon, horizon], a mismatch
+    past it keeps its t.
+    When initial conditions (and fitted constants) exist, the general
     solution is also compared with the recurrence run over [t0, t0+horizon]:
     as integers when every mode is exact, else as floats with `_FLOAT_TOL` as
     the absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON` raises
@@ -177,20 +183,24 @@ def verify_solution(
     particular, constants = solution.particular, solution.constants
     exact = solution.is_exact
     n = eq.operator.degree
-    # a_k = alpha_k / scale, y(t) = ys[t + horizon] / y_den and
-    # phi(t) = phis[t + horizon] / phi_den, all integers: the lhs
-    # sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
+    # a_k = alpha_k / scale, y(t) = ys[t + r] / y_den, phi(t) = phis[t + r] / phi_den:
+    # all integers, so sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
     scale = eq.operator.den
     alphas = [(k, alpha) for k, alpha in enumerate(eq.operator.nums) if alpha]
-    ys, y_den = _numerators(particular, -horizon, horizon + n)
-    phis, phi_den = _numerators(eq.rhs, -horizon, horizon)
+    lens: dict[Fraction, int] = {}
+    for b, poly in _folded(particular) + _folded(eq.rhs):
+        lens[b] = max(lens.get(b, 0), len(poly.nums))
+    m = sum(lens.values()) // 2
     fwd_range = (-horizon, horizon)
-    for t in _outward(horizon):
-        lhs = sum(alpha * ys[t + horizon + k] for k, alpha in alphas)
-        if lhs * phi_den != phis[t + horizon] * y_den * scale:
-            return VerifyReport("forward-apply", fwd_range, "mismatch", mismatch_t=t,
-                                expected=Fraction(phis[t + horizon], phi_den),
-                                got=Fraction(lhs, y_den * scale))
+    for r in sorted({min(m, horizon), m}):  # a wrong guess fails before a large K is tabulated
+        ys, y_den = _numerators(particular, -r, r + n)
+        phis, phi_den = _numerators(eq.rhs, -r, r)
+        for t in _outward(r):
+            lhs = sum(alpha * ys[t + r + k] for k, alpha in alphas)
+            if lhs * phi_den != phis[t + r] * y_den * scale:
+                return VerifyReport("forward-apply", fwd_range, "mismatch", mismatch_t=t,
+                                    expected=Fraction(phis[t + r], phi_den),
+                                    got=Fraction(lhs, y_den * scale))
     if eq.initial is None or constants is None:
         return VerifyReport("forward-apply", fwd_range, "exact-match")
     t0 = eq.initial[0][0]
