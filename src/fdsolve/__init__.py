@@ -5,9 +5,9 @@ symbolically: geometric, polynomial, and cos/sin(n*pi*t) right-hand sides in
 any product combination, with exact rational arithmetic throughout and
 independent verification by forward application and iteration.
 """
-from .algebra import Poly, Root, RootSet, ZeroConstantTermError, find_roots, series_inverse
+from .algebra import (OperatorPoly, Poly, Root, RootSet, ZeroConstantTermError, ZeroOperatorError,
+                      ZeroScaleError, find_roots, series_inverse)
 from .expr import SequenceExpr, Term, Trig, UnsupportedRhsError, apply_operator
-from .operators import OperatorPoly, ZeroOperatorError, ZeroScaleError
 from .oracle import (MissingInitialConditionsError, VerifyReport,
                      iterate_recurrence, verify_solution)
 from .parser import (NonConsecutiveConditionsError, ParseError, SemanticError,

@@ -1,9 +1,10 @@
 """Exact rational polynomial arithmetic plus the numeric root-finding fallback.
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on
-those integers.  `find_roots` isolates the real roots in integer arithmetic to
-find the rational ones exactly and to count the rest; floats from an Aberth
-iteration stand for the irrational and complex roots that remain.
+those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
+`find_roots` isolates the real roots in integer arithmetic to find the
+rational ones exactly and to count the rest; floats from an Aberth iteration
+stand for the irrational and complex roots that remain.
 """
 from __future__ import annotations
 
@@ -20,6 +21,14 @@ Coeff = Union[int, float, str, Fraction]
 
 class ZeroConstantTermError(ArithmeticError):
     """Inverting a series (or dividing by a polynomial) with zero constant term."""
+
+
+class ZeroOperatorError(ValueError):
+    """The zero polynomial is not a usable difference operator."""
+
+
+class ZeroScaleError(ValueError):
+    """Scaling the operator argument by 0 would collapse T to a constant."""
 
 
 class _Record:
@@ -228,6 +237,51 @@ class Poly(_Record):
 
     def __str__(self) -> str:
         return self.render()
+
+
+class OperatorPoly(Poly):
+    """a_0 + a_1*T + ... + a_n*T^n in the shift (T y)(t) = y(t+1), lowest power first:
+    the immutable, nonzero left-hand side of a constant-coefficient difference equation.
+
+    Arithmetic inherited from `Poly` returns plain `Poly` values.
+
+    >>> P = OperatorPoly(4, -5, 1)        # T^2 - 5*T + 4
+    >>> P(3)
+    Fraction(-2, 1)
+    >>> str(P.scale_argument(3))
+    '9*T^2 - 15*T + 4'
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *coeffs: Coeff | Iterable[Coeff]) -> None:
+        super().__init__(*coeffs)
+        if self.is_zero:
+            raise ZeroOperatorError("operator polynomial must be nonzero")
+
+    @classmethod
+    def from_poly(cls, p: Poly) -> OperatorPoly:
+        return cls(p.coeffs)
+
+    def as_poly(self) -> Poly:
+        return Poly._make(list(self.nums), self.den)
+
+    def scale_argument(self, lam: Coeff) -> OperatorPoly:
+        """The operator P(lam*T): each T^k coefficient picks up lam^k = u^k v^(d-k) / v^d."""
+        u, v = Fraction(lam).as_integer_ratio()
+        if u == 0:
+            raise ZeroScaleError("cannot scale operator argument by 0")
+        d = self.degree
+        return OperatorPoly._make([c * u**k * v**(d - k) for k, c in enumerate(self.nums)],
+                                  self.den * v**d)
+
+    def reduce_shift(self) -> tuple[int, OperatorPoly]:
+        """Split P = T^k * Q with Q having a nonzero trailing coefficient."""
+        k = next(i for i, c in enumerate(self.nums) if c)
+        return k, OperatorPoly._make(list(self.nums[k:]), self.den)
+
+    def __str__(self) -> str:
+        return self.render("T")
 
 
 def _divide(cs: list, xs: Iterable) -> list:

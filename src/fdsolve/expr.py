@@ -12,8 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Coeff, Poly, _Record, _render_sum, _signed_sum
-from .operators import OperatorPoly
+from .algebra import Coeff, OperatorPoly, Poly, _Record, _render_sum, _signed_sum
 
 
 class UnsupportedRhsError(ValueError):

@@ -29,6 +29,10 @@ from .solver import Equation, Solution, SolveTrace
 # application builds about K whatever N is.  It bounds how many values are built,
 # not their size, which grows with N for an exponential solution.
 _MAX_HORIZON = 100_000
+# The most bits the iterate route's tables may take, as `_table_bits` estimates them
+# (512 MiB): a (1/2)^t mode at horizon 10^5 would take gigabytes and is refused, while
+# every horizon the tests and the benchmark run is estimated at under 2^31 bits.
+_MAX_TABLE_BITS = 2**32
 _FLOAT_TOL = 1e-8   # the absolute tolerance of the iterate check on float modes
 
 
@@ -129,6 +133,26 @@ def _iterate(eq: Equation, horizon: int) -> tuple[list[int], list[int]]:
     return nums[:m], dens[:m]
 
 
+def _table_bits(eq: Equation, solution: Solution, horizon: int) -> float:
+    """About the bits the iterate route's tables take over [t0, t0 + horizon], from the
+    bases of `_folded` rhs, particular and exact modes and the moduli of float modes.
+    Each pair b^t * p(t) gives horizon + 1 values of about |t| * log2 max(|num|, den) bits
+    for b = num/den (|t| * |log2 modulus| for a float mode) and deg p * log2 |t| for p,
+    at the |t| farthest from 0; each is counted twice, once for its own table and
+    once for its share of the recurrence's values."""
+    t0 = eq.initial[0][0]
+    far = max(abs(t0), abs(t0 + horizon)) + 1
+    pairs = _folded(eq.rhs) + _folded(solution.particular)
+    rates = []
+    for mode in solution.homogeneous:
+        if isinstance(mode, SequenceExpr):
+            pairs += _folded(mode)
+        else:
+            rates.append((abs(math.log2(mode.modulus)), mode.power))
+    rates += [(math.log2(max(abs(b.numerator), b.denominator)), p.degree) for b, p in pairs]
+    return 2 * (horizon + 1) * sum(far * r + d * math.log2(far) for r, d in rates)
+
+
 def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
     """Exact values y(t0), ..., y(horizon) by running the recurrence forward.
 
@@ -170,9 +194,10 @@ def verify_solution(
     When initial conditions (and fitted constants) exist, the general
     solution is also compared with the recurrence run over [t0, t0+horizon]:
     as integers when every mode is exact, else as floats with `_FLOAT_TOL` as
-    the absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON` raises
-    ValueError, before any table is built, and so does a general solution
-    that leaves the float range before the first mismatch.
+    the absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON`, or one
+    whose iterate tables `_table_bits` estimates past `_MAX_TABLE_BITS`, raises
+    ValueError before any table is built, and so does a general solution that
+    leaves the float range before the first mismatch.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
@@ -181,6 +206,12 @@ def verify_solution(
     if isinstance(solution, SequenceExpr):
         solution = Solution(solution, (), (), SolveTrace(()))
     particular, constants = solution.particular, solution.constants
+    if eq.initial is not None and constants is not None:
+        bits = _table_bits(eq, solution, horizon)
+        if bits > _MAX_TABLE_BITS:
+            raise ValueError(f"verification horizon {horizon} needs iterate tables of about "
+                             f"{bits / 2**23:.0f} MiB, over the limit of "
+                             f"{_MAX_TABLE_BITS // 2**23} MiB")
     exact = solution.is_exact
     n = eq.operator.degree
     # a_k = alpha_k / scale, y(t) = ys[t + r] / y_den, phi(t) = phis[t + r] / phi_den:

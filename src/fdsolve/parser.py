@@ -29,9 +29,8 @@ import re
 from fractions import Fraction
 from itertools import compress, count
 
-from .algebra import Poly
+from .algebra import OperatorPoly, Poly
 from .expr import SequenceExpr, UnsupportedRhsError, _Buckets, _bucket_mul, _insert
-from .operators import OperatorPoly
 from .solver import Condition, Equation
 
 
@@ -102,12 +101,13 @@ def _max_bits(expr: _Buckets) -> int:
     return bits
 
 
-def _geometric(expr: _Buckets) -> tuple[Poly, Fraction] | None:
-    """(c, b) when the bucket map is the one term c * b^t (c a constant Poly), else None."""
+def _inverse(expr: _Buckets) -> _Buckets | None:
+    """The one term (1/c) * (1/b)^t when the bucket map is c * b^t (c a nonzero
+    constant), else None."""
     if len(expr) == 1:
         ((base, kind, _), p), = expr.items()
         if kind is None and p.degree == 0:
-            return p, base
+            return {(1 / base, None, 0): _reciprocal(p)}
     return None
 
 
@@ -296,8 +296,9 @@ class _Parser:
         buckets for b distinct bases and trig multiples up to f, at most
         C(h+n-1, n-1) nonzero coefficients for n nonzero coefficients in expr
         (counted as m is), and numbers of about h * log2(n * the largest number
-        in expr) bits.  A unit is about 0.1 microseconds.  With n = 1 there are
-        no squarings: c * b^t * t^j gives c^k * (b^k)^t * t^(j*k) directly."""
+        in expr) bits.  A unit is about 0.1 microseconds.  With n = 1 each squaring
+        multiplies one term by itself, which costs only its numbers' size, and
+        the bit bound caps that."""
         k = abs(k)
         if type(expr) is Poly:  # its one bucket, keyed by the int 1: no Fraction to hash
             expr = {(1, None, 0): expr} if expr else {}
@@ -331,16 +332,11 @@ class _Parser:
             return val**k
         base = _buckets(val)
         if k < 0:  # (c * b^t)^k = ((1/c) * (1/b)^t)^-k
-            g = _geometric(base)
-            if g is None:
+            base, k = _inverse(base), -k
+            if base is None:
                 self.unsupported(pos, "negative powers are supported only for nonzero "
                                  "constants and geometric terms")
-            base, k = {(1 / g[1], None, 0): _reciprocal(g[0])}, -k
         self._check_power(base, k, pos)
-        if len(base) == 1:  # (c * b^t * p(t))^k = c^k * (b^k)^t * p(t)^k
-            ((b, kind, _), p), = base.items()
-            if kind is None:
-                return _Val({}, {(b**k, None, 0): p**k})
         out = None
         while k:
             if k & 1:
@@ -448,12 +444,12 @@ class _Parser:
             if not c:
                 raise SemanticError(self.src, pos, "a nonzero divisor")
             return a * _reciprocal(c)
-        g = _geometric(_buckets(b))
-        if g is None:
+        inverse = _inverse(_buckets(b))
+        if inverse is None:
             self.unsupported(pos, "division is supported only by constants and geometric terms")
         if _has_y(a):
             raise SemanticError(self.src, pos, _Y_COEFF)
-        return _Val({}, _bucket_mul(_buckets(a), {(1 / g[1], None, 0): _reciprocal(g[0])}))
+        return _Val({}, _bucket_mul(_buckets(a), inverse))
 
 
 def parse_expression(src: str) -> SequenceExpr:

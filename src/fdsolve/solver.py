@@ -22,10 +22,9 @@ from fractions import Fraction
 from operator import mul, truediv
 from typing import Sequence, Union
 
-from .algebra import (Poly, _from_newton, _newton, _power, _Record, _render_sum, _signed_sum,
-                      find_roots, series_inverse)
+from .algebra import (OperatorPoly, Poly, _from_newton, _newton, _power, _Record, _render_sum,
+                      _signed_sum, find_roots, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
-from .operators import OperatorPoly
 
 
 class SingularSystemError(ValueError):
@@ -112,10 +111,8 @@ class Solution(_Record):
         """particular + sum(c_i * mode_i) as one expression, when fully exact."""
         if self.constants is None or not self.is_exact:
             return None
-        total = self.particular
-        for c, mode in zip(self.constants, self.homogeneous):
-            total = total + mode.scaled(c)
-        return total
+        return _sum([*self.particular.buckets, *((key, p * c) for c, mode in
+                     zip(self.constants, self.homogeneous) for key, p in mode.buckets)])
 
     def general_value_at(self, t: int) -> Fraction | float:
         if self.constants is None:

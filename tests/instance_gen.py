@@ -4,9 +4,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fdsolve.algebra import Poly
+from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig
-from fdsolve.operators import OperatorPoly
 
 BASES = [Fraction(x) for x in (-3, -2, -1, 1, 2, 3)] + [
     Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]

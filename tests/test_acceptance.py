@@ -10,9 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from fdsolve import cli
-from fdsolve.algebra import Poly
+from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, apply_operator
-from fdsolve.operators import OperatorPoly
 from fdsolve.oracle import iterate_recurrence, verify_solution
 from fdsolve.parser import ParseError, parse_equation, parse_expression
 from fdsolve.solver import Equation, antidifference, solve, solve_particular

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 import fdsolve
 from fdsolve import algebra, cli, expr
-from fdsolve.algebra import (Poly, RootSet, ZeroConstantTermError, _divide, _divmod, _expand,
-                             _from_newton, _gcd, _newton, _square_free,
+from fdsolve.algebra import (OperatorPoly, Poly, RootSet, ZeroConstantTermError, _divide, _divmod,
+                             _expand, _from_newton, _gcd, _newton, _square_free,
                              find_roots, series_inverse)
 from fdsolve.expr import SequenceExpr
-from fdsolve.operators import OperatorPoly
 from fdsolve.parser import parse_equation
 from fdsolve.solver import (Equation, _series_str, antidifference, solve_homogeneous,
                             solve_particular)
@@ -117,8 +116,7 @@ def test_shift_by_zero_is_free():
 
 def test_iterates_over_coefficients():
     # in a subprocess: an iteration that never stops must fail, not hang
-    out = run_bounded("from fdsolve.algebra import Poly; "
-                      "from fdsolve.operators import OperatorPoly; "
+    out = run_bounded("from fdsolve.algebra import OperatorPoly, Poly; "
                       "print(list(Poly(1, 2)) == [1, 2], Poly(Poly(1, 2)) == Poly(1, 2), "
                       "OperatorPoly(Poly(4, -5, 1)))")
     assert out == "True True T^2 - 5*T + 4\n"

@@ -363,6 +363,21 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         assert out == "exact-match over t in [-100000, 100000] (forward-apply)\n"
 
+    def test_iterate_tables_past_the_bit_bound(self):
+        # y = 3 - 2*(1/2)^t: its tables over 2^100000 ran out of 1 GiB after about 9 s
+        out = run_bounded(textwrap.dedent("""
+            import contextlib, io, time
+            from fdsolve import cli
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["solve", "2y(t+2) - 3y(t+1) + y(t) = 0",
+                                 "--initial", "y(0)=1, y(1)=2", "--verify", "100000"])
+            print(code, time.perf_counter() - start < 1)
+            print(err.getvalue(), end="")
+            """))
+        assert out == ("1 True\nerror: verification horizon 100000 needs iterate tables of "
+                       "about 2384 MiB, over the limit of 512 MiB\n")
+
     @pytest.mark.parametrize("argv,code,message", [
         (["solve", "y(t+1) - 2y(t) = 2^(2^(2^(2^(2^2))))"], 2,
          "unsupported right-hand side: a power too large to compute"),

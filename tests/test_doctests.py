@@ -4,11 +4,10 @@ import pytest
 
 import fdsolve
 import fdsolve.algebra
-import fdsolve.operators
 import fdsolve.solver
 
 
-@pytest.mark.parametrize("module", [fdsolve.algebra, fdsolve.operators, fdsolve.solver])
+@pytest.mark.parametrize("module", [fdsolve.algebra, fdsolve.solver])
 def test_module_doctests(module):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0

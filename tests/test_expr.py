@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fdsolve.algebra import Poly
+from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, apply_operator
-from fdsolve.operators import OperatorPoly
 from fdsolve.solver import solve_particular
 
 import fraction_reference as ref

@@ -4,9 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdsolve.algebra import Poly
+from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term
-from fdsolve.operators import OperatorPoly
 from fdsolve.parser import parse_equation
 from fdsolve.solver import SingularSystemError, fit_constants, solve_homogeneous, solve_particular
 

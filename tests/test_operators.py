@@ -2,8 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdsolve.algebra import Poly
-from fdsolve.operators import OperatorPoly, ZeroOperatorError, ZeroScaleError
+from fdsolve.algebra import OperatorPoly, Poly, ZeroOperatorError, ZeroScaleError
 
 
 def test_construction_and_degree():

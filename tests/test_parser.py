@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 import fdsolve
 from fdsolve import cli
-from fdsolve.algebra import Poly
+from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError, _insert
-from fdsolve.operators import OperatorPoly
 from fdsolve.solver import Equation
 from fdsolve.parser import (NonConsecutiveConditionsError, ParseError,
                             SemanticError, _max_bits, _tokenize, parse_equation,

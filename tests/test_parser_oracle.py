@@ -53,25 +53,35 @@ def operand(src: str) -> str:
 def sources(var: str, closed_forms: bool):
     """Sources built from numbers and the variable by signed sums, products,
     quotients by constants, powers 0-5 and negative powers of constants; with
-    `closed_forms`, also from geometric and trig atoms, so polynomial subtrees
-    meet bucket subtrees at every level."""
+    `closed_forms`, also from geometric and trig atoms, negative powers of
+    geometric terms and quotients by them, so polynomial subtrees meet bucket
+    subtrees at every level."""
     atoms = [st.integers(0, 9).map(str), st.just(var), st.just(f"2*{var}^2 - 1/3"),
              st.builds(lambda c, k: f"{c}^-{k}", CONSTANTS, st.integers(1, 3))]
+    geometric = st.sampled_from(["2", "3", "(1/2)", "(-1)", "(-2/3)"]).map(lambda b: f"{b}^{var}")
     if closed_forms:
         atoms += [
-            st.sampled_from(["2", "3", "(1/2)", "(-1)", "(-2/3)"]).map(lambda b: f"{b}^{var}"),
+            geometric,
             st.just(f"2^({var} - 1)"),
             st.builds(lambda kind, n: f"{kind}({n}*pi*{var})", st.sampled_from(["cos", "sin"]),
                       st.integers(1, 3)),
+            st.builds(lambda g, k: f"({g})^-{k}", geometric, st.integers(1, 3)),
         ]
-    return st.recursive(st.one_of(atoms), lambda inner: st.one_of(
-        st.builds(lambda sign, first, rest: sign + operand(first) + "".join(
-            f" {op} {operand(s)}" for op, s in rest), st.sampled_from(["", "-"]), inner,
-            st.lists(st.tuples(st.sampled_from("+-"), inner), min_size=1, max_size=4)),
-        st.builds(lambda a, b: f"({a})*({b})", inner, inner),
-        st.builds(lambda a, c: f"({a})/{c}", inner, CONSTANTS),
-        st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 5)),
-    ), max_leaves=8)
+
+    def extend(inner):
+        forms = [
+            st.builds(lambda sign, first, rest: sign + operand(first) + "".join(
+                f" {op} {operand(s)}" for op, s in rest), st.sampled_from(["", "-"]), inner,
+                st.lists(st.tuples(st.sampled_from("+-"), inner), min_size=1, max_size=4)),
+            st.builds(lambda a, b: f"({a})*({b})", inner, inner),
+            st.builds(lambda a, c: f"({a})/{c}", inner, CONSTANTS),
+            st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 5)),
+        ]
+        if closed_forms:
+            forms.append(st.builds(lambda a, g: f"({a})/({g})", inner, geometric))
+        return st.one_of(forms)
+
+    return st.recursive(st.one_of(atoms), extend, max_leaves=8)
 
 
 def payload_sources() -> list[str]:

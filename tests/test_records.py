@@ -8,9 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdsolve.algebra import Poly, Root, RootSet
+from fdsolve.algebra import OperatorPoly, Poly, Root, RootSet
 from fdsolve.expr import SequenceExpr, Term, Trig
-from fdsolve.operators import OperatorPoly
 from fdsolve.oracle import VerifyReport
 from fdsolve.parser import parse_equation
 from fdsolve.solver import Equation, NumericMode, Solution, SolveTrace, TraceStep, solve
