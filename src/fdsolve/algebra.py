@@ -241,9 +241,8 @@ class Poly(_Record):
 
 class OperatorPoly(Poly):
     """a_0 + a_1*T + ... + a_n*T^n in the shift (T y)(t) = y(t+1), lowest power first:
-    the immutable, nonzero left-hand side of a constant-coefficient difference equation.
-
-    Arithmetic inherited from `Poly` returns plain `Poly` values.
+    the immutable, nonzero left-hand side of a constant-coefficient difference equation;
+    arithmetic inherited from `Poly` returns plain `Poly` values.
 
     >>> P = OperatorPoly(4, -5, 1)        # T^2 - 5*T + 4
     >>> P(3)

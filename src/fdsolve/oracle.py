@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .algebra import Poly, _Record
 from .expr import SequenceExpr
@@ -133,24 +133,22 @@ def _iterate(eq: Equation, horizon: int) -> tuple[list[int], list[int]]:
     return nums[:m], dens[:m]
 
 
-def _table_bits(eq: Equation, solution: Solution, horizon: int) -> float:
-    """About the bits the iterate route's tables take over [t0, t0 + horizon], from the
-    bases of `_folded` rhs, particular and exact modes and the moduli of float modes.
-    Each pair b^t * p(t) gives horizon + 1 values of about |t| * log2 max(|num|, den) bits
+def _table_bits(pairs: list, modes: Iterable, lo: int, hi: int) -> float:
+    """About the bits the iterate route's tables take over [lo, hi], from the `_folded`
+    pairs of rhs and particular, the bases of exact modes and the moduli of float modes.
+    Each pair b^t * p(t) gives hi - lo + 1 values of about |t| * log2 max(|num|, den) bits
     for b = num/den (|t| * |log2 modulus| for a float mode) and deg p * log2 |t| for p,
     at the |t| farthest from 0; each is counted twice, once for its own table and
     once for its share of the recurrence's values."""
-    t0 = eq.initial[0][0]
-    far = max(abs(t0), abs(t0 + horizon)) + 1
-    pairs = _folded(eq.rhs) + _folded(solution.particular)
+    far = max(abs(lo), abs(hi)) + 1
     rates = []
-    for mode in solution.homogeneous:
+    for mode in modes:
         if isinstance(mode, SequenceExpr):
-            pairs += _folded(mode)
+            pairs = pairs + _folded(mode)
         else:
             rates.append((abs(math.log2(mode.modulus)), mode.power))
     rates += [(math.log2(max(abs(b.numerator), b.denominator)), p.degree) for b, p in pairs]
-    return 2 * (horizon + 1) * sum(far * r + d * math.log2(far) for r, d in rates)
+    return 2 * (hi - lo + 1) * sum(far * r + d * math.log2(far) for r, d in rates)
 
 
 def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
@@ -206,20 +204,24 @@ def verify_solution(
     if isinstance(solution, SequenceExpr):
         solution = Solution(solution, (), (), SolveTrace(()))
     particular, constants = solution.particular, solution.constants
+    exact = solution.is_exact
+    folded = _folded(particular) + _folded(eq.rhs)
     if eq.initial is not None and constants is not None:
-        bits = _table_bits(eq, solution, horizon)
+        t0 = eq.initial[0][0]
+        # the exact route tabulates only the modes whose constant is nonzero
+        modes = [m for c, m in zip(constants, solution.homogeneous) if c or not exact]
+        bits = _table_bits(folded, modes, t0, t0 + horizon)
         if bits > _MAX_TABLE_BITS:
             raise ValueError(f"verification horizon {horizon} needs iterate tables of about "
                              f"{bits / 2**23:.0f} MiB, over the limit of "
                              f"{_MAX_TABLE_BITS // 2**23} MiB")
-    exact = solution.is_exact
     n = eq.operator.degree
     # a_k = alpha_k / scale, y(t) = ys[t + r] / y_den, phi(t) = phis[t + r] / phi_den:
     # all integers, so sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
     scale = eq.operator.den
     alphas = [(k, alpha) for k, alpha in enumerate(eq.operator.nums) if alpha]
     lens: dict[Fraction, int] = {}
-    for b, poly in _folded(particular) + _folded(eq.rhs):
+    for b, poly in folded:
         lens[b] = max(lens.get(b, 0), len(poly.nums))
     m = sum(lens.values()) // 2
     fwd_range = (-horizon, horizon)

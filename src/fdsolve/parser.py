@@ -102,8 +102,7 @@ def _max_bits(expr: _Buckets) -> int:
 
 
 def _inverse(expr: _Buckets) -> _Buckets | None:
-    """The one term (1/c) * (1/b)^t when the bucket map is c * b^t (c a nonzero
-    constant), else None."""
+    """(1/c) * (1/b)^t when the bucket map is the one term c * b^t (c a constant), else None."""
     if len(expr) == 1:
         ((base, kind, _), p), = expr.items()
         if kind is None and p.degree == 0:
@@ -296,9 +295,8 @@ class _Parser:
         buckets for b distinct bases and trig multiples up to f, at most
         C(h+n-1, n-1) nonzero coefficients for n nonzero coefficients in expr
         (counted as m is), and numbers of about h * log2(n * the largest number
-        in expr) bits.  A unit is about 0.1 microseconds.  With n = 1 each squaring
-        multiplies one term by itself, which costs only its numbers' size, and
-        the bit bound caps that."""
+        in expr) bits.  A unit is about 0.1 microseconds.  With n = 1, expr is one
+        term c * b^t * t^j, and c^k * (b^k)^t * t^(j*k) is built directly, unsquared."""
         k = abs(k)
         if type(expr) is Poly:  # its one bucket, keyed by the int 1: no Fraction to hash
             expr = {(1, None, 0): expr} if expr else {}
@@ -337,6 +335,8 @@ class _Parser:
                 self.unsupported(pos, "negative powers are supported only for nonzero "
                                  "constants and geometric terms")
         self._check_power(base, k, pos)
+        if len(base) == 1 and (key := next(iter(base)))[1] is None:  # c^k * (b^k)^t * p(t)^k
+            return _Val({}, {(key[0] ** k, None, 0): base[key] ** k})
         out = None
         while k:
             if k & 1:

@@ -378,6 +378,17 @@ class TestExitCodes:
         assert out == ("1 True\nerror: verification horizon 100000 needs iterate tables of "
                        "about 2384 MiB, over the limit of 512 MiB\n")
 
+    def test_zero_constant_modes_take_no_tables(self):
+        # y = 1 with c1 = 0 on (1/2)^t: no table over 2^100000 is built, so none is counted
+        out = run_bounded(textwrap.dedent("""
+            from fdsolve import cli
+            code = cli.main(["solve", "2y(t+2) - 3y(t+1) + y(t) = 0",
+                             "--initial", "y(0)=1, y(1)=1", "--verify", "100000"])
+            print(code)
+            """))
+        assert out.endswith("verification: exact-match over t in [-100000, 100000] "
+                            "(forward-apply+iterate)\n0\n")
+
     @pytest.mark.parametrize("argv,code,message", [
         (["solve", "y(t+1) - 2y(t) = 2^(2^(2^(2^(2^2))))"], 2,
          "unsupported right-hand side: a power too large to compute"),

@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fdsolve
-from fdsolve import cli
+from fdsolve import cli, parser
 from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError, _insert
 from fdsolve.solver import Equation
@@ -173,6 +173,17 @@ def test_large_powers_in_bounded_time():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=30, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "4000 True\n"
+
+
+@pytest.mark.parametrize("src", ["((2/3)^t)^400000", "(2/3*(3/2)^t)^300000",
+                                 "((2/3)^t)^-400000", "(t*3^t)^50"])
+def test_one_term_powers_skip_the_squarings(src, monkeypatch):
+    # c^k * (b^k)^t * p^k at once: square-and-multiply on one term took 0.3-0.7 s
+    # for the first three, each step a Fraction and a Poly gcd on growing numbers
+    calls = []
+    monkeypatch.setattr(parser, "_bucket_mul", lambda a, b: calls.append(1))
+    parse_expression(src)
+    assert calls == []
 
 
 POWERS_PAST_THE_LIMITS = [
