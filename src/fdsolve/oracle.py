@@ -4,8 +4,9 @@ Two deliberately different routes:
 
 * forward application — plug the particular solution back in pointwise:
   a_0*y(t) + ... + a_n*y(t+n) = phi(t) at K consecutive t proves it on Z;
-* iteration — run the recurrence forward from initial values exactly and
-  compare against the assembled general solution.
+* the initial-value check — y_P + h, h = sum c_i * mode_i, is the recurrence's
+  run once it takes the n initial values and P(T)h is 0 at K_h consecutive t;
+  float modes are compared with the recurrence run over the horizon instead.
 
 Both run on integers.  `_numerators` walks each bucket of an expression once
 across a range of t, using only the integer-domain meaning of the buckets (no
@@ -24,14 +25,15 @@ from .algebra import Poly, _Record
 from .expr import SequenceExpr
 from .solver import Equation, Solution, SolveTrace
 
-# The largest verification horizon: the iterate route builds tables of N + 1 values
-# per sequence, and N = 10^5 takes a few seconds on a polynomial solution; forward
-# application builds about K whatever N is.  It bounds how many values are built,
-# not their size, which grows with N for an exponential solution.
+# The largest verification horizon: the float iterate route builds tables of N + 1
+# values per sequence, and N = 10^5 takes a few seconds on a polynomial solution; forward
+# application builds about K values and the exact initial-value proof n + K_h, whatever
+# N is.  It bounds how many values are built, not their size, which grows with N.
 _MAX_HORIZON = 100_000
-# The most bits the iterate route's tables may take, as `_table_bits` estimates them
-# (512 MiB): a (1/2)^t mode at horizon 10^5 would take gigabytes and is refused, while
-# every horizon the tests and the benchmark run is estimated at under 2^31 bits.
+# The most bits tables over [t0, t0 + N] may take, as `_table_bits` estimates them (512
+# MiB): a (1/2)^t mode at horizon 10^5 is refused, while every horizon the tests and the
+# benchmark run is estimated at under 2^31 bits.  Only float modes build such tables; the
+# bound holds for exact modes too, so every refusal stays where it was.
 _MAX_TABLE_BITS = 2**32
 _FLOAT_TOL = 1e-8   # the absolute tolerance of the iterate check on float modes
 
@@ -73,6 +75,15 @@ def _folded(expr: SequenceExpr) -> list[tuple[Fraction, Poly]]:
     sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t; a base may repeat."""
     return [(-base if n % 2 else base, poly)
             for (base, kind, n), poly in expr.buckets if kind != "sin"]
+
+
+def _order(pairs: list[tuple[Fraction, Poly]]) -> int:
+    """K = sum (deg p_b + 1) over the bases b of `_folded` pairs, a base taken once at
+    its highest degree: a sum of p_b(t) * b^t that is 0 at K consecutive t is 0 on Z."""
+    lens: dict[Fraction, int] = {}
+    for b, poly in pairs:
+        lens[b] = max(lens.get(b, 0), len(poly.nums))
+    return sum(lens.values())
 
 
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
@@ -189,13 +200,16 @@ def verify_solution(
     [-h, h], h = min(K//2, horizon), then [-K//2, K//2] if all passed, nearest
     the origin first; the report's range stays [-horizon, horizon], a mismatch
     past it keeps its t.
-    When initial conditions (and fitted constants) exist, the general
-    solution is also compared with the recurrence run over [t0, t0+horizon]:
-    as integers when every mode is exact, else as floats with `_FLOAT_TOL` as
-    the absolute tolerance.  A horizon below 0 or above `_MAX_HORIZON`, or one
-    whose iterate tables `_table_bits` estimates past `_MAX_TABLE_BITS`, raises
-    ValueError before any table is built, and so does a general solution that
-    leaves the float range before the first mismatch.
+    With initial conditions and constants, the initial-value problem ("iterate")
+    is checked too.  For exact modes that is a proof: y_P + h, h = sum c_i * mode_i
+    over the nonzero c_i, is the recurrence's run from t0 on once it takes the n
+    given values and P(T)h, counted as K is, is 0 at t0, ..., t0 + K_h - 1.  The
+    two first part at t + n for the first t with P(T)h(t) != 0: the full scan's
+    mismatch, or one past t0 + horizon.  Float modes are compared with the run
+    over [t0, t0+horizon], `_FLOAT_TOL` the absolute tolerance.  A horizon below
+    0 or above `_MAX_HORIZON`, or one whose tables `_table_bits` estimates past
+    `_MAX_TABLE_BITS`, raises ValueError before any table is built, and so does
+    a general solution that leaves the float range before the first mismatch.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
@@ -208,7 +222,7 @@ def verify_solution(
     folded = _folded(particular) + _folded(eq.rhs)
     if eq.initial is not None and constants is not None:
         t0 = eq.initial[0][0]
-        # the exact route tabulates only the modes whose constant is nonzero
+        # estimated as for a table of each mode with a nonzero constant, for exact modes
         modes = [m for c, m in zip(constants, solution.homogeneous) if c or not exact]
         bits = _table_bits(folded, modes, t0, t0 + horizon)
         if bits > _MAX_TABLE_BITS:
@@ -220,10 +234,7 @@ def verify_solution(
     # all integers, so sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
     scale = eq.operator.den
     alphas = [(k, alpha) for k, alpha in enumerate(eq.operator.nums) if alpha]
-    lens: dict[Fraction, int] = {}
-    for b, poly in folded:
-        lens[b] = max(lens.get(b, 0), len(poly.nums))
-    m = sum(lens.values()) // 2
+    m = _order(folded) // 2
     fwd_range = (-horizon, horizon)
     for r in sorted({min(m, horizon), m}):  # a wrong guess fails before a large K is tabulated
         ys, y_den = _numerators(particular, -r, r + n)
@@ -238,20 +249,29 @@ def verify_solution(
         return VerifyReport("forward-apply", fwd_range, "exact-match")
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
-    ts = range(t0, t0 + horizon + 1)
-    wants, want_dens = _iterate(eq, t0 + horizon)
     if exact:
-        # particular + sum_i c_i * mode_i as one integer table over g_den
-        parts = [(c, *_numerators(m, t0, t0 + horizon))
-                 for c, m in zip((1, *constants), (particular, *solution.homogeneous)) if c]
+        terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
+        k_h = _order([pair for _, m in terms for pair in _folded(m)])
+        parts = [(c, *_numerators(m, t0, t0 + k_h + n - 1)) for c, m in ((1, particular), *terms)]
         g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
-        ks = [c.numerator * (g_den // (c.denominator * den)) for c, _, den in parts]
-        gots = (sum(k * x for k, x in zip(ks, row)) for row in zip(*(p[1] for p in parts)))
-        for t, w, wd, g in zip(ts, wants, want_dens, gots):
-            if w * g_den != g * wd:
+        tables = [[c.numerator * (g_den // (c.denominator * den)) * x for x in nums]
+                  for c, nums, den in parts]
+        gs = [sum(col) for col in zip(*tables)]  # g_den * (y_P + h)(t0 + j)
+        for (t, v), g in zip(eq.initial, gs):
+            if g * v.denominator != v.numerator * g_den:
                 return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t,
-                                    expected=Fraction(w, wd), got=Fraction(g, g_den))
+                                    expected=v, got=Fraction(g, g_den))
+        hs = [g - y for g, y in zip(gs, tables[0])]
+        for j in range(k_h):
+            res = sum(alpha * hs[j + k] for k, alpha in alphas)  # scale*g_den*P(T)h(t0+j)
+            if res:  # the first: y_P + h leaves the run at t0+j+n, by P(T)h(t0+j)/a_n
+                got = Fraction(gs[j + n], g_den)
+                return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t0 + j + n,
+                                    expected=got - Fraction(res, g_den * eq.operator.nums[n]),
+                                    got=got)
         return VerifyReport("forward-apply+iterate", fwd_range, "exact-match")
+    wants, want_dens = _iterate(eq, t0 + horizon)
+    ts = range(t0, t0 + horizon + 1)
     # float modes stay lazy: one overflowing past the first mismatch must not stop the report
     rows = zip(wants, want_dens, *(_column(m, ts) for m in (particular, *solution.homogeneous)))
     max_dev = 0.0
