@@ -12,7 +12,7 @@ from .oracle import (MissingInitialConditionsError, VerifyReport,
                      iterate_recurrence, verify_solution)
 from .parser import (NonConsecutiveConditionsError, ParseError, SemanticError,
                      parse_equation, parse_expression, parse_initial, parse_operator)
-from .solver import (Equation, NumericMode, SingularSystemError,
+from .solver import (Equation, NumericMode, RecurrenceMode, SingularSystemError,
                      Solution, SolveTrace, TraceStep, antidifference,
                      fit_constants, solve, solve_homogeneous, solve_particular)
 
@@ -22,7 +22,7 @@ __all__ = [
     "Poly", "Root", "RootSet", "find_roots", "series_inverse",
     "SequenceExpr", "Term", "Trig", "apply_operator",
     "OperatorPoly",
-    "Equation", "Solution", "NumericMode", "SolveTrace", "TraceStep",
+    "Equation", "Solution", "NumericMode", "RecurrenceMode", "SolveTrace", "TraceStep",
     "antidifference", "fit_constants", "solve", "solve_homogeneous", "solve_particular",
     "VerifyReport", "iterate_recurrence", "verify_solution",
     "parse_equation", "parse_expression", "parse_initial", "parse_operator",

@@ -4,7 +4,8 @@ A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
 `find_roots` isolates the real roots in integer arithmetic to find the
 rational ones exactly and to count the rest; floats from an Aberth iteration
-stand for the irrational and complex roots that remain.
+stand for the irrational and complex roots that remain, in print; for exact work
+`_x_power` gives x^t mod q, q their primitive integer factor.
 """
 from __future__ import annotations
 
@@ -403,9 +404,9 @@ def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def _primitive(p: Poly) -> list[int]:
-    """The primitive integer form of p: its numerators over their content
-    (the zero polynomial gives [])."""
-    g = math.gcd(*p.nums) or 1
+    """The primitive integer form of p: its numerators over their content, signed to make
+    the leading one positive (the zero polynomial gives [])."""
+    g = (math.gcd(*p.nums) or 1) * (-1 if p.nums and p.nums[-1] < 0 else 1)
     return [c // g for c in p.nums]
 
 
@@ -571,27 +572,45 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly, int]:
     return found + roots, reduce(Poly.deflate, roots, rest), len(points) - len(roots)
 
 
-def find_roots(p: Poly) -> RootSet:
-    """Factor p completely, with exact multiplicities and exact rational roots.
-
-    Yun's square-free decomposition gives coprime square-free factors f_i whose
-    roots have multiplicity exactly i.  Exact real-root isolation finds the
-    rational roots of each f_i (scaled exactly into float range) and counts the
-    others that are real; `_approximate` gives the roots left, the counted ones
-    with imaginary part +0.0.  Raises ValueError when the floats cannot account
-    for every root, as when the coefficients span beyond the float range.
-    """
+def _factors(p: Poly) -> list[tuple[int, list[Fraction], list[int], list[complex]]]:
+    """(i, rational roots, q, q's roots as floats) for each of Yun's square-free factors f_i
+    of p, q the primitive integer form of f_i without its rational roots.  Exact real-root
+    isolation finds those (on f_i scaled exactly into float range) and counts the other real
+    roots, which `_approximate` returns with imaginary part +0.0.  Raises ValueError when
+    the floats cannot account for every root, as when the coefficients span beyond them."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    exact: list[Root] = []
-    numeric: list[Root] = []
+    out = []
     for f, mult in _square_free(p):
         found, rest, real = _rational_roots(_balanced(f))
-        exact.extend(Root(r, mult, True) for r in found)
-        if rest.degree >= 1:
-            numeric.extend(Root(z, mult, False) for z in _approximate(rest, real))
-    if sum(r.multiplicity for r in exact + numeric) != p.degree:
+        out.append((mult, found, _primitive(rest), _approximate(rest, real)))
+    if sum(mult * (len(found) + len(zs)) for mult, found, _, zs in out) != p.degree:
         raise ValueError("coefficients span beyond the float range; roots not found")
-    exact.sort(key=lambda r: r.value)
-    numeric.sort(key=lambda r: (r.value.real, r.value.imag))
+    return out
+
+
+def find_roots(p: Poly) -> RootSet:
+    """Factor p completely, with exact multiplicities and exact rational roots: the view
+    of `_factors` as one `RootSet`.  Raises ValueError as `_factors` does."""
+    factors = _factors(p)
+    exact = sorted((Root(r, mult, True) for mult, found, _, _ in factors for r in found),
+                   key=lambda r: r.value)
+    numeric = sorted((Root(z, mult, False) for mult, _, _, zs in factors for z in zs),
+                     key=lambda r: (r.value.real, r.value.imag))
     return RootSet(tuple(exact + numeric))
+
+
+def _x_power(q: Sequence[int], t: int) -> tuple[list[int], int]:
+    """(nums, den) with x^t mod q = sum nums[m] * x^m / den, m < k = deg q, for integers q
+    with q(0) != 0, so that t < 0 works with x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  0 <= t
+    < k is x^t; else square and multiply on `_divmod` remainders, about log2 |t| steps."""
+    k = len(q) - 1
+    if 0 <= t < k:
+        return [0] * t + [1] + [0] * (k - 1 - t), 1
+    mod, out = Poly._make(list(q), 1), Poly._make([1], 1)
+    x = Poly._make([0, 1], 1) if t > 0 else Poly._make([-c for c in q[1:]], q[0])
+    for bit in bin(abs(t))[2:]:
+        out = _divmod(out * out, mod)[1]
+        if bit == "1":
+            out = _divmod(out * x, mod)[1]
+    return [*out.nums, *[0] * (k - len(out.nums))], out.den

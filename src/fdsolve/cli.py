@@ -83,15 +83,14 @@ def _report_doc(report: VerifyReport) -> dict[str, Any]:
         doc["mismatch_t"] = report.mismatch_t
         doc["expected"] = _fraction_str(report.expected)
         doc["got"] = _fraction_str(report.got)
-    if report.max_deviation is not None:
-        doc["max_deviation"] = report.max_deviation
     return doc
 
 
 def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
                   trace: bool) -> dict[str, Any]:
+    modes, constants = sol.view(eq.initial[0][0] if eq.initial else 0)
     homog = []
-    for mode in sol.homogeneous:
+    for mode in modes:
         if isinstance(mode, SequenceExpr):
             homog.append({"type": "exact", "expr": mode.render(pretty=True)})
         else:
@@ -106,8 +105,7 @@ def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
         "operator": [str(c) for c in reversed(eq.operator.coeffs)],
         "particular": sol.particular.render(pretty=True),
         "homogeneous": homog,
-        "constants": [_fraction_str(c) for c in sol.constants]
-                     if sol.constants is not None else None,
+        "constants": [_fraction_str(c) for c in constants] if constants is not None else None,
     }
     general = sol.general_expr()
     if general is not None:
@@ -122,20 +120,21 @@ def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
 
 def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
                    trace: bool) -> str:
+    modes, constants = sol.view(eq.initial[0][0] if eq.initial else 0)
     lines = [f"equation:    {eq}"]
     if eq.initial:
         conds = ", ".join(f"y({t}) = {v}" for t, v in eq.initial)
         lines.append(f"initial:     {conds}")
     lines.append(f"particular:  {sol.particular.render(pretty=True)}")
-    if sol.homogeneous:
-        rendered = ", ".join(m.render(pretty=True) for m in sol.homogeneous)
+    if modes:
+        rendered = ", ".join(m.render(pretty=True) for m in modes)
         lines.append(f"homogeneous: {rendered}")
     else:
         lines.append("homogeneous: (empty basis)")
-    if sol.constants is not None:
+    if constants is not None:
         pretty = ", ".join(
             f"c{i+1} = {c if isinstance(c, Fraction) else format(c, '.10g')}"
-            for i, c in enumerate(sol.constants))
+            for i, c in enumerate(constants))
         lines.append(f"constants:   {pretty or '(none)'}")
     general = sol.general_expr()
     if general is not None:

@@ -5,54 +5,42 @@ Two deliberately different routes:
 * forward application — plug the particular solution back in pointwise:
   a_0*y(t) + ... + a_n*y(t+n) = phi(t) at K consecutive t proves it on Z;
 * the initial-value check — y_P + h, h = sum c_i * mode_i, is the recurrence's
-  run once it takes the n initial values and P(T)h is 0 at K_h consecutive t;
-  float modes are compared with the recurrence run over the horizon instead.
+  run once it takes the n initial values and P(T)h is 0 at K_h consecutive t.
 
-Both run on integers.  `_numerators` walks each bucket of an expression once
-across a range of t, using only the integer-domain meaning of the buckets (no
-symbolic machinery, nothing from the solver), so each sequence is evaluated
-once per t however many shifts of it a check needs.  `_iterate` keeps the
-recurrence's last values over one denominator.  Both routes compare integers
-and build Fractions or floats only for a report or for float modes.
+Both run on integers and read only `Equation` data and the solution's
+buckets and recurrence modes' factors (no symbolic machinery, nothing from the
+solver).  `_numerators` walks each bucket of an expression once across a
+range of t, and `_residues` walks x^t mod q for a mode's factor q, so each
+sequence is evaluated once per t however many shifts of it a check needs.
+Both routes compare integers and build Fractions only for a report.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
-from .algebra import Poly, _Record
+from .algebra import Poly, _Record, _x_power
 from .expr import SequenceExpr
-from .solver import Equation, Solution, SolveTrace
+from .solver import Equation, RecurrenceMode, Solution, SolveTrace
 
-# The largest verification horizon: the float iterate route builds tables of N + 1
-# values per sequence, and N = 10^5 takes a few seconds on a polynomial solution; forward
-# application builds about K values and the exact initial-value proof n + K_h, whatever
-# N is.  It bounds how many values are built, not their size, which grows with N.
+# The largest verification horizon.  Forward application builds about K values and the
+# initial-value proof n + K_h, whatever N is; N only names the range a report covers.
 _MAX_HORIZON = 100_000
-# The most bits tables over [t0, t0 + N] may take, as `_table_bits` estimates them (512
-# MiB): a (1/2)^t mode at horizon 10^5 is refused, while every horizon the tests and the
-# benchmark run is estimated at under 2^31 bits.  Only float modes build such tables; the
-# bound holds for exact modes too, so every refusal stays where it was.
-_MAX_TABLE_BITS = 2**32
-_FLOAT_TOL = 1e-8   # the absolute tolerance of the iterate check on float modes
 
 
 class MissingInitialConditionsError(ValueError):
     """Iteration needs initial values and the equation has none."""
 
 
-Value = Union[Fraction, float]
-
-
 class VerifyReport(_Record):
-    __slots__ = ("method", "t_range", "status", "mismatch_t", "expected", "got", "max_deviation")
+    __slots__ = ("method", "t_range", "status", "mismatch_t", "expected", "got")
 
     def __init__(self, method: str, t_range: tuple[int, int],
-                 status: str,  # "exact-match" | "max-abs-deviation" | "mismatch"
-                 mismatch_t: int | None = None, expected: Value | None = None,
-                 got: Value | None = None, max_deviation: float | None = None) -> None:
-        super().__init__(method, t_range, status, mismatch_t, expected, got, max_deviation)
+                 status: str,  # "exact-match" | "mismatch"
+                 mismatch_t: int | None = None, expected: Fraction | None = None,
+                 got: Fraction | None = None) -> None:
+        super().__init__(method, t_range, status, mismatch_t, expected, got)
 
     @property
     def ok(self) -> bool:
@@ -60,12 +48,8 @@ class VerifyReport(_Record):
 
     def describe(self) -> str:
         lo, hi = self.t_range
-        where = f"t in [{lo}, {hi}]"
         if self.status == "exact-match":
-            return f"exact-match over {where} ({self.method})"
-        if self.status == "max-abs-deviation":
-            return (f"max-abs-deviation {self.max_deviation:.3e} "
-                    f"over {where} ({self.method})")
+            return f"exact-match over t in [{lo}, {hi}] ({self.method})"
         return (f"mismatch at t={self.mismatch_t}: expected {self.expected}, "
                 f"got {self.got} ({self.method})")
 
@@ -77,13 +61,18 @@ def _folded(expr: SequenceExpr) -> list[tuple[Fraction, Poly]]:
             for (base, kind, n), poly in expr.buckets if kind != "sin"]
 
 
-def _order(pairs: list[tuple[Fraction, Poly]]) -> int:
-    """K = sum (deg p_b + 1) over the bases b of `_folded` pairs, a base taken once at
-    its highest degree: a sum of p_b(t) * b^t that is 0 at K consecutive t is 0 on Z."""
-    lens: dict[Fraction, int] = {}
-    for b, poly in pairs:
-        lens[b] = max(lens.get(b, 0), len(poly.nums))
-    return sum(lens.values())
+def _order(seqs: Iterable[SequenceExpr | RecurrenceMode]) -> int:
+    """K over the bases of seqs, each at its longest: a rational base b of a `_folded` pair
+    (b, p) counts deg p + 1, and the factor q of a mode t^j * e_m counts deg q * (j + 1), a
+    term t^j * a^t per root a of q.  An exponential polynomial with K terms that is 0 at
+    K consecutive t is 0 on Z (Everest et al., Recurrence Sequences, ch. 1)."""
+    lens: dict[Fraction | tuple[int, ...], int] = {}
+    for e in seqs:
+        pairs = ([(b, len(p.nums)) for b, p in _folded(e)] if isinstance(e, SequenceExpr)
+                 else [(e.factor, e.power + 1)])
+        for b, length in pairs:
+            lens[b] = max(lens.get(b, 0), length)
+    return sum(length * (len(b) - 1 if isinstance(b, tuple) else 1) for b, length in lens.items())
 
 
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
@@ -118,11 +107,27 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _iterate(eq: Equation, horizon: int) -> tuple[list[int], list[int]]:
-    """Integers nums, dens with y(t0 + j) == nums[j] / dens[j] up to t = horizon.
+def _residues(q: tuple[int, ...], lo: int, hi: int) -> tuple[list[list[int]], int]:
+    """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
+    lo <= t <= hi: x^lo by `_x_power`, then one integer step per t, x*r mod q with
+    x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k, each over one more factor q_k."""
+    nums, den = _x_power(q, lo)
+    lead, width = q[-1], hi - lo
+    rows = [nums]
+    for _ in range(width):
+        top = nums[-1]
+        nums = [lead * a - top * c for a, c in zip([0, *nums[:-1]], q)]
+        rows.append(nums)
+    return [[x * lead ** (width - s) for x in row] for s, row in enumerate(rows)], den * lead**width
 
-    a_k = alpha_k / scale and the last n values are W_k / D, phi_den | D; each
-    step divides W and D by a common factor that keeps phi_den | D.
+
+def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
+    """Exact values y(t0), ..., y(horizon) by running the recurrence forward.
+
+    t0 is the first initial-condition point.  Only `Equation` data is used;
+    nothing from the solver.  a_k = alpha_k / scale and the last n values are
+    W_k / D, phi_den | D; each step divides W and D by a common factor that
+    keeps phi_den | D.
     """
     if eq.initial is None:
         raise MissingInitialConditionsError("equation carries no initial conditions")
@@ -132,51 +137,14 @@ def _iterate(eq: Equation, horizon: int) -> tuple[list[int], list[int]]:
     phis, phi_den = _numerators(eq.rhs, t0, horizon - n)
     D = math.lcm(phi_den, *(v.denominator for _, v in eq.initial))
     W = [v.numerator * (D // v.denominator) for _, v in eq.initial]
-    nums, dens = W[:], [D] * n
+    out = [Fraction(w, D) for w in W]
     for phi in phis:
         new = scale * (D // phi_den) * phi - sum(a * w for a, w in zip(alphas, W))
         D, W = D * lead, [lead * w for w in W[1:]] + [new]
         g = math.gcd(D // phi_den, *W)
         D, W = D // g, [w // g for w in W]
-        nums.append(W[-1])
-        dens.append(D)
-    m = max(0, horizon - t0 + 1)
-    return nums[:m], dens[:m]
-
-
-def _table_bits(pairs: list, modes: Iterable, lo: int, hi: int) -> float:
-    """About the bits the iterate route's tables take over [lo, hi], from the `_folded`
-    pairs of rhs and particular, the bases of exact modes and the moduli of float modes.
-    Each pair b^t * p(t) gives hi - lo + 1 values of about |t| * log2 max(|num|, den) bits
-    for b = num/den (|t| * |log2 modulus| for a float mode) and deg p * log2 |t| for p,
-    at the |t| farthest from 0; each is counted twice, once for its own table and
-    once for its share of the recurrence's values."""
-    far = max(abs(lo), abs(hi)) + 1
-    rates = []
-    for mode in modes:
-        if isinstance(mode, SequenceExpr):
-            pairs = pairs + _folded(mode)
-        else:
-            rates.append((abs(math.log2(mode.modulus)), mode.power))
-    rates += [(math.log2(max(abs(b.numerator), b.denominator)), p.degree) for b, p in pairs]
-    return 2 * (hi - lo + 1) * sum(far * r + d * math.log2(far) for r, d in rates)
-
-
-def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
-    """Exact values y(t0), ..., y(horizon) by running the recurrence forward.
-
-    t0 is the first initial-condition point.  Only `Equation` data is used;
-    nothing from the solver.  This is the Fraction view of `_iterate`.
-    """
-    return [Fraction(num, den) for num, den in zip(*_iterate(eq, horizon))]
-
-
-def _column(mode, ts: range) -> Iterator[float]:
-    """A sequence's floats over ts, each computed only when it is read."""
-    if isinstance(mode, SequenceExpr):
-        nums, den = _numerators(mode, ts[0], ts[-1])
-        return (num / den for num in nums)
-    return map(mode.eval_at, ts)
+        out.append(Fraction(W[-1], D))
+    return out[:max(0, horizon - t0 + 1)]
 
 
 def _outward(limit: int) -> Iterator[int]:
@@ -201,15 +169,12 @@ def verify_solution(
     the origin first; the report's range stays [-horizon, horizon], a mismatch
     past it keeps its t.
     With initial conditions and constants, the initial-value problem ("iterate")
-    is checked too.  For exact modes that is a proof: y_P + h, h = sum c_i * mode_i
-    over the nonzero c_i, is the recurrence's run from t0 on once it takes the n
-    given values and P(T)h, counted as K is, is 0 at t0, ..., t0 + K_h - 1.  The
-    two first part at t + n for the first t with P(T)h(t) != 0: the full scan's
-    mismatch, or one past t0 + horizon.  Float modes are compared with the run
-    over [t0, t0+horizon], `_FLOAT_TOL` the absolute tolerance.  A horizon below
-    0 or above `_MAX_HORIZON`, or one whose tables `_table_bits` estimates past
-    `_MAX_TABLE_BITS`, raises ValueError before any table is built, and so does
-    a general solution that leaves the float range before the first mismatch.
+    is proved too: y_P + h, h = sum c_i * mode_i over the nonzero c_i, is the
+    recurrence's run from t0 on once it takes the n given values and P(T)h is 0
+    at t0, ..., t0 + K_h - 1, K_h counted by `_order` on h's bases and factors.
+    The two first part at t + n for the first t with P(T)h(t) != 0: the full
+    scan's mismatch, or one past t0 + horizon.  A horizon below 0 or above
+    `_MAX_HORIZON` raises ValueError.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
@@ -218,23 +183,12 @@ def verify_solution(
     if isinstance(solution, SequenceExpr):
         solution = Solution(solution, (), (), SolveTrace(()))
     particular, constants = solution.particular, solution.constants
-    exact = solution.is_exact
-    folded = _folded(particular) + _folded(eq.rhs)
-    if eq.initial is not None and constants is not None:
-        t0 = eq.initial[0][0]
-        # estimated as for a table of each mode with a nonzero constant, for exact modes
-        modes = [m for c, m in zip(constants, solution.homogeneous) if c or not exact]
-        bits = _table_bits(folded, modes, t0, t0 + horizon)
-        if bits > _MAX_TABLE_BITS:
-            raise ValueError(f"verification horizon {horizon} needs iterate tables of about "
-                             f"{bits / 2**23:.0f} MiB, over the limit of "
-                             f"{_MAX_TABLE_BITS // 2**23} MiB")
     n = eq.operator.degree
     # a_k = alpha_k / scale, y(t) = ys[t + r] / y_den, phi(t) = phis[t + r] / phi_den:
     # all integers, so sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
     scale = eq.operator.den
     alphas = [(k, alpha) for k, alpha in enumerate(eq.operator.nums) if alpha]
-    m = _order(folded) // 2
+    m = _order([particular, eq.rhs]) // 2
     fwd_range = (-horizon, horizon)
     for r in sorted({min(m, horizon), m}):  # a wrong guess fails before a large K is tabulated
         ys, y_den = _numerators(particular, -r, r + n)
@@ -249,46 +203,33 @@ def verify_solution(
         return VerifyReport("forward-apply", fwd_range, "exact-match")
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
-    if exact:
-        terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
-        k_h = _order([pair for _, m in terms for pair in _folded(m)])
-        parts = [(c, *_numerators(m, t0, t0 + k_h + n - 1)) for c, m in ((1, particular), *terms)]
-        g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
-        tables = [[c.numerator * (g_den // (c.denominator * den)) * x for x in nums]
-                  for c, nums, den in parts]
-        gs = [sum(col) for col in zip(*tables)]  # g_den * (y_P + h)(t0 + j)
-        for (t, v), g in zip(eq.initial, gs):
-            if g * v.denominator != v.numerator * g_den:
-                return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t,
-                                    expected=v, got=Fraction(g, g_den))
-        hs = [g - y for g, y in zip(gs, tables[0])]
-        for j in range(k_h):
-            res = sum(alpha * hs[j + k] for k, alpha in alphas)  # scale*g_den*P(T)h(t0+j)
-            if res:  # the first: y_P + h leaves the run at t0+j+n, by P(T)h(t0+j)/a_n
-                got = Fraction(gs[j + n], g_den)
-                return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t0 + j + n,
-                                    expected=got - Fraction(res, g_den * eq.operator.nums[n]),
-                                    got=got)
-        return VerifyReport("forward-apply+iterate", fwd_range, "exact-match")
-    wants, want_dens = _iterate(eq, t0 + horizon)
-    ts = range(t0, t0 + horizon + 1)
-    # float modes stay lazy: one overflowing past the first mismatch must not stop the report
-    rows = zip(wants, want_dens, *(_column(m, ts) for m in (particular, *solution.homogeneous)))
-    max_dev = 0.0
-    for t in ts:
-        try:
-            w, wd, got, *mode_values = next(rows)
-            # int / int is float(Fraction), in general_value_at's order: the same bits
-            want = w / wd
-            for c, v in zip(constants, mode_values):
-                got = got + c * v
-        except OverflowError as err:
-            raise ValueError(f"the general solution leaves the float range at t={t}; "
-                             "iteration not compared") from err
-        dev = abs(got - want)
-        max_dev = max(max_dev, dev)
-        if dev > _FLOAT_TOL:
-            return VerifyReport("iterate", it_range, "mismatch",
-                                mismatch_t=t, expected=want, got=got)
-    return VerifyReport("forward-apply+iterate", it_range, "max-abs-deviation",
-                        max_deviation=max_dev)
+    terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
+    k_h = _order(m for _, m in terms)
+    hi = t0 + k_h + n - 1
+    residues = {f: _residues(f, t0, hi)   # shared by the modes of one factor
+                for f in {m.factor for _, m in terms if not isinstance(m, SequenceExpr)}}
+    parts = [(1, *_numerators(particular, t0, hi))]
+    for c, m in terms:
+        if isinstance(m, SequenceExpr):
+            parts.append((c, *_numerators(m, t0, hi)))
+        else:  # t^j times the x^m column of the factor's residues
+            rows, den = residues[m.factor]
+            parts.append((c, [t**m.power * r[m.index] for t, r in zip(range(t0, hi + 1), rows)],
+                          den))
+    g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
+    tables = [[c.numerator * (g_den // (c.denominator * den)) * x for x in nums]
+              for c, nums, den in parts]
+    gs = [sum(col) for col in zip(*tables)]  # g_den * (y_P + h)(t0 + j)
+    for (t, v), g in zip(eq.initial, gs):
+        if g * v.denominator != v.numerator * g_den:
+            return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t,
+                                expected=v, got=Fraction(g, g_den))
+    hs = [g - y for g, y in zip(gs, tables[0])]
+    for j in range(k_h):
+        res = sum(alpha * hs[j + k] for k, alpha in alphas)  # scale*g_den*P(T)h(t0+j)
+        if res:  # the first: y_P + h leaves the run at t0+j+n, by P(T)h(t0+j)/a_n
+            got = Fraction(gs[j + n], g_den)
+            return VerifyReport("iterate", it_range, "mismatch", mismatch_t=t0 + j + n,
+                                expected=got - Fraction(res, g_den * eq.operator.nums[n]),
+                                got=got)
+    return VerifyReport("forward-apply+iterate", fwd_range, "exact-match")

@@ -17,13 +17,15 @@ returned particular solution verbatim.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
-from operator import mul, truediv
+from itertools import accumulate
+from operator import mul
 from typing import Sequence, Union
 
-from .algebra import (OperatorPoly, Poly, _from_newton, _newton, _power, _Record, _render_sum,
-                      _signed_sum, find_roots, series_inverse)
+from .algebra import (OperatorPoly, Poly, _balanced, _factors, _from_newton, _newton, _power,
+                      _Record, _render_sum, _signed_sum, _x_power, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 
 
@@ -47,13 +49,9 @@ class SolveTrace(_Record):
 
 
 class NumericMode(_Record):
-    """Basis sequence modulus^t * t^power * cos/sin(angle*t) for irrational roots."""
+    """The printed form modulus^t * t^power * cos/sin(angle*t) of the modes of one root."""
 
     __slots__ = ("modulus", "angle", "power", "kind")
-
-    def eval_at(self, t: int) -> float:
-        osc = math.cos(self.angle * t) if self.kind == "cos" else math.sin(self.angle * t)
-        return self.modulus**t * float(t**self.power) * osc
 
     def render(self, pretty: bool = False) -> str:
         pieces = [f"{self.modulus:.10g}^t"]
@@ -64,8 +62,25 @@ class NumericMode(_Record):
         return " * ".join(pieces)
 
 
+class RecurrenceMode(_Record):
+    """t^power * e_index(t) for a square-free primitive integer factor q, lowest first in
+    `factor`, whose roots (`roots`, floats read only to print) are irrational or complex:
+    e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that is 1 at m
+    and 0 elsewhere on [0, deg q).  The modes of one factor share both tuples."""
+
+    __slots__ = ("factor", "power", "index", "roots")
+
+    def eval_at(self, t: int) -> Fraction:
+        """Exact value at integer t (negative t included)."""
+        return Fraction(*_values((self,), t)[0])
+
+    def render(self, pretty: bool = False) -> str:   # `Solution.view` prints the polar form
+        e = f"e_{self.index}(t)"
+        return f"{_power('t', self.power)} * {e}" if self.power else e
+
+
 # an exact mode (rational root) is its closed form t^j * root^t
-HomogeneousMode = Union[SequenceExpr, NumericMode]
+HomogeneousMode = Union[SequenceExpr, RecurrenceMode]
 
 Condition = tuple[int, Fraction]
 
@@ -105,22 +120,86 @@ class Solution(_Record):
 
     @property
     def is_exact(self) -> bool:
+        """Every mode is a closed form t^j * root^t; recurrence modes are exact, not closed."""
         return all(isinstance(m, SequenceExpr) for m in self.homogeneous)
 
     def general_expr(self) -> SequenceExpr | None:
-        """particular + sum(c_i * mode_i) as one expression, when fully exact."""
+        """particular + sum(c_i * mode_i) as one expression, when every mode is a closed form."""
         if self.constants is None or not self.is_exact:
             return None
         return _sum([*self.particular.buckets, *((key, p * c) for c, mode in
                      zip(self.constants, self.homogeneous) for key, p in mode.buckets)])
 
-    def general_value_at(self, t: int) -> Fraction | float:
+    def general_value_at(self, t: int) -> Fraction:
+        """Exact value of particular + sum(c_i * mode_i) at integer t."""
         if self.constants is None:
             raise ValueError("constants were not fitted (no initial conditions)")
-        acc: Fraction | float = self.particular.eval_at(t)
-        for c, mode in zip(self.constants, self.homogeneous):
-            acc = acc + c * mode.eval_at(t)
-        return acc
+        pairs = [self.particular._ratio(t), *((c.numerator * n, c.denominator * d) for c, (n, d)
+                                              in zip(self.constants, _values(self.homogeneous, t)))]
+        den = math.lcm(*(d for _, d in pairs))
+        return Fraction(sum(n * (den // d) for n, d in pairs), den)
+
+    def view(self, t0: int = 0) -> tuple[tuple[SequenceExpr | NumericMode, ...],
+                                         tuple[Fraction | float, ...] | None]:
+        """The modes and constants as printed, t0 the first initial point: closed forms with
+        their Fractions, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
+        with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the
+        exact solution, far off for nearly equal roots; one not finite raises."""
+        known = self.constants is not None
+        modes, constants, blocks = [], [], {}
+        for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
+                        self.homogeneous):
+            if isinstance(m, SequenceExpr):
+                modes.append(m)
+                constants.append(c)
+            else:
+                blocks.setdefault(m.factor, []).append((m, c))
+        printed = [p for block in blocks.values() for p in _polar(block, t0, known)]
+        for a, j, c in sorted(printed, key=lambda p: (p[0].real, p[0].imag)):
+            r, theta = abs(a), math.atan2(a.imag, a.real)
+            modes += [NumericMode(r, theta, j, kind) for kind in ("cos", "sin")[:1 + (a.imag > 0)]]
+            if known:
+                constants += [2 * c.real, -2 * c.imag] if a.imag > 0 else [c.real]
+        return tuple(modes), tuple(constants) if known else None
+
+
+def _values(basis: Sequence[HomogeneousMode], t: int) -> list[tuple[int, int]]:
+    """(num, den) of each mode at integer t, den != 0: a closed form's `_ratio`, and one
+    `_x_power` for the recurrence modes of each factor."""
+    powers = {q: _x_power(q, t) for q in {m.factor for m in basis
+                                          if not isinstance(m, SequenceExpr)}}
+    return [m._ratio(t) if isinstance(m, SequenceExpr) else
+            (t**m.power * powers[m.factor][0][m.index], powers[m.factor][1]) for m in basis]
+
+
+def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
+           known: bool) -> list[tuple[complex, int, complex | None]]:
+    """(a, j, c_(a,j)) for one factor q's roots a, imaginary part >= 0, and powers j, from
+    its modes t^j * e_m and their constants u_(j,m) (c is None unless known).  As
+    E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t, Lagrange interpolation at t0 + s,
+    s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) * l_s(a), l_s(a) the t^s
+    coefficient of q(t) / ((t - a) * q'(a)) on q's balanced floats (scale cancels)."""
+    q, roots = block[0][0].factor, [a for a in block[0][0].roots if a.imag >= 0]
+    mult = max(m.power for m, _ in block) + 1
+    if not known:
+        return [(a, j, None) for a in roots for j in range(mult)]
+    p = _balanced(Poly._make(list(q), 1))
+    cs = [c / p.den for c in p.nums]
+    try:
+        es = [[float(sum(Fraction(c * nums[m.index], den) for m, c in block if m.power == j))
+               for j in range(mult)] for t in range(t0, t0 + len(q) - 1)
+              for nums, den in [_x_power(q, t)]]   # E_j(t0 + s)
+        out = []
+        for a in roots:
+            b = list(accumulate(cs[:0:-1], lambda acc, c: acc * a + c))[::-1]   # q(t) / (t - a)
+            w = sum(x * a**s for s, x in enumerate(b)) * a**t0   # q'(a) * a^t0
+            out += [(a, j, sum(e[j] * x for e, x in zip(es, b)) / w) for j in range(mult)]
+        if not all(cmath.isfinite(c) for _, _, c in out):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError) as err:
+        raise SingularSystemError("float overflow evaluating the basis at the initial values; "
+                                  "constants not determined") from err
+    return out
 
 
 def antidifference(p: Poly, m: int = 1) -> Poly:
@@ -263,53 +342,19 @@ def solve_particular(op: OperatorPoly, phi: SequenceExpr) -> tuple[SequenceExpr,
 
 
 def solve_homogeneous(op: OperatorPoly) -> tuple[HomogeneousMode, ...]:
-    """Basis of the solution space of op(T) y = 0 on two-sided integer time.
-
-    Rational characteristic roots give exact modes t^j * root^t; irrational or
-    complex roots give float modes in polar form.  Roots at 0 contribute no
-    two-sided mode and are skipped.
-    """
-    roots = find_roots(op)
+    """Basis of the solution space of op(T) y = 0 on two-sided integer time: closed forms
+    t^j * root^t for the nonzero rational roots, in order, then for each square-free factor
+    q of multiplicity i with no rational root the recurrence modes t^j * e_m, j < i and
+    m < deg q.  Roots at 0 contribute no two-sided mode."""
+    exact: list[tuple[Fraction, int]] = []
     modes: list[HomogeneousMode] = []
-    for root in roots.roots:
-        if root.exact:
-            if root.value == 0:
-                continue
-            for j in range(root.multiplicity):
-                modes.append(_sum([((root.value, None, 0), Poly(0, 1) ** j)]))
-        else:
-            z = root.value
-            if z.imag < 0:
-                continue  # conjugate partner of an emitted pair
-            r, theta = abs(z), math.atan2(z.imag, z.real)
-            for j in range(root.multiplicity):
-                modes.append(NumericMode(r, theta, j, "cos"))
-                if z.imag > 0:
-                    modes.append(NumericMode(r, theta, j, "sin"))
-    return tuple(modes)
-
-
-def _gauss_jordan(A: list[list[float]], b: list[float]) -> tuple[float, ...]:
-    """Float Gauss-Jordan elimination with the largest-magnitude pivot in each column:
-    a pivot of magnitude <= 1e-12 raises `SingularSystemError`, and rows left over after
-    the last pivot must reduce to within 1e-6 * max(1, |b_i|) of zero."""
-    rows, cols = len(A), len(A[0]) if A else 0
-    residual_tol = 1e-6 * max([1.0] + [abs(v) for v in b])
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    for col in range(cols):
-        sel = max(range(col, rows), key=lambda i: abs(aug[i][col]), default=None)
-        if sel is None or abs(aug[sel][col]) <= 1e-12:
-            raise SingularSystemError("pivot below tolerance; constants not determined")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for i in range(rows):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    if any(abs(r[cols]) > residual_tol for r in aug[cols:]):
-        raise SingularSystemError("initial conditions are inconsistent")
-    return tuple(r[cols] for r in aug[:cols])
+    for mult, found, q, zs in _factors(op):
+        exact += [(r, mult) for r in found if r]
+        factor, roots = tuple(q), tuple(zs)
+        modes += [RecurrenceMode(factor, j, m, roots)
+                  for j in range(mult) for m in range(len(q) - 1)]
+    return (*(_sum([((r, None, 0), Poly(0, 1) ** j)]) for r, mult in sorted(exact)
+              for j in range(mult)), *modes)
 
 
 def _fraction_free(pairs: list[list[tuple[int, int]]], cols: int) -> tuple[Fraction, ...]:
@@ -335,36 +380,16 @@ def _fraction_free(pairs: list[list[tuple[int, int]]], cols: int) -> tuple[Fract
 
 
 def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[HomogeneousMode],
-                  initial: Sequence[Condition]) -> tuple[Fraction, ...] | tuple[float, ...]:
+                  initial: Sequence[Condition]) -> tuple[Fraction, ...]:
     """Constants c_i with particular + sum c_i * basis_i matching the initial values.
 
-    When every mode is exact, `_fraction_free` solves on integers, one row per initial
-    value: the modes' values and v - particular(t); only the constants are Fractions.
-    Otherwise float elimination with partial pivoting on the correctly rounded entries,
-    each column first scaled by a power of two (exactly) so that its largest entry lies
-    in [0.5, 1).
+    `_fraction_free` solves on integers, one row per initial value: the modes' values
+    (`_values`) and v - particular(t); only the constants are Fractions.
     """
     conds = _conditions(initial, op.degree)
-    b = [(v.numerator * d - n * v.denominator, v.denominator * d)
-         for t, v in conds for n, d in [particular._ratio(t)]]
-    if all(isinstance(m, SequenceExpr) for m in basis):
-        return _fraction_free([[m._ratio(t) for m in basis] + [bv]
-                               for (t, _), bv in zip(conds, b)], len(basis))
-    try:
-        Af = [[truediv(*m._ratio(t)) if isinstance(m, SequenceExpr) else m.eval_at(t)
-               for m in basis] for t, _ in conds]
-        bf = [truediv(*bv) for bv in b]
-    except OverflowError as err:
-        raise SingularSystemError(
-            "float overflow evaluating the basis at the initial values; "
-            "constants not determined") from err
-    exps = [math.frexp(max(abs(v) for v in col))[1] for col in zip(*Af)]
-    Af = [[math.ldexp(v, -e) for v, e in zip(row, exps)] for row in Af]
-    try:
-        return tuple(math.ldexp(c, -e) for c, e in zip(_gauss_jordan(Af, bf), exps))
-    except OverflowError as err:
-        raise SingularSystemError(
-            "float overflow scaling the constants back; constants not determined") from err
+    return _fraction_free([[*_values(basis, t), (v.numerator * d - n * v.denominator,
+                                                 v.denominator * d)]
+                           for t, v in conds for n, d in [particular._ratio(t)]], len(basis))
 
 
 def solve(eq: Equation) -> Solution:

@@ -1,14 +1,14 @@
-"""Fraction references for the integer point evaluator and the exact fit.
+"""Fraction references for the integer point evaluators and the exact fit.
 
 `value` is the sum of (base * (-1)^n)^t * p(t) over the buckets with no sin
-factor, on Fractions, with p(t) read from `Poly.coeffs`.  `gauss_jordan` and
-`fit` are the Fraction Gauss-Jordan elimination and the `fit_constants` that
-`SequenceExpr._ratio` and `solver._fraction_free` replaced, evaluating through
-`value`.
+factor, on Fractions, with p(t) read from `Poly.coeffs`.  `recurrence_value`
+runs a recurrence mode's factor in Fractions, sharing no code with
+`algebra._x_power`.  `gauss_jordan` and `fit` are the Fraction Gauss-Jordan
+elimination and the `fit_constants` that `SequenceExpr._ratio` and
+`solver._fraction_free` replaced, evaluating through those two.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from fdsolve.expr import SequenceExpr
@@ -44,27 +44,21 @@ def gauss_jordan(A, b, pivot_tol, residual_tol, no_pivot):
     return tuple(aug[i][cols] for i in range(cols))
 
 
+def recurrence_value(mode, t: int) -> Fraction:
+    """A recurrence mode t^j * e_m(t) by running q(T) e = 0 in Fractions from e's values
+    on [0, k) (1 at m, 0 elsewhere), forward or backward one step at a time."""
+    q, k = mode.factor, len(mode.factor) - 1
+    e = {s: Fraction(int(s == mode.index)) for s in range(k)}
+    for s in range(k, t + 1):
+        e[s] = -sum(q[i] * e[s - k + i] for i in range(k)) / q[k]
+    for s in range(-1, t - 1, -1):
+        e[s] = -sum(q[i] * e[s + i] for i in range(1, k + 1)) / q[0]
+    return Fraction(t) ** mode.power * e[t]
+
+
 def fit(op, particular, basis, initial):
     conds = _conditions(initial, op.degree)
     b = [v - value(particular, t) for t, v in conds]
-    if all(isinstance(m, SequenceExpr) for m in basis):
-        A = [[value(m, t) for m in basis] for t, _ in conds]
-        return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
-    try:
-        Af = [[float(value(m, t)) if isinstance(m, SequenceExpr) else m.eval_at(t)
-               for m in basis] for t, _ in conds]
-        bf = [float(v) for v in b]
-    except OverflowError as err:
-        raise SingularSystemError(
-            "float overflow evaluating the basis at the initial values; "
-            "constants not determined") from err
-    exps = [math.frexp(max(abs(v) for v in col))[1] for col in zip(*Af)]
-    Af = [[math.ldexp(v, -e) for v, e in zip(row, exps)] for row in Af]
-    scale = max([1.0] + [abs(v) for v in bf])
-    cs = gauss_jordan(Af, bf, 1e-12, 1e-6 * scale,
-                      "pivot below tolerance; constants not determined")
-    try:
-        return tuple(math.ldexp(c, -e) for c, e in zip(cs, exps))
-    except OverflowError as err:
-        raise SingularSystemError(
-            "float overflow scaling the constants back; constants not determined") from err
+    A = [[value(m, t) if isinstance(m, SequenceExpr) else recurrence_value(m, t) for m in basis]
+         for t, _ in conds]
+    return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")

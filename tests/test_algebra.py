@@ -18,7 +18,7 @@ from fdsolve.algebra import (OperatorPoly, Poly, RootSet, ZeroConstantTermError,
                              find_roots, series_inverse)
 from fdsolve.expr import SequenceExpr
 from fdsolve.parser import parse_equation
-from fdsolve.solver import (Equation, _series_str, antidifference, solve_homogeneous,
+from fdsolve.solver import (Equation, _series_str, antidifference, solve,
                             solve_particular)
 
 from corpus import GOLDEN_EQUATIONS
@@ -900,17 +900,21 @@ class TestNumericRoots:
 
     def test_negative_real_root_has_angle_pi(self):
         op = parse_equation("y(t+2) + y(t+1) - y(t) = 0").operator
-        assert [m.render() for m in solve_homogeneous(op)] == \
+        printed, _ = solve(Equation(op, SequenceExpr.zero())).view()
+        assert [m.render() for m in printed] == \
             ["1.618033989^t * cos(3.141592654*t)", "0.6180339887^t"]
 
     def test_subnormal_root_settles(self, capsys):
         # p(z) is subnormal near the root -2^-1073, so p'(z)/p(z) is not finite there
         src = "y(t+3) + y(t+1) + (1/2)^1073 y(t) = 0"
-        assert [m.render() for m in solve_homogeneous(parse_equation(src).operator)] == \
+        eq = parse_equation(src)
+        printed, _ = solve(eq).view()
+        assert [m.render() for m in printed] == \
             ["9.881312917e-324^t * cos(3.141592654*t)",
              "1^t * cos(1.570796327*t)", "1^t * sin(1.570796327*t)"]
-        assert cli.main(["solve", src, "--verify"]) == 0
-        assert "exact-match" in capsys.readouterr().out
+        assert cli.main(["solve", src, "--initial", "y(0)=1, y(1)=2, y(2)=3", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "constants:   c1 = 4, c2 = -3, c3 = 2\n" in out and "exact-match" in out
 
     @pytest.mark.parametrize("p", HARD_POLYNOMIALS.values(), ids=HARD_POLYNOMIALS)
     def test_subnormal_form_takes_the_same_step(self, p, monkeypatch):

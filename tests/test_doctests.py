@@ -25,7 +25,7 @@ def test_public_names_resolve():
     (fdsolve.Solution, "general_value_at"), (fdsolve.Solution, "general_expr"),
     (fdsolve.Solution, "is_exact"),
     (fdsolve.SequenceExpr, "eval_at"), (fdsolve.SequenceExpr, "integer_form"),
-    (fdsolve.NumericMode, "eval_at"),
+    (fdsolve.RecurrenceMode, "render"),
 ])
 def test_names_the_benchmark_calls_exist(owner, name):
     # bench/run.py calls these; a rename breaks the benchmark, not the library tests

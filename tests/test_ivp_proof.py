@@ -165,10 +165,10 @@ class TestTables:
             return numerators(e, lo, hi)
 
         def no_run(*args):
-            raise AssertionError("_iterate called on an exact solution")
+            raise AssertionError("iterate_recurrence called by the proof")
 
         monkeypatch.setattr(oracle, "_numerators", spy)
-        monkeypatch.setattr(oracle, "_iterate", no_run)
+        monkeypatch.setattr(oracle, "iterate_recurrence", no_run)
         for horizon in (0, 50, 5000):
             spans.clear()
             report = verify_solution(eq, sol, horizon)
@@ -179,19 +179,27 @@ class TestTables:
             assert max(widths) <= max(k_h, n) + n
 
     def test_float_solution_keeps_one_run(self, monkeypatch):
+        """Irrational roots: one residue table of n + K_h = 4 rows for both recurrence
+        modes of the factor T^2 - T - 1, whatever the horizon, and no recurrence run."""
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", "y(0)=1, y(1)=1")
         sol = solve(eq)
-        assert not sol.is_exact
+        assert not sol.is_exact and all(sol.constants)
         calls = []
-        run_iterate = oracle._iterate
+        residues = oracle._residues
 
-        def spy(*args):
-            calls.append(args)
-            return run_iterate(*args)
+        def spy(q, lo, hi):
+            calls.append((q, lo, hi))
+            return residues(q, lo, hi)
 
-        monkeypatch.setattr(oracle, "_iterate", spy)
-        assert verify_solution(eq, sol, 20).status == "max-abs-deviation"
-        assert calls == [(eq, 20)]
+        def no_run(*args):
+            raise AssertionError("iterate_recurrence called by the proof")
+
+        monkeypatch.setattr(oracle, "_residues", spy)
+        monkeypatch.setattr(oracle, "iterate_recurrence", no_run)
+        for horizon in (0, 20, 5000):
+            calls.clear()
+            assert verify_solution(eq, sol, horizon).status == "exact-match"
+            assert calls == [((-1, -1, 1), 0, 3)]
 
 
 class TestGivenValuesAlwaysChecked:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from fdsolve import oracle
 from fdsolve.algebra import Poly
 from fdsolve.expr import SequenceExpr, Term, Trig
 from fdsolve.oracle import (MissingInitialConditionsError, _numerators, iterate_recurrence,
@@ -40,17 +39,14 @@ def iterate_reference(eq, horizon):
     return out[: max(0, horizon - t0 + 1)]
 
 
-def iterate_mismatch_reference(eq, sol, horizon, tol=1e-8):
+def iterate_mismatch_reference(eq, sol, horizon):
     """(t, expected, got) of the first t where Fraction iteration and the general
-    solution disagree, compared as floats once float modes are involved."""
+    solution disagree, compared exactly."""
     t0 = eq.initial[0][0]
     for t, want in zip(range(t0, t0 + horizon + 1), iterate_reference(eq, t0 + horizon)):
         got = sol.general_value_at(t)
-        if sol.is_exact:
-            if got != want:
-                return t, want, got
-        elif abs(float(got) - float(want)) > tol:
-            return t, float(want), float(got)
+        if got != want:
+            return t, want, got
     return None
 
 
@@ -88,7 +84,7 @@ def test_wrong_constant_reported_as_fraction_reference(i):
     rng = random.Random(1600 + i)
     if i < 12:
         operator = exact_root_operator(rng)
-    else:  # irrational or complex roots: float modes
+    else:  # irrational or complex roots: recurrence modes
         operator = [OperatorPoly(1, 0, 1), OperatorPoly(-2, 0, 1), OperatorPoly(-1, -1, 1),
                     OperatorPoly(-1, 0, 7)][i - 12]
     eq = Equation(operator, rand_rhs(rng), rand_initial(rng, operator.degree, rng.randint(-20, 20)))
@@ -165,22 +161,24 @@ class TestVerify:
         assert report.expected == F(3) and report.got == F(0)
 
     def test_numeric_modes_within_tolerance(self):
+        # irrational roots: the recurrence modes are checked exactly, with no tolerance
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 0", "y(0)=0, y(1)=1")
         sol = solve(eq)
         assert not sol.is_exact
         report = verify_solution(eq, sol, horizon=20)
         assert report.ok
-        assert report.status == "max-abs-deviation"
-        assert report.method == "forward-apply+iterate"
-        assert report.max_deviation is not None and report.max_deviation <= 1e-8
+        assert (report.status, report.method, report.t_range) == \
+            ("exact-match", "forward-apply+iterate", (-20, 20))
 
-    def test_numeric_tolerance_enforced(self, monkeypatch):
+    def test_numeric_tolerance_enforced(self):
+        # a constant moved by 10^-30 is a mismatch at the first initial value
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 0", "y(0)=0, y(1)=1")
         sol = solve(eq)
-        monkeypatch.setattr(oracle, "_FLOAT_TOL", 1e-18)
-        report = verify_solution(eq, sol, horizon=20)
-        assert report.status == "mismatch"
-        assert report.method == "iterate"
+        c1, c2 = sol.constants
+        bad = Solution(sol.particular, sol.homogeneous, (c1 + F(1, 10**30), c2), sol.trace)
+        report = verify_solution(eq, bad, horizon=20)
+        assert (report.status, report.method, report.mismatch_t) == ("mismatch", "iterate", 0)
+        assert (report.expected, report.got) == (0, F(1, 10**30))
 
     def test_negative_horizon_rejected(self):
         eq = eq_with_initial("y(t+1) - 2y(t) = 1", "y(0)=1")
@@ -275,10 +273,11 @@ class TestLargeHorizons:
                         "(forward-apply+iterate)")
 
     def test_growing_denominators_with_float_modes(self):
-        # y(t) = 7^-floor(t/2): the exact values underflow the floats they are compared as
+        # y(t) = 7^-floor(t/2): the roots +-1/sqrt(7) are irrational, and the proof at
+        # n + K_h = 4 points covers the whole horizon
         line = self.verification_line("solve", "7y(t+2) - y(t) = 0",
                                       "--initial", "y(0)=1, y(1)=1", "--verify", "5000")
-        assert line == ("verification: max-abs-deviation 2.220e-16 over t in [0, 5000] "
+        assert line == ("verification: exact-match over t in [-5000, 5000] "
                         "(forward-apply+iterate)")
 
 
@@ -319,29 +318,33 @@ class TestIterateRange:
         assert report.got == self.sol.particular.eval_at(1000)
 
     def test_float_overflow_names_t_unless_a_mismatch_comes_first(self):
+        # sqrt(2)^t leaves the float range at t = 2048, where the float check stopped;
+        # the exact proof passes, and a moved constant is reported at t0
         eq = eq_with_initial("y(t+2) - 2y(t) = 0", "y(2040)=1, y(2041)=3")
         sol = solve(eq)
-        with pytest.raises(ValueError, match="at t=2048"):
-            verify_solution(eq, sol, horizon=self.H)
+        report = verify_solution(eq, sol, horizon=self.H)
+        assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
+        assert sol.general_value_at(2048) == 2**4
         c1, c2 = sol.constants
         bad = Solution(sol.particular, sol.homogeneous, (c1 + 1, c2), sol.trace)
         report = verify_solution(eq, bad, horizon=self.H)
-        assert (report.method, report.mismatch_t) == ("iterate", 2040)
+        assert (report.method, report.mismatch_t, report.expected) == ("iterate", 2040, 1)
 
     @pytest.mark.parametrize("initial", ["y(1000)=1, y(1001)=1", "y(-1000)=1, y(-999)=1"])
-    def test_float_modes_keep_their_bits(self, initial, monkeypatch):
+    def test_float_modes_keep_their_bits(self, initial):
+        # far from the origin the recurrence modes equal the run exactly, and a moved
+        # constant is reported with the run's value
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", initial)
         sol = solve(eq)
         assert not sol.is_exact
         t0 = eq.initial[0][0]
         ts = range(t0, t0 + self.H + 1)
-        want = [float(v) for v in iterate_recurrence(eq, t0 + self.H)]
-        got = [float(sol.general_value_at(t)) for t in ts]
+        want = iterate_recurrence(eq, t0 + self.H)
+        assert [sol.general_value_at(t) for t in ts] == want
         report = verify_solution(eq, sol, horizon=self.H)
-        assert report.status == "max-abs-deviation"
-        assert report.max_deviation == max(abs(g - w) for g, w in zip(got, want))
-        monkeypatch.setattr(oracle, "_FLOAT_TOL", 0.0)
-        report = verify_solution(eq, sol, horizon=self.H)
-        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-        assert (report.method, report.mismatch_t) == ("iterate", t0 + i)
-        assert (report.expected, report.got) == (want[i], got[i])
+        assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
+        c1, c2 = sol.constants
+        bad = Solution(sol.particular, sol.homogeneous, (c1, c2 + F(1, 3)), sol.trace)
+        report = verify_solution(eq, bad, horizon=self.H)
+        assert (report.method, report.mismatch_t) == ("iterate", t0)
+        assert (report.expected, report.got) == (want[0], bad.general_value_at(t0))

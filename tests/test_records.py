@@ -12,7 +12,8 @@ from fdsolve.algebra import OperatorPoly, Poly, Root, RootSet
 from fdsolve.expr import SequenceExpr, Term, Trig
 from fdsolve.oracle import VerifyReport
 from fdsolve.parser import parse_equation
-from fdsolve.solver import Equation, NumericMode, Solution, SolveTrace, TraceStep, solve
+from fdsolve.solver import (Equation, NumericMode, RecurrenceMode, Solution, SolveTrace,
+                            TraceStep, solve)
 
 from test_algebra import run_bounded
 
@@ -35,6 +36,7 @@ def records():
         eq,
         solve(eq),
         VerifyReport("iterate", (0, 5), "mismatch", mismatch_t=3, expected=F(1), got=F(2)),
+        RecurrenceMode((-1, -1, 1), 1, 0, (-0.5 + 0j, 1.5 + 0j)),
     ]
 
 
@@ -44,7 +46,7 @@ def test_reprs_are_unchanged():
     assert repr(Trig("cos", 1)) == "Trig(kind='cos', n=1)"
     assert repr(VerifyReport("forward", (0, 5), "exact-match")) == (
         "VerifyReport(method='forward', t_range=(0, 5), status='exact-match', "
-        "mismatch_t=None, expected=None, got=None, max_deviation=None)")
+        "mismatch_t=None, expected=None, got=None)")
     assert repr(OperatorPoly(1, 2)) == "OperatorPoly(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
     assert repr(Term(1)) == ("Term(coeff=Fraction(1, 1), base=Fraction(1, 1), "
                              "poly=Poly(coeffs=(Fraction(1, 1),)), trig=None)")
@@ -62,7 +64,7 @@ def test_equality_needs_the_same_class_and_fields():
     assert Trig("cos", 1) != Trig("sin", 1)
     assert Trig("cos", 1) != ("cos", 1)
     assert VerifyReport("forward", (0, 5), "exact-match") != \
-        VerifyReport("forward", (0, 5), "exact-match", max_deviation=0.0)
+        VerifyReport("forward", (0, 5), "exact-match", mismatch_t=0)
 
 
 @pytest.mark.parametrize("a,b", zip(records(), records()))
@@ -75,7 +77,7 @@ def test_equal_values_hash_equal(a, b):
 
 @pytest.mark.parametrize("record,name", zip(records(), [
     "nums", "den", "value", "roots", "n", "trig", "buckets", "after", "steps", "kind",
-    "initial", "trace", "max_deviation"]))
+    "initial", "trace", "got", "roots"]))
 def test_fields_are_read_only(record, name):
     before = getattr(record, name)
     with pytest.raises(AttributeError):
@@ -98,8 +100,8 @@ def test_copy_and_pickle_round_trip(record):
 # The fewest values each record class takes; `_Record` builds the first six, which take
 # exactly one value per field.  `Poly` and `OperatorPoly` take any number of coefficients.
 FEWEST_VALUES = [(Root, 3), (RootSet, 1), (TraceStep, 4), (SolveTrace, 1), (NumericMode, 4),
-                 (Solution, 4), (Trig, 2), (Term, 1), (SequenceExpr, 0), (Equation, 2),
-                 (VerifyReport, 3)]
+                 (RecurrenceMode, 4), (Solution, 4), (Trig, 2), (Term, 1), (SequenceExpr, 0),
+                 (Equation, 2), (VerifyReport, 3)]
 
 
 @pytest.mark.parametrize("cls,fewest", FEWEST_VALUES, ids=[c.__name__ for c, _ in FEWEST_VALUES])

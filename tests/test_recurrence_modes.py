@@ -1,0 +1,169 @@
+"""Recurrence modes: the exact basis for irrational and complex roots.
+
+A square-free factor q of degree k and multiplicity i, whose roots are not
+rational, gives the modes t^j * e_m(t), j < i and m < k, where e_m(t) is the x^m
+coefficient of x^t mod q.  These tests check the modes' values against a
+Fraction run of q's recurrence, the general solution against the recurrence run
+from the initial values, the initial-value proof at K_h points on a constructed
+block of such modes, and the printed float view against a float Vandermonde
+fit.
+"""
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from fdsolve import oracle
+from fdsolve.algebra import OperatorPoly, Poly, _x_power
+from fdsolve.expr import SequenceExpr
+from fdsolve.oracle import iterate_recurrence, verify_solution
+from fdsolve.parser import parse_equation, parse_initial
+from fdsolve.solver import Equation, RecurrenceMode, Solution, solve, solve_homogeneous
+
+from fraction_reference import gauss_jordan, recurrence_value
+from instance_gen import COEFFS, rand_initial, rand_operator, rand_rhs
+
+
+def irrational_instances(seed, count, t0s):
+    """count seeded equations whose solution has recurrence modes, with a random right
+    side and initial values at a t0 drawn from t0s, and their solutions."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        op = rand_operator(rng, 5)
+        eq = Equation(op, rand_rhs(rng), rand_initial(rng, op.degree, rng.choice(t0s)))
+        try:
+            sol = solve(eq)
+        except ValueError:   # a factor T^k and values it cannot take
+            continue
+        if not sol.is_exact:
+            out.append((rng, eq, sol))
+    return out
+
+
+@pytest.mark.parametrize("q", [(-1, -1, 1), (1, 0, 1), (-2, 0, 1), (3, -1, 0, 2),
+                               (7, 0, 0, 0, -5), (-4, 2, 1, 3, 1, 6)])
+def test_x_power_against_the_recurrence(q):
+    k = len(q) - 1
+    for t in [*range(-12, 13), -401, 390, 1000]:
+        nums, den = _x_power(q, t)
+        assert den > 0 and len(nums) == k
+        assert [F(x, den) for x in nums] == \
+            [recurrence_value(RecurrenceMode(q, 0, m, ()), t) for m in range(k)], t
+
+
+def test_modes_of_one_factor_share_one_tuple():
+    # (T^2 - 2)^2 (T^2 + T + 1) (T - 3): one closed form, then two factors' blocks
+    op = OperatorPoly.from_poly(Poly(-2, 0, 1) ** 2 * Poly(1, 1, 1) * Poly(-3, 1))
+    modes = solve_homogeneous(op)
+    assert isinstance(modes[0], SequenceExpr) and modes[0].render() == "3^t"
+    blocks = [(m.factor, m.power, m.index) for m in modes[1:]]
+    assert blocks == [((1, 1, 1), 0, 0), ((1, 1, 1), 0, 1), ((-2, 0, 1), 0, 0),
+                      ((-2, 0, 1), 0, 1), ((-2, 0, 1), 1, 0), ((-2, 0, 1), 1, 1)]
+    assert len({id(m.factor) for m in modes[1:]}) == len({id(m.roots) for m in modes[1:]}) == 2
+    assert [m.render() for m in modes[3:]] == ["e_0(t)", "e_1(t)", "t * e_0(t)", "t * e_1(t)"]
+
+
+def test_general_value_is_the_recurrence_run():
+    """500 seeded instances with irrational or complex roots and t0 in [-20, 20]:
+    the general solution equals the recurrence's run exactly over [t0, t0 + 50]."""
+    for _, eq, sol in irrational_instances(2900, 500, range(-20, 21)):
+        t0 = eq.initial[0][0]
+        assert [sol.general_value_at(t) for t in range(t0, t0 + 51)] == \
+            iterate_recurrence(eq, t0 + 50), str(eq)
+
+
+def test_moved_constant_reported_with_the_run():
+    seen = 0
+    for rng, eq, sol in irrational_instances(2901, 60, range(-20, 21)):
+        k = rng.choice([i for i, m in enumerate(sol.homogeneous) if isinstance(m, RecurrenceMode)])
+        moved = list(sol.constants)
+        moved[k] += rng.choice(COEFFS)
+        bad = Solution(sol.particular, sol.homogeneous, tuple(moved), sol.trace)
+        report = verify_solution(eq, bad, 20)
+        t = report.mismatch_t
+        assert (report.status, report.method) == ("mismatch", "iterate")
+        assert report.expected == iterate_recurrence(eq, t)[-1] != report.got
+        assert report.got == bad.general_value_at(t)
+        assert verify_solution(eq, sol, 20).status == "exact-match"
+        seen += 1
+    assert seen == 60
+
+
+def shifted(op, mode, t):
+    """P(T) mode at t, through the Fraction reference."""
+    return sum(a * recurrence_value(mode, t + k) for k, a in enumerate(op.coeffs))
+
+
+@pytest.mark.parametrize("t0", [-7, 0, 5])
+def test_k_h_points_are_needed_and_enough(monkeypatch, t0):
+    """A wrong block t^j * e_m of T^2 - 2, j < 2 (K_h = 2 * 2 = 4), whose P(T)h is 0 at
+    t0, ..., t0 + K_h - 2 and not at t0 + K_h - 1, for P = T^2 - T - 3."""
+    op = parse_equation("y(t+2) - y(t+1) - 3y(t) = 0").operator
+    q, roots = (-2, 0, 1), (1.4142135623730951 + 0j, -1.4142135623730951 + 0j)
+    modes = [RecurrenceMode(q, j, m, roots) for j in range(2) for m in range(2)]
+    k_h = len(modes)
+    rows = [[shifted(op, m, t) for m in modes] for t in range(t0, t0 + k_h - 1)]
+    cs = (*gauss_jordan([r[:-1] for r in rows], [-r[-1] for r in rows], 0, 0, "singular"), F(1))
+    residual = [sum(c * shifted(op, m, t) for c, m in zip(cs, modes))
+                for t in range(t0, t0 + k_h)]
+    assert residual[:-1] == [0] * (k_h - 1) and residual[-1] != 0
+    h = Solution(SequenceExpr.zero(), tuple(modes), cs, None)
+    n = op.degree
+    eq = Equation(op, SequenceExpr.zero(), [(t, h.general_value_at(t)) for t in range(t0, t0 + n)])
+
+    order = oracle._order
+    monkeypatch.setattr(oracle, "_order", lambda pairs: max(0, order(pairs) - 1))
+    assert verify_solution(eq, h, 0).status == "exact-match"
+    monkeypatch.setattr(oracle, "_order", order)
+    report = verify_solution(eq, h, 0)
+    t = t0 + k_h - 1 + n
+    assert (report.status, report.method, report.mismatch_t) == ("mismatch", "iterate", t)
+    assert report.got == h.general_value_at(t)
+    assert report.expected == iterate_recurrence(eq, t)[-1]
+
+
+def polar_value(mode, t):
+    osc = math.cos(mode.angle * t) if mode.kind == "cos" else math.sin(mode.angle * t)
+    return mode.modulus**t * float(t**mode.power) * osc
+
+
+def vandermonde(eq, sol):
+    """The float fit that the exact fit replaced, on the printed modes of `sol.view`: the
+    values y - particular at the initial points, each column scaled by a power of two,
+    then Gauss-Jordan with partial pivoting."""
+    modes, _ = sol.view(eq.initial[0][0])
+    A = [[float(m.eval_at(t)) if isinstance(m, SequenceExpr) else polar_value(m, t)
+          for m in modes] for t, _ in eq.initial]
+    b = [float(v - sol.particular.eval_at(t)) for t, v in eq.initial]
+    exps = [math.frexp(max(abs(v) for v in col))[1] for col in zip(*A)]
+    A = [[math.ldexp(v, -e) for v, e in zip(row, exps)] for row in A]
+    cs = gauss_jordan(A, b, 1e-12, 1e-6 * max([1.0] + [abs(v) for v in b]), "singular")
+    return [math.ldexp(c, -e) for c, e in zip(cs, exps)]
+
+
+def test_printed_view_matches_a_float_vandermonde_fit():
+    """The printed constants against the float fit they replaced, on the printed modes:
+    within 1e-9 relative, constant by constant."""
+    cases = [(eq, sol) for _, eq, sol in irrational_instances(2902, 150, range(-20, 21))]
+    eq = parse_equation("y(t+3) + y(t+1) + (1/2)^1073 y(t) = 0")
+    eq = Equation(eq.operator, eq.rhs, parse_initial("y(0)=1, y(1)=2, y(2)=3"))
+    cases.append((eq, solve(eq)))
+    for eq, sol in cases:
+        modes, constants = sol.view(eq.initial[0][0])
+        assert len(modes) == len(constants) == len(sol.constants)
+        for c, r in zip(constants, vandermonde(eq, sol)):
+            assert abs(c - r) <= 1e-9 * abs(r), (str(eq), c, r)
+    assert constants == (4.0, -3.0, 2.0)
+
+
+def test_view_keeps_exact_constants_first():
+    eq = parse_equation("y(t+3) - 3y(t+2) - 2y(t+1) + 6y(t) = 0")   # roots 3, +-sqrt(2)
+    eq = Equation(eq.operator, eq.rhs, parse_initial("y(0)=3, y(1)=3, y(2)=13"))
+    sol = solve(eq)
+    modes, constants = sol.view()
+    assert [m.render() for m in modes] == ["3^t", "1.414213562^t * cos(3.141592654*t)",
+                                           "1.414213562^t"]
+    assert constants[0] == F(1) and isinstance(constants[0], F)
+    assert [round(c, 12) for c in constants[1:]] == [1.0, 1.0]

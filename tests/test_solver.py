@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, apply_operator
-from fdsolve.solver import (Equation, NumericMode,
-                            SingularSystemError, antidifference, fit_constants,
-                            solve, solve_homogeneous, solve_particular)
+from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solution,
+                            antidifference, fit_constants, solve, solve_homogeneous,
+                            solve_particular)
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
 from instance_gen import BASES, COEFFS, plain_instance, resonant_instance
@@ -272,21 +272,30 @@ class TestHomogeneous:
         assert [m.render() for m in modes] == ["2^t"]
 
     def test_complex_pair_modes(self):
+        # roots +-i: one factor T^2 + 1, two recurrence modes, printed as a cos/sin pair
         import math
         modes = solve_homogeneous(OperatorPoly(1, 0, 1))
-        assert all(isinstance(m, NumericMode) for m in modes)
-        assert [m.kind for m in modes] == ["cos", "sin"]
-        assert all(abs(m.modulus - 1.0) < 1e-9 for m in modes)
-        assert all(abs(m.angle - math.pi / 2) < 1e-9 for m in modes)
-        # cos mode starts 1, 0, -1, 0; sin mode 0, 1, 0, -1
-        vals = [round(modes[0].eval_at(t), 9) for t in range(4)]
-        assert vals == [1.0, 0.0, -1.0, 0.0]
+        assert all(isinstance(m, RecurrenceMode) for m in modes)
+        assert [(m.factor, m.power, m.index) for m in modes] == [((1, 0, 1), 0, 0),
+                                                                 ((1, 0, 1), 0, 1)]
+        assert modes[0].factor is modes[1].factor and modes[0].roots is modes[1].roots
+        # e_0 starts 1, 0, -1, 0 and e_1 0, 1, 0, -1, exactly
+        assert [modes[0].eval_at(t) for t in range(-2, 4)] == [-1, 0, 1, 0, -1, 0]
+        assert [modes[1].eval_at(t) for t in range(-2, 4)] == [0, -1, 0, 1, 0, -1]
+        printed, constants = Solution(SequenceExpr.zero(), modes, None, None).view()
+        assert constants is None
+        assert [m.kind for m in printed] == ["cos", "sin"]
+        assert all(abs(m.modulus - 1.0) < 1e-9 for m in printed)
+        assert all(abs(m.angle - math.pi / 2) < 1e-9 for m in printed)
 
     def test_negative_irrational_root_mode(self):
         import math
         modes = solve_homogeneous(OperatorPoly(-2, 0, 1))  # roots +-sqrt(2)
-        assert [m.kind for m in modes] == ["cos", "cos"]
-        assert {round(m.angle, 9) for m in modes} == {0.0, round(math.pi, 9)}
+        assert [(m.factor, m.index) for m in modes] == [((-2, 0, 1), 0), ((-2, 0, 1), 1)]
+        assert [modes[0].eval_at(t) for t in range(-2, 4)] == [F(1, 2), 0, 1, 0, 2, 0]
+        printed, _ = Solution(SequenceExpr.zero(), modes, None, None).view()
+        assert [m.kind for m in printed] == ["cos", "cos"]
+        assert [round(m.angle, 9) for m in printed] == [round(math.pi, 9), 0.0]
 
     def test_modes_annihilated_exactly(self):
         rng = random.Random(11)
@@ -329,41 +338,44 @@ class TestFitConstants:
         assert fit_constants(P, SequenceExpr.zero(), (), ((0, F(0)), (1, F(0)))) == ()
 
     def test_float_path(self):
+        # irrational roots +-sqrt(2) take the exact fit too: y = 0, 1, 0, 2, 0, 4, ...
         P = OperatorPoly(-2, 0, 1)
         basis = solve_homogeneous(P)
         cs = fit_constants(P, SequenceExpr.zero(), basis, ((0, F(0)), (1, F(1))))
-        assert len(cs) == 2 and all(isinstance(c, float) for c in cs)
-        got = sum(c * m.eval_at(4) for c, m in zip(cs, basis))
-        # y(t): 0, 1, 0, 2, 0, 4 ... from y(t+2) = 2y(t)
-        assert abs(got - 0.0) < 1e-9
-        got5 = sum(c * m.eval_at(5) for c, m in zip(cs, basis))
-        assert abs(got5 - 4.0) < 1e-9
+        assert cs == (F(0), F(1))
+        assert [sum(c * m.eval_at(t) for c, m in zip(cs, basis)) for t in range(6)] == \
+            [0, 1, 0, 2, 0, 4]
 
     def test_float_overflow_is_singular(self):
-        # the golden-ratio conjugate mode has |lambda| < 1, so at t = -2000
-        # its modulus^t exceeds the float range
+        # the golden-ratio conjugate mode has |lambda| < 1: at t = -2000 the exact fit
+        # succeeds, but its printed float constants leave the float range
         P = OperatorPoly(-1, -1, 1)
         basis = solve_homogeneous(P)
+        initial = ((-2000, F(1)), (-1999, F(1)))
+        cs = fit_constants(P, SequenceExpr.zero(), basis, initial)
+        sol = Solution(SequenceExpr.zero(), basis, cs, None)
+        assert [sol.general_value_at(t) for t, _ in initial] == [1, 1]
         with pytest.raises(SingularSystemError, match="float overflow"):
-            fit_constants(P, SequenceExpr.zero(), basis, ((-2000, F(1)), (-1999, F(1))))
+            sol.view(-2000)
 
     def test_float_fit_far_from_origin(self):
-        # the modes at t = 1000 are about 1.6^1000 and 0.6^1000: the first
-        # column's entries are near 1e-209, far below the absolute pivot
-        # tolerance until each column is scaled to its own size
+        # the roots' powers at t = 1000 are about 1.6^1000 and 0.6^1000, which a float fit
+        # had to scale column by column; the exact fit needs no scaling
         eq = parse_equation("y(t+2) - y(t+1) - y(t) = 0")
         sol = solve(Equation(eq.operator, eq.rhs, ((1000, F(1)), (1001, F(1)))))
-        assert abs(sol.general_value_at(1002) - 2) < 1e-9 * 2
-
+        assert sol.general_value_at(1002) == 2
 
     def test_float_constants_overflow_is_singular(self):
-        # the second mode at t = 1400 is about 1e-292, so its constant for a
-        # right-hand side of 1e16 lies beyond the float range
+        # the second mode at t = 1400 is about 1e-292, so its printed constant for a
+        # right-hand side of 1e16 lies beyond the float range; the exact fit holds
         P = OperatorPoly(-1, -1, 1)
         basis = solve_homogeneous(P)
+        initial = ((1400, F(10**16)), (1401, F(1)))
+        cs = fit_constants(P, SequenceExpr.zero(), basis, initial)
+        sol = Solution(SequenceExpr.zero(), basis, cs, None)
+        assert sol.general_value_at(1402) == 10**16 + 1
         with pytest.raises(SingularSystemError, match="float overflow"):
-            fit_constants(P, SequenceExpr.zero(), basis,
-                          ((1400, F(10**16)), (1401, F(1))))
+            sol.view(1400)
 
 class TestEquationValidation:
     def test_wrong_condition_count(self):

@@ -10,8 +10,9 @@ distinct (equation, initial values) pairs of all four workloads at seeds 1-3
 in first-seen order, and runs `fdsolve solve EQ [--initial ...] --trace
 --verify` on each in text and in JSON, in-process through `cli.main`.  It
 prints the number of inputs, the number of runs, and one sha256 over each
-run's argv, exit code, stdout and stderr.  Float modes depend on the
-platform's math library, so compare digests taken on one machine only.
+run's argv, exit code, stdout and stderr.  The printed float modes and
+constants depend on the platform's math library, so compare digests taken on
+one machine only.
 """
 from __future__ import annotations
 
