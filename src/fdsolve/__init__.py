@@ -3,7 +3,7 @@
 The solver inverts the translation operator T (where (T y)(t) = y(t+1))
 symbolically: geometric, polynomial, and cos/sin(n*pi*t) right-hand sides in
 any product combination, with exact rational arithmetic throughout and
-independent verification by forward application and iteration.
+independent verification by forward application and an initial-value proof.
 """
 from .algebra import (OperatorPoly, Poly, Root, RootSet, ZeroConstantTermError, ZeroOperatorError,
                       ZeroScaleError, find_roots, series_inverse)

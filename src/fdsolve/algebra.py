@@ -1,11 +1,13 @@
-"""Exact rational polynomial arithmetic plus the numeric root-finding fallback.
+"""Exact rational polynomial arithmetic, root finding and powers.
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
 `find_roots` isolates the real roots in integer arithmetic to find the
 rational ones exactly and to count the rest; floats from an Aberth iteration
-stand for the irrational and complex roots that remain, in print; for exact work
-`_x_power` gives x^t mod q, q their primitive integer factor.
+stand for the irrational and complex roots that remain, in print and in
+`find_roots` only.  Exact work on them walks x^t mod q, q their primitive
+integer factor, with `_x_power`; `_binary_power` is the one square-and-multiply,
+for `Poly` powers, the parser's powers of bucket maps and x^t mod q.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count, repeat, zip_longest
 from operator import attrgetter, mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, float, str, Fraction]
 
@@ -182,14 +184,7 @@ class Poly(_Record):
         if len(terms) == 1:
             (j, c), = terms
             return Poly._make([0] * (j * n) + [c**n], self.den**n)
-        out, base = Poly._make([1], 1), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _binary_power(self, n, mul) if n else Poly._make([1], 1)
 
     def _at(self, u: int, v: int) -> tuple[int, int]:
         """(num, den), not reduced, with p(u/v) = num / den for v > 0: Horner's rule on the
@@ -600,17 +595,34 @@ def find_roots(p: Poly) -> RootSet:
     return RootSet(tuple(exact + numeric))
 
 
-def _x_power(q: Sequence[int], t: int) -> tuple[list[int], int]:
-    """(nums, den) with x^t mod q = sum nums[m] * x^m / den, m < k = deg q, for integers q
-    with q(0) != 0, so that t < 0 works with x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  0 <= t
-    < k is x^t; else square and multiply on `_divmod` remainders, about log2 |t| steps."""
-    k = len(q) - 1
-    if 0 <= t < k:
-        return [0] * t + [1] + [0] * (k - 1 - t), 1
-    mod, out = Poly._make(list(q), 1), Poly._make([1], 1)
-    x = Poly._make([0, 1], 1) if t > 0 else Poly._make([-c for c in q[1:]], q[0])
-    for bit in bin(abs(t))[2:]:
-        out = _divmod(out * out, mod)[1]
+def _binary_power(base, k: int, product: Callable):
+    """base^k for k >= 1 under an associative product: square-and-multiply from the most
+    significant bit of k, each multiply by base itself, about log2 k squarings."""
+    out = base
+    for bit in bin(k)[3:]:
+        out = product(out, out)
         if bit == "1":
-            out = _divmod(out * x, mod)[1]
-    return [*out.nums, *[0] * (k - len(out.nums))], out.den
+            out = product(out, base)
+    return out
+
+
+def _x_power(q: Sequence[int], lo: int, hi: int) -> tuple[list[list[int]], int]:
+    """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
+    lo <= t <= hi, m < k = deg q, for integers q with q(0) != 0, so that t < 0 works with
+    x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for 0 <= lo < k, else
+    `_binary_power` on `_divmod` remainders; then one integer step per t, x*r mod q with
+    x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k, each over one more factor q_k."""
+    k, lead, width = len(q) - 1, q[-1], hi - lo
+    if 0 <= lo < k:
+        nums, den = [0] * lo + [1] + [0] * (k - 1 - lo), 1
+    else:
+        mod = Poly._make(list(q), 1)
+        x = Poly._make([0, 1], 1) if lo > 0 else Poly._make([-c for c in q[1:]], q[0])
+        out = _binary_power(_divmod(x, mod)[1], abs(lo), lambda a, b: _divmod(a * b, mod)[1])
+        nums, den = [*out.nums, *[0] * (k - len(out.nums))], out.den
+    rows = [nums]
+    for _ in range(width):
+        top = nums[-1]
+        nums = [lead * a - top * c for a, c in zip([0, *nums[:-1]], q)]
+        rows.append(nums)
+    return [[c * lead ** (width - s) for c in row] for s, row in enumerate(rows)], den * lead**width

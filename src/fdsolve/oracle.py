@@ -10,8 +10,8 @@ Two deliberately different routes:
 Both run on integers and read only `Equation` data and the solution's
 buckets and recurrence modes' factors (no symbolic machinery, nothing from the
 solver).  `_numerators` walks each bucket of an expression once across a
-range of t, and `_residues` walks x^t mod q for a mode's factor q, so each
-sequence is evaluated once per t however many shifts of it a check needs.
+range of t, and `algebra._x_power` walks x^t mod q for a mode's factor q, so
+each sequence is evaluated once per t however many shifts of it a check needs.
 Both routes compare integers and build Fractions only for a report.
 """
 from __future__ import annotations
@@ -107,20 +107,6 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _residues(q: tuple[int, ...], lo: int, hi: int) -> tuple[list[list[int]], int]:
-    """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
-    lo <= t <= hi: x^lo by `_x_power`, then one integer step per t, x*r mod q with
-    x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k, each over one more factor q_k."""
-    nums, den = _x_power(q, lo)
-    lead, width = q[-1], hi - lo
-    rows = [nums]
-    for _ in range(width):
-        top = nums[-1]
-        nums = [lead * a - top * c for a, c in zip([0, *nums[:-1]], q)]
-        rows.append(nums)
-    return [[x * lead ** (width - s) for x in row] for s, row in enumerate(rows)], den * lead**width
-
-
 def iterate_recurrence(eq: Equation, horizon: int) -> list[Fraction]:
     """Exact values y(t0), ..., y(horizon) by running the recurrence forward.
 
@@ -206,7 +192,7 @@ def verify_solution(
     terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
     k_h = _order(m for _, m in terms)
     hi = t0 + k_h + n - 1
-    residues = {f: _residues(f, t0, hi)   # shared by the modes of one factor
+    residues = {f: _x_power(f, t0, hi)   # shared by the modes of one factor
                 for f in {m.factor for _, m in terms if not isinstance(m, SequenceExpr)}}
     parts = [(1, *_numerators(particular, t0, hi))]
     for c, m in terms:

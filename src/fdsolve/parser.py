@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from itertools import compress, count
 
-from .algebra import OperatorPoly, Poly
+from .algebra import OperatorPoly, Poly, _binary_power
 from .expr import SequenceExpr, UnsupportedRhsError, _Buckets, _bucket_mul, _insert
 from .solver import Condition, Equation
 
@@ -288,8 +288,8 @@ class _Parser:
         counts twice, as two exponentials) of degree <= d, expr^k has at most
         C(k+m-1, m-1) buckets of k*d + 1 coefficients; a `Poly` is one bucket.
 
-        The work is that of the last squaring, two copies of expr^h with
-        h = ceil(k/2): each pair of their buckets costs 200 units, and each pair
+        The work bounds the last squaring, of expr^floor(k/2), by two copies of
+        expr^h, h = ceil(k/2): each pair of their buckets costs 200 units, each pair
         of nonzero coefficients 1 + (bits/250)^1.6, as CPython multiplies long
         numbers by Karatsuba.  expr^h has at most C(h+b-1, b-1) * (2*h*f + 1)
         buckets for b distinct bases and trig multiples up to f, at most
@@ -337,14 +337,7 @@ class _Parser:
         self._check_power(base, k, pos)
         if len(base) == 1 and (key := next(iter(base)))[1] is None:  # c^k * (b^k)^t * p(t)^k
             return _Val({}, {(key[0] ** k, None, 0): base[key] ** k})
-        out = None
-        while k:
-            if k & 1:
-                out = base if out is None else _bucket_mul(out, base)
-            k >>= 1
-            if k:
-                base = _bucket_mul(base, base)
-        return _P_ONE if out is None else _Val({}, out)
+        return _Val({}, _binary_power(base, k, _bucket_mul)) if k else _P_ONE
 
     def _t_power(self, val: Poly | _Val, slope: int, offset: int, pos: int) -> _Val:
         v = self.var

@@ -144,7 +144,7 @@ class Solution(_Record):
         """The modes and constants as printed, t0 the first initial point: closed forms with
         their Fractions, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
         with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the
-        exact solution, far off for nearly equal roots; one not finite raises."""
+        exact solution, far off for nearly equal roots; one not finite raises ValueError."""
         known = self.constants is not None
         modes, constants, blocks = [], [], {}
         for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
@@ -166,10 +166,10 @@ class Solution(_Record):
 def _values(basis: Sequence[HomogeneousMode], t: int) -> list[tuple[int, int]]:
     """(num, den) of each mode at integer t, den != 0: a closed form's `_ratio`, and one
     `_x_power` for the recurrence modes of each factor."""
-    powers = {q: _x_power(q, t) for q in {m.factor for m in basis
-                                          if not isinstance(m, SequenceExpr)}}
+    powers = {q: _x_power(q, t, t) for q in {m.factor for m in basis
+                                             if not isinstance(m, SequenceExpr)}}
     return [m._ratio(t) if isinstance(m, SequenceExpr) else
-            (t**m.power * powers[m.factor][0][m.index], powers[m.factor][1]) for m in basis]
+            (t**m.power * powers[m.factor][0][0][m.index], powers[m.factor][1]) for m in basis]
 
 
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
@@ -185,10 +185,10 @@ def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
         return [(a, j, None) for a in roots for j in range(mult)]
     p = _balanced(Poly._make(list(q), 1))
     cs = [c / p.den for c in p.nums]
+    rows, den = _x_power(q, t0, t0 + len(q) - 2)
     try:
         es = [[float(sum(Fraction(c * nums[m.index], den) for m, c in block if m.power == j))
-               for j in range(mult)] for t in range(t0, t0 + len(q) - 1)
-              for nums, den in [_x_power(q, t)]]   # E_j(t0 + s)
+               for j in range(mult)] for nums in rows]   # E_j(t0 + s)
         out = []
         for a in roots:
             b = list(accumulate(cs[:0:-1], lambda acc, c: acc * a + c))[::-1]   # q(t) / (t - a)
@@ -197,8 +197,7 @@ def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
         if not all(cmath.isfinite(c) for _, _, c in out):
             raise OverflowError
     except (OverflowError, ZeroDivisionError) as err:
-        raise SingularSystemError("float overflow evaluating the basis at the initial values; "
-                                  "constants not determined") from err
+        raise ValueError("float overflow: the printed constants leave the float range") from err
     return out
 
 

@@ -73,3 +73,16 @@ def exact_root_operator(rng: random.Random, max_degree: int = 3) -> OperatorPoly
 
 def rand_initial(rng: random.Random, degree: int, t0: int = 0):
     return tuple((t0 + k, rng.choice(COEFFS + [Fraction(0)])) for k in range(degree))
+
+
+def irrational_root_operator(rng: random.Random) -> OperatorPoly:
+    """Operator with an irreducible quadratic factor, T^2 - d with d not a rational
+    square or T^2 + b*T + c with b^2 < 4c, times at most one rational-root factor."""
+    if rng.random() < 0.5:
+        p = Poly(-rng.choice([2, 3, 5, -1, -2, -3, Fraction(1, 2), Fraction(-3, 4)]), 0, 1)
+    else:
+        b, c = rng.choice([(b, c) for b in range(-3, 4) for c in range(1, 5) if b * b < 4 * c])
+        p = Poly(c, b, 1)
+    if rng.random() < 0.5:
+        p = p * Poly(-rng.choice(BASES), 1)
+    return OperatorPoly.from_poly(p * rng.choice(COEFFS))

@@ -320,6 +320,17 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert "error" in err
 
+    @pytest.mark.parametrize("eq,err", [
+        ("(t + 2^t) y(t+1) - y(t) = 0", "error: at byte 10: expected a constant coefficient "
+         "on y (only constant-coefficient equations)"),
+        # Bini's start circle for the root near 2^1074 lies past the float range
+        ("(1/2)^1074 y(t+3) + y(t+2) + y(t+1) + y(t) = 0",
+         "error: coefficients span beyond the float range; roots not found"),
+    ])
+    def test_refusals_are_parse_exits(self, capsys, eq, err):
+        code, out, got = run(capsys, "solve", eq)
+        assert (code, out, got.splitlines()[0]) == (cli.EXIT_PARSE, "", err)
+
     @pytest.mark.parametrize("argv", [
         ["solve", "y(t+1) - 2y(t) = 1", "--initial", "y(0)=1", "--verify", "-5"],
         ["verify", "y(t+1) - 2y(t) = 1", "-1", "--horizon", "-3"],
@@ -431,8 +442,7 @@ class TestExitCodes:
                              "--initial", "y(-2000)=1, y(-1999)=1")
         assert code == cli.EXIT_PARSE
         assert out == ""
-        assert err == ("error: float overflow evaluating the basis at the initial "
-                       "values; constants not determined\n")
+        assert err == "error: float overflow: the printed constants leave the float range\n"
 
     def test_float_overflow_in_iteration(self, capsys):
         # sqrt(2)^t leaves the float range at t = 2048, which stopped the float iteration

@@ -179,22 +179,22 @@ class TestTables:
             assert max(widths) <= max(k_h, n) + n
 
     def test_float_solution_keeps_one_run(self, monkeypatch):
-        """Irrational roots: one residue table of n + K_h = 4 rows for both recurrence
+        """Irrational roots: one x^t mod q walk of n + K_h = 4 rows for both recurrence
         modes of the factor T^2 - T - 1, whatever the horizon, and no recurrence run."""
         eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", "y(0)=1, y(1)=1")
         sol = solve(eq)
         assert not sol.is_exact and all(sol.constants)
         calls = []
-        residues = oracle._residues
+        x_power = oracle._x_power
 
         def spy(q, lo, hi):
             calls.append((q, lo, hi))
-            return residues(q, lo, hi)
+            return x_power(q, lo, hi)
 
         def no_run(*args):
             raise AssertionError("iterate_recurrence called by the proof")
 
-        monkeypatch.setattr(oracle, "_residues", spy)
+        monkeypatch.setattr(oracle, "_x_power", spy)
         monkeypatch.setattr(oracle, "iterate_recurrence", no_run)
         for horizon in (0, 20, 5000):
             calls.clear()

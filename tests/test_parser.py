@@ -186,6 +186,28 @@ def test_one_term_powers_skip_the_squarings(src, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p", [Poly(3, -1, 0, 2), Poly(1, 1), Poly(F(-2, 3), F(1, 2), 0, 5),
+                               Poly(0, 0, F(3, 7)), Poly()])
+def test_poly_powers_are_repeated_products(p):
+    product = Poly(1)
+    for k in range(41):
+        assert p**k == product, k
+        product = product * p
+
+
+@pytest.mark.parametrize("src", ["3 - t + 2*t^3", "t + 2^t", "3*cos(pi*t) - 2",
+                                 "sin(2*pi*t) - 1/2", "2/3*(3/2)^t", "t*(-2)^t"])
+def test_parsed_powers_are_repeated_products(src):
+    # square-and-multiply against k - 1 parsed products; geometric terms also to -k
+    geometric = "t" not in src.replace("^t", "")
+    for k in range(41):
+        product = " * ".join([f"({src})"] * k) or "1"
+        assert parse_expression(f"({src})^{k}") == parse_expression(product), k
+        if geometric:
+            quotient = "1" + "".join(f" / ({src})" for _ in range(k))
+            assert parse_expression(f"({src})^-{k}") == parse_expression(quotient), k
+
+
 POWERS_PAST_THE_LIMITS = [
     ("t^4001", 2),                 # 4002 coefficients
     ("(t^2)^2001", 6),             # degree 4002
@@ -313,6 +335,8 @@ def test_trailing_whitespace_in_linear_time():
 @pytest.mark.parametrize("src,cls,offset,expected", [
     ("y(t+1)/2^t = 1", SemanticError, 6,
      "a constant coefficient on y (only constant-coefficient equations)"),
+    ("(t + 2^t) y(t+1) - y(t) = 0", SemanticError, 10,
+     "a constant coefficient on y (only constant-coefficient equations)"),
     ("y(t)^2 = 1", SemanticError, 5, "y raised only to the power 1"),
     ("y(t)^t = 1", SemanticError, 5, "a constant base (y cannot be raised to t)"),
     ("y(t+1) - y(t) = 2^(y(t))", SemanticError, 18, "an exponent free of y"),
@@ -376,6 +400,8 @@ TOO_SLOW = "a power too large to compute (its squarings would take over about a 
     (parse_operator, "T^4001", SemanticError, 2, f"a polynomial in T ({TOO_LARGE})"),
     (parse_operator, "T^-1", SemanticError, 3, f"a polynomial in T ({NEGATIVE_POWER})"),
     (parse_operator, "1/T", SemanticError, 1, f"a polynomial in T ({DIVISION})"),
+    (parse_operator, "T + 2^T", SemanticError, 0, "a polynomial in T"),  # two buckets
+    (parse_initial, "y(0)=2^t + 1", SemanticError, 0, "a rational constant value"),
 ])
 def test_polynomial_refusals(parse, src, cls, offset, message):
     # a polynomial value keeps the class, message and byte offset of each refusal

@@ -47,10 +47,22 @@ def irrational_instances(seed, count, t0s):
 def test_x_power_against_the_recurrence(q):
     k = len(q) - 1
     for t in [*range(-12, 13), -401, 390, 1000]:
-        nums, den = _x_power(q, t)
+        (nums,), den = _x_power(q, t, t)
         assert den > 0 and len(nums) == k
         assert [F(x, den) for x in nums] == \
             [recurrence_value(RecurrenceMode(q, 0, m, ()), t) for m in range(k)], t
+
+
+@pytest.mark.parametrize("q", [(-1, -1, 1), (3, -1, 0, 2), (-4, 2, 1, 3, 1, 6)])
+@pytest.mark.parametrize("lo,width", [(-7, 12), (-1, 0), (0, 6), (1, 9), (2, 3), (5, 0),
+                                      (40, 11), (-300, 4)])
+def test_x_power_rows_are_its_single_rows(q, lo, width):
+    # lo < 0, lo < deg q <= hi (the unit vector, then steps) and lo >= deg q
+    rows, den = _x_power(q, lo, lo + width)
+    assert len(rows) == width + 1 and den > 0
+    for t, row in zip(range(lo, lo + width + 1), rows):
+        (single,), single_den = _x_power(q, t, t)
+        assert [F(x, den) for x in row] == [F(x, single_den) for x in single], t
 
 
 def test_modes_of_one_factor_share_one_tuple():
