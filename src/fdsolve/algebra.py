@@ -5,9 +5,9 @@ those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
 `find_roots` isolates the real roots in integer arithmetic to find the
 rational ones exactly and to count the rest; floats from an Aberth iteration
 stand for the irrational and complex roots that remain, in print and in
-`find_roots` only.  Exact work on them walks x^t mod q, q their primitive
-integer factor, with `_x_power`; `_binary_power` is the one square-and-multiply,
-for `Poly` powers, the parser's powers of bucket maps and x^t mod q.
+`find_roots` only.  Exact work on any root walks x^t mod q, q its primitive
+integer factor (L*x - N for a rational N/L), with `_x_power`; `_binary_power`
+is the one square-and-multiply, for `Poly` powers, bucket maps and x^t mod q.
 """
 from __future__ import annotations
 
@@ -609,12 +609,15 @@ def _binary_power(base, k: int, product: Callable):
 def _x_power(q: Sequence[int], lo: int, hi: int) -> tuple[list[list[int]], int]:
     """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
     lo <= t <= hi, m < k = deg q, for integers q with q(0) != 0, so that t < 0 works with
-    x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for 0 <= lo < k, else
-    `_binary_power` on `_divmod` remainders; then one integer step per t, x*r mod q with
-    x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k, each over one more factor q_k."""
+    x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for 0 <= lo < k,
+    (-q_0/q_1)^lo for k = 1, else `_binary_power` on `_divmod` remainders; then one integer
+    step per t, x*r mod q with x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k, over one more q_k."""
     k, lead, width = len(q) - 1, q[-1], hi - lo
     if 0 <= lo < k:
         nums, den = [0] * lo + [1] + [0] * (k - 1 - lo), 1
+    elif k == 1:   # x = -q_0/q_1, so x^lo = (a/b)^|lo|
+        a, b = (-q[0], q[1]) if lo > 0 else (q[1], -q[0])
+        nums, den = [a ** abs(lo)], b ** abs(lo)
     else:
         mod = Poly._make(list(q), 1)
         x = Poly._make([0, 1], 1) if lo > 0 else Poly._make([-c for c in q[1:]], q[0])

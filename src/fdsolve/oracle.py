@@ -7,9 +7,9 @@ Two deliberately different routes:
 * the initial-value check — y_P + h, h = sum c_i * mode_i, is the recurrence's
   run once it takes the n initial values and P(T)h is 0 at K_h consecutive t.
 
-Both run on integers and read only `Equation` data and the solution's
-buckets and recurrence modes' factors (no symbolic machinery, nothing from the
-solver).  `_numerators` walks each bucket of an expression once across a
+Both run on integers and read only `Equation` data, the particular solution's
+buckets and the recurrence modes' factors (no symbolic machinery, nothing from
+the solver).  `_numerators` walks each bucket of an expression once across a
 range of t, and `algebra._x_power` walks x^t mod q for a mode's factor q, so
 each sequence is evaluated once per t however many shifts of it a check needs.
 Both routes compare integers and build Fractions only for a report.
@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .algebra import Poly, _Record, _x_power
 from .expr import SequenceExpr
-from .solver import Equation, RecurrenceMode, Solution, SolveTrace
+from .solver import Equation, Solution, SolveTrace
 
 # The largest verification horizon.  Forward application builds about K values and the
 # initial-value proof n + K_h, whatever N is; N only names the range a report covers.
@@ -61,18 +61,16 @@ def _folded(expr: SequenceExpr) -> list[tuple[Fraction, Poly]]:
             for (base, kind, n), poly in expr.buckets if kind != "sin"]
 
 
-def _order(seqs: Iterable[SequenceExpr | RecurrenceMode]) -> int:
-    """K over the bases of seqs, each at its longest: a rational base b of a `_folded` pair
-    (b, p) counts deg p + 1, and the factor q of a mode t^j * e_m counts deg q * (j + 1), a
-    term t^j * a^t per root a of q.  An exponential polynomial with K terms that is 0 at
-    K consecutive t is 0 on Z (Everest et al., Recurrence Sequences, ch. 1)."""
-    lens: dict[Fraction | tuple[int, ...], int] = {}
-    for e in seqs:
-        pairs = ([(b, len(p.nums)) for b, p in _folded(e)] if isinstance(e, SequenceExpr)
-                 else [(e.factor, e.power + 1)])
-        for b, length in pairs:
-            lens[b] = max(lens.get(b, 0), length)
-    return sum(length * (len(b) - 1 if isinstance(b, tuple) else 1) for b, length in lens.items())
+def _order(pairs: Iterable[tuple[Fraction | tuple[int, ...], int]]) -> int:
+    """K over (base, count) pairs, each base at its largest count: a rational base b of a
+    `_folded` pair (b, p) counts deg p + 1, and the factor q of a mode t^j * e_m counts
+    deg q * (j + 1), a term t^j * a^t per root a of q.  An exponential polynomial with K
+    terms that is 0 at K consecutive t is 0 on Z (Everest et al., Recurrence Sequences,
+    ch. 1)."""
+    counts: dict[Fraction | tuple[int, ...], int] = {}
+    for b, count in pairs:
+        counts[b] = max(counts.get(b, 0), count)
+    return sum(counts.values())
 
 
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
@@ -157,7 +155,7 @@ def verify_solution(
     With initial conditions and constants, the initial-value problem ("iterate")
     is proved too: y_P + h, h = sum c_i * mode_i over the nonzero c_i, is the
     recurrence's run from t0 on once it takes the n given values and P(T)h is 0
-    at t0, ..., t0 + K_h - 1, K_h counted by `_order` on h's bases and factors.
+    at t0, ..., t0 + K_h - 1, K_h counted by `_order` on h's factors.
     The two first part at t + n for the first t with P(T)h(t) != 0: the full
     scan's mismatch, or one past t0 + horizon.  A horizon below 0 or above
     `_MAX_HORIZON` raises ValueError.
@@ -174,7 +172,7 @@ def verify_solution(
     # all integers, so sum_k a_k * y(t+k) is compared with phi(t) without a single gcd
     scale = eq.operator.den
     alphas = [(k, alpha) for k, alpha in enumerate(eq.operator.nums) if alpha]
-    m = _order([particular, eq.rhs]) // 2
+    m = _order((b, len(p.nums)) for e in (particular, eq.rhs) for b, p in _folded(e)) // 2
     fwd_range = (-horizon, horizon)
     for r in sorted({min(m, horizon), m}):  # a wrong guess fails before a large K is tabulated
         ys, y_den = _numerators(particular, -r, r + n)
@@ -190,18 +188,13 @@ def verify_solution(
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
     terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
-    k_h = _order(m for _, m in terms)
+    k_h = _order((m.factor, (len(m.factor) - 1) * (m.power + 1)) for _, m in terms)
     hi = t0 + k_h + n - 1
-    residues = {f: _x_power(f, t0, hi)   # shared by the modes of one factor
-                for f in {m.factor for _, m in terms if not isinstance(m, SequenceExpr)}}
+    residues = {f: _x_power(f, t0, hi) for f in {m.factor for _, m in terms}}
     parts = [(1, *_numerators(particular, t0, hi))]
-    for c, m in terms:
-        if isinstance(m, SequenceExpr):
-            parts.append((c, *_numerators(m, t0, hi)))
-        else:  # t^j times the x^m column of the factor's residues
-            rows, den = residues[m.factor]
-            parts.append((c, [t**m.power * r[m.index] for t, r in zip(range(t0, hi + 1), rows)],
-                          den))
+    for c, m in terms:  # t^j times the x^m column of the residues its factor's modes share
+        rows, den = residues[m.factor]
+        parts.append((c, [t**m.power * r[m.index] for t, r in zip(range(t0, hi + 1), rows)], den))
     g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
     tables = [[c.numerator * (g_den // (c.denominator * den)) * x for x in nums]
               for c, nums, den in parts]

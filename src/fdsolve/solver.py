@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
 from .algebra import (OperatorPoly, Poly, _balanced, _factors, _from_newton, _newton, _power,
                       _Record, _render_sum, _signed_sum, _x_power, series_inverse)
@@ -64,9 +64,10 @@ class NumericMode(_Record):
 
 class RecurrenceMode(_Record):
     """t^power * e_index(t) for a square-free primitive integer factor q, lowest first in
-    `factor`, whose roots (`roots`, floats read only to print) are irrational or complex:
-    e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that is 1 at m
-    and 0 elsewhere on [0, deg q).  The modes of one factor share both tuples."""
+    `factor`, with roots `roots` (floats read only to print, none for deg q = 1): e_m(t) is
+    the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that is 1 at m and 0
+    elsewhere on [0, deg q).  A rational root N/L is the factor L*x - N, with e_0(t) =
+    (N/L)^t, printed as its closed form; the modes of one factor share both tuples."""
 
     __slots__ = ("factor", "power", "index", "roots")
 
@@ -74,13 +75,17 @@ class RecurrenceMode(_Record):
         """Exact value at integer t (negative t included)."""
         return Fraction(*_values((self,), t)[0])
 
+    def _bucket(self) -> tuple[_Key, Poly]:
+        """The closed form t^power * root^t of a degree-1 factor, as one bucket."""
+        return ((Fraction(-self.factor[0], self.factor[1]), None, 0),
+                Poly._make([0] * self.power + [1], 1))
+
     def render(self, pretty: bool = False) -> str:   # `Solution.view` prints the polar form
+        if len(self.factor) == 2:
+            return _signed_sum([_render_bucket(*self._bucket(), pretty)])
         e = f"e_{self.index}(t)"
         return f"{_power('t', self.power)} * {e}" if self.power else e
 
-
-# an exact mode (rational root) is its closed form t^j * root^t
-HomogeneousMode = Union[SequenceExpr, RecurrenceMode]
 
 Condition = tuple[int, Fraction]
 
@@ -120,15 +125,15 @@ class Solution(_Record):
 
     @property
     def is_exact(self) -> bool:
-        """Every mode is a closed form t^j * root^t; recurrence modes are exact, not closed."""
-        return all(isinstance(m, SequenceExpr) for m in self.homogeneous)
+        """Every mode's factor has degree 1, so every mode is a closed form t^j * root^t."""
+        return all(len(m.factor) == 2 for m in self.homogeneous)
 
     def general_expr(self) -> SequenceExpr | None:
         """particular + sum(c_i * mode_i) as one expression, when every mode is a closed form."""
         if self.constants is None or not self.is_exact:
             return None
         return _sum([*self.particular.buckets, *((key, p * c) for c, mode in
-                     zip(self.constants, self.homogeneous) for key, p in mode.buckets)])
+                     zip(self.constants, self.homogeneous) for key, p in [mode._bucket()])])
 
     def general_value_at(self, t: int) -> Fraction:
         """Exact value of particular + sum(c_i * mode_i) at integer t."""
@@ -149,8 +154,8 @@ class Solution(_Record):
         modes, constants, blocks = [], [], {}
         for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
                         self.homogeneous):
-            if isinstance(m, SequenceExpr):
-                modes.append(m)
+            if len(m.factor) == 2:
+                modes.append(_sum([m._bucket()]))
                 constants.append(c)
             else:
                 blocks.setdefault(m.factor, []).append((m, c))
@@ -163,13 +168,10 @@ class Solution(_Record):
         return tuple(modes), tuple(constants) if known else None
 
 
-def _values(basis: Sequence[HomogeneousMode], t: int) -> list[tuple[int, int]]:
-    """(num, den) of each mode at integer t, den != 0: a closed form's `_ratio`, and one
-    `_x_power` for the recurrence modes of each factor."""
-    powers = {q: _x_power(q, t, t) for q in {m.factor for m in basis
-                                             if not isinstance(m, SequenceExpr)}}
-    return [m._ratio(t) if isinstance(m, SequenceExpr) else
-            (t**m.power * powers[m.factor][0][0][m.index], powers[m.factor][1]) for m in basis]
+def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
+    """(num, den) of each mode at integer t, den != 0: one `_x_power` row per factor."""
+    powers = {q: _x_power(q, t, t) for q in {m.factor for m in basis}}
+    return [(t**m.power * powers[m.factor][0][0][m.index], powers[m.factor][1]) for m in basis]
 
 
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
@@ -340,20 +342,21 @@ def solve_particular(op: OperatorPoly, phi: SequenceExpr) -> tuple[SequenceExpr,
     return total, SolveTrace(tuple(steps))
 
 
-def solve_homogeneous(op: OperatorPoly) -> tuple[HomogeneousMode, ...]:
-    """Basis of the solution space of op(T) y = 0 on two-sided integer time: closed forms
-    t^j * root^t for the nonzero rational roots, in order, then for each square-free factor
-    q of multiplicity i with no rational root the recurrence modes t^j * e_m, j < i and
-    m < deg q.  Roots at 0 contribute no two-sided mode."""
+def solve_homogeneous(op: OperatorPoly) -> tuple[RecurrenceMode, ...]:
+    """Basis of the solution space of op(T) y = 0 on two-sided integer time: the recurrence
+    modes t^j * e_m, j < i and m < deg q, first of the degree-1 factor L*x - N of each
+    nonzero rational root N/L of multiplicity i, in order of the roots, then of each
+    square-free factor q of multiplicity i with no rational root.  Roots at 0 contribute
+    no two-sided mode."""
     exact: list[tuple[Fraction, int]] = []
-    modes: list[HomogeneousMode] = []
+    modes: list[RecurrenceMode] = []
     for mult, found, q, zs in _factors(op):
         exact += [(r, mult) for r in found if r]
         factor, roots = tuple(q), tuple(zs)
         modes += [RecurrenceMode(factor, j, m, roots)
                   for j in range(mult) for m in range(len(q) - 1)]
-    return (*(_sum([((r, None, 0), Poly(0, 1) ** j)]) for r, mult in sorted(exact)
-              for j in range(mult)), *modes)
+    return (*(RecurrenceMode(factor, j, 0, ()) for r, mult in sorted(exact)
+              for factor in [(-r.numerator, r.denominator)] for j in range(mult)), *modes)
 
 
 def _fraction_free(pairs: list[list[tuple[int, int]]], cols: int) -> tuple[Fraction, ...]:
@@ -378,7 +381,7 @@ def _fraction_free(pairs: list[list[tuple[int, int]]], cols: int) -> tuple[Fract
     return tuple(Fraction(r[cols], r[i]) for i, r in enumerate(rows[:cols]))
 
 
-def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[HomogeneousMode],
+def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[RecurrenceMode],
                   initial: Sequence[Condition]) -> tuple[Fraction, ...]:
     """Constants c_i with particular + sum c_i * basis_i matching the initial values.
 

@@ -3,9 +3,11 @@
 `value` is the sum of (base * (-1)^n)^t * p(t) over the buckets with no sin
 factor, on Fractions, with p(t) read from `Poly.coeffs`.  `recurrence_value`
 runs a recurrence mode's factor in Fractions, sharing no code with
-`algebra._x_power`.  `gauss_jordan` and `fit` are the Fraction Gauss-Jordan
-elimination and the `fit_constants` that `SequenceExpr._ratio` and
-`solver._fraction_free` replaced, evaluating through those two.
+`algebra._x_power`, a degree-1 factor (a rational root) included.
+`gauss_jordan` and `fit` are the Fraction Gauss-Jordan elimination and the
+`fit_constants` that `SequenceExpr._ratio` and `solver._fraction_free`
+replaced, evaluating the particular solution through `value` and every mode
+through `recurrence_value`.
 """
 from __future__ import annotations
 
@@ -59,6 +61,5 @@ def recurrence_value(mode, t: int) -> Fraction:
 def fit(op, particular, basis, initial):
     conds = _conditions(initial, op.degree)
     b = [v - value(particular, t) for t, v in conds]
-    A = [[value(m, t) if isinstance(m, SequenceExpr) else recurrence_value(m, t) for m in basis]
-         for t, _ in conds]
+    A = [[recurrence_value(m, t) for m in basis] for t, _ in conds]
     return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")

@@ -3,7 +3,7 @@
 Forward application has already proved P(T)y_P = phi on Z.  With h the sum of
 c_i * mode_i over the nonzero constants, y_P + h is the recurrence's run for
 every t >= t0 once it takes the n given values and P(T)h, a sum of p_b(t) * b^t
-over h's folded bases, is 0 at K_h = sum (deg p_b + 1) consecutive points.
+over h's rational roots b, is 0 at K_h = sum (deg p_b + 1) consecutive points.
 These tests compare `verify_solution` with the full scan of
 `iterate_reference.scan`, show that K_h points are needed and enough, and pin
 which tables the check builds.
@@ -16,18 +16,17 @@ import pytest
 
 from fdsolve import cli, oracle
 from fdsolve.algebra import Poly
-from fdsolve.expr import SequenceExpr, Term, Trig
+from fdsolve.expr import SequenceExpr
 from fdsolve.oracle import iterate_recurrence, verify_solution
 from fdsolve.parser import parse_equation, parse_expression
 from fdsolve.solver import Equation, Solution, solve
 
 from fraction_reference import gauss_jordan
 from instance_gen import (BASES, COEFFS, exact_root_operator, rand_initial, rand_rhs,
-                          resonant_instance)
+                          rational_mode, resonant_instance)
 from iterate_reference import scan
 from test_algebra import run_bounded
 from test_cli import run
-from test_forward_proof import monomial
 from test_oracle import eq_with_initial
 
 HORIZONS = (0, 1, 3, 50)
@@ -40,8 +39,8 @@ def with_constants(sol, constants, extra=()):
 
 def variants(rng, eq, sol):
     """sol as solved, with one constant moved, with one constant zeroed (set to 1 if it
-    was 0), and with a mode outside the kernel added that is 0 at the n initial points,
-    so that only P(T)h can tell."""
+    was 0), and with c * q(t) * b^t outside the kernel added, q 0 at the n initial
+    points, as its modes t^j * b^t, so that only P(T)h can tell."""
     k = rng.randrange(len(sol.constants))
     moved, zeroed = list(sol.constants), list(sol.constants)
     moved[k] += rng.choice(COEFFS)
@@ -50,9 +49,10 @@ def variants(rng, eq, sol):
     q = Poly(1)
     for t in ts:
         q = q * Poly(-t, 1)
-    outside = SequenceExpr.of(Term(1, rng.choice(BASES), q))
+    b, c = rng.choice(BASES), rng.choice(COEFFS)
+    outside = [(c * x, rational_mode(b, j)) for j, x in enumerate(q.coeffs) if x]
     return [sol, with_constants(sol, moved), with_constants(sol, zeroed),
-            with_constants(sol, sol.constants, [(rng.choice(COEFFS), outside)])]
+            with_constants(sol, sol.constants, outside)]
 
 
 def exact_instance(i):
@@ -101,7 +101,7 @@ def test_full_scan_reference_agrees():
     assert min(tally.values()) > 0, tally
 
 
-# h's folded bases and degrees, none a root of OPERATOR: P(T)h has the same ones
+# h's bases and degrees, none a root of OPERATOR: P(T)h has the same ones
 TIGHT = ((F(2), 1), (F(-3), 0), (F(1, 2), 2))
 OPERATOR = "y(t+2) - y(t+1) - 3y(t) = 0"
 
@@ -115,8 +115,7 @@ def shifted_values(op, b, j, t):
 @pytest.mark.parametrize("t0", [-3, 0, 3])
 def test_k_h_points_are_needed_and_enough(monkeypatch, t0, horizon):
     """A wrong h whose P(T)h is 0 at t0, ..., t0 + K_h - 2 and not at t0 + K_h - 1.
-    Its (-3)^t term is written as 3^t * cos(pi*t), and a sin(pi*t) mode, 0 on Z,
-    rides along with a nonzero constant: neither may change K_h."""
+    A mode t^3 * 2^t rides along with the constant 0: it may not change K_h."""
     op = parse_equation(OPERATOR).operator
     cols = [(b, j) for b, d in TIGHT for j in range(d + 1)]
     k_h = len(cols)
@@ -124,10 +123,8 @@ def test_k_h_points_are_needed_and_enough(monkeypatch, t0, horizon):
     cs = (*gauss_jordan([row[:-1] for row in rows], [-row[-1] for row in rows], 0, 0, "singular"),
           F(1))
     assert all(cs)
-    modes = [SequenceExpr.of(Term(1, 3, monomial(j), Trig("cos", 1)) if b == -3 else
-                             Term(1, b, monomial(j))) for b, j in cols]
-    modes.append(SequenceExpr.of(Term(1, 2, monomial(3), Trig("sin", 1))))
-    h = Solution(SequenceExpr.zero(), tuple(modes), (*cs, F(5)), None)
+    modes = [rational_mode(b, j) for b, j in cols] + [rational_mode(F(2), 3)]
+    h = Solution(SequenceExpr.zero(), tuple(modes), (*cs, F(0)), None)
     residual = [sum(c * shifted_values(op, b, j, t) for c, (b, j) in zip(cs, cols))
                 for t in range(t0, t0 + k_h)]
     assert residual[:-1] == [0] * (k_h - 1) and residual[-1] != 0
@@ -158,16 +155,20 @@ class TestTables:
         sol = solve(eq)
         assert sol.is_exact and all(sol.constants)
         spans = []
-        numerators = oracle._numerators
 
-        def spy(e, lo, hi):
-            spans.append((lo, hi))
-            return numerators(e, lo, hi)
+        def spy(name):
+            table = getattr(oracle, name)
+
+            def spied(e, lo, hi):
+                spans.append((lo, hi))
+                return table(e, lo, hi)
+            monkeypatch.setattr(oracle, name, spied)
 
         def no_run(*args):
             raise AssertionError("iterate_recurrence called by the proof")
 
-        monkeypatch.setattr(oracle, "_numerators", spy)
+        spy("_numerators")   # the particular solution's table
+        spy("_x_power")      # a walk per mode's factor
         monkeypatch.setattr(oracle, "iterate_recurrence", no_run)
         for horizon in (0, 50, 5000):
             spans.clear()

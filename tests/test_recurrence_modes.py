@@ -16,13 +16,13 @@ import pytest
 
 from fdsolve import oracle
 from fdsolve.algebra import OperatorPoly, Poly, _x_power
-from fdsolve.expr import SequenceExpr
+from fdsolve.expr import SequenceExpr, _sum
 from fdsolve.oracle import iterate_recurrence, verify_solution
 from fdsolve.parser import parse_equation, parse_initial
 from fdsolve.solver import Equation, RecurrenceMode, Solution, solve, solve_homogeneous
 
 from fraction_reference import gauss_jordan, recurrence_value
-from instance_gen import COEFFS, rand_initial, rand_operator, rand_rhs
+from instance_gen import COEFFS, rand_initial, rand_operator, rand_rhs, rational_mode
 
 
 def irrational_instances(seed, count, t0s):
@@ -69,12 +69,29 @@ def test_modes_of_one_factor_share_one_tuple():
     # (T^2 - 2)^2 (T^2 + T + 1) (T - 3): one closed form, then two factors' blocks
     op = OperatorPoly.from_poly(Poly(-2, 0, 1) ** 2 * Poly(1, 1, 1) * Poly(-3, 1))
     modes = solve_homogeneous(op)
-    assert isinstance(modes[0], SequenceExpr) and modes[0].render() == "3^t"
+    assert modes[0].render() == "3^t"
     blocks = [(m.factor, m.power, m.index) for m in modes[1:]]
     assert blocks == [((1, 1, 1), 0, 0), ((1, 1, 1), 0, 1), ((-2, 0, 1), 0, 0),
                       ((-2, 0, 1), 0, 1), ((-2, 0, 1), 1, 0), ((-2, 0, 1), 1, 1)]
     assert len({id(m.factor) for m in modes[1:]}) == len({id(m.roots) for m in modes[1:]}) == 2
     assert [m.render() for m in modes[3:]] == ["e_0(t)", "e_1(t)", "t * e_0(t)", "t * e_1(t)"]
+
+
+@pytest.mark.parametrize("r", [1, -1, F(1, 2), F(-1, 2), F(3, 2), -3, F(7, 5)], ids=str)
+def test_degree_1_mode_is_its_closed_form(r):
+    """A rational root r = N/L is the factor L*x - N, whose e_0(t) is r^t: each mode
+    t^j * e_0 has the values and the text of its closed form t^j * r^t, as the modes of
+    (T - r)^3 that `solve_homogeneous` gives.  Far negative t and negative r check the
+    degree-1 start of `_x_power`, which swaps N and L for t < 0."""
+    r = F(r)
+    modes = solve_homogeneous(OperatorPoly.from_poly(Poly(-r, 1) ** 3))
+    assert modes == tuple(rational_mode(r, j) for j in range(3))
+    for j, mode in enumerate(modes):
+        closed = _sum([((r, None, 0), Poly(0, 1) ** j)])
+        for t in (-10**4, -7, -1, 0, 1, 7, 10**4):
+            assert mode.eval_at(t) == closed.eval_at(t), (j, t)
+        assert mode.render(pretty=True) == closed.render(pretty=True)
+        assert mode.render() == closed.render()
 
 
 def test_general_value_is_the_recurrence_run():
@@ -89,7 +106,7 @@ def test_general_value_is_the_recurrence_run():
 def test_moved_constant_reported_with_the_run():
     seen = 0
     for rng, eq, sol in irrational_instances(2901, 60, range(-20, 21)):
-        k = rng.choice([i for i, m in enumerate(sol.homogeneous) if isinstance(m, RecurrenceMode)])
+        k = rng.choice([i for i, m in enumerate(sol.homogeneous) if len(m.factor) > 2])
         moved = list(sol.constants)
         moved[k] += rng.choice(COEFFS)
         bad = Solution(sol.particular, sol.homogeneous, tuple(moved), sol.trace)

@@ -12,7 +12,8 @@ from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solut
                             solve_particular)
 
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
-from instance_gen import BASES, COEFFS, plain_instance, resonant_instance
+from instance_gen import (BASES, COEFFS, irrational_root_operator, plain_instance,
+                          resonant_instance)
 from fdsolve.parser import parse_equation, parse_expression
 
 
@@ -298,12 +299,16 @@ class TestHomogeneous:
         assert [round(m.angle, 9) for m in printed] == [round(math.pi, 9), 0.0]
 
     def test_modes_annihilated_exactly(self):
+        # every mode, closed form or not: sum_k a_k * mode(t + k) == 0 at t in [-3, deg P + 3]
         rng = random.Random(11)
-        for _ in range(20):
-            P, _ = plain_instance(rng)
+        ops = [plain_instance(rng)[0] for _ in range(20)]
+        ops += [irrational_root_operator(rng) for _ in range(20)]
+        for P in ops:
+            n = P.degree
             for mode in solve_homogeneous(P):
-                if isinstance(mode, SequenceExpr):
-                    assert apply_operator(P, mode).is_zero
+                values = [mode.eval_at(t) for t in range(-3, 2 * n + 4)]
+                assert all(sum(a * values[i + k] for k, a in enumerate(P.coeffs)) == 0
+                           for i in range(n + 7)), (str(P), mode)
 
 
 class TestFitConstants:
