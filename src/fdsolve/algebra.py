@@ -2,12 +2,12 @@
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
-`find_roots` isolates the real roots in integer arithmetic to find the
-rational ones exactly and to count the rest; floats from an Aberth iteration
-stand for the irrational and complex roots that remain, in print and in
-`find_roots` only.  Exact work on any root walks x^t mod q, q its primitive
-integer factor (L*x - N for a rational N/L), with `_x_power`; `_binary_power`
-is the one square-and-multiply, for `Poly` powers, bucket maps and x^t mod q.
+`_factors` isolates the real roots in integer arithmetic, with no float, to find
+the rational ones exactly and to count the rest; only `find_roots` makes floats,
+by an Aberth iteration, of the irrational and complex roots left, to print them.
+Exact work on any root walks x^t mod q, q its primitive integer factor (L*x - N
+for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
+multiply, for `Poly` powers, bucket maps and x^t mod q.
 """
 from __future__ import annotations
 
@@ -567,30 +567,30 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly, int]:
     return found + roots, reduce(Poly.deflate, roots, rest), len(points) - len(roots)
 
 
-def _factors(p: Poly) -> list[tuple[int, list[Fraction], list[int], list[complex]]]:
-    """(i, rational roots, q, q's roots as floats) for each of Yun's square-free factors f_i
-    of p, q the primitive integer form of f_i without its rational roots.  Exact real-root
-    isolation finds those (on f_i scaled exactly into float range) and counts the other real
-    roots, which `_approximate` returns with imaginary part +0.0.  Raises ValueError when
-    the floats cannot account for every root, as when the coefficients span beyond them."""
+def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...], int]]:
+    """(i, rational roots, q, q's number of real roots) for each of Yun's square-free
+    factors f_i of p, q the primitive integer form of f_i without its rational roots: exact
+    real-root isolation on f_i finds those and counts the other real roots.  No float."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     out = []
     for f, mult in _square_free(p):
-        found, rest, real = _rational_roots(_balanced(f))
-        out.append((mult, found, _primitive(rest), _approximate(rest, real)))
-    if sum(mult * (len(found) + len(zs)) for mult, found, _, zs in out) != p.degree:
-        raise ValueError("coefficients span beyond the float range; roots not found")
+        found, rest, real = _rational_roots(f)
+        out.append((mult, found, tuple(_primitive(rest)), real))
     return out
 
 
 def find_roots(p: Poly) -> RootSet:
-    """Factor p completely, with exact multiplicities and exact rational roots: the view
-    of `_factors` as one `RootSet`.  Raises ValueError as `_factors` does."""
-    factors = _factors(p)
-    exact = sorted((Root(r, mult, True) for mult, found, _, _ in factors for r in found),
+    """Factor p completely, with exact multiplicities and exact rational roots: `_factors`
+    as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced.
+    Raises ValueError when floats cannot account for every root (a span past their range)."""
+    factors = [(mult, found, _approximate(_balanced(Poly._make(list(q), 1)), real))
+               for mult, found, q, real in _factors(p)]
+    if sum(mult * (len(found) + len(zs)) for mult, found, zs in factors) != p.degree:
+        raise ValueError("coefficients span beyond the float range; roots not found")
+    exact = sorted((Root(r, mult, True) for mult, found, _ in factors for r in found),
                    key=lambda r: r.value)
-    numeric = sorted((Root(z, mult, False) for mult, _, _, zs in factors for z in zs),
+    numeric = sorted((Root(z, mult, False) for mult, _, zs in factors for z in zs),
                      key=lambda r: (r.value.real, r.value.imag))
     return RootSet(tuple(exact + numeric))
 

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import (OperatorPoly, Poly, _balanced, _factors, _from_newton, _newton, _power,
-                      _Record, _render_sum, _signed_sum, _x_power, series_inverse)
+                      _Record, _render_sum, _signed_sum, _x_power, find_roots, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 
 
@@ -64,12 +64,12 @@ class NumericMode(_Record):
 
 class RecurrenceMode(_Record):
     """t^power * e_index(t) for a square-free primitive integer factor q, lowest first in
-    `factor`, with roots `roots` (floats read only to print, none for deg q = 1): e_m(t) is
-    the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that is 1 at m and 0
-    elsewhere on [0, deg q).  A rational root N/L is the factor L*x - N, with e_0(t) =
-    (N/L)^t, printed as its closed form; the modes of one factor share both tuples."""
+    `factor`: e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that
+    is 1 at m and 0 elsewhere on [0, deg q).  Exact, with no float: a rational root N/L is
+    the factor L*x - N, with e_0(t) = (N/L)^t, printed as its closed form; the modes of
+    one factor share one tuple, and `Solution.view` finds the roots of the rest to print."""
 
-    __slots__ = ("factor", "power", "index", "roots")
+    __slots__ = ("factor", "power", "index")
 
     def eval_at(self, t: int) -> Fraction:
         """Exact value at integer t (negative t included)."""
@@ -149,7 +149,8 @@ class Solution(_Record):
         """The modes and constants as printed, t0 the first initial point: closed forms with
         their Fractions, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
         with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the
-        exact solution, far off for nearly equal roots; one not finite raises ValueError."""
+        exact solution, far off for nearly equal roots; one not finite raises ValueError, as
+        `find_roots` does on a factor whose roots lie out of float reach."""
         known = self.constants is not None
         modes, constants, blocks = [], [], {}
         for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
@@ -161,10 +162,10 @@ class Solution(_Record):
                 blocks.setdefault(m.factor, []).append((m, c))
         printed = [p for block in blocks.values() for p in _polar(block, t0, known)]
         for a, j, c in sorted(printed, key=lambda p: (p[0].real, p[0].imag)):
-            r, theta = abs(a), math.atan2(a.imag, a.real)
-            modes += [NumericMode(r, theta, j, kind) for kind in ("cos", "sin")[:1 + (a.imag > 0)]]
-            if known:
-                constants += [2 * c.real, -2 * c.imag] if a.imag > 0 else [c.real]
+            r, theta, k = abs(a), math.atan2(a.imag, a.real), 1 + (a.imag > 0)
+            modes += [NumericMode(r, theta, j, kind) for kind in ("cos", "sin")[:k]]
+            if known:   # + 0.0 makes a zero constant 0.0, printed 0, never -0.0
+                constants += [k * c.real + 0.0, -2 * c.imag + 0.0][:k]
         return tuple(modes), tuple(constants) if known else None
 
 
@@ -176,12 +177,13 @@ def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
 
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
            known: bool) -> list[tuple[complex, int, complex | None]]:
-    """(a, j, c_(a,j)) for one factor q's roots a, imaginary part >= 0, and powers j, from
-    its modes t^j * e_m and their constants u_(j,m) (c is None unless known).  As
-    E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t, Lagrange interpolation at t0 + s,
-    s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) * l_s(a), l_s(a) the t^s
-    coefficient of q(t) / ((t - a) * q'(a)) on q's balanced floats (scale cancels)."""
-    q, roots = block[0][0].factor, [a for a in block[0][0].roots if a.imag >= 0]
+    """(a, j, c_(a,j)) for the roots a of one factor q from `find_roots`, imaginary part
+    >= 0, and powers j, from its modes t^j * e_m and their constants u_(j,m) (c is None
+    unless known).  As E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t, Lagrange
+    interpolation at t0 + s, s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) * l_s(a),
+    l_s(a) the t^s coefficient of q(t) / ((t - a) * q'(a)) on q's balanced floats."""
+    q = block[0][0].factor
+    roots = [r.value for r in find_roots(Poly._make(list(q), 1)).roots if r.value.imag >= 0]
     mult = max(m.power for m, _ in block) + 1
     if not known:
         return [(a, j, None) for a in roots for j in range(mult)]
@@ -347,15 +349,13 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[RecurrenceMode, ...]:
     modes t^j * e_m, j < i and m < deg q, first of the degree-1 factor L*x - N of each
     nonzero rational root N/L of multiplicity i, in order of the roots, then of each
     square-free factor q of multiplicity i with no rational root.  Roots at 0 contribute
-    no two-sided mode."""
+    no two-sided mode.  `_factors` finds them exactly: no root float is made or read."""
     exact: list[tuple[Fraction, int]] = []
     modes: list[RecurrenceMode] = []
-    for mult, found, q, zs in _factors(op):
+    for mult, found, q, _ in _factors(op):
         exact += [(r, mult) for r in found if r]
-        factor, roots = tuple(q), tuple(zs)
-        modes += [RecurrenceMode(factor, j, m, roots)
-                  for j in range(mult) for m in range(len(q) - 1)]
-    return (*(RecurrenceMode(factor, j, 0, ()) for r, mult in sorted(exact)
+        modes += [RecurrenceMode(q, j, m) for j in range(mult) for m in range(len(q) - 1)]
+    return (*(RecurrenceMode(factor, j, 0) for r, mult in sorted(exact)
               for factor in [(-r.numerator, r.denominator)] for j in range(mult)), *modes)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import sys
 import textwrap
 
@@ -452,6 +453,17 @@ class TestExitCodes:
         assert (code, err) == (cli.EXIT_OK, "")
         assert out.endswith("verification: exact-match over t in [-50, 50] "
                             "(forward-apply+iterate)\n")
+
+    def test_zero_constant_prints_without_a_sign(self, capsys):
+        # y = cos(pi*t/2): the sin constant -2 * Im c is -2 * 0.0, a -0.0 that printed as -0
+        argv = ["solve", "y(t+2) + y(t) = 0", "--initial", "y(0)=1, y(1)=0"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert "constants:   c1 = 1, c2 = 0\n" in out
+        code, out, err = run(capsys, *argv, "--format", "json")
+        constants = json.loads(out)["constants"]
+        assert constants == [1.0, 0.0]
+        assert [math.copysign(1.0, c) for c in constants] == [1.0, 1.0]
 
     def test_broken_invariant_is_internal_error(self, capsys, monkeypatch):
         # a failure inside the solver that is not a documented error is exit 4

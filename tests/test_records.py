@@ -36,7 +36,7 @@ def records():
         eq,
         solve(eq),
         VerifyReport("iterate", (0, 5), "mismatch", mismatch_t=3, expected=F(1), got=F(2)),
-        RecurrenceMode((-1, -1, 1), 1, 0, (-0.5 + 0j, 1.5 + 0j)),
+        RecurrenceMode((-1, -1, 1), 1, 0),
     ]
 
 
@@ -77,7 +77,7 @@ def test_equal_values_hash_equal(a, b):
 
 @pytest.mark.parametrize("record,name", zip(records(), [
     "nums", "den", "value", "roots", "n", "trig", "buckets", "after", "steps", "kind",
-    "initial", "trace", "got", "roots"]))
+    "initial", "trace", "got", "factor"]))
 def test_fields_are_read_only(record, name):
     before = getattr(record, name)
     with pytest.raises(AttributeError):
@@ -100,7 +100,7 @@ def test_copy_and_pickle_round_trip(record):
 # The fewest values each record class takes; `_Record` builds the first six, which take
 # exactly one value per field.  `Poly` and `OperatorPoly` take any number of coefficients.
 FEWEST_VALUES = [(Root, 3), (RootSet, 1), (TraceStep, 4), (SolveTrace, 1), (NumericMode, 4),
-                 (RecurrenceMode, 4), (Solution, 4), (Trig, 2), (Term, 1), (SequenceExpr, 0),
+                 (RecurrenceMode, 3), (Solution, 4), (Trig, 2), (Term, 1), (SequenceExpr, 0),
                  (Equation, 2), (VerifyReport, 3)]
 
 

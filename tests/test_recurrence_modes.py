@@ -10,11 +10,12 @@ fit.
 """
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from fdsolve import oracle
+from fdsolve import algebra, oracle
 from fdsolve.algebra import OperatorPoly, Poly, _x_power
 from fdsolve.expr import SequenceExpr, _sum
 from fdsolve.oracle import iterate_recurrence, verify_solution
@@ -50,7 +51,7 @@ def test_x_power_against_the_recurrence(q):
         (nums,), den = _x_power(q, t, t)
         assert den > 0 and len(nums) == k
         assert [F(x, den) for x in nums] == \
-            [recurrence_value(RecurrenceMode(q, 0, m, ()), t) for m in range(k)], t
+            [recurrence_value(RecurrenceMode(q, 0, m), t) for m in range(k)], t
 
 
 @pytest.mark.parametrize("q", [(-1, -1, 1), (3, -1, 0, 2), (-4, 2, 1, 3, 1, 6)])
@@ -73,7 +74,8 @@ def test_modes_of_one_factor_share_one_tuple():
     blocks = [(m.factor, m.power, m.index) for m in modes[1:]]
     assert blocks == [((1, 1, 1), 0, 0), ((1, 1, 1), 0, 1), ((-2, 0, 1), 0, 0),
                       ((-2, 0, 1), 0, 1), ((-2, 0, 1), 1, 0), ((-2, 0, 1), 1, 1)]
-    assert len({id(m.factor) for m in modes[1:]}) == len({id(m.roots) for m in modes[1:]}) == 2
+    assert len({id(m.factor) for m in modes[1:]}) == 2
+    assert RecurrenceMode._fields == ("factor", "power", "index")   # no root floats
     assert [m.render() for m in modes[3:]] == ["e_0(t)", "e_1(t)", "t * e_0(t)", "t * e_1(t)"]
 
 
@@ -130,8 +132,8 @@ def test_k_h_points_are_needed_and_enough(monkeypatch, t0):
     """A wrong block t^j * e_m of T^2 - 2, j < 2 (K_h = 2 * 2 = 4), whose P(T)h is 0 at
     t0, ..., t0 + K_h - 2 and not at t0 + K_h - 1, for P = T^2 - T - 3."""
     op = parse_equation("y(t+2) - y(t+1) - 3y(t) = 0").operator
-    q, roots = (-2, 0, 1), (1.4142135623730951 + 0j, -1.4142135623730951 + 0j)
-    modes = [RecurrenceMode(q, j, m, roots) for j in range(2) for m in range(2)]
+    q = (-2, 0, 1)
+    modes = [RecurrenceMode(q, j, m) for j in range(2) for m in range(2)]
     k_h = len(modes)
     rows = [[shifted(op, m, t) for m in modes] for t in range(t0, t0 + k_h - 1)]
     cs = (*gauss_jordan([r[:-1] for r in rows], [-r[-1] for r in rows], 0, 0, "singular"), F(1))
@@ -196,3 +198,48 @@ def test_view_keeps_exact_constants_first():
                                            "1.414213562^t"]
     assert constants[0] == F(1) and isinstance(constants[0], F)
     assert [round(c, 12) for c in constants[1:]] == [1.0, 1.0]
+
+
+def test_roots_past_the_float_range_solve_and_verify_exactly():
+    """The exact solve reads no root float, so an operator whose roots the floats cannot
+    reach (Bini's start circle near 2^1074 lies past the float range) solves and verifies;
+    only the printed view, which needs the floats, raises."""
+    eq = parse_equation("(1/2)^1074 y(t+3) + y(t+2) + y(t+1) + y(t) = 0")
+    eq = Equation(eq.operator, eq.rhs, parse_initial("y(0)=1, y(1)=0, y(2)=0"))
+    sol = solve(eq)
+    assert verify_solution(eq, sol).status == "exact-match"
+    assert [sol.general_value_at(t) for t in range(0, 31)] == iterate_recurrence(eq, 30)
+    with pytest.raises(ValueError, match=r"^coefficients span beyond the float range; "
+                                         r"roots not found$"):
+        sol.view(0)
+
+
+@pytest.mark.parametrize("src,initial", [
+    ("y(t+2) - y(t+1) - y(t) = 0", "y(0)=0, y(1)=1"),
+    ("y(t+2) - 2y(t+1) + 2y(t) = 0", "y(0)=0, y(1)=1"),
+    ("y(t+3) - y(t+2) - 2y(t+1) + y(t) = 3^t", "y(0)=0, y(1)=0, y(2)=0"),
+], ids=["fibonacci", "1+-i", "cubic-3^t"])
+def test_only_the_view_approximates_roots(monkeypatch, src, initial):
+    """`solve`, `verify_solution`, `general_value_at` and `general_expr` make no root
+    float; `view` makes one set per factor of degree >= 2, each through `find_roots`."""
+    callers = []
+    approximate = algebra._approximate
+
+    def spy(p, real):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # a comprehension's frame before 3.12
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return approximate(p, real)
+
+    monkeypatch.setattr(algebra, "_approximate", spy)
+    eq = parse_equation(src)
+    eq = Equation(eq.operator, eq.rhs, parse_initial(initial))
+    sol = solve(eq)
+    assert verify_solution(eq, sol).status == "exact-match"
+    sol.general_value_at(40)
+    assert sol.general_expr() is None
+    assert callers == []
+    sol.view(0)
+    factors = {m.factor for m in sol.homogeneous if len(m.factor) > 2}
+    assert callers == ["find_roots"] * len(factors) == ["find_roots"]

@@ -9,10 +9,11 @@ It imports fdsolve from ./src and `input_set` from bench/run.py, takes the
 distinct (equation, initial values) pairs of all four workloads at seeds 1-3
 in first-seen order, and runs `fdsolve solve EQ [--initial ...] --trace
 --verify` on each in text and in JSON, in-process through `cli.main`.  It
-prints the number of inputs, the number of runs, and one sha256 over each
-run's argv, exit code, stdout and stderr.  The printed float modes and
-constants depend on the platform's math library, so compare digests taken on
-one machine only.
+prints the number of inputs, the number of runs, one sha256 over each run's
+argv, exit code, stdout and stderr, and one such sha256 over the runs of each
+format alone, so that a change to JSON float digits alone leaves the text
+digest as it was.  The printed float modes and constants depend on the
+platform's math library, so compare digests taken on one machine only.
 """
 from __future__ import annotations
 
@@ -39,20 +40,24 @@ def main() -> int:
              for workload in inputs.WORKLOADS for seed in SEEDS
              for inst in input_set(workload, seed, SECONDS)}
     digest = hashlib.sha256()
+    by_format = {fmt: hashlib.sha256() for fmt in ("text", "json")}
     runs = 0
     for equation, initial in pairs:
-        for fmt in ("text", "json"):
+        for fmt, part in by_format.items():
             argv = ["solve", equation] + (["--initial", initial] if initial else []) \
                 + ["--trace", "--verify", "--format", fmt]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-            digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
-            digest.update(b"\n")
+            line = json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n"
+            digest.update(line)
+            part.update(line)
             runs += 1
     print(f"inputs {len(pairs)}")
     print(f"runs {runs}")
     print(f"sha256 {digest.hexdigest()}")
+    for fmt, part in by_format.items():
+        print(f"sha256 {fmt} {part.hexdigest()}")
     return 0
 
 
