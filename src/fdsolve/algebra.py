@@ -3,8 +3,8 @@
 A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
 `_factors` isolates the real roots in integer arithmetic, with no float, to find
-the rational ones exactly and to count the rest; only `find_roots` makes floats,
-by an Aberth iteration, of the irrational and complex roots left, to print them.
+the rational ones exactly and to count the rest; only `_approximate` makes floats,
+by an Aberth iteration, of the other roots, and refuses roots past the float range.
 Exact work on any root walks x^t mod q, q its primitive integer factor (L*x - N
 for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
 multiply, for `Poly` powers, bucket maps and x^t mod q.
@@ -477,21 +477,19 @@ def _approximate(p: Poly, real: int) -> list[complex]:
     c_k, from Bini's start: j - i points on the circle of radius (|c_i| / |c_j|)^(1/(j - i))
     for each edge (i, j) of the upper hull of the points (k, log|c_k|).  The `real`
     approximations nearest the real axis then become real, and each other one is paired
-    with its exact conjugate.  [] when an end coefficient rounds to 0.0 or a circle lies
-    past the float range: the roots span beyond the floats."""
+    with its exact conjugate.  Raises ValueError when an end coefficient rounds to 0.0 or
+    a circle lies past the float range: the roots span beyond the floats."""
     d = p.degree
     cs = [c / p.den for c in p.nums]   # int / int is correctly rounded, as float(Fraction) is
-    if not (cs[0] and cs[-1]) or not all(map(math.isfinite, cs)):
-        return []
-    y = {k: math.log(abs(c)) for k, c in enumerate(cs) if c}
-    hull = [0]
-    while (i := hull[-1]) < d:   # the next vertex is the steepest, the last on ties
-        hull.append(max((j for j in y if j > i), key=lambda j: ((y[j] - y[i]) / (j - i), j)))
     try:
+        y = {k: math.log(abs(c)) for k, c in enumerate(cs) if c or k in (0, d)}
+        hull = [0]
+        while (i := hull[-1]) < d:   # the next vertex is the steepest, the last on ties
+            hull.append(max((j for j in y if j > i), key=lambda j: ((y[j] - y[i]) / (j - i), j)))
         zs = [cmath.rect(math.exp((y[i] - y[j]) / (j - i)), 2 * math.pi * k / (j - i) + 0.4 + i)
               for i, j in zip(hull, hull[1:]) for k in range(j - i)]
-    except OverflowError:   # a circle past the float range
-        return []
+    except (OverflowError, ValueError) as err:   # a circle past the floats, or log 0.0 at an end
+        raise ValueError("coefficients span beyond the float range; roots not found") from err
     try:
         settled = any(not _sweep(cs, zs) for _ in range(_MAX_SWEEPS))
     except ZeroDivisionError:   # two approximations met
@@ -582,12 +580,10 @@ def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...], int]]:
 
 def find_roots(p: Poly) -> RootSet:
     """Factor p completely, with exact multiplicities and exact rational roots: `_factors`
-    as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced.
-    Raises ValueError when floats cannot account for every root (a span past their range)."""
+    as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced, which
+    raises ValueError for roots past the float range."""
     factors = [(mult, found, _approximate(_balanced(Poly._make(list(q), 1)), real))
                for mult, found, q, real in _factors(p)]
-    if sum(mult * (len(found) + len(zs)) for mult, found, zs in factors) != p.degree:
-        raise ValueError("coefficients span beyond the float range; roots not found")
     exact = sorted((Root(r, mult, True) for mult, found, _ in factors for r in found),
                    key=lambda r: r.value)
     numeric = sorted((Root(z, mult, False) for mult, _, zs in factors for z in zs),

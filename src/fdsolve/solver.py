@@ -24,8 +24,9 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .algebra import (OperatorPoly, Poly, _balanced, _factors, _from_newton, _newton, _power,
-                      _Record, _render_sum, _signed_sum, _x_power, find_roots, series_inverse)
+from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _newton,
+                      _power, _rational_roots, _Record, _render_sum, _signed_sum, _x_power,
+                      series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 
 
@@ -150,7 +151,7 @@ class Solution(_Record):
         their Fractions, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
         with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the
         exact solution, far off for nearly equal roots; one not finite raises ValueError, as
-        `find_roots` does on a factor whose roots lie out of float reach."""
+        `_approximate` does, once per factor, on a factor whose roots lie out of float reach."""
         known = self.constants is not None
         modes, constants, blocks = [], [], {}
         for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
@@ -177,22 +178,24 @@ def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
 
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
            known: bool) -> list[tuple[complex, int, complex | None]]:
-    """(a, j, c_(a,j)) for the roots a of one factor q from `find_roots`, imaginary part
-    >= 0, and powers j, from its modes t^j * e_m and their constants u_(j,m) (c is None
-    unless known).  As E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t, Lagrange
-    interpolation at t0 + s, s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) * l_s(a),
-    l_s(a) the t^s coefficient of q(t) / ((t - a) * q'(a)) on q's balanced floats."""
+    """(a, j, c_(a,j)) for the roots a of q, the factor of one block of modes t^j * e_m with
+    constants u_(j,m) (c is None unless known): one `_approximate` pass on q balanced, imag
+    >= 0, in its order, which `view`'s stable sort keeps for tied floats as `find_roots`'s
+    does.  As E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t, Lagrange interpolation at
+    t0 + s, s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) * l_s(a), l_s(a) the t^s
+    coefficient of q(t) / ((t - a) * q'(a)) on the balanced floats."""
     q = block[0][0].factor
-    roots = [r.value for r in find_roots(Poly._make(list(q), 1)).roots if r.value.imag >= 0]
+    p = _balanced(Poly._make(list(q), 1))
+    roots = [a for a in _approximate(p, _rational_roots(p)[2]) if a.imag >= 0]
     mult = max(m.power for m, _ in block) + 1
     if not known:
         return [(a, j, None) for a in roots for j in range(mult)]
-    p = _balanced(Poly._make(list(q), 1))
     cs = [c / p.den for c in p.nums]
     rows, den = _x_power(q, t0, t0 + len(q) - 2)
+    lcm = math.lcm(*(c.denominator for _, c in block))   # E_j: one int / int, correctly rounded
     try:
-        es = [[float(sum(Fraction(c * nums[m.index], den) for m, c in block if m.power == j))
-               for j in range(mult)] for nums in rows]   # E_j(t0 + s)
+        es = [[sum(c.numerator * (lcm // c.denominator) * nums[m.index] for m, c in block
+                   if m.power == j) / (lcm * den) for j in range(mult)] for nums in rows]
         out = []
         for a in roots:
             b = list(accumulate(cs[:0:-1], lambda acc, c: acc * a + c))[::-1]   # q(t) / (t - a)

@@ -7,12 +7,16 @@ runs a recurrence mode's factor in Fractions, sharing no code with
 `gauss_jordan` and `fit` are the Fraction Gauss-Jordan elimination and the
 `fit_constants` that `SequenceExpr._ratio` and `solver._fraction_free`
 replaced, evaluating the particular solution through `value` and every mode
-through `recurrence_value`.
+through `recurrence_value`.  `polar` is the printed view's per-factor
+`solver._polar` on the public `find_roots` and one Fraction per term of each
+E_j.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
+from fdsolve.algebra import Poly, _balanced, _x_power, find_roots
 from fdsolve.expr import SequenceExpr
 from fdsolve.solver import SingularSystemError, _conditions
 
@@ -63,3 +67,25 @@ def fit(op, particular, basis, initial):
     b = [v - value(particular, t) for t, v in conds]
     A = [[recurrence_value(m, t) for m in basis] for t, _ in conds]
     return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
+
+
+def polar(block, t0: int, known: bool):
+    """(a, j, c_(a,j)) of `solver._polar`, with the roots a of q taken from `find_roots(q)`
+    (imaginary part >= 0, in its order) and each E_j(t0 + s) summed in Fractions and then
+    rounded; the Lagrange weights are the same float arithmetic on q balanced."""
+    q = block[0][0].factor
+    roots = [r.value for r in find_roots(Poly._make(list(q), 1)).roots if r.value.imag >= 0]
+    mult = max(m.power for m, _ in block) + 1
+    if not known:
+        return [(a, j, None) for a in roots for j in range(mult)]
+    p = _balanced(Poly._make(list(q), 1))
+    cs = [c / p.den for c in p.nums]
+    rows, den = _x_power(q, t0, t0 + len(q) - 2)
+    es = [[float(sum(Fraction(c * nums[m.index], den) for m, c in block if m.power == j))
+           for j in range(mult)] for nums in rows]
+    out = []
+    for a in roots:
+        b = list(accumulate(cs[:0:-1], lambda acc, c: acc * a + c))[::-1]
+        w = sum(x * a**s for s, x in enumerate(b)) * a**t0
+        out += [(a, j, sum(e[j] * x for e, x in zip(es, b)) / w) for j in range(mult)]
+    return out

@@ -302,6 +302,11 @@ def test_deflate_rejects_non_roots():
         Poly(4).deflate(0)
 
 
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="^negative polynomial power$"):
+        Poly(1, 1) ** -1
+
+
 def test_deflate_zero_polynomial():
     # every r is a root of 0, and 0 = (t - r) * 0
     assert Poly().deflate(3) == Poly()
@@ -928,6 +933,15 @@ class TestNumericRoots:
             "isfinite": staticmethod(lambda z: False)}))
         algebra._sweep(cs, forced)
         assert all(abs(a - b) <= 1e-12 * abs(a) for a, b in zip(usual, forced))
+
+    def test_meeting_approximations_are_an_error(self, monkeypatch):
+        # two approximations at one point divide by zero in a sweep: not settled
+        def met(cs, zs):
+            raise ZeroDivisionError
+        monkeypatch.setattr(algebra, "_sweep", met)
+        with pytest.raises(ValueError, match="^root approximations did not settle within "
+                                             "100 sweeps$"):
+            find_roots(Poly(-2, 0, 1))
 
     def test_unsettled_iteration_is_an_error(self, monkeypatch, capsys):
         monkeypatch.setattr(algebra, "_MAX_SWEEPS", 1)

@@ -258,6 +258,23 @@ class TestExitCodes:
         code, _, _ = run(capsys, "verify", GOLDEN_EQUATIONS[0], "3^t")
         assert code == cli.EXIT_VERIFY
 
+    def test_solve_mismatch_code(self, capsys, monkeypatch):
+        # a report that is not ok makes `solve --verify` exit 3 after printing the solution
+        def wrong(eq, sol, horizon):
+            return oracle.verify_solution(eq, parse_expression("3^t"), horizon=horizon)
+        monkeypatch.setattr(cli, "verify_solution", wrong)
+        code, out, err = run(capsys, "solve", GOLDEN_EQUATIONS[0], "--verify")
+        assert (code, err) == (cli.EXIT_VERIFY, "")
+        assert "particular:  -1/2 * 3^t\n" in out
+        assert out.endswith("verification: mismatch at t=0: expected 1, got -2 (forward-apply)\n")
+
+    def test_main_without_a_digit_cap(self, capsys, monkeypatch):
+        # before Python 3.10.7 there is no int-to-str cap, and main leaves none to restore
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        code, out, err = run(capsys, "solve", GOLDEN_EQUATIONS[0])
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert "particular:  -1/2 * 3^t\nhomogeneous: 1, 4^t\n" in out
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "solve")
         assert code == cli.EXIT_PARSE

@@ -70,6 +70,11 @@ def test_base_zero_rejected():
         Term(1, 0)
 
 
+def test_number_as_term_polynomial():
+    assert Term(2, 3, 5).poly == Poly(5)
+    assert Term(1, 1, F(1, 2)) == Term(1, 1, Poly(F(1, 2)))
+
+
 def test_zero_terms_evaluate_to_zero():
     assert SequenceExpr.of(Term(0, 2)).eval_at(3) == 0
     assert SequenceExpr.of(Term(1, 2, Poly())).eval_at(-3) == 0
@@ -245,6 +250,14 @@ class TestApplyOperator:
         P = OperatorPoly.from_poly(Poly(-2, 1) ** 2)
         mode = SequenceExpr.of(Term(1, 2, Poly(0, 1)))
         assert apply_operator(P, mode).is_zero
+
+    def test_past_the_work_bound(self):
+        # (T+1)^100 on t^1000: 100 shifts of a degree-1000 payload, refused before any
+        P = OperatorPoly.from_poly(Poly(1, 1) ** 100)
+        e = SequenceExpr.of(Term(1, 1, Poly([0] * 1000 + [1])))
+        with pytest.raises(ValueError, match=r"^applying the operator takes about 100200100 "
+                                             r"shift steps, over the limit of 20000000$"):
+            apply_operator(P, e)
 
     def test_randomized_pointwise(self):
         rng = random.Random(20230817)

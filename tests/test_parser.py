@@ -351,6 +351,16 @@ def test_error_branches_name_what_they_expect(src, cls, offset, expected):
     assert (exc.value.offset, exc.value.expected) == (offset, expected)
 
 
+def test_operator_degree_past_the_limit():
+    # degree 201 is a SemanticError at the '='; degree 200 parses
+    src = "y(t+201) - y(t) = 1"
+    with pytest.raises(SemanticError) as exc:
+        parse_equation(src)
+    assert (exc.value.offset, exc.value.expected) == \
+        (src.index("="), "an operator of degree at most 200")
+    assert parse_equation("y(t+200) - y(t) = 1").operator.degree == 200
+
+
 def test_error_carries_expectation_and_snippet():
     with pytest.raises(ParseError) as exc:
         parse_equation("y(t+1) - y(t = 1")

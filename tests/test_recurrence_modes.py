@@ -15,15 +15,35 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdsolve import algebra, oracle
+from fdsolve import algebra, oracle, solver
 from fdsolve.algebra import OperatorPoly, Poly, _x_power
 from fdsolve.expr import SequenceExpr, _sum
 from fdsolve.oracle import iterate_recurrence, verify_solution
 from fdsolve.parser import parse_equation, parse_initial
-from fdsolve.solver import Equation, RecurrenceMode, Solution, solve, solve_homogeneous
+from fdsolve.solver import (Equation, NumericMode, RecurrenceMode, Solution, solve,
+                            solve_homogeneous)
 
-from fraction_reference import gauss_jordan, recurrence_value
-from instance_gen import COEFFS, rand_initial, rand_operator, rand_rhs, rational_mode
+from fraction_reference import gauss_jordan, polar, recurrence_value
+from instance_gen import (COEFFS, irrational_root_operator, rand_initial, rand_operator,
+                          rand_rhs, rational_mode)
+
+
+def spy(monkeypatch, name):
+    """The callers, in order, of the `algebra` function `name`, called from `algebra` or
+    from `solver`'s import of it; each call goes through."""
+    callers, real = [], getattr(algebra, name)
+
+    def spied(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # a comprehension's frame before 3.12
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(*args)
+
+    for module in (algebra, solver):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, spied)
+    return callers
 
 
 def irrational_instances(seed, count, t0s):
@@ -221,18 +241,8 @@ def test_roots_past_the_float_range_solve_and_verify_exactly():
 ], ids=["fibonacci", "1+-i", "cubic-3^t"])
 def test_only_the_view_approximates_roots(monkeypatch, src, initial):
     """`solve`, `verify_solution`, `general_value_at` and `general_expr` make no root
-    float; `view` makes one set per factor of degree >= 2, each through `find_roots`."""
-    callers = []
-    approximate = algebra._approximate
-
-    def spy(p, real):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):   # a comprehension's frame before 3.12
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return approximate(p, real)
-
-    monkeypatch.setattr(algebra, "_approximate", spy)
+    float; `view` makes one set per factor of degree >= 2, each in `_polar`."""
+    callers = spy(monkeypatch, "_approximate")
     eq = parse_equation(src)
     eq = Equation(eq.operator, eq.rhs, parse_initial(initial))
     sol = solve(eq)
@@ -242,4 +252,68 @@ def test_only_the_view_approximates_roots(monkeypatch, src, initial):
     assert callers == []
     sol.view(0)
     factors = {m.factor for m in sol.homogeneous if len(m.factor) > 2}
-    assert callers == ["find_roots"] * len(factors) == ["find_roots"]
+    assert callers == ["_polar"] * len(factors) == ["_polar"]
+
+
+@pytest.mark.parametrize("src,initial", [
+    ("y(t+2) - y(t+1) - y(t) = 0", "y(0)=0, y(1)=1"),
+    ("y(t+2) - 2y(t+1) + 2y(t) = 0", "y(0)=0, y(1)=1"),
+    ("y(t+3) - y(t+2) - 2y(t+1) + y(t) = 3^t", "y(0)=0, y(1)=0, y(2)=0"),
+    ("y(t+6) - 3y(t+2) - 2y(t) = 0", "y(0)=1, y(1)=0, y(2)=0, y(3)=0, y(4)=0, y(5)=0"),
+], ids=["fibonacci", "1+-i", "cubic-3^t", "(x^2-2)(x^2+1)^2"])
+def test_view_runs_one_float_pass_per_factor(monkeypatch, src, initial):
+    """A mode's factor q is square-free with no rational root, so the view, with or without
+    constants, neither decomposes q again nor calls `find_roots`: one `_approximate` pass
+    per factor of degree >= 2 gives its roots."""
+    eq = parse_equation(src)
+    sols = [solve(Equation(eq.operator, eq.rhs, parse_initial(initial))), solve(eq)]
+    calls = {name: spy(monkeypatch, name)
+             for name in ("_square_free", "find_roots", "_approximate")}
+    for sol in sols:
+        sol.view(0)
+    factors = {m.factor for m in sols[0].homogeneous if len(m.factor) > 2}
+    assert calls == {"_square_free": [], "find_roots": [],
+                     "_approximate": ["_polar"] * 2 * len(factors)}
+    assert len(factors) == (2 if src.startswith("y(t+6)") else 1)
+
+
+def test_approximate_refuses_roots_past_the_float_range():
+    """`_approximate` raises the refusal itself, for `find_roots` and the view alike."""
+    op = parse_equation("(1/2)^1074 y(t+3) + y(t+2) + y(t+1) + y(t) = 0").operator
+    q, = {m.factor for m in solve_homogeneous(op)}
+    p = algebra._balanced(Poly._make(list(q), 1))
+    with pytest.raises(ValueError, match=r"^coefficients span beyond the float range; "
+                                         r"roots not found$"):
+        algebra._approximate(p, algebra._rational_roots(p)[2])
+
+
+def printed(sol, t0):
+    """`sol.view(t0)` with every float as its hex string, so that == compares bits."""
+    modes, constants = sol.view(t0)
+    return ([(m.modulus.hex(), m.angle.hex(), m.power, m.kind) if isinstance(m, NumericMode)
+             else str(m) for m in modes],
+            constants and [c.hex() if isinstance(c, float) else c for c in constants])
+
+
+def test_view_bits_match_the_find_roots_and_fraction_reference(monkeypatch):
+    """The printed modes and constants, bit for bit, against `fraction_reference.polar`
+    (roots from `find_roots(q)`, E_j in Fractions): 200 seeded instances, 20 squares and
+    cubes of irrational-root operators, and the close roots +-sqrt(2), +-sqrt(2 + 10^-30);
+    each with its initial values and without."""
+    cases = [eq for _, eq, _ in irrational_instances(3301, 200, range(-20, 21))]
+    rng = random.Random(3302)
+    for _ in range(20):
+        op = OperatorPoly.from_poly(irrational_root_operator(rng) ** rng.choice([2, 3]))
+        cases.append(Equation(op, rand_rhs(rng), rand_initial(rng, op.degree,
+                                                             rng.randint(-20, 20))))
+    close = parse_equation("1000000000000000000000000000000y(t+4) - 40000000000000000000000"
+                           "00000001y(t+2) + 4000000000000000000000000000002y(t) = 0")
+    cases.append(Equation(close.operator, close.rhs,
+                          parse_initial("y(0)=1, y(1)=0, y(2)=0, y(3)=0")))
+    for eq in cases:
+        t0 = eq.initial[0][0]
+        for sol in (solve(eq), solve(Equation(eq.operator, eq.rhs))):
+            got = printed(sol, t0)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_polar", polar)
+                assert got == printed(sol, t0), str(eq)

@@ -384,6 +384,12 @@ class TestFitConstants:
             sol.view(1400)
         assert type(exc.value) is ValueError
 
+def test_general_value_needs_constants():
+    sol = solve(parse_equation(GOLDEN_EQUATIONS[0]))
+    with pytest.raises(ValueError, match="^constants were not fitted"):
+        sol.general_value_at(0)
+
+
 class TestEquationValidation:
     def test_wrong_condition_count(self):
         with pytest.raises(ValueError):
