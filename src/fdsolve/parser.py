@@ -20,7 +20,9 @@ Grammar notes:
   its lowest when that is negative);
 * parentheses nest at most 100 deep;
 * errors carry the byte offset of the first offending character;
-* a y-free polynomial in the variable is one integer `Poly` while it is parsed.
+* a number, the variable, and their products, quotients by nonzero constants
+  and powers are three integers (num, den, k) = (num/den) * t^k, which a sum
+  adds into one numerator list; any other y-free polynomial is a `Poly`.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ _MAX_BITS = 2**20  # k * the bit length of the largest number in a power's base
 _MAX_WORK = 10**7  # a power's estimated squaring work, in units of about 0.1 us
 _MAX_ORDER = 200  # degree of an equation's operator, bounding solve time
 _ONE = Fraction(1)
-_ZERO, _P_ONE, _P_MINUS_ONE, _P_T = (Poly._make(cs, 1) for cs in ([], [1], [-1], [0, 1]))
+_ZERO, _P_ONE, _P_MINUS_ONE = (Poly._make(cs, 1) for cs in ([], [1], [-1]))
 _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 
 # One match per token, with the whitespace before it.  After the greedy \s*, \S or
@@ -82,6 +84,14 @@ def _tokenize(src: str) -> list[_Tok]:
         toks.append((text if kind == "op" else kind, text, m.start(kind)))
     toks.append(("end", "", len(src)))
     return toks
+
+
+def _lift(val: Poly | _Val | tuple) -> Poly | _Val:
+    """A one-term value (num, den, k), den > 0, as the `Poly` (num/den) * t^k."""
+    if type(val) is not tuple:
+        return val
+    num, den, k = val
+    return Poly._make([0] * k + [num], den) if num else _ZERO
 
 
 def _reciprocal(c: Poly) -> Poly:
@@ -122,22 +132,22 @@ class _Val:
     def __mul__(self, c: Poly) -> _Val:
         """The value times a polynomial in the variable, a constant one if the value has y."""
         expr = {key: p * c for key, p in self.expr.items()} if c else {}
-        return _Val({k: v * c for k, v in self.ops.items()}, expr)
+        return _Val({k: c if v is _P_ONE else v * c for k, v in self.ops.items()}, expr)
 
 
-def _has_y(val: Poly | _Val) -> bool:
+def _has_y(val: Poly | _Val | tuple) -> bool:
     return type(val) is _Val and bool(val.ops)
 
 
-def _buckets(val: Poly | _Val) -> _Buckets:
+def _buckets(val: Poly | _Val | tuple) -> _Buckets:
     """A y-free value as a bucket map."""
-    return val.expr if type(val) is _Val else {(_ONE, None, 0): val} if val else {}
+    return val.expr if type(val) is _Val else {(_ONE, None, 0): p} if (p := _lift(val)) else {}
 
 
-def _poly_of(val: Poly | _Val) -> Poly | None:
+def _poly_of(val: Poly | _Val | tuple) -> Poly | None:
     """The value as a polynomial in the variable, or None if it is anything richer."""
-    if type(val) is Poly:
-        return val
+    if type(val) is not _Val:
+        return _lift(val)
     if val.ops or len(val.expr) > 1:
         return None
     (base, kind, _), p = next(iter(val.expr.items()), ((_ONE, None, 0), _ZERO))
@@ -195,10 +205,10 @@ class _Parser:
 
     # ---- expression grammar (y allowed when parsing equation sides) ----
 
-    def parse_sum(self) -> Poly | _Val:
-        """Sum the signed operands: the polynomials at once, over the lcm of their
-        denominators, and the rest bucket by bucket."""
-        polys: list[tuple[int, Poly]] = []
+    def parse_sum(self) -> Poly | _Val | tuple:
+        """Sum the signed operands: the polynomials and one-term values at once, over
+        the lcm of their denominators, and the rest bucket by bucket."""
+        polys: list[tuple[int, Poly | tuple]] = []
         ops: dict[int, Poly] = {}
         expr: _Buckets = {}
         sign = 1
@@ -206,26 +216,31 @@ class _Parser:
             sign = -1 if self.advance()[0] == "-" else 1
         while True:
             val = self.parse_product()
-            if type(val) is Poly:
+            if type(val) is not _Val:
                 polys.append((sign, val))
             else:
                 for k, v in val.ops.items():
-                    ops[k] = ops.get(k, _ZERO) + (v if sign > 0 else -v)
+                    v = v if sign > 0 else -v
+                    ops[k] = ops[k] + v if k in ops else v
                 for (base, kind, n), p in val.expr.items():
                     _insert(expr, base, kind, n, p if sign > 0 else -p)
             if self.peek()[0] not in ("+", "-"):
                 break
             sign = -1 if self.advance()[0] == "-" else 1
-        den = math.lcm(*(p.den for _, p in polys))
-        nums = [0] * max((len(p.nums) for _, p in polys), default=0)
+        den = math.lcm(*(p[1] if type(p) is tuple else p.den for _, p in polys))
+        nums = [0] * max((p[2] + 1 if type(p) is tuple else len(p.nums) for _, p in polys),
+                         default=0)
         for sign, p in polys:
+            if type(p) is tuple:
+                nums[p[2]] += sign * p[0] * (den // p[1])
+                continue
             m = sign * (den // p.den)
             for i in compress(count(), p.nums):
                 nums[i] += m * p.nums[i]
         p = Poly._make(nums, den)
         return _Val(ops, _insert(expr, _ONE, None, 0, p)) if ops or expr else p
 
-    def parse_product(self) -> Poly | _Val:
+    def parse_product(self) -> Poly | _Val | tuple:
         val = self.parse_power()
         while True:
             kind, _, pos = self.peek()
@@ -238,26 +253,24 @@ class _Parser:
             else:
                 return val
 
-    def parse_power(self) -> Poly | _Val:
+    def parse_power(self) -> Poly | _Val | tuple:
         """An atom and its chain of exponents, grouped to the right: a^b^c is
         a^(b^c), and an exponent's leading '-' negates the power after it, so
         2^-1^2 is 2^-(1^2).  The chain is read first and folded from the right, so
         a long chain takes no recursion."""
-        atoms = [self.parse_atom()]
-        heads: list[tuple[_Tok, bool]] = []  # each exponent's first token, and its '-'
+        val = self.parse_atom()
+        chain = None  # (base, its exponent's first token and '-', the links before), no list
         while self.accept("^"):
             neg = self.accept("-")
             tok = self.peek()
             if tok[0] != "num" and (neg or tok[0] != "(" and tok[1] != self.var):
                 self.fail(tok, self._exponent_expected)
-            atom = self.parse_atom()
-            if _has_y(atom):
+            chain, val = (val, tok, neg, chain), self.parse_atom()
+            if _has_y(val):
                 raise SemanticError(self.src, tok[2], "an exponent free of y")
-            atoms.append(atom)
-            heads.append((tok, neg))
-        val = atoms.pop()
-        for (tok, neg), base in zip(reversed(heads), reversed(atoms)):
-            val = self._power(base, val * _P_MINUS_ONE if neg else val, tok[2])
+        while chain:
+            base, tok, neg, chain = chain
+            val = self._power(base, val, neg, tok[2])
         return val
 
     @property
@@ -265,9 +278,13 @@ class _Parser:
         v = self.var
         return f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
 
-    def _power(self, val: Poly | _Val, exp: Poly | _Val, pos: int) -> Poly | _Val:
-        """val^exp for an integer exponent or one linear in the variable."""
-        p = _poly_of(exp)
+    def _power(self, val: Poly | _Val | tuple, exp: Poly | _Val | tuple, neg: bool,
+               pos: int) -> Poly | _Val | tuple:
+        """val^exp, or val^-exp after a '-', for an integer exponent or one linear in
+        the variable."""
+        if type(exp) is tuple and not exp[2] and exp[0] % exp[1] == 0:  # an integer
+            return self._int_power(val, (-1 if neg else 1) * (exp[0] // exp[1]), pos)
+        p = _poly_of(_lift(exp) * _P_MINUS_ONE if neg else exp)
         if p is not None and p.degree < 1:
             if p.den != 1:
                 raise ParseError(self.src, pos, "an integer exponent")
@@ -296,14 +313,19 @@ class _Parser:
         C(h+n-1, n-1) nonzero coefficients for n nonzero coefficients in expr
         (counted as m is), and numbers of about h * log2(n * the largest number
         in expr) bits.  A unit is about 0.1 microseconds.  With n = 1, expr is one
-        term c * b^t * t^j, and c^k * (b^k)^t * t^(j*k) is built directly, unsquared."""
+        term c * b^t * t^j, and c^k * (b^k)^t * t^(j*k) is built directly, unsquared;
+        so does a one-term value (num, den, j), num != 0 in lowest terms."""
         k = abs(k)
-        if type(expr) is Poly:  # its one bucket, keyed by the int 1: no Fraction to hash
-            expr = {(1, None, 0): expr} if expr else {}
-        weights = [(1 if kind is None else 2, p) for (_, kind, _), p in expr.items()]
-        m = sum(w for w, _ in weights) or 1
-        d = max((p.degree for p in expr.values()), default=0)
-        bits = _max_bits(expr)
+        if type(expr) is tuple:  # one bucket, degree d, no squarings
+            num, den, d = expr
+            weights, m, bits = [], 1, (abs(num) | den).bit_length()
+        else:
+            if type(expr) is Poly:  # its one bucket, keyed by the int 1: no Fraction to hash
+                expr = {(1, None, 0): expr} if expr else {}
+            weights = [(1 if kind is None else 2, p) for (_, kind, _), p in expr.items()]
+            m = sum(w for w, _ in weights) or 1
+            d = max((p.degree for p in expr.values()), default=0)
+            bits = _max_bits(expr)
         size = math.comb(k + m - 1, m - 1) * (k * d + 1)
         if k * bits > _MAX_BITS or size > _MAX_DEGREE + 1:
             self.unsupported(pos, f"a power too large to compute (over {_MAX_DEGREE + 1} "
@@ -320,11 +342,19 @@ class _Parser:
             self.unsupported(pos, "a power too large to compute (its squarings would "
                              "take over about a second)")
 
-    def _int_power(self, val: Poly | _Val, k: int, pos: int) -> Poly | _Val:
+    def _int_power(self, val: Poly | _Val | tuple, k: int, pos: int) -> Poly | _Val | tuple:
         if k == 1:
             return val
         if _has_y(val):
             raise SemanticError(self.src, pos, "y raised only to the power 1")
+        if type(val) is tuple and k >= 0:  # (num^k / den^k) * t^(j*k), in lowest terms
+            if not val[0]:
+                return 0**k, 1, 0
+            g = math.gcd(val[0], val[1])
+            val = val[0] // g, val[1] // g, val[2]
+            self._check_power(val, k, pos)
+            return val[0] ** k, val[1] ** k, val[2] * k
+        val = _lift(val)
         if type(val) is Poly and k >= 0:
             self._check_power(val, k, pos)
             return val**k
@@ -353,12 +383,12 @@ class _Parser:
         scale = c**offset if offset >= 0 else _reciprocal(c) ** -offset
         return _Val({}, {(c[0] ** slope, None, 0): scale})
 
-    def parse_atom(self) -> Poly | _Val:
+    def parse_atom(self) -> Poly | _Val | tuple:
         kind, text, pos = tok = self.peek()
         if kind == "num":
             self.advance()  # read from the digits: 3.25 is 325/100
             whole, _, frac = text.partition(".")
-            return Poly._make([int(whole + frac)], 10 ** len(frac))
+            return int(whole + frac), 10 ** len(frac), 0
         if kind == "(":
             if self.depth == _MAX_DEPTH:
                 self.fail(tok, f"at most {_MAX_DEPTH} nested parentheses")
@@ -371,7 +401,7 @@ class _Parser:
         if kind == "name":
             if text == self.var:
                 self.advance()
-                return _P_T
+                return 1, 1, 1
             if text == "y":
                 if not self.allow_y:
                     raise SemanticError(self.src, pos, "an expression without y")
@@ -416,7 +446,11 @@ class _Parser:
 
     # ---- combination rules ----
 
-    def _mul(self, a: Poly | _Val, b: Poly | _Val, pos: int) -> Poly | _Val:
+    def _mul(self, a: Poly | _Val | tuple, b: Poly | _Val | tuple,
+             pos: int) -> Poly | _Val | tuple:
+        if type(a) is tuple and type(b) is tuple:
+            return a[0] * b[0], a[1] * b[1], a[2] + b[2]
+        a, b = _lift(a), _lift(b)
         if _has_y(a) and _has_y(b):
             raise SemanticError(self.src, pos, "a product linear in y (y*y is nonlinear)")
         if _has_y(a) or _has_y(b):
@@ -429,7 +463,12 @@ class _Parser:
             a, b = b, a
         return a * b if type(b) is Poly else _Val({}, _bucket_mul(a.expr, b.expr))
 
-    def _div(self, a: Poly | _Val, b: Poly | _Val, pos: int) -> Poly | _Val:
+    def _div(self, a: Poly | _Val | tuple, b: Poly | _Val | tuple,
+             pos: int) -> Poly | _Val | tuple:
+        if type(a) is tuple and type(b) is tuple and b[0] and not b[2]:  # by a nonzero constant
+            s = 1 if b[0] > 0 else -1
+            return s * a[0] * b[1], s * a[1] * b[0], a[2]
+        a, b = _lift(a), _lift(b)
         if _has_y(b):
             raise SemanticError(self.src, pos, "a y-free divisor")
         c = _poly_of(b)
@@ -464,7 +503,7 @@ def parse_equation(src: str) -> Equation:
     eq_tok = p.expect("=", "'=' between the two sides of the equation")
     rhs = p.parse_sum()
     p.expect("end", "end of input")
-    lhs, rhs = (_Val({}, _buckets(v)) if type(v) is Poly else v for v in (lhs, rhs))
+    lhs, rhs = (v if type(v) is _Val else _Val({}, _buckets(v)) for v in (lhs, rhs))
     net = {k: v for k in lhs.ops.keys() | rhs.ops.keys()
            if (v := lhs.ops.get(k, _ZERO) - rhs.ops.get(k, _ZERO))}
     for (base, kind, n), q in lhs.expr.items():
