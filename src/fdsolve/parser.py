@@ -20,9 +20,8 @@ Grammar notes:
   its lowest when that is negative);
 * parentheses nest at most 100 deep;
 * errors carry the byte offset of the first offending character;
-* a number, the variable, and their products, quotients by nonzero constants
-  and powers are three integers (num, den, k) = (num/den) * t^k, which a sum
-  adds into one numerator list; any other y-free polynomial is a `Poly`.
+* a number, the variable, or a product, quotient or power of them is one term
+  (num, den, k) = (num/den) * t^k until it must be an integer `Poly`.
 """
 from __future__ import annotations
 
@@ -299,7 +298,7 @@ class _Parser:
             raise ParseError(self.src, tok[2], expected)
         return int(whole)
 
-    def _check_power(self, expr: _Buckets | Poly, k: int, pos: int) -> None:
+    def _check_power(self, expr: _Buckets | Poly | tuple, k: int, pos: int) -> None:
         """Refuse expr^k before computing it if it could pass a size limit or its
         squarings could take over about a second.  With m buckets (a trig one
         counts twice, as two exponentials) of degree <= d, expr^k has at most
@@ -313,8 +312,9 @@ class _Parser:
         C(h+n-1, n-1) nonzero coefficients for n nonzero coefficients in expr
         (counted as m is), and numbers of about h * log2(n * the largest number
         in expr) bits.  A unit is about 0.1 microseconds.  With n = 1, expr is one
-        term c * b^t * t^j, and c^k * (b^k)^t * t^(j*k) is built directly, unsquared;
-        so does a one-term value (num, den, j), num != 0 in lowest terms."""
+        term c * b^t * t^j, and c^k * (b^k)^t * t^(j*k) is built directly, unsquared.
+        A one-term value (num, den, j), num != 0 in lowest terms, is such a term of
+        degree j whose largest number is the longer of num and den."""
         k = abs(k)
         if type(expr) is tuple:  # one bucket, degree d, no squarings
             num, den, d = expr
@@ -369,7 +369,7 @@ class _Parser:
             return _Val({}, {(key[0] ** k, None, 0): base[key] ** k})
         return _Val({}, _binary_power(base, k, _bucket_mul)) if k else _P_ONE
 
-    def _t_power(self, val: Poly | _Val, slope: int, offset: int, pos: int) -> _Val:
+    def _t_power(self, val: Poly | _Val | tuple, slope: int, offset: int, pos: int) -> _Val:
         v = self.var
         if _has_y(val):
             raise SemanticError(self.src, pos, f"a constant base (y cannot be raised to {v})")
