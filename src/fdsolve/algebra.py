@@ -2,9 +2,9 @@
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
-`_factors` isolates the real roots in integer arithmetic, with no float, to find
-the rational ones exactly and to count the rest; only `_approximate` makes floats,
-by an Aberth iteration, of the other roots, and refuses roots past the float range.
+`_factors` finds the rational roots and counts the rest by exact real-root isolation,
+with no float, and skips it and Yun's gcd where a prime proves them idle; `_approximate`
+alone makes floats, Aberth's, of the other roots, and refuses roots past the floats.
 Exact work on any root walks x^t mod q, q its primitive integer factor (L*x - N
 for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
 multiply, for `Poly` powers, bucket maps and x^t mod q.
@@ -20,6 +20,7 @@ from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, float, str, Fraction]
+_PRIME = 32749   # below 2^15: a product of two residues fits one machine digit
 
 
 class ZeroConstantTermError(ArithmeticError):
@@ -413,11 +414,31 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     return Poly._make(list(a.nums), a.nums[-1])
 
 
+def _square_free_mod(nums: Sequence[int]) -> bool:
+    """True when sum nums[k] * t^k keeps its lead mod `_PRIME` and, by Euclid's algorithm
+    on the residues, is coprime there to its derivative."""
+    a, b = [c % _PRIME for c in nums], [k * c % _PRIME for k, c in enumerate(nums)][1:]
+    while a[-1] and any(b):
+        while not b[-1]:
+            b.pop()
+        m, inv = len(b), pow(b[-1], -1, _PRIME)
+        for s in reversed(range(len(a) - m + 1)):   # a mod b, in place
+            if c := a[s + m - 1] * inv % _PRIME:
+                for j, x in enumerate(b):
+                    a[s + j] = (a[s + j] - c * x) % _PRIME
+        a, b = b, a[:m - 1]
+    return len(a) == 1
+
+
 def _square_free(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's square-free decomposition: the nonconstant f_i of p = lead * prod f_i^i.
     The f_i are square-free and pairwise coprime, so every root of f_i has multiplicity
     exactly i in p.  The last factor is not made monic: a square-free p comes back
-    unchanged as [(p, 1)]."""
+    unchanged as [(p, 1)], as a plain `Poly`, with no gcd over Q when `_square_free_mod`
+    holds (Brown, J. ACM 1971): the gcd of p and p' over Z keeps its degree mod `_PRIME`,
+    as its lead divides p's, so it is a constant."""
+    if p.degree >= 1 and _square_free_mod(p.nums):
+        return [(Poly._make(list(p.nums), p.den), 1)]
     g = _gcd(p, p.derivative())
     b = _divmod(p, g)[0]
     d = _divmod(p.derivative(), g)[0] - b.derivative()
@@ -565,15 +586,34 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly, int]:
     return found + roots, reduce(Poly.deflate, roots, rest), len(points) - len(roots)
 
 
-def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...], int]]:
+def _rootless(q: list[int]) -> bool:
+    """True when the integer polynomial q has no root 0 ... l-1 mod one of the first four
+    primes l <= 31 that do not divide its lead, so no rational root (Loos, SIAM J. Comput.
+    1983): a root N/L, L dividing the lead, gives the root N * L^-1 mod each such l."""
+    for prime in [l for l in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if q[-1] % l][:4]:
+        rev = [c % prime for c in reversed(q)]
+        for x in range(prime):
+            v = 0
+            for c in rev:
+                v = (v * x + c) % prime
+            if not v:
+                break
+        else:
+            return True
+    return False
+
+
+def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...], int | None]]:
     """(i, rational roots, q, q's number of real roots) for each of Yun's square-free
     factors f_i of p, q the primitive integer form of f_i without its rational roots: exact
-    real-root isolation on f_i finds those and counts the other real roots.  No float."""
+    real-root isolation on f_i finds those and counts the other real roots, except on an f_i
+    of degree >= 2 that `_rootless` holds for: q is f_i's, and the count None.  No float."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     out = []
     for f, mult in _square_free(p):
-        found, rest, real = _rational_roots(f)
+        rootless = f.degree >= 2 and _rootless(_primitive(f))
+        found, rest, real = ([], f, None) if rootless else _rational_roots(f)
         out.append((mult, found, tuple(_primitive(rest)), real))
     return out
 
@@ -581,9 +621,9 @@ def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...], int]]:
 def find_roots(p: Poly) -> RootSet:
     """Factor p completely, with exact multiplicities and exact rational roots: `_factors`
     as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced, which
-    raises ValueError for roots past the float range."""
-    factors = [(mult, found, _approximate(_balanced(Poly._make(list(q), 1)), real))
-               for mult, found, q, real in _factors(p)]
+    raises ValueError for roots past the float range; no factor is isolated twice."""
+    factors = [(mult, found, _approximate(b, _rational_roots(b)[2] if real is None else real))
+               for mult, found, q, real in _factors(p) for b in [_balanced(Poly._make(list(q), 1))]]
     exact = sorted((Root(r, mult, True) for mult, found, _ in factors for r in found),
                    key=lambda r: r.value)
     numeric = sorted((Root(z, mult, False) for mult, _, zs in factors for z in zs),

@@ -504,8 +504,8 @@ def parse_equation(src: str) -> Equation:
     rhs = p.parse_sum()
     p.expect("end", "end of input")
     lhs, rhs = (v if type(v) is _Val else _Val({}, _buckets(v)) for v in (lhs, rhs))
-    net = {k: v for k in lhs.ops.keys() | rhs.ops.keys()
-           if (v := lhs.ops.get(k, _ZERO) - rhs.ops.get(k, _ZERO))}
+    net = {k: lhs.ops[k] - v if k in lhs.ops else -v for k, v in rhs.ops.items()}
+    net = {k: v for k, v in {**lhs.ops, **net}.items() if v}
     for (base, kind, n), q in lhs.expr.items():
         _insert(rhs.expr, base, kind, n, -q)
     phi = SequenceExpr._from_buckets(rhs.expr)

@@ -352,7 +352,7 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[RecurrenceMode, ...]:
     modes t^j * e_m, j < i and m < deg q, first of the degree-1 factor L*x - N of each
     nonzero rational root N/L of multiplicity i, in order of the roots, then of each
     square-free factor q of multiplicity i with no rational root.  Roots at 0 contribute
-    no two-sided mode.  `_factors` finds them exactly: no root float is made or read."""
+    no two-sided mode.  `_factors` finds them, by a prime's proof or by isolation: no float."""
     exact: list[tuple[Fraction, int]] = []
     modes: list[RecurrenceMode] = []
     for mult, found, q, _ in _factors(op):

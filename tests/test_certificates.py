@@ -1,0 +1,165 @@
+"""The modular certificates in `algebra`: `_square_free` skips Yun's gcds when p is coprime
+to p' mod a prime, and `_factors` skips real-root isolation when a square-free factor has
+no root mod a small prime.  Each is a proof or nothing, so with the certificates made to
+fail every result must stay the same, and each input that no certificate covers must take
+the exact path."""
+import hashlib
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from fdsolve import algebra, solver
+from fdsolve.algebra import OperatorPoly, Poly, _factors, _rational_roots, _square_free, find_roots
+from fdsolve.parser import parse_equation
+from fdsolve.solver import solve, solve_homogeneous
+
+# a lead divisible by the square-free prime and by every prime the root sweep may use
+EVERY_PRIME = algebra._PRIME * math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+
+
+def no_certificates(monkeypatch):
+    monkeypatch.setattr(algebra, "_square_free_mod", lambda nums: False)
+    monkeypatch.setattr(algebra, "_rootless", lambda q: False)
+
+
+def counted(factors):
+    """`_factors` with each real-root count filled in, as `find_roots` fills it."""
+    return [(mult, found, q, _rational_roots(Poly._make(list(q), 1))[2] if real is None else real)
+            for mult, found, q, real in factors]
+
+
+def results(p: Poly):
+    return (_square_free(p), counted(_factors(p)), find_roots(p),
+            solve_homogeneous(OperatorPoly.from_poly(p)))
+
+
+def assert_same_without_certificates(p: Poly):
+    got = results(p)
+    with pytest.MonkeyPatch.context() as m:
+        no_certificates(m)
+        assert results(p) == got
+
+
+linear = st.builds(lambda n, d: Poly(F(-n, d), 1), st.integers(-20, 20), st.integers(1, 12))
+small_ints = st.integers(-40, 40)
+
+
+@given(st.lists(st.tuples(linear, st.integers(1, 3)), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, -6]))
+@settings(max_examples=80, deadline=None)
+@seed(35)
+def test_products_of_linear_factors(factors, scale):
+    p = Poly(scale)
+    for f, mult in factors:
+        p = p * f ** mult
+    assert_same_without_certificates(p)
+
+
+@given(st.lists(small_ints, min_size=2, max_size=9).filter(lambda cs: cs[-1]))
+@settings(max_examples=120, deadline=None)
+@seed(35)
+def test_random_integer_polynomials(cs):
+    assert_same_without_certificates(Poly(cs))
+
+
+@given(st.lists(small_ints, min_size=1, max_size=6), st.integers(1, 3),
+       st.lists(small_ints, max_size=3))
+@settings(max_examples=60, deadline=None)
+@seed(35)
+def test_leads_divisible_by_every_certificate_prime(cs, k, square):
+    """Neither certificate has a prime to use, unless the content takes one out of the
+    lead; a square factor is mixed in from some draws."""
+    p = Poly(cs + [k * EVERY_PRIME]) * (Poly(square + [1]) ** 2)
+    assert_same_without_certificates(p)
+
+
+def spy(monkeypatch, name):
+    calls = []
+    real = getattr(algebra, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(algebra, name, wrapper)
+    return calls
+
+
+def test_residue_one_mod_two_is_swept():
+    """Mod 2, T^2 - 9 has one root, at residue 1: a sweep that skipped it would call
+    T^2 - 9 rootless and leave +-3 to the floats."""
+    assert not algebra._rootless([-9, 0, 1])
+    assert _factors(Poly(-9, 0, 1)) == [(1, [F(3), F(-3)], (1,), 0)]
+    assert find_roots(Poly(-9, 0, 1)).is_exact
+    assert solve_homogeneous(OperatorPoly(-9, 0, 1)) == (
+        solver.RecurrenceMode((3, 1), 0, 0), solver.RecurrenceMode((-3, 1), 0, 0))
+
+
+def test_roots_that_meet_mod_the_gcd_prime(monkeypatch):
+    """(x - 1)(x - 1 - 32749) is square-free over Q, but its roots meet mod 32749, so
+    Yun's gcd runs and gives p back."""
+    p = Poly(-1, 1) * Poly(-1 - algebra._PRIME, 1)
+    calls = spy(monkeypatch, "_gcd")
+    assert _square_free(p) == [(Poly(p.nums), 1)]
+    assert calls
+    assert _factors(p) == [(1, [F(32750), F(1)], (1,), 0)]
+
+
+def test_a_square_is_decomposed(monkeypatch):
+    calls = spy(monkeypatch, "_gcd")
+    p = Poly(-2, 0, 1) ** 2
+    assert _square_free(p) == [(Poly(-2, 0, 1), 2)]
+    assert calls
+    assert counted(_factors(p)) == [(2, [], (-2, 0, 1), 2)]
+    assert [(r.multiplicity, r.exact) for r in find_roots(p).roots] == [(2, False)] * 2
+
+
+def test_a_square_that_vanishes_mod_the_gcd_prime():
+    """(32749x + 1)^2 (x - 2) is x - 2 mod 32749, square-free there: only the lead check
+    keeps the certificate from holding."""
+    p = Poly(1, algebra._PRIME) ** 2 * Poly(-2, 1)
+    assert _square_free(p) == [(Poly(-2, 1), 1), (Poly(algebra._PRIME, algebra._PRIME ** 2), 2)]
+    assert _factors(p) == [(1, [F(2)], (1,), 0), (2, [F(-1, algebra._PRIME)], (1,), 0)]
+
+
+@pytest.mark.parametrize("p,found,rest,real", [
+    (Poly(-1, 2), [F(1, 2)], (1,), 0),
+    (Poly(0, -2, 0, 1), [F(0)], (-2, 0, 1), 2),
+], ids=["2T-1", "T^3-2T"])
+def test_degree_one_and_a_root_at_zero_are_isolated(monkeypatch, p, found, rest, real):
+    calls = spy(monkeypatch, "_positive_root_points")
+    assert _factors(p) == [(1, found, rest, real)]
+    assert calls
+
+
+def test_result_types_match_yun():
+    """The certified route returns what Yun returns for a square-free p: a plain `Poly`."""
+    op = OperatorPoly(-360, 2, 1, -1, 2, -840)
+    [(f, mult)] = _square_free(op)
+    assert (type(f), f, mult) == (Poly, op.as_poly(), 1)
+    assert _square_free(Poly(7)) == []
+
+
+def test_a_certified_operator_runs_no_gcd_and_no_isolation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an exact search ran")
+    monkeypatch.setattr(algebra, "_gcd", refuse)
+    monkeypatch.setattr(algebra, "_positive_root_points", refuse)
+    eq = parse_equation("-840y(t+5) + 2y(t+4) - y(t+3) + y(t+2) + 2y(t+1) - 360y(t) = 0")
+    sol = solve(eq)
+    assert [m.factor for m in sol.homogeneous] == [(360, -2, -1, 1, -2, 840)] * 5
+
+
+def test_large_find_roots_outputs_are_unchanged():
+    """The degree-80 and degree-160 polynomials of the bounded-time CI steps: roots,
+    multiplicities and float bits, as sha256 of the `RootSet` repr (shortest float
+    repr round-trips), as the exact path alone gives them."""
+    rng = random.Random(80)
+    p = Poly([rng.randint(-10**6, 10**6) for _ in range(80)] + [10**6])
+    q = Poly([rng.randint(-10**6, 10**6) for _ in range(40)] + [10**6])
+    digests = [hashlib.sha256(repr(find_roots(f)).encode()).hexdigest() for f in (p, p * q * q)]
+    assert digests == ["5e3780786af5d1d55db2c08fadbfb298f1bf66c59f05b57fbb54ba9c914ecc5a",
+                       "2d662961adfa2b70c609f0c5654f3e4321619f7bd73714a707d628809b4f0ff9"]
