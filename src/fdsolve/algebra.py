@@ -2,9 +2,9 @@
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on
 those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
-`_factors` finds the rational roots and counts the rest by exact real-root isolation,
-with no float, and skips it and Yun's gcd where a prime proves them idle; `_approximate`
-alone makes floats, Aberth's, of the other roots, and refuses roots past the floats.
+`_factors` finds the rational roots by lifting roots mod a prime, with no float, and skips
+Yun's gcd where a prime proves it idle; `_real_roots` counts the real roots left, and
+`_approximate` alone makes floats, Aberth's, of them, refusing roots past the floats.
 Exact work on any root walks x^t mod q, q its primitive integer factor (L*x - N
 for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
 multiply, for `Poly` powers, bucket maps and x^t mod q.
@@ -15,7 +15,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, count, repeat, zip_longest
+from itertools import accumulate, chain, count, repeat, zip_longest
 from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -414,18 +414,18 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     return Poly._make(list(a.nums), a.nums[-1])
 
 
-def _square_free_mod(nums: Sequence[int]) -> bool:
-    """True when sum nums[k] * t^k keeps its lead mod `_PRIME` and, by Euclid's algorithm
+def _square_free_mod(nums: Sequence[int], prime: int = _PRIME) -> bool:
+    """True when sum nums[k] * t^k keeps its lead mod the prime and, by Euclid's algorithm
     on the residues, is coprime there to its derivative."""
-    a, b = [c % _PRIME for c in nums], [k * c % _PRIME for k, c in enumerate(nums)][1:]
+    a, b = [c % prime for c in nums], [k * c % prime for k, c in enumerate(nums)][1:]
     while a[-1] and any(b):
         while not b[-1]:
             b.pop()
-        m, inv = len(b), pow(b[-1], -1, _PRIME)
+        m, inv = len(b), pow(b[-1], -1, prime)
         for s in reversed(range(len(a) - m + 1)):   # a mod b, in place
-            if c := a[s + m - 1] * inv % _PRIME:
+            if c := a[s + m - 1] * inv % prime:
                 for j, x in enumerate(b):
-                    a[s + j] = (a[s + j] - c * x) % _PRIME
+                    a[s + j] = (a[s + j] - c * x) % prime
         a, b = b, a[:m - 1]
     return len(a) == 1
 
@@ -522,108 +522,87 @@ def _approximate(p: Poly, real: int) -> list[complex]:
     return [complex(z.real) for z in zs[:real]] + [w for z in upper for w in (z, z.conjugate())]
 
 
-def _variations(cs: list[int]) -> int:
-    """Sign changes in a coefficient sequence, zeros skipped."""
-    signs = [c > 0 for c in cs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _positive_root_points(q: list[int], lead: int) -> list[Fraction]:
-    """A point within 1/(4*lead^2) of each positive root of q, or the root itself.
-
-    q is a square-free integer polynomial, lowest coefficient first, with q(0)
-    != 0.  Vincent-Collins-Akritas bisection: Q(x) = q(2^e x), 2^e past Cauchy's
-    bound, has all roots in (0, 1).  Each interval (c/2^k, (c+1)/2^k) of x is an
-    integer polynomial with that interval's roots in (0, 1), whose number the
-    sign variations of (x+1)^d Q(1/(x+1)) bound (Descartes' rule).  One root is
-    narrowed by exact signs at dyadic points to below 1/(2*lead^2); more are
-    halved into 2^d Q(x/2) and its shift by 1, whose constant term is 0 exactly
-    when the midpoint is a root.
-    """
-    d = len(q) - 1
+def _real_roots(q: Sequence[int]) -> int:
+    """The number of real roots of a square-free integer polynomial q with no rational root,
+    by Vincent-Collins-Akritas bisection on q(x) and q(-x).  Q(x) = q(2^e x), 2^e past
+    Cauchy's bound, has its positive roots in (0, 1), and the sign changes of (x+1)^d
+    Q(1/(x+1)) bound their number (Descartes' rule); past 1, Q is halved into 2^d Q(x/2)
+    and its shift by 1, and no midpoint is a root."""
+    d, total = len(q) - 1, 0
     # every root lies below 1 + ceil(max |q_i| / |q_d|) <= 2^e
-    e = (-(-max(abs(c) for c in q[:-1]) // abs(q[-1]))).bit_length()
-    narrow = (2 * lead * lead) << e   # width 2^(e-k-j) < 1/(2*lead^2) once 2^(k+j) > narrow
-    points: list[Fraction] = []
-    todo = [(0, 0, [c << (e * i) for i, c in enumerate(q)])]
+    e = (-(-max((abs(c) for c in q[:-1]), default=0) // abs(q[-1]))).bit_length()
+    todo = [[c * sign**i << (e * i) for i, c in enumerate(q)] for sign in (1, -1)]
     while todo:
-        k, c, Q = todo.pop()
-        v = _variations(_divide(Q[::-1], repeat(1)))
-        if v == 1:
-            left = next(a for a in Q if a) > 0   # the sign of Q just right of 0
-            num, j = 0, 0   # the root lies in [num/2^j, (num+1)/2^j]
-            while 1 << (k + j) <= narrow:
-                num, j = 2 * num + 1, j + 1
-                # the sign of 2^(j*d) * Q(num/2^j), a remainder of `_divide`
-                if (_divide([a << (j * (d - i)) for i, a in enumerate(Q)], [num])[0] > 0) != left:
-                    num -= 1
-            points.append(Fraction(((c << (j + 1)) + 2 * num + 1) << e, 1 << (k + j + 1)))
-        elif v > 1:
+        Q = todo.pop()
+        signs = [c > 0 for c in _divide(Q[::-1], repeat(1)) if c]
+        v = sum(a != b for a, b in zip(signs, signs[1:]))
+        if v > 1:
             half = [a << (d - i) for i, a in enumerate(Q)]
-            right = _divide(half[:], repeat(1))
-            if not right[0]:
-                points.append(Fraction((2 * c + 1) << e, 1 << (k + 1)))
-            todo += [(k + 1, 2 * c, half), (k + 1, 2 * c + 1, right)]
-    return points
+            todo += [half, _divide(half[:], repeat(1))]
+        total += v == 1
+    return total
 
 
-def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly, int]:
-    """The rational roots of a square-free f, f without them, and its number of real
-    roots left.  A rational root's denominator divides L, the leading coefficient of
-    f's primitive integer form q, and such fractions lie at least 1/L^2 apart, so
-    `limit_denominator(L)` recovers the root from the point within 1/(2L^2) that
-    `_positive_root_points` gives, from q(x) and q(-x), for each nonzero real root.
-    Points that are not confirmed exactly stand for irrational roots."""
-    found, rest = ([Fraction(0)], f.deflate(0)) if not f.nums[0] else ([], f)
-    if rest.degree < 1:
-        return found, rest, 0
-    q = _primitive(rest)
-    lead = abs(q[-1])
-    points = [sign * x.limit_denominator(lead) for sign in (1, -1)
-              for x in _positive_root_points([c * sign**i for i, c in enumerate(q)], lead)]
-    # the point of an irrational root may round to a rational root as well
-    roots = list(dict.fromkeys(r for r in points if not rest._at(*r.as_integer_ratio())[0]))
-    return found + roots, reduce(Poly.deflate, roots, rest), len(points) - len(roots)
+def _roots_mod(q: Sequence[int], prime: int) -> Iterator[int]:
+    """The roots 0 ... prime-1 of q mod prime in increasing order, each found when asked for."""
+    rev = [c % prime for c in reversed(q)]
+    for x in range(prime):
+        v = 0
+        for c in rev:
+            v = (v * x + c) % prime
+        if not v:
+            yield x
 
 
-def _rootless(q: list[int]) -> bool:
-    """True when the integer polynomial q has no root 0 ... l-1 mod one of the first four
-    primes l <= 31 that do not divide its lead, so no rational root (Loos, SIAM J. Comput.
-    1983): a root N/L, L dividing the lead, gives the root N * L^-1 mod each such l."""
-    for prime in [l for l in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if q[-1] % l][:4]:
-        rev = [c % prime for c in reversed(q)]
-        for x in range(prime):
-            v = 0
-            for c in rev:
-                v = (v * x + c) % prime
-            if not v:
-                break
-        else:
-            return True
-    return False
+def _lift_root(q: Sequence[int], a: int, prime: int, bound: int) -> tuple[int, int]:
+    """(b, m) with m = prime^(2^i) > bound and b the root of q mod m that is a mod prime, for
+    a simple root a of q mod prime: Newton's iteration, each step squaring the modulus."""
+    dq, m = [k * c for k, c in enumerate(q)][1:], prime
+    while m <= bound:
+        m *= m
+        v, dv = (reduce(lambda acc, c: (acc * a + c) % m, reversed(f), 0) for f in (q, dq))
+        a = (a - v * pow(dv, -1, m)) % m
+    return a, m
 
 
-def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...], int | None]]:
-    """(i, rational roots, q, q's number of real roots) for each of Yun's square-free
-    factors f_i of p, q the primitive integer form of f_i without its rational roots: exact
-    real-root isolation on f_i finds those and counts the other real roots, except on an f_i
-    of degree >= 2 that `_rootless` holds for: q is f_i's, and the count None.  No float."""
+def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
+    """The rational roots of a square-free f, sorted, and the primitive integer form of f
+    without them: no float (Loos, SIAM J. Comput. 1983).  A root N/D of f's primitive form q,
+    D dividing its lead L, is N * D^-1 mod each prime l not dividing L, so q has none if it has
+    no root mod one such l.  The l are swept in increasing order; from the fourth on, the first
+    where q stays square-free (`_square_free_mod`; one does, q being square-free over Q) has
+    simple roots only, each lifted to a mod l^k > 2 * (L + max |q_i|); then L*a mod l^k, in
+    (-l^k/2, l^k/2], is N * L/D by Cauchy's bound, if `Poly._at` confirms it."""
+    q = _primitive(f)
+    lead = q[-1]
+    primes = chain((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31),   # then trial division
+                   (n for n in count(37, 2) if all(n % k for k in range(3, math.isqrt(n) + 1, 2))))
+    for n, prime in enumerate(l for l in primes if lead % l):
+        hits = _roots_mod(q, prime)
+        if (first := next(hits, None)) is None:
+            return [], tuple(q)
+        if n >= 3 and _square_free_mod(q, prime):
+            break
+    bound = 2 * (lead + max(map(abs, q)))
+    roots = [Fraction(s, lead) for a in (first, *hits) for b, m in [_lift_root(q, a, prime, bound)]
+             for s in [(b * lead + m // 2) % m - m // 2] if not f._at(s, lead)[0]]
+    return sorted(roots), tuple(_primitive(reduce(Poly.deflate, roots, f)))
+
+
+def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...]]]:
+    """(i, f_i's sorted rational roots, q) for each of Yun's square-free factors f_i of p, q
+    the primitive integer form of f_i without them, by `_rational_roots`: no float."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    out = []
-    for f, mult in _square_free(p):
-        rootless = f.degree >= 2 and _rootless(_primitive(f))
-        found, rest, real = ([], f, None) if rootless else _rational_roots(f)
-        out.append((mult, found, tuple(_primitive(rest)), real))
-    return out
+    return [(mult, *_rational_roots(f)) for f, mult in _square_free(p)]
 
 
 def find_roots(p: Poly) -> RootSet:
     """Factor p completely, with exact multiplicities and exact rational roots: `_factors`
-    as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced, which
-    raises ValueError for roots past the float range; no factor is isolated twice."""
-    factors = [(mult, found, _approximate(b, _rational_roots(b)[2] if real is None else real))
-               for mult, found, q, real in _factors(p) for b in [_balanced(Poly._make(list(q), 1))]]
+    as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced, given
+    `_real_roots(q)`, which raises ValueError for roots past the float range."""
+    factors = [(mult, found, _approximate(_balanced(Poly._make(list(q), 1)), _real_roots(q)))
+               for mult, found, q in _factors(p)]
     exact = sorted((Root(r, mult, True) for mult, found, _ in factors for r in found),
                    key=lambda r: r.value)
     numeric = sorted((Root(z, mult, False) for mult, _, zs in factors for z in zs),

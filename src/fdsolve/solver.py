@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _newton,
-                      _power, _rational_roots, _Record, _render_sum, _signed_sum, _x_power,
+                      _power, _real_roots, _Record, _render_sum, _signed_sum, _x_power,
                       series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 
@@ -179,14 +179,14 @@ def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
            known: bool) -> list[tuple[complex, int, complex | None]]:
     """(a, j, c_(a,j)) for the roots a of q, the factor of one block of modes t^j * e_m with
-    constants u_(j,m) (c is None unless known): one `_approximate` pass on q balanced, imag
-    >= 0, in its order, which `view`'s stable sort keeps for tied floats as `find_roots`'s
-    does.  As E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t, Lagrange interpolation at
-    t0 + s, s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) * l_s(a), l_s(a) the t^s
-    coefficient of q(t) / ((t - a) * q'(a)) on the balanced floats."""
+    constants u_(j,m) (c is None unless known): one `_approximate` pass on q balanced, with
+    `_real_roots(q)`, imag >= 0, in its order, which `view`'s stable sort keeps for tied
+    floats as `find_roots`'s does.  As E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t,
+    Lagrange interpolation at t0 + s, s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) *
+    l_s(a), l_s(a) the t^s coefficient of q(t) / ((t - a) * q'(a)) on the balanced floats."""
     q = block[0][0].factor
     p = _balanced(Poly._make(list(q), 1))
-    roots = [a for a in _approximate(p, _rational_roots(p)[2]) if a.imag >= 0]
+    roots = [a for a in _approximate(p, _real_roots(q)) if a.imag >= 0]
     mult = max(m.power for m, _ in block) + 1
     if not known:
         return [(a, j, None) for a in roots for j in range(mult)]
@@ -352,10 +352,10 @@ def solve_homogeneous(op: OperatorPoly) -> tuple[RecurrenceMode, ...]:
     modes t^j * e_m, j < i and m < deg q, first of the degree-1 factor L*x - N of each
     nonzero rational root N/L of multiplicity i, in order of the roots, then of each
     square-free factor q of multiplicity i with no rational root.  Roots at 0 contribute
-    no two-sided mode.  `_factors` finds them, by a prime's proof or by isolation: no float."""
+    no two-sided mode.  `_factors` finds them exactly, by lifting roots mod a prime: no float."""
     exact: list[tuple[Fraction, int]] = []
     modes: list[RecurrenceMode] = []
-    for mult, found, q, _ in _factors(op):
+    for mult, found, q in _factors(op):
         exact += [(r, mult) for r in found if r]
         modes += [RecurrenceMode(q, j, m) for j in range(mult) for m in range(len(q) - 1)]
     return (*(RecurrenceMode(factor, j, 0) for r, mult in sorted(exact)

@@ -534,6 +534,7 @@ def divisor_pair_roots(p):
 
 linear_factors = st.builds(lambda n, d: Poly(F(-n, d), 1),
                            st.integers(-20, 20), st.integers(1, 12))
+SWEEP_PRIMORIAL = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 irreducible_quadratics = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
     lambda bc: not _is_square(bc[0] ** 2 - 4 * bc[1])).map(lambda bc: Poly(bc[1], bc[0], 1))
 
@@ -739,6 +740,24 @@ class TestFindRoots:
         assert sum(r.multiplicity for r in rs.roots) == p.degree
         assert sorted(r.multiplicity for r in rs.roots if not r.exact) == \
             sorted(k for _, k in quadratics for _ in range(2))
+
+    @given(st.one_of(
+        # every sweep prime to 31 divides the lead: the search starts at 37
+        st.builds(lambda f, k: Poly(1, 0, SWEEP_PRIMORIAL) * f ** k,
+                  st.builds(lambda n, d: Poly(F(-n, d), 1), st.integers(-12, 12),
+                            st.integers(1, 3)), st.integers(1, 2)),
+        # r and r + 2*3*5*7*11 meet mod the primes to 11, so the search moves past them
+        st.builds(lambda r, f: Poly(-r, 1) * Poly(-r - 2310, 1) * f,
+                  st.fractions(-30, 30, max_denominator=12), linear_factors),
+        # denominators up to 10^6
+        st.builds(lambda n, d, f: Poly(F(-n, d), 1) * f,
+                  st.integers(-30, 30), st.integers(1, 10**6), linear_factors)))
+    @settings(max_examples=45, deadline=None)
+    @seed(36)
+    def test_lifted_roots_match_divisor_pair_search(self, p):
+        rs = find_roots(p)
+        assert {r.value: r.multiplicity for r in rs.roots if r.exact} == divisor_pair_roots(p)
+        assert sum(r.multiplicity for r in rs.roots) == p.degree
 
 
 def test_render():

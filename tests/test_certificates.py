@@ -1,8 +1,8 @@
-"""The modular certificates in `algebra`: `_square_free` skips Yun's gcds when p is coprime
-to p' mod a prime, and `_factors` skips real-root isolation when a square-free factor has
-no root mod a small prime.  Each is a proof or nothing, so with the certificates made to
-fail every result must stay the same, and each input that no certificate covers must take
-the exact path."""
+"""The modular steps in `algebra`: `_square_free` skips Yun's gcds when p is coprime to p'
+mod a prime, and `_rational_roots` ends its search at a prime where a square-free factor has
+no root, or else lifts the roots mod a prime where the factor stays square-free.  Yun's
+certificate is a proof or nothing, so with it made to fail every result must stay the same,
+and each input that no prime settles must take the exact path."""
 import hashlib
 import math
 import random
@@ -13,23 +13,26 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fdsolve import algebra, solver
-from fdsolve.algebra import OperatorPoly, Poly, _factors, _rational_roots, _square_free, find_roots
-from fdsolve.parser import parse_equation
-from fdsolve.solver import solve, solve_homogeneous
+from fdsolve.algebra import OperatorPoly, Poly, _factors, _real_roots, _square_free, find_roots
+from fdsolve.expr import SequenceExpr
+from fdsolve.parser import parse_equation, parse_initial
+from fdsolve.solver import Equation, solve, solve_homogeneous
 
 # a lead divisible by the square-free prime and by every prime the root sweep may use
 EVERY_PRIME = algebra._PRIME * math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 
 
 def no_certificates(monkeypatch):
-    monkeypatch.setattr(algebra, "_square_free_mod", lambda nums: False)
-    monkeypatch.setattr(algebra, "_rootless", lambda q: False)
+    """Yun's certificate fails at `_PRIME`; the root search's calls at its own primes go
+    through, as it stops only at a prime where the factor stays square-free."""
+    real = algebra._square_free_mod
+    monkeypatch.setattr(algebra, "_square_free_mod", lambda nums, prime=algebra._PRIME:
+                        prime != algebra._PRIME and real(nums, prime))
 
 
 def counted(factors):
-    """`_factors` with each real-root count filled in, as `find_roots` fills it."""
-    return [(mult, found, q, _rational_roots(Poly._make(list(q), 1))[2] if real is None else real)
-            for mult, found, q, real in factors]
+    """`_factors` with each q's real-root count, as `find_roots` counts it."""
+    return [(mult, found, q, _real_roots(q)) for mult, found, q in factors]
 
 
 def results(p: Poly):
@@ -88,11 +91,12 @@ def spy(monkeypatch, name):
     return calls
 
 
-def test_residue_one_mod_two_is_swept():
+def test_residue_one_mod_two_is_swept(monkeypatch):
     """Mod 2, T^2 - 9 has one root, at residue 1: a sweep that skipped it would call
     T^2 - 9 rootless and leave +-3 to the floats."""
-    assert not algebra._rootless([-9, 0, 1])
-    assert _factors(Poly(-9, 0, 1)) == [(1, [F(3), F(-3)], (1,), 0)]
+    lifts = spy(monkeypatch, "_lift_root")
+    assert _factors(Poly(-9, 0, 1)) == [(1, [F(-3), F(3)], (1,))]
+    assert [(a, prime) for _, a, prime, _ in lifts] == [(3, 7), (4, 7)]
     assert find_roots(Poly(-9, 0, 1)).is_exact
     assert solve_homogeneous(OperatorPoly(-9, 0, 1)) == (
         solver.RecurrenceMode((3, 1), 0, 0), solver.RecurrenceMode((-3, 1), 0, 0))
@@ -105,7 +109,16 @@ def test_roots_that_meet_mod_the_gcd_prime(monkeypatch):
     calls = spy(monkeypatch, "_gcd")
     assert _square_free(p) == [(Poly(p.nums), 1)]
     assert calls
-    assert _factors(p) == [(1, [F(32750), F(1)], (1,), 0)]
+    assert _factors(p) == [(1, [F(1), F(32750)], (1,))]
+
+
+def test_roots_that_meet_mod_the_first_primes_lift_from_the_next(monkeypatch):
+    """1 and 2311 = 1 + 2*3*5*7*11 meet mod every prime to 11: (x - 1)(x - 2311) is not
+    square-free there, and the search lifts its roots from 13."""
+    checks, lifts = spy(monkeypatch, "_square_free_mod"), spy(monkeypatch, "_lift_root")
+    assert _factors(Poly(-1, 1) * Poly(-2311, 1)) == [(1, [F(1), F(2311)], (1,))]
+    assert [args[1:] for args in checks] == [(), (7,), (11,), (13,)]   # Yun's, then the search's
+    assert [(a, prime) for _, a, prime, _ in lifts] == [(1, 13), (2311 % 13, 13)]
 
 
 def test_a_square_is_decomposed(monkeypatch):
@@ -122,17 +135,21 @@ def test_a_square_that_vanishes_mod_the_gcd_prime():
     keeps the certificate from holding."""
     p = Poly(1, algebra._PRIME) ** 2 * Poly(-2, 1)
     assert _square_free(p) == [(Poly(-2, 1), 1), (Poly(algebra._PRIME, algebra._PRIME ** 2), 2)]
-    assert _factors(p) == [(1, [F(2)], (1,), 0), (2, [F(-1, algebra._PRIME)], (1,), 0)]
+    assert _factors(p) == [(1, [F(2)], (1,)), (2, [F(-1, algebra._PRIME)], (1,))]
 
 
-@pytest.mark.parametrize("p,found,rest,real", [
-    (Poly(-1, 2), [F(1, 2)], (1,), 0),
-    (Poly(0, -2, 0, 1), [F(0)], (-2, 0, 1), 2),
+@pytest.mark.parametrize("p,found,rest,real,lifted", [
+    (Poly(-1, 2), [F(1, 2)], (1,), 0, [(6, 11)]),
+    (Poly(0, -2, 0, 1), [F(0)], (-2, 0, 1), 2, [(0, 7), (3, 7), (4, 7)]),
 ], ids=["2T-1", "T^3-2T"])
-def test_degree_one_and_a_root_at_zero_are_isolated(monkeypatch, p, found, rest, real):
-    calls = spy(monkeypatch, "_positive_root_points")
-    assert _factors(p) == [(1, found, rest, real)]
-    assert calls
+def test_degree_one_and_a_root_at_zero_are_lifted(monkeypatch, p, found, rest, real, lifted):
+    """Each has a root mod the first four primes that do not divide its lead, and its roots
+    mod the fourth are lifted: 1/2 from 2^-1 = 6 mod 11, and 0 from 0 mod 7, beside the
+    roots 3 and 4 of x^2 - 2 mod 7, which lift to no rational root."""
+    lifts = spy(monkeypatch, "_lift_root")
+    assert _factors(p) == [(1, found, rest)]
+    assert _real_roots(rest) == real
+    assert [(a, prime) for _, a, prime, _ in lifts] == lifted
 
 
 def test_result_types_match_yun():
@@ -146,8 +163,8 @@ def test_result_types_match_yun():
 def test_a_certified_operator_runs_no_gcd_and_no_isolation(monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact search ran")
-    monkeypatch.setattr(algebra, "_gcd", refuse)
-    monkeypatch.setattr(algebra, "_positive_root_points", refuse)
+    for name in ("_gcd", "_lift_root", "_real_roots"):
+        monkeypatch.setattr(algebra, name, refuse)
     eq = parse_equation("-840y(t+5) + 2y(t+4) - y(t+3) + y(t+2) + 2y(t+1) - 360y(t) = 0")
     sol = solve(eq)
     assert [m.factor for m in sol.homogeneous] == [(360, -2, -1, 1, -2, 840)] * 5
@@ -163,3 +180,18 @@ def test_large_find_roots_outputs_are_unchanged():
     digests = [hashlib.sha256(repr(find_roots(f)).encode()).hexdigest() for f in (p, p * q * q)]
     assert digests == ["5e3780786af5d1d55db2c08fadbfb298f1bf66c59f05b57fbb54ba9c914ecc5a",
                        "2d662961adfa2b70c609f0c5654f3e4321619f7bd73714a707d628809b4f0ff9"]
+
+
+def test_degree_seventy_solves_without_counting_real_roots(monkeypatch):
+    """prod (T - r_k), r_k = (-1)^k * k / (1 + k mod 3), k = 1 ... 70: every root is lifted
+    and exact, and `solve` counts no real roots; that runs only where floats are printed."""
+    def refuse(*args):
+        raise AssertionError("real roots were counted")
+    monkeypatch.setattr(algebra, "_real_roots", refuse)
+    roots = [F((-1) ** k * k, 1 + k % 3) for k in range(1, 71)]
+    p = Poly(1)
+    for r in roots:
+        p = p * Poly(-r, 1)
+    initial = ", ".join(f"y({t})={t * t - 3}/{t + 7}" for t in range(70))
+    sol = solve(Equation(OperatorPoly.from_poly(p), SequenceExpr.zero(), parse_initial(initial)))
+    assert sorted(F(-m.factor[0], m.factor[1]) for m in sol.homogeneous) == sorted(roots)

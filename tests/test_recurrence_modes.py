@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +278,23 @@ def test_view_runs_one_float_pass_per_factor(monkeypatch, src, initial):
     assert len(factors) == (2 if src.startswith("y(t+6)") else 1)
 
 
+def test_view_runs_no_rational_root_search(monkeypatch):
+    """The seed-1 `roots` benchmark inputs of one cycle: each mode's factor already has no
+    rational root, so `view` only counts the real roots of each, once, in `_polar`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import inputs  # bench/inputs.py
+    sols = []
+    for inst in inputs.cycle("roots", 1, 0):
+        eq = parse_equation(inst.equation)
+        sols.append(solve(Equation(eq.operator, eq.rhs, parse_initial(inst.initial))))
+    calls = {name: spy(monkeypatch, name) for name in ("_rational_roots", "_real_roots")}
+    for sol in sols:
+        sol.view(0)
+    blocks = sum(len({m.factor for m in sol.homogeneous if len(m.factor) > 2}) for sol in sols)
+    assert calls == {"_rational_roots": [], "_real_roots": ["_polar"] * blocks}
+    assert blocks >= len(sols)
+
+
 def test_approximate_refuses_roots_past_the_float_range():
     """`_approximate` raises the refusal itself, for `find_roots` and the view alike."""
     op = parse_equation("(1/2)^1074 y(t+3) + y(t+2) + y(t+1) + y(t) = 0").operator
@@ -284,7 +302,7 @@ def test_approximate_refuses_roots_past_the_float_range():
     p = algebra._balanced(Poly._make(list(q), 1))
     with pytest.raises(ValueError, match=r"^coefficients span beyond the float range; "
                                          r"roots not found$"):
-        algebra._approximate(p, algebra._rational_roots(p)[2])
+        algebra._approximate(p, algebra._real_roots(q))
 
 
 def printed(sol, t0):
