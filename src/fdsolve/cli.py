@@ -88,7 +88,7 @@ def _report_doc(report: VerifyReport) -> dict[str, Any]:
 
 def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
                   trace: bool) -> dict[str, Any]:
-    modes, constants = sol.view(eq.initial[0][0] if eq.initial else 0)
+    modes, constants = sol.view()
     homog = []
     for mode in modes:
         if isinstance(mode, SequenceExpr):
@@ -120,17 +120,14 @@ def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
 
 def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
                    trace: bool) -> str:
-    modes, constants = sol.view(eq.initial[0][0] if eq.initial else 0)
+    modes, constants = sol.view()
     lines = [f"equation:    {eq}"]
     if eq.initial:
         conds = ", ".join(f"y({t}) = {v}" for t, v in eq.initial)
         lines.append(f"initial:     {conds}")
     lines.append(f"particular:  {sol.particular.render(pretty=True)}")
-    if modes:
-        rendered = ", ".join(m.render(pretty=True) for m in modes)
-        lines.append(f"homogeneous: {rendered}")
-    else:
-        lines.append("homogeneous: (empty basis)")
+    rendered = ", ".join(m.render(pretty=True) for m in modes)
+    lines.append(f"homogeneous: {rendered or '(empty basis)'}")
     if constants is not None:
         pretty = ", ".join(
             f"c{i+1} = {c if isinstance(c, Fraction) else format(c, '.10g')}"

@@ -8,10 +8,10 @@ Two deliberately different routes:
   run once it takes the n initial values and P(T)h is 0 at K_h consecutive t.
 
 Both run on integers and read only `Equation` data, the particular solution's
-buckets and the recurrence modes' factors (no symbolic machinery, nothing from
-the solver).  `_numerators` walks each bucket of an expression once across a
-range of t, and `algebra._x_power` walks x^t mod q for a mode's factor q, so
-each sequence is evaluated once per t however many shifts of it a check needs.
+buckets and the recurrence modes' factors and anchors (no symbolic machinery,
+nothing from the solver).  `_numerators` walks each bucket of an expression, and
+`algebra._x_power` x^(t - a) mod q for the modes of factor q and anchor a, once
+across a range of t, however many shifts of it a check needs.
 Both routes compare integers and build Fractions only for a report.
 """
 from __future__ import annotations
@@ -190,10 +190,11 @@ def verify_solution(
     terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
     k_h = _order((m.factor, (len(m.factor) - 1) * (m.power + 1)) for _, m in terms)
     hi = t0 + k_h + n - 1
-    residues = {f: _x_power(f, t0, hi) for f in {m.factor for _, m in terms}}
+    pairs = {(m.factor, m.anchor) for _, m in terms}
+    residues = {(f, a): _x_power(f, t0 - a, hi - a) for f, a in pairs}   # x^(t - a) mod f
     parts = [(1, *_numerators(particular, t0, hi))]
     for c, m in terms:  # t^j times the x^m column of the residues its factor's modes share
-        rows, den = residues[m.factor]
+        rows, den = residues[m.factor, m.anchor]
         parts.append((c, [t**m.power * r[m.index] for t, r in zip(range(t0, hi + 1), rows)], den))
     g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
     tables = [[c.numerator * (g_den // (c.denominator * den)) * x for x in nums]

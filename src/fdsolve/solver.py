@@ -64,20 +64,20 @@ class NumericMode(_Record):
 
 
 class RecurrenceMode(_Record):
-    """t^power * e_index(t) for a square-free primitive integer factor q, lowest first in
-    `factor`: e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that
-    is 1 at m and 0 elsewhere on [0, deg q).  Exact, with no float: a rational root N/L is
-    the factor L*x - N, with e_0(t) = (N/L)^t, printed as its closed form; the modes of
+    """t^power * e_index(t - anchor) for a square-free primitive integer factor q, lowest
+    first in `factor`: e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0
+    that is 1 at m and 0 elsewhere on [0, deg q).  Exact, with no float: a rational root N/L
+    is the factor L*x - N, with e_0(t) = (N/L)^t, printed as its closed form; the modes of
     one factor share one tuple, and `Solution.view` finds the roots of the rest to print."""
 
-    __slots__ = ("factor", "power", "index")
+    __slots__ = ("factor", "power", "index", "anchor")
 
     def eval_at(self, t: int) -> Fraction:
         """Exact value at integer t (negative t included)."""
         return Fraction(*_values((self,), t)[0])
 
     def _bucket(self) -> tuple[_Key, Poly]:
-        """The closed form t^power * root^t of a degree-1 factor, as one bucket."""
+        """t^power * root^t, the mode of a degree-1 factor times root^anchor, as one bucket."""
         return ((Fraction(-self.factor[0], self.factor[1]), None, 0),
                 Poly._make([0] * self.power + [1], 1))
 
@@ -133,8 +133,8 @@ class Solution(_Record):
         """particular + sum(c_i * mode_i) as one expression, when every mode is a closed form."""
         if self.constants is None or not self.is_exact:
             return None
-        return _sum([*self.particular.buckets, *((key, p * c) for c, mode in
-                     zip(self.constants, self.homogeneous) for key, p in [mode._bucket()])])
+        return _sum([*self.particular.buckets, *((k, p * (c * k[0] ** -m.anchor)) for c, m in
+                     zip(self.constants, self.homogeneous) for k, p in [m._bucket()])])
 
     def general_value_at(self, t: int) -> Fraction:
         """Exact value of particular + sum(c_i * mode_i) at integer t."""
@@ -145,23 +145,23 @@ class Solution(_Record):
         den = math.lcm(*(d for _, d in pairs))
         return Fraction(sum(n * (den // d) for n, d in pairs), den)
 
-    def view(self, t0: int = 0) -> tuple[tuple[SequenceExpr | NumericMode, ...],
-                                         tuple[Fraction | float, ...] | None]:
-        """The modes and constants as printed, t0 the first initial point: closed forms with
-        their Fractions, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
-        with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the
-        exact solution, far off for nearly equal roots; one not finite raises ValueError, as
-        `_approximate` does, once per factor, on a factor whose roots lie out of float reach."""
+    def view(self) -> tuple[tuple[SequenceExpr | NumericMode, ...],
+                            tuple[Fraction | float, ...] | None]:
+        """The modes and constants as printed: closed forms t^j * root^t with their Fractions
+        c * root^-anchor, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
+        with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the exact
+        solution, far off for close roots or values far from the anchor; one not finite raises
+        ValueError, as `_approximate` does, once per factor, on roots out of float reach."""
         known = self.constants is not None
         modes, constants, blocks = [], [], {}
         for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
                         self.homogeneous):
             if len(m.factor) == 2:
                 modes.append(_sum([m._bucket()]))
-                constants.append(c)
+                constants.append(c and c * Fraction(-m.factor[0], m.factor[1]) ** -m.anchor)
             else:
-                blocks.setdefault(m.factor, []).append((m, c))
-        printed = [p for block in blocks.values() for p in _polar(block, t0, known)]
+                blocks.setdefault((m.factor, m.anchor), []).append((m, c))
+        printed = [p for block in blocks.values() for p in _polar(block, known)]
         for a, j, c in sorted(printed, key=lambda p: (p[0].real, p[0].imag)):
             r, theta, k = abs(a), math.atan2(a.imag, a.real), 1 + (a.imag > 0)
             modes += [NumericMode(r, theta, j, kind) for kind in ("cos", "sin")[:k]]
@@ -171,31 +171,30 @@ class Solution(_Record):
 
 
 def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
-    """(num, den) of each mode at integer t, den != 0: one `_x_power` row per factor."""
-    powers = {q: _x_power(q, t, t) for q in {m.factor for m in basis}}
-    return [(t**m.power * powers[m.factor][0][0][m.index], powers[m.factor][1]) for m in basis]
+    """(num, den) of each mode at t, den != 0: one `_x_power` row per factor q and anchor a."""
+    powers = {(q, a): _x_power(q, t - a, t - a) for q, a in {(m.factor, m.anchor) for m in basis}}
+    return [(t**m.power * rows[0][m.index], den) for m in basis
+            for rows, den in [powers[m.factor, m.anchor]]]
 
 
-def _polar(block: list[tuple[RecurrenceMode, Fraction | None]], t0: int,
+def _polar(block: list[tuple[RecurrenceMode, Fraction | None]],
            known: bool) -> list[tuple[complex, int, complex | None]]:
-    """(a, j, c_(a,j)) for the roots a of q, the factor of one block of modes t^j * e_m with
-    constants u_(j,m) (c is None unless known): one `_approximate` pass on q balanced, with
-    `_real_roots(q)`, imag >= 0, in its order, which `view`'s stable sort keeps for tied
-    floats as `find_roots`'s does.  As E_j = sum_m u_(j,m) * e_m = sum_a c_(a,j) * a^t,
-    Lagrange interpolation at t0 + s, s < deg q, gives c_(a,j) = a^-t0 * sum_s E_j(t0 + s) *
-    l_s(a), l_s(a) the t^s coefficient of q(t) / ((t - a) * q'(a)) on the balanced floats."""
-    q = block[0][0].factor
+    """(a, j, c_(a,j)) for the roots a of q, the factor of one block of modes t^j * e_m(t - t0)
+    with constants u_(j,m) (c is None unless known): one `_approximate` pass on q balanced,
+    with `_real_roots(q)`, imag >= 0, in its order, which `view`'s stable sort keeps for tied
+    floats as `find_roots`'s does.  E_j = sum_m u_(j,m) * e_m(t - t0) = sum_a c_(a,j) * a^t
+    is u_(j,s) at t0 + s, s < deg q, so Lagrange interpolation gives c_(a,j) = a^-t0 * sum_s
+    u_(j,s) * l_s(a), l_s(a) the t^s coefficient of q(t) / ((t - a) * q'(a)) in floats."""
+    q, t0 = block[0][0].factor, block[0][0].anchor
     p = _balanced(Poly._make(list(q), 1))
     roots = [a for a in _approximate(p, _real_roots(q)) if a.imag >= 0]
     mult = max(m.power for m, _ in block) + 1
     if not known:
         return [(a, j, None) for a in roots for j in range(mult)]
     cs = [c / p.den for c in p.nums]
-    rows, den = _x_power(q, t0, t0 + len(q) - 2)
-    lcm = math.lcm(*(c.denominator for _, c in block))   # E_j: one int / int, correctly rounded
+    us = {(m.power, m.index): c for m, c in block}
     try:
-        es = [[sum(c.numerator * (lcm // c.denominator) * nums[m.index] for m, c in block
-                   if m.power == j) / (lcm * den) for j in range(mult)] for nums in rows]
+        es = [[float(us.get((j, s), 0)) for j in range(mult)] for s in range(len(q) - 1)]
         out = []
         for a in roots:
             b = list(accumulate(cs[:0:-1], lambda acc, c: acc * a + c))[::-1]   # q(t) / (t - a)
@@ -349,16 +348,19 @@ def solve_particular(op: OperatorPoly, phi: SequenceExpr) -> tuple[SequenceExpr,
 
 def solve_homogeneous(op: OperatorPoly) -> tuple[RecurrenceMode, ...]:
     """Basis of the solution space of op(T) y = 0 on two-sided integer time: the recurrence
-    modes t^j * e_m, j < i and m < deg q, first of the degree-1 factor L*x - N of each
-    nonzero rational root N/L of multiplicity i, in order of the roots, then of each
-    square-free factor q of multiplicity i with no rational root.  Roots at 0 contribute
-    no two-sided mode.  `_factors` finds them exactly, by lifting roots mod a prime: no float."""
+    modes t^j * e_m, j < i and m < deg q, anchored at 0, first of the factor L*x - N of each
+    nonzero rational root N/L of multiplicity i, in root order, then of each square-free factor
+    q of multiplicity i with no rational root, all found exactly by `_factors` (no float)."""
+    return _homogeneous(op, 0)
+
+
+def _homogeneous(op: OperatorPoly, anchor: int) -> tuple[RecurrenceMode, ...]:
     exact: list[tuple[Fraction, int]] = []
     modes: list[RecurrenceMode] = []
     for mult, found, q in _factors(op):
         exact += [(r, mult) for r in found if r]
-        modes += [RecurrenceMode(q, j, m) for j in range(mult) for m in range(len(q) - 1)]
-    return (*(RecurrenceMode(factor, j, 0) for r, mult in sorted(exact)
+        modes += [RecurrenceMode(q, j, m, anchor) for j in range(mult) for m in range(len(q) - 1)]
+    return (*(RecurrenceMode(factor, j, 0, anchor) for r, mult in sorted(exact)
               for factor in [(-r.numerator, r.denominator)] for j in range(mult)), *modes)
 
 
@@ -398,9 +400,9 @@ def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[Re
 
 
 def solve(eq: Equation) -> Solution:
-    """Full pipeline: particular + homogeneous basis + (optional) constants."""
+    """Full pipeline: particular + modes anchored at the first initial point (or 0) + constants."""
     particular, trace = solve_particular(eq.operator, eq.rhs)
-    basis = solve_homogeneous(eq.operator)
+    basis = _homogeneous(eq.operator, eq.initial[0][0] if eq.initial else 0)
     constants = None
     if eq.initial is not None:
         constants = fit_constants(eq.operator, particular, basis, eq.initial)

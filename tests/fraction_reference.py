@@ -51,15 +51,15 @@ def gauss_jordan(A, b, pivot_tol, residual_tol, no_pivot):
 
 
 def recurrence_value(mode, t: int) -> Fraction:
-    """A recurrence mode t^j * e_m(t) by running q(T) e = 0 in Fractions from e's values
-    on [0, k) (1 at m, 0 elsewhere), forward or backward one step at a time."""
-    q, k = mode.factor, len(mode.factor) - 1
+    """A recurrence mode t^j * e_m(t - anchor) by running q(T) e = 0 in Fractions from e's
+    values on [0, k) (1 at m, 0 elsewhere), forward or backward one step at a time."""
+    q, k, u = mode.factor, len(mode.factor) - 1, t - mode.anchor
     e = {s: Fraction(int(s == mode.index)) for s in range(k)}
-    for s in range(k, t + 1):
+    for s in range(k, u + 1):
         e[s] = -sum(q[i] * e[s - k + i] for i in range(k)) / q[k]
-    for s in range(-1, t - 1, -1):
+    for s in range(-1, u - 1, -1):
         e[s] = -sum(q[i] * e[s + i] for i in range(1, k + 1)) / q[0]
-    return Fraction(t) ** mode.power * e[t]
+    return Fraction(t) ** mode.power * e[u]
 
 
 def fit(op, particular, basis, initial):
@@ -69,18 +69,19 @@ def fit(op, particular, basis, initial):
     return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
 
 
-def polar(block, t0: int, known: bool):
+def polar(block, known: bool):
     """(a, j, c_(a,j)) of `solver._polar`, with the roots a of q taken from `find_roots(q)`
-    (imaginary part >= 0, in its order) and each E_j(t0 + s) summed in Fractions and then
-    rounded; the Lagrange weights are the same float arithmetic on q balanced."""
-    q = block[0][0].factor
+    (imaginary part >= 0, in its order) and each E_j(t0 + s), t0 the block's anchor, summed
+    in Fractions from x^s mod q and then rounded; the Lagrange weights are the same float
+    arithmetic on q balanced."""
+    q, t0 = block[0][0].factor, block[0][0].anchor
     roots = [r.value for r in find_roots(Poly._make(list(q), 1)).roots if r.value.imag >= 0]
     mult = max(m.power for m, _ in block) + 1
     if not known:
         return [(a, j, None) for a in roots for j in range(mult)]
     p = _balanced(Poly._make(list(q), 1))
     cs = [c / p.den for c in p.nums]
-    rows, den = _x_power(q, t0, t0 + len(q) - 2)
+    rows, den = _x_power(q, 0, len(q) - 2)   # e_m(t - t0) at t = t0 + s
     es = [[float(sum(Fraction(c * nums[m.index], den) for m, c in block if m.power == j))
            for j in range(mult)] for nums in rows]
     out = []

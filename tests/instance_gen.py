@@ -16,7 +16,7 @@ COEFFS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3) if n]
 def rational_mode(r, j: int = 0) -> RecurrenceMode:
     """The mode t^j * r^t of a rational root r = N/L: t^j * e_0 of the factor L*x - N."""
     r = Fraction(r)
-    return RecurrenceMode((-r.numerator, r.denominator), j, 0)
+    return RecurrenceMode((-r.numerator, r.denominator), j, 0, 0)
 
 
 def rand_poly(rng: random.Random, max_degree: int = 3) -> Poly:

@@ -99,7 +99,7 @@ def test_residue_one_mod_two_is_swept(monkeypatch):
     assert [(a, prime) for _, a, prime, _ in lifts] == [(3, 7), (4, 7)]
     assert find_roots(Poly(-9, 0, 1)).is_exact
     assert solve_homogeneous(OperatorPoly(-9, 0, 1)) == (
-        solver.RecurrenceMode((3, 1), 0, 0), solver.RecurrenceMode((-3, 1), 0, 0))
+        solver.RecurrenceMode((3, 1), 0, 0, 0), solver.RecurrenceMode((-3, 1), 0, 0, 0))
 
 
 def test_roots_that_meet_mod_the_gcd_prime(monkeypatch):

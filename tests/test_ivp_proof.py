@@ -160,7 +160,7 @@ class TestTables:
             table = getattr(oracle, name)
 
             def spied(e, lo, hi):
-                spans.append((lo, hi))
+                spans.append((name, lo, hi))
                 return table(e, lo, hi)
             monkeypatch.setattr(oracle, name, spied)
 
@@ -174,8 +174,10 @@ class TestTables:
             spans.clear()
             report = verify_solution(eq, sol, horizon)
             assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
-            # forward application's tables lie about 0; the initial-value proof's start at t0
-            widths = [hi - lo + 1 for lo, hi in spans if lo == 1000]
+            # forward application's tables lie about 0; the initial-value proof's start at
+            # t0, and its walks of x^(t - a) mod q at t0 - a, 0 for modes anchored at t0
+            starts = {"_numerators": 1000, "_x_power": 0}
+            widths = [hi - lo + 1 for name, lo, hi in spans if lo == starts[name]]
             assert len(widths) == 3  # the particular and the two modes
             assert max(widths) <= max(k_h, n) + n
 

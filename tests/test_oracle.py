@@ -344,7 +344,7 @@ class TestIterateRange:
         report = verify_solution(eq, sol, horizon=self.H)
         assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
         c1, c2 = sol.constants
-        bad = Solution(sol.particular, sol.homogeneous, (c1, c2 + F(1, 3)), sol.trace)
+        bad = Solution(sol.particular, sol.homogeneous, (c1 + F(1, 3), c2), sol.trace)
         report = verify_solution(eq, bad, horizon=self.H)
         assert (report.method, report.mismatch_t) == ("iterate", t0)
         assert (report.expected, report.got) == (want[0], bad.general_value_at(t0))

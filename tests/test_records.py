@@ -36,7 +36,7 @@ def records():
         eq,
         solve(eq),
         VerifyReport("iterate", (0, 5), "mismatch", mismatch_t=3, expected=F(1), got=F(2)),
-        RecurrenceMode((-1, -1, 1), 1, 0),
+        RecurrenceMode((-1, -1, 1), 1, 0, 0),
     ]
 
 

@@ -72,7 +72,7 @@ def test_x_power_against_the_recurrence(q):
         (nums,), den = _x_power(q, t, t)
         assert den > 0 and len(nums) == k
         assert [F(x, den) for x in nums] == \
-            [recurrence_value(RecurrenceMode(q, 0, m), t) for m in range(k)], t
+            [recurrence_value(RecurrenceMode(q, 0, m, 0), t) for m in range(k)], t
 
 
 @pytest.mark.parametrize("q", [(-1, -1, 1), (3, -1, 0, 2), (-4, 2, 1, 3, 1, 6)])
@@ -96,7 +96,7 @@ def test_modes_of_one_factor_share_one_tuple():
     assert blocks == [((1, 1, 1), 0, 0), ((1, 1, 1), 0, 1), ((-2, 0, 1), 0, 0),
                       ((-2, 0, 1), 0, 1), ((-2, 0, 1), 1, 0), ((-2, 0, 1), 1, 1)]
     assert len({id(m.factor) for m in modes[1:]}) == 2
-    assert RecurrenceMode._fields == ("factor", "power", "index")   # no root floats
+    assert RecurrenceMode._fields == ("factor", "power", "index", "anchor")   # no root floats
     assert [m.render() for m in modes[3:]] == ["e_0(t)", "e_1(t)", "t * e_0(t)", "t * e_1(t)"]
 
 
@@ -154,7 +154,7 @@ def test_k_h_points_are_needed_and_enough(monkeypatch, t0):
     t0, ..., t0 + K_h - 2 and not at t0 + K_h - 1, for P = T^2 - T - 3."""
     op = parse_equation("y(t+2) - y(t+1) - 3y(t) = 0").operator
     q = (-2, 0, 1)
-    modes = [RecurrenceMode(q, j, m) for j in range(2) for m in range(2)]
+    modes = [RecurrenceMode(q, j, m, 0) for j in range(2) for m in range(2)]
     k_h = len(modes)
     rows = [[shifted(op, m, t) for m in modes] for t in range(t0, t0 + k_h - 1)]
     cs = (*gauss_jordan([r[:-1] for r in rows], [-r[-1] for r in rows], 0, 0, "singular"), F(1))
@@ -185,7 +185,7 @@ def vandermonde(eq, sol):
     """The float fit that the exact fit replaced, on the printed modes of `sol.view`: the
     values y - particular at the initial points, each column scaled by a power of two,
     then Gauss-Jordan with partial pivoting."""
-    modes, _ = sol.view(eq.initial[0][0])
+    modes, _ = sol.view()
     A = [[float(m.eval_at(t)) if isinstance(m, SequenceExpr) else polar_value(m, t)
           for m in modes] for t, _ in eq.initial]
     b = [float(v - sol.particular.eval_at(t)) for t, v in eq.initial]
@@ -203,7 +203,7 @@ def test_printed_view_matches_a_float_vandermonde_fit():
     eq = Equation(eq.operator, eq.rhs, parse_initial("y(0)=1, y(1)=2, y(2)=3"))
     cases.append((eq, solve(eq)))
     for eq, sol in cases:
-        modes, constants = sol.view(eq.initial[0][0])
+        modes, constants = sol.view()
         assert len(modes) == len(constants) == len(sol.constants)
         for c, r in zip(constants, vandermonde(eq, sol)):
             assert abs(c - r) <= 1e-9 * abs(r), (str(eq), c, r)
@@ -232,7 +232,7 @@ def test_roots_past_the_float_range_solve_and_verify_exactly():
     assert [sol.general_value_at(t) for t in range(0, 31)] == iterate_recurrence(eq, 30)
     with pytest.raises(ValueError, match=r"^coefficients span beyond the float range; "
                                          r"roots not found$"):
-        sol.view(0)
+        sol.view()
 
 
 @pytest.mark.parametrize("src,initial", [
@@ -251,7 +251,7 @@ def test_only_the_view_approximates_roots(monkeypatch, src, initial):
     sol.general_value_at(40)
     assert sol.general_expr() is None
     assert callers == []
-    sol.view(0)
+    sol.view()
     factors = {m.factor for m in sol.homogeneous if len(m.factor) > 2}
     assert callers == ["_polar"] * len(factors) == ["_polar"]
 
@@ -271,7 +271,7 @@ def test_view_runs_one_float_pass_per_factor(monkeypatch, src, initial):
     calls = {name: spy(monkeypatch, name)
              for name in ("_square_free", "find_roots", "_approximate")}
     for sol in sols:
-        sol.view(0)
+        sol.view()
     factors = {m.factor for m in sols[0].homogeneous if len(m.factor) > 2}
     assert calls == {"_square_free": [], "find_roots": [],
                      "_approximate": ["_polar"] * 2 * len(factors)}
@@ -289,7 +289,7 @@ def test_view_runs_no_rational_root_search(monkeypatch):
         sols.append(solve(Equation(eq.operator, eq.rhs, parse_initial(inst.initial))))
     calls = {name: spy(monkeypatch, name) for name in ("_rational_roots", "_real_roots")}
     for sol in sols:
-        sol.view(0)
+        sol.view()
     blocks = sum(len({m.factor for m in sol.homogeneous if len(m.factor) > 2}) for sol in sols)
     assert calls == {"_rational_roots": [], "_real_roots": ["_polar"] * blocks}
     assert blocks >= len(sols)
@@ -305,9 +305,9 @@ def test_approximate_refuses_roots_past_the_float_range():
         algebra._approximate(p, algebra._real_roots(q))
 
 
-def printed(sol, t0):
-    """`sol.view(t0)` with every float as its hex string, so that == compares bits."""
-    modes, constants = sol.view(t0)
+def printed(sol):
+    """`sol.view()` with every float as its hex string, so that == compares bits."""
+    modes, constants = sol.view()
     return ([(m.modulus.hex(), m.angle.hex(), m.power, m.kind) if isinstance(m, NumericMode)
              else str(m) for m in modes],
             constants and [c.hex() if isinstance(c, float) else c for c in constants])
@@ -329,9 +329,8 @@ def test_view_bits_match_the_find_roots_and_fraction_reference(monkeypatch):
     cases.append(Equation(close.operator, close.rhs,
                           parse_initial("y(0)=1, y(1)=0, y(2)=0, y(3)=0")))
     for eq in cases:
-        t0 = eq.initial[0][0]
         for sol in (solve(eq), solve(Equation(eq.operator, eq.rhs))):
-            got = printed(sol, t0)
+            got = printed(sol)
             with monkeypatch.context() as m:
                 m.setattr(solver, "_polar", polar)
-                assert got == printed(sol, t0), str(eq)
+                assert got == printed(sol), str(eq)
