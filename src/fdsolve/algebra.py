@@ -621,13 +621,16 @@ def _binary_power(base, k: int, product: Callable):
     return out
 
 
-def _x_power(q: Sequence[int], lo: int, hi: int) -> tuple[list[list[int]], int]:
+def _x_power(q: Sequence[int], lo: int, hi: int, per_row: bool = False):
     """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
-    lo <= t <= hi, m < k = deg q, for integers q with q(0) != 0, so that t < 0 works with
-    x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for 0 <= lo < k,
-    (-q_0/q_1)^lo for k = 1, else `_binary_power` on `_divmod` remainders; then one integer
-    step per t, x*r mod q with x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k, over one more q_k."""
-    k, lead, width = len(q) - 1, q[-1], hi - lo
+    lo <= t <= hi, m < k = deg q, for integers q with q(0) != 0 (else ValueError), so that
+    t < 0 works with x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for
+    0 <= lo < k, (-q_0/q_1)^lo for k = 1, else `_binary_power` on `_divmod` remainders; then
+    x*r mod q per t: a shift if r_(k-1) = 0, else x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k
+    over one more q_k.  With per_row, den is a list: rows[t - lo] over den[t - lo]."""
+    if not q[0]:
+        raise ValueError(f"mode factor {tuple(q)} has q(0) = 0, so x has no inverse mod q")
+    k, lead = len(q) - 1, q[-1]
     if 0 <= lo < k:
         nums, den = [0] * lo + [1] + [0] * (k - 1 - lo), 1
     elif k == 1:   # x = -q_0/q_1, so x^lo = (a/b)^|lo|
@@ -638,9 +641,11 @@ def _x_power(q: Sequence[int], lo: int, hi: int) -> tuple[list[list[int]], int]:
         x = Poly._make([0, 1], 1) if lo > 0 else Poly._make([-c for c in q[1:]], q[0])
         out = _binary_power(_divmod(x, mod)[1], abs(lo), lambda a, b: _divmod(a * b, mod)[1])
         nums, den = [*out.nums, *[0] * (k - len(out.nums))], out.den
-    rows = [nums]
-    for _ in range(width):
+    rows, dens = [nums], [den]
+    for _ in range(hi - lo):
         top = nums[-1]
-        nums = [lead * a - top * c for a, c in zip([0, *nums[:-1]], q)]
+        nums = [lead * a - top * c for a, c in zip([0, *nums[:-1]], q)] if top else [0, *nums[:-1]]
         rows.append(nums)
-    return [[c * lead ** (width - s) for c in row] for s, row in enumerate(rows)], den * lead**width
+        dens.append(dens[-1] * lead if top else dens[-1])
+    return (rows, dens) if per_row else \
+        ([[c * (dens[-1] // d) for c in row] for d, row in zip(dens, rows)], dens[-1])

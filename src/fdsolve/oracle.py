@@ -5,7 +5,8 @@ Two deliberately different routes:
 * forward application — plug the particular solution back in pointwise:
   a_0*y(t) + ... + a_n*y(t+n) = phi(t) at K consecutive t proves it on Z;
 * the initial-value check — y_P + h, h = sum c_i * mode_i, is the recurrence's
-  run once it takes the n initial values and P(T)h is 0 at K_h consecutive t.
+  run once it takes the n initial values and P(T)h is 0 on Z: certified where a power
+  of each factor of h divides P exactly (`_divides`), else shown at K_h consecutive t.
 
 Both run on integers and read only `Equation` data, the particular solution's
 buckets and the recurrence modes' factors and anchors (no symbolic machinery,
@@ -18,14 +19,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Poly, _Record, _x_power
 from .expr import SequenceExpr
 from .solver import Equation, Solution, SolveTrace
 
 # The largest verification horizon.  Forward application builds about K values and the
-# initial-value proof n + K_h, whatever N is; N only names the range a report covers.
+# initial-value proof n or n + K_h, whatever N is; N only names the range a report covers.
 _MAX_HORIZON = 100_000
 
 
@@ -71,6 +72,22 @@ def _order(pairs: Iterable[tuple[Fraction | tuple[int, ...], int]]) -> int:
     for b, count in pairs:
         counts[b] = max(counts.get(b, 0), count)
     return sum(counts.values())
+
+
+def _divides(f: Sequence[int], p: Sequence[int], e: int) -> bool:
+    """f^e divides p over Q (integer coefficients, lowest first, p != 0): e exact divisions
+    by f's primitive part, whose quotients are integral by Gauss's lemma if f^e | p."""
+    g = math.gcd(*f)
+    *low, lead = [c // g for c in f]
+    k, p = len(low), list(p)
+    for s in range(0, k * e, k):   # p[s:] by f, in place: remainder p[s:s+k], quotient above
+        for i in range(len(p) - 1, s + k - 1, -1):
+            p[i], r = divmod(p[i], lead)
+            if r:
+                return False
+            for j, x in enumerate(low, i - k):
+                p[j] -= p[i] * x
+    return not any(p[:k * e])
 
 
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
@@ -154,11 +171,11 @@ def verify_solution(
     past it keeps its t.
     With initial conditions and constants, the initial-value problem ("iterate")
     is proved too: y_P + h, h = sum c_i * mode_i over the nonzero c_i, is the
-    recurrence's run from t0 on once it takes the n given values and P(T)h is 0
-    at t0, ..., t0 + K_h - 1, K_h counted by `_order` on h's factors.
-    The two first part at t + n for the first t with P(T)h(t) != 0: the full
-    scan's mismatch, or one past t0 + horizon.  A horizon below 0 or above
-    `_MAX_HORIZON` raises ValueError.
+    recurrence's run from t0 on once it takes the n given values and P(T)h = 0 on Z:
+    certified if f^(j+1) | P for each mode t^j * e_m of a factor f in h, else shown at
+    t0, ..., t0 + K_h - 1, K_h by `_order` on h's factors.  The two first part at t + n
+    for the first t with P(T)h(t) != 0: the full scan's mismatch, or one past
+    t0 + horizon.  A horizon below 0 or above `_MAX_HORIZON` raises ValueError.
     """
     if horizon < 0:
         raise ValueError(f"verification horizon must be >= 0, got {horizon}")
@@ -188,7 +205,9 @@ def verify_solution(
     t0 = eq.initial[0][0]
     it_range = (t0, t0 + horizon)
     terms = [(c, m) for c, m in zip(constants, solution.homogeneous) if c]
-    k_h = _order((m.factor, (len(m.factor) - 1) * (m.power + 1)) for _, m in terms)
+    k_h = 0 if all(_divides(f, eq.operator.nums, j + 1)
+                   for f, j in {(m.factor, m.power) for _, m in terms}) else \
+        _order((m.factor, (len(m.factor) - 1) * (m.power + 1)) for _, m in terms)
     hi = t0 + k_h + n - 1
     pairs = {(m.factor, m.anchor) for _, m in terms}
     residues = {(f, a): _x_power(f, t0 - a, hi - a) for f, a in pairs}   # x^(t - a) mod f

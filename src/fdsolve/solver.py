@@ -74,7 +74,7 @@ class RecurrenceMode(_Record):
 
     def eval_at(self, t: int) -> Fraction:
         """Exact value at integer t (negative t included)."""
-        return Fraction(*_values((self,), t)[0])
+        return Fraction(*_values((self,), t, t)[0][0])
 
     def _bucket(self) -> tuple[_Key, Poly]:
         """t^power * root^t, the mode of a degree-1 factor times root^anchor, as one bucket."""
@@ -141,7 +141,7 @@ class Solution(_Record):
         if self.constants is None:
             raise ValueError("constants were not fitted (no initial conditions)")
         pairs = [self.particular._ratio(t), *((c.numerator * n, c.denominator * d) for c, (n, d)
-                                              in zip(self.constants, _values(self.homogeneous, t)))]
+                 in zip(self.constants, *_values(self.homogeneous, t, t)))]
         den = math.lcm(*(d for _, d in pairs))
         return Fraction(sum(n * (den // d) for n, d in pairs), den)
 
@@ -170,11 +170,13 @@ class Solution(_Record):
         return tuple(modes), tuple(constants) if known else None
 
 
-def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
-    """(num, den) of each mode at t, den != 0: one `_x_power` row per factor q and anchor a."""
-    powers = {(q, a): _x_power(q, t - a, t - a) for q, a in {(m.factor, m.anchor) for m in basis}}
-    return [(t**m.power * rows[0][m.index], den) for m in basis
-            for rows, den in [powers[m.factor, m.anchor]]]
+def _values(basis: Sequence[RecurrenceMode], lo: int, hi: int) -> list[list[tuple[int, int]]]:
+    """(num, den) of each mode at each t in [lo, hi], den != 0: one `_x_power` walk of
+    x^(t - a) mod q per factor q and anchor a, each row over its own denominator."""
+    walks = {(q, a): _x_power(q, lo - a, hi - a, per_row=True)
+             for q, a in {(m.factor, m.anchor) for m in basis}}
+    return [[((lo + i)**m.power * rows[i][m.index], dens[i]) for m in basis
+             for rows, dens in [walks[m.factor, m.anchor]]] for i in range(hi - lo + 1)]
 
 
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]],
@@ -391,12 +393,16 @@ def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[Re
     """Constants c_i with particular + sum c_i * basis_i matching the initial values.
 
     `_fraction_free` solves on integers, one row per initial value: the modes' values
-    (`_values`) and v - particular(t); only the constants are Fractions.
+    and v - particular(t); only the constants are Fractions.  At consecutive t the modes'
+    values take one `_values` walk per factor and anchor; elsewhere one per t.
     """
     conds = _conditions(initial, op.degree)
-    return _fraction_free([[*_values(basis, t), (v.numerator * d - n * v.denominator,
-                                                 v.denominator * d)]
-                           for t, v in conds for n, d in [particular._ratio(t)]], len(basis))
+    ts = [t for t, _ in conds]
+    values = (_values(basis, ts[0], ts[-1]) if ts and ts == list(range(ts[0], ts[-1] + 1))
+              else [_values(basis, t, t)[0] for t in ts])
+    return _fraction_free([[*row, (v.numerator * d - n * v.denominator, v.denominator * d)]
+                           for row, (t, v) in zip(values, conds)
+                           for n, d in [particular._ratio(t)]], len(basis))
 
 
 def solve(eq: Equation) -> Solution:

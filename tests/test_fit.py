@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from fdsolve import algebra, solver
 from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term
 from fdsolve.parser import parse_equation
-from fdsolve.solver import SingularSystemError, fit_constants, solve_homogeneous, solve_particular
+from fdsolve.solver import (Solution, SingularSystemError, fit_constants, solve_homogeneous,
+                            solve_particular)
 
 import fraction_reference as ref
 from corpus import GOLDEN_EQUATIONS
@@ -148,3 +150,32 @@ def test_degree_70_fit_meets_the_initial_values():
     cs = fit_constants(OperatorPoly.from_poly(p), SequenceExpr.zero(), basis, initial)
     assert all(sum(c * ref.recurrence_value(m, t) for c, m in zip(cs, basis)) == v
                for t, v in initial)
+
+
+def test_one_walk_per_factor_and_anchor(monkeypatch):
+    """Anchor-0 modes of (T - 1)^2 (T^2 - T - 1) (T^2 + T + 1)^2, n = 8, fitted at t0 = 10^5:
+    one `_x_power` walk per factor, one square-and-multiply run per factor of degree 2,
+    and constants that give back the initial values exactly; at points that are not
+    consecutive each point takes its own run."""
+    op = OperatorPoly.from_poly(Poly(-1, 1) ** 2 * Poly(-1, -1, 1) * Poly(1, 1, 1) ** 2)
+    basis = solve_homogeneous(op)
+    walks, squarings = [], []   # the factor of each walk, the exponent of each run
+
+    def spy(module, name, log, arg):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: log.append(a[arg]) or real(*a, **k))
+
+    spy(solver, "_x_power", walks, 0)
+    spy(algebra, "_binary_power", squarings, 1)
+    rng = random.Random(38)
+    for ts in (range(10**5, 10**5 + 8), (10**5, *range(10**5 + 2, 10**5 + 9))):
+        walks.clear(), squarings.clear()
+        initial = [(t, F(rng.randint(-9, 9), rng.randint(1, 9))) for t in ts]
+        cs = fit_constants(op, SequenceExpr.zero(), basis, initial)
+        if ts[1] == ts[0] + 1:
+            assert sorted(walks) == [(-1, -1, 1), (-1, 1), (1, 1, 1)]
+            assert squarings == [10**5, 10**5]
+        else:
+            assert len(walks) == 3 * 8 and len(squarings) == 2 * 8
+        sol = Solution(SequenceExpr.zero(), basis, cs, None)
+        assert all(sol.general_value_at(t) == v for t, v in initial)

@@ -15,15 +15,15 @@ from fractions import Fraction as F
 import pytest
 
 from fdsolve import cli, oracle
-from fdsolve.algebra import Poly
+from fdsolve.algebra import OperatorPoly, Poly, _divmod
 from fdsolve.expr import SequenceExpr
 from fdsolve.oracle import iterate_recurrence, verify_solution
 from fdsolve.parser import parse_equation, parse_expression
-from fdsolve.solver import Equation, Solution, solve
+from fdsolve.solver import Equation, Solution, fit_constants, solve, solve_homogeneous
 
 from fraction_reference import gauss_jordan
-from instance_gen import (BASES, COEFFS, exact_root_operator, rand_initial, rand_rhs,
-                          rational_mode, resonant_instance)
+from instance_gen import (BASES, COEFFS, exact_root_operator, irrational_root_operator,
+                          rand_initial, rand_rhs, rational_mode, resonant_instance)
 from iterate_reference import scan
 from test_algebra import run_bounded
 from test_cli import run
@@ -99,6 +99,77 @@ def test_full_scan_reference_agrees():
                 tally["beyond"] += 1
     assert tally["instances"] >= 500, tally
     assert min(tally.values()) > 0, tally
+
+
+def certificate_instance(i):
+    """A seeded equation with initial values and a solution of it: in turn, `exact_instance`
+    (rational roots, some repeated, resonant right sides), an irrational operator, a squared
+    rational or irrational one (powers j >= 1) solved at t0 in [-3, 3], and one of these
+    three with the anchor-0 `solve_homogeneous` basis fitted at t0 = -10^4 (one in twelve of
+    them, whose values run to thousands of digits), -3 or 7."""
+    if i % 4 == 0:
+        return exact_instance(i)
+    rng = random.Random(3800 + i)
+    op = irrational_root_operator(rng) if i % 4 == 1 else exact_root_operator(rng)
+    if i % 4 == 2 or (i % 4 == 3 and rng.random() < 0.5):
+        op = OperatorPoly.from_poly(rng.choice([op, irrational_root_operator(rng)]).as_poly() ** 2)
+    t0 = rng.randint(-3, 3) if i % 4 < 3 else -10**4 if i % 48 == 3 else rng.choice((-3, 7))
+    eq = Equation(op, rand_rhs(rng, 2), rand_initial(rng, op.degree, t0))
+    try:
+        sol = solve(eq)
+        if i % 4 == 3:
+            basis = solve_homogeneous(op)
+            sol = Solution(sol.particular, basis,
+                           fit_constants(op, sol.particular, basis, eq.initial), sol.trace)
+    except ValueError:
+        return None
+    return rng, eq, sol
+
+
+def test_certificate_changes_no_report(monkeypatch):
+    """Whether f^(J+1) | P certifies P(T)h = 0 or the n + K_h tables run, every report
+    is the same, field for field: at least 500 instances, four ways each (`variants`),
+    at horizons 0, 3 and 50, with the certificate on and forced off."""
+    divides, off = oracle._divides, [False]
+    monkeypatch.setattr(oracle, "_divides", lambda f, p, e: not off[0] and divides(f, p, e))
+    tally = dict.fromkeys(("instances", "certified", "fallback", "repeated", "irrational",
+                           "far", "mismatch"), 0)
+    for i in range(620):
+        inst = certificate_instance(i)
+        if inst is None:
+            continue
+        rng, eq, sol = inst
+        tally["instances"] += 1
+        for s in variants(rng, eq, sol):
+            modes = [m for c, m in zip(s.constants, s.homogeneous) if c]
+            certified = all(divides(m.factor, eq.operator.nums, m.power + 1) for m in modes)
+            tally["certified" if certified else "fallback"] += 1
+            if certified:
+                tally["repeated"] += any(m.power for m in modes)
+                tally["irrational"] += any(len(m.factor) > 2 for m in modes)
+                tally["far"] += eq.initial[0][0] == -10**4
+            for h in (0, 3, 50):
+                off[0] = False
+                got = verify_solution(eq, s, h)
+                off[0] = True
+                assert got == verify_solution(eq, s, h), (i, h)
+                tally["mismatch"] += not got.ok
+    assert tally["instances"] >= 500, tally
+    assert min(tally.values()) >= 20, tally
+
+
+@pytest.mark.parametrize("f", [(-2, 1), (3, -1, 2), (-1, -1, -1), (4, 0, -6), (-6, 2, 0, 4)])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_divides_against_poly_products(f, e):
+    """f^e * g divides, as P's integer coefficients, and f^e * g + 1 does not, nor does
+    f^(e+1) where f does not divide g: negative leads and f not primitive among them."""
+    rng = random.Random(f"{f} {e}")
+    for _ in range(8):
+        g = Poly(*(rng.choice(COEFFS) for _ in range(rng.randint(1, 4))))
+        p = Poly(*f) ** e * g
+        assert oracle._divides(f, p.nums, e) and oracle._divides(f, p.nums, e - 1)
+        assert not oracle._divides(f, (p + Poly(1)).nums, e)
+        assert oracle._divides(f, p.nums, e + 1) == (_divmod(g, Poly(*f))[1] == Poly(0))
 
 
 # h's bases and degrees, none a root of OPERATOR: P(T)h has the same ones
@@ -181,12 +252,8 @@ class TestTables:
             assert len(widths) == 3  # the particular and the two modes
             assert max(widths) <= max(k_h, n) + n
 
-    def test_float_solution_keeps_one_run(self, monkeypatch):
-        """Irrational roots: one x^t mod q walk of n + K_h = 4 rows for both recurrence
-        modes of the factor T^2 - T - 1, whatever the horizon, and no recurrence run."""
-        eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", "y(0)=1, y(1)=1")
-        sol = solve(eq)
-        assert not sol.is_exact and all(sol.constants)
+    @staticmethod
+    def spy_walks(monkeypatch):
         calls = []
         x_power = oracle._x_power
 
@@ -199,10 +266,37 @@ class TestTables:
 
         monkeypatch.setattr(oracle, "_x_power", spy)
         monkeypatch.setattr(oracle, "iterate_recurrence", no_run)
+        return calls
+
+    def test_float_solution_keeps_one_run(self, monkeypatch):
+        """Irrational roots: T^2 - T - 1 divides P, so P(T)h = 0 needs no table, and one
+        x^t mod q walk of n = 2 rows serves both recurrence modes of the factor, whatever
+        the horizon, with no recurrence run."""
+        eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", "y(0)=1, y(1)=1")
+        sol = solve(eq)
+        assert not sol.is_exact and all(sol.constants)
+        calls = self.spy_walks(monkeypatch)
         for horizon in (0, 20, 5000):
             calls.clear()
             assert verify_solution(eq, sol, horizon).status == "exact-match"
-            assert calls == [((-1, -1, 1), 0, 3)]
+            assert calls == [((-1, -1, 1), 0, 1)]
+
+    def test_mode_outside_the_kernel_keeps_n_plus_k_h_rows(self, monkeypatch):
+        """c * t * (t - 1) * 2^t added: 0 at both initial points, but T - 2 does not divide
+        P, so each factor's walk keeps n + K_h = 2 + (2 + 3) = 7 rows, and P(T)h != 0 at
+        t0 + K_h - 1 at the latest is a mismatch."""
+        eq = eq_with_initial("y(t+2) - y(t+1) - y(t) = 1", "y(0)=1, y(1)=1")
+        sol = solve(eq)
+        s = Solution(sol.particular, (*sol.homogeneous, rational_mode(F(2), 2),
+                                      rational_mode(F(2), 1)), (*sol.constants, F(3), F(-3)),
+                     sol.trace)
+        calls = self.spy_walks(monkeypatch)
+        for horizon in (0, 20, 5000):
+            calls.clear()
+            report = verify_solution(eq, s, horizon)
+            assert (report.method, report.status) == ("iterate", "mismatch")
+            assert report.mismatch_t <= 6   # t0 + K_h - 1 + n
+            assert sorted(calls) == [((-2, 1), 0, 6), ((-1, -1, 1), 0, 6)]
 
 
 class TestGivenValuesAlwaysChecked:
