@@ -600,3 +600,37 @@ class TestParserArithmetic:
     ])
     def test_trig_identities(self, src, terms):
         assert parse_expression(src) == SequenceExpr(terms)
+
+
+# ---- pinned readings of the y coefficients and of the digits ----
+
+class TestPinnedReadings:
+    # `\d` matches any Unicode decimal digit and `int` reads it, so these parse
+    # as their ASCII forms do; refusing them would be a deliberate change
+    def test_non_ascii_digit_as_a_coefficient(self):
+        eq = parse_equation("y(t+1) - ٣y(t) = 0")
+        assert eq.operator == OperatorPoly(-3, 1)
+        assert eq.rhs == SequenceExpr.constant(0)
+
+    def test_non_ascii_digit_as_a_shift(self):
+        assert parse_equation("y(t+٣) - y(t) = 0").operator == OperatorPoly(-1, 0, 0, 1)
+
+    def test_non_ascii_digit_as_an_initial_value(self):
+        assert parse_initial("y(0)=٣") == ((0, F(3)),)
+
+    @pytest.mark.parametrize("src,operator,rhs", [
+        ("0*y(t+3) + y(t+1) - y(t) = 0", OperatorPoly(-1, 1), SequenceExpr.constant(0)),
+        ("2y(t+1) - y(t) = 2y(t+1) - 3y(t+2) + 1", OperatorPoly(-1, 0, 3),
+         SequenceExpr.constant(1)),
+        ("-(1/2)y(t-1) + 3/4*y(t+1) = t", OperatorPoly(F(-1, 2), 0, F(3, 4)),
+         SequenceExpr.from_poly(Poly(1, 1))),
+        ("y(t+1) - 2.50y(t) = 0", OperatorPoly(F(-5, 2), 1), SequenceExpr.constant(0)),
+    ])
+    def test_y_coefficients(self, src, operator, rhs):
+        eq = parse_equation(src)
+        assert (eq.operator, eq.rhs) == (operator, rhs)
+
+    def test_y_terms_that_cancel(self):
+        with pytest.raises(SemanticError) as err:
+            parse_equation("y(t+1) - y(t+1) = 0")
+        assert err.value.offset == 16
