@@ -240,14 +240,16 @@ def _render_base_power(base: Fraction, shift: int) -> str:
 def _exponent_fold(coeff: Fraction, base: Fraction) -> int | None:
     """Integer j in [-16, 16] with base^j == coeff, for display as base^(t+j), or None.
     As |base| != 1 at most one j fits; log |num| + log den of base^j is |j| times
-    that of base, and the estimate and its neighbours are checked exactly."""
-    if abs(base) == 1:
+    that of base, and the estimate and its neighbours are checked exactly, on the
+    integer numerators and denominators."""
+    (cn, cd), (bn, bd) = coeff.as_integer_ratio(), base.as_integer_ratio()
+    if abs(bn) == bd:
         return None
-    size = [math.log(abs(x.numerator)) + math.log(x.denominator) for x in (coeff, base)]
-    k = round(size[0] / size[1])
-    if (abs(coeff) > 1) != (abs(base) > 1):
+    k = round((math.log(abs(cn)) + math.log(cd)) / (math.log(abs(bn)) + math.log(bd)))
+    if (abs(cn) > cd) != (abs(bn) > bd):
         k = -k
-    return next((j for j in (k - 1, k, k + 1) if -16 <= j <= 16 and base**j == coeff), None)
+    return next((j for j in (k - 1, k, k + 1) if -16 <= j <= 16 and (
+        bn**j * cd == cn * bd**j if j >= 0 else bd**-j * cd == cn * bn**-j)), None)
 
 
 def _render_bucket(key: _Key, p: Poly, pretty: bool) -> str:

@@ -216,8 +216,8 @@ def verify_solution(
         rows, den = residues[m.factor, m.anchor]
         parts.append((c, [t**m.power * r[m.index] for t, r in zip(range(t0, hi + 1), rows)], den))
     g_den = math.lcm(*(c.denominator * den for c, _, den in parts))
-    tables = [[c.numerator * (g_den // (c.denominator * den)) * x for x in nums]
-              for c, nums, den in parts]
+    scales = [c.numerator * (g_den // (c.denominator * den)) for c, _, den in parts]
+    tables = [[f * x for x in nums] for f, (_, nums, _) in zip(scales, parts)]
     gs = [sum(col) for col in zip(*tables)]  # g_den * (y_P + h)(t0 + j)
     for (t, v), g in zip(eq.initial, gs):
         if g * v.denominator != v.numerator * g_den:

@@ -63,6 +63,9 @@ _MAX_ORDER = 200  # degree of an equation's operator, bounding solve time
 _ONE = Fraction(1)
 _ZERO, _P_ONE, _P_MINUS_ONE = (Poly._make(cs, 1) for cs in ([], [1], [-1]))
 _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
+_EXPONENT = "an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
+_NAME_EXPECTED = {"pi": "pi only inside cos(...) or sin(...) arguments",
+                  "T": "y(t+k) notation (T is only valid in operator input)"}
 
 # One match per token, with the whitespace before it.  After the greedy \s*, \S or
 # \Z always matches, so no match backtracks into whitespace (quadratic at the end).
@@ -93,11 +96,6 @@ def _lift(val: Poly | _Val | tuple) -> Poly | _Val:
     return Poly._make([0] * k + [num], den) if num else _ZERO
 
 
-def _reciprocal(c: Poly) -> Poly:
-    """1/c for a nonzero constant polynomial c."""
-    return Poly._make([c.den], c.nums[0])
-
-
 def _max_bits(expr: _Buckets) -> int:
     """The bit length of the longest number in the bucket map: for each base and
     each coefficient in lowest terms, the longer of numerator and denominator."""
@@ -115,23 +113,26 @@ def _inverse(expr: _Buckets) -> _Buckets | None:
     if len(expr) == 1:
         ((base, kind, _), p), = expr.items()
         if kind is None and p.degree == 0:
-            return {(1 / base, None, 0): _reciprocal(p)}
+            return {(1 / base, None, 0): Poly._make([p.den], p.nums[0])}
     return None
 
 
 class _Val:
-    """A parse value that is not a y-free `Poly`: y shift -> constant Poly, plus a bucket map."""
+    """A parse value that is not a y-free `Poly`: y shift -> coefficient numerator over
+    `den` (den > 0; zero coefficients stay, so 0*y(t) still has y), plus a bucket map."""
 
-    __slots__ = ("ops", "expr")
+    __slots__ = ("ops", "expr", "den")
 
-    def __init__(self, ops: dict[int, Poly], expr: _Buckets) -> None:
+    def __init__(self, ops: dict[int, int], expr: _Buckets, den: int = 1) -> None:
         self.ops = ops
         self.expr = expr
+        self.den = den
 
-    def __mul__(self, c: Poly) -> _Val:
-        """The value times a polynomial in the variable, a constant one if the value has y."""
+    def scaled(self, num: int, den: int) -> _Val:
+        """The value times the constant num/den, den > 0."""
+        c = Poly._make([num], den) if num and self.expr else None
         expr = {key: p * c for key, p in self.expr.items()} if c else {}
-        return _Val({k: c if v is _P_ONE else v * c for k, v in self.ops.items()}, expr)
+        return _Val({k: n * num for k, n in self.ops.items()}, expr, self.den * den)
 
 
 def _has_y(val: Poly | _Val | tuple) -> bool:
@@ -153,6 +154,14 @@ def _poly_of(val: Poly | _Val | tuple) -> Poly | None:
     return p if kind is None and base == 1 else None
 
 
+def _const(val: Poly | _Val | tuple) -> tuple[int, int] | None:
+    """The value as a constant (num, den), den > 0, or None if it is not one."""
+    if type(val) is tuple:
+        return None if val[0] and val[2] else (val[0], val[1])
+    p = _poly_of(val)
+    return None if p is None or p.degree > 0 else (p.nums[0] if p else 0, p.den)
+
+
 class _Parser:
     def __init__(self, src: str, var: str, allow_y: bool) -> None:
         self.src = src
@@ -162,36 +171,13 @@ class _Parser:
         self.allow_y = allow_y
         self.depth = 0  # open parentheses around the current atom
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def advance(self) -> _Tok:
+    def expect(self, kind: str, expected: str, text: str | None = None) -> _Tok:
+        """Consume the next token, which must be of this kind (and text)."""
         tok = self.toks[self.i]
-        if tok[0] != "end":
-            self.i += 1
+        if tok[0] != kind or text is not None and tok[1] != text:
+            raise ParseError(self.src, tok[2], expected)
+        self.i += 1
         return tok
-
-    def expect(self, kind: str, expected: str) -> _Tok:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(self.src, tok[2], expected)
-        return self.advance()
-
-    def expect_name(self, text: str, expected: str) -> _Tok:
-        tok = self.peek()
-        if tok[0] != "name" or tok[1] != text:
-            raise ParseError(self.src, tok[2], expected)
-        return self.advance()
-
-    def accept(self, kind: str) -> bool:
-        """Consume the next token if it is of this kind."""
-        if self.peek()[0] != kind:
-            return False
-        self.advance()
-        return True
-
-    def fail(self, tok: _Tok, expected: str) -> None:
-        raise ParseError(self.src, tok[2], expected)
 
     def unsupported(self, pos: int, message: str) -> None:
         """Raise `UnsupportedRhsError(message)` positioned at character `pos`; in
@@ -202,30 +188,34 @@ class _Parser:
         err.offset = len(self.src[:pos].encode("utf-8"))
         raise err
 
-    # ---- expression grammar (y allowed when parsing equation sides) ----
+    # ---- expression grammar, read by index (y allowed when parsing equation sides) ----
 
     def parse_sum(self) -> Poly | _Val | tuple:
         """Sum the signed operands: the polynomials and one-term values at once, over
-        the lcm of their denominators, and the rest bucket by bucket."""
+        the lcm of their denominators, the y coefficients likewise, and the rest bucket
+        by bucket.  A lone operand is returned as it is (a one-term value negated)."""
+        toks = self.toks
         polys: list[tuple[int, Poly | tuple]] = []
-        ops: dict[int, Poly] = {}
+        refs: list[tuple[int, _Val]] = []  # the operands with y
         expr: _Buckets = {}
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
+        kind = toks[self.i][0]  # a leading sign, then each operand's
         while True:
+            sign = -1 if kind == "-" else 1
+            self.i += kind in ("+", "-")
             val = self.parse_product()
+            kind = toks[self.i][0]
+            if kind not in ("+", "-") and not (polys or refs or expr) and (
+                    sign > 0 or type(val) is tuple):  # nothing before: val is the sum
+                return val if sign > 0 else (-val[0], val[1], val[2])
             if type(val) is not _Val:
                 polys.append((sign, val))
             else:
-                for k, v in val.ops.items():
-                    v = v if sign > 0 else -v
-                    ops[k] = ops[k] + v if k in ops else v
-                for (base, kind, n), p in val.expr.items():
-                    _insert(expr, base, kind, n, p if sign > 0 else -p)
-            if self.peek()[0] not in ("+", "-"):
+                if val.ops:
+                    refs.append((sign, val))
+                for (base, trig, n), p in val.expr.items():
+                    _insert(expr, base, trig, n, p if sign > 0 else -p)
+            if kind not in ("+", "-"):
                 break
-            sign = -1 if self.advance()[0] == "-" else 1
         den = math.lcm(*(p[1] if type(p) is tuple else p.den for _, p in polys))
         nums = [0] * max((p[2] + 1 if type(p) is tuple else len(p.nums) for _, p in polys),
                          default=0)
@@ -237,60 +227,59 @@ class _Parser:
             for i in compress(count(), p.nums):
                 nums[i] += m * p.nums[i]
         p = Poly._make(nums, den)
-        return _Val(ops, _insert(expr, _ONE, None, 0, p)) if ops or expr else p
+        if not refs and not expr:
+            return p
+        den = math.lcm(*(v.den for _, v in refs))
+        ops: dict[int, int] = {}
+        for sign, v in refs:
+            m = sign * (den // v.den)
+            for k, n in v.ops.items():
+                ops[k] = ops.get(k, 0) + m * n
+        return _Val(ops, _insert(expr, _ONE, None, 0, p), den)
 
     def parse_product(self) -> Poly | _Val | tuple:
-        val = self.parse_power()
+        """Factors joined by '*', '/' or juxtaposition (5y(t+1), 2t, 3cos(...)), in one
+        loop.  '^' binds tighter and groups to the right: a^b^c is a^(b^c), and an
+        exponent's leading '-' negates the power after it, so 2^-1^2 is 2^-(1^2).  A
+        factor's chain of exponents is read first and folded from the right, so a
+        long chain takes no recursion."""
+        toks, var = self.toks, self.var
+        val = op = None  # the product so far, and the token joining the next factor to it
         while True:
-            kind, _, pos = self.peek()
-            if kind in ("*", "/"):
-                self.advance()
-                rhs = self.parse_power()
-                val = self._mul(val, rhs, pos) if kind == "*" else self._div(val, rhs, pos)
-            elif kind == "name":  # implicit product: 5y(t+1), 2t, 3cos(...)
-                val = self._mul(val, self.parse_power(), pos)
-            else:
+            factor, chain = self.parse_atom(), None  # (base, exponent's pos, '-', links before)
+            while toks[self.i][0] == "^":
+                neg = toks[self.i + 1][0] == "-"
+                self.i += 1 + neg
+                kind, text, pos = toks[self.i]
+                if kind != "num" and (neg or kind != "(" and text != var):
+                    raise ParseError(self.src, pos, _EXPONENT.format(v=var))
+                chain, factor = (factor, pos, neg, chain), self.parse_atom()
+                if _has_y(factor):
+                    raise SemanticError(self.src, pos, "an exponent free of y")
+            while chain:
+                base, pos, neg, chain = chain
+                factor = self._power(base, factor, neg, pos)
+            if op is not None:
+                factor = (self._div if op[0] == "/" else self._mul)(val, factor, op[2])
+            val, op = factor, toks[self.i]
+            if op[0] in ("*", "/"):
+                self.i += 1
+            elif op[0] != "name":  # a name right after a factor is an implicit product
                 return val
-
-    def parse_power(self) -> Poly | _Val | tuple:
-        """An atom and its chain of exponents, grouped to the right: a^b^c is
-        a^(b^c), and an exponent's leading '-' negates the power after it, so
-        2^-1^2 is 2^-(1^2).  The chain is read first and folded from the right, so
-        a long chain takes no recursion."""
-        val = self.parse_atom()
-        chain = None  # (base, its exponent's first token and '-', the links before), no list
-        while self.accept("^"):
-            neg = self.accept("-")
-            tok = self.peek()
-            if tok[0] != "num" and (neg or tok[0] != "(" and tok[1] != self.var):
-                self.fail(tok, self._exponent_expected)
-            chain, val = (val, tok, neg, chain), self.parse_atom()
-            if _has_y(val):
-                raise SemanticError(self.src, tok[2], "an exponent free of y")
-        while chain:
-            base, tok, neg, chain = chain
-            val = self._power(base, val, neg, tok[2])
-        return val
-
-    @property
-    def _exponent_expected(self) -> str:
-        v = self.var
-        return f"an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
 
     def _power(self, val: Poly | _Val | tuple, exp: Poly | _Val | tuple, neg: bool,
                pos: int) -> Poly | _Val | tuple:
         """val^exp, or val^-exp after a '-', for an integer exponent or one linear in
         the variable."""
-        if type(exp) is tuple and not exp[2] and exp[0] % exp[1] == 0:  # an integer
-            return self._int_power(val, (-1 if neg else 1) * (exp[0] // exp[1]), pos)
-        p = _poly_of(_lift(exp) * _P_MINUS_ONE if neg else exp)
-        if p is not None and p.degree < 1:
-            if p.den != 1:
+        s, c = -1 if neg else 1, _const(exp)
+        if c is not None:
+            if c[0] % c[1]:
                 raise ParseError(self.src, pos, "an integer exponent")
-            return self._int_power(val, p.nums[0] if p else 0, pos)
+            return self._int_power(val, s * (c[0] // c[1]), pos)
+        p = _poly_of(exp)
         if p is not None and p.degree == 1 and p.den == 1:  # a*t + b with integers a, b
-            return self._t_power(val, p.nums[1], p.nums[0], pos)
-        raise ParseError(self.src, pos, self._exponent_expected)
+            return self._t_power(val, s * p.nums[1], s * p.nums[0], pos)
+        raise ParseError(self.src, pos, _EXPONENT.format(v=self.var))
 
     def _int_of(self, tok: _Tok, expected: str) -> int:
         whole, _, frac = tok[1].partition(".")
@@ -380,66 +369,70 @@ class _Parser:
         if not c:
             self.unsupported(pos, f"0 cannot be raised to the power {v}")
         self._check_power(c, max(abs(slope), abs(offset)), pos)
-        scale = c**offset if offset >= 0 else _reciprocal(c) ** -offset
+        scale = c**offset if offset >= 0 else Poly._make([c.den], c.nums[0]) ** -offset
         return _Val({}, {(c[0] ** slope, None, 0): scale})
 
     def parse_atom(self) -> Poly | _Val | tuple:
-        kind, text, pos = tok = self.peek()
+        kind, text, pos = self.toks[self.i]
         if kind == "num":
-            self.advance()  # read from the digits: 3.25 is 325/100
+            self.i += 1  # read from the digits: 3.25 is 325/100
             whole, _, frac = text.partition(".")
             return int(whole + frac), 10 ** len(frac), 0
         if kind == "(":
             if self.depth == _MAX_DEPTH:
-                self.fail(tok, f"at most {_MAX_DEPTH} nested parentheses")
-            self.advance()
+                raise ParseError(self.src, pos, f"at most {_MAX_DEPTH} nested parentheses")
+            self.i += 1
             self.depth += 1
             val = self.parse_sum()
             self.depth -= 1
             self.expect(")", "')'")
             return val
         if kind == "name":
+            self.i += 1
             if text == self.var:
-                self.advance()
                 return 1, 1, 1
             if text == "y":
                 if not self.allow_y:
                     raise SemanticError(self.src, pos, "an expression without y")
-                self.advance()
                 return self._parse_y_ref()
             if text in ("cos", "sin"):
-                self.advance()
                 return self._parse_trig(text)
-            if text == "pi":
-                self.fail(tok, "pi only inside cos(...) or sin(...) arguments")
-            if text == "T":
-                self.fail(tok, "y(t+k) notation (T is only valid in operator input)")
-            self.fail(tok, f"one of {'y, ' if self.allow_y else ''}{self.var}, cos, sin")
+            raise ParseError(self.src, pos, _NAME_EXPECTED.get(
+                text, f"one of {'y, ' if self.allow_y else ''}{self.var}, cos, sin"))
         y_ref = "'y(', " if self.allow_y else ""
-        self.fail(tok, f"a number, '{self.var}', {y_ref}'cos(', 'sin(', or '('")
+        raise ParseError(self.src, pos, f"a number, '{self.var}', {y_ref}'cos(', 'sin(', or '('")
 
     def _parse_y_ref(self) -> _Val:
-        self.expect("(", "'(' after y")
-        self.expect_name("t", "'t' as the y argument")
-        shift = 0
-        if self.peek()[0] in ("+", "-"):
-            sign = 1 if self.advance()[0] == "+" else -1
-            shift = sign * self._int_of(self.expect("num", "an integer shift"), "an integer shift")
-        self.expect(")", "')'")
-        return _Val({shift: _P_ONE}, {})
+        """`(t)`, `(t+k)` or `(t-k)` after a y, as the y term of coefficient 1.  Only a
+        name token has the text t, and only an operator token the text ( or )."""
+        toks, i, shift = self.toks, self.i, 0
+        for text, expected in (("(", "'(' after y"), ("t", "'t' as the y argument")):
+            if toks[i][1] != text:
+                raise ParseError(self.src, toks[i][2], expected)
+            i += 1
+        if toks[i][0] in ("+", "-"):
+            if toks[i + 1][0] != "num":
+                raise ParseError(self.src, toks[i + 1][2], "an integer shift")
+            shift = self._int_of(toks[i + 1], "an integer shift")
+            shift, i = -shift if toks[i][0] == "-" else shift, i + 2
+        if toks[i][1] != ")":
+            raise ParseError(self.src, toks[i][2], "')'")
+        self.i = i + 1
+        return _Val({shift: 1}, {})
 
     def _parse_trig(self, name: str) -> _Val:
         self.expect("(", f"'(' after {name}")
-        neg = self.accept("-")
-        n = 1
-        if self.peek()[0] == "num":
-            n = self._int_of(self.advance(), "an integer multiple of pi*t")
-            self.accept("*")
+        toks, n = self.toks, 1
+        neg = toks[self.i][0] == "-"
+        self.i += neg
+        if toks[self.i][0] == "num":
+            n = self._int_of(toks[self.i], "an integer multiple of pi*t")
+            self.i += 1 + (toks[self.i + 1][0] == "*")
         v = self.var
-        self.expect_name("pi", f"'pi' in the trig argument (only cos/sin(n*pi*{v}) is "
-                         "closed-form here)")
+        self.expect("name", f"'pi' in the trig argument (only cos/sin(n*pi*{v}) is "
+                    "closed-form here)", "pi")
         self.expect("*", f"'*' between pi and {v}")
-        self.expect_name(v, f"'{v}' after pi*")
+        self.expect("name", f"'{v}' after pi*", v)
         self.expect(")", "')'")
         coeff = _P_MINUS_ONE if neg and name == "sin" else _P_ONE
         return _Val({}, _insert({}, _ONE, name, n, coeff))
@@ -450,32 +443,35 @@ class _Parser:
              pos: int) -> Poly | _Val | tuple:
         if type(a) is tuple and type(b) is tuple:
             return a[0] * b[0], a[1] * b[1], a[2] + b[2]
-        a, b = _lift(a), _lift(b)
-        if _has_y(a) and _has_y(b):
-            raise SemanticError(self.src, pos, "a product linear in y (y*y is nonlinear)")
         if _has_y(a) or _has_y(b):
-            ref, other = (a, b) if _has_y(a) else (b, a)
-            c = _poly_of(other)
-            if c is None or c.degree > 0:
+            if _has_y(a) and _has_y(b):
+                raise SemanticError(self.src, pos, "a product linear in y (y*y is nonlinear)")
+            ref, c = (a, _const(b)) if _has_y(a) else (b, _const(a))
+            if c is None:
                 raise SemanticError(self.src, pos, _Y_COEFF)
-            return ref * c
+            return ref.scaled(*c)
+        a, b = _lift(a), _lift(b)
         if type(a) is Poly:
             a, b = b, a
-        return a * b if type(b) is Poly else _Val({}, _bucket_mul(a.expr, b.expr))
+        if type(a) is Poly:
+            return a * b
+        if type(b) is Poly:
+            return _Val({}, {key: p * b for key, p in a.expr.items()} if b else {})
+        return _Val({}, _bucket_mul(a.expr, b.expr))
 
     def _div(self, a: Poly | _Val | tuple, b: Poly | _Val | tuple,
              pos: int) -> Poly | _Val | tuple:
         if type(a) is tuple and type(b) is tuple and b[0] and not b[2]:  # by a nonzero constant
             s = 1 if b[0] > 0 else -1
             return s * a[0] * b[1], s * a[1] * b[0], a[2]
-        a, b = _lift(a), _lift(b)
         if _has_y(b):
             raise SemanticError(self.src, pos, "a y-free divisor")
-        c = _poly_of(b)
-        if c is not None and c.degree < 1:
-            if not c:
+        c = _const(b)
+        if c is not None:
+            if not c[0]:
                 raise SemanticError(self.src, pos, "a nonzero divisor")
-            return a * _reciprocal(c)
+            num, den = (c[1], c[0]) if c[0] > 0 else (-c[1], -c[0])  # 1/c, den > 0
+            return a.scaled(num, den) if type(a) is _Val else _lift(a) * Poly._make([num], den)
         inverse = _inverse(_buckets(b))
         if inverse is None:
             self.unsupported(pos, "division is supported only by constants and geometric terms")
@@ -504,8 +500,11 @@ def parse_equation(src: str) -> Equation:
     rhs = p.parse_sum()
     p.expect("end", "end of input")
     lhs, rhs = (v if type(v) is _Val else _Val({}, _buckets(v)) for v in (lhs, rhs))
-    net = {k: lhs.ops[k] - v if k in lhs.ops else -v for k, v in rhs.ops.items()}
-    net = {k: v for k, v in {**lhs.ops, **net}.items() if v}
+    den = math.lcm(lhs.den, rhs.den)
+    net = {k: n * (den // lhs.den) for k, n in lhs.ops.items()}
+    for k, n in rhs.ops.items():
+        net[k] = net.get(k, 0) - n * (den // rhs.den)
+    net = {k: n for k, n in net.items() if n}
     for (base, kind, n), q in lhs.expr.items():
         _insert(rhs.expr, base, kind, n, -q)
     phi = SequenceExpr._from_buckets(rhs.expr)
@@ -521,9 +520,7 @@ def parse_equation(src: str) -> Equation:
     if degree == 0:
         raise SemanticError(src, eq_tok[2],
                             "y at two or more distinct shifts (a difference, not an identity)")
-    den = math.lcm(*(v.den for v in net.values()))
-    nums = [net[k].nums[0] * (den // net[k].den) if k in net else 0 for k in range(degree + 1)]
-    return Equation(OperatorPoly._make(nums, den), phi)
+    return Equation(OperatorPoly._make([net.get(k, 0) for k in range(degree + 1)], den), phi)
 
 
 def parse_operator(src: str) -> OperatorPoly:
@@ -544,19 +541,21 @@ def parse_initial(src: str) -> tuple[Condition, ...]:
     p = _Parser(src, "t", allow_y=False)
     conds: list[tuple[int, Fraction, int]] = []
     while True:
-        head = p.expect_name("y", "'y(' starting a condition")
+        head = p.expect("name", "'y(' starting a condition", "y")
         p.expect("(", "'(' after y")
-        sign = -1 if p.accept("-") else 1
-        tpoint = sign * p._int_of(p.expect("num", "an integer time point"), "an integer time point")
+        neg = p.toks[p.i][0] == "-"
+        p.i += neg
+        tpoint = p._int_of(p.expect("num", "an integer time point"), "an integer time point")
         p.expect(")", "')'")
         p.expect("=", "'=' after the time point")
-        c = _poly_of(p.parse_sum())
-        if c is None or c.degree > 0:
+        c = _const(p.parse_sum())
+        if c is None:
             raise SemanticError(p.src, head[2], "a rational constant value")
-        conds.append((tpoint, c[0], head[2]))
-        if not p.accept(","):
+        conds.append((-tpoint if neg else tpoint, Fraction(*c), head[2]))
+        if p.toks[p.i][0] != ",":
             p.expect("end", "',' or end of input")
             break
+        p.i += 1
     conds.sort(key=lambda c: c[0])
     for (t0, _, _), (t1, _, pos) in zip(conds, conds[1:]):
         if t1 != t0 + 1:

@@ -634,3 +634,18 @@ class TestPinnedReadings:
         with pytest.raises(SemanticError) as err:
             parse_equation("y(t+1) - y(t+1) = 0")
         assert err.value.offset == 16
+
+    @pytest.mark.parametrize("src,result", [
+        ("2^-1^t", SequenceExpr.constant(F(1, 2))),  # 1^t is the constant 1
+        ("2^-3^t", ParseError),
+        ("2^-2^(t+1)", ParseError),
+        ("2^-(4/2)", ParseError),  # after '-' the exponent starts with a number
+        ("2^(4/2)", SequenceExpr.constant(4)),
+    ])
+    def test_negated_exponent_chains(self, src, result):
+        if result is ParseError:
+            with pytest.raises(ParseError) as err:
+                parse_expression(src)
+            assert err.value.offset == 3
+        else:
+            assert parse_expression(src) == result
