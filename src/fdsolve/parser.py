@@ -55,7 +55,7 @@ class NonConsecutiveConditionsError(SemanticError):
     """Initial conditions must sit at consecutive integers."""
 
 
-_MAX_DEPTH = 100  # parenthesis nesting; each level takes about five stack frames
+_MAX_DEPTH = 100  # parenthesis nesting; each level takes three stack frames
 _MAX_DEGREE = 4000  # a power holds at most this + 1 coefficients over all its buckets
 _MAX_BITS = 2**20  # k * the bit length of the largest number in a power's base
 _MAX_WORK = 10**7  # a power's estimated squaring work, in units of about 0.1 us
