@@ -38,13 +38,14 @@ class ZeroScaleError(ValueError):
 class _Record:
     """An immutable record whose fields are the `__slots__` of its class and bases: built
     from its fields in order, equal to a record of its own class with equal fields, hashed
-    as their tuple, shown as Name(field=value, ...), and closed to assignment and deletion."""
+    as their tuple, shown as Name(field=value, ...), and closed to assignment and deletion.
+    A slot with a leading underscore is no field but a cache of a value derived from them."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(f for c in reversed(cls.__mro__)
-                            for f in c.__dict__.get("__slots__", ()))
+                            for f in c.__dict__.get("__slots__", ()) if f[0] != "_")
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
@@ -570,23 +571,40 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
     without them: no float (Loos, SIAM J. Comput. 1983).  A root N/D of f's primitive form q,
     D dividing its lead L, is N * D^-1 mod each prime l not dividing L, so q has none if it has
     no root mod one such l.  The l are swept in increasing order; from the fourth on, the first
-    where q stays square-free (`_square_free_mod`; one does, q being square-free over Q) has
+    where q' is nonzero at every root of q mod l (one comes, q being square-free over Q) has
     simple roots only, each lifted to a mod l^k > 2 * (L + max |q_i|); then L*a mod l^k, in
     (-l^k/2, l^k/2], is N * L/D by Cauchy's bound, if `Poly._at` confirms it."""
     q = _primitive(f)
-    lead = q[-1]
+    lead, dq = q[-1], [k * c for k, c in enumerate(q)][1:]
     primes = chain((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31),   # then trial division
                    (n for n in count(37, 2) if all(n % k for k in range(3, math.isqrt(n) + 1, 2))))
     for n, prime in enumerate(l for l in primes if lead % l):
         hits = _roots_mod(q, prime)
         if (first := next(hits, None)) is None:
             return [], tuple(q)
-        if n >= 3 and _square_free_mod(q, prime):
-            break
+        if n >= 3:
+            simple, rdq = [], [c % prime for c in reversed(dq)]
+            for a in chain((first,), hits):   # stop at the first root where q' is 0 mod l
+                if not reduce(lambda acc, c: (acc * a + c) % prime, rdq, 0):
+                    break
+                simple.append(a)
+            else:
+                break
     bound = 2 * (lead + max(map(abs, q)))
-    roots = [Fraction(s, lead) for a in (first, *hits) for b, m in [_lift_root(q, a, prime, bound)]
+    roots = [Fraction(s, lead) for a in simple for b, m in [_lift_root(q, a, prime, bound)]
              for s in [(b * lead + m // 2) % m - m // 2] if not f._at(s, lead)[0]]
     return sorted(roots), tuple(_primitive(reduce(Poly.deflate, roots, f)))
+
+
+def _splits_mod(q: Sequence[int]) -> bool:
+    """False when q has fewer than deg q roots, with multiplicity (repeated synthetic division),
+    mod the first prime above deg q not dividing its lead: then q does not split over Q."""
+    prime = next(n for n in count(len(q)) if q[-1] % n and all(n % k for k in range(2, n)))
+    rev = [c % prime for c in reversed(q)]
+    for x in range(prime):   # divide by t - x while the remainder is 0
+        while len(rev) > 1 and not (s := [*accumulate(rev, lambda a, c: (a * x + c) % prime)])[-1]:
+            rev = s[:-1]
+    return len(rev) == 1
 
 
 def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...]]]:

@@ -25,8 +25,8 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _newton,
-                      _power, _real_roots, _Record, _render_sum, _signed_sum, _x_power,
-                      series_inverse)
+                      _power, _primitive, _real_roots, _Record, _render_sum, _signed_sum,
+                      _splits_mod, _x_power, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 
 
@@ -64,11 +64,12 @@ class NumericMode(_Record):
 
 
 class RecurrenceMode(_Record):
-    """t^power * e_index(t - anchor) for a square-free primitive integer factor q, lowest
-    first in `factor`: e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0
-    that is 1 at m and 0 elsewhere on [0, deg q).  Exact, with no float: a rational root N/L
-    is the factor L*x - N, with e_0(t) = (N/L)^t, printed as its closed form; the modes of
-    one factor share one tuple, and `Solution.view` finds the roots of the rest to print."""
+    """t^power * e_index(t - anchor) for a primitive integer factor q, lowest first in `factor`,
+    square-free or not, as neither `_x_power` nor the proof needs it (`solve`'s q is the whole
+    operator's q*): e_m(t) is the x^m coefficient of x^t mod q, the solution of q(T) e = 0 that
+    is 1 at m and 0 elsewhere on [0, deg q).  Exact, with no float: a rational root N/L is the
+    factor L*x - N, with e_0(t) = (N/L)^t, printed as its closed form; the modes of one factor
+    share one tuple, and `Solution.view` finds the roots of the rest to print."""
 
     __slots__ = ("factor", "power", "index", "anchor")
 
@@ -122,19 +123,22 @@ class Equation(_Record):
 
 
 class Solution(_Record):
-    __slots__ = ("particular", "homogeneous", "constants", "trace")
+    __slots__ = ("particular", "homogeneous", "constants", "trace", "_form")
 
     @property
     def is_exact(self) -> bool:
-        """Every mode's factor has degree 1, so every mode is a closed form t^j * root^t."""
-        return all(len(m.factor) == 2 for m in self.homogeneous)
+        """Every mode is a closed form t^j * root^t once factored: every factor splits over Q.
+        `_splits_mod` refutes most others mod a prime before `_factored` runs."""
+        return all(_splits_mod(q) for q in {m.factor for m in self.homogeneous}) and \
+            all(len(m.factor) == 2 for m in self._factored().homogeneous)
 
     def general_expr(self) -> SequenceExpr | None:
         """particular + sum(c_i * mode_i) as one expression, when every mode is a closed form."""
         if self.constants is None or not self.is_exact:
             return None
-        return _sum([*self.particular.buckets, *((k, p * (c * k[0] ** -m.anchor)) for c, m in
-                     zip(self.constants, self.homogeneous) for k, p in [m._bucket()])])
+        sol = self._factored()
+        return _sum([*sol.particular.buckets, *((k, p * (c * k[0] ** -m.anchor)) for c, m in
+                     zip(sol.constants, sol.homogeneous) for k, p in [m._bucket()])])
 
     def general_value_at(self, t: int) -> Fraction:
         """Exact value of particular + sum(c_i * mode_i) at integer t."""
@@ -152,10 +156,11 @@ class Solution(_Record):
         with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the exact
         solution, far off for close roots or values far from the anchor; one not finite raises
         ValueError, as `_approximate` does, once per factor, on roots out of float reach."""
-        known = self.constants is not None
+        sol = self._factored()
+        known = sol.constants is not None
         modes, constants, blocks = [], [], {}
-        for c, m in zip(self.constants if known else (None,) * len(self.homogeneous),
-                        self.homogeneous):
+        for c, m in zip(sol.constants if known else (None,) * len(sol.homogeneous),
+                        sol.homogeneous):
             if len(m.factor) == 2:
                 modes.append(_sum([m._bucket()]))
                 constants.append(c and c * Fraction(-m.factor[0], m.factor[1]) ** -m.anchor)
@@ -168,6 +173,27 @@ class Solution(_Record):
             if known:   # + 0.0 makes a zero constant 0.0, printed 0, never -0.0
                 constants += [k * c.real + 0.0, -2 * c.imag + 0.0][:k]
         return tuple(modes), tuple(constants) if known else None
+
+    def _factored(self) -> Solution:
+        """`solve`'s modes e_m(t - t0) of q* per factor, as `_homogeneous(q*, t0)` gives them, with
+        constants fitted to h, the old constants at t0 ... t0 + deg q* - 1; other modes stay.
+        Kept in `_form`, so `view`, `general_expr` and `is_exact` factor q* once."""
+        form = getattr(self, "_form", None)
+        if form is None:
+            modes, cs = form = self.homogeneous, self.constants
+            q, t0 = (modes[0].factor, modes[0].anchor) if modes else ((), 0)
+            if modes and modes == tuple(RecurrenceMode(q, 0, m, t0) for m in range(len(q) - 1)):
+                factored = _homogeneous(Poly._make(list(q), 1), t0)
+                if factored != modes:   # `fit_constants`' system, h's values its right side
+                    rows = _values(factored, t0, t0 + len(q) - 2)
+                    form = factored, cs and _fraction_free(
+                        [[*row, (c.numerator, c.denominator)] for row, c in zip(rows, cs)], len(cs))
+            object.__setattr__(self, "_form", form)
+        if form[0] is self.homogeneous:
+            return self
+        out = Solution(self.particular, *form, self.trace)
+        object.__setattr__(out, "_form", form)
+        return out
 
 
 def _values(basis: Sequence[RecurrenceMode], lo: int, hi: int) -> list[list[tuple[int, int]]]:
@@ -406,10 +432,18 @@ def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[Re
 
 
 def solve(eq: Equation) -> Solution:
-    """Full pipeline: particular + modes anchored at the first initial point (or 0) + constants."""
+    """The particular y_P; as `homogeneous` the modes e_m(t - t0), m < deg P*, of q*, the
+    primitive form of P* where P = T^k * P*, t0 the first initial point (or 0); as `constants`
+    h = y - y_P at t0 + m, where e_m is a unit vector (Fiduccia, SIAM J. Comput. 1985).  The k
+    values left must lie on h.  No factoring and no system: the closed forms per factor come
+    from `Solution.view` and `general_expr`."""
     particular, trace = solve_particular(eq.operator, eq.rhs)
-    basis = _homogeneous(eq.operator, eq.initial[0][0] if eq.initial else 0)
-    constants = None
-    if eq.initial is not None:
-        constants = fit_constants(eq.operator, particular, basis, eq.initial)
-    return Solution(particular, basis, constants, trace)
+    q, initial = tuple(_primitive(eq.operator.reduce_shift()[1])), eq.initial or ()
+    d, t0 = len(q) - 1, initial[0][0] if initial else 0
+    hs = tuple(Fraction(v.numerator * b - a * v.denominator, v.denominator * b)
+               for t, v in initial[:d] for a, b in [particular._ratio(t)])   # v - y_P(t)
+    sol = Solution(particular, tuple(RecurrenceMode(q, 0, m, t0) for m in range(d)),
+                   None if eq.initial is None else hs, trace)
+    if any(sol.general_value_at(t) != v for t, v in initial[d:]):
+        raise SingularSystemError("initial conditions are inconsistent")
+    return sol

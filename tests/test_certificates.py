@@ -1,6 +1,6 @@
 """The modular steps in `algebra`: `_square_free` skips Yun's gcds when p is coprime to p'
 mod a prime, and `_rational_roots` ends its search at a prime where a square-free factor has
-no root, or else lifts the roots mod a prime where the factor stays square-free.  Yun's
+no root, or else lifts the roots mod a prime where each of its roots is simple.  Yun's
 certificate is a proof or nothing, so with it made to fail every result must stay the same,
 and each input that no prime settles must take the exact path."""
 import hashlib
@@ -23,11 +23,8 @@ EVERY_PRIME = algebra._PRIME * math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31
 
 
 def no_certificates(monkeypatch):
-    """Yun's certificate fails at `_PRIME`; the root search's calls at its own primes go
-    through, as it stops only at a prime where the factor stays square-free."""
-    real = algebra._square_free_mod
-    monkeypatch.setattr(algebra, "_square_free_mod", lambda nums, prime=algebra._PRIME:
-                        prime != algebra._PRIME and real(nums, prime))
+    """Yun's certificate fails at `_PRIME`, its only prime."""
+    monkeypatch.setattr(algebra, "_square_free_mod", lambda nums: False)
 
 
 def counted(factors):
@@ -113,11 +110,11 @@ def test_roots_that_meet_mod_the_gcd_prime(monkeypatch):
 
 
 def test_roots_that_meet_mod_the_first_primes_lift_from_the_next(monkeypatch):
-    """1 and 2311 = 1 + 2*3*5*7*11 meet mod every prime to 11: (x - 1)(x - 2311) is not
-    square-free there, and the search lifts its roots from 13."""
+    """1 and 2311 = 1 + 2*3*5*7*11 meet mod every prime to 11: (x - 1)(x - 2311) has a
+    double root there, and the search lifts its roots from 13, with no square-free test."""
     checks, lifts = spy(monkeypatch, "_square_free_mod"), spy(monkeypatch, "_lift_root")
     assert _factors(Poly(-1, 1) * Poly(-2311, 1)) == [(1, [F(1), F(2311)], (1,))]
-    assert [args[1:] for args in checks] == [(), (7,), (11,), (13,)]   # Yun's, then the search's
+    assert len(checks) == 1   # Yun's
     assert [(a, prime) for _, a, prime, _ in lifts] == [(1, 13), (2311 % 13, 13)]
 
 
@@ -166,7 +163,7 @@ def test_a_certified_operator_runs_no_gcd_and_no_isolation(monkeypatch):
     for name in ("_gcd", "_lift_root", "_real_roots"):
         monkeypatch.setattr(algebra, name, refuse)
     eq = parse_equation("-840y(t+5) + 2y(t+4) - y(t+3) + y(t+2) + 2y(t+1) - 360y(t) = 0")
-    sol = solve(eq)
+    sol = solve(eq)._factored()
     assert [m.factor for m in sol.homogeneous] == [(360, -2, -1, 1, -2, 840)] * 5
 
 
@@ -194,4 +191,5 @@ def test_degree_seventy_solves_without_counting_real_roots(monkeypatch):
         p = p * Poly(-r, 1)
     initial = ", ".join(f"y({t})={t * t - 3}/{t + 7}" for t in range(70))
     sol = solve(Equation(OperatorPoly.from_poly(p), SequenceExpr.zero(), parse_initial(initial)))
+    sol = sol._factored()
     assert sorted(F(-m.factor[0], m.factor[1]) for m in sol.homogeneous) == sorted(roots)

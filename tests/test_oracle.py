@@ -291,7 +291,7 @@ class TestIterateRange:
 
     def setup_method(self):
         self.eq = eq_with_initial(self.SRC, self.INITIAL)
-        self.sol = solve(self.eq)
+        self.sol = solve(self.eq)._factored()
         self.seq = iterate_recurrence(self.eq, 1000 + self.H)
 
     def test_solution_exact_match(self):

@@ -47,6 +47,21 @@ def spy(monkeypatch, name):
     return callers
 
 
+def view_calls(monkeypatch, sols, names):
+    """The callers of each `algebra` function in names while each of sols is viewed: each
+    is factored first, as `view` and `general_expr` share one factoring in the CLI, and only
+    its view is spied on.  Also the factored sols."""
+    calls, factored = {name: [] for name in names}, []
+    for sol in sols:
+        factored.append(sol._factored())
+        with monkeypatch.context() as m:
+            seen = {name: spy(m, name) for name in names}
+            factored[-1].view()
+        for name in names:
+            calls[name] += seen[name]
+    return calls, factored
+
+
 def irrational_instances(seed, count, t0s):
     """count seeded equations whose solution has recurrence modes, with a random right
     side and initial values at a t0 drawn from t0s, and their solutions."""
@@ -158,6 +173,7 @@ def test_general_value_is_the_recurrence_run():
 def test_moved_constant_reported_with_the_run():
     seen = 0
     for rng, eq, sol in irrational_instances(2901, 60, range(-20, 21)):
+        sol = sol._factored()
         k = rng.choice([i for i, m in enumerate(sol.homogeneous) if len(m.factor) > 2])
         moved = list(sol.constants)
         moved[k] += rng.choice(COEFFS)
@@ -281,7 +297,7 @@ def test_only_the_view_approximates_roots(monkeypatch, src, initial):
     assert sol.general_expr() is None
     assert callers == []
     sol.view()
-    factors = {m.factor for m in sol.homogeneous if len(m.factor) > 2}
+    factors = {m.factor for m in sol._factored().homogeneous if len(m.factor) > 2}
     assert callers == ["_polar"] * len(factors) == ["_polar"]
 
 
@@ -292,15 +308,13 @@ def test_only_the_view_approximates_roots(monkeypatch, src, initial):
     ("y(t+6) - 3y(t+2) - 2y(t) = 0", "y(0)=1, y(1)=0, y(2)=0, y(3)=0, y(4)=0, y(5)=0"),
 ], ids=["fibonacci", "1+-i", "cubic-3^t", "(x^2-2)(x^2+1)^2"])
 def test_view_runs_one_float_pass_per_factor(monkeypatch, src, initial):
-    """A mode's factor q is square-free with no rational root, so the view, with or without
-    constants, neither decomposes q again nor calls `find_roots`: one `_approximate` pass
-    per factor of degree >= 2 gives its roots."""
+    """Once factored, each factor q is square-free with no rational root, so the view, with
+    or without constants, neither decomposes q again nor calls `find_roots`: one
+    `_approximate` pass per factor of degree >= 2 gives its roots."""
     eq = parse_equation(src)
-    sols = [solve(Equation(eq.operator, eq.rhs, parse_initial(initial))), solve(eq)]
-    calls = {name: spy(monkeypatch, name)
-             for name in ("_square_free", "find_roots", "_approximate")}
-    for sol in sols:
-        sol.view()
+    calls, sols = view_calls(monkeypatch,
+                             [solve(Equation(eq.operator, eq.rhs, parse_initial(initial))),
+                              solve(eq)], ("_square_free", "find_roots", "_approximate"))
     factors = {m.factor for m in sols[0].homogeneous if len(m.factor) > 2}
     assert calls == {"_square_free": [], "find_roots": [],
                      "_approximate": ["_polar"] * 2 * len(factors)}
@@ -308,17 +322,15 @@ def test_view_runs_one_float_pass_per_factor(monkeypatch, src, initial):
 
 
 def test_view_runs_no_rational_root_search(monkeypatch):
-    """The seed-1 `roots` benchmark inputs of one cycle: each mode's factor already has no
-    rational root, so `view` only counts the real roots of each, once, in `_polar`."""
+    """The seed-1 `roots` benchmark inputs of one cycle, factored: each mode's factor already
+    has no rational root, so `view` only counts the real roots of each, once, in `_polar`."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import inputs  # bench/inputs.py
     sols = []
     for inst in inputs.cycle("roots", 1, 0):
         eq = parse_equation(inst.equation)
         sols.append(solve(Equation(eq.operator, eq.rhs, parse_initial(inst.initial))))
-    calls = {name: spy(monkeypatch, name) for name in ("_rational_roots", "_real_roots")}
-    for sol in sols:
-        sol.view()
+    calls, sols = view_calls(monkeypatch, sols, ("_rational_roots", "_real_roots"))
     blocks = sum(len({m.factor for m in sol.homogeneous if len(m.factor) > 2}) for sol in sols)
     assert calls == {"_rational_roots": [], "_real_roots": ["_polar"] * blocks}
     assert blocks >= len(sols)

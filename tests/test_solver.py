@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsolve import algebra, solver
 from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, apply_operator
 from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solution,
@@ -14,7 +15,8 @@ from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solut
 from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS
 from instance_gen import (BASES, COEFFS, irrational_root_operator, plain_instance,
                           resonant_instance)
-from fdsolve.parser import parse_equation, parse_expression
+from fdsolve.oracle import verify_solution
+from fdsolve.parser import parse_equation, parse_expression, parse_initial
 
 
 def check_particular(P, phi, y):
@@ -322,7 +324,7 @@ class TestFitConstants:
         eq = parse_equation(GOLDEN_EQUATIONS[0])
         eq = Equation(eq.operator, eq.rhs, ((0, F(1)), (1, F(2))))
         sol = solve(eq)
-        assert sol.constants == (F(5, 6), F(2, 3))
+        assert sol._factored().constants == (F(5, 6), F(2, 3))
         g = sol.general_expr()
         assert g.eval_at(0) == 1 and g.eval_at(1) == 2
 
@@ -383,6 +385,30 @@ class TestFitConstants:
         with pytest.raises(ValueError, match="printed constants leave the float range") as exc:
             sol.view()
         assert type(exc.value) is ValueError
+
+@pytest.mark.parametrize("src,initial", [
+    ("y(t+2) - 5y(t+1) + 4y(t) = 3^t", "y(0)=1, y(1)=2"),
+    ("y(t+3) - 5y(t+2) + 8y(t+1) - 4y(t) = 2^t + t", "y(-3)=1, y(-2)=0, y(-1)=1/2"),
+    ("-840y(t+5) + 2y(t+4) - y(t+3) + y(t+2) + 2y(t+1) - 360y(t) = t",
+     "y(7)=1, y(8)=2, y(9)=-1, y(10)=0, y(11)=3"),
+    ("y(t+3) - 2y(t+2) = 2^t", "y(0)=1, y(1)=9/4, y(2)=5"),
+], ids=["mix", "repeated-root", "roots", "T^k"])
+def test_solve_factors_nothing_and_fits_nothing(monkeypatch, src, initial):
+    """`solve` returns the whole operator's modes with h's values as constants: no square-free
+    decomposition, no root search and no linear system, however the operator factors."""
+    def refuse(*args):
+        raise AssertionError("solve factored or fitted")
+    for module, name in ((algebra, "_factors"), (solver, "_factors"),
+                         (algebra, "_square_free"), (solver, "_fraction_free")):
+        monkeypatch.setattr(module, name, refuse)
+    eq = parse_equation(src)
+    eq = Equation(eq.operator, eq.rhs, parse_initial(initial))
+    sol = solve(eq)
+    assert [m.anchor for m in sol.homogeneous] == [eq.initial[0][0]] * len(sol.constants)
+    assert [sol.general_value_at(t) for t, _ in eq.initial] == [v for _, v in eq.initial]
+    monkeypatch.undo()
+    assert verify_solution(eq, sol).status == "exact-match"
+
 
 def test_general_value_needs_constants():
     sol = solve(parse_equation(GOLDEN_EQUATIONS[0]))
