@@ -189,11 +189,7 @@ class Solution(_Record):
                     form = factored, cs and _fraction_free(
                         [[*row, (c.numerator, c.denominator)] for row, c in zip(rows, cs)], len(cs))
             object.__setattr__(self, "_form", form)
-        if form[0] is self.homogeneous:
-            return self
-        out = Solution(self.particular, *form, self.trace)
-        object.__setattr__(out, "_form", form)
-        return out
+        return self if form[0] is self.homogeneous else Solution(self.particular, *form, self.trace)
 
 
 def _values(basis: Sequence[RecurrenceMode], lo: int, hi: int) -> list[list[tuple[int, int]]]:
