@@ -415,18 +415,18 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     return Poly._make(list(a.nums), a.nums[-1])
 
 
-def _square_free_mod(nums: Sequence[int], prime: int = _PRIME) -> bool:
-    """True when sum nums[k] * t^k keeps its lead mod the prime and, by Euclid's algorithm
+def _square_free_mod(nums: Sequence[int]) -> bool:
+    """True when sum nums[k] * t^k keeps its lead mod `_PRIME` and, by Euclid's algorithm
     on the residues, is coprime there to its derivative."""
-    a, b = [c % prime for c in nums], [k * c % prime for k, c in enumerate(nums)][1:]
+    a, b = [c % _PRIME for c in nums], [k * c % _PRIME for k, c in enumerate(nums)][1:]
     while a[-1] and any(b):
         while not b[-1]:
             b.pop()
-        m, inv = len(b), pow(b[-1], -1, prime)
+        m, inv = len(b), pow(b[-1], -1, _PRIME)
         for s in reversed(range(len(a) - m + 1)):   # a mod b, in place
-            if c := a[s + m - 1] * inv % prime:
+            if c := a[s + m - 1] * inv % _PRIME:
                 for j, x in enumerate(b):
-                    a[s + j] = (a[s + j] - c * x) % prime
+                    a[s + j] = (a[s + j] - c * x) % _PRIME
         a, b = b, a[:m - 1]
     return len(a) == 1
 

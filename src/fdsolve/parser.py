@@ -287,11 +287,11 @@ class _Parser:
             raise ParseError(self.src, tok[2], expected)
         return int(whole)
 
-    def _check_power(self, expr: _Buckets | Poly | tuple, k: int, pos: int) -> None:
+    def _check_power(self, expr: _Buckets | tuple, k: int, pos: int) -> None:
         """Refuse expr^k before computing it if it could pass a size limit or its
         squarings could take over about a second.  With m buckets (a trig one
         counts twice, as two exponentials) of degree <= d, expr^k has at most
-        C(k+m-1, m-1) buckets of k*d + 1 coefficients; a `Poly` is one bucket.
+        C(k+m-1, m-1) buckets of k*d + 1 coefficients.
 
         The work bounds the last squaring, of expr^floor(k/2), by two copies of
         expr^h, h = ceil(k/2): each pair of their buckets costs 200 units, each pair
@@ -309,8 +309,6 @@ class _Parser:
             num, den, d = expr
             weights, m, bits = [], 1, (abs(num) | den).bit_length()
         else:
-            if type(expr) is Poly:  # its one bucket, keyed by the int 1: no Fraction to hash
-                expr = {(1, None, 0): expr} if expr else {}
             weights = [(1 if kind is None else 2, p) for (_, kind, _), p in expr.items()]
             m = sum(w for w, _ in weights) or 1
             d = max((p.degree for p in expr.values()), default=0)
@@ -332,6 +330,7 @@ class _Parser:
                              "take over about a second)")
 
     def _int_power(self, val: Poly | _Val | tuple, k: int, pos: int) -> Poly | _Val | tuple:
+        """val^k: a one-term value directly, anything else y-free as its bucket map."""
         if k == 1:
             return val
         if _has_y(val):
@@ -343,10 +342,6 @@ class _Parser:
             val = val[0] // g, val[1] // g, val[2]
             self._check_power(val, k, pos)
             return val[0] ** k, val[1] ** k, val[2] * k
-        val = _lift(val)
-        if type(val) is Poly and k >= 0:
-            self._check_power(val, k, pos)
-            return val**k
         base = _buckets(val)
         if k < 0:  # (c * b^t)^k = ((1/c) * (1/b)^t)^-k
             base, k = _inverse(base), -k
@@ -368,7 +363,7 @@ class _Parser:
                              "friends lie outside the supported closed-form class)")
         if not c:
             self.unsupported(pos, f"0 cannot be raised to the power {v}")
-        self._check_power(c, max(abs(slope), abs(offset)), pos)
+        self._check_power((c.nums[0], c.den, 0), max(abs(slope), abs(offset)), pos)
         scale = c**offset if offset >= 0 else Poly._make([c.den], c.nums[0]) ** -offset
         return _Val({}, {(c[0] ** slope, None, 0): scale})
 

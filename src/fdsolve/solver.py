@@ -431,15 +431,14 @@ def solve(eq: Equation) -> Solution:
     """The particular y_P; as `homogeneous` the modes e_m(t - t0), m < deg P*, of q*, the
     primitive form of P* where P = T^k * P*, t0 the first initial point (or 0); as `constants`
     h = y - y_P at t0 + m, where e_m is a unit vector (Fiduccia, SIAM J. Comput. 1985).  The k
-    values left must lie on h.  No factoring and no system: the closed forms per factor come
-    from `Solution.view` and `general_expr`."""
+    values left must satisfy q*(T) h = 0 at t0 ... t0 + k - 1.  No factoring and no system:
+    the closed forms per factor come from `Solution.view` and `general_expr`."""
     particular, trace = solve_particular(eq.operator, eq.rhs)
     q, initial = tuple(_primitive(eq.operator.reduce_shift()[1])), eq.initial or ()
     d, t0 = len(q) - 1, initial[0][0] if initial else 0
-    hs = tuple(Fraction(v.numerator * b - a * v.denominator, v.denominator * b)
-               for t, v in initial[:d] for a, b in [particular._ratio(t)])   # v - y_P(t)
-    sol = Solution(particular, tuple(RecurrenceMode(q, 0, m, t0) for m in range(d)),
-                   None if eq.initial is None else hs, trace)
-    if any(sol.general_value_at(t) != v for t, v in initial[d:]):
+    hs = [Fraction(v.numerator * b - a * v.denominator, v.denominator * b)
+          for t, v in initial for a, b in [particular._ratio(t)]]   # v - y_P(t)
+    if any(sum(map(mul, q, hs[i:])) for i in range(len(hs) - d)):
         raise SingularSystemError("initial conditions are inconsistent")
-    return sol
+    return Solution(particular, tuple(RecurrenceMode(q, 0, m, t0) for m in range(d)),
+                    None if eq.initial is None else tuple(hs[:d]), trace)

@@ -195,17 +195,23 @@ def test_poly_powers_are_repeated_products(p):
         product = product * p
 
 
-@pytest.mark.parametrize("src", ["3 - t + 2*t^3", "t + 2^t", "3*cos(pi*t) - 2",
-                                 "sin(2*pi*t) - 1/2", "2/3*(3/2)^t", "t*(-2)^t"])
+@pytest.mark.parametrize("src", ["3 - t + 2*t^3", "t^2 - t + 3", "1/2*t - 3/4", "t + 2^t",
+                                 "3*cos(pi*t) - 2", "sin(2*pi*t) - 1/2", "2/3*(3/2)^t",
+                                 "t*(-2)^t"])
 def test_parsed_powers_are_repeated_products(src):
-    # square-and-multiply against k - 1 parsed products; geometric terms also to -k
+    # square-and-multiply against k - 1 parsed products; geometric terms also to -k, and
+    # polynomials also as operators in T, where a power is a one-bucket value
     geometric = "t" not in src.replace("^t", "")
+    operator = src.replace("t", "T") if "^t" not in src and "pi" not in src else None
     for k in range(41):
         product = " * ".join([f"({src})"] * k) or "1"
         assert parse_expression(f"({src})^{k}") == parse_expression(product), k
         if geometric:
             quotient = "1" + "".join(f" / ({src})" for _ in range(k))
             assert parse_expression(f"({src})^-{k}") == parse_expression(quotient), k
+        if operator:
+            product = " * ".join([f"({operator})"] * k) or "1"
+            assert parse_operator(f"({operator})^{k}") == parse_operator(product), k
 
 
 POWERS_PAST_THE_LIMITS = [
@@ -408,6 +414,7 @@ TOO_SLOW = "a power too large to compute (its squarings would take over about a 
     (parse_expression, "(t+1)^4000", UnsupportedRhsError, 6, TOO_SLOW),
     (parse_expression, "(2^1000)^1100", UnsupportedRhsError, 9, TOO_LARGE),  # the bit bound
     (parse_operator, "T^4001", SemanticError, 2, f"a polynomial in T ({TOO_LARGE})"),
+    (parse_operator, "(T+1)^4001", SemanticError, 6, f"a polynomial in T ({TOO_LARGE})"),
     (parse_operator, "T^-1", SemanticError, 3, f"a polynomial in T ({NEGATIVE_POWER})"),
     (parse_operator, "1/T", SemanticError, 1, f"a polynomial in T ({DIVISION})"),
     (parse_operator, "T + 2^T", SemanticError, 0, "a polynomial in T"),  # two buckets

@@ -392,21 +392,27 @@ class TestFitConstants:
     ("-840y(t+5) + 2y(t+4) - y(t+3) + y(t+2) + 2y(t+1) - 360y(t) = t",
      "y(7)=1, y(8)=2, y(9)=-1, y(10)=0, y(11)=3"),
     ("y(t+3) - 2y(t+2) = 2^t", "y(0)=1, y(1)=9/4, y(2)=5"),
-], ids=["mix", "repeated-root", "roots", "T^k"])
+    ("y(t+4) - y(t+3) - y(t+2) = t", "y(-2)=1, y(-1)=0, y(0)=-3, y(1)=-6"),
+    ("y(t+3) = 3^t", "y(5)=9, y(6)=27, y(7)=81"),
+], ids=["mix", "repeated-root", "roots", "T^k", "T^2-fibonacci", "T^3-alone"])
 def test_solve_factors_nothing_and_fits_nothing(monkeypatch, src, initial):
     """`solve` returns the whole operator's modes with h's values as constants: no square-free
-    decomposition, no root search and no linear system, however the operator factors."""
-    def refuse(*args):
-        raise AssertionError("solve factored or fitted")
+    decomposition, no root search and no linear system, however the operator factors.  With
+    P = T^k * P*, the k values past deg P* are checked by q*(T) h = 0 on h's values, with no
+    x^t mod q* and no `general_value_at`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve factored, fitted or evaluated")
     for module, name in ((algebra, "_factors"), (solver, "_factors"),
-                         (algebra, "_square_free"), (solver, "_fraction_free")):
+                         (algebra, "_square_free"), (solver, "_fraction_free"),
+                         (algebra, "_x_power"), (solver, "_x_power"),
+                         (Solution, "general_value_at")):
         monkeypatch.setattr(module, name, refuse)
     eq = parse_equation(src)
     eq = Equation(eq.operator, eq.rhs, parse_initial(initial))
     sol = solve(eq)
     assert [m.anchor for m in sol.homogeneous] == [eq.initial[0][0]] * len(sol.constants)
-    assert [sol.general_value_at(t) for t, _ in eq.initial] == [v for _, v in eq.initial]
     monkeypatch.undo()
+    assert [sol.general_value_at(t) for t, _ in eq.initial] == [v for _, v in eq.initial]
     assert verify_solution(eq, sol).status == "exact-match"
 
 
