@@ -1,12 +1,11 @@
 """Exact rational polynomial arithmetic, root finding and powers.
 
-A `Poly` is integer numerators over one denominator, and every kernel runs on
-those integers; an `OperatorPoly` is a nonzero `Poly` in the shift T.
-`_factors` finds the rational roots by lifting roots mod a prime, with no float, and skips
-Yun's gcd where a prime proves it idle; `_real_roots` counts the real roots left, and
-`_approximate` alone makes floats, Aberth's, of them, refusing roots past the floats.
-Exact work on any root walks x^t mod q, q its primitive integer factor (L*x - N
-for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
+A `Poly` is integer numerators over one denominator, and every kernel runs on those integers;
+an `OperatorPoly` is a nonzero `Poly` in the shift T.  `_factors` factors in integers: Yun's gcds
+by `_gcdheu` where a prime does not prove them idle, and rational roots lifted mod a prime and
+divided out by `_quotient`.  `_approximate` alone makes floats, Aberth's, of the roots left,
+which `_real_roots` counts.  Exact work on any root walks x^t mod q, q its primitive integer
+factor (L*x - N for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
 multiply, for `Poly` powers, bucket maps and x^t mod q.
 """
 from __future__ import annotations
@@ -21,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, float, str, Fraction]
 _PRIME = 32749   # below 2^15: a product of two residues fits one machine digit
+_GCDHEU_TRIES = 6   # evaluation points `_gcdheu` tries before Euclid's algorithm
 
 
 class ZeroConstantTermError(ArithmeticError):
@@ -220,13 +220,11 @@ class Poly(_Record):
         return Poly._make([c * v**i for i, c in enumerate(shifted)], self.den * v ** max(d, 0))
 
     def deflate(self, r: Coeff) -> Poly:
-        """Divide out a known root r exactly; raises if r is not a root.  Every r
-        is a root of 0, which deflates to itself."""
-        r = Fraction(r)
-        quotient, remainder = _divmod(self, Poly(-r, 1))   # by t - r
-        if remainder:
-            raise ValueError(f"{r} is not a root")
-        return quotient
+        """Divide out a known root r exactly; raises if r is none (0 deflates to itself)."""
+        n, d = Fraction(r).as_integer_ratio()
+        if (q := _quotient(self.nums, (-n, d))) is None:   # by d*t - n, in integers
+            raise ValueError(f"{Fraction(r)} is not a root")
+        return Poly._make([d * c for c in q], self.den)
 
     def render(self, var: str = "t") -> str:
         """Format with descending powers, `t^2 - 5*t + 4`, from the integers nums over den."""
@@ -431,28 +429,55 @@ def _square_free_mod(nums: Sequence[int]) -> bool:
     return len(a) == 1
 
 
+def _quotient(f: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """f / b if b divides f in Z[x], else None: long division from the top, each coefficient exact
+    over b's lead; for b = L*x - N that is q_(d-1) = f_d / L, then q_(k-1) = (f_k + N*q_k) / L."""
+    n, r, q = len(b) - 1, list(f), [0] * max(len(f) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k], rem = divmod(r[k + n], b[-1])
+        if rem:
+            return None
+        for j in range(n):
+            r[k + j] -= q[k] * b[j]
+    return None if any(r[:n]) else q
+
+
+def _gcdheu(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h), h the primitive gcd (lead > 0) of nonzero integer f and g by GCDHEU (Char,
+    Geddes, Gonnet, J. Symbolic Comput. 1989): gcd(f(xi), g(xi)) in balanced base-xi digits if it
+    divides f and g, xi > 2 * min(max |f_i|, max |g_i|) + 29 and grown on failure; else `_gcd`'s."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_GCDHEU_TRIES):
+        v, h = math.gcd(*(reduce(lambda acc, c: acc * xi + c, reversed(p)) for p in (f, g))), []
+        while v:
+            h.append(v % xi - xi * (2 * (v % xi) > xi))
+            v = (v - h[-1]) // xi
+        h = _primitive(Poly._make(h, 1))
+        if (cf := _quotient(f, h)) is not None and (cg := _quotient(g, h)) is not None:
+            return h, cf, cg
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    h = _primitive(_gcd(Poly._make(list(f), 1), Poly._make(list(g), 1)))
+    return h, _quotient(f, h), _quotient(g, h)
+
+
 def _square_free(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's square-free decomposition: the nonconstant f_i of p = lead * prod f_i^i.
-    The f_i are square-free and pairwise coprime, so every root of f_i has multiplicity
-    exactly i in p.  The last factor is not made monic: a square-free p comes back
-    unchanged as [(p, 1)], as a plain `Poly`, with no gcd over Q when `_square_free_mod`
-    holds (Brown, J. ACM 1971): the gcd of p and p' over Z keeps its degree mod `_PRIME`,
-    as its lead divides p's, so it is a constant."""
+    """Yun's square-free decomposition (SYMSAC 1976): the nonconstant f_i of p = lead * prod f_i^i,
+    square-free and pairwise coprime, on p's primitive integer form with `_gcdheu`'s gcds and exact
+    quotients (Gauss's lemma).  The f_i are monic but the last, which keeps p's lead; a square-free
+    p comes back as [(p, 1)], a plain `Poly`, with no gcd when `_square_free_mod` holds (Brown, J.
+    ACM 1971): the gcd of p and p' over Z keeps its degree mod `_PRIME`, so it is a constant."""
     if p.degree >= 1 and _square_free_mod(p.nums):
         return [(Poly._make(list(p.nums), p.den), 1)]
-    g = _gcd(p, p.derivative())
-    b = _divmod(p, g)[0]
-    d = _divmod(p.derivative(), g)[0] - b.derivative()
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while b.degree >= 1:
-        a = _gcd(b, d) if d else b
-        if a.degree >= 1:
-            out.append((a, i))
-        b = _divmod(b, a)[0]
-        d = _divmod(d, a)[0] - b.derivative()
-        i += 1
-    return out
+    P, out = _primitive(p), []
+    b, c = _gcdheu(P, [k * x for k, x in enumerate(P)][1:])[1:] if len(P) > 1 else ([], [])
+    while len(b) > 1:   # d = c - b', then gcd(b, d) and the quotients of b and d by it
+        d = [x - k * y for k, (x, y) in enumerate(zip_longest(c, b[1:], fillvalue=0), 1)]
+        while d and not d[-1]:
+            d.pop()
+        a, b, c = _gcdheu(b, d) if d else (b, [1], [])
+        out.append((a, len(out) + 1))
+    return [(Poly._make([x * p.nums[-1] for x in a], a[-1] * p.den) if n == len(out) else
+             Poly._make(list(a), a[-1]), i) for n, (a, i) in enumerate(out, 1) if len(a) > 1]
 
 
 def _balanced(p: Poly) -> Poly:
@@ -567,13 +592,13 @@ def _lift_root(q: Sequence[int], a: int, prime: int, bound: int) -> tuple[int, i
 
 
 def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
-    """The rational roots of a square-free f, sorted, and the primitive integer form of f
-    without them: no float (Loos, SIAM J. Comput. 1983).  A root N/D of f's primitive form q,
-    D dividing its lead L, is N * D^-1 mod each prime l not dividing L, so q has none if it has
-    no root mod one such l.  The l are swept in increasing order; from the fourth on, the first
-    where q' is nonzero at every root of q mod l (one comes, q being square-free over Q) has
-    simple roots only, each lifted to a mod l^k > 2 * (L + max |q_i|); then L*a mod l^k, in
-    (-l^k/2, l^k/2], is N * L/D by Cauchy's bound, if `Poly._at` confirms it."""
+    """The rational roots of a square-free f, sorted, and the primitive integer form q of f
+    without them: no float (Loos, SIAM J. Comput. 1983).  A root N/D of q, D dividing its lead L,
+    is N * D^-1 mod each prime l not dividing L, so q has none if it has no root mod one such l.
+    The l are swept upwards; from the fourth on, the first where q' is nonzero at every root of q
+    mod l has simple roots only, each lifted to a mod l^k > 2 * (L + max |q_i|); then L*a mod l^k,
+    in (-l^k/2, l^k/2], is N * L/D by Cauchy's bound if `Poly._at` confirms it, and `_quotient`
+    divides D*x - N out of q."""
     q = _primitive(f)
     lead, dq = q[-1], [k * c for k, c in enumerate(q)][1:]
     primes = chain((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31),   # then trial division
@@ -593,7 +618,8 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
     bound = 2 * (lead + max(map(abs, q)))
     roots = [Fraction(s, lead) for a in simple for b, m in [_lift_root(q, a, prime, bound)]
              for s in [(b * lead + m // 2) % m - m // 2] if not f._at(s, lead)[0]]
-    return sorted(roots), tuple(_primitive(reduce(Poly.deflate, roots, f)))
+    return sorted(roots), tuple(reduce(lambda q, r: _quotient(q, (-r.numerator, r.denominator)),
+                                       roots, q))
 
 
 def _splits_mod(q: Sequence[int]) -> bool:
@@ -667,3 +693,19 @@ def _x_power(q: Sequence[int], lo: int, hi: int, per_row: bool = False):
         dens.append(dens[-1] * lead if top else dens[-1])
     return (rows, dens) if per_row else \
         ([[c * (dens[-1] // d) for c in row] for d, row in zip(dens, rows)], dens[-1])
+
+
+def _inverse(a: Sequence[int], m: Sequence[int]) -> tuple[list[int], int]:
+    """(u, c), c a nonzero integer, with u*a = c mod m for coprime integer a and m: an integer
+    extended remainder sequence, u_i * a = r_i mod m, each pair freed of its joint content."""
+    r0, u0, r1, u1 = list(m), [], list(a), [1]
+    while len(r1) > 1:
+        while len(r0) >= len(r1):
+            k, c0, c1 = len(r0) - len(r1), r0[-1], r1[-1]
+            r0, u0 = ([c1 * x - c0 * y for x, y in zip_longest(v0, [0] * k + v1, fillvalue=0)]
+                      for v0, v1 in ((r0, r1), (u0, u1)))
+            while not r0[-1]:
+                r0.pop()
+        g = math.gcd(*r0, *u0)
+        r0, u0, r1, u1 = r1, u1, [x // g for x in r0], [x // g for x in u0]
+    return u1, r1[0]

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Poly, _Record, _x_power
+from .algebra import Poly, _quotient, _Record, _x_power
 from .expr import SequenceExpr
 from .solver import Equation, Solution, SolveTrace
 
@@ -76,18 +76,13 @@ def _order(pairs: Iterable[tuple[Fraction | tuple[int, ...], int]]) -> int:
 
 def _divides(f: Sequence[int], p: Sequence[int], e: int) -> bool:
     """f^e divides p over Q (integer coefficients, lowest first, p != 0): e exact divisions
-    by f's primitive part, whose quotients are integral by Gauss's lemma if f^e | p."""
+    by f's primitive part by `algebra._quotient`, integral by Gauss's lemma if f^e | p."""
     g = math.gcd(*f)
-    *low, lead = [c // g for c in f]
-    k, p = len(low), list(p)
-    for s in range(0, k * e, k):   # p[s:] by f, in place: remainder p[s:s+k], quotient above
-        for i in range(len(p) - 1, s + k - 1, -1):
-            p[i], r = divmod(p[i], lead)
-            if r:
-                return False
-            for j, x in enumerate(low, i - k):
-                p[j] -= p[i] * x
-    return not any(p[:k * e])
+    f = [c // g for c in f]
+    for _ in range(e):
+        if (p := _quotient(p, f)) is None:
+            return False
+    return True
 
 
 def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:

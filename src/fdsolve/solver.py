@@ -24,9 +24,9 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _newton,
-                      _power, _primitive, _real_roots, _Record, _render_sum, _signed_sum,
-                      _splits_mod, _x_power, series_inverse)
+from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _inverse,
+                      _newton, _power, _primitive, _quotient, _real_roots, _Record, _render_sum,
+                      _signed_sum, _splits_mod, _x_power, series_inverse)
 from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
 
 
@@ -176,18 +176,15 @@ class Solution(_Record):
 
     def _factored(self) -> Solution:
         """`solve`'s modes e_m(t - t0) of q* per factor, as `_homogeneous(q*, t0)` gives them, with
-        constants fitted to h, the old constants at t0 ... t0 + deg q* - 1; other modes stay.
+        `_block_constants` from the old constants (h at t0 ...); other modes and a linear q*'s stay.
         Kept in `_form`, so `view`, `general_expr` and `is_exact` factor q* once."""
         form = getattr(self, "_form", None)
         if form is None:
             modes, cs = form = self.homogeneous, self.constants
             q, t0 = (modes[0].factor, modes[0].anchor) if modes else ((), 0)
-            if modes and modes == tuple(RecurrenceMode(q, 0, m, t0) for m in range(len(q) - 1)):
-                factored = _homogeneous(Poly._make(list(q), 1), t0)
-                if factored != modes:   # `fit_constants`' system, h's values its right side
-                    rows = _values(factored, t0, t0 + len(q) - 2)
-                    form = factored, cs and _fraction_free(
-                        [[*row, (c.numerator, c.denominator)] for row, c in zip(rows, cs)], len(cs))
+            if q[2:] and modes == tuple(RecurrenceMode(q, 0, m, t0) for m in range(len(q) - 1)):
+                if (factored := _homogeneous(Poly._make(list(q), 1), t0)) != modes:
+                    form = factored, cs and _block_constants(q, factored, cs)
             object.__setattr__(self, "_form", form)
         return self if form[0] is self.homogeneous else Solution(self.particular, *form, self.trace)
 
@@ -199,6 +196,42 @@ def _values(basis: Sequence[RecurrenceMode], lo: int, hi: int) -> list[list[tupl
              for q, a in {(m.factor, m.anchor) for m in basis}}
     return [[((lo + i)**m.power * rows[i][m.index], dens[i]) for m in basis
              for rows, dens in [walks[m.factor, m.anchor]]] for i in range(hi - lo + 1)]
+
+
+def _block_constants(q: Sequence[int], modes: Sequence[RecurrenceMode],
+                     hs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The constants of `modes`, `_homogeneous(q, t0)`, for q(T) h = 0 with values hs from t0, per
+    block B = g^mu, with no system (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
+    w = C(T) h, C = q / B, is C(T) of h's part sum_j t^j * E_j, g(T) E_j = 0; g(T)^j kills each
+    t^i * E_i, i < j, and takes t^j * E_j to j! * (x*g')(T)^j E_j.  So from the top E_j = (C *
+    (x*g')^j)^-1(T) g(T)^j w / j! mod g, its values from t0 its constants; C(T) t^j E_j leaves w."""
+    den, us, t0 = math.lcm(*(h.denominator for h in hs)), {}, modes[0].anchor
+    hn = [h.numerator * (den // h.denominator) for h in hs]
+    for g, mu in {m.factor: m.power + 1 for m in modes}.items():
+        k, wd, (N, L) = len(g) - 1, den, (-g[0], g[-1])
+        C = _quotient(q, (Poly._make(list(g), 1) ** mu).nums if mu > 1 else g)
+        w = [sum(map(mul, C, hn[i:])) for i in range(k * mu)]
+        (cn, cd), (rows, s) = Poly._make(list(C), 1)._at(N, L), _x_power(   # rows: g's sequences
+            g, 0, max(2 * k, (mu - 1) * k + len(C))) if k > 1 else ((), L ** len(q))
+        for j in reversed(range(mu)):
+            e = w[:(j + 1) * k]
+            for _ in range(j):
+                e = [sum(map(mul, g, e[i:])) for i in range(len(e) - k)]   # g(T)^j w
+            if k == 1:   # on r^t, r = N/L, C(T) is C(r) = cn/cd and (x*g')(T) is N; s = L^deg q
+                us[g, j, 0] = u = Fraction(e[0] * cd, math.factorial(j) * N ** j * cn * wd)
+                w, wd = [y * u.denominator * s - wd * u.numerator * sum(c * (t0 + i + m) ** j
+                         * N ** (i + m) * L ** (len(q) - i - m) for m, c in enumerate(C))
+                         for i, y in enumerate(w[:j])], wd * u.denominator * s   # C(T) t^j E_j off
+                continue
+            u, c = _inverse((Poly._make(list(C), 1) * Poly._make(
+                [i * x for i, x in enumerate(g)], 1) ** j).nums, g)
+            ys, ed = [sum(map(mul, r, e)) for r in rows], wd * math.factorial(j) * c * s
+            e = [sum(map(mul, u, ys[i:])) for i in range(k)]
+            us.update(((g, j, i), Fraction(x, ed)) for i, x in enumerate(e))
+            ej, lcm = [sum(map(mul, r, e)) for r in rows], math.lcm(wd, ed * s)   # C(T) t^j E_j off
+            w, wd = [x * (lcm // wd) - (lcm // (ed * s)) * sum(c * (t0 + i + m) ** j * ej[i + m]
+                     for m, c in enumerate(C)) for i, x in enumerate(w[:j * k])], lcm
+    return tuple(us[m.factor, m.power, m.index] for m in modes)
 
 
 def _polar(block: list[tuple[RecurrenceMode, Fraction | None]],

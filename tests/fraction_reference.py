@@ -9,14 +9,18 @@ runs a recurrence mode's factor in Fractions, sharing no code with
 replaced, evaluating the particular solution through `value` and every mode
 through `recurrence_value`.  `polar` is the printed view's per-factor
 `solver._polar` on the public `find_roots` and one Fraction per term of each
-E_j.
+E_j.  `_gcd` and `_square_free` are Yun's decomposition as it ran over Q
+before `algebra._gcdheu`, copied verbatim, and `factors` is `algebra._factors`
+on them with each rational root divided out in Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 
-from fdsolve.algebra import Poly, _balanced, _x_power, find_roots
+from fdsolve.algebra import (Poly, _balanced, _divmod, _primitive, _rational_roots,
+                             _square_free_mod, _x_power, find_roots)
 from fdsolve.expr import SequenceExpr
 from fdsolve.solver import SingularSystemError, _conditions
 
@@ -90,3 +94,52 @@ def polar(block, known: bool):
         w = sum(x * a**s for s, x in enumerate(b)) * a**t0
         out += [(a, j, sum(e[j] * x for e, x in zip(es, b)) / w) for j in range(mult)]
     return out
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor, by Euclid's algorithm over Q.  Each remainder is
+    replaced by its primitive integer form, which keeps the coefficients from growing."""
+    while b:
+        a, b = b, Poly._make(_primitive(_divmod(a, b)[1]), 1)
+    return Poly._make(list(a.nums), a.nums[-1])
+
+
+def _square_free(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's square-free decomposition: the nonconstant f_i of p = lead * prod f_i^i.
+    The f_i are square-free and pairwise coprime, so every root of f_i has multiplicity
+    exactly i in p.  The last factor is not made monic: a square-free p comes back
+    unchanged as [(p, 1)], as a plain `Poly`, with no gcd over Q when `_square_free_mod`
+    holds (Brown, J. ACM 1971): the gcd of p and p' over Z keeps its degree mod `_PRIME`,
+    as its lead divides p's, so it is a constant."""
+    if p.degree >= 1 and _square_free_mod(p.nums):
+        return [(Poly._make(list(p.nums), p.den), 1)]
+    g = _gcd(p, p.derivative())
+    b = _divmod(p, g)[0]
+    d = _divmod(p.derivative(), g)[0] - b.derivative()
+    out: list[tuple[Poly, int]] = []
+    i = 1
+    while b.degree >= 1:
+        a = _gcd(b, d) if d else b
+        if a.degree >= 1:
+            out.append((a, i))
+        b = _divmod(b, a)[0]
+        d = _divmod(d, a)[0] - b.derivative()
+        i += 1
+    return out
+
+
+def _deflate(f: Poly, r: Fraction) -> Poly:
+    """f / (t - r) by synthetic division in Fractions, for a root r of f."""
+    acc, out = Fraction(0), []
+    for c in reversed(f.coeffs):
+        acc = acc * r + c
+        out.append(acc)
+    assert out.pop() == 0, f"{r} is not a root"
+    return Poly(out[::-1])
+
+
+def factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...]]]:
+    """(i, f_i's rational roots, q) per factor f_i of `_square_free` above, with the roots that
+    `algebra._rational_roots` finds and q the primitive form of f_i with them divided out."""
+    return [(mult, roots, tuple(_primitive(reduce(_deflate, roots, f))))
+            for f, mult in _square_free(p) for roots in [_rational_roots(f)[0]]]

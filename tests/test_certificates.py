@@ -103,7 +103,7 @@ def test_roots_that_meet_mod_the_gcd_prime(monkeypatch):
     """(x - 1)(x - 1 - 32749) is square-free over Q, but its roots meet mod 32749, so
     Yun's gcd runs and gives p back."""
     p = Poly(-1, 1) * Poly(-1 - algebra._PRIME, 1)
-    calls = spy(monkeypatch, "_gcd")
+    calls = spy(monkeypatch, "_gcdheu")
     assert _square_free(p) == [(Poly(p.nums), 1)]
     assert calls
     assert _factors(p) == [(1, [F(1), F(32750)], (1,))]
@@ -119,7 +119,7 @@ def test_roots_that_meet_mod_the_first_primes_lift_from_the_next(monkeypatch):
 
 
 def test_a_square_is_decomposed(monkeypatch):
-    calls = spy(monkeypatch, "_gcd")
+    calls = spy(monkeypatch, "_gcdheu")
     p = Poly(-2, 0, 1) ** 2
     assert _square_free(p) == [(Poly(-2, 0, 1), 2)]
     assert calls
@@ -160,7 +160,7 @@ def test_result_types_match_yun():
 def test_a_certified_operator_runs_no_gcd_and_no_isolation(monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact search ran")
-    for name in ("_gcd", "_lift_root", "_real_roots"):
+    for name in ("_gcdheu", "_gcd", "_lift_root", "_real_roots"):
         monkeypatch.setattr(algebra, name, refuse)
     eq = parse_equation("-840y(t+5) + 2y(t+4) - y(t+3) + y(t+2) + 2y(t+1) - 360y(t) = 0")
     sol = solve(eq)._factored()
