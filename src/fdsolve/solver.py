@@ -208,29 +208,27 @@ def _block_constants(q: Sequence[int], modes: Sequence[RecurrenceMode],
     den, us, t0 = math.lcm(*(h.denominator for h in hs)), {}, modes[0].anchor
     hn = [h.numerator * (den // h.denominator) for h in hs]
     for g, mu in {m.factor: m.power + 1 for m in modes}.items():
-        k, wd, (N, L) = len(g) - 1, den, (-g[0], g[-1])
+        k, wd = len(g) - 1, den
         C = _quotient(q, (Poly._make(list(g), 1) ** mu).nums if mu > 1 else g)
         w = [sum(map(mul, C, hn[i:])) for i in range(k * mu)]
-        (cn, cd), (rows, s) = Poly._make(list(C), 1)._at(N, L), _x_power(   # rows: g's sequences
-            g, 0, max(2 * k, (mu - 1) * k + len(C))) if k > 1 else ((), L ** len(q))
+        if k == mu == 1:   # a simple rational root r = -g0/g1: C(T) r^t = C(r) * r^t
+            cn, cd = Poly._make(list(C), 1)._at(-g[0], g[1])
+            us[g, 0, 0] = Fraction(w[0] * cd, cn * den)
+            continue
+        rows, s = _x_power(g, 0, max(2 * k, (mu - 1) * k + len(C)))   # g's sequences
         for j in reversed(range(mu)):
             e = w[:(j + 1) * k]
             for _ in range(j):
                 e = [sum(map(mul, g, e[i:])) for i in range(len(e) - k)]   # g(T)^j w
-            if k == 1:   # on r^t, r = N/L, C(T) is C(r) = cn/cd and (x*g')(T) is N; s = L^deg q
-                us[g, j, 0] = u = Fraction(e[0] * cd, math.factorial(j) * N ** j * cn * wd)
-                w, wd = [y * u.denominator * s - wd * u.numerator * sum(c * (t0 + i + m) ** j
-                         * N ** (i + m) * L ** (len(q) - i - m) for m, c in enumerate(C))
-                         for i, y in enumerate(w[:j])], wd * u.denominator * s   # C(T) t^j E_j off
-                continue
-            u, c = _inverse((Poly._make(list(C), 1) * Poly._make(
-                [i * x for i, x in enumerate(g)], 1) ** j).nums, g)
+            xg = Poly._make([i * x for i, x in enumerate(g)], 1)   # x * g'
+            u, c = _inverse((Poly._make(list(C), 1) * xg ** j).nums, g)
             ys, ed = [sum(map(mul, r, e)) for r in rows], wd * math.factorial(j) * c * s
             e = [sum(map(mul, u, ys[i:])) for i in range(k)]
             us.update(((g, j, i), Fraction(x, ed)) for i, x in enumerate(e))
-            ej, lcm = [sum(map(mul, r, e)) for r in rows], math.lcm(wd, ed * s)   # C(T) t^j E_j off
-            w, wd = [x * (lcm // wd) - (lcm // (ed * s)) * sum(c * (t0 + i + m) ** j * ej[i + m]
-                     for m, c in enumerate(C)) for i, x in enumerate(w[:j * k])], lcm
+            ej, lcm = [sum(map(mul, r, e)) for r in rows], math.lcm(wd, ed * s)
+            cj = [sum(c * (t0 + i + m) ** j * ej[i + m] for m, c in enumerate(C))
+                  for i in range(j * k)]   # C(T) t^j E_j, taken off w
+            w, wd = [x * (lcm // wd) - y * (lcm // (ed * s)) for x, y in zip(w, cj)], lcm
     return tuple(us[m.factor, m.power, m.index] for m in modes)
 
 
