@@ -598,8 +598,10 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
     The l are swept upwards; from the fourth on, the first where q' is nonzero at every root of q
     mod l has simple roots only, each lifted to a mod l^k > 2 * (L + max |q_i|); then L*a mod l^k,
     in (-l^k/2, l^k/2], is N * L/D by Cauchy's bound if `Poly._at` confirms it, and `_quotient`
-    divides D*x - N out of q."""
+    divides D*x - N out of q.  A linear q = L*x - N is its own root N/L: no sweep, no lift."""
     q = _primitive(f)
+    if len(q) == 2:
+        return [Fraction(-q[0], q[1])], (1,)
     lead, dq = q[-1], [k * c for k, c in enumerate(q)][1:]
     primes = chain((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31),   # then trial division
                    (n for n in count(37, 2) if all(n % k for k in range(3, math.isqrt(n) + 1, 2))))
@@ -627,9 +629,14 @@ def _splits_mod(q: Sequence[int]) -> bool:
     mod the first prime above deg q not dividing its lead: then q does not split over Q."""
     prime = next(n for n in count(len(q)) if q[-1] % n and all(n % k for k in range(2, n)))
     rev = [c % prime for c in reversed(q)]
-    for x in range(prime):   # divide by t - x while the remainder is 0
-        while len(rev) > 1 and not (s := [*accumulate(rev, lambda a, c: (a * x + c) % prime)])[-1]:
-            rev = s[:-1]
+    for x in range(prime):   # divide by t - x while the remainder, by Horner's rule, is 0
+        while len(rev) > 1:
+            v = 0
+            for c in rev:
+                v = (v * x + c) % prime
+            if v:
+                break
+            rev = [*accumulate(rev[:-1], lambda a, c: (a * x + c) % prime)]
     return len(rev) == 1
 
 

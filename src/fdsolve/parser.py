@@ -67,25 +67,14 @@ _EXPONENT = "an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
 _NAME_EXPECTED = {"pi": "pi only inside cos(...) or sin(...) arguments",
                   "T": "y(t+k) notation (T is only valid in operator input)"}
 
-# One match per token, with the whitespace before it.  After the greedy \s*, \S or
-# \Z always matches, so no match backtracks into whitespace (quadratic at the end).
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)"
-                       r"|(?P<op>[-+*/^(),=])|(?P<bad>\S)|\Z)")
-_Tok = tuple[str, str, int]  # kind ("num", "name", an operator character, "end"), text, pos
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind is None:  # only whitespace is left
-            break
-        if kind == "bad":
-            raise ParseError(src, m.start(kind), "a number, a name, or one of + - * / ^ ( ) , =")
-        text = m[kind]
-        toks.append((text if kind == "op" else kind, text, m.start(kind)))
-    toks.append(("end", "", len(src)))
-    return toks
+# One match per token text; whitespace between matches is skipped.  A token's kind
+# comes from its first character: a digit outside ASCII is a number, as \d reads it.
+_TEXT_RE = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_]+|[-+*/^(),=]|\S")
+_KIND = {**dict.fromkeys("0123456789", "num"), **{c: c for c in "-+*/^(),="},
+         **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name")}
+# kind ("num", "name", an operator character, "end"), text, and the token's index: its
+# source position is found from the index only when an error needs it (`_Parser.pos`)
+_Tok = tuple[str, str, int]
 
 
 def _lift(val: Poly | _Val | tuple) -> Poly | _Val:
@@ -165,27 +154,44 @@ def _const(val: Poly | _Val | tuple) -> tuple[int, int] | None:
 class _Parser:
     def __init__(self, src: str, var: str, allow_y: bool) -> None:
         self.src = src
-        self.toks = _tokenize(src)
+        self.starts: list[int] | None = None  # each token's source position, once needed
+        texts = _TEXT_RE.findall(src)
+        kinds = [_KIND.get(s[0]) for s in texts]
+        if None in kinds:  # a first character outside the table: a digit or a bad one
+            kinds = [k or ("num" if s[0].isdecimal() else "bad") for k, s in zip(kinds, texts)]
+            if "bad" in kinds:
+                raise self.error(kinds.index("bad"),
+                                 "a number, a name, or one of + - * / ^ ( ) , =")
+        self.toks: list[_Tok] = [*zip(kinds, texts, count()), ("end", "", len(texts))]
         self.i = 0
         self.var = var  # the polynomial variable: t, or T for operators
         self.allow_y = allow_y
         self.depth = 0  # open parentheses around the current atom
 
+    def pos(self, at: int) -> int:
+        """The source position of token `at`: only errors need one, so the first finds all."""
+        if self.starts is None:
+            self.starts = [m.start() for m in _TEXT_RE.finditer(self.src)] + [len(self.src)]
+        return self.starts[at]
+
+    def error(self, at: int, expected: str, cls: type[ParseError] = ParseError) -> ParseError:
+        return cls(self.src, self.pos(at), expected)
+
     def expect(self, kind: str, expected: str, text: str | None = None) -> _Tok:
         """Consume the next token, which must be of this kind (and text)."""
         tok = self.toks[self.i]
         if tok[0] != kind or text is not None and tok[1] != text:
-            raise ParseError(self.src, tok[2], expected)
+            raise self.error(tok[2], expected)
         self.i += 1
         return tok
 
-    def unsupported(self, pos: int, message: str) -> None:
-        """Raise `UnsupportedRhsError(message)` positioned at character `pos`; in
-        operator input, which has no right-hand side, a `SemanticError`."""
+    def unsupported(self, at: int, message: str) -> None:
+        """Raise `UnsupportedRhsError(message)` positioned at token `at`; in operator
+        input, which has no right-hand side, a `SemanticError`."""
         if self.var == "T":
-            raise SemanticError(self.src, pos, f"a polynomial in T ({message})")
+            raise self.error(at, f"a polynomial in T ({message})", SemanticError)
         err = UnsupportedRhsError(message)
-        err.offset = len(self.src[:pos].encode("utf-8"))
+        err.offset = len(self.src[:self.pos(at)].encode("utf-8"))
         raise err
 
     # ---- expression grammar, read by index (y allowed when parsing equation sides) ----
@@ -246,19 +252,19 @@ class _Parser:
         toks, var = self.toks, self.var
         val = op = None  # the product so far, and the token joining the next factor to it
         while True:
-            factor, chain = self.parse_atom(), None  # (base, exponent's pos, '-', links before)
+            factor, chain = self.parse_atom(), None  # (base, exponent's token, '-', links before)
             while toks[self.i][0] == "^":
                 neg = toks[self.i + 1][0] == "-"
                 self.i += 1 + neg
-                kind, text, pos = toks[self.i]
+                kind, text, at = toks[self.i]
                 if kind != "num" and (neg or kind != "(" and text != var):
-                    raise ParseError(self.src, pos, _EXPONENT.format(v=var))
-                chain, factor = (factor, pos, neg, chain), self.parse_atom()
+                    raise self.error(at, _EXPONENT.format(v=var))
+                chain, factor = (factor, at, neg, chain), self.parse_atom()
                 if _has_y(factor):
-                    raise SemanticError(self.src, pos, "an exponent free of y")
+                    raise self.error(at, "an exponent free of y", SemanticError)
             while chain:
-                base, pos, neg, chain = chain
-                factor = self._power(base, factor, neg, pos)
+                base, at, neg, chain = chain
+                factor = self._power(base, factor, neg, at)
             if op is not None:
                 factor = (self._div if op[0] == "/" else self._mul)(val, factor, op[2])
             val, op = factor, toks[self.i]
@@ -268,26 +274,26 @@ class _Parser:
                 return val
 
     def _power(self, val: Poly | _Val | tuple, exp: Poly | _Val | tuple, neg: bool,
-               pos: int) -> Poly | _Val | tuple:
+               at: int) -> Poly | _Val | tuple:
         """val^exp, or val^-exp after a '-', for an integer exponent or one linear in
         the variable."""
         s, c = -1 if neg else 1, _const(exp)
         if c is not None:
             if c[0] % c[1]:
-                raise ParseError(self.src, pos, "an integer exponent")
-            return self._int_power(val, s * (c[0] // c[1]), pos)
+                raise self.error(at, "an integer exponent")
+            return self._int_power(val, s * (c[0] // c[1]), at)
         p = _poly_of(exp)
         if p is not None and p.degree == 1 and p.den == 1:  # a*t + b with integers a, b
-            return self._t_power(val, s * p.nums[1], s * p.nums[0], pos)
-        raise ParseError(self.src, pos, _EXPONENT.format(v=self.var))
+            return self._t_power(val, s * p.nums[1], s * p.nums[0], at)
+        raise self.error(at, _EXPONENT.format(v=self.var))
 
     def _int_of(self, tok: _Tok, expected: str) -> int:
         whole, _, frac = tok[1].partition(".")
         if frac.strip("0"):
-            raise ParseError(self.src, tok[2], expected)
+            raise self.error(tok[2], expected)
         return int(whole)
 
-    def _check_power(self, expr: _Buckets | tuple, k: int, pos: int) -> None:
+    def _check_power(self, expr: _Buckets | tuple, k: int, at: int) -> None:
         """Refuse expr^k before computing it if it could pass a size limit or its
         squarings could take over about a second.  With m buckets (a trig one
         counts twice, as two exponentials) of degree <= d, expr^k has at most
@@ -315,7 +321,7 @@ class _Parser:
             bits = _max_bits(expr)
         size = math.comb(k + m - 1, m - 1) * (k * d + 1)
         if k * bits > _MAX_BITS or size > _MAX_DEGREE + 1:
-            self.unsupported(pos, f"a power too large to compute (over {_MAX_DEGREE + 1} "
+            self.unsupported(at, f"a power too large to compute (over {_MAX_DEGREE + 1} "
                              "coefficients or numbers over 2^20 bits)")
         n = sum(w * sum(1 for c in p.nums if c) for w, p in weights)
         if n <= 1:
@@ -326,56 +332,56 @@ class _Parser:
         terms = min(buckets * (h * d + 1), math.comb(h + n - 1, n - 1))
         grown = h * (bits + math.log2(n))
         if 200 * buckets**2 + terms**2 * (1 + (grown / 250) ** 1.6) > _MAX_WORK:
-            self.unsupported(pos, "a power too large to compute (its squarings would "
+            self.unsupported(at, "a power too large to compute (its squarings would "
                              "take over about a second)")
 
-    def _int_power(self, val: Poly | _Val | tuple, k: int, pos: int) -> Poly | _Val | tuple:
+    def _int_power(self, val: Poly | _Val | tuple, k: int, at: int) -> Poly | _Val | tuple:
         """val^k: a one-term value directly, anything else y-free as its bucket map."""
         if k == 1:
             return val
         if _has_y(val):
-            raise SemanticError(self.src, pos, "y raised only to the power 1")
+            raise self.error(at, "y raised only to the power 1", SemanticError)
         if type(val) is tuple and k >= 0:  # (num^k / den^k) * t^(j*k), in lowest terms
             if not val[0]:
                 return 0**k, 1, 0
             g = math.gcd(val[0], val[1])
             val = val[0] // g, val[1] // g, val[2]
-            self._check_power(val, k, pos)
+            self._check_power(val, k, at)
             return val[0] ** k, val[1] ** k, val[2] * k
         base = _buckets(val)
         if k < 0:  # (c * b^t)^k = ((1/c) * (1/b)^t)^-k
             base, k = _inverse(base), -k
             if base is None:
-                self.unsupported(pos, "negative powers are supported only for nonzero "
+                self.unsupported(at, "negative powers are supported only for nonzero "
                                  "constants and geometric terms")
-        self._check_power(base, k, pos)
+        self._check_power(base, k, at)
         if len(base) == 1 and (key := next(iter(base)))[1] is None:  # c^k * (b^k)^t * p(t)^k
             return _Val({}, {(key[0] ** k, None, 0): base[key] ** k})
         return _Val({}, _binary_power(base, k, _bucket_mul)) if k else _P_ONE
 
-    def _t_power(self, val: Poly | _Val | tuple, slope: int, offset: int, pos: int) -> _Val:
+    def _t_power(self, val: Poly | _Val | tuple, slope: int, offset: int, at: int) -> _Val:
         v = self.var
         if _has_y(val):
-            raise SemanticError(self.src, pos, f"a constant base (y cannot be raised to {v})")
+            raise self.error(at, f"a constant base (y cannot be raised to {v})", SemanticError)
         c = _poly_of(val)
         if c is None or c.degree > 0:
-            self.unsupported(pos, f"exponent {v} requires a rational constant base ({v}^{v} and "
+            self.unsupported(at, f"exponent {v} requires a rational constant base ({v}^{v} and "
                              "friends lie outside the supported closed-form class)")
         if not c:
-            self.unsupported(pos, f"0 cannot be raised to the power {v}")
-        self._check_power((c.nums[0], c.den, 0), max(abs(slope), abs(offset)), pos)
+            self.unsupported(at, f"0 cannot be raised to the power {v}")
+        self._check_power((c.nums[0], c.den, 0), max(abs(slope), abs(offset)), at)
         scale = c**offset if offset >= 0 else Poly._make([c.den], c.nums[0]) ** -offset
         return _Val({}, {(c[0] ** slope, None, 0): scale})
 
     def parse_atom(self) -> Poly | _Val | tuple:
-        kind, text, pos = self.toks[self.i]
+        kind, text, at = self.toks[self.i]
         if kind == "num":
             self.i += 1  # read from the digits: 3.25 is 325/100
             whole, _, frac = text.partition(".")
             return int(whole + frac), 10 ** len(frac), 0
         if kind == "(":
             if self.depth == _MAX_DEPTH:
-                raise ParseError(self.src, pos, f"at most {_MAX_DEPTH} nested parentheses")
+                raise self.error(at, f"at most {_MAX_DEPTH} nested parentheses")
             self.i += 1
             self.depth += 1
             val = self.parse_sum()
@@ -388,14 +394,14 @@ class _Parser:
                 return 1, 1, 1
             if text == "y":
                 if not self.allow_y:
-                    raise SemanticError(self.src, pos, "an expression without y")
+                    raise self.error(at, "an expression without y", SemanticError)
                 return self._parse_y_ref()
             if text in ("cos", "sin"):
                 return self._parse_trig(text)
-            raise ParseError(self.src, pos, _NAME_EXPECTED.get(
+            raise self.error(at, _NAME_EXPECTED.get(
                 text, f"one of {'y, ' if self.allow_y else ''}{self.var}, cos, sin"))
         y_ref = "'y(', " if self.allow_y else ""
-        raise ParseError(self.src, pos, f"a number, '{self.var}', {y_ref}'cos(', 'sin(', or '('")
+        raise self.error(at, f"a number, '{self.var}', {y_ref}'cos(', 'sin(', or '('")
 
     def _parse_y_ref(self) -> _Val:
         """`(t)`, `(t+k)` or `(t-k)` after a y, as the y term of coefficient 1.  Only a
@@ -403,15 +409,15 @@ class _Parser:
         toks, i, shift = self.toks, self.i, 0
         for text, expected in (("(", "'(' after y"), ("t", "'t' as the y argument")):
             if toks[i][1] != text:
-                raise ParseError(self.src, toks[i][2], expected)
+                raise self.error(i, expected)
             i += 1
         if toks[i][0] in ("+", "-"):
             if toks[i + 1][0] != "num":
-                raise ParseError(self.src, toks[i + 1][2], "an integer shift")
+                raise self.error(i + 1, "an integer shift")
             shift = self._int_of(toks[i + 1], "an integer shift")
             shift, i = -shift if toks[i][0] == "-" else shift, i + 2
         if toks[i][1] != ")":
-            raise ParseError(self.src, toks[i][2], "')'")
+            raise self.error(i, "')'")
         self.i = i + 1
         return _Val({shift: 1}, {})
 
@@ -435,15 +441,15 @@ class _Parser:
     # ---- combination rules ----
 
     def _mul(self, a: Poly | _Val | tuple, b: Poly | _Val | tuple,
-             pos: int) -> Poly | _Val | tuple:
+             at: int) -> Poly | _Val | tuple:
         if type(a) is tuple and type(b) is tuple:
             return a[0] * b[0], a[1] * b[1], a[2] + b[2]
         if _has_y(a) or _has_y(b):
             if _has_y(a) and _has_y(b):
-                raise SemanticError(self.src, pos, "a product linear in y (y*y is nonlinear)")
+                raise self.error(at, "a product linear in y (y*y is nonlinear)", SemanticError)
             ref, c = (a, _const(b)) if _has_y(a) else (b, _const(a))
             if c is None:
-                raise SemanticError(self.src, pos, _Y_COEFF)
+                raise self.error(at, _Y_COEFF, SemanticError)
             return ref.scaled(*c)
         a, b = _lift(a), _lift(b)
         if type(a) is Poly:
@@ -455,23 +461,23 @@ class _Parser:
         return _Val({}, _bucket_mul(a.expr, b.expr))
 
     def _div(self, a: Poly | _Val | tuple, b: Poly | _Val | tuple,
-             pos: int) -> Poly | _Val | tuple:
+             at: int) -> Poly | _Val | tuple:
         if type(a) is tuple and type(b) is tuple and b[0] and not b[2]:  # by a nonzero constant
             s = 1 if b[0] > 0 else -1
             return s * a[0] * b[1], s * a[1] * b[0], a[2]
         if _has_y(b):
-            raise SemanticError(self.src, pos, "a y-free divisor")
+            raise self.error(at, "a y-free divisor", SemanticError)
         c = _const(b)
         if c is not None:
             if not c[0]:
-                raise SemanticError(self.src, pos, "a nonzero divisor")
+                raise self.error(at, "a nonzero divisor", SemanticError)
             num, den = (c[1], c[0]) if c[0] > 0 else (-c[1], -c[0])  # 1/c, den > 0
             return a.scaled(num, den) if type(a) is _Val else _lift(a) * Poly._make([num], den)
         inverse = _inverse(_buckets(b))
         if inverse is None:
-            self.unsupported(pos, "division is supported only by constants and geometric terms")
+            self.unsupported(at, "division is supported only by constants and geometric terms")
         if _has_y(a):
-            raise SemanticError(self.src, pos, _Y_COEFF)
+            raise self.error(at, _Y_COEFF, SemanticError)
         return _Val({}, _bucket_mul(_buckets(a), inverse))
 
 
@@ -504,17 +510,18 @@ def parse_equation(src: str) -> Equation:
         _insert(rhs.expr, base, kind, n, -q)
     phi = SequenceExpr._from_buckets(rhs.expr)
     if not net:
-        raise SemanticError(src, eq_tok[2], "at least one y(t+k) term with nonzero coefficient")
+        raise p.error(eq_tok[2], "at least one y(t+k) term with nonzero coefficient",
+                      SemanticError)
     low = min(net)
     degree = max(net) - min(low, 0)  # negative shifts are normalized away below
     if degree > _MAX_ORDER:
-        raise SemanticError(src, eq_tok[2], f"an operator of degree at most {_MAX_ORDER}")
+        raise p.error(eq_tok[2], f"an operator of degree at most {_MAX_ORDER}", SemanticError)
     if low < 0:
         net = {k - low: v for k, v in net.items()}
         phi = phi.shift(-low)
     if degree == 0:
-        raise SemanticError(src, eq_tok[2],
-                            "y at two or more distinct shifts (a difference, not an identity)")
+        raise p.error(eq_tok[2], "y at two or more distinct shifts (a difference, not an identity)",
+                      SemanticError)
     return Equation(OperatorPoly._make([net.get(k, 0) for k in range(degree + 1)], den), phi)
 
 
@@ -545,15 +552,15 @@ def parse_initial(src: str) -> tuple[Condition, ...]:
         p.expect("=", "'=' after the time point")
         c = _const(p.parse_sum())
         if c is None:
-            raise SemanticError(p.src, head[2], "a rational constant value")
+            raise p.error(head[2], "a rational constant value", SemanticError)
         conds.append((-tpoint if neg else tpoint, Fraction(*c), head[2]))
         if p.toks[p.i][0] != ",":
             p.expect("end", "',' or end of input")
             break
         p.i += 1
     conds.sort(key=lambda c: c[0])
-    for (t0, _, _), (t1, _, pos) in zip(conds, conds[1:]):
+    for (t0, _, _), (t1, _, at) in zip(conds, conds[1:]):
         if t1 != t0 + 1:
-            raise NonConsecutiveConditionsError(
-                src, pos, "initial conditions at consecutive integers")
+            raise p.error(at, "initial conditions at consecutive integers",
+                          NonConsecutiveConditionsError)
     return tuple((t, v) for t, v, _ in conds)

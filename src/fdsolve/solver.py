@@ -98,7 +98,8 @@ def _conditions(initial: Sequence[Condition], degree: int) -> tuple[Condition, .
         raise ValueError(f"need exactly {degree} initial values, got {len(initial)}")
     if any(t != int(t) for t, _ in initial):
         raise ValueError("initial values must be at integer t")
-    return tuple(sorted((int(t), Fraction(v)) for t, v in initial))
+    return tuple(sorted((t if type(t) is int else int(t), v if type(v) is Fraction else Fraction(v))
+                        for t, v in initial))
 
 
 class Equation(_Record):
@@ -296,8 +297,11 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
     mu = _parity(n)
     beta = lam * mu
     # q(D) = P(beta*(1 + D)) acts on the polynomial factor once beta^t is pulled
-    # out; beta != 0, so D^m divides q exactly when beta is an m-fold root of P
-    q = P.scale_argument(beta).taylor_shift(1)
+    # out; beta != 0, so D^m divides q exactly when beta is an m-fold root of P.
+    # A constant payload's rule (below) reads only q(0) = P(beta), when it is nonzero
+    const = h.degree == 0 and (kind is not None or lam != 1)
+    num, den = P._at(*beta.as_integer_ratio()) if const else (0, 1)   # P(beta) = num/den
+    q = Poly._make([num], den) if num else P.scale_argument(beta).taylor_shift(1)
     m = next(i for i, x in enumerate(q.nums) if x)
     steps: list[TraceStep] = []
     current = _pending(P_str, _term_str(key, h))
@@ -335,7 +339,7 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
     dw = [sum(map(mul, inv.nums, hn[j:])) for j in range(len(hn))]
     res = _sum([(out, _from_newton([0] * m + dw, inv.den * hd))])
 
-    if m == 0 and h.degree == 0 and (kind is not None or lam != 1):
+    if num:
         # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
         if kind is None:
             step("power-rule", f"geometric right side: divide by P({beta}) = {q[0]}", str(res))

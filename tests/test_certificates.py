@@ -135,17 +135,19 @@ def test_a_square_that_vanishes_mod_the_gcd_prime():
     assert _factors(p) == [(1, [F(2)], (1,)), (2, [F(-1, algebra._PRIME)], (1,))]
 
 
-@pytest.mark.parametrize("p,found,rest,real,lifted", [
-    (Poly(-1, 2), [F(1, 2)], (1,), 0, [(6, 11)]),
-    (Poly(0, -2, 0, 1), [F(0)], (-2, 0, 1), 2, [(0, 7), (3, 7), (4, 7)]),
+@pytest.mark.parametrize("p,found,rest,real,sweeps,lifted", [
+    (Poly(-1, 2), [F(1, 2)], (1,), 0, [], []),
+    (Poly(0, -2, 0, 1), [F(0)], (-2, 0, 1), 2, [2, 3, 5, 7], [(0, 7), (3, 7), (4, 7)]),
 ], ids=["2T-1", "T^3-2T"])
-def test_degree_one_and_a_root_at_zero_are_lifted(monkeypatch, p, found, rest, real, lifted):
-    """Each has a root mod the first four primes that do not divide its lead, and its roots
-    mod the fourth are lifted: 1/2 from 2^-1 = 6 mod 11, and 0 from 0 mod 7, beside the
-    roots 3 and 4 of x^2 - 2 mod 7, which lift to no rational root."""
-    lifts = spy(monkeypatch, "_lift_root")
+def test_degree_one_and_a_root_at_zero_are_lifted(monkeypatch, p, found, rest, real, sweeps,
+                                                  lifted):
+    """2T - 1 is its own root 1/2, found with no sweep and no lift.  T^3 - 2T has a root mod
+    the first four primes, and its roots mod the fourth are lifted: 0 from 0 mod 7, beside
+    the roots 3 and 4 of x^2 - 2 mod 7, which lift to no rational root."""
+    swept, lifts = spy(monkeypatch, "_roots_mod"), spy(monkeypatch, "_lift_root")
     assert _factors(p) == [(1, found, rest)]
     assert _real_roots(rest) == real
+    assert [prime for _, prime in swept] == sweeps
     assert [(a, prime) for _, a, prime, _ in lifts] == lifted
 
 

@@ -18,10 +18,10 @@ from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term, Trig, UnsupportedRhsError, _insert
 from fdsolve.solver import Equation
 from fdsolve.parser import (NonConsecutiveConditionsError, ParseError,
-                            SemanticError, _max_bits, _tokenize, parse_equation,
+                            SemanticError, _max_bits, _Parser, parse_equation,
                             parse_expression, parse_initial, parse_operator)
 
-from corpus import GOLDEN_EQUATIONS, MALFORMED
+from corpus import GOLDEN_EQUATIONS, GOLDEN_PARTICULARS, MALFORMED
 from instance_gen import BASES, COEFFS, plain_instance, rand_rhs, resonant_instance
 from test_algebra import run_bounded
 
@@ -312,6 +312,7 @@ def test_malformed_corpus(src, offset, cls):
     ("y(t+1) - y(t) =   ", 18),          # the end of input, after the whitespace
     ("  y(t+1)\t- y(t) = \u00e9", 18),   # a two-byte character
     ("y(t+1) - y(t) = 1 2 ", 18),
+    ("y(t+1) - y(t) = ) ?", 18),         # a bad character wins over an earlier syntax error
 ])
 def test_error_offsets_around_whitespace(src, offset):
     with pytest.raises(ParseError) as exc:
@@ -320,9 +321,35 @@ def test_error_offsets_around_whitespace(src, offset):
 
 
 def test_tokens_keep_their_positions():
-    assert [tuple(tok) for tok in _tokenize(" y (t+1)\n= 2.5 ")] == [
-        ("name", "y", 1), ("(", "(", 3), ("name", "t", 4), ("+", "+", 5), ("num", "1", 6),
-        (")", ")", 7), ("=", "=", 9), ("num", "2.5", 11), ("end", "", 15)]
+    p = _Parser(" y (t+1)\n= 2.5 ", "t", allow_y=True)
+    assert p.toks == [
+        ("name", "y", 0), ("(", "(", 1), ("name", "t", 2), ("+", "+", 3), ("num", "1", 4),
+        (")", ")", 5), ("=", "=", 6), ("num", "2.5", 7), ("end", "", 8)]
+    assert [p.pos(at) for _, _, at in p.toks] == [1, 3, 4, 5, 6, 7, 9, 11, 15]
+
+
+def test_parsing_finds_no_token_position_without_an_error(monkeypatch):
+    """Token positions are found only for an error: every benchmark input of seeds 1-3
+    and every golden equation and particular parse without one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import inputs  # bench/inputs.py
+    from run import input_set  # bench/run.py
+    pairs = [(parse_equation, src) for src in GOLDEN_EQUATIONS]
+    pairs += [(parse_expression, src) for src in GOLDEN_PARTICULARS]
+    for workload in inputs.WORKLOADS:
+        for seed in (1, 2, 3):
+            for inst in input_set(workload, seed, 16):
+                pairs.append((parse_equation, inst.equation))
+                if inst.initial:
+                    pairs.append((parse_initial, inst.initial))
+    pairs = list(dict.fromkeys(pairs))
+
+    def refuse(self, at):
+        raise AssertionError(f"token {at} of {self.src!r} was positioned")
+    monkeypatch.setattr(_Parser, "pos", refuse)
+    for parse, src in pairs:
+        parse(src)
+    assert len(pairs) > 900
 
 
 def test_trailing_whitespace_in_linear_time():

@@ -125,6 +125,21 @@ class TestAntidifference:
                 assert a(t) == f(t)
 
 
+@pytest.mark.parametrize("rhs,shifts", [("7^t", 0), ("cos(pi*t)", 0), ("3^t", 1)])
+def test_a_constant_payload_shifts_only_at_a_root(monkeypatch, rhs, shifts):
+    """A constant payload off a root reads P(beta) alone, so only the resonant 3^t runs
+    the Taylor shift of P(beta*(1 + D))."""
+    calls = []
+    real = Poly.taylor_shift
+    monkeypatch.setattr(Poly, "taylor_shift", lambda p, a: calls.append(a) or real(p, a))
+    eq = parse_equation(f"y(t+2) - 5y(t+1) + 6y(t) = {rhs}")
+    _, trace = solve_particular(eq.operator, eq.rhs)
+    assert len(calls) == shifts
+    assert [s.rule for s in trace.steps] == (
+        ["shift-theorem", "series-inverse", "propagation"] if shifts
+        else ["power-rule" if rhs == "7^t" else "cos-rule"])
+
+
 class TestParticularPaths:
     def test_polynomial_rhs(self):
         y, _ = solve_particular(OperatorPoly(-3, 1), SequenceExpr.from_poly(Poly(0, 1)))

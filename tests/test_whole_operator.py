@@ -8,6 +8,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction as F
+from itertools import accumulate, count
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from fdsolve import algebra, solver
 from fdsolve.algebra import OperatorPoly, Poly, _primitive, _splits_mod
 from fdsolve.expr import SequenceExpr
 from fdsolve.oracle import verify_solution
+from fdsolve.parser import parse_equation
 from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solution,
                             fit_constants, solve, solve_particular)
 
@@ -164,6 +167,34 @@ def test_splits_mod_counts_multiplicity():
     """(x - 1)^3 (x + 1) splits: one root of multiplicity 3 and one simple, mod 5."""
     assert _splits_mod(_primitive(Poly(-1, 1) ** 3 * Poly(1, 1)))
     assert not _splits_mod(_primitive(Poly(-1, 1) ** 3 * Poly(1, 0, 1)))
+
+
+def splits_mod_by_accumulate(q):
+    """`_splits_mod` as it was when each x built the `accumulate` quotient, kept verbatim."""
+    prime = next(n for n in count(len(q)) if q[-1] % n and all(n % k for k in range(2, n)))
+    rev = [c % prime for c in reversed(q)]
+    for x in range(prime):   # divide by t - x while the remainder is 0
+        while len(rev) > 1 and not (s := [*accumulate(rev, lambda a, c: (a * x + c) % prime)])[-1]:
+            rev = s[:-1]
+    return len(rev) == 1
+
+
+def test_splits_mod_matches_its_accumulate_form(monkeypatch):
+    """On q* of every benchmark operator of seeds 1-3, on split products and on random
+    integer polynomials, the Horner loop refutes exactly what the old form refuted."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import inputs  # bench/inputs.py
+    from run import input_set  # bench/run.py
+    qs = {tuple(_primitive(parse_equation(inst.equation).operator.reduce_shift()[1]))
+          for workload in inputs.WORKLOADS for seed in (1, 2, 3)
+          for inst in input_set(workload, seed, 16)}
+    rng = random.Random(4300)
+    qs |= {tuple(split(rng)) for _ in range(200)}
+    qs |= {(*(rng.randint(-30, 30) for _ in range(d)), rng.choice([1, 2, 5, 12, -7]))
+           for d in range(1, 13) for _ in range(40)}
+    got = {q: _splits_mod(q) for q in qs}
+    assert got == {q: splits_mod_by_accumulate(q) for q in qs}
+    assert set(got.values()) == {False, True}
 
 
 def test_most_irrational_operators_are_refuted():
