@@ -1,10 +1,11 @@
 """Exact rational polynomial arithmetic, root finding and powers.
 
 A `Poly` is integer numerators over one denominator, and every kernel runs on those integers;
-an `OperatorPoly` is a nonzero `Poly` in the shift T.  `_factors` factors in integers: Yun's gcds
-by `_gcdheu` where a prime does not prove them idle, and rational roots lifted mod a prime and
-divided out by `_quotient`.  `_approximate` alone makes floats, Aberth's, of the roots left,
-which `_real_roots` counts.  Exact work on any root walks x^t mod q, q its primitive integer
+an `OperatorPoly` is a nonzero `Poly` in the shift T.  `_factors` factors on primitive integer
+lists and builds no `Poly`: Yun's gcds by `_gcdheu` (Euclid on `_rem`'s pseudo-remainders its
+fallback) where a prime does not prove them idle, and rational roots lifted mod a prime and kept
+where `_quotient` divides them out.  `_approximate` alone makes floats, Aberth's, of the roots
+left, which `_real_roots` counts.  Exact work on any root walks x^t mod q, q its primitive integer
 factor (L*x - N for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
 multiply, for `Poly` powers, bucket maps and x^t mod q.
 """
@@ -378,39 +379,33 @@ class RootSet(_Record):
         return all(r.exact for r in self.roots)
 
 
-def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact division with remainder: a = q*b + r with deg r < deg b.  Pseudo-division
-    of the numerators (Knuth, TAOCP vol. 2, 4.6.1): with l = lead(B) and e = deg a -
-    deg b + 1, l^e * A = Q*B + R in integers, q = Q * b.den / (l^e * a.den) and
-    r = R / (l^e * a.den)."""
-    B, n = b.nums, b.degree
-    lead = B[-1]
-    r = list(a.nums)
-    q = [0] * max(len(r) - n, 0)
-    for k in reversed(range(len(q))):
+def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The integer pseudo-remainder R of a by b, trailing zeros trimmed (Knuth, TAOCP vol. 2,
+    4.6.1): l^e * a = Q*b + R with deg R < deg b, l = lead(b) and e = max(deg a - deg b + 1, 0)."""
+    n, lead, r = len(b) - 1, b[-1], list(a)
+    for k in reversed(range(len(r) - n)):
         c = r.pop()
         r = [lead * x for x in r]
         if c:
-            q[k] = c * lead**k
             for j in range(n):
-                r[k + j] -= c * B[j]
-    den = a.den * lead ** len(q)
-    return Poly._make([x * b.den for x in q], den), Poly._make(r, den)
+                r[k + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
-def _primitive(p: Poly) -> list[int]:
-    """The primitive integer form of p: its numerators over their content, signed to make
-    the leading one positive (the zero polynomial gives [])."""
-    g = (math.gcd(*p.nums) or 1) * (-1 if p.nums and p.nums[-1] < 0 else 1)
-    return [c // g for c in p.nums]
+def _primitive(nums: Sequence[int]) -> list[int]:
+    """Integer nums over their content, signed to make the leading one positive ([] for none)."""
+    g = (math.gcd(*nums) or 1) * (-1 if nums and nums[-1] < 0 else 1)
+    return [c // g for c in nums]
 
 
-def _gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by Euclid's algorithm over Q.  Each remainder is
-    replaced by its primitive integer form, which keeps the coefficients from growing."""
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd (lead > 0) of nonzero integer a and b, by Euclid's algorithm on `_rem`'s
+    pseudo-remainders, each made primitive, which keeps the coefficients from growing."""
     while b:
-        a, b = b, Poly._make(_primitive(_divmod(a, b)[1]), 1)
-    return Poly._make(list(a.nums), a.nums[-1])
+        a, b = b, _primitive(_rem(a, b))
+    return _primitive(a)
 
 
 def _square_free_mod(nums: Sequence[int]) -> bool:
@@ -444,31 +439,32 @@ def _quotient(f: Sequence[int], b: Sequence[int]) -> list[int] | None:
 
 def _gcdheu(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
     """(h, f / h, g / h), h the primitive gcd (lead > 0) of nonzero integer f and g by GCDHEU (Char,
-    Geddes, Gonnet, J. Symbolic Comput. 1989): gcd(f(xi), g(xi)) in balanced base-xi digits if it
-    divides f and g, xi > 2 * min(max |f_i|, max |g_i|) + 29 and grown on failure; else `_gcd`'s."""
+    Geddes, Gonnet, J. Symbolic Comput. 1989): gcd(f(xi), g(xi)) in balanced base-xi digits, made
+    primitive, if it divides f and g, xi > 2 * min(max |f_i|, max |g_i|) + 29 and grown on failure;
+    else `_gcd`'s Euclid on integer pseudo-remainders."""
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(_GCDHEU_TRIES):
         v, h = math.gcd(*(reduce(lambda acc, c: acc * xi + c, reversed(p)) for p in (f, g))), []
         while v:
             h.append(v % xi - xi * (2 * (v % xi) > xi))
             v = (v - h[-1]) // xi
-        h = _primitive(Poly._make(h, 1))
+        h = _primitive(h)
         if (cf := _quotient(f, h)) is not None and (cg := _quotient(g, h)) is not None:
             return h, cf, cg
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    h = _primitive(_gcd(Poly._make(list(f), 1), Poly._make(list(g), 1)))
+    h = _gcd(f, g)
     return h, _quotient(f, h), _quotient(g, h)
 
 
-def _square_free(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's square-free decomposition (SYMSAC 1976): the nonconstant f_i of p = lead * prod f_i^i,
-    square-free and pairwise coprime, on p's primitive integer form with `_gcdheu`'s gcds and exact
-    quotients (Gauss's lemma).  The f_i are monic but the last, which keeps p's lead; a square-free
-    p comes back as [(p, 1)], a plain `Poly`, with no gcd when `_square_free_mod` holds (Brown, J.
-    ACM 1971): the gcd of p and p' over Z keeps its degree mod `_PRIME`, so it is a constant."""
-    if p.degree >= 1 and _square_free_mod(p.nums):
-        return [(Poly._make(list(p.nums), p.den), 1)]
-    P, out = _primitive(p), []
+def _square_free(p: Poly) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition (SYMSAC 1976): the nonconstant f_i of p = c * prod f_i^i,
+    square-free and pairwise coprime, as primitive integer lists (lead > 0), from p's primitive
+    form with `_gcdheu`'s gcds and exact quotients (Gauss's lemma).  A square-free p comes back as
+    [(its primitive form, 1)] with no gcd when `_square_free_mod` holds (Brown, J. ACM 1971): the
+    gcd of p and p' over Z keeps its degree mod `_PRIME`, so it is a constant."""
+    P, out = _primitive(p.nums), []
+    if len(P) > 1 and _square_free_mod(p.nums):
+        return [(P, 1)]
     b, c = _gcdheu(P, [k * x for k, x in enumerate(P)][1:])[1:] if len(P) > 1 else ([], [])
     while len(b) > 1:   # d = c - b', then gcd(b, d) and the quotients of b and d by it
         d = [x - k * y for k, (x, y) in enumerate(zip_longest(c, b[1:], fillvalue=0), 1)]
@@ -476,8 +472,7 @@ def _square_free(p: Poly) -> list[tuple[Poly, int]]:
             d.pop()
         a, b, c = _gcdheu(b, d) if d else (b, [1], [])
         out.append((a, len(out) + 1))
-    return [(Poly._make([x * p.nums[-1] for x in a], a[-1] * p.den) if n == len(out) else
-             Poly._make(list(a), a[-1]), i) for n, (a, i) in enumerate(out, 1) if len(a) > 1]
+    return [(a, i) for a, i in out if len(a) > 1]
 
 
 def _balanced(p: Poly) -> Poly:
@@ -591,15 +586,14 @@ def _lift_root(q: Sequence[int], a: int, prime: int, bound: int) -> tuple[int, i
     return a, m
 
 
-def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
-    """The rational roots of a square-free f, sorted, and the primitive integer form q of f
-    without them: no float (Loos, SIAM J. Comput. 1983).  A root N/D of q, D dividing its lead L,
-    is N * D^-1 mod each prime l not dividing L, so q has none if it has no root mod one such l.
+def _rational_roots(q: Sequence[int]) -> tuple[list[Fraction], tuple[int, ...]]:
+    """The rational roots of a square-free primitive integer q (lead > 0), sorted, and q without
+    them: no float (Loos, SIAM J. Comput. 1983).  A root N/D of q, D dividing its lead L, is
+    N * D^-1 mod each prime l not dividing L, so q has none if it has no root mod one such l.
     The l are swept upwards; from the fourth on, the first where q' is nonzero at every root of q
     mod l has simple roots only, each lifted to a mod l^k > 2 * (L + max |q_i|); then L*a mod l^k,
-    in (-l^k/2, l^k/2], is N * L/D by Cauchy's bound if `Poly._at` confirms it, and `_quotient`
-    divides D*x - N out of q.  A linear q = L*x - N is its own root N/L: no sweep, no lift."""
-    q = _primitive(f)
+    in (-l^k/2, l^k/2], is N * L/D by Cauchy's bound, kept as a root if `_quotient` divides D*x - N
+    out of what is left of q.  A linear q = L*x - N is its own root N/L: no sweep, no lift."""
     if len(q) == 2:
         return [Fraction(-q[0], q[1])], (1,)
     lead, dq = q[-1], [k * c for k, c in enumerate(q)][1:]
@@ -617,11 +611,14 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], tuple[int, ...]]:
                 simple.append(a)
             else:
                 break
-    bound = 2 * (lead + max(map(abs, q)))
-    roots = [Fraction(s, lead) for a in simple for b, m in [_lift_root(q, a, prime, bound)]
-             for s in [(b * lead + m // 2) % m - m // 2] if not f._at(s, lead)[0]]
-    return sorted(roots), tuple(reduce(lambda q, r: _quotient(q, (-r.numerator, r.denominator)),
-                                       roots, q))
+    bound, roots, rest = 2 * (lead + max(map(abs, q))), [], q
+    for a in simple:
+        b, m = _lift_root(q, a, prime, bound)
+        r = Fraction((b * lead + m // 2) % m - m // 2, lead)
+        if (left := _quotient(rest, (-r.numerator, r.denominator))) is not None:
+            roots.append(r)
+            rest = left
+    return sorted(roots), tuple(rest)
 
 
 def _splits_mod(q: Sequence[int]) -> bool:
@@ -676,9 +673,10 @@ def _x_power(q: Sequence[int], lo: int, hi: int, per_row: bool = False):
     """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
     lo <= t <= hi, m < k = deg q, for integers q with q(0) != 0 (else ValueError), so that
     t < 0 works with x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for
-    0 <= lo < k, (-q_0/q_1)^lo for k = 1, else `_binary_power` on `_divmod` remainders; then
-    x*r mod q per t: a shift if r_(k-1) = 0, else x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k
-    over one more q_k.  With per_row, den is a list: rows[t - lo] over den[t - lo]."""
+    0 <= lo < k, (-q_0/q_1)^lo for k = 1, else `_binary_power` with each product reduced to
+    `_rem`'s integer pseudo-remainder by q over den * q_k^e; then x*r mod q per t: a shift if
+    r_(k-1) = 0, else x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k over one more q_k.  With
+    per_row, den is a list: rows[t - lo] over den[t - lo]."""
     if not q[0]:
         raise ValueError(f"mode factor {tuple(q)} has q(0) = 0, so x has no inverse mod q")
     k, lead = len(q) - 1, q[-1]
@@ -688,9 +686,9 @@ def _x_power(q: Sequence[int], lo: int, hi: int, per_row: bool = False):
         a, b = (-q[0], q[1]) if lo > 0 else (q[1], -q[0])
         nums, den = [a ** abs(lo)], b ** abs(lo)
     else:
-        mod = Poly._make(list(q), 1)
+        mod = lambda p: Poly._make(_rem(p.nums, q), p.den * lead ** max(len(p.nums) - k, 0))
         x = Poly._make([0, 1], 1) if lo > 0 else Poly._make([-c for c in q[1:]], q[0])
-        out = _binary_power(_divmod(x, mod)[1], abs(lo), lambda a, b: _divmod(a * b, mod)[1])
+        out = _binary_power(mod(x), abs(lo), lambda a, b: mod(a * b))
         nums, den = [*out.nums, *[0] * (k - len(out.nums))], out.den
     rows, dens = [nums], [den]
     for _ in range(hi - lo):

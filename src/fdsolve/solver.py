@@ -469,7 +469,7 @@ def solve(eq: Equation) -> Solution:
     values left must satisfy q*(T) h = 0 at t0 ... t0 + k - 1.  No factoring and no system:
     the closed forms per factor come from `Solution.view` and `general_expr`."""
     particular, trace = solve_particular(eq.operator, eq.rhs)
-    q, initial = tuple(_primitive(eq.operator.reduce_shift()[1])), eq.initial or ()
+    q, initial = tuple(_primitive(eq.operator.reduce_shift()[1].nums)), eq.initial or ()
     d, t0 = len(q) - 1, initial[0][0] if initial else 0
     hs = [Fraction(v.numerator * b - a * v.denominator, v.denominator * b)
           for t, v in initial for a, b in [particular._ratio(t)]]   # v - y_P(t)

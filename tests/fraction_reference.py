@@ -9,9 +9,10 @@ runs a recurrence mode's factor in Fractions, sharing no code with
 replaced, evaluating the particular solution through `value` and every mode
 through `recurrence_value`.  `polar` is the printed view's per-factor
 `solver._polar` on the public `find_roots` and one Fraction per term of each
-E_j.  `_gcd` and `_square_free` are Yun's decomposition as it ran over Q
-before `algebra._gcdheu`, copied verbatim, and `factors` is `algebra._factors`
-on them with each rational root divided out in Fractions.
+E_j.  `_divmod`, `_gcd` and `_square_free` are Yun's decomposition as it ran
+over Q before `algebra._gcdheu` and `algebra._rem`, copied verbatim but for
+`_primitive` taking the numerators, and `factors` is `algebra._factors` on them
+with each rational root divided out in Fractions.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 
-from fdsolve.algebra import (Poly, _balanced, _divmod, _primitive, _rational_roots,
-                             _square_free_mod, _x_power, find_roots)
+from fdsolve.algebra import (Poly, _balanced, _primitive, _rational_roots, _square_free_mod,
+                             _x_power, find_roots)
 from fdsolve.expr import SequenceExpr
 from fdsolve.solver import SingularSystemError, _conditions
 
@@ -96,11 +97,31 @@ def polar(block, known: bool):
     return out
 
 
+def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Exact division with remainder: a = q*b + r with deg r < deg b.  Pseudo-division
+    of the numerators (Knuth, TAOCP vol. 2, 4.6.1): with l = lead(B) and e = deg a -
+    deg b + 1, l^e * A = Q*B + R in integers, q = Q * b.den / (l^e * a.den) and
+    r = R / (l^e * a.den)."""
+    B, n = b.nums, b.degree
+    lead = B[-1]
+    r = list(a.nums)
+    q = [0] * max(len(r) - n, 0)
+    for k in reversed(range(len(q))):
+        c = r.pop()
+        r = [lead * x for x in r]
+        if c:
+            q[k] = c * lead**k
+            for j in range(n):
+                r[k + j] -= c * B[j]
+    den = a.den * lead ** len(q)
+    return Poly._make([x * b.den for x in q], den), Poly._make(r, den)
+
+
 def _gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by Euclid's algorithm over Q.  Each remainder is
     replaced by its primitive integer form, which keeps the coefficients from growing."""
     while b:
-        a, b = b, Poly._make(_primitive(_divmod(a, b)[1]), 1)
+        a, b = b, Poly._make(_primitive(_divmod(a, b)[1].nums), 1)
     return Poly._make(list(a.nums), a.nums[-1])
 
 
@@ -141,5 +162,5 @@ def _deflate(f: Poly, r: Fraction) -> Poly:
 def factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...]]]:
     """(i, f_i's rational roots, q) per factor f_i of `_square_free` above, with the roots that
     `algebra._rational_roots` finds and q the primitive form of f_i with them divided out."""
-    return [(mult, roots, tuple(_primitive(reduce(_deflate, roots, f))))
-            for f, mult in _square_free(p) for roots in [_rational_roots(f)[0]]]
+    return [(mult, roots, tuple(_primitive(reduce(_deflate, roots, f).nums)))
+            for f, mult in _square_free(p) for roots in [_rational_roots(_primitive(f.nums))[0]]]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import fdsolve
 from fdsolve import algebra, cli, expr
-from fdsolve.algebra import (OperatorPoly, Poly, RootSet, ZeroConstantTermError, _divide, _divmod,
-                             _expand, _from_newton, _gcd, _newton, _square_free,
+from fdsolve.algebra import (OperatorPoly, Poly, RootSet, ZeroConstantTermError, _divide, _expand,
+                             _from_newton, _gcd, _newton, _primitive, _rem, _square_free,
                              find_roots, series_inverse)
 from fdsolve.expr import SequenceExpr
 from fdsolve.parser import parse_equation
@@ -420,10 +420,10 @@ def test_integer_kernels_match_fraction_references(a, b, k, x):
         "derivative": (p.derivative(), derivative_ref(a)),
         "deflate": ((p * Poly(-x, 1)).deflate(x), a),
     }
-    if b:
-        quo, rem = _divmod(p, q)
-        results["divmod quotient"] = quo, divmod_ref(a, b)[0]
-        results["divmod remainder"] = rem, divmod_ref(a, b)[1]
+    if b:   # lead^e * p.nums = Q * q.nums + R, e = max(deg p - deg q + 1, 0)
+        e = max(len(p.nums) - len(q.nums) + 1, 0)
+        results["rem"] = (Poly._make(_rem(p.nums, q.nums), p.den * q.nums[-1] ** e),
+                          divmod_ref(a, b)[1])
     if a and a[0]:   # orders of either parity, for the sign of q_0^(order+1)
         results["series_inverse"] = (series_inverse(p, len(b)),
                                      trimmed(series_inverse_reference(p, len(b))))
@@ -476,16 +476,13 @@ def test_gcd_and_square_free_match_fraction_references(a, b, c):
     if not common:
         return
     p, q = Poly(a) * common, Poly(b) * common
-    if p and q:
-        g = _gcd(p, q)
-        assert_normal(g)
-        assert list(g.coeffs) == gcd_ref(list(p.coeffs), list(q.coeffs))
+    if p and q:   # the references' monic factors made primitive
+        assert _gcd(p.nums, q.nums) == _primitive(Poly(gcd_ref(list(p.coeffs),
+                                                               list(q.coeffs))).nums)
     f = Poly(a) * common * common
     if f.degree >= 1:
-        got = _square_free(f)
-        for factor, _ in got:
-            assert_normal(factor)
-        assert [(list(g.coeffs), i) for g, i in got] == square_free_ref(list(f.coeffs))
+        assert _square_free(f) == [(_primitive(Poly(g).nums), i)
+                                   for g, i in square_free_ref(list(f.coeffs))]
 
 
 @given(wide_lists, st.integers(1, 1000))

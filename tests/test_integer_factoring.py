@@ -1,9 +1,11 @@
 """Factoring in integers: Yun's loop on primitive integer lists with `algebra._gcdheu`'s gcds,
 and rational roots divided out by `algebra._quotient`, against the decomposition over Q that
 they replaced, kept verbatim as `fraction_reference._square_free`.  GCDHEU is a heuristic that
-falls back to `_gcd`, so with every attempt made to fail the output must stay the same."""
+falls back to `_gcd`, so with every attempt made to fail the output must stay the same; and
+none of it builds a `Poly`."""
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from fdsolve import algebra
 from fdsolve.algebra import Poly, _factors, _gcdheu, _primitive, _quotient, _square_free
+from fdsolve.parser import parse_equation
 
 small_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda cs: cs[-1])
 powers = st.lists(st.tuples(small_polys, st.integers(1, 3)), min_size=1, max_size=4)
@@ -36,6 +39,11 @@ def ci_operators() -> dict[str, Poly]:
     return {"degree 70": seventy, "degree 80": p, "degree 160": p * q * q}
 
 
+def primitive_factors(factors: list[tuple[Poly, int]]) -> list[tuple[list[int], int]]:
+    """The reference's factors in `_square_free`'s form: primitive integer lists."""
+    return [(_primitive(f.nums), i) for f, i in factors]
+
+
 @given(powers, scales)
 @settings(max_examples=150, deadline=None)
 @seed(42)
@@ -43,7 +51,7 @@ def test_yun_matches_the_reference_on_products_of_powers(factors, scale):
     p = product(factors, scale)
     if p.degree < 1:
         return
-    assert _square_free(p) == ref._square_free(p)
+    assert _square_free(p) == primitive_factors(ref._square_free(p))
     assert _factors(p) == ref.factors(p)
 
 
@@ -51,9 +59,9 @@ def test_yun_matches_the_reference_on_products_of_powers(factors, scale):
 @settings(max_examples=100, deadline=None)
 @seed(42)
 def test_gcdheu_is_the_primitive_gcd_with_its_cofactors(a, b, common):
-    f, g = (_primitive(product(x + common)) for x in (a, b))
+    f, g = (_primitive(product(x + common).nums) for x in (a, b))
     h, cf, cg = _gcdheu(f, g)
-    assert h == _primitive(ref._gcd(Poly(f), Poly(g)))
+    assert h == _primitive(ref._gcd(Poly(f), Poly(g)).nums)
     assert (Poly(h) * Poly(cf), Poly(h) * Poly(cg)) == (Poly(f), Poly(g))
 
 
@@ -102,12 +110,32 @@ def test_the_degree_160_operator_factors_the_same_through_the_fallback(monkeypat
     assert calls
 
 
+def test_factoring_builds_no_poly(monkeypatch):
+    """`_factors` runs on integer lists alone: with `Poly` made unbuildable it factors the
+    seed-1 `mix`, `roots` and `payload` benchmark operators and the CI operators as before,
+    the degree-160 one also through the GCDHEU fallback."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("factoring built a Poly")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from run import input_set  # bench/run.py
+    ops = [*dict.fromkeys(parse_equation(inst.equation).operator
+                          for workload in ("mix", "roots", "payload")
+                          for inst in input_set(workload, 1, 16)), *ci_operators().values()]
+    want = [_factors(p) for p in ops]
+    monkeypatch.setattr(Poly, "_make", refuse)
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    assert [_factors(p) for p in ops] == want
+    calls = fallback_only(monkeypatch)
+    assert _factors(ops[-1]) == want[-1]   # the degree-160 operator
+    assert calls
+
+
 @given(small_polys, st.fractions(-20, 20, max_denominator=9))
 @settings(max_examples=100, deadline=None)
 @seed(42)
 def test_quotient_is_exact_division_or_none(cs, r):
     n, d = r.as_integer_ratio()
-    f = _primitive(Poly(cs))
-    assert _quotient(_primitive(Poly(cs) * Poly(-n, d)), (-n, d)) == f
+    f = _primitive(Poly(cs).nums)
+    assert _quotient(_primitive((Poly(cs) * Poly(-n, d)).nums), (-n, d)) == f
     rem = Poly(cs)(r)
     assert (_quotient(f, (-n, d)) is None) == (rem != 0)

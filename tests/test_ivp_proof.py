@@ -15,13 +15,13 @@ from fractions import Fraction as F
 import pytest
 
 from fdsolve import cli, oracle
-from fdsolve.algebra import OperatorPoly, Poly, _divmod
+from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr
 from fdsolve.oracle import iterate_recurrence, verify_solution
 from fdsolve.parser import parse_equation, parse_expression
 from fdsolve.solver import Equation, Solution, fit_constants, solve, solve_homogeneous
 
-from fraction_reference import gauss_jordan
+from fraction_reference import _divmod, gauss_jordan
 from instance_gen import (BASES, COEFFS, exact_root_operator, irrational_root_operator,
                           rand_initial, rand_rhs, rational_mode, resonant_instance)
 from iterate_reference import scan

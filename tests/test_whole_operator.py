@@ -77,7 +77,7 @@ def test_solve_agrees_with_the_per_factor_fit():
             assert sol == want == (SingularSystemError, "initial conditions are inconsistent"), i
             tally["inconsistent"] += 1
             continue
-        q = tuple(_primitive(op.reduce_shift()[1]))
+        q = tuple(_primitive(op.reduce_shift()[1].nums))
         assert sol.homogeneous == tuple(RecurrenceMode(q, 0, m, t0) for m in range(len(q) - 1))
         assert sol.constants == tuple(v - sol.particular.eval_at(t)
                                       for t, v in eq.initial[:len(q) - 1])
@@ -145,7 +145,7 @@ def split(rng):
     for _ in range(rng.randint(1, 6)):
         r = F(rng.randint(-40, 40), rng.randint(1, 12))
         p = p * Poly(-r, 1) ** rng.randint(1, 3)
-    return _primitive(p)
+    return _primitive(p.nums)
 
 
 def test_splits_mod_never_refutes_a_split_polynomial():
@@ -165,8 +165,8 @@ def test_splits_mod_refutes(q):
 
 def test_splits_mod_counts_multiplicity():
     """(x - 1)^3 (x + 1) splits: one root of multiplicity 3 and one simple, mod 5."""
-    assert _splits_mod(_primitive(Poly(-1, 1) ** 3 * Poly(1, 1)))
-    assert not _splits_mod(_primitive(Poly(-1, 1) ** 3 * Poly(1, 0, 1)))
+    assert _splits_mod(_primitive((Poly(-1, 1) ** 3 * Poly(1, 1)).nums))
+    assert not _splits_mod(_primitive((Poly(-1, 1) ** 3 * Poly(1, 0, 1)).nums))
 
 
 def splits_mod_by_accumulate(q):
@@ -185,7 +185,7 @@ def test_splits_mod_matches_its_accumulate_form(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import inputs  # bench/inputs.py
     from run import input_set  # bench/run.py
-    qs = {tuple(_primitive(parse_equation(inst.equation).operator.reduce_shift()[1]))
+    qs = {tuple(_primitive(parse_equation(inst.equation).operator.reduce_shift()[1].nums))
           for workload in inputs.WORKLOADS for seed in (1, 2, 3)
           for inst in input_set(workload, seed, 16)}
     rng = random.Random(4300)
@@ -201,9 +201,10 @@ def test_most_irrational_operators_are_refuted():
     """The certificate is a proof only one way; on the irrational-root draws of `instance_gen`
     it refutes more than half, one prime per quadratic factor."""
     rng = random.Random(4200)
-    qs = [_primitive(irrational_root_operator(rng)) for _ in range(200)]
+    qs = [_primitive(irrational_root_operator(rng).nums) for _ in range(200)]
     assert sum(not _splits_mod(q) for q in qs) >= 100
-    assert all(_splits_mod(_primitive(Poly(-b, 1) * Poly(-c, 1))) for b in BASES for c in BASES)
+    assert all(_splits_mod(_primitive((Poly(-b, 1) * Poly(-c, 1)).nums))
+               for b in BASES for c in BASES)
 
 
 def test_the_lifting_prime_needs_simple_roots_only(monkeypatch):
@@ -216,5 +217,5 @@ def test_the_lifting_prime_needs_simple_roots_only(monkeypatch):
     p = Poly(1)
     for r in roots:
         p = p * Poly(-r, 1)
-    assert algebra._rational_roots(p) == (sorted(roots), (1,))
+    assert algebra._rational_roots(p.nums) == (sorted(roots), (1,))
     assert calls == []
