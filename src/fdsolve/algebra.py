@@ -262,9 +262,10 @@ class OperatorPoly(Poly):
     def as_poly(self) -> Poly:
         return Poly._make(list(self.nums), self.den)
 
-    def scale_argument(self, lam: Coeff) -> OperatorPoly:
-        """The operator P(lam*T): each T^k coefficient picks up lam^k = u^k v^(d-k) / v^d."""
-        u, v = Fraction(lam).as_integer_ratio()
+    def scale_argument(self, lam: Coeff | tuple[int, int]) -> OperatorPoly:
+        """The operator P(lam*T), lam = u/v a number or the pair (u, v), v != 0: each T^k
+        coefficient picks up lam^k = u^k v^(d-k) / v^d."""
+        u, v = lam if type(lam) is tuple else Fraction(lam).as_integer_ratio()
         if u == 0:
             raise ZeroScaleError("cannot scale operator argument by 0")
         d = self.degree
@@ -463,7 +464,7 @@ def _square_free(p: Poly) -> list[tuple[list[int], int]]:
     [(its primitive form, 1)] with no gcd when `_square_free_mod` holds (Brown, J. ACM 1971): the
     gcd of p and p' over Z keeps its degree mod `_PRIME`, so it is a constant."""
     P, out = _primitive(p.nums), []
-    if len(P) > 1 and _square_free_mod(p.nums):
+    if len(P) > 1 and _square_free_mod(P):
         return [(P, 1)]
     b, c = _gcdheu(P, [k * x for k, x in enumerate(P)][1:])[1:] if len(P) > 1 else ([], [])
     while len(b) > 1:   # d = c - b', then gcd(b, d) and the quotients of b and d by it

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable
 
 from .algebra import Coeff, OperatorPoly, Poly, _Record, _render_sum, _signed_sum
@@ -19,11 +20,6 @@ class UnsupportedRhsError(ValueError):
     """A right-hand side outside the supported closed-form class."""
 
     offset: int | None = None
-
-
-def _parity(n: int) -> Fraction:
-    """(-1)^n: on integer t, cos(n*pi*t) is (-1)^(n*t) and sin(n*pi*t) is 0."""
-    return Fraction(-1) if n % 2 else Fraction(1)
 
 
 class Trig(_Record):
@@ -41,7 +37,7 @@ class Trig(_Record):
     @property
     def parity(self) -> Fraction:
         """Value at t=1 of the integer-domain cosine factor: (-1)^n."""
-        return _parity(self.n)
+        return Fraction(-1 if self.n % 2 else 1)
 
 
 class Term(_Record):
@@ -62,12 +58,47 @@ class Term(_Record):
         super().__init__(coeff if type(coeff) is Fraction else Fraction(coeff), base, poly, trig)
 
 
-# A sum of terms before its normal form: (base, trig kind or None, n) -> c * p(t)
-_Key = tuple[Fraction, "str | None", int]
+# A sum of terms before its normal form: (base, trig kind or None, n) -> c * p(t), a base
+# num/den the pair (num, den) of ints in lowest terms, den > 0, so keys hash as ints do
+_Base = tuple[int, int]
+_Key = tuple[_Base, "str | None", int]
 _Buckets = dict[_Key, Poly]
+_ONE, _RANK = (1, 1), {None: 0, "cos": 1, "sin": 2}   # the base 1; the trig kinds in order
 
 
-def _insert(buckets: _Buckets, base: Fraction, kind: str | None, n: int,
+def _base_str(base: _Base) -> str:   # as `str` prints the Fraction num/den
+    return str(base[0]) if base[1] == 1 else f"{base[0]}/{base[1]}"
+
+
+def _base_pow(base: _Base, k: int) -> _Base:   # base^k, for any integer k
+    a, b = base if k >= 0 else (base[1], base[0]) if base[0] > 0 else (-base[1], -base[0])
+    return a ** abs(k), b ** abs(k)
+
+
+def _fold(base: _Base, n: int) -> _Base:
+    """base * (-1)^n: on integer t, cos(n*pi*t) * base^t is (base * (-1)^n)^t."""
+    return (-base[0], base[1]) if n % 2 else base
+
+
+def _base_mul(x: _Base, y: _Base) -> _Base:   # each numerator reduced by the other denominator
+    (a, b), (c, d) = x, y
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _scale(p: Poly, base: _Base, k: int, num: int = 1, den: int = 1) -> Poly:
+    """p * (num / den) * base^k, den != 0."""
+    u, v = _base_pow(base, k)
+    return Poly._make([c * num * u for c in p.nums], p.den * den * v)
+
+
+def _compare(x: tuple[_Key, Poly], y: tuple[_Key, Poly]) -> int:
+    """Bucket order: base value by integer cross-multiplication, then `_RANK` of kind, then n."""
+    ((a, b), ka, na), ((c, d), kb, nb) = x[0], y[0]
+    return a * d - c * b or _RANK[ka] - _RANK[kb] or na - nb
+
+
+def _insert(buckets: _Buckets, base: _Base, kind: str | None, n: int,
             poly: Poly) -> _Buckets:
     """Add poly to its bucket and return the map; cos(0) folds to 1, and sin(0),
     zero polynomials and buckets that cancel drop out, so every bucket is nonzero."""
@@ -86,32 +117,24 @@ def _insert(buckets: _Buckets, base: Fraction, kind: str | None, n: int,
     return buckets
 
 
-def _mul_terms(out: _Buckets, base: Fraction, poly: Poly,
-               ka: str, na: int, kb: str, nb: int) -> None:
-    """Insert base^t * poly * ka(na*pi*t) * kb(nb*pi*t), expanded by the
-    trig product identities."""
-    half = Fraction(1, 2)
-    s, d = na + nb, na - nb
-    if ka == kb:  # cos*cos or sin*sin: a cos(0) left over folds into the constant
-        pairs = [(half, "cos", abs(d)), (half if ka == "cos" else -half, "cos", s)]
-    else:  # sin(a)cos(b) = (sin(a+b) + sin(a-b))/2, and sin(0) drops out
-        d = d if ka == "sin" else -d
-        pairs = [(half, "sin", s), (half if d > 0 else -half, "sin", abs(d))]
-    for w, kind, n in pairs:
-        _insert(out, base, kind, n, poly * w)
-
-
 def _bucket_mul(a: _Buckets, b: _Buckets) -> _Buckets:
-    """The product of two bucket maps: bases and polynomials multiply, and a
-    pair of trig factors goes through `_mul_terms`."""
+    """The product of two bucket maps: bases and polynomials multiply, and a pair of trig
+    factors expands by the product identities into two terms, each half the sum."""
     out: _Buckets = {}
     for (ba, ka, na), pa in a.items():
         for (bb, kb, nb), pb in b.items():
-            base = bb if ba == 1 else ba if bb == 1 else ba * bb
+            base, p = bb if ba == _ONE else ba if bb == _ONE else _base_mul(ba, bb), pa * pb
             if ka is None or kb is None:  # n is 0 without a trig factor
-                _insert(out, base, ka or kb, na + nb, pa * pb)
-            else:
-                _mul_terms(out, base, pa * pb, ka, na, kb, nb)
+                _insert(out, base, ka or kb, na + nb, p)
+                continue
+            s, d = na + nb, na - nb
+            if ka == kb:  # cos*cos or sin*sin: a cos(0) left over folds into the constant
+                pairs = [(1, "cos", abs(d)), (1 if ka == "cos" else -1, "cos", s)]
+            else:  # sin(a)cos(b) = (sin(a+b) + sin(a-b))/2, and sin(0) drops out
+                d = d if ka == "sin" else -d
+                pairs = [(1, "sin", s), (1 if d > 0 else -1, "sin", abs(d))]
+            for w, kind, n in pairs:
+                _insert(out, base, kind, n, Poly._make([w * c for c in p.nums], 2 * p.den))
     return out
 
 
@@ -126,28 +149,33 @@ def _sum(pairs: Iterable[tuple[_Key, Poly]]) -> SequenceExpr:
 class SequenceExpr(_Record):
     """Normalized sum of terms c * base^t * p(t) * trig, one bucket per (base, trig).
 
-    `buckets` holds ((base, trig kind or None, n), poly) pairs: terms sharing
-    base and trig are merged, cos(0) becomes 1, sin(0) and vanished
-    polynomials drop out, and c stays inside the polynomial.  The pairs are
-    sorted by base, then no trig before cos before sin, then n, so structural
-    equality (and the hash) is a canonical-form equality.  `terms` reads the
-    same sum as monic `Term`s for callers outside the package; the
-    renderer and the solver read `buckets` directly.
+    `buckets` holds (((num, den), trig kind or None, n), poly) pairs, the base
+    num/den as a pair of ints in lowest terms with den > 0: terms sharing base
+    and trig are merged, cos(0) becomes 1, sin(0) and vanished polynomials drop
+    out, and c stays inside the polynomial.  The pairs are sorted by the exact
+    value of the base, then no trig before cos before sin, then n, so
+    structural equality (and the hash) is a canonical-form equality.  `terms`
+    reads the same sum as monic `Term`s, with Fraction bases, for callers
+    outside the package; the renderer, the solver and the oracle read `buckets`.
     """
 
     __slots__ = ("buckets",)
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
         object.__setattr__(self, "buckets", _sum(
-            ((tm.base, tm.trig.kind if tm.trig else None, tm.trig.n if tm.trig else 0),
-             tm.poly * tm.coeff) for tm in terms).buckets)
+            ((tm.base.as_integer_ratio(), tm.trig.kind if tm.trig else None,
+              tm.trig.n if tm.trig else 0), tm.poly * tm.coeff) for tm in terms).buckets)
+
+    def __repr__(self) -> str:   # each base as the Fraction it stands for, as `terms` reads it
+        pairs = tuple(((Fraction(*b), kind, n), p) for (b, kind, n), p in self.buckets)
+        return f"SequenceExpr(buckets={pairs!r})"
 
     @classmethod
     def _from_buckets(cls, buckets: _Buckets) -> SequenceExpr:
         """The normal form of a bucket map built by `_insert`: its pairs, sorted."""
         expr = object.__new__(cls)
-        object.__setattr__(expr, "buckets", tuple(sorted(  # no trig ("") < "cos" < "sin"
-            buckets.items(), key=lambda kv: (kv[0][0], kv[0][1] or "", kv[0][2]))))
+        object.__setattr__(expr, "buckets", tuple(sorted(buckets.items(),
+                                                         key=cmp_to_key(_compare))))
         return expr
 
     @classmethod
@@ -170,8 +198,8 @@ class SequenceExpr(_Record):
     def terms(self) -> tuple[Term, ...]:
         """The buckets in order, each as a term whose coeff is the leading
         coefficient and whose polynomial is monic; built on every read."""
-        return tuple(Term(p.lead, base, p * (1 / p.lead), Trig(kind, n) if kind else None)
-                     for (base, kind, n), p in self.buckets)
+        return tuple(Term(p.lead, Fraction(*base), p * (1 / p.lead),
+                          Trig(kind, n) if kind else None) for (base, kind, n), p in self.buckets)
 
     @property
     def is_zero(self) -> bool:
@@ -183,10 +211,8 @@ class SequenceExpr(_Record):
         num, den = 0, 1
         for (base, kind, n), p in self.buckets:
             if kind != "sin":
-                (a, b), (pn, pd) = base.as_integer_ratio(), p._at(t, 1)
-                a = -a if n % 2 else a
-                pn, pd = (pn * a**t, pd * b**t) if t >= 0 else (pn * b**-t, pd * a**-t)
-                num, den = num * pd + pn * den, den * pd
+                (a, b), (pn, pd) = _base_pow(_fold(base, n), t), p._at(t, 1)
+                num, den = num * pd * b + pn * a * den, den * pd * b
         return num, den
 
     def eval_at(self, t: int) -> Fraction:
@@ -195,7 +221,7 @@ class SequenceExpr(_Record):
 
     def shift(self, k: int) -> SequenceExpr:
         """The sequence t -> self(t + k)."""
-        return _sum(((base, kind, n), p.taylor_shift(k) * (base * _parity(n)) ** k)
+        return _sum(((base, kind, n), _scale(p.taylor_shift(k), _fold(base, n), k))
                     for (base, kind, n), p in self.buckets)
 
     def scaled(self, c: Coeff) -> SequenceExpr:
@@ -220,7 +246,7 @@ class SequenceExpr(_Record):
         becomes 0, so two expressions agreeing pointwise on all integers get
         the same normal form.
         """
-        return _sum(((base * _parity(n), None, 0), p)
+        return _sum(((_fold(base, n), None, 0), p)
                     for (base, kind, n), p in self.buckets if kind != "sin")
 
     def render(self, pretty: bool = False) -> str:
@@ -230,36 +256,37 @@ class SequenceExpr(_Record):
         return self.render()
 
 
-def _render_base_power(base: Fraction, shift: int) -> str:
-    b = str(base.numerator) if base.denominator == 1 and base.numerator >= 0 else f"({base})"
+def _render_base_power(base: _Base, shift: int) -> str:
+    b = str(base[0]) if base[1] == 1 and base[0] >= 0 else f"({_base_str(base)})"
     if shift == 0:
         return f"{b}^t"
     return f"{b}^(t{'+' if shift > 0 else '-'}{abs(shift)})"
 
 
-def _exponent_fold(coeff: Fraction, base: Fraction) -> int | None:
-    """Integer j in [-16, 16] with base^j == coeff, for display as base^(t+j), or None.
-    As |base| != 1 at most one j fits; log |num| + log den of base^j is |j| times
-    that of base, and the estimate and its neighbours are checked exactly, on the
-    integer numerators and denominators."""
-    (cn, cd), (bn, bd) = coeff.as_integer_ratio(), base.as_integer_ratio()
+def _exponent_fold(coeff: _Base, base: _Base) -> int | None:
+    """Integer j in [-16, 16] with base^j == cn/cd, coeff = (cn, cd) with cd > 0, for display
+    as base^(t+j), or None.  As |base| != 1 at most one j fits; log |num| + log den of base^j
+    is |j| times that of base, and the estimate and its neighbours are compared exactly, as
+    pairs in lowest terms."""
+    g, (bn, bd) = math.gcd(*coeff), base
+    cn, cd = coeff[0] // g, coeff[1] // g
     if abs(bn) == bd:
         return None
     k = round((math.log(abs(cn)) + math.log(cd)) / (math.log(abs(bn)) + math.log(bd)))
     if (abs(cn) > cd) != (abs(bn) > bd):
         k = -k
-    return next((j for j in (k - 1, k, k + 1) if -16 <= j <= 16 and (
-        bn**j * cd == cn * bd**j if j >= 0 else bd**-j * cd == cn * bn**-j)), None)
+    fits = (j for j in (k - 1, k, k + 1) if -16 <= j <= 16 and _base_pow(base, j) == (cn, cd))
+    return next(fits, None)
 
 
 def _render_bucket(key: _Key, p: Poly, pretty: bool) -> str:
     """The bucket's term as a signed term, ` + body` or ` - body`, for `_signed_sum`."""
     base, kind, n = key
-    if base == 1 and kind is None:
+    if base == _ONE and kind is None:
         s = p.render()
         return f" - {s[1:]}" if s[0] == "-" else f" + {s}"
     pieces: list[str] = []
-    j = _exponent_fold(p.lead, base) if pretty else None
+    j = _exponent_fold((p.nums[-1], p.den), base) if pretty else None
     negative = j is None and p.nums[-1] < 0
     if j is not None:  # base^(t+j) takes the coefficient: print p monic
         pieces.append(_render_base_power(base, j))
@@ -269,7 +296,7 @@ def _render_bucket(key: _Key, p: Poly, pretty: bool) -> str:
             p = -p
         if p.degree < 1 and p.nums[0] != p.den:
             pieces.append(_render_sum([(p.nums[0], "")], p.den))
-        if base != 1:
+        if base != _ONE:
             pieces.append(_render_base_power(base, 0))
     if p.degree >= 1:
         if pretty and p.nums[-1] == p.den and sum(1 for c in p.nums if c) == 1:
@@ -292,5 +319,5 @@ def apply_operator(op: OperatorPoly, e: SequenceExpr) -> SequenceExpr:
     if work > _MAX_APPLY_WORK:
         raise ValueError(f"applying the operator takes about {work} shift steps, "
                          f"over the limit of {_MAX_APPLY_WORK}")
-    return _sum(((base, kind, n), p.taylor_shift(k) * (a * (base * _parity(n)) ** k))
-                for (base, kind, n), p in e.buckets for k, a in enumerate(op.coeffs) if a)
+    return _sum(((base, kind, n), _scale(p.taylor_shift(k), _fold(base, n), k, a, op.den))
+                for (base, kind, n), p in e.buckets for k, a in enumerate(op.nums) if a)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import Poly, _quotient, _Record, _x_power
-from .expr import SequenceExpr
+from .expr import SequenceExpr, _base_pow, _fold
 from .solver import Equation, Solution, SolveTrace
 
 # The largest verification horizon.  Forward application builds about K values and the
@@ -55,20 +55,19 @@ class VerifyReport(_Record):
                 f"got {self.got} ({self.method})")
 
 
-def _folded(expr: SequenceExpr) -> list[tuple[Fraction, Poly]]:
+def _folded(expr: SequenceExpr) -> list[tuple[tuple[int, int], Poly]]:
     """expr as pairs (b, p) with expr(t) == sum p(t) * b^t on integer t, where
-    sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t; a base may repeat."""
-    return [(-base if n % 2 else base, poly)
-            for (base, kind, n), poly in expr.buckets if kind != "sin"]
+    sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t; a base b = (num, den) may repeat."""
+    return [(_fold(base, n), poly) for (base, kind, n), poly in expr.buckets if kind != "sin"]
 
 
-def _order(pairs: Iterable[tuple[Fraction | tuple[int, ...], int]]) -> int:
+def _order(pairs: Iterable[tuple[tuple[int, ...], int]]) -> int:
     """K over (base, count) pairs, each base at its largest count: a rational base b of a
     `_folded` pair (b, p) counts deg p + 1, and the factor q of a mode t^j * e_m counts
     deg q * (j + 1), a term t^j * a^t per root a of q.  An exponential polynomial with K
     terms that is 0 at K consecutive t is 0 on Z (Everest et al., Recurrence Sequences,
     ch. 1)."""
-    counts: dict[Fraction | tuple[int, ...], int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for b, count in pairs:
         counts[b] = max(counts.get(b, 0), count)
     return sum(counts.values())
@@ -89,8 +88,8 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     """Integers nums and den with expr(t) == nums[t - lo] / den for lo <= t <= hi.
 
     Each pair of `_folded(expr)` is (u/v)^t * q(t) / d with q = poly.nums and
-    d = poly.den.  Over k.denominator * v^(hi-lo), where k = (u/v)^lo / d, its
-    numerator at t is k.numerator * u^(t-lo) * v^(hi-t) * q(t): Horner on q,
+    d = poly.den.  Over kd * d * v^(hi-lo), where kn/kd = (u/v)^lo, kd > 0, its
+    numerator at t is kn * u^(t-lo) * v^(hi-t) * q(t): Horner on q,
     and one product and one exact division by v per step of t.  den is the
     lcm of those denominators over all pairs; nums/den is not reduced.
     """
@@ -98,12 +97,9 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
         return [], 1
     width = hi - lo
     parts = []
-    for base, poly in _folded(expr):
-        q = poly.nums[::-1]
-        k = base**lo / poly.den
-        v_width = base.denominator**width
-        parts.append((k.numerator * v_width, k.denominator * v_width,
-                      base.numerator, base.denominator, q))
+    for (u, v), poly in _folded(expr):
+        (kn, kd), vw = _base_pow((u, v), lo), v**width
+        parts.append((kn * vw, kd * poly.den * vw, u, v, poly.nums[::-1]))
     den = math.lcm(*(kd for _, kd, _, _, _ in parts))
     nums = [0] * (width + 1)
     for g, kd, u, v, q in parts:

@@ -31,7 +31,8 @@ from fractions import Fraction
 from itertools import compress, count
 
 from .algebra import OperatorPoly, Poly, _binary_power
-from .expr import SequenceExpr, UnsupportedRhsError, _Buckets, _bucket_mul, _insert
+from .expr import (_ONE, SequenceExpr, UnsupportedRhsError, _base_pow, _Buckets, _bucket_mul,
+                   _insert, _scale)
 from .solver import Condition, Equation
 
 
@@ -60,7 +61,6 @@ _MAX_DEGREE = 4000  # a power holds at most this + 1 coefficients over all its b
 _MAX_BITS = 2**20  # k * the bit length of the largest number in a power's base
 _MAX_WORK = 10**7  # a power's estimated squaring work, in units of about 0.1 us
 _MAX_ORDER = 200  # degree of an equation's operator, bounding solve time
-_ONE = Fraction(1)
 _ZERO, _P_ONE, _P_MINUS_ONE = (Poly._make(cs, 1) for cs in ([], [1], [-1]))
 _Y_COEFF = "a constant coefficient on y (only constant-coefficient equations)"
 _EXPONENT = "an integer exponent, '{v}', or '(a*{v} + b)' with integers a, b"
@@ -90,7 +90,7 @@ def _max_bits(expr: _Buckets) -> int:
     each coefficient in lowest terms, the longer of numerator and denominator."""
     bits = 0
     for (b, _, _), p in expr.items():
-        bits = max(bits, (abs(b.numerator) | b.denominator).bit_length())
+        bits = max(bits, (abs(b[0]) | b[1]).bit_length())
         for c in p.nums:
             g = math.gcd(c, p.den)
             bits = max(bits, (abs(c) // g | p.den // g).bit_length())
@@ -102,7 +102,7 @@ def _inverse(expr: _Buckets) -> _Buckets | None:
     if len(expr) == 1:
         ((base, kind, _), p), = expr.items()
         if kind is None and p.degree == 0:
-            return {(1 / base, None, 0): Poly._make([p.den], p.nums[0])}
+            return {(_base_pow(base, -1), None, 0): Poly._make([p.den], p.nums[0])}
     return None
 
 
@@ -139,8 +139,7 @@ def _poly_of(val: Poly | _Val | tuple) -> Poly | None:
         return _lift(val)
     if val.ops or len(val.expr) > 1:
         return None
-    (base, kind, _), p = next(iter(val.expr.items()), ((_ONE, None, 0), _ZERO))
-    return p if kind is None and base == 1 else None
+    return val.expr.get((_ONE, None, 0)) if val.expr else _ZERO
 
 
 def _const(val: Poly | _Val | tuple) -> tuple[int, int] | None:
@@ -356,7 +355,7 @@ class _Parser:
                                  "constants and geometric terms")
         self._check_power(base, k, at)
         if len(base) == 1 and (key := next(iter(base)))[1] is None:  # c^k * (b^k)^t * p(t)^k
-            return _Val({}, {(key[0] ** k, None, 0): base[key] ** k})
+            return _Val({}, {(_base_pow(key[0], k), None, 0): base[key] ** k})
         return _Val({}, _binary_power(base, k, _bucket_mul)) if k else _P_ONE
 
     def _t_power(self, val: Poly | _Val | tuple, slope: int, offset: int, at: int) -> _Val:
@@ -369,9 +368,9 @@ class _Parser:
                              "friends lie outside the supported closed-form class)")
         if not c:
             self.unsupported(at, f"0 cannot be raised to the power {v}")
-        self._check_power((c.nums[0], c.den, 0), max(abs(slope), abs(offset)), at)
-        scale = c**offset if offset >= 0 else Poly._make([c.den], c.nums[0]) ** -offset
-        return _Val({}, {(c[0] ** slope, None, 0): scale})
+        base = c.nums[0], c.den
+        self._check_power((*base, 0), max(abs(slope), abs(offset)), at)
+        return _Val({}, {(_base_pow(base, slope), None, 0): _scale(_P_ONE, base, offset)})
 
     def parse_atom(self) -> Poly | _Val | tuple:
         kind, text, at = self.toks[self.i]

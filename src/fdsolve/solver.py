@@ -27,7 +27,8 @@ from typing import Sequence
 from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _inverse,
                       _newton, _power, _primitive, _quotient, _real_roots, _Record, _render_sum,
                       _signed_sum, _splits_mod, _x_power, series_inverse)
-from .expr import SequenceExpr, _Key, _parity, _render_base_power, _render_bucket, _sum
+from .expr import (_ONE, SequenceExpr, _base_str, _fold, _Key, _render_base_power, _render_bucket,
+                   _scale, _sum)
 
 
 class SingularSystemError(ValueError):
@@ -79,7 +80,7 @@ class RecurrenceMode(_Record):
 
     def _bucket(self) -> tuple[_Key, Poly]:
         """t^power * root^t, the mode of a degree-1 factor times root^anchor, as one bucket."""
-        return ((Fraction(-self.factor[0], self.factor[1]), None, 0),
+        return (((-self.factor[0], self.factor[1]), None, 0),
                 Poly._make([0] * self.power + [1], 1))
 
     def render(self, pretty: bool = False) -> str:   # `Solution.view` prints the polar form
@@ -138,8 +139,9 @@ class Solution(_Record):
         if self.constants is None or not self.is_exact:
             return None
         sol = self._factored()
-        return _sum([*sol.particular.buckets, *((k, p * (c * k[0] ** -m.anchor)) for c, m in
-                     zip(sol.constants, sol.homogeneous) for k, p in [m._bucket()])])
+        return _sum([*sol.particular.buckets, *(
+            (k, _scale(p, k[0], -m.anchor, c.numerator, c.denominator))
+            for c, m in zip(sol.constants, sol.homogeneous) for k, p in [m._bucket()])])
 
     def general_value_at(self, t: int) -> Fraction:
         """Exact value of particular + sum(c_i * mode_i) at integer t."""
@@ -294,13 +296,13 @@ def _term_str(key: _Key, poly: Poly) -> str:
 def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
                 h: Poly) -> tuple[SequenceExpr, list[TraceStep]]:
     lam, kind, n = key
-    mu = _parity(n)
-    beta = lam * mu
+    mu, beta = -1 if n % 2 else 1, _fold(lam, n)
+    b_str = _base_str(beta)
     # q(D) = P(beta*(1 + D)) acts on the polynomial factor once beta^t is pulled
     # out; beta != 0, so D^m divides q exactly when beta is an m-fold root of P.
     # A constant payload's rule (below) reads only q(0) = P(beta), when it is nonzero
-    const = h.degree == 0 and (kind is not None or lam != 1)
-    num, den = P._at(*beta.as_integer_ratio()) if const else (0, 1)   # P(beta) = num/den
+    const = h.degree == 0 and (kind is not None or lam != _ONE)
+    num, den = P._at(*beta) if const else (0, 1)   # P(beta) = num/den
     q = Poly._make([num], den) if num else P.scale_argument(beta).taylor_shift(1)
     m = next(i for i, x in enumerate(q.nums) if x)
     steps: list[TraceStep] = []
@@ -315,19 +317,20 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
     if kind is not None and m >= 1:
         if kind == "sin":
             step("resonant-trig",
-                 f"P({beta}) = 0, but sin({n}*pi*t) is 0 at every integer t, "
+                 f"P({b_str}) = 0, but sin({n}*pi*t) is 0 at every integer t, "
                  "so this term needs no particular contribution", "0")
             return SequenceExpr.zero(), steps
         out = (beta, None, 0)
         step("resonant-trig",
-             f"P({beta}) = 0; on integer t, cos({n}*pi*t) equals ({mu})^t, "
-             f"so continue with geometric base {beta}", _pending(P_str, _term_str(out, h)))
-    elif kind is not None and lam != 1:
+             f"P({b_str}) = 0; on integer t, cos({n}*pi*t) equals ({mu})^t, "
+             f"so continue with geometric base {b_str}", _pending(P_str, _term_str(out, h)))
+    elif kind is not None and lam != _ONE:
         scaled = P.scale_argument(lam)
         factor = _render_base_power(lam, 0)
         step("scale-rule",
-             f"extract the factor {factor}: the remaining operator is P({lam}*T) = {scaled}",
-             f"{factor} * " + _pending(str(scaled), _term_str((1, kind, n), h)))
+             f"extract the factor {factor}: the remaining operator is "
+             f"P({_base_str(lam)}*T) = {scaled}",
+             f"{factor} * " + _pending(str(scaled), _term_str((_ONE, kind, n), h)))
 
     R = Poly._make(list(q.nums[m:]), q.den)
     order = max(h.degree, 0)
@@ -342,21 +345,21 @@ def _solve_term(P: OperatorPoly, P_str: str, key: _Key,
     if num:
         # a constant payload: the series inverse is just 1/q(0) = 1/P(beta)
         if kind is None:
-            step("power-rule", f"geometric right side: divide by P({beta}) = {q[0]}", str(res))
-        elif lam == 1:
+            step("power-rule", f"geometric right side: divide by P({b_str}) = {q[0]}", str(res))
+        elif lam == _ONE:
             step(f"{kind}-rule", f"{kind}({n}*pi*t) right side: "
                  f"divide by P((-1)^{n}) = P({mu}) = {q[0]}", str(res))
         else:
             step(f"{kind}-rule", f"evaluate {scaled} at (-1)^{n} = {mu}: {q[0]}", str(res))
         return res, steps
 
-    prefix = "" if out == (1, None, 0) else _term_str(out, Poly(1)) + " * "
+    prefix = "" if out == (_ONE, None, 0) else _term_str(out, Poly(1)) + " * "
     q_str = _series_str(q)
-    if beta == 1:
+    if beta == _ONE:
         rule, detail = "delta-basis", f"set D = T - 1: the operator becomes {q_str}"
     else:
         rule, detail = "shift-theorem", (
-            f"conjugating by {_render_base_power(beta, 0)} maps T to {beta}*(1 + D), "
+            f"conjugating by {_render_base_power(beta, 0)} maps T to {b_str}*(1 + D), "
             f"so the operator on the polynomial factor is {q_str}")
     step(rule, detail, f"{prefix}{_pending(q_str, str(h))}")
 

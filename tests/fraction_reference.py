@@ -1,7 +1,8 @@
 """Fraction references for the integer point evaluators and the exact fit.
 
 `value` is the sum of (base * (-1)^n)^t * p(t) over the buckets with no sin
-factor, on Fractions, with p(t) read from `Poly.coeffs`.  `recurrence_value`
+factor, on Fractions, with each base (num, den) read as a Fraction and p(t)
+read from `Poly.coeffs`.  `recurrence_value`
 runs a recurrence mode's factor in Fractions, sharing no code with
 `algebra._x_power`, a degree-1 factor (a rational root) included.
 `gauss_jordan` and `fit` are the Fraction Gauss-Jordan elimination and the
@@ -27,7 +28,8 @@ from fdsolve.solver import SingularSystemError, _conditions
 
 
 def value(e: SequenceExpr, t: int) -> Fraction:
-    return sum(((base * (-1) ** n) ** t * sum(c * Fraction(t) ** k for k, c in enumerate(p.coeffs))
+    return sum(((Fraction(*base) * (-1) ** n) ** t
+                * sum(c * Fraction(t) ** k for k, c in enumerate(p.coeffs))
                 for (base, kind, n), p in e.buckets if kind != "sin"), Fraction(0))
 
 

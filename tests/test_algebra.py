@@ -790,16 +790,23 @@ def render_ref(p: Poly, var="t", ascending: bool = False) -> str:
     return signed_sum_ref(monomial(k, c) for k, c in (pairs if ascending else pairs[::-1]) if c)
 
 
+def base_power_ref(base: F, shift: int) -> str:
+    """base^(t+shift) with the base printed by `str` on its Fraction."""
+    b = str(base.numerator) if base.denominator == 1 and base.numerator >= 0 else f"({base})"
+    return f"{b}^t" if shift == 0 else f"{b}^(t{'+' if shift > 0 else '-'}{abs(shift)})"
+
+
 def bucket_ref(key, p: Poly, pretty: bool):
-    base, kind, n = key
+    (num, den), kind, n = key
+    base = F(num, den)
     if base == 1 and kind is None:
         s = render_ref(p)
         return (True, s[1:]) if s.startswith("-") else (False, s)
     lead, pieces = p.coeffs[-1], []
-    j = expr._exponent_fold(lead, base) if pretty else None
+    j = expr._exponent_fold(lead.as_integer_ratio(), key[0]) if pretty else None
     negative = j is None and lead < 0
     if j is not None:
-        pieces.append(expr._render_base_power(base, j))
+        pieces.append(base_power_ref(base, j))
         p = p * (1 / lead)
     else:
         if negative:
@@ -807,7 +814,7 @@ def bucket_ref(key, p: Poly, pretty: bool):
         if p.degree < 1 and p.coeffs[-1] != 1:
             pieces.append(str(p.coeffs[-1]))
         if base != 1:
-            pieces.append(expr._render_base_power(base, 0))
+            pieces.append(base_power_ref(base, 0))
     if p.degree >= 1:
         bare = pretty and p.coeffs[-1] == 1 and sum(map(bool, p.coeffs)) == 1
         pieces.append(render_ref(p) if bare else f"({render_ref(p)})")

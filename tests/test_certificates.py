@@ -135,6 +135,14 @@ def test_a_square_that_vanishes_mod_the_gcd_prime():
     assert _factors(p) == [(1, [F(2)], (1,)), (2, [F(-1, algebra._PRIME)], (1,))]
 
 
+def test_the_certificate_reads_the_primitive_form(monkeypatch):
+    """32749 * (x^2 - 2) has every numerator 0 mod 32749, its primitive form x^2 - 2 none:
+    the certificate holds on that form, so no gcd runs, as for x^2 - 2 itself."""
+    calls = spy(monkeypatch, "_gcdheu")
+    assert _square_free(Poly(-2, 0, 1) * algebra._PRIME) == [([-2, 0, 1], 1)]
+    assert not calls
+
+
 @pytest.mark.parametrize("p,found,rest,real,sweeps,lifted", [
     (Poly(-1, 2), [F(1, 2)], (1,), 0, [], []),
     (Poly(0, -2, 0, 1), [F(0)], (-2, 0, 1), 2, [2, 3, 5, 7], [(0, 7), (3, 7), (4, 7)]),

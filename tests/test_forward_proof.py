@@ -37,11 +37,11 @@ def monomial(j):
 def vanishes_on_z(e):
     """Whether e is 0 at every integer t, decided on its buckets: sin buckets are
     0 there, and cos(n*pi*t) * b^t is (-b)^t for odd n, so the buckets of each
-    such folded base must sum to the zero polynomial."""
+    such folded base, read as a Fraction, must sum to the zero polynomial."""
     folded = {}
     for (base, kind, n), p in e.buckets:
         if kind != "sin":
-            b = -base if n % 2 else base
+            b = -F(*base) if n % 2 else F(*base)
             folded[b] = folded.get(b, Poly(0)) + p
     return not any(folded.values())
 
@@ -54,7 +54,7 @@ def changed(rng, particular):
     """particular with one coefficient of one bucket moved by a nonzero amount."""
     if particular.buckets:
         (base, kind, n), p = rng.choice(particular.buckets)
-        j = rng.randrange(len(p.nums))
+        base, j = F(*base), rng.randrange(len(p.nums))
     else:
         base, kind, n, j = rng.choice(BASES), None, 0, 0
     trig = Trig(kind, n) if kind else None

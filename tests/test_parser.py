@@ -111,7 +111,7 @@ def test_decimal_literals_are_exact():
 @pytest.mark.parametrize("text", ["0", "007", "3.250", "0.5", "10.0", "2520"])
 def test_literals_read_from_their_digits(text):
     # the bucket map that Poly(Fraction(text)) gave, 0 as the empty map
-    expected = _insert({}, F(1), None, 0, Poly(F(text)))
+    expected = _insert({}, (1, 1), None, 0, Poly(F(text)))
     assert dict(parse_expression(text).buckets) == expected
     assert parse_expression(text) == SequenceExpr.constant(F(text))
 
@@ -261,7 +261,7 @@ def reference_bits(expr) -> int:
     length of the longer of numerator and denominator of each base and each
     coefficient in lowest terms."""
     return max(((abs(x.numerator) | x.denominator).bit_length()
-                for (b, _, _), p in expr.items() for x in (b, *p)), default=0)
+                for (b, _, _), p in expr.items() for x in (F(*b), *p)), default=0)
 
 
 # polynomials whose integer form has longer numbers than their coefficients in
@@ -270,7 +270,8 @@ mixed_polys = st.lists(test_expr.rationals, min_size=2, max_size=6).map(Poly).fi
     lambda p: any(c and math.gcd(c, p.den) > 1 for c in p.nums))
 
 
-@given(st.dictionaries(st.builds(lambda b, trig: (b, *trig), st.sampled_from(BASES),
+@given(st.dictionaries(st.builds(lambda b, trig: (b, *trig),
+                                 st.sampled_from([b.as_integer_ratio() for b in BASES]),
                                  st.sampled_from([(None, 0), ("cos", 1), ("sin", 3)])),
                        mixed_polys, min_size=1, max_size=3))
 def test_bit_measure_reads_lowest_terms(expr):

@@ -44,7 +44,7 @@ def rational(x: Fraction):
 
 def recurrence(eq: Equation):
     """sum a_k y(t+k) - phi(t) for a folded right side: its buckets are b^t * p(t)."""
-    phi = sum((sum(rational(c) * t**k for k, c in enumerate(p.coeffs)) * rational(b)**t
+    phi = sum((sum(rational(c) * t**k for k, c in enumerate(p.coeffs)) * sympy.Rational(*b)**t
                for (b, _, _), p in eq.rhs.buckets), sympy.Integer(0))
     return sum(rational(a) * y(t + k) for k, a in enumerate(eq.operator.coeffs)) - phi
 
