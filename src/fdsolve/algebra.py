@@ -670,14 +670,13 @@ def _binary_power(base, k: int, product: Callable):
     return out
 
 
-def _x_power(q: Sequence[int], lo: int, hi: int, per_row: bool = False):
+def _x_power(q: Sequence[int], lo: int, hi: int) -> tuple[list[list[int]], int]:
     """Integers rows and den with x^t mod q == sum_m rows[t - lo][m] * x^m / den for
     lo <= t <= hi, m < k = deg q, for integers q with q(0) != 0 (else ValueError), so that
     t < 0 works with x^-1 = -(q_1 + ... + q_k*x^(k-1)) / q_0.  x^lo is a unit vector for
     0 <= lo < k, (-q_0/q_1)^lo for k = 1, else `_binary_power` with each product reduced to
     `_rem`'s integer pseudo-remainder by q over den * q_k^e; then x*r mod q per t: a shift if
-    r_(k-1) = 0, else x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k over one more q_k.  With
-    per_row, den is a list: rows[t - lo] over den[t - lo]."""
+    r_(k-1) = 0, else x^k = -(q_0 + ... + q_(k-1)*x^(k-1)) / q_k over one more q_k."""
     if not q[0]:
         raise ValueError(f"mode factor {tuple(q)} has q(0) = 0, so x has no inverse mod q")
     k, lead = len(q) - 1, q[-1]
@@ -697,8 +696,7 @@ def _x_power(q: Sequence[int], lo: int, hi: int, per_row: bool = False):
         nums = [lead * a - top * c for a, c in zip([0, *nums[:-1]], q)] if top else [0, *nums[:-1]]
         rows.append(nums)
         dens.append(dens[-1] * lead if top else dens[-1])
-    return (rows, dens) if per_row else \
-        ([[c * (dens[-1] // d) for c in row] for d, row in zip(dens, rows)], dens[-1])
+    return [[c * (dens[-1] // d) for c in row] for d, row in zip(dens, rows)], dens[-1]
 
 
 def _inverse(a: Sequence[int], m: Sequence[int]) -> tuple[list[int], int]:

@@ -162,7 +162,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     sol = solve(eq)
     report = None
     if args.verify is not None:
-        report = verify_solution(eq, sol, horizon=args.verify)
+        report = verify_solution(eq, sol._factored(), horizon=args.verify)
     if args.format == "json":
         print(_json(_solution_doc(eq, sol, report, args.trace)))
     else:

@@ -32,7 +32,7 @@ from .expr import (_ONE, SequenceExpr, _base_str, _fold, _Key, _render_base_powe
 
 
 class SingularSystemError(ValueError):
-    """Initial conditions are inconsistent or do not pin the constants."""
+    """Initial conditions are inconsistent: the values past deg q* break q*(T) h = 0."""
 
 
 class TraceStep(_Record):
@@ -76,7 +76,7 @@ class RecurrenceMode(_Record):
 
     def eval_at(self, t: int) -> Fraction:
         """Exact value at integer t (negative t included)."""
-        return Fraction(*_values((self,), t, t)[0][0])
+        return Fraction(*_values((self,), t)[0])
 
     def _bucket(self) -> tuple[_Key, Poly]:
         """t^power * root^t, the mode of a degree-1 factor times root^anchor, as one bucket."""
@@ -93,16 +93,6 @@ class RecurrenceMode(_Record):
 Condition = tuple[int, Fraction]
 
 
-def _conditions(initial: Sequence[Condition], degree: int) -> tuple[Condition, ...]:
-    """The initial values sorted by t; there must be `degree` of them, each at an integral t."""
-    if len(initial) != degree:
-        raise ValueError(f"need exactly {degree} initial values, got {len(initial)}")
-    if any(t != int(t) for t, _ in initial):
-        raise ValueError("initial values must be at integer t")
-    return tuple(sorted((t if type(t) is int else int(t), v if type(v) is Fraction else Fraction(v))
-                        for t, v in initial))
-
-
 class Equation(_Record):
     """P(T) y = rhs, optionally with consecutive initial values of y."""
 
@@ -110,10 +100,15 @@ class Equation(_Record):
 
     def __init__(self, operator: OperatorPoly, rhs: SequenceExpr,
                  initial: Sequence[Condition] | None = None) -> None:
-        if operator.degree < 1:
+        if (n := operator.degree) < 1:
             raise ValueError("difference operator must have degree >= 1")
         if initial is not None:
-            initial = _conditions(initial, operator.degree)
+            if len(initial) != n:
+                raise ValueError(f"need exactly {n} initial values, got {len(initial)}")
+            if any(t != int(t) for t, _ in initial):
+                raise ValueError("initial values must be at integer t")
+            initial = tuple(sorted((t if type(t) is int else int(t),
+                                    v if type(v) is Fraction else Fraction(v)) for t, v in initial))
             if any(t1 != t0 + 1 for (t0, _), (t1, _) in zip(initial, initial[1:])):
                 raise ValueError("initial conditions must be at consecutive integers")
         super().__init__(operator, rhs, initial)
@@ -148,7 +143,7 @@ class Solution(_Record):
         if self.constants is None:
             raise ValueError("constants were not fitted (no initial conditions)")
         pairs = [self.particular._ratio(t), *((c.numerator * n, c.denominator * d) for c, (n, d)
-                 in zip(self.constants, *_values(self.homogeneous, t, t)))]
+                 in zip(self.constants, _values(self.homogeneous, t)))]
         den = math.lcm(*(d for _, d in pairs))
         return Fraction(sum(n * (den // d) for n, d in pairs), den)
 
@@ -192,13 +187,27 @@ class Solution(_Record):
         return self if form[0] is self.homogeneous else Solution(self.particular, *form, self.trace)
 
 
-def _values(basis: Sequence[RecurrenceMode], lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """(num, den) of each mode at each t in [lo, hi], den != 0: one `_x_power` walk of
-    x^(t - a) mod q per factor q and anchor a, each row over its own denominator."""
-    walks = {(q, a): _x_power(q, lo - a, hi - a, per_row=True)
-             for q, a in {(m.factor, m.anchor) for m in basis}}
-    return [[((lo + i)**m.power * rows[i][m.index], dens[i]) for m in basis
-             for rows, dens in [walks[m.factor, m.anchor]]] for i in range(hi - lo + 1)]
+def _values(basis: Sequence[RecurrenceMode], t: int) -> list[tuple[int, int]]:
+    """(num, den) of each mode at t, den != 0: one `_x_power` of x^(t - a) mod q per factor q
+    and anchor a."""
+    xs = {(q, a): _x_power(q, t - a, t - a) for q, a in {(m.factor, m.anchor) for m in basis}}
+    return [(t**m.power * rows[0][m.index], den) for m in basis
+            for rows, den in [xs[m.factor, m.anchor]]]
+
+
+def _h(op: OperatorPoly, particular: SequenceExpr,
+       initial: Sequence[Condition]) -> tuple[tuple[int, ...], list[int], int]:
+    """q*, the primitive form of P* where P = T^k * P*, and integers hn and den with h = y - y_P
+    equal to hn[i] / den at the i-th initial point; the k values past deg q* must satisfy
+    q*(T) h = 0, else SingularSystemError."""
+    q = tuple(_primitive(op.reduce_shift()[1].nums))
+    pairs = [(v.numerator * b - a * v.denominator, v.denominator * b)
+             for t, v in initial for a, b in [particular._ratio(t)]]
+    den = math.lcm(*(d for _, d in pairs))
+    hn = [n * (den // d) for n, d in pairs]
+    if any(sum(map(mul, q, hn[i:])) for i in range(len(hn) + 1 - len(q))):
+        raise SingularSystemError("initial conditions are inconsistent")
+    return q, hn, den
 
 
 def _block_constants(q: Sequence[int], modes: Sequence[RecurrenceMode],
@@ -426,43 +435,23 @@ def _homogeneous(op: OperatorPoly, anchor: int) -> tuple[RecurrenceMode, ...]:
               for factor in [(-r.numerator, r.denominator)] for j in range(mult)), *modes)
 
 
-def _fraction_free(pairs: list[list[tuple[int, int]]], cols: int) -> tuple[Fraction, ...]:
-    """Solve [A | b], given as rows of (num, den) pairs, on integers: each row over its lcm,
-    then Gauss-Jordan on primitive rows, each divided by its content after every step (this
-    sheds the lcm factors that Bareiss's exact divisions, Math. Comp. 1968, would keep).
-    A column with no pivot left raises before the leftover rows are checked."""
-    rows = [[n * (s // d) for n, d in row]
-            for row in pairs for s in [math.lcm(*(d for _, d in row))]]
-    for col in range(cols):
-        sel = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            raise SingularSystemError("initial conditions leave a constant free")
-        rows.insert(col, top := rows.pop(sel))
-        for i, r in enumerate(rows):
-            if i != col and r[col]:
-                new = [top[col] * x - r[col] * y for x, y in zip(r, top)]
-                g = math.gcd(*new) or 1
-                rows[i] = [x // g for x in new]
-    if any(r[cols] for r in rows[cols:]):
-        raise SingularSystemError("initial conditions are inconsistent")
-    return tuple(Fraction(r[cols], r[i]) for i, r in enumerate(rows[:cols]))
-
-
 def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[RecurrenceMode],
                   initial: Sequence[Condition]) -> tuple[Fraction, ...]:
-    """Constants c_i with particular + sum c_i * basis_i matching the initial values.
-
-    `_fraction_free` solves on integers, one row per initial value: the modes' values
-    and v - particular(t); only the constants are Fractions.  At consecutive t the modes'
-    values take one `_values` walk per factor and anchor; elsewhere one per t.
-    """
-    conds = _conditions(initial, op.degree)
-    ts = [t for t, _ in conds]
-    values = (_values(basis, ts[0], ts[-1]) if ts and ts == list(range(ts[0], ts[-1] + 1))
-              else [_values(basis, t, t)[0] for t in ts])
-    return _fraction_free([[*row, (v.numerator * d - n * v.denominator, v.denominator * d)]
-                           for row, (t, v) in zip(values, conds)
-                           for n, d in [particular._ratio(t)]], len(basis))
+    """The constants c_i, in `basis` order, with particular + sum c_i * basis_i taking the
+    consecutive initial values, on `solve`'s route: h = y - y_P from t0, moved to the basis's
+    anchor a by one `_x_power` walk, and factored by `Solution._factored`.  `basis` must be the
+    operator's own modes at a, `_homogeneous(op, a)` (`solve_homogeneous` for a = 0) in any
+    order, else ValueError."""
+    initial = Equation(op, SequenceExpr.zero(), initial).initial
+    (q, hn, den), t0 = _h(op, particular, initial), initial[0][0]
+    d, a = len(q) - 1, basis[0].anchor if basis else t0
+    rows, s = _x_power(q, a - t0, a - t0 + d - 1) if d else ([], 1)   # e_m(a - t0 + i)
+    form = Solution(particular, tuple(RecurrenceMode(q, 0, m, a) for m in range(d)), tuple(
+        Fraction(sum(map(mul, r, hn)), den * s) for r in rows), None)._factored()
+    fitted = dict(zip(form.homogeneous, form.constants))
+    if len(basis) != len(fitted) or fitted.keys() != set(basis):
+        raise ValueError("fit_constants takes the operator's own modes at one anchor, each once")
+    return tuple(fitted[m] for m in basis)
 
 
 def solve(eq: Equation) -> Solution:
@@ -472,11 +461,7 @@ def solve(eq: Equation) -> Solution:
     values left must satisfy q*(T) h = 0 at t0 ... t0 + k - 1.  No factoring and no system:
     the closed forms per factor come from `Solution.view` and `general_expr`."""
     particular, trace = solve_particular(eq.operator, eq.rhs)
-    q, initial = tuple(_primitive(eq.operator.reduce_shift()[1].nums)), eq.initial or ()
-    d, t0 = len(q) - 1, initial[0][0] if initial else 0
-    hs = [Fraction(v.numerator * b - a * v.denominator, v.denominator * b)
-          for t, v in initial for a, b in [particular._ratio(t)]]   # v - y_P(t)
-    if any(sum(map(mul, q, hs[i:])) for i in range(len(hs) - d)):
-        raise SingularSystemError("initial conditions are inconsistent")
+    q, hn, den = _h(eq.operator, particular, eq.initial or ())
+    d, t0 = len(q) - 1, eq.initial[0][0] if eq.initial else 0
     return Solution(particular, tuple(RecurrenceMode(q, 0, m, t0) for m in range(d)),
-                    None if eq.initial is None else tuple(hs[:d]), trace)
+                    None if eq.initial is None else tuple(Fraction(n, den) for n in hn[:d]), trace)

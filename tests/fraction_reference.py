@@ -6,14 +6,15 @@ read from `Poly.coeffs`.  `recurrence_value`
 runs a recurrence mode's factor in Fractions, sharing no code with
 `algebra._x_power`, a degree-1 factor (a rational root) included.
 `gauss_jordan` and `fit` are the Fraction Gauss-Jordan elimination and the
-`fit_constants` that `SequenceExpr._ratio` and `solver._fraction_free`
-replaced, evaluating the particular solution through `value` and every mode
-through `recurrence_value`.  `polar` is the printed view's per-factor
-`solver._polar` on the public `find_roots` and one Fraction per term of each
-E_j.  `_divmod`, `_gcd` and `_square_free` are Yun's decomposition as it ran
-over Q before `algebra._gcdheu` and `algebra._rem`, copied verbatim but for
-`_primitive` taking the numerators, and `factors` is `algebra._factors` on them
-with each rational root divided out in Fractions.
+`fit_constants` that `SequenceExpr._ratio` and an integer elimination replaced
+before `fit_constants` took `solve`'s route, evaluating the particular solution
+through `value` and every mode through `recurrence_value`; `fit` takes any
+basis.  `polar` is the printed view's per-factor `solver._polar` on the public
+`find_roots` and one Fraction per term of each E_j.  `_divmod`, `_gcd` and
+`_square_free` are Yun's decomposition as it ran over Q before
+`algebra._gcdheu` and `algebra._rem`, copied verbatim but for `_primitive`
+taking the numerators, and `factors` is `algebra._factors` on them with each
+rational root divided out in Fractions.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from itertools import accumulate
 from fdsolve.algebra import (Poly, _balanced, _primitive, _rational_roots, _square_free_mod,
                              _x_power, find_roots)
 from fdsolve.expr import SequenceExpr
-from fdsolve.solver import SingularSystemError, _conditions
+from fdsolve.solver import Equation, SingularSystemError
 
 
 def value(e: SequenceExpr, t: int) -> Fraction:
@@ -70,7 +71,7 @@ def recurrence_value(mode, t: int) -> Fraction:
 
 
 def fit(op, particular, basis, initial):
-    conds = _conditions(initial, op.degree)
+    conds = Equation(op, SequenceExpr.zero(), initial).initial
     b = [v - value(particular, t) for t, v in conds]
     A = [[recurrence_value(m, t) for m in basis] for t, _ in conds]
     return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")

@@ -1,4 +1,5 @@
-"""`fit_constants` against the Fraction Gauss-Jordan fit it replaced."""
+"""`fit_constants`, which takes `solve`'s route to the constants, against the Fraction
+Gauss-Jordan fit it replaced."""
 import random
 from fractions import Fraction as F
 
@@ -8,8 +9,8 @@ from fdsolve import algebra, solver
 from fdsolve.algebra import OperatorPoly, Poly
 from fdsolve.expr import SequenceExpr, Term
 from fdsolve.parser import parse_equation
-from fdsolve.solver import (Solution, SingularSystemError, fit_constants, solve_homogeneous,
-                            solve_particular)
+from fdsolve.solver import (RecurrenceMode, Solution, SingularSystemError, fit_constants,
+                            solve_homogeneous, solve_particular)
 
 import fraction_reference as ref
 from corpus import GOLDEN_EQUATIONS
@@ -70,19 +71,26 @@ class TestAgainstFractionElimination:
         assert count >= 50
 
     @pytest.mark.parametrize("basis,initial", [
-        # a mode twice: the second column has no pivot
+        # a mode twice
         ((rational_mode(2), rational_mode(2)), ((0, F(1)), (1, F(5)))),
-        # t and t^2 agree at t = 0 and 1: the second column has no pivot
+        # modes of another operator: t and t^2
         ((rational_mode(1, 1), rational_mode(1, 2)), ((0, F(1)), (1, F(-2)))),
-        # no pivot in a column and inconsistent too: the pivot is checked first
-        ((rational_mode(-1), rational_mode(-1)), ((0, F(1)), (1, F(1)))),
+        # the operator's modes at two anchors
+        ((rational_mode(2), RecurrenceMode((-3, 1), 0, 0, 1)), ((0, F(1)), (1, F(1)))),
     ])
     def test_singular(self, basis, initial):
+        """Only the operator's own modes at one anchor, each once, are fitted, in any order:
+        any other basis, the own one short or with a mode more, is a ValueError."""
         op = OperatorPoly(6, -5, 1)
+        own = solve_homogeneous(op)
+        refused = (ValueError,
+                   "fit_constants takes the operator's own modes at one anchor, each once")
         for particular in (SequenceExpr.zero(), SequenceExpr.of(Term(F(1, 3), 3))):
-            got = outcome(fit_constants, op, particular, basis, initial)
-            assert got == outcome(ref.fit, op, particular, basis, initial)
-            assert got == (SingularSystemError, "initial conditions leave a constant free")
+            for wrong in (basis, own[1:], (*own, basis[0])):
+                assert outcome(fit_constants, op, particular, wrong, initial) == refused
+            cs = fit_constants(op, particular, own, initial)
+            assert fit_constants(op, particular, own[::-1], initial) == cs[::-1]
+            assert cs == ref.fit(op, particular, own, initial)
 
     @pytest.mark.parametrize("coeffs,initial,expected", [
         # T^2 has the empty two-sided basis
@@ -154,9 +162,9 @@ def test_degree_70_fit_meets_the_initial_values():
 
 def test_one_walk_per_factor_and_anchor(monkeypatch):
     """Anchor-0 modes of (T - 1)^2 (T^2 - T - 1) (T^2 + T + 1)^2, n = 8, fitted at t0 = 10^5:
-    one `_x_power` walk per factor, one square-and-multiply run per factor of degree 2,
-    and constants that give back the initial values exactly; at points that are not
-    consecutive each point takes its own run."""
+    one `_x_power` walk of the whole q* from t0 to the anchor, by one square-and-multiply run
+    on x, then one walk from 0 per factor in `_block_constants`, and constants that give back the
+    initial values exactly; points that are not consecutive are refused."""
     op = OperatorPoly.from_poly(Poly(-1, 1) ** 2 * Poly(-1, -1, 1) * Poly(1, 1, 1) ** 2)
     basis = solve_homogeneous(op)
     walks, squarings = [], []   # the factor of each walk, the exponent of each run
@@ -168,14 +176,12 @@ def test_one_walk_per_factor_and_anchor(monkeypatch):
     spy(solver, "_x_power", walks, 0)
     spy(algebra, "_binary_power", squarings, 1)
     rng = random.Random(38)
-    for ts in (range(10**5, 10**5 + 8), (10**5, *range(10**5 + 2, 10**5 + 9))):
-        walks.clear(), squarings.clear()
-        initial = [(t, F(rng.randint(-9, 9), rng.randint(1, 9))) for t in ts]
-        cs = fit_constants(op, SequenceExpr.zero(), basis, initial)
-        if ts[1] == ts[0] + 1:
-            assert sorted(walks) == [(-1, -1, 1), (-1, 1), (1, 1, 1)]
-            assert squarings == [10**5, 10**5]
-        else:
-            assert len(walks) == 3 * 8 and len(squarings) == 2 * 8
-        sol = Solution(SequenceExpr.zero(), basis, cs, None)
-        assert all(sol.general_value_at(t) == v for t, v in initial)
+    initial = [(t, F(rng.randint(-9, 9), rng.randint(1, 9))) for t in range(10**5, 10**5 + 8)]
+    cs = fit_constants(op, SequenceExpr.zero(), basis, initial)
+    assert sorted(walks) == sorted([tuple(op.nums), (-1, -1, 1), (-1, 1), (1, 1, 1)])
+    assert squarings == [10**5, 2, 2, 1]   # then `_block_constants`' g^mu and (x * g')^j
+    sol = Solution(SequenceExpr.zero(), basis, cs, None)
+    assert all(sol.general_value_at(t) == v for t, v in initial)
+    gap = [(10**5, F(1)), *((t, F(1)) for t in range(10**5 + 2, 10**5 + 9))]
+    with pytest.raises(ValueError, match="^initial conditions must be at consecutive integers"):
+        fit_constants(op, SequenceExpr.zero(), basis, gap)

@@ -102,33 +102,22 @@ def test_x_power_rows_are_its_single_rows(q, lo, width):
         assert [F(x, den) for x in row] == [F(x, single_den) for x in single], t
 
 
-@pytest.mark.parametrize("q", [(-1, -1, 1), (3, -1, 0, 2), (-4, 2, 1, 3, 1, 6), (7, -3)])
-@pytest.mark.parametrize("lo", [-5, 0, 2, 40])
-def test_x_power_per_row_is_its_common_walk(q, lo):
-    """Each row over its own denominator: the same values as over one, and a unit vector
-    over 1 at 0 <= lo <= t < deg q, where the walk has only shifted x^lo."""
-    rows, den = _x_power(q, lo, lo + 9)
-    own, dens = _x_power(q, lo, lo + 9, per_row=True)
-    for t, row, mine, d in zip(range(lo, lo + 10), rows, own, dens):
-        assert [F(x, d) for x in mine] == [F(x, den) for x in row], t
-        if 0 <= lo <= t < len(q) - 1:
-            assert (mine, d) == ([int(m == t) for m in range(len(q) - 1)], 1)
-
-
 def test_factor_with_zero_constant_term_is_a_value_error():
     """x has no inverse mod a factor q with q(0) = 0, so a user-built mode of one is refused
-    with a ValueError naming q by every reader of modes, not a ZeroDivisionError."""
+    with a ValueError naming q by every reader that tabulates modes, not a ZeroDivisionError;
+    `fit_constants` refuses it as no mode of the operator."""
     eq = parse_equation("y(t+2) - 3y(t+1) + 2y(t) = 0")
     eq = Equation(eq.operator, eq.rhs, parse_initial("y(-2)=1, y(-1)=2"))
     sol = solve(eq)
     bad = RecurrenceMode((0, 1), 0, 0, 0)
     basis = (*sol.homogeneous, bad)
     wrong = Solution(sol.particular, basis, (*sol.constants, F(1)), sol.trace)
-    for call in (lambda: verify_solution(eq, wrong),
-                 lambda: solver.fit_constants(eq.operator, sol.particular, basis, eq.initial),
-                 lambda: wrong.general_value_at(-2), lambda: bad.eval_at(-2)):
+    for call in (lambda: verify_solution(eq, wrong), lambda: wrong.general_value_at(-2),
+                 lambda: bad.eval_at(-2)):
         with pytest.raises(ValueError, match=r"^mode factor \(0, 1\) has q\(0\) = 0"):
             call()
+    with pytest.raises(ValueError, match="^fit_constants takes the operator's own modes"):
+        solver.fit_constants(eq.operator, sol.particular, basis, eq.initial)
 
 
 def test_modes_of_one_factor_share_one_tuple():

@@ -417,8 +417,7 @@ def test_solve_factors_nothing_and_fits_nothing(monkeypatch, src, initial):
     x^t mod q* and no `general_value_at`."""
     def refuse(*args, **kwargs):
         raise AssertionError("solve factored, fitted or evaluated")
-    for module, name in ((algebra, "_factors"), (solver, "_factors"),
-                         (algebra, "_square_free"), (solver, "_fraction_free"),
+    for module, name in ((algebra, "_factors"), (solver, "_factors"), (algebra, "_square_free"),
                          (algebra, "_x_power"), (solver, "_x_power"),
                          (Solution, "general_value_at")):
         monkeypatch.setattr(module, name, refuse)

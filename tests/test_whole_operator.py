@@ -1,9 +1,10 @@
 """`solve`'s modes are the whole operator's: with P = T^k * P* and q* the primitive integer
 form of P*, they are e_m(t - t0), m < deg q*, the solutions of q*(T) e = 0 that are unit
 vectors at t0 ... t0 + deg q* - 1, and the constants are h = y - y_P there.  These tests
-compare that form with the per-factor path it replaced, `fit_constants` on the modes of
-`_homogeneous(op, t0)`, on seeded `instance_gen` draws at far and near initial points, and
-pin the split certificate that lets `is_exact` refuse without factoring."""
+compare that form with the per-factor path it replaced, the Fraction fit
+`fraction_reference.fit` on the modes of `_homogeneous(op, t0)`, on seeded `instance_gen`
+draws at far and near initial points, and pin the split certificate that lets `is_exact`
+refuse without factoring."""
 import copy
 import pickle
 import random
@@ -18,8 +19,10 @@ from fdsolve.algebra import OperatorPoly, Poly, _primitive, _splits_mod
 from fdsolve.expr import SequenceExpr
 from fdsolve.oracle import verify_solution
 from fdsolve.parser import parse_equation
-from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solution,
-                            fit_constants, solve, solve_particular)
+from fdsolve.solver import (Equation, RecurrenceMode, SingularSystemError, Solution, solve,
+                            solve_particular)
+
+import fraction_reference as ref
 
 from instance_gen import (BASES, COEFFS, exact_root_operator, irrational_root_operator,
                           rand_initial, rand_rhs, resonant_instance)
@@ -58,11 +61,11 @@ def draw(i):
 
 
 def per_factor(eq):
-    """The solution of the per-factor path: each factor's modes anchored at t0, fitted."""
+    """The solution of the per-factor path: each factor's modes anchored at t0, fitted by the
+    Fraction elimination."""
     particular, trace = solve_particular(eq.operator, eq.rhs)
     modes = solver._homogeneous(eq.operator, eq.initial[0][0])
-    return Solution(particular, modes, fit_constants(eq.operator, particular, modes, eq.initial),
-                    trace)
+    return Solution(particular, modes, ref.fit(eq.operator, particular, modes, eq.initial), trace)
 
 
 def test_solve_agrees_with_the_per_factor_fit():
