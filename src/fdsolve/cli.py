@@ -21,7 +21,7 @@ from typing import Any
 from .expr import SequenceExpr, UnsupportedRhsError, apply_operator
 from .oracle import VerifyReport, verify_solution
 from .parser import ParseError, parse_equation, parse_expression, parse_initial, parse_operator
-from .solver import Equation, Solution, solve
+from .solver import Equation, solve
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -53,24 +53,19 @@ def _build_cli() -> _ArgumentParser:
     s.add_argument("--verify", metavar="N", nargs="?", type=int, const=50, default=None,
                    help="verify the result out to horizon N (default 50)")
     s.add_argument("--trace", action="store_true", help="show the derivation steps")
-    s.add_argument("--format", choices=("text", "json"), default="text")
 
     a = sub.add_parser("apply", help="apply an operator polynomial to an expression")
     a.add_argument("operator", help="e.g. 'T^2 - 5*T + 4'")
     a.add_argument("expression", help="e.g. '3^t + t^2'")
-    a.add_argument("--format", choices=("text", "json"), default="text")
 
     v = sub.add_parser("verify", help="check a candidate solution against an equation")
     v.add_argument("equation")
     v.add_argument("solution", help="candidate closed form for y(t)")
     v.add_argument("--initial", metavar="CONDS")
     v.add_argument("--horizon", type=int, default=50)
-    v.add_argument("--format", choices=("text", "json"), default="text")
+    for command in (s, a, v):   # last, so that each help text lists it last
+        command.add_argument("--format", choices=("text", "json"), default="text")
     return ap
-
-
-def _fraction_str(v: Fraction | float) -> Any:
-    return str(v) if isinstance(v, Fraction) else v
 
 
 def _report_doc(report: VerifyReport) -> dict[str, Any]:
@@ -81,72 +76,9 @@ def _report_doc(report: VerifyReport) -> dict[str, Any]:
     }
     if report.mismatch_t is not None:
         doc["mismatch_t"] = report.mismatch_t
-        doc["expected"] = _fraction_str(report.expected)
-        doc["got"] = _fraction_str(report.got)
+        doc["expected"] = str(report.expected)
+        doc["got"] = str(report.got)
     return doc
-
-
-def _solution_doc(eq: Equation, sol: Solution, report: VerifyReport | None,
-                  trace: bool) -> dict[str, Any]:
-    modes, constants = sol.view()
-    homog = []
-    for mode in modes:
-        if isinstance(mode, SequenceExpr):
-            homog.append({"type": "exact", "expr": mode.render(pretty=True)})
-        else:
-            homog.append({"type": "numeric", "modulus": mode.modulus,
-                          "angle": mode.angle, "power": mode.power,
-                          "kind": mode.kind})
-    doc: dict[str, Any] = {
-        "input": {
-            "equation": str(eq),
-            "initial": [[t, str(v)] for t, v in eq.initial] if eq.initial else None,
-        },
-        "operator": [str(c) for c in reversed(eq.operator.coeffs)],
-        "particular": sol.particular.render(pretty=True),
-        "homogeneous": homog,
-        "constants": [_fraction_str(c) for c in constants] if constants is not None else None,
-    }
-    general = sol.general_expr()
-    if general is not None:
-        doc["general"] = general.render(pretty=True)
-    if trace:
-        doc["trace"] = [{"rule": s.rule, "detail": s.detail,
-                         "before": s.before, "after": s.after}
-                        for s in sol.trace.steps]
-    doc["verification"] = _report_doc(report) if report else None
-    return doc
-
-
-def _solution_text(eq: Equation, sol: Solution, report: VerifyReport | None,
-                   trace: bool) -> str:
-    modes, constants = sol.view()
-    lines = [f"equation:    {eq}"]
-    if eq.initial:
-        conds = ", ".join(f"y({t}) = {v}" for t, v in eq.initial)
-        lines.append(f"initial:     {conds}")
-    lines.append(f"particular:  {sol.particular.render(pretty=True)}")
-    rendered = ", ".join(m.render(pretty=True) for m in modes)
-    lines.append(f"homogeneous: {rendered or '(empty basis)'}")
-    if constants is not None:
-        pretty = ", ".join(
-            f"c{i+1} = {c if isinstance(c, Fraction) else format(c, '.10g')}"
-            for i, c in enumerate(constants))
-        lines.append(f"constants:   {pretty or '(none)'}")
-    general = sol.general_expr()
-    if general is not None:
-        lines.append(f"general:     {general.render(pretty=True)}")
-    if trace:
-        lines.append("trace:")
-        lines.extend(f"  {line}" for line in sol.trace.render().splitlines())
-    if report is not None:
-        lines.append(f"verification: {report.describe()}")
-    return "\n".join(lines)
-
-
-def _json(doc: dict[str, Any]) -> str:
-    import json  # only JSON output reads it; a text run starts without it
-    return json.dumps(doc, indent=2)
 
 
 def _equation(args: argparse.Namespace) -> Equation:
@@ -157,43 +89,76 @@ def _equation(args: argparse.Namespace) -> Equation:
     return eq
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+# Each command returns its exit code and its output: the text, or for --format json
+# the document, that `_run` prints.
+
+def _cmd_solve(args: argparse.Namespace) -> tuple[int, Any]:
     eq = _equation(args)
     sol = solve(eq)
     report = None
     if args.verify is not None:
         report = verify_solution(eq, sol._factored(), horizon=args.verify)
+    code = EXIT_VERIFY if report is not None and not report.ok else EXIT_OK
+    modes, constants = sol.view()
+    particular = sol.particular.render(pretty=True)
+    general = sol.general_expr()
+    general = None if general is None else general.render(pretty=True)
     if args.format == "json":
-        print(_json(_solution_doc(eq, sol, report, args.trace)))
-    else:
-        print(_solution_text(eq, sol, report, args.trace))
-    if report is not None and not report.ok:
-        return EXIT_VERIFY
-    return EXIT_OK
+        doc: dict[str, Any] = {
+            "input": {"equation": str(eq), "initial":
+                      [[t, str(v)] for t, v in eq.initial] if eq.initial else None},
+            "operator": [str(c) for c in reversed(eq.operator.coeffs)],
+            "particular": particular,
+            "homogeneous": [{"type": "exact", "expr": m.render(pretty=True)}
+                            if isinstance(m, SequenceExpr) else
+                            {"type": "numeric", "modulus": m.modulus, "angle": m.angle,
+                             "power": m.power, "kind": m.kind} for m in modes],
+            "constants": None if constants is None else [
+                str(c) if isinstance(c, Fraction) else c for c in constants],
+        }
+        if general is not None:
+            doc["general"] = general
+        if args.trace:
+            doc["trace"] = [{"rule": s.rule, "detail": s.detail, "before": s.before,
+                             "after": s.after} for s in sol.trace.steps]
+        doc["verification"] = _report_doc(report) if report else None
+        return code, doc
+    lines = [f"equation:    {eq}"]
+    if eq.initial:
+        lines.append(f"initial:     {', '.join(f'y({t}) = {v}' for t, v in eq.initial)}")
+    rendered = ", ".join(m.render(pretty=True) for m in modes) or "(empty basis)"
+    lines += [f"particular:  {particular}", f"homogeneous: {rendered}"]
+    if constants is not None:
+        pretty = ", ".join(f"c{i} = {c if isinstance(c, Fraction) else format(c, '.10g')}"
+                           for i, c in enumerate(constants, 1))
+        lines.append(f"constants:   {pretty or '(none)'}")
+    if general is not None:
+        lines.append(f"general:     {general}")
+    if args.trace:
+        lines += ["trace:", *(f"  {line}" for line in sol.trace.render().splitlines())]
+    if report is not None:
+        lines.append(f"verification: {report.describe()}")
+    return code, "\n".join(lines)
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace) -> tuple[int, Any]:
     op = parse_operator(args.operator)
     e = parse_expression(args.expression)
     result = apply_operator(op, e).render(pretty=True)
-    if args.format == "json":
-        doc = {"input": {"operator": str(op), "expression": str(e)}, "result": result}
-        result = _json(doc)
-    print(result)
-    return EXIT_OK
+    if args.format == "text":
+        return EXIT_OK, result
+    return EXIT_OK, {"input": {"operator": str(op), "expression": str(e)}, "result": result}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Any]:
     eq = _equation(args)
     candidate = parse_expression(args.solution)
     report = verify_solution(eq, candidate, horizon=args.horizon)
-    if args.format == "json":
-        doc = {"input": {"equation": str(eq), "solution": str(candidate)},
-               "verification": _report_doc(report)}
-        print(_json(doc))
-    else:
-        print(report.describe())
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    code = EXIT_OK if report.ok else EXIT_VERIFY
+    if args.format == "text":
+        return code, report.describe()
+    return code, {"input": {"equation": str(eq), "solution": str(candidate)},
+                  "verification": _report_doc(report)}
 
 
 def _print_parse_error(err: ParseError) -> None:
@@ -224,11 +189,13 @@ def _run(argv: list[str] | None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "apply":
-            return _cmd_apply(args)
-        return _cmd_verify(args)
+        # looked up at call time, so that a command replaced on the module is the one run
+        code, out = globals()[f"_cmd_{args.command}"](args)
+        if args.format == "json":
+            import json  # only JSON output reads it; a text run starts without it
+            out = json.dumps(out, indent=2)
+        print(out)   # inside the try: an error while printing gets its exit code too
+        return code
     except UnsupportedRhsError as err:
         print(f"unsupported right-hand side: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -142,10 +142,8 @@ class Solution(_Record):
         """Exact value of particular + sum(c_i * mode_i) at integer t."""
         if self.constants is None:
             raise ValueError("constants were not fitted (no initial conditions)")
-        pairs = [self.particular._ratio(t), *((c.numerator * n, c.denominator * d) for c, (n, d)
-                 in zip(self.constants, _values(self.homogeneous, t)))]
-        den = math.lcm(*(d for _, d in pairs))
-        return Fraction(sum(n * (den // d) for n, d in pairs), den)
+        return sum((Fraction(c.numerator * n, c.denominator * d) for c, (n, d) in zip(
+            self.constants, _values(self.homogeneous, t))), Fraction(*self.particular._ratio(t)))
 
     def view(self) -> tuple[tuple[SequenceExpr | NumericMode, ...],
                             tuple[Fraction | float, ...] | None]:
@@ -174,15 +172,17 @@ class Solution(_Record):
 
     def _factored(self) -> Solution:
         """`solve`'s modes e_m(t - t0) of q* per factor, as `_homogeneous(q*, t0)` gives them, with
-        `_block_constants` from the old constants (h at t0 ...); other modes and a linear q*'s stay.
-        Kept in `_form`, so `view`, `general_expr` and `is_exact` factor q* once."""
+        `_block_constants` from the old constants (h at t0 ..., over their lcm); other modes and a
+        linear q*'s stay.  Kept in `_form`: `view`, `general_expr` and `is_exact` factor q* once."""
         form = getattr(self, "_form", None)
         if form is None:
             modes, cs = form = self.homogeneous, self.constants
             q, t0 = (modes[0].factor, modes[0].anchor) if modes else ((), 0)
             if q[2:] and modes == tuple(RecurrenceMode(q, 0, m, t0) for m in range(len(q) - 1)):
                 if (factored := _homogeneous(Poly._make(list(q), 1), t0)) != modes:
-                    form = factored, cs and _block_constants(q, factored, cs)
+                    den = math.lcm(*(c.denominator for c in cs or ()))
+                    form = factored, cs and _block_constants(
+                        q, factored, [c.numerator * (den // c.denominator) for c in cs], den)
             object.__setattr__(self, "_form", form)
         return self if form[0] is self.homogeneous else Solution(self.particular, *form, self.trace)
 
@@ -210,15 +210,15 @@ def _h(op: OperatorPoly, particular: SequenceExpr,
     return q, hn, den
 
 
-def _block_constants(q: Sequence[int], modes: Sequence[RecurrenceMode],
-                     hs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The constants of `modes`, `_homogeneous(q, t0)`, for q(T) h = 0 with values hs from t0, per
-    block B = g^mu, with no system (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
-    w = C(T) h, C = q / B, is C(T) of h's part sum_j t^j * E_j, g(T) E_j = 0; g(T)^j kills each
-    t^i * E_i, i < j, and takes t^j * E_j to j! * (x*g')(T)^j E_j.  So from the top E_j = (C *
-    (x*g')^j)^-1(T) g(T)^j w / j! mod g, its values from t0 its constants; C(T) t^j E_j leaves w."""
-    den, us, t0 = math.lcm(*(h.denominator for h in hs)), {}, modes[0].anchor
-    hn = [h.numerator * (den // h.denominator) for h in hs]
+def _block_constants(q: Sequence[int], modes: Sequence[RecurrenceMode], hn: Sequence[int],
+                     den: int) -> tuple[Fraction, ...]:
+    """The constants of `modes`, `_homogeneous(q, t0)`, for q(T) h = 0 with values hn / den from
+    t0, per block B = g^mu, with no system (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 5).  w = C(T) h, C = q / B, is C(T) of h's part sum_j t^j * E_j, g(T) E_j = 0; g(T)^j
+    kills each t^i * E_i, i < j, and takes t^j * E_j to j! * (x*g')(T)^j E_j.  So from the top
+    E_j = (C * (x*g')^j)^-1(T) g(T)^j w / j! mod g, its values from t0 its constants; C(T) t^j
+    E_j leaves w."""
+    us, t0 = {}, modes[0].anchor
     for g, mu in {m.factor: m.power + 1 for m in modes}.items():
         k, wd = len(g) - 1, den
         C = _quotient(q, (Poly._make(list(g), 1) ** mu).nums if mu > 1 else g)
@@ -439,16 +439,18 @@ def fit_constants(op: OperatorPoly, particular: SequenceExpr, basis: Sequence[Re
                   initial: Sequence[Condition]) -> tuple[Fraction, ...]:
     """The constants c_i, in `basis` order, with particular + sum c_i * basis_i taking the
     consecutive initial values, on `solve`'s route: h = y - y_P from t0, moved to the basis's
-    anchor a by one `_x_power` walk, and factored by `Solution._factored`.  `basis` must be the
-    operator's own modes at a, `_homogeneous(op, a)` (`solve_homogeneous` for a = 0) in any
-    order, else ValueError."""
+    anchor a by one `_x_power` walk, and peeled per block by `_block_constants`, as
+    `Solution._factored` does.  `basis` must be the operator's own modes at a,
+    `_homogeneous(op, a)` (`solve_homogeneous` for a = 0) in any order, else ValueError."""
     initial = Equation(op, SequenceExpr.zero(), initial).initial
     (q, hn, den), t0 = _h(op, particular, initial), initial[0][0]
     d, a = len(q) - 1, basis[0].anchor if basis else t0
-    rows, s = _x_power(q, a - t0, a - t0 + d - 1) if d else ([], 1)   # e_m(a - t0 + i)
-    form = Solution(particular, tuple(RecurrenceMode(q, 0, m, a) for m in range(d)), tuple(
-        Fraction(sum(map(mul, r, hn)), den * s) for r in rows), None)._factored()
-    fitted = dict(zip(form.homogeneous, form.constants))
+    fitted = {}
+    if d:
+        rows, s = _x_power(q, a - t0, a - t0 + d - 1)   # e_m(a - t0 + i)
+        modes = _homogeneous(Poly._make(list(q), 1), a)
+        fitted = dict(zip(modes, _block_constants(
+            q, modes, [sum(map(mul, r, hn)) for r in rows], den * s)))
     if len(basis) != len(fitted) or fitted.keys() != set(basis):
         raise ValueError("fit_constants takes the operator's own modes at one anchor, each once")
     return tuple(fitted[m] for m in basis)

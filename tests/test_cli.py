@@ -169,6 +169,76 @@ def test_text_mode_renders_only_what_it_prints(capsys, monkeypatch):
         0, "exact-match over t in [-50, 50] (forward-apply)\n", "")
 
 
+HELP_TEXTS = {
+    (): """\
+usage: fdsolve [-h] {solve,apply,verify} ...
+
+Closed-form solutions of linear constant-coefficient difference equations.
+
+positional arguments:
+  {solve,apply,verify}
+    solve               solve an equation like 'y(t+2) - 5y(t+1) + 4y(t) =
+                        3^t'
+    apply               apply an operator polynomial to an expression
+    verify              check a candidate solution against an equation
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("solve",): """\
+usage: fdsolve solve [-h] [--initial CONDS] [--verify [N]] [--trace]
+                     [--format {text,json}]
+                     equation
+
+positional arguments:
+  equation
+
+options:
+  -h, --help            show this help message and exit
+  --initial CONDS       comma-separated conditions, e.g. 'y(0)=1, y(1)=2'
+  --verify [N]          verify the result out to horizon N (default 50)
+  --trace               show the derivation steps
+  --format {text,json}
+""",
+    ("apply",): """\
+usage: fdsolve apply [-h] [--format {text,json}] operator expression
+
+positional arguments:
+  operator              e.g. 'T^2 - 5*T + 4'
+  expression            e.g. '3^t + t^2'
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""",
+    ("verify",): """\
+usage: fdsolve verify [-h] [--initial CONDS] [--horizon HORIZON]
+                      [--format {text,json}]
+                      equation solution
+
+positional arguments:
+  equation
+  solution              candidate closed form for y(t)
+
+options:
+  -h, --help            show this help message and exit
+  --initial CONDS
+  --horizon HORIZON
+  --format {text,json}
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS), ids=lambda c: " ".join(c) or "fdsolve")
+def test_help_texts(capsys, monkeypatch, command):
+    # each --help text at 80 columns, options in their declared order; argparse exits 0
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == (HELP_TEXTS[command], "")
+
+
 class TestVerifyCommand:
     def test_accepts_correct_solution(self, capsys):
         code, out, _ = run(capsys, "verify", GOLDEN_EQUATIONS[0], "-1/2 * 3^t")
