@@ -4,10 +4,10 @@ A `Poly` is integer numerators over one denominator, and every kernel runs on th
 an `OperatorPoly` is a nonzero `Poly` in the shift T.  `_factors` factors on primitive integer
 lists and builds no `Poly`: Yun's gcds by `_gcdheu` (Euclid on `_rem`'s pseudo-remainders its
 fallback) where a prime does not prove them idle, and rational roots lifted mod a prime and kept
-where `_quotient` divides them out.  `_approximate` alone makes floats, Aberth's, of the roots
-left, which `_real_roots` counts.  Exact work on any root walks x^t mod q, q its primitive integer
-factor (L*x - N for a rational N/L), with `_x_power`; `_binary_power` is the one square-and-
-multiply, for `Poly` powers, bucket maps and x^t mod q.
+where `_quotient` divides them out.  `_approximate(q)` alone makes floats, Aberth's, of the roots
+left, from q's integers, and counts its real ones.  Exact work on any root walks x^t mod q, q its
+primitive integer factor (L*x - N for a rational N/L), with `_x_power`; `_binary_power` is the
+one square-and-multiply, for `Poly` powers, bucket maps and x^t mod q.
 """
 from __future__ import annotations
 
@@ -476,13 +476,11 @@ def _square_free(p: Poly) -> list[tuple[list[int], int]]:
     return [(a, i) for a, i in out if len(a) > 1]
 
 
-def _balanced(p: Poly) -> Poly:
-    """p times the power of two that brings its largest coefficient within (1/2, 2): exact
-    and commuting with float rounding, so float work on it gives the same bits as on p
-    where p is in float range, and p out of it still reaches the floats in range."""
-    e = max((c // g).bit_length() - (p.den // g).bit_length()
-            for c in p.nums if c for g in [math.gcd(c, p.den)])   # per coefficient, reduced
-    return p * Fraction(2) ** -e
+def _scaled(q: Sequence[int]) -> list[float]:
+    """q's integers over the power of two 2^e <= max |q_i|, each correctly rounded (int / int):
+    the largest lies in [1, 2), so q past the float range still reaches floats in range."""
+    e = max(map(abs, q)).bit_length() - 1
+    return [c / (1 << e) for c in q]
 
 
 _MAX_SWEEPS = 100
@@ -514,16 +512,15 @@ def _sweep(cs: list[float], zs: list[complex]) -> bool:
     return moved
 
 
-def _approximate(p: Poly, real: int) -> list[complex]:
-    """Float approximations of all roots of p, of which exactly `real` are real, by
-    Aberth-Ehrlich sweeps (Aberth 1973; Bini 1996) on p's correctly rounded coefficients
-    c_k, from Bini's start: j - i points on the circle of radius (|c_i| / |c_j|)^(1/(j - i))
-    for each edge (i, j) of the upper hull of the points (k, log|c_k|).  The `real`
+def _approximate(q: Sequence[int]) -> list[complex]:
+    """Float approximations of all roots of a square-free primitive integer q with no rational
+    root, by Aberth-Ehrlich sweeps (Aberth 1973; Bini 1996) on the floats c_k of `_scaled(q)`,
+    from Bini's start: j - i points on the circle of radius (|c_i| / |c_j|)^(1/(j - i)) for each
+    edge (i, j) of the upper hull of the points (k, log|c_k|).  The `_real_roots(q)`
     approximations nearest the real axis then become real, and each other one is paired
     with its exact conjugate.  Raises ValueError when an end coefficient rounds to 0.0 or
     a circle lies past the float range: the roots span beyond the floats."""
-    d = p.degree
-    cs = [c / p.den for c in p.nums]   # int / int is correctly rounded, as float(Fraction) is
+    d, cs = len(q) - 1, _scaled(q)
     try:
         y = {k: math.log(abs(c)) for k, c in enumerate(cs) if c or k in (0, d)}
         hull = [0]
@@ -540,6 +537,7 @@ def _approximate(p: Poly, real: int) -> list[complex]:
     if not settled or not all(map(cmath.isfinite, zs)):
         raise ValueError(f"root approximations did not settle within {_MAX_SWEEPS} sweeps")
     zs.sort(key=lambda z: abs(z.imag))
+    real = _real_roots(q)
     upper = sorted(zs[real:], key=lambda z: z.imag)[(d - real) // 2:]
     return [complex(z.real) for z in zs[:real]] + [w for z in upper for w in (z, z.conjugate())]
 
@@ -648,10 +646,9 @@ def _factors(p: Poly) -> list[tuple[int, list[Fraction], tuple[int, ...]]]:
 
 def find_roots(p: Poly) -> RootSet:
     """Factor p completely, with exact multiplicities and exact rational roots: `_factors`
-    as one `RootSet`, each q's other roots the floats of `_approximate` on q balanced, given
-    `_real_roots(q)`, which raises ValueError for roots past the float range."""
-    factors = [(mult, found, _approximate(_balanced(Poly._make(list(q), 1)), _real_roots(q)))
-               for mult, found, q in _factors(p)]
+    as one `RootSet`, each q's other roots the floats of `_approximate(q)`, which raises
+    ValueError for roots past the float range."""
+    factors = [(mult, found, _approximate(q)) for mult, found, q in _factors(p)]
     exact = sorted((Root(r, mult, True) for mult, found, _ in factors for r in found),
                    key=lambda r: r.value)
     numeric = sorted((Root(z, mult, False) for mult, _, zs in factors for z in zs),

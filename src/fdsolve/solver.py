@@ -24,9 +24,9 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .algebra import (OperatorPoly, Poly, _approximate, _balanced, _factors, _from_newton, _inverse,
-                      _newton, _power, _primitive, _quotient, _real_roots, _Record, _render_sum,
-                      _signed_sum, _splits_mod, _x_power, series_inverse)
+from .algebra import (OperatorPoly, Poly, _approximate, _factors, _from_newton, _inverse, _newton,
+                      _power, _primitive, _quotient, _Record, _render_sum, _scaled, _signed_sum,
+                      _splits_mod, _x_power, series_inverse)
 from .expr import (_ONE, SequenceExpr, _base_str, _fold, _Key, _render_base_power, _render_bucket,
                    _scale, _sum)
 
@@ -161,8 +161,8 @@ class Solution(_Record):
                 modes.append(_sum([m._bucket()]))
                 constants.append(c and c * Fraction(-m.factor[0], m.factor[1]) ** -m.anchor)
             else:
-                blocks.setdefault((m.factor, m.anchor), []).append((m, c))
-        printed = [p for block in blocks.values() for p in _polar(block, known)]
+                blocks.setdefault((m.factor, m.anchor), {})[m.power, m.index] = c
+        printed = [p for (q, t0), us in blocks.items() for p in _polar(q, t0, us)]
         for a, j, c in sorted(printed, key=lambda p: (p[0].real, p[0].imag)):
             r, theta, k = abs(a), math.atan2(a.imag, a.real), 1 + (a.imag > 0)
             modes += [NumericMode(r, theta, j, kind) for kind in ("cos", "sin")[:k]]
@@ -244,22 +244,19 @@ def _block_constants(q: Sequence[int], modes: Sequence[RecurrenceMode], hn: Sequ
     return tuple(us[m.factor, m.power, m.index] for m in modes)
 
 
-def _polar(block: list[tuple[RecurrenceMode, Fraction | None]],
-           known: bool) -> list[tuple[complex, int, complex | None]]:
+def _polar(q: tuple[int, ...], t0: int, us: dict[tuple[int, int], Fraction | None]
+           ) -> list[tuple[complex, int, complex | None]]:
     """(a, j, c_(a,j)) for the roots a of q, the factor of one block of modes t^j * e_m(t - t0)
-    with constants u_(j,m) (c is None unless known): one `_approximate` pass on q balanced,
-    with `_real_roots(q)`, imag >= 0, in its order, which `view`'s stable sort keeps for tied
-    floats as `find_roots`'s does.  E_j = sum_m u_(j,m) * e_m(t - t0) = sum_a c_(a,j) * a^t
-    is u_(j,s) at t0 + s, s < deg q, so Lagrange interpolation gives c_(a,j) = a^-t0 * sum_s
-    u_(j,s) * l_s(a), l_s(a) the t^s coefficient of q(t) / ((t - a) * q'(a)) in floats."""
-    q, t0 = block[0][0].factor, block[0][0].anchor
-    p = _balanced(Poly._make(list(q), 1))
-    roots = [a for a in _approximate(p, _real_roots(q)) if a.imag >= 0]
-    mult = max(m.power for m, _ in block) + 1
-    if not known:
+    with constants us[j, m] (c is None if any of them is): one `_approximate(q)` pass, imag >= 0,
+    in its order, which `view`'s stable sort keeps for tied floats as `find_roots`'s does.
+    E_j = sum_m u_(j,m) * e_m(t - t0) = sum_a c_(a,j) * a^t is u_(j,s) at t0 + s, s < deg q, so
+    Lagrange interpolation gives c_(a,j) = a^-t0 * sum_s u_(j,s) * l_s(a), l_s(a) the t^s
+    coefficient of q(t) / ((t - a) * q'(a)) in floats on `_scaled(q)`."""
+    roots = [a for a in _approximate(q) if a.imag >= 0]
+    mult = max(j for j, _ in us) + 1
+    if None in us.values():
         return [(a, j, None) for a in roots for j in range(mult)]
-    cs = [c / p.den for c in p.nums]
-    us = {(m.power, m.index): c for m, c in block}
+    cs = _scaled(q)
     try:
         es = [[float(us.get((j, s), 0)) for j in range(mult)] for s in range(len(q) - 1)]
         out = []

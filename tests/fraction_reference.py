@@ -10,7 +10,8 @@ runs a recurrence mode's factor in Fractions, sharing no code with
 before `fit_constants` took `solve`'s route, evaluating the particular solution
 through `value` and every mode through `recurrence_value`; `fit` takes any
 basis.  `polar` is the printed view's per-factor `solver._polar` on the public
-`find_roots` and one Fraction per term of each E_j.  `_divmod`, `_gcd` and
+`find_roots` and one Fraction per term of each E_j, its floats read from `_balanced`, the
+power-of-two scaling on a `Poly` that `algebra._scaled` replaced.  `_divmod`, `_gcd` and
 `_square_free` are Yun's decomposition as it ran over Q before
 `algebra._gcdheu` and `algebra._rem`, copied verbatim but for `_primitive`
 taking the numerators, and `factors` is `algebra._factors` on them with each
@@ -18,12 +19,12 @@ rational root divided out in Fractions.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 
-from fdsolve.algebra import (Poly, _balanced, _primitive, _rational_roots, _square_free_mod,
-                             _x_power, find_roots)
+from fdsolve.algebra import Poly, _primitive, _rational_roots, _square_free_mod, _x_power, find_roots
 from fdsolve.expr import SequenceExpr
 from fdsolve.solver import Equation, SingularSystemError
 
@@ -77,20 +78,33 @@ def fit(op, particular, basis, initial):
     return gauss_jordan(A, b, 0, 0, "initial conditions leave a constant free")
 
 
-def polar(block, known: bool):
-    """(a, j, c_(a,j)) of `solver._polar`, with the roots a of q taken from `find_roots(q)`
-    (imaginary part >= 0, in its order) and each E_j(t0 + s), t0 the block's anchor, summed
-    in Fractions from x^s mod q and then rounded; the Lagrange weights are the same float
-    arithmetic on q balanced."""
-    q, t0 = block[0][0].factor, block[0][0].anchor
-    roots = [r.value for r in find_roots(Poly._make(list(q), 1)).roots if r.value.imag >= 0]
-    mult = max(m.power for m, _ in block) + 1
-    if not known:
-        return [(a, j, None) for a in roots for j in range(mult)]
+def _balanced(p: Poly) -> Poly:
+    """p times the power of two that brings its largest coefficient within (1/2, 2): exact
+    and commuting with float rounding, so float work on it gives the same bits as on p
+    where p is in float range, and p out of it still reaches the floats in range."""
+    e = max((c // g).bit_length() - (p.den // g).bit_length()
+            for c in p.nums if c for g in [math.gcd(c, p.den)])   # per coefficient, reduced
+    return p * Fraction(2) ** -e
+
+
+def balanced_floats(q) -> list[float]:
+    """The coefficients of `_balanced` on the integers q, each correctly rounded."""
     p = _balanced(Poly._make(list(q), 1))
-    cs = [c / p.den for c in p.nums]
+    return [c / p.den for c in p.nums]
+
+
+def polar(q, t0: int, us):
+    """(a, j, c_(a,j)) of `solver._polar(q, t0, us)`, with the roots a of q taken from
+    `find_roots(q)` (imaginary part >= 0, in its order) and each E_j(t0 + s) summed in
+    Fractions from x^s mod q and then rounded; the Lagrange weights are the same float
+    arithmetic on `balanced_floats(q)`."""
+    roots = [r.value for r in find_roots(Poly._make(list(q), 1)).roots if r.value.imag >= 0]
+    mult = max(j for j, _ in us) + 1
+    if None in us.values():
+        return [(a, j, None) for a in roots for j in range(mult)]
+    cs = balanced_floats(q)
     rows, den = _x_power(q, 0, len(q) - 2)   # e_m(t - t0) at t = t0 + s
-    es = [[float(sum(Fraction(c * nums[m.index], den) for m, c in block if m.power == j))
+    es = [[float(sum(Fraction(c * nums[m], den) for (i, m), c in us.items() if i == j))
            for j in range(mult)] for nums in rows]
     out = []
     for a in roots:

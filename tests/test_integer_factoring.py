@@ -2,7 +2,7 @@
 and rational roots divided out by `algebra._quotient`, against the decomposition over Q that
 they replaced, kept verbatim as `fraction_reference._square_free`.  GCDHEU is a heuristic that
 falls back to `_gcd`, so with every attempt made to fail the output must stay the same; and
-none of it builds a `Poly`."""
+none of it, nor the float pass on the factors it gives, builds a `Poly`."""
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,9 +12,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from fdsolve import algebra
+from fdsolve import algebra, solver
 from fdsolve.algebra import Poly, _factors, _gcdheu, _primitive, _quotient, _square_free
-from fdsolve.parser import parse_equation
+from fdsolve.parser import parse_equation, parse_initial
+from fdsolve.solver import Equation, solve
 
 small_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda cs: cs[-1])
 powers = st.lists(st.tuples(small_polys, st.integers(1, 3)), min_size=1, max_size=4)
@@ -110,24 +111,55 @@ def test_the_degree_160_operator_factors_the_same_through_the_fallback(monkeypat
     assert calls
 
 
+def refuse_poly(*args, **kwargs):
+    raise AssertionError("built a Poly")
+
+
 def test_factoring_builds_no_poly(monkeypatch):
     """`_factors` runs on integer lists alone: with `Poly` made unbuildable it factors the
     seed-1 `mix`, `roots` and `payload` benchmark operators and the CI operators as before,
     the degree-160 one also through the GCDHEU fallback."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("factoring built a Poly")
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from run import input_set  # bench/run.py
     ops = [*dict.fromkeys(parse_equation(inst.equation).operator
                           for workload in ("mix", "roots", "payload")
                           for inst in input_set(workload, 1, 16)), *ci_operators().values()]
     want = [_factors(p) for p in ops]
-    monkeypatch.setattr(Poly, "_make", refuse)
-    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Poly, "_make", refuse_poly)
+    monkeypatch.setattr(Poly, "__init__", refuse_poly)
     assert [_factors(p) for p in ops] == want
     calls = fallback_only(monkeypatch)
     assert _factors(ops[-1]) == want[-1]   # the degree-160 operator
     assert calls
+
+
+def test_float_root_pass_builds_no_poly(monkeypatch):
+    """The view's float pass reads each factor's integers: with `Poly` made unbuildable,
+    `_approximate(q)` on every factor of the seed 1-3 `roots` benchmark operators, and
+    `_polar(q, t0, us)` on each block that the view of a seed-1 `roots` input, with its
+    initial values and without, hands it, give what they gave before."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from run import input_set  # bench/run.py
+    eqs = [parse_equation(inst.equation) for seed in (1, 2, 3)
+           for inst in input_set("roots", seed, 16)]
+    qs = [*dict.fromkeys(q for eq in eqs for _, _, q in _factors(eq.operator))]
+    blocks, polar = [], solver._polar
+
+    def spied(*args):
+        blocks.append((args, polar(*args)))
+        return blocks[-1][1]
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_polar", spied)
+        for inst in input_set("roots", 1, 16):
+            eq = parse_equation(inst.equation)
+            for initial in (parse_initial(inst.initial), None):
+                solve(Equation(eq.operator, eq.rhs, initial)).view()
+    want = [algebra._approximate(q) for q in qs]
+    assert len(qs) > 1 and blocks and any(None in us.values() for (_, _, us), _ in blocks)
+    monkeypatch.setattr(Poly, "_make", refuse_poly)
+    monkeypatch.setattr(Poly, "__init__", refuse_poly)
+    assert [algebra._approximate(q) for q in qs] == want
+    assert [polar(*args) for args, _ in blocks] == [out for _, out in blocks]
 
 
 @given(small_polys, st.fractions(-20, 20, max_denominator=9))

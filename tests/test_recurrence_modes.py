@@ -24,7 +24,7 @@ from fdsolve.parser import parse_equation, parse_initial
 from fdsolve.solver import (Equation, NumericMode, RecurrenceMode, Solution, solve,
                             solve_homogeneous)
 
-from fraction_reference import gauss_jordan, polar, recurrence_value
+from fraction_reference import balanced_floats, gauss_jordan, polar, recurrence_value
 from instance_gen import (COEFFS, irrational_root_operator, rand_initial, rand_operator,
                           rand_rhs, rational_mode)
 
@@ -312,7 +312,8 @@ def test_view_runs_one_float_pass_per_factor(monkeypatch, src, initial):
 
 def test_view_runs_no_rational_root_search(monkeypatch):
     """The seed-1 `roots` benchmark inputs of one cycle, factored: each mode's factor already
-    has no rational root, so `view` only counts the real roots of each, once, in `_polar`."""
+    has no rational root, so `view` only counts the real roots of each, once, in `_polar`'s
+    `_approximate` pass."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import inputs  # bench/inputs.py
     sols = []
@@ -321,7 +322,7 @@ def test_view_runs_no_rational_root_search(monkeypatch):
         sols.append(solve(Equation(eq.operator, eq.rhs, parse_initial(inst.initial))))
     calls, sols = view_calls(monkeypatch, sols, ("_rational_roots", "_real_roots"))
     blocks = sum(len({m.factor for m in sol.homogeneous if len(m.factor) > 2}) for sol in sols)
-    assert calls == {"_rational_roots": [], "_real_roots": ["_polar"] * blocks}
+    assert calls == {"_rational_roots": [], "_real_roots": ["_approximate"] * blocks}
     assert blocks >= len(sols)
 
 
@@ -329,10 +330,33 @@ def test_approximate_refuses_roots_past_the_float_range():
     """`_approximate` raises the refusal itself, for `find_roots` and the view alike."""
     op = parse_equation("(1/2)^1074 y(t+3) + y(t+2) + y(t+1) + y(t) = 0").operator
     q, = {m.factor for m in solve_homogeneous(op)}
-    p = algebra._balanced(Poly._make(list(q), 1))
     with pytest.raises(ValueError, match=r"^coefficients span beyond the float range; "
                                          r"roots not found$"):
-        algebra._approximate(p, algebra._real_roots(q))
+        algebra._approximate(q)
+
+
+def test_scaled_floats_match_the_balanced_reference(monkeypatch):
+    """`_scaled(q)` is the old `_balanced` scaling of q, rounded, bit for bit: on every factor
+    of the seed 1-3 `roots` benchmark operators, the factors of the float-range and close-roots
+    probes, and 200 seeded polynomials with coefficients of 10^0 to 10^300."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from run import input_set  # bench/run.py
+    ops = {parse_equation(inst.equation).operator
+           for seed in (1, 2, 3) for inst in input_set("roots", seed, 16)}
+    qs = [q for op in ops for _, _, q in algebra._factors(op)]
+    for src in ("(1/2)^1074 y(t+3) + y(t+2) + y(t+1) + y(t) = 0",
+                "(1/2)^524 y(t+3) + 4y(t+2) + 3y(t+1) + 4y(t) = 0",
+                "1000000000000000000000000000000y(t+4) - 4000000000000000000000000000001y(t+2)"
+                " + 4000000000000000000000000000002y(t) = 0"):
+        qs += {m.factor for m in solve_homogeneous(parse_equation(src).operator)}
+    rng = random.Random(4901)
+    for _ in range(200):
+        q = [rng.choice((0, 1, -1)) * rng.randint(1, 10 ** rng.randint(0, 300))
+             for _ in range(rng.randint(1, 8))]
+        qs.append([*q, rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, 300))])
+    assert len(qs) > 200 + len(ops)
+    for q in qs:
+        assert [c.hex() for c in algebra._scaled(q)] == [c.hex() for c in balanced_floats(q)], q
 
 
 def printed(sol):
