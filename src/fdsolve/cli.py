@@ -95,13 +95,12 @@ def _equation(args: argparse.Namespace) -> Equation:
 def _cmd_solve(args: argparse.Namespace) -> tuple[int, Any]:
     eq = _equation(args)
     sol = solve(eq)
-    report = None
-    if args.verify is not None:
-        report = verify_solution(eq, sol._factored(), horizon=args.verify)
-    code = EXIT_VERIFY if report is not None and not report.ok else EXIT_OK
     modes, constants = sol.view()
+    general = sol.general_expr()   # proved as printed, when it prints
+    report = None if args.verify is None else verify_solution(
+        eq, sol._factored() if general is None else general, horizon=args.verify)
+    code = EXIT_VERIFY if report is not None and not report.ok else EXIT_OK
     particular = sol.particular.render(pretty=True)
-    general = sol.general_expr()
     general = None if general is None else general.render(pretty=True)
     if args.format == "json":
         doc: dict[str, Any] = {

@@ -8,12 +8,11 @@ Two deliberately different routes:
   run once it takes the n initial values and P(T)h is 0 on Z: certified where a power
   of each factor of h divides P exactly (`_divides`), else shown at K_h consecutive t.
 
-Both run on integers and read only `Equation` data, the particular solution's
-buckets and the recurrence modes' factors and anchors (no symbolic machinery,
-nothing from the solver).  `_numerators` walks each bucket of an expression, and
-`algebra._x_power` x^(t - a) mod q for the modes of factor q and anchor a, once
-across a range of t, however many shifts of it a check needs.
-Both routes compare integers and build Fractions only for a report.
+Both run on integers and read only `Equation` data, the particular solution's buckets
+and the recurrence modes' factors and anchors.  `_numerators` folds cos(n*pi*t) and
+powers each base itself; two kernels are still the solver's: `algebra._x_power`, x^(t - a)
+mod q over a range of t for the modes of factor q and anchor a, and `algebra._quotient`
+in `_divides`.  Both routes compare integers and build Fractions only for a report.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import Poly, _quotient, _Record, _x_power
-from .expr import SequenceExpr, _base_pow, _fold
+from .expr import SequenceExpr
 from .solver import Equation, Solution, SolveTrace
 
 # The largest verification horizon.  Forward application builds about K values and the
@@ -58,7 +57,7 @@ class VerifyReport(_Record):
 def _folded(expr: SequenceExpr) -> list[tuple[tuple[int, int], Poly]]:
     """expr as pairs (b, p) with expr(t) == sum p(t) * b^t on integer t, where
     sin(n*pi*t) is 0 and cos(n*pi*t) is ((-1)^n)^t; a base b = (num, den) may repeat."""
-    return [(_fold(base, n), poly) for (base, kind, n), poly in expr.buckets if kind != "sin"]
+    return [((-u if n % 2 else u, v), p) for ((u, v), kind, n), p in expr.buckets if kind != "sin"]
 
 
 def _order(pairs: Iterable[tuple[tuple[int, ...], int]]) -> int:
@@ -88,7 +87,7 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     """Integers nums and den with expr(t) == nums[t - lo] / den for lo <= t <= hi.
 
     Each pair of `_folded(expr)` is (u/v)^t * q(t) / d with q = poly.nums and
-    d = poly.den.  Over kd * d * v^(hi-lo), where kn/kd = (u/v)^lo, kd > 0, its
+    d = poly.den.  Over kd * d * v^(hi-lo), where kn/kd = (u/v)^lo, its
     numerator at t is kn * u^(t-lo) * v^(hi-t) * q(t): Horner on q,
     and one product and one exact division by v per step of t.  den is the
     lcm of those denominators over all pairs; nums/den is not reduced.
@@ -98,7 +97,7 @@ def _numerators(expr: SequenceExpr, lo: int, hi: int) -> tuple[list[int], int]:
     width = hi - lo
     parts = []
     for (u, v), poly in _folded(expr):
-        (kn, kd), vw = _base_pow((u, v), lo), v**width
+        (kn, kd), vw = (u**lo, v**lo) if lo >= 0 else (v**-lo, u**-lo), v**width
         parts.append((kn * vw, kd * poly.den * vw, u, v, poly.nums[::-1]))
     den = math.lcm(*(kd for _, kd, _, _, _ in parts))
     nums = [0] * (width + 1)
@@ -160,8 +159,9 @@ def verify_solution(
     [-h, h], h = min(K//2, horizon), then [-K//2, K//2] if all passed, nearest
     the origin first; the report's range stays [-horizon, horizon], a mismatch
     past it keeps its t.
-    With initial conditions and constants, the initial-value problem ("iterate")
-    is proved too: y_P + h, h = sum c_i * mode_i over the nonzero c_i, is the
+    With initial values the initial-value problem ("iterate") is proved too, for a
+    `SequenceExpr` (no modes: CLI `solve --verify` passes its printed `general:`) or a
+    `Solution` with constants: y_P + h, h = sum c_i * mode_i over the nonzero c_i, is the
     recurrence's run from t0 on once it takes the n given values and P(T)h = 0 on Z:
     certified if f^(j+1) | P for each mode t^j * e_m of a factor f in h, else shown at
     t0, ..., t0 + K_h - 1, K_h by `_order` on h's factors.  The two first part at t + n

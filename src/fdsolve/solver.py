@@ -27,8 +27,8 @@ from typing import Sequence
 from .algebra import (OperatorPoly, Poly, _approximate, _factors, _from_newton, _inverse, _newton,
                       _power, _primitive, _quotient, _Record, _render_sum, _scaled, _signed_sum,
                       _splits_mod, _x_power, series_inverse)
-from .expr import (_ONE, SequenceExpr, _base_str, _fold, _Key, _render_base_power, _render_bucket,
-                   _scale, _sum)
+from .expr import (_ONE, SequenceExpr, _base_pow, _base_str, _fold, _Key, _render_base_power,
+                   _render_bucket, _sum)
 
 
 class SingularSystemError(ValueError):
@@ -130,13 +130,13 @@ class Solution(_Record):
             all(len(m.factor) == 2 for m in self._factored().homogeneous)
 
     def general_expr(self) -> SequenceExpr | None:
-        """particular + sum(c_i * mode_i) as one expression, when every mode is a closed form."""
+        """particular + sum(c_i * mode_i) when every mode is a closed form: `view`'s modes, each
+        times its printed constant, as the `general:` line that CLI `solve --verify` proves."""
         if self.constants is None or not self.is_exact:
             return None
-        sol = self._factored()
-        return _sum([*sol.particular.buckets, *(
-            (k, _scale(p, k[0], -m.anchor, c.numerator, c.denominator))
-            for c, m in zip(sol.constants, sol.homogeneous) for k, p in [m._bucket()])])
+        modes, constants = self.view()
+        return _sum([*self.particular.buckets,
+                     *((k, p * c) for m, c in zip(modes, constants) for k, p in m.buckets)])
 
     def general_value_at(self, t: int) -> Fraction:
         """Exact value of particular + sum(c_i * mode_i) at integer t."""
@@ -148,10 +148,10 @@ class Solution(_Record):
     def view(self) -> tuple[tuple[SequenceExpr | NumericMode, ...],
                             tuple[Fraction | float, ...] | None]:
         """The modes and constants as printed: closed forms t^j * root^t with their Fractions
-        c * root^-anchor, then for each (a, j, c) of `_polar`, sorted by a, `NumericMode`s cos
-        with c (and sin, 2*Re c and -2*Im c, for a complex a).  The floats approximate the exact
-        solution, far off for close roots or values far from the anchor; one not finite raises
-        ValueError, as `_approximate` does, once per factor, on roots out of float reach."""
+        c * root^-anchor, which `general_expr` sums, then for each (a, j, c) of `_polar`, sorted
+        by a, `NumericMode`s cos with c (and sin, 2*Re c and -2*Im c, for a complex a).  The
+        floats approximate the exact solution, far off for close roots or far from the anchor;
+        one not finite raises ValueError, as `_approximate` does per factor out of float reach."""
         sol = self._factored()
         known = sol.constants is not None
         modes, constants, blocks = [], [], {}
@@ -159,7 +159,8 @@ class Solution(_Record):
                         sol.homogeneous):
             if len(m.factor) == 2:
                 modes.append(_sum([m._bucket()]))
-                constants.append(c and c * Fraction(-m.factor[0], m.factor[1]) ** -m.anchor)
+                u, v = _base_pow((-m.factor[0], m.factor[1]), -m.anchor)
+                constants.append(c and Fraction(c.numerator * u, c.denominator * v))
             else:
                 blocks.setdefault((m.factor, m.anchor), {})[m.power, m.index] = c
         printed = [p for (q, t0), us in blocks.items() for p in _polar(q, t0, us)]

@@ -51,6 +51,16 @@ SOLVE_CASES = [
     ("singular-exact", "y(t+2) = 0", "y(0)=1, y(1)=0"),
     ("singular-float", "y(t+3) - 2y(t+1) = 0", "y(0)=1, y(1)=0, y(2)=5"),
     ("singular-float-pivot", "y(t+2) - y(t+1) - y(t) = 0", "y(60)=1, y(61)=2"),
+    # initial values away from y(0): the printed constants are c * r^-t0
+    ("anchor-5-simple-root", "y(t+2) - 5y(t+1) + 6y(t) = t", "y(5)=1, y(6)=0"),
+    ("anchor-minus-7-simple-root", "y(t+2) - 5y(t+1) + 6y(t) = t", "y(-7)=1, y(-6)=0"),
+    ("anchor-5-repeated-resonant", "y(t+3) - 5y(t+2) + 8y(t+1) - 4y(t) = 2^t",
+     "y(5)=1, y(6)=0, y(7)=3"),
+    ("anchor-minus-7-repeated-resonant", "y(t+3) - 5y(t+2) + 8y(t+1) - 4y(t) = 2^t",
+     "y(-7)=1, y(-6)=0, y(-5)=3"),
+    ("anchor-5-mixed", "y(t+3) - 3y(t+2) + y(t+1) + 2y(t) = 1", "y(5)=0, y(6)=1, y(7)=2"),
+    ("anchor-minus-7-mixed", "y(t+3) - 3y(t+2) + y(t+1) + 2y(t) = 1",
+     "y(-7)=0, y(-6)=1, y(-5)=2"),
 ]
 
 

@@ -216,6 +216,18 @@ class TestValues:
         assert values(parse_expression("2^t + t"), 3, 2) == []
         assert values(SequenceExpr.zero(), -2, 2) == [F(0)] * 5
 
+    def test_negative_base_from_a_negative_initial_point(self):
+        """(-2/3)^-7 is 2187 / -128: a negative denominator, kept by `_numerators`' lcm."""
+        y = parse_expression("(-2/3)^t * t")
+        assert values(y, -7, 3) == [y.eval_at(t) for t in range(-7, 4)]
+        assert (y.eval_at(-7), y.eval_at(-6)) == (F(15309, 128), F(-2187, 32))
+        eq = eq_with_initial("9y(t+2) + 12y(t+1) + 4y(t) = 0", "y(-7)=15309/128, y(-6)=-2187/32")
+        report = verify_solution(eq, y)
+        assert (report.method, report.status) == ("forward-apply+iterate", "exact-match")
+        eq = eq_with_initial("9y(t+2) + 12y(t+1) + 4y(t) = 0", "y(-7)=15309/128, y(-6)=2187/32")
+        report = verify_solution(eq, y)
+        assert (report.method, report.mismatch_t) == ("iterate", -6)
+
 
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9).map(F),
                    st.fractions(min_value=-9, max_value=9, max_denominator=6))
